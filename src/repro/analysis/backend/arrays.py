@@ -31,9 +31,10 @@ singleton-lane sweeps.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.backend import numpy_or_none
+from repro.core.cost import cost_order
 
 #: Magnitude prebound of the array kernels.  Every worst-case
 #: intermediate of an activity's vectorized fix point is bounded in
@@ -321,9 +322,8 @@ class StructureTemplate:
         "fault_rows", "release_max", "native_acts",
     )
 
-    def __init__(self, ctx, config):
+    def __init__(self, ctx, config, static_names: Tuple[str, ...]):
         np = numpy_or_none()
-        arts = ctx._schedule_artifacts(config)
         views = ctx._dyn_views(config)
 
         # --- activity/name index ------------------------------------
@@ -332,7 +332,7 @@ class StructureTemplate:
         # evaluation order of the Python fix point.  Any referenced name
         # outside those sets (defensive: senders/predecessors are always
         # covered) gets a zero row, mirroring ``wcrt.get(name, 0)``.
-        names: List[str] = list(arts.static_wcrt)
+        names: List[str] = list(static_names)
         name_idx: Dict[str, int] = {n: i for i, n in enumerate(names)}
 
         def _row(name: str) -> int:
@@ -404,7 +404,7 @@ class StructureTemplate:
         # wcrt assembly order: the Python fix point's exact dict
         # insertion order (static entries, then first-pass activity
         # writes), so verify-mode item-tuple signatures match.
-        self.wcrt_names = list(arts.static_wcrt) + [
+        self.wcrt_names = list(static_names) + [
             a.name for a in activities
         ]
         self.wcrt_rows = np.asarray(
@@ -414,16 +414,12 @@ class StructureTemplate:
         # iteration order of ``cost_function``.  A graph activity with
         # no response-time row would raise in the Python path; leave
         # ``cost_rows`` unset so the kernel falls back to it.
-        cost_names = [
-            name
-            for g in ctx.app.graphs
-            for name in g.topological_order()
-        ]
-        if all(n in name_idx for n in cost_names):
+        order = cost_order(ctx.app)
+        if all(n in name_idx for n, _ in order):
             self.cost_rows = np.asarray(
-                [name_idx[n] for n in cost_names], dtype=np.int64
+                [name_idx[n] for n, _ in order], dtype=np.int64
             )
-            deadlines = [ctx.app.deadline_of(n) for n in cost_names]
+            deadlines = [d for _, d in order]
             self.deadlines = np.asarray(deadlines, dtype=np.int64)
             self.deadline_abs_max = max(
                 (abs(d) for d in deadlines), default=0
@@ -443,7 +439,7 @@ class StructureTemplate:
         self.fault_rows = np.asarray(
             [
                 name_idx[n]
-                for n in arts.static_wcrt
+                for n in static_names
                 if n in ctx._fault_static_names
             ],
             dtype=np.int64,
@@ -467,17 +463,20 @@ class GroupPlan:
     """
 
     __slots__ = (
-        "template", "names", "name_idx", "w0", "static_wcrt",
+        "template", "arts", "names", "name_idx", "w0",
         "static_max", "release_max", "activities", "n_rows",
-        "availability", "wcrt_names", "wcrt_rows", "cost_rows",
+        "wcrt_names", "wcrt_rows", "cost_rows",
         "deadlines", "deadline_abs_max", "fault_rows", "native_state",
     )
 
-    def __init__(self, ctx, config):
+    def __init__(self, ctx, config, arts):
         np = numpy_or_none()
-        arts = ctx._schedule_artifacts(config)
         template = ctx._structure_template(config, tuple(arts.static_wcrt))
         self.template = template
+        #: The group's schedule artifacts, fetched once by the caller:
+        #: the kernels read them from here instead of re-fetching (a
+        #: batch wider than the schedule cache would replay them again).
+        self.arts = arts
         self.names = template.names
         self.name_idx = template.name_idx
         self.n_rows = template.n_rows
@@ -488,8 +487,6 @@ class GroupPlan:
         self.deadline_abs_max = template.deadline_abs_max
         self.fault_rows = template.fault_rows
         self.release_max = template.release_max
-        self.static_wcrt = arts.static_wcrt
-        self.availability = arts.availability
         self.activities = [
             act if act.kind == "dyn" else act.bind(arts.availability[act.node])
             for act in template.activities

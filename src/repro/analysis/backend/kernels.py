@@ -94,7 +94,7 @@ class _GroupRun:
         self.plan = plan
         self.configs = configs
         self.options = ctx.options
-        self.arts = ctx._schedule_artifacts(configs[0])
+        self.arts = plan.arts
         i8 = np.int64
         L = self.L = len(configs)
         # Per-lane ``_DynView`` lists are only materialised for Python

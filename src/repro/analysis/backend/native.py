@@ -280,7 +280,6 @@ def run_group_native(ctx, plan, configs) -> List:
         W,
         conv,
     )
-    arts = ctx._schedule_artifacts(configs[0])
     return assemble_results(
-        ctx, plan, arts, configs, W.T, conv != 0, cap_max
+        ctx, plan, plan.arts, configs, W.T, conv != 0, cap_max
     )

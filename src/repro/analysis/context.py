@@ -589,7 +589,7 @@ class AnalysisContext:
         key = (self.structure_key(config), static_names)
         template = self._backend_structures.get(key)
         if template is None:
-            template = StructureTemplate(self, config)
+            template = StructureTemplate(self, config, static_names)
             _lru_insert(
                 self._backend_structures,
                 key,
@@ -819,7 +819,10 @@ class AnalysisContext:
         from repro.analysis.holistic import _infeasible
 
         results = [None] * len(configs)
-        groups: "OrderedDict[tuple, list]" = OrderedDict()
+        # key -> (the group's schedule artifacts, candidate indices); the
+        # artifacts fetched here travel on the plan, so a batch wider
+        # than the schedule cache replays each schedule once, not twice.
+        groups: "OrderedDict[tuple, tuple]" = OrderedDict()
         for i, config in enumerate(configs):
             failure = self._validate(config)
             if failure is not None:
@@ -830,11 +833,11 @@ class AnalysisContext:
                 results[i] = _infeasible(config, arts.failure)
                 continue
             key = (self.schedule_key(config), self.structure_key(config))
-            groups.setdefault(key, []).append(i)
-        for key, indices in groups.items():
+            groups.setdefault(key, (arts, []))[1].append(i)
+        for key, (arts, indices) in groups.items():
             plan = self._backend_plans.get(key)
             if plan is None:
-                plan = GroupPlan(self, configs[indices[0]])
+                plan = GroupPlan(self, configs[indices[0]], arts)
                 _lru_insert(
                     self._backend_plans, key, plan, self.max_schedule_entries
                 )

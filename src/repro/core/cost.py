@@ -12,7 +12,7 @@ solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.model.application import Application
@@ -30,6 +30,16 @@ class CostBreakdown:
 
     def __float__(self) -> float:  # pragma: no cover - convenience
         return float(self.value)
+
+
+def cost_order(application: Application) -> List[Tuple[str, int]]:
+    """``(activity, deadline)`` in :func:`cost_function`'s term order,
+    resolved once for callers that evaluate Eq. (5) many times."""
+    return [
+        (name, application.deadline_of(name))
+        for g in application.graphs
+        for name in g.topological_order()
+    ]
 
 
 def cost_function(
@@ -72,3 +82,24 @@ def cost_function(
         worst_violation=0,
         total_slack=-f2,
     )
+
+
+def cost_values(
+    deadlines: Sequence[int], columns: Sequence[Sequence[int]]
+) -> List[float]:
+    """Eq. (5)'s value for many candidates at once.
+
+    ``columns[i][k]`` is the response time of the *i*-th activity of
+    :func:`cost_order` (deadline ``deadlines[i]``) under candidate *k*;
+    each value equals ``cost_function(...).value`` for that candidate's
+    response times.  Response times and deadlines are integers, so the
+    sums are exact in any order: f2 is one column sum per candidate, and
+    only activities that miss their deadline somewhere add to f1.
+    """
+    total_deadline = sum(deadlines)
+    f2 = [total - total_deadline for total in map(sum, zip(*columns))]
+    f1 = [0] * len(f2)
+    for d, column in zip(deadlines, columns):
+        if max(column) > d:
+            f1 = [s + r - d if r > d else s for s, r in zip(f1, column)]
+    return [float(a) if a > 0 else float(b) for a, b in zip(f1, f2)]

@@ -24,12 +24,12 @@ calling conventions.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
-from repro.core.cost import cost_function
-from repro.core.curvefit import NewtonInterpolator, spread_points
+from repro.core.cost import cost_order, cost_values
+from repro.core.curvefit import NewtonCurves, spread_points
 from repro.core.runtime import CandidateBatch, Proposals, drive_with_evaluator
 from repro.core.search import (
     BusOptimisationOptions,
@@ -37,6 +37,7 @@ from repro.core.search import (
     better,
     sweep_lengths,
 )
+from repro.errors import AnalysisError
 from repro.model.system import System
 
 
@@ -104,13 +105,32 @@ def curvefit_proposals(
         return None
 
     exact: Dict[int, AnalysisResult] = {}
-    interpolators: Dict[str, NewtonInterpolator] = {}
+    # One response-time curve per activity, rows in Eq. (5) order.
+    order = cost_order(system.application)
+    names = [name for name, _ in order]
+    deadlines = [deadline for _, deadline in order]
+    curves = NewtonCurves(len(names))
+    # The candidate lengths are fixed for this static variant, so each
+    # one's configuration is built once, not once per round.
+    configs: Dict[int, FlexRayConfig] = {}
+
+    def config_for(n: int) -> FlexRayConfig:
+        config = configs.get(n)
+        if config is None:
+            config = configs[n] = template.with_dyn_length(n)
+        return config
 
     def record_point(n: int, result: AnalysisResult) -> None:
         exact[n] = result
         if result.feasible:
-            for name, r in result.wcrt.items():
-                interpolators.setdefault(name, NewtonInterpolator()).add_point(n, r)
+            wcrt = result.wcrt
+            missing = next((name for name in names if name not in wcrt), None)
+            if missing is not None:
+                raise AnalysisError(
+                    f"feasible analysis at n_minislots={n} has no response "
+                    f"time for activity {missing!r}"
+                )
+            curves.add_point(n, [wcrt[name] for name in names])
 
     # Line 1-5: seed points, analysed exactly.  The seeds are mutually
     # independent, so they go out as one batch: they share the
@@ -139,7 +159,7 @@ def curvefit_proposals(
         and len(exact) < options.cf_max_points
     ):
         scored, estimates = _score_candidates(
-            system, template, candidates, exact, interpolators
+            candidates, exact, curves, deadlines, config_for
         )
         if estimates:
             # Estimate-only batch: the interpolated points land in the
@@ -158,15 +178,11 @@ def curvefit_proposals(
             n_next = next((n for _, n in scored if n not in exact), None)
             if n_next is None:
                 break
-            results = yield CandidateBatch(
-                (template.with_dyn_length(n_next),)
-            )
+            results = yield CandidateBatch((config_for(n_next),))
             record_point(n_next, results[0])
         else:
             # Lines 13-17: analyse the promising interpolated point.
-            results = yield CandidateBatch(
-                (template.with_dyn_length(n_best),)
-            )
+            results = yield CandidateBatch((config_for(n_best),))
             result = results[0]
             record_point(n_best, result)
             if result.schedulable:
@@ -216,11 +232,11 @@ def _best_exact_cost(exact: Dict[int, AnalysisResult]) -> float:
 
 
 def _score_candidates(
-    system: System,
-    template: FlexRayConfig,
     candidates: List[int],
     exact: Dict[int, AnalysisResult],
-    interpolators: Dict[str, NewtonInterpolator],
+    curves: NewtonCurves,
+    deadlines: List[int],
+    config_for: Callable[[int], FlexRayConfig],
 ) -> Tuple[List[Tuple[float, int]], List[Tuple[FlexRayConfig, float]]]:
     """Cost per candidate length: exact when analysed, else interpolated.
 
@@ -228,30 +244,35 @@ def _score_candidates(
     best-first, plus the interpolated points to record in the search
     trace (in candidate order).  Candidates are skipped while fewer than
     two exact feasible points exist (nothing to interpolate from).
+    Every open candidate is interpolated and costed in one batched pass.
     """
-    app = system.application
     scored: List[Tuple[float, int]] = []
-    estimates: List[Tuple[FlexRayConfig, float]] = []
-    can_interpolate = interpolators and min(
-        len(ip) for ip in interpolators.values()
-    ) >= 2
+    open_lengths: List[int] = []
     for n in candidates:
         if n in exact:
             scored.append((exact[n].cost_value, n))
-            continue
-        if not can_interpolate:
-            continue
-        # Clamp: a high-degree Newton polynomial can oscillate wildly
-        # between nodes; negative or astronomic response times are noise.
-        wcrt = {
-            name: min(10**12, max(0, round(ip(n))))
-            for name, ip in interpolators.items()
-        }
-        try:
-            cost = cost_function(app, wcrt).value
-        except Exception:  # missing activity: some exact run was infeasible
-            continue
-        estimates.append((template.with_dyn_length(n), cost))
-        scored.append((cost, n))
+        else:
+            open_lengths.append(n)
+    estimates: List[Tuple[FlexRayConfig, float]] = []
+    if len(curves) >= 2 and open_lengths:
+        columns = [_clamped(row) for row in curves.evaluate(open_lengths)]
+        for n, cost in zip(open_lengths, cost_values(deadlines, columns)):
+            estimates.append((config_for(n), cost))
+            scored.append((cost, n))
     scored.sort(key=lambda pair: (pair[0], pair[1]))
     return scored, estimates
+
+
+def _clamped(values: List[float]) -> List[int]:
+    """Interpolated response times, rounded and clamped.
+
+    Clamp: a high-degree Newton polynomial can oscillate wildly between
+    nodes; negative or astronomic response times are noise.  Each bound
+    of ``min(10**12, max(0, r))`` is applied only to rows that cross it.
+    """
+    rounded = list(map(round, values))
+    if min(rounded) < 0:
+        rounded = [r if r > 0 else 0 for r in rounded]
+    if max(rounded) > 10**12:
+        rounded = [r if r < 10**12 else 10**12 for r in rounded]
+    return rounded

@@ -20,7 +20,9 @@ from repro.core import (
 )
 from repro.core.result import OptimisationResult
 from repro.core.search import BusOptimisationOptions
+from repro.core.strategies import StrategyOptions, optimise
 from repro.synth import paper_suite
+from repro.synth.suite import paper_system
 
 from tests.util import fig3_system, fig4_system
 
@@ -92,5 +94,42 @@ LEGACY_CASES = (
             fig4_system(),
             ga_options=GAOptions(population=8, generations=5, seed=11),
         ),
+    ),
+)
+
+
+def _fig9_bus() -> BusOptimisationOptions:
+    """The Fig. 9 laptop preset (``benchmarks/fig9_common.bench_options``)."""
+    return BusOptimisationOptions(
+        max_dyn_points=32,
+        ee_max_dyn_points=192,
+        cf_candidates=128,
+        max_extra_static_slots=1,
+        max_slot_size_steps=2,
+    )
+
+
+@dataclass(frozen=True)
+class DigestCase:
+    """A pinned run too large for a JSON fixture (its trace holds ~10k
+    points): the sha256 of its canonical ``result_to_dict`` output minus
+    ``elapsed_seconds``, plus evaluations and cost for readable failures."""
+
+    case_id: str
+    run: Callable[[], OptimisationResult]
+    sha256: str
+    evaluations: int
+    cost: float
+
+
+DIGEST_CASES = (
+    DigestCase(
+        "obc_cf_fig9_paper4",
+        lambda: optimise(
+            paper_system(4, 0, seed=23), "obc-cf", StrategyOptions(bus=_fig9_bus())
+        ),
+        "400e5f7c186f1b6c11510547f33cbbbc2152a69c90a0942d6228be23d4e4f11a",
+        114,
+        634176.0,
     ),
 )

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext
 from repro.analysis.backend import native_or_none, numpy_or_none
+from repro.analysis.scheduler import SchedulePlan
 from repro.analysis.holistic import (
     AnalysisOptions,
     DOMINANCE_MODES,
@@ -58,6 +59,7 @@ from repro.model import (
     Task,
     TaskGraph,
 )
+from repro.synth.suite import paper_system
 
 from tests.fixtures.legacy_cases import LEGACY_CASES
 from tests.test_properties import small_system
@@ -205,6 +207,30 @@ class TestBitIdentity:
         assert context.backend_divergences == 0
         python = AnalysisContext(system).analyse_batch(configs)
         assert _result_docs(verified) == _result_docs(python)
+
+    def test_wide_batch_replays_each_schedule_once(self, monkeypatch):
+        """A sweep wider than the schedule cache, one schedule key per
+        candidate (ST messages make the key carry the cycle length):
+        the artifacts the batch fetches travel on the group plans, so
+        no schedule is replayed a second time by the kernels."""
+        system = paper_system(3, 0, seed=23)
+        configs = _sweep_configs(system, 100)
+        context = AnalysisContext(system, AnalysisOptions(backend="numpy"))
+        keys = {context.schedule_key(c) for c in configs}
+        assert len(keys) > context.max_schedule_entries
+        replays = []
+        original = SchedulePlan.replay
+
+        def counting_replay(plan, config):
+            replays.append(context.schedule_key(config))
+            return original(plan, config)
+
+        monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
+        results = context.analyse_batch(configs)
+        assert sorted(replays) == sorted(keys)
+        monkeypatch.undo()
+        python = AnalysisContext(system).analyse_batch(configs)
+        assert _result_docs(results) == _result_docs(python)
 
 
 @requires_native

@@ -1,14 +1,22 @@
 """Unit tests for the DYN-length search strategies (Fig. 8)."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro.core.bbc import basic_configuration
-from repro.core.dynlen import curvefit_dyn_length, exhaustive_dyn_length
+from repro.core.dynlen import (
+    curvefit_dyn_length,
+    curvefit_proposals,
+    exhaustive_dyn_length,
+)
 from repro.core.search import (
     BusOptimisationOptions,
     Evaluator,
     dyn_segment_bounds,
 )
+from repro.errors import AnalysisError
 
 from tests.util import fig4_system
 
@@ -68,6 +76,25 @@ class TestCurveFit:
     def test_empty_range_returns_none(self, setup):
         _, evaluator, template, _, __ = setup
         assert curvefit_dyn_length(evaluator, template, 10, 9) is None
+
+    def test_feasible_result_missing_an_activity_is_an_error(self, setup):
+        """Every feasible analysis carries a response time for every
+        activity; one that does not cannot be interpolated, and the
+        heuristic says which activity is missing instead of silently
+        giving up on estimation."""
+        system, evaluator, template, lo, hi = setup
+        options = BusOptimisationOptions(stop_when_schedulable=False)
+        proposals = curvefit_proposals(system, options, template, lo, hi)
+        seeds = next(proposals)
+        results = evaluator.analyse_many(seeds.configs)
+        assert any(r.feasible for r in results)
+        dropped = list(system.application.graphs[0].topological_order())[-1]
+        broken = [
+            replace(r, wcrt={k: v for k, v in r.wcrt.items() if k != dropped})
+            for r in results
+        ]
+        with pytest.raises(AnalysisError, match=re.escape(repr(dropped))):
+            proposals.send(broken)
 
     def test_interpolation_estimates_recorded(self, setup):
         system, _, template, lo, hi = setup

@@ -10,6 +10,7 @@ the *full* search trace (exact points and interpolation estimates, in
 order) and the best configuration with its cost.
 """
 
+import hashlib
 import json
 import os
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.io.serialization import result_to_dict
 
-from tests.fixtures.legacy_cases import LEGACY_CASES
+from tests.fixtures.legacy_cases import DIGEST_CASES, LEGACY_CASES
 
 FIXTURE_DIR = os.path.join(
     os.path.dirname(__file__), "fixtures", "legacy_traces"
@@ -46,3 +47,15 @@ def test_runtime_reproduces_legacy_trace(case):
     )
     assert got["best"] == expected["best"]
     assert got == expected
+
+
+@pytest.mark.parametrize("case", DIGEST_CASES, ids=lambda c: c.case_id)
+def test_runtime_reproduces_pinned_digest(case):
+    result = case.run()
+    assert (result.evaluations, result.cost) == (case.evaluations, case.cost)
+    payload = result_to_dict(result)
+    del payload["elapsed_seconds"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == case.sha256, (
+        f"{case.case_id}: result diverged from the pinned digest"
+    )

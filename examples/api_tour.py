@@ -10,10 +10,9 @@ guarantees:
 1. one-off analysis -- ``repro.analysis.analyse_system``;
 2. repeated analysis -- ``repro.analysis.AnalysisContext`` (the
    incremental engine: bit-identical to one-off, just faster);
-3. backends -- ``AnalysisOptions.backend`` (the batched numpy array
-   engine behind the ``repro[numpy]`` extra and the compiled native
-   engine behind ``repro[native]``, both bit-identical to the Python
-   oracle);
+3. backends -- ``AnalysisOptions.backend`` (the compiled native
+   engine behind the ``repro[native]`` extra, bit-identical to the
+   Python oracle);
 4. optimisation -- the strategy registry (``repro.core.optimise``
    dispatches any registered strategy by name) on the unified search
    runtime, serial or parallel, chunked or not, always byte-identical
@@ -106,25 +105,20 @@ True
 True
 
 **Evaluation backends.**  ``AnalysisOptions.backend`` selects the
-fix-point engine: ``"python"`` (default), ``"numpy"`` -- the batched
-array backend, which lowers the system's invariants into packed int64
-arrays once and advances a whole batch of busy-window fix points in
-lockstep via ``AnalysisContext.analyse_batch`` -- ``"native"`` -- the
-compiled backend, same lowering but with each lane's entire fix point
-running inside the ``repro._native`` C extension -- or ``"verify"``,
-which runs the oracle plus every available accelerated backend and
+fix-point engine: ``"python"`` (default), ``"native"`` -- the
+compiled backend, which lowers the system's invariants once per group
+of candidates and runs each candidate's entire fix point inside the
+``repro._native`` C extension via ``AnalysisContext.analyse_batch`` --
+or ``"verify"``, which runs the oracle and the compiled kernels and
 counts divergences (contractually zero).  Results are bit-identical
-across backends; numpy is the optional ``repro[numpy]`` extra and the
-extension the ``repro[native]`` extra, so this snippet climbs to the
-best rung actually installed and degrades to the Python backend when
-neither is:
+across backends; the extension is the optional ``repro[native]``
+extra, so this snippet picks it when it is built and the Python
+backend otherwise:
 
 >>> AnalysisOptions().backend
 'python'
->>> from repro.analysis.backend import native_or_none, numpy_or_none
->>> have_numpy = numpy_or_none() is not None
->>> have_native = have_numpy and native_or_none() is not None
->>> backend = "native" if have_native else "numpy" if have_numpy else "python"
+>>> from repro.analysis.backend import native_or_none
+>>> backend = "native" if native_or_none() is not None else "python"
 >>> batched = AnalysisContext(system, AnalysisOptions(backend=backend))
 >>> [r.wcrt for r in batched.analyse_batch(sweep)] == [
 ...     warm.analyse(c).wcrt for c in sweep

@@ -1,13 +1,13 @@
 """Packaging metadata (kept in ``setup.py`` -- no pyproject in this repo).
 
-The library itself is pure Python; the accelerated analysis backends
-are deliberately *optional* extras:
+The library itself is pure Python with no dependencies; the one
+accelerated analysis backend is a deliberately *optional* extra:
 
-* ``pip install repro[numpy]`` -- the vectorized array backend
-  (``AnalysisOptions.backend="numpy"``);
 * ``pip install repro[native]`` -- the compiled fix-point kernels
   (``AnalysisOptions.backend="native"``), built from
   ``src/repro/_native/nativemodule.c`` when a C toolchain is present.
+  The extra pulls in no package: the extension speaks the buffer
+  protocol to stdlib ``array('q')`` buffers.
 
 The extension is marked ``optional``: on a machine without a C
 compiler the build degrades gracefully -- the wheel installs without
@@ -44,10 +44,8 @@ setup(
         ),
     ],
     extras_require={
-        # The batched array backend (AnalysisOptions.backend="numpy").
-        "numpy": ["numpy>=1.22"],
-        # The compiled kernel backend (AnalysisOptions.backend="native");
-        # its dispatch shim stages plans and result buffers via numpy.
-        "native": ["numpy>=1.22"],
+        # The compiled kernel backend (AnalysisOptions.backend="native"):
+        # nothing to install beyond the extension built above.
+        "native": [],
     },
 )

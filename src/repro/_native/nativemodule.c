@@ -5,8 +5,8 @@
  * repro/analysis/fps.py staircase maximisation with the per-instant
  * pruning bound).  One lane = one candidate configuration; each lane
  * runs its entire holistic Gauss-Seidel iteration in C with no per-step
- * Python dispatch, which is exactly the case the numpy kernels cannot
- * accelerate (singleton-lane groups of ST-heavy sweeps).
+ * Python dispatch, so even the singleton-lane groups of ST-heavy sweeps
+ * run faster than the warm Python path.
  *
  * Bit-identity contract: every arithmetic step mirrors the Python
  * kernels statement for statement --
@@ -25,10 +25,11 @@
  *   - the caller (analysis/backend/native.py) proves in unbounded
  *     Python arithmetic that no int64 intermediate can overflow
  *     before dispatching a batch here, and delegates any unsafe group
- *     to the numpy kernels instead.
+ *     to the Python oracle instead.
  *
- * The module deliberately uses only the buffer protocol (no numpy
- * headers), so it builds against a bare CPython.
+ * The module uses only the buffer protocol: the caller passes stdlib
+ * array('q') buffers (raw y* / w* int64 buffers, size-checked here), so
+ * it builds against a bare CPython and needs no third-party package.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

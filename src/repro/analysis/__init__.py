@@ -14,10 +14,10 @@ Public entry points
     incremental.  See ``docs/ARCHITECTURE.md`` for its cache layers.
 :class:`AnalysisOptions`
     Analysis tunables; the ``warm_start`` field selects the fix-point
-    trajectory (``"certified"`` default, ``"off"`` oracle, ``"seed"``
-    legacy neighbour seeding, ``"verify"`` cross-check) and the
-    ``backend`` field the evaluation backend (``"python"`` reference,
-    ``"numpy"`` lockstep array kernels, ``"verify"`` cross-check) --
+    trajectory (``"certified"`` default, ``"off"`` oracle, ``"verify"``
+    cross-check) and the ``backend`` field the evaluation backend
+    (``"python"`` reference, ``"native"`` compiled kernels, ``"verify"``
+    cross-check) --
     every mode's determinism guarantee is documented on the field.
 
 The busy-window kernels (:func:`fps_task_busy_window`,

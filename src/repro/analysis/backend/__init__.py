@@ -1,4 +1,4 @@
-"""Accelerated kernel backends (``AnalysisOptions.backend``).
+"""The accelerated backend (``AnalysisOptions.backend``).
 
 The holistic pipeline spends nearly all of its time in pure integer
 arithmetic -- FPS/DYN busy-window fix points over precomputed prefix
@@ -6,30 +6,26 @@ sums -- executed as per-candidate Python loops.  This package lowers the
 per-system invariants already computed by
 :class:`~repro.analysis.context.AnalysisContext` (interferer rows,
 ``NodeAvailability`` gap/slack prefix sums, ``InstantTables``, DYN fill
-rows) into packed int64 plans once per (schedule, frame structure)
-group (:mod:`repro.analysis.backend.arrays`), then advances the
-busy-window fix points of a whole candidate batch on one of two
-engines:
-
-* ``"numpy"`` -- lockstep vectorized evaluation under convergence masks
-  (:func:`repro.analysis.backend.kernels.run_group`);
-* ``"native"`` -- a compiled C extension (``repro._native``) running
-  each lane's full holistic fix point in tight scalar C loops with no
-  per-step dispatch at all
-  (:func:`repro.analysis.backend.native.run_group_native`) -- which is
-  also why it wins on the singleton-lane groups of ST-heavy sweeps
-  where the array kernels' per-op dispatch dominates.
+rows) into plain int tables once per (schedule, frame structure) group
+(:mod:`repro.analysis.backend.arrays`), then runs each candidate's
+full holistic fix point inside a compiled C extension
+(``repro._native``), in tight scalar loops with no per-step dispatch
+(:func:`repro.analysis.backend.native.run_group_native`).  That is the
+one accelerated rung beside the pure-Python oracle: ``"python"`` is the
+reference, ``"native"`` the compiled kernels, ``"verify"`` the two
+cross-checked.
 
 The contract is the repo's established one: results are bit-identical
 to the pure-Python oracle.  The ingredients:
 
-* exact integer dtypes end to end (int64, never float);
+* exact integer arithmetic end to end (int64, never float);
 * per-activity magnitude prebounds computed in unbounded Python
-  arithmetic at lowering time -- any activity whose worst-case
-  intermediate could leave int64 is evaluated on the Python kernels
-  instead (:data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`);
+  arithmetic per batch -- any group whose worst-case intermediate could
+  leave int64 is analysed by the Python oracle instead
+  (:data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`), and so is
+  any group with a fully busy node (no staircase to run);
 * the certified warm-start seeds and the per-instant pruning bound are
-  carried over as backend state, and both are result-neutral by the
+  carried over as kernel state, and both are result-neutral by the
   repo's certification arguments (seeds below the least fixed point
   converge to exactly it; uncertified seeds trigger the same
   cold-replay detection as the Python path);
@@ -38,22 +34,18 @@ to the pure-Python oracle.  The ingredients:
   the Python path entirely -- their whole point is exercising the
   reference semantics.
 
-Both accelerators are *optional* dependencies (the ``repro[numpy]`` and
-``repro[native]`` extras).  The library imports them lazily through
-:func:`numpy_or_none` / :func:`native_or_none`, and :func:`require_backend`
-turns their absence into an actionable error at context construction
-instead of a deep ImportError mid-analysis.  :data:`BACKEND_REGISTRY`
-is the single source of truth for the legal ``AnalysisOptions.backend``
-values -- the CLI ``--backend`` choices and the context's validation
-error both derive from it.
+The extension is an *optional* build (the ``repro[native]`` extra,
+which needs a C toolchain and nothing else): the library probes it
+through :func:`native_or_none`, and :func:`require_backend` turns its
+absence into an actionable error at context construction instead of a
+deep ImportError mid-analysis.  Neither the Python backend nor the
+compiled one imports numpy.  :data:`BACKEND_REGISTRY` is the single
+source of truth for the legal ``AnalysisOptions.backend`` values -- the
+CLI ``--backend`` choices and the context's validation error both
+derive from it.
 """
 
 from __future__ import annotations
-
-try:  # pragma: no cover - trivially one of the two branches per env
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
 
 try:  # pragma: no cover - one branch per build environment
     from repro import _native as _native_module
@@ -69,62 +61,45 @@ else:  # pragma: no cover
 
 
 def numpy_or_none():
-    """The numpy module, or ``None`` when the extra is not installed.
+    """The numpy module, or ``None`` when it is not installed.
 
-    Kept behind a function (reading the module-level ``_numpy``) so
-    tests can simulate a numpy-less environment by monkeypatching
-    ``repro.analysis.backend._numpy`` to ``None``.
+    No backend uses numpy; this probe only reports it (benchmark host
+    records), and imports it only when called -- ``import repro`` never
+    does.
     """
-    return _numpy
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def native_or_none():
     """The compiled ``repro._native`` module, or ``None`` when absent.
 
-    Same pattern as :func:`numpy_or_none`: tests simulate a build
-    without the extension by monkeypatching
-    ``repro.analysis.backend._native_module`` to ``None``.
+    Kept behind a function (reading the module-level ``_native_module``)
+    so tests can simulate a build without the extension by
+    monkeypatching ``repro.analysis.backend._native_module`` to ``None``.
     """
     return _native_module
-
-
-def require_numpy():
-    """Return numpy or raise a :class:`RuntimeError` naming the extra.
-
-    Called once per :class:`~repro.analysis.context.AnalysisContext`
-    construction when ``backend`` is ``"numpy"`` or ``"verify"`` -- the
-    failure happens eagerly, at the one place the user chose the
-    backend, not deep inside an analysis.
-    """
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError(
-            'AnalysisOptions.backend="numpy" requires numpy, which is an '
-            "optional dependency of this package; install it with "
-            "'pip install repro[numpy]' (or choose backend=\"python\")."
-        )
-    return np
 
 
 def require_native():
     """Return ``repro._native`` or raise an actionable :class:`RuntimeError`.
 
-    The native backend needs two things: the compiled extension (built
-    by ``pip install repro[native]`` when a C toolchain is present) and
-    numpy (the shim stages plan blobs and result buffers as int64
-    arrays; the extra depends on it).  Either absence fails eagerly, at
-    context construction.
+    Called once per :class:`~repro.analysis.context.AnalysisContext`
+    construction when ``backend`` is ``"native"`` or ``"verify"`` -- the
+    failure happens eagerly, at the one place the user chose the
+    backend, not deep inside an analysis.
     """
     native = native_or_none()
     if native is None:
         raise RuntimeError(
-            'AnalysisOptions.backend="native" requires the compiled '
-            "repro._native extension, which is built by the optional "
-            "'pip install repro[native]' extra (a C toolchain is needed "
-            'at install time); without it choose backend="numpy" or '
-            'backend="python".'
+            'AnalysisOptions.backend="native" (and "verify") requires the '
+            "compiled repro._native extension, which is built by the "
+            "optional 'pip install repro[native]' extra (a C toolchain is "
+            'needed at install time); without it choose backend="python".'
         )
-    require_numpy()
     return native
 
 
@@ -132,12 +107,8 @@ def _always_available():
     return True
 
 
-def _numpy_available():
-    return numpy_or_none() is not None
-
-
 def _native_available():
-    return native_or_none() is not None and numpy_or_none() is not None
+    return native_or_none() is not None
 
 
 #: The single source of truth for ``AnalysisOptions.backend``: mode ->
@@ -151,11 +122,6 @@ BACKEND_REGISTRY = {
         "available": _always_available,
         "require": lambda: None,
     },
-    "numpy": {
-        "description": "batched lockstep array kernels (repro[numpy] extra)",
-        "available": _numpy_available,
-        "require": require_numpy,
-    },
     "native": {
         "description": "compiled C fix-point kernels (repro[native] extra)",
         "available": _native_available,
@@ -163,11 +129,11 @@ BACKEND_REGISTRY = {
     },
     "verify": {
         "description": (
-            "run the Python oracle plus every available accelerated "
-            "backend and count divergences"
+            "run the Python oracle and the compiled kernels and count "
+            "divergences (repro[native] extra)"
         ),
-        "available": _numpy_available,
-        "require": require_numpy,
+        "available": _native_available,
+        "require": require_native,
     },
 }
 

@@ -1,62 +1,46 @@
 """Dispatch shim of the compiled backend (``backend="native"``).
 
-:func:`run_group_native` is the native twin of
-:func:`repro.analysis.backend.kernels.run_group`: same
-:class:`~repro.analysis.backend.arrays.GroupPlan` lowering in, same
-:func:`~repro.analysis.backend.kernels.assemble_results` out -- but the
-fix points in between run inside the ``repro._native`` C extension,
-each lane's *entire* holistic Gauss-Seidel iteration in tight scalar
-loops with no per-step dispatch (see ``src/repro/_native/nativemodule.c``
-for the transcription and its bit-identity argument).
+:func:`run_group_native` analyses one group of candidates: the
+:class:`~repro.analysis.backend.arrays.GroupPlan` lowering goes in, and
+the results come out through the Python path's own tail
+(``AnalysisContext._result``: Eq. (5) on the wcrt dict, the cached
+schedule retimed) -- but the fix points in between run inside the
+``repro._native`` C extension, each lane's *entire* holistic
+Gauss-Seidel iteration in tight scalar loops with no per-step dispatch
+(see ``src/repro/_native/nativemodule.c`` for the transcription and its
+bit-identity argument).  Every buffer crossing into C is a stdlib
+``array('q')``.
 
 The shim owns the two safety gates the C code relies on:
 
 * **structural**: every FPS activity must be on the staircase fast path
   (``FpsActPlan.stair`` -- a non-degenerate or fully idle availability
-  pattern and a positive wcet); a group containing any degenerate
-  activity is delegated wholesale to the numpy kernels, whose per-lane
-  Python fallbacks cover it.  The verdict is group-invariant, so it is
-  cached on the plan's :class:`_NativeState`.
-* **overflow**: the same per-activity magnitude prebounds as the numpy
-  backend (``overflow_safe`` in unbounded Python ints against
-  :data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`), evaluated per
-  batch because they depend on the lanes' caps; any unsafe activity
-  delegates the whole batch to the numpy kernels.
+  pattern and a positive wcet); the verdict is group-invariant and
+  cached as ``GroupPlan.stair``.
+* **overflow**: per-activity magnitude prebounds in unbounded Python
+  ints against :data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`,
+  evaluated per batch because they depend on the lanes' caps.
 
-Delegation always lands on the numpy path (``backend="native"`` implies
-the numpy extra -- :func:`repro.analysis.backend.require_native` checks
-both), so every group is analysed bit-identically to the Python oracle
-no matter which gate fires.
+A group failing either gate is delegated to the Python oracle, one
+candidate at a time, on the schedule artifacts the plan already carries
+(``AnalysisContext._analyse_fetched``) -- bit-identical by definition,
+and no schedule is replayed twice.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List
 
-from repro.analysis.backend import native_or_none, numpy_or_none
+from repro.analysis.backend import native_or_none
+from repro.analysis.backend.arrays import OVERFLOW_LIMIT
 
 #: Blob header magic ("NATIV"); bumped if the layout ever changes, so a
 #: stale extension rejects new blobs instead of misreading them.
 PLAN_MAGIC = 0x4E41544956
 
 
-class _NativeState:
-    """Parsed C plan of one group, cached on ``GroupPlan.native_state``."""
-
-    __slots__ = ("structural_ok", "capsule")
-
-    def __init__(self, plan, native, np):
-        self.structural_ok = all(
-            act.stair for act in plan.activities if act.kind == "fps"
-        )
-        self.capsule = (
-            native.build_plan(plan_blob(plan, np).tobytes())
-            if self.structural_ok
-            else None
-        )
-
-
-def plan_blob(plan, np):
+def plan_blob(plan) -> array:
     """Serialize *plan* into the flat int64 blob ``build_plan`` parses.
 
     Layout (every field one int64, in order)::
@@ -87,6 +71,7 @@ def plan_blob(plan, np):
     is serialized once and cached on ``plan.template``; only the header,
     ``w0``, the fault rows and the availability tables are per group.
     """
+    template = plan.template
     avs = []
     av_index = {}
     for act in plan.activities:
@@ -95,46 +80,39 @@ def plan_blob(plan, np):
             avs.append(act.av)
     out = [
         PLAN_MAGIC,
-        plan.n_rows,
+        template.n_rows,
         len(plan.activities),
         len(avs),
-        int(plan.fault_rows.size),
+        len(template.fault_rows),
     ]
-    out += plan.w0.tolist()
-    out += plan.fault_rows.tolist()
+    out += plan.w0
+    out += template.fault_rows
     for av in avs:
         out += [av.n_instants, av.slack, av.period, len(av.gap_ends)]
-        out += av.instants.tolist()
-        out += av.before.tolist()
-        out += av.gap_ends.tolist()
-        out += av.through.tolist()
-        out += av.eval_order.tolist()
-    acts = plan.template.native_acts
+        out += av.instants
+        out += av.before
+        out += av.gap_ends
+        out += av.through
+        out += av.eval_order
+    acts = template.native_acts
     if acts is None:
         acts = _acts_section(plan.activities, av_index)
-        plan.template.native_acts = acts
-    return np.asarray(out + acts, dtype=np.int64)
+        template.native_acts = acts
+    return array("q", out + acts)
 
 
 def _acts_section(activities, av_index):
     """The blob's per-activity section (see :func:`plan_blob`)."""
     out = []
     for act in activities:
-        deps = act.dep_rows.tolist() if act.dep_rows is not None else []
         out += [
             0 if act.kind == "dyn" else 1,
             act.row,
             int(act.own_sensitive),
-            len(deps),
+            len(act.dep_rows),
         ]
-        out += deps
+        out += act.dep_rows
         if act.kind == "dyn":
-            ps = act.all_p[:, 0].tolist()
-            ancs = act.all_anc[:, 0].tolist()
-            jrows = act.all_jrow.tolist()
-            adjs = act.lf_adj[:, 0].tolist()
-            n_hp = act.n_hp
-            n_lf = len(ps) - n_hp
             out += [
                 act.sender_row,
                 act.ct,
@@ -142,46 +120,37 @@ def _acts_section(activities, av_index):
                 act.frame_id,
                 act.largest,
                 act.max_adjusted,
-                n_hp,
-                n_lf,
+                len(act.hp_rows),
+                len(act.lf_rows),
             ]
-            for i in range(n_hp):
-                out += [ps[i], int(ancs[i]), jrows[i]]
-            for i in range(n_lf):
-                out += [
-                    ps[n_hp + i],
-                    int(ancs[n_hp + i]),
-                    jrows[n_hp + i],
-                    adjs[i],
-                ]
+            for row in act.hp_rows + act.lf_rows:
+                out += row
         else:
             out += [
                 act.release,
                 act.wcet,
                 av_index[id(act.av)],
                 len(act.pred_rows),
-                int(act.r_p.size),
+                len(act.rows),
             ]
-            out += list(act.pred_rows)
-            for p, c, anc, jrow in zip(
-                act.r_p.tolist(),
-                act.r_c.tolist(),
-                act.r_anc.tolist(),
-                act.r_jrow.tolist(),
-            ):
-                out += [p, c, int(anc), jrow]
+            out += act.pred_rows
+            for row in act.rows:
+                out += row
     return out
 
 
 def _batch_overflow_safe(ctx, plan, configs, cap_max, ms_len) -> bool:
-    """The numpy backend's per-activity prebounds, whole-batch verdict.
+    """Whole-batch overflow verdict: every activity's prebound holds.
 
-    Mirrors ``_GroupRun.__init__``'s ``vec`` computation in plain Python
-    ints (deliberately no numpy: the maxima are over a handful of lane
-    scalars).  ``False`` delegates the batch to the numpy kernels,
-    whose per-activity fallbacks handle the unsafe pieces per lane.
+    The maxima are over a handful of lane scalars, in plain Python
+    ints.  ``False`` delegates the batch to the Python oracle.  The
+    jitter bound is checked on its own too, so the lanes' caps and the
+    static response times always fit the int64 buffers -- even for a
+    plan with no FPS/DYN activity to prebound.
     """
-    jitter_bound = max(cap_max, plan.static_max, plan.release_max)
+    jitter_bound = max(cap_max, plan.static_max, plan.template.release_max)
+    if jitter_bound >= OVERFLOW_LIMIT:
+        return False
     fault_k = ctx._fault_k
     n_ms_l = [c.n_minislots for c in configs]
     gd_l = [c.gd_cycle for c in configs]
@@ -230,56 +199,52 @@ def _batch_overflow_safe(ctx, plan, configs, cap_max, ms_len) -> bool:
 
 
 def run_group_native(ctx, plan, configs) -> List:
-    """Analyse one group on the C kernels (numpy fallback when unsafe).
+    """Analyse one group on the C kernels (the oracle when unsafe).
 
-    Same contract as :func:`repro.analysis.backend.kernels.run_group`:
-    all *configs* share *plan*'s schedule and structure keys, and the
-    returned :class:`~repro.analysis.holistic.AnalysisResult` list is
+    All *configs* share *plan*'s schedule and structure keys (the
+    caller groups them); the returned
+    :class:`~repro.analysis.holistic.AnalysisResult` list is
     bit-identical to the per-candidate Python path.
     """
-    from repro.analysis.backend.kernels import assemble_results, run_group
-
-    np = numpy_or_none()
-    native = native_or_none()
-    state = plan.native_state
-    if state is None:
-        state = _NativeState(plan, native, np)
-        plan.native_state = state
     options = ctx.options
     cap_base = ctx._cap_base
-    caps_py = [
+    caps = [
         options.cap_factor
         * (cap_base if cap_base > c.gd_cycle else c.gd_cycle)
         for c in configs
     ]
-    cap_max = max(caps_py)
     ms_len = configs[0].gd_minislot  # structure-key invariant
-    if not state.structural_ok or not _batch_overflow_safe(
-        ctx, plan, configs, cap_max, ms_len
+    arts = plan.arts
+    if not plan.stair or not _batch_overflow_safe(
+        ctx, plan, configs, max(caps), ms_len
     ):
-        return run_group(ctx, plan, configs)
+        return [ctx._analyse_fetched(c, arts) for c in configs]
+    native = native_or_none()
+    if plan.native_state is None:
+        plan.native_state = native.build_plan(plan_blob(plan).tobytes())
+    n_rows = plan.template.n_rows
     L = len(configs)
-    i8 = np.int64
-    caps = np.asarray(caps_py, dtype=i8)
-    n_ms = np.asarray([c.n_minislots for c in configs], dtype=i8)
-    gd_cycle = np.asarray([c.gd_cycle for c in configs], dtype=i8)
-    st_bus = np.asarray([c.st_bus for c in configs], dtype=i8)
     # Lane-major response-time buffer: each lane's fix point works on
-    # one contiguous row; the assembly reads it as (n_rows, L) via .T.
-    W = np.empty((L, plan.n_rows), dtype=i8)
-    conv = np.empty(L, dtype=i8)
+    # one contiguous row of ``n_rows`` entries.
+    W = array("q", [0]) * (L * n_rows)
+    conv = array("q", [0]) * L
     native.run_batch(
-        state.capsule,
-        caps,
-        n_ms,
-        gd_cycle,
-        st_bus,
+        plan.native_state,
+        array("q", caps),
+        array("q", [c.n_minislots for c in configs]),
+        array("q", [c.gd_cycle for c in configs]),
+        array("q", [c.st_bus for c in configs]),
         ms_len,
         ctx._fault_k,
         options.max_holistic_iterations,
         W,
         conv,
     )
-    return assemble_results(
-        ctx, plan, plan.arts, configs, W.T, conv != 0, cap_max
-    )
+    names = plan.template.wcrt_names
+    rows = plan.template.wcrt_rows
+    results = []
+    for lane, config in enumerate(configs):
+        base = lane * n_rows
+        wcrt = dict(zip(names, [W[base + r] for r in rows]))
+        results.append(ctx._result(config, arts, wcrt, conv[lane] != 0))
+    return results

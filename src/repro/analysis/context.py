@@ -173,8 +173,8 @@ class AnalysisContext:
                 f"choose from {describe_backends()}"
             )
         # Fail at the one place the backend was chosen, not deep inside
-        # an analysis -- the registry knows each backend's optional
-        # extra (numpy -> repro[numpy], native -> repro[native]).
+        # an analysis -- the registry knows the compiled backend's
+        # optional extra (repro[native]).
         from repro.analysis.backend import require_backend
 
         require_backend(self.options.backend)
@@ -207,15 +207,11 @@ class AnalysisContext:
         #: :attr:`warm_start_divergences`).
         self.dominance_divergences = 0
         #: Divergences caught by the ``backend="verify"`` debug mode:
-        #: analyses where an accelerated backend (the numpy array
-        #: kernels, and the compiled native kernels when the extension
-        #: is importable) produced a different result than the Python
-        #: oracle (contractually always 0 -- the counter exists so
-        #: tests and debug sweeps can assert exactly that).
+        #: analyses where the compiled native kernels produced a
+        #: different result than the Python oracle (contractually always
+        #: 0 -- the counter exists so tests and debug sweeps can assert
+        #: exactly that).
         self.backend_divergences = 0
-        #: Last converged solution, seeding the legacy neighbour outer
-        #: warm start (``warm_start="seed"`` only).
-        self._warm_state = None
         app = system.application
         self.app = app
 
@@ -305,7 +301,7 @@ class AnalysisContext:
         #: of (system, configuration), so each distinct configuration is
         #: validated once.
         self._valid_cache: OrderedDict = OrderedDict()
-        #: Lowered array plans of the accelerated backends, keyed by
+        #: Lowered group plans of the compiled backend, keyed by
         #: (schedule key, DYN structure key); rides the same LRU bound
         #: as the schedule cache whose artifacts it packs.
         self._backend_plans: OrderedDict = OrderedDict()
@@ -577,7 +573,7 @@ class AnalysisContext:
         return deps
 
     def _structure_template(self, config: FlexRayConfig, static_names):
-        """The backends' structure-invariant activity lowering, cached.
+        """The backend's structure-invariant activity lowering, cached.
 
         Keyed by the structure key plus the static-name insertion order
         (the template's row layout leads with it; in practice the order
@@ -700,9 +696,9 @@ class AnalysisContext:
         run without a context; see the module docstring for what is
         shared between calls.  ``options.warm_start`` selects the fix
         point trajectory: the certified fast path (default), the fully
-        cold oracle, the legacy neighbour seeding, or the verify
-        cross-check; ``options.backend`` selects the evaluation backend
-        (see :class:`~repro.analysis.holistic.AnalysisOptions`).
+        cold oracle, or the verify cross-check; ``options.backend``
+        selects the evaluation backend (see
+        :class:`~repro.analysis.holistic.AnalysisOptions`).
         """
         if self.options.backend != "python":
             return self.analyse_batch([config])[0]
@@ -713,10 +709,10 @@ class AnalysisContext:
 
         The batch entry point of :meth:`Evaluator.analyse_many
         <repro.core.search.Evaluator>`: with ``backend="python"`` it is
-        exactly the per-candidate loop; with ``backend="numpy"`` the
+        exactly the per-candidate loop; with ``backend="native"`` the
         feasible candidates are grouped by (schedule key, DYN structure
-        key) and each group's busy-window fix points advance in lockstep
-        (:func:`repro.analysis.backend.kernels.run_group`);
+        key) and each group runs on the compiled kernels
+        (:func:`repro.analysis.backend.native.run_group_native`);
         ``backend="verify"`` runs both, counts mismatches in
         :attr:`backend_divergences` and returns the Python results.
         Result lists are ordered like *configs* and bit-identical across
@@ -725,26 +721,18 @@ class AnalysisContext:
         backend = self.options.backend
         if backend == "python":
             return [self._analyse_python(c) for c in configs]
-        if backend == "numpy":
-            return self._analyse_array_batch(configs)
         if backend == "native":
             return self._analyse_native_batch(configs)
-        # "verify": the Python oracle versus every available accelerated
-        # backend, mismatches counted per (analysis, backend) pair.
-        from repro.analysis.backend import native_or_none
-
+        # "verify": the Python oracle versus the compiled kernels,
+        # mismatches counted per analysis.
         python_results = [self._analyse_python(c) for c in configs]
-        accelerated = [self._analyse_array_batch(configs)]
-        if native_or_none() is not None:
-            accelerated.append(self._analyse_native_batch(configs))
-        for fast_results in accelerated:
-            for fast_result, python_result in zip(
-                fast_results, python_results
-            ):
-                if self._result_signature(
-                    fast_result
-                ) != self._result_signature(python_result):
-                    self.backend_divergences += 1
+        for native_result, python_result in zip(
+            self._analyse_native_batch(configs), python_results
+        ):
+            if self._result_signature(
+                native_result
+            ) != self._result_signature(python_result):
+                self.backend_divergences += 1
         return python_results
 
     @staticmethod
@@ -764,8 +752,8 @@ class AnalysisContext:
 
         Oracle/debug modes (``warm_start != "certified"``,
         ``dominance="verify"``, ``dyn_fill_strategy="exact"``) exist to
-        exercise the reference semantics, so the accelerated backends
-        stand down for them entirely.
+        exercise the reference semantics, so the compiled backend stands
+        down for them entirely.
         """
         options = self.options
         return (
@@ -774,48 +762,21 @@ class AnalysisContext:
             or options.dyn_fill_strategy != "bound"
         )
 
-    def _analyse_array_batch(self, configs) -> list:
-        """The numpy path of :meth:`analyse_batch` (ordered like input)."""
-        from repro.analysis.backend import numpy_or_none
-
-        if numpy_or_none() is None or self._backend_gated():
-            return [self._analyse_python(c) for c in configs]
-        from repro.analysis.backend.kernels import run_group
-
-        return self._analyse_grouped_batch(configs, run_group)
-
     def _analyse_native_batch(self, configs) -> list:
         """The compiled-kernel path of :meth:`analyse_batch`.
 
-        Same grouping and gating as the numpy path; each group runs
+        Candidates are grouped by (schedule key, DYN structure key), the
+        per-group :class:`~repro.analysis.backend.arrays.GroupPlan`
+        lowering is cached on the context, and infeasible candidates
+        short-circuit exactly like the Python path.  Each group runs
         through :func:`repro.analysis.backend.native.run_group_native`,
-        which delegates structurally unsafe or overflow-flagged groups
-        back to the numpy kernels (whose per-activity Python fallbacks
-        close the exactness loop).
+        which hands structurally unsafe or overflow-flagged groups back
+        to the Python oracle (:meth:`_analyse_fetched`).
         """
-        from repro.analysis.backend import native_or_none, numpy_or_none
-
-        if (
-            native_or_none() is None
-            or numpy_or_none() is None
-            or self._backend_gated()
-        ):
+        if self._backend_gated():
             return [self._analyse_python(c) for c in configs]
-        from repro.analysis.backend.native import run_group_native
-
-        return self._analyse_grouped_batch(configs, run_group_native)
-
-    def _analyse_grouped_batch(self, configs, run_fn) -> list:
-        """Group feasible candidates and run each group on *run_fn*.
-
-        Shared by the numpy and native backends: candidates are grouped
-        by (schedule key, DYN structure key), the per-group
-        :class:`~repro.analysis.backend.arrays.GroupPlan` lowering is
-        cached on the context (both backends consume the same plans),
-        and infeasible candidates short-circuit exactly like the Python
-        path.
-        """
         from repro.analysis.backend.arrays import GroupPlan
+        from repro.analysis.backend.native import run_group_native
         from repro.analysis.holistic import _infeasible
 
         results = [None] * len(configs)
@@ -844,16 +805,16 @@ class AnalysisContext:
             else:
                 self._backend_plans.move_to_end(key)
             for i, result in zip(
-                indices, run_fn(self, plan, [configs[i] for i in indices])
+                indices,
+                run_group_native(self, plan, [configs[i] for i in indices]),
             ):
                 results[i] = result
         return results
 
     def _analyse_python(self, config: FlexRayConfig):
         """The pure-Python analysis (reference semantics of every backend)."""
-        from repro.analysis.holistic import AnalysisResult, _infeasible
+        from repro.analysis.holistic import _infeasible
 
-        options = self.options
         failure = self._validate(config)
         if failure is not None:
             return _infeasible(config, failure)
@@ -861,12 +822,14 @@ class AnalysisContext:
         arts = self._schedule_artifacts(config)
         if arts.failure is not None:
             return _infeasible(config, arts.failure)
-        table = (
-            arts.table
-            if arts.table.config is config
-            else arts.table.retime_for(config)
-        )
+        return self._analyse_fetched(config, arts)
 
+    def _analyse_fetched(self, config: FlexRayConfig, arts: _ScheduleArtifacts):
+        """The oracle on a validated configuration and its fetched
+        schedule artifacts -- the Python path past validation and the
+        schedule fetch, and where the compiled backend delegates the
+        groups it cannot run."""
+        options = self.options
         cap_base = self._cap_base
         gd_cycle = config.gd_cycle
         cap = options.cap_factor * (cap_base if cap_base > gd_cycle else gd_cycle)
@@ -875,8 +838,7 @@ class AnalysisContext:
         # --- holistic fix point ---------------------------------------
         mode = options.warm_start
         if mode == "certified":
-            # The default: the certified trajectory, no sweep-key
-            # bookkeeping on the hot path.
+            # The default: the certified trajectory.
             wcrt, converged = self._fix_point(config, arts, dyn_views, cap)
         elif mode == "off":
             # The fully cold oracle the certified path is checked
@@ -884,8 +846,7 @@ class AnalysisContext:
             wcrt, converged = self._fix_point(
                 config, arts, dyn_views, cap, certified=False
             )
-        elif mode == "verify":
-            # Certified fast path cross-checked against the cold oracle.
+        else:  # "verify": certified fast path versus the cold oracle
             fast_wcrt, fast_converged = self._fix_point(
                 config, arts, dyn_views, cap
             )
@@ -894,19 +855,20 @@ class AnalysisContext:
             )
             if (fast_wcrt, fast_converged) != (wcrt, converged):
                 self.warm_start_divergences += 1
-        else:  # "seed": legacy neighbour seeding, opt-in and uncertified
-            sweep_key = self._sweep_key(config)
-            prev = self._warm_state
-            seed_wcrt = (
-                prev[1]
-                if prev is not None and prev[0] == sweep_key and prev[2]
-                else None
-            )
-            wcrt, converged = self._fix_point(
-                config, arts, dyn_views, cap, seed_wcrt=seed_wcrt
-            )
-            self._warm_state = (sweep_key, wcrt, converged)
+        return self._result(config, arts, wcrt, converged)
 
+    def _result(self, config: FlexRayConfig, arts: _ScheduleArtifacts,
+                wcrt: Dict[str, int], converged: bool):
+        """The result tail shared by the oracle and the compiled
+        backend: Eq. (5) on the wcrt dict, the cached schedule retimed
+        to *config*."""
+        from repro.analysis.holistic import AnalysisResult
+
+        table = (
+            arts.table
+            if arts.table.config is config
+            else arts.table.retime_for(config)
+        )
         cost = cost_function(self.app, wcrt)
         return AnalysisResult(
             config=config,
@@ -918,29 +880,19 @@ class AnalysisContext:
             table=table,
         )
 
-    def _sweep_key(self, config: FlexRayConfig) -> tuple:
-        """Identity of a sweep family: everything but the DYN length.
-
-        Two configurations sharing this key differ only in
-        ``n_minislots`` -- the neighbourhood relation the outer
-        warm-start modes accept seeds across.
-        """
-        return config.static_key() + (tuple(sorted(config.frame_ids.items())),)
-
     def _fix_point(
         self,
         config: FlexRayConfig,
         arts: _ScheduleArtifacts,
         dyn_views: List[_DynView],
         cap: int,
-        seed_wcrt: Dict[str, int] = None,
         certified: bool = True,
     ) -> Tuple[Dict[str, int], bool]:
         """The holistic Kleene iteration; returns ``(wcrt, converged)``.
 
-        With ``certified=True`` and no ``seed_wcrt`` this is the default
-        fast path: the outer state starts from the configuration's own
-        static-only state (the bottom element, a provable lower bound of
+        With ``certified=True`` this is the default fast path: the outer
+        state starts from the configuration's own static-only state (the
+        bottom element, a provable lower bound of
         the least fixed point), its jitters grow monotonically across
         passes, and that monotonicity certifies the *inner* warm starts
         -- each busy-window recurrence is seeded with its own previous
@@ -952,13 +904,6 @@ class AnalysisContext:
         ``certified=False`` is the fully cold oracle the fast path is
         verified against: same bottom start, but no inner seeds and no
         instant pruning.
-
-        With ``seed_wcrt`` the outer state starts from a neighbouring
-        configuration's solution instead.  That trajectory is not
-        monotone, so the certification argument does not apply: inner
-        warm starts are disabled, and the result may be a fixed point
-        above the least one (which is why neighbour seeding is opt-in
-        behind ``warm_start="seed"``).
         """
         options = self.options
         fill_strategy = options.dyn_fill_strategy
@@ -984,8 +929,6 @@ class AnalysisContext:
                     wcrt[name] = inflated if inflated < cap else cap
         jitters: Dict[str, int] = {}
         inner_seeds: Dict[str, object] = {}
-        use_inner = certified and seed_wcrt is None
-        prune = certified
         # Pattern-level dominance (cache layer 3, riding layer 2's
         # NodeAvailability objects): the elided
         # instant sets live on the cached NodeAvailability objects, so
@@ -995,10 +938,6 @@ class AnalysisContext:
         # other accelerator, whatever the option says.
         dominance = certified and options.dominance == "on"
         dominance_verify = certified and options.dominance == "verify"
-        if seed_wcrt is not None:
-            for name, value in seed_wcrt.items():
-                if name not in wcrt:
-                    wcrt[name] = value
         wcrt_get = wcrt.get
         jitters_get = jitters.get
         seeds_get = inner_seeds.get
@@ -1061,10 +1000,10 @@ class AnalysisContext:
                             cap,
                             j_m,
                             fill_strategy,
-                            seeds_get(name) if use_inner else None,
+                            seeds_get(name) if certified else None,
                             view.fault_cycles,
                         )
-                        if use_inner:
+                        if certified:
                             inner_seeds[name] = final
                     else:
                         # The frame can never be sent: certain miss.
@@ -1112,8 +1051,8 @@ class AnalysisContext:
                         jitters,
                         cap,
                         j_i,
-                        seeds_get(name) if use_inner else None,
-                        prune,
+                        seeds_get(name) if certified else None,
+                        certified,
                         dominance,
                     )
                     if dominance_verify:
@@ -1129,13 +1068,13 @@ class AnalysisContext:
                             jitters,
                             cap,
                             j_i,
-                            seeds_get(name) if use_inner else None,
-                            prune,
+                            seeds_get(name) if certified else None,
+                            certified,
                             True,
                         )
                         if (elided, elided_ok) != (window_value, ok):
                             self.dominance_divergences += 1
-                    if use_inner:
+                    if certified:
                         inner_seeds[name] = demands
                     dirty.discard(name)
                     last_own[name] = j_i

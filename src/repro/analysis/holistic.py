@@ -29,7 +29,7 @@ from repro.model.system import System
 
 
 #: Legal values of :attr:`AnalysisOptions.warm_start`.
-WARM_START_MODES = ("certified", "off", "seed", "verify")
+WARM_START_MODES = ("certified", "off", "verify")
 
 #: Legal values of :attr:`AnalysisOptions.dominance`.
 DOMINANCE_MODES = ("on", "off", "verify")
@@ -79,13 +79,6 @@ class AnalysisOptions:
     #: * ``"off"`` -- the fully cold oracle: no inner seeds, no instant
     #:   pruning, no outer state.  Slowest; exists as the reference
     #:   semantics the certified path is checked against.
-    #: * ``"seed"`` -- seed the outer iteration from the previous
-    #:   *neighbouring configuration's* solution.  Fast, but the outer
-    #:   fix point is **not** start-independent: a seed above the least
-    #:   fixed point can converge to a strictly larger one (measured:
-    #:   2/64 points of the bench sweep), so results may differ from a
-    #:   cold run.  Opt-in only; never used by the library's own
-    #:   optimisers.
     #: * ``"verify"`` -- debug mode: run the certified fast path *and*
     #:   the cold oracle, count divergences on the owning
     #:   :class:`~repro.analysis.context.AnalysisContext` (provably
@@ -121,34 +114,25 @@ class AnalysisOptions:
     #:
     #: * ``"python"`` (default) -- the pure-Python kernels; the
     #:   reference semantics every other backend is checked against.
-    #: * ``"numpy"`` -- the array backend
+    #: * ``"native"`` -- the compiled backend
     #:   (:mod:`repro.analysis.backend`): the per-system invariants are
-    #:   lowered into packed int64 arrays once per (schedule, frame
-    #:   structure) group and whole candidate batches advance their
-    #:   busy-window fix points in lockstep under convergence masks.
-    #:   Results are bit-identical to ``"python"`` by contract: exact
-    #:   integer dtypes throughout, a per-activity overflow guard that
-    #:   falls back to the Python kernels whenever an intermediate
-    #:   could leave int64, and Python fallbacks for the oracle/debug
-    #:   modes (``warm_start != "certified"``, ``dominance="verify"``,
-    #:   ``dyn_fill_strategy="exact"``) whose whole point is staying on
-    #:   the reference path.  Selecting it without numpy installed
-    #:   raises a :class:`RuntimeError` naming the ``repro[numpy]``
-    #:   extra.
-    #: * ``"native"`` -- the compiled backend: the same lowered plans
-    #:   are packed into a flat blob and each candidate's *entire*
+    #:   lowered into int tables once per (schedule, frame structure)
+    #:   group, packed into a flat blob, and each candidate's *entire*
     #:   holistic fix point runs in tight scalar C loops inside the
     #:   ``repro._native`` extension (built by the ``repro[native]``
-    #:   extra), with no per-step dispatch at all -- including the
-    #:   singleton-lane groups the array kernels stand down on.  Same
-    #:   bit-identity contract and the same Python fallbacks for the
-    #:   oracle/debug modes; overflow-flagged or structurally unsafe
-    #:   groups delegate to the numpy kernels.  Selecting it without
-    #:   the compiled module raises a :class:`RuntimeError` naming the
-    #:   ``repro[native]`` extra.
+    #:   extra), with no per-step dispatch at all.  Results are
+    #:   bit-identical to ``"python"`` by contract: exact int64
+    #:   arithmetic behind a per-batch overflow prebound, the Python
+    #:   oracle for groups that fail it (or have a fully busy node), and
+    #:   the Python path outright for the oracle/debug modes
+    #:   (``warm_start != "certified"``, ``dominance="verify"``,
+    #:   ``dyn_fill_strategy="exact"``) whose whole point is staying on
+    #:   the reference path.  Selecting it without the compiled module
+    #:   raises a :class:`RuntimeError` naming the ``repro[native]``
+    #:   extra.
     #: * ``"verify"`` -- debug mode: run every analysis on the Python
-    #:   oracle plus every available accelerated backend, count
-    #:   divergences on the owning
+    #:   oracle and on the compiled kernels (so it needs the extension
+    #:   too), count divergences on the owning
     #:   :class:`~repro.analysis.context.AnalysisContext`
     #:   (``backend_divergences``, contractually always 0) and return
     #:   the Python result.
@@ -162,8 +146,8 @@ class AnalysisOptions:
     #: frame instances at the worst per-error cycle cost.  The result is
     #: a *pessimistic* upper bound on any run with at most k channel
     #: errors (fuzz-verified against the fault-injecting simulator).
-    #: ``k=0`` is bit-identical to ``None``.  All backends implement the
-    #: hypothesis natively: the accelerated kernels charge the static
+    #: ``k=0`` is bit-identical to ``None``.  Both backends implement the
+    #: hypothesis natively: the compiled kernels charge the static
     #: ``k * gd_cycle`` slips and the constant per-error DYN extra
     #: cycles inside the lowered plans, bit-identically to the Python
     #: kernels.

@@ -332,8 +332,8 @@ class Evaluator:
                         results.append(result)
                     return results
         # Serial path: the context's batch entry point -- a plain
-        # per-candidate loop on the Python backend, lockstep array
-        # groups on the numpy backend (bit-identical either way).
+        # per-candidate loop on the Python backend, grouped compiled
+        # fix points on the native backend (bit-identical either way).
         return self.context.analyse_batch(configs)
 
     def _ensure_pool(self, workers: int):

@@ -1,25 +1,27 @@
-"""The accelerated backend contract: bit identity, verify mode, extras.
+"""The compiled backend contract: bit identity, verify mode, extras.
 
-``AnalysisOptions.backend="numpy"`` lowers each system's invariants
-into packed arrays once and advances whole batches of busy-window fix
-points in lockstep; ``backend="native"`` runs the same lowered plans
-inside the compiled ``repro._native`` C extension
-(:mod:`repro.analysis.backend`).  Their *entire* contract is "same
+``AnalysisOptions.backend="native"`` lowers each system's invariants
+into int tables once per group and runs every candidate's holistic fix
+point inside the compiled ``repro._native`` C extension
+(:mod:`repro.analysis.backend`).  Its *entire* contract is "same
 answers, faster": these tests pin bit identity with the Python oracle
 at every observable level -- full analysis results over fuzzed systems
 (including fault hypotheses ``k in {0, 1, 2}``) and every
-``warm_start`` x ``dominance`` mode, the ``"verify"`` cross-check
-counter, optimiser traces with their evaluation and cache-hit
-accounting, and the pre-refactor legacy trace fixtures byte-for-byte
--- plus the packaging contract: each accelerator is an optional extra
-(``repro[numpy]`` / ``repro[native]``), selecting a backend without
-its extra is an eager, actionable ``RuntimeError``, and these tests
-*skip* (not fail) on an interpreter missing the extra (native tests
-carry the ``native`` pytest marker for CI selection).
+``warm_start`` x ``dominance`` mode, the groups delegated back to the
+oracle, the ``"verify"`` cross-check counter, optimiser traces with
+their evaluation and cache-hit accounting, and the pre-refactor legacy
+trace fixtures byte-for-byte -- plus the packaging contract: the
+extension is the optional ``repro[native]`` extra, selecting it
+without the build is an eager, actionable ``RuntimeError``, nothing
+imports numpy, and the ``native``-marked tests *skip* (not fail) where
+the extension cannot be built (``tests/conftest.py`` builds it into a
+temporary directory when a C compiler is available).
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext
-from repro.analysis.backend import native_or_none, numpy_or_none
+from repro.analysis.backend import native_or_none
 from repro.analysis.scheduler import SchedulePlan
 from repro.analysis.holistic import (
     AnalysisOptions,
@@ -61,19 +63,22 @@ from repro.model import (
 )
 from repro.synth.suite import paper_system
 
-from tests.fixtures.legacy_cases import LEGACY_CASES
 from tests.test_properties import small_system
-from tests.util import fig3_system, fig4_system
-
-requires_numpy = pytest.mark.skipif(
-    numpy_or_none() is None,
-    reason="numpy backend tests need the repro[numpy] extra",
+from tests.util import (
+    dyn_msg,
+    fig3_system,
+    fig4_system,
+    fps_task,
+    scs_task,
+    single_graph_system,
 )
 
 requires_native = pytest.mark.skipif(
-    native_or_none() is None or numpy_or_none() is None,
+    native_or_none() is None,
     reason="native backend tests need the compiled repro[native] extra",
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sweep_configs(system, points, options=None):
@@ -94,32 +99,41 @@ def _result_docs(results):
 
 
 # ----------------------------------------------------------------------
-# the repro[numpy] extra
+# numpy is no dependency of any backend (the retired repro[numpy] extra)
 # ----------------------------------------------------------------------
 class TestNumpyExtra:
-    def test_numpy_backend_without_numpy_is_actionable(self, monkeypatch):
-        """Selecting the array backend on a numpy-less interpreter fails
-        eagerly -- at context construction, where the backend was chosen
-        -- with an error naming the ``repro[numpy]`` extra."""
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
-        for backend in ("numpy", "verify"):
-            with pytest.raises(RuntimeError) as exc:
+    def test_python_backend_needs_no_numpy(self):
+        """A fresh interpreter imports the strategies and analyses a
+        system without ever importing numpy."""
+        code = (
+            "import sys\n"
+            "import repro.core.strategies\n"
+            "from repro.analysis import analyse_system\n"
+            "from tests.util import basic_config, fig3_system\n"
+            "result = analyse_system(fig3_system(), basic_config())\n"
+            "assert result.feasible\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_backend_rejected(self):
+        # "numpy" is a retired backend, rejected like any unknown name.
+        for backend in ("cuda", "numpy"):
+            with pytest.raises(ConfigurationError):
                 AnalysisContext(
                     fig3_system(), AnalysisOptions(backend=backend)
                 )
-            assert "repro[numpy]" in str(exc.value)
-            assert "pip install" in str(exc.value)
-
-    def test_python_backend_needs_no_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
-        system = fig3_system()
-        context = AnalysisContext(system, AnalysisOptions(backend="python"))
-        result = context.analyse(_sweep_configs(system, 1)[0])
-        assert result.feasible
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="cuda"))
 
 
 # ----------------------------------------------------------------------
@@ -129,126 +143,50 @@ class TestNativeExtra:
     def test_native_backend_without_extension_is_actionable(
         self, monkeypatch
     ):
-        """Selecting the compiled backend on a build that never produced
-        the extension fails eagerly -- at context construction -- with
-        an error naming the ``repro[native]`` extra."""
+        """Selecting the compiled backend (or the verify mode that runs
+        it) on a build that never produced the extension fails eagerly
+        -- at context construction -- with an error naming the
+        ``repro[native]`` extra."""
         monkeypatch.setattr("repro.analysis.backend._native_module", None)
-        with pytest.raises(RuntimeError) as exc:
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="native"))
-        assert "repro[native]" in str(exc.value)
-        assert "pip install" in str(exc.value)
-
-    @requires_native
-    def test_native_backend_without_numpy_is_actionable(self, monkeypatch):
-        """The native shim stages plans and buffers via numpy, so the
-        extension alone is not enough: a numpy-less interpreter gets the
-        numpy extra's error, still eagerly."""
-        monkeypatch.setattr("repro.analysis.backend._numpy", None)
-        with pytest.raises(RuntimeError) as exc:
-            AnalysisContext(fig3_system(), AnalysisOptions(backend="native"))
-        assert "repro[numpy]" in str(exc.value)
+        for backend in ("native", "verify"):
+            with pytest.raises(RuntimeError) as exc:
+                AnalysisContext(
+                    fig3_system(), AnalysisOptions(backend=backend)
+                )
+            assert "repro[native]" in str(exc.value)
+            assert "pip install" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
 # bit identity with the Python oracle
 # ----------------------------------------------------------------------
-@requires_numpy
-class TestBitIdentity:
-    @given(small_system(), st.integers(3, 9), st.sampled_from((0, 1, 2)))
-    @settings(max_examples=25, deadline=None)
-    def test_numpy_matches_python_on_random_systems(
-        self, system, points, fault_k
-    ):
-        """Fuzzed systems, full-result identity: every field the
-        serializer covers (wcrt in insertion order included), plus the
-        result-list order of the batch -- under every fault hypothesis
-        ``k in {0, 1, 2}``, which the array backend now computes
-        natively instead of falling back."""
-        configs = _sweep_configs(system, points)
-        python = AnalysisContext(
-            system, AnalysisOptions(fault_hypothesis=fault_k)
-        ).analyse_batch(configs)
-        numpy_ = AnalysisContext(
-            system,
-            AnalysisOptions(backend="numpy", fault_hypothesis=fault_k),
-        ).analyse_batch(configs)
-        assert _result_docs(numpy_) == _result_docs(python)
-
-    @pytest.mark.parametrize("warm_start", WARM_START_MODES)
-    @pytest.mark.parametrize("dominance", DOMINANCE_MODES)
-    def test_numpy_matches_python_in_every_mode(self, warm_start, dominance):
-        """Every warm_start x dominance combination answers identically
-        across backends.  (Oracle/debug modes run the Python path inside
-        the array backend by design -- this pins that the *contract*
-        holds whatever the mode routes to.)"""
-        system = fig4_system()
-        configs = _sweep_configs(system, 6)
-        results = {}
-        for backend in ("python", "numpy"):
-            options = AnalysisOptions(
-                backend=backend, warm_start=warm_start, dominance=dominance
-            )
-            context = AnalysisContext(system, options)
-            results[backend] = context.analyse_batch(configs)
-            assert context.warm_start_divergences == 0
-            assert context.dominance_divergences == 0
-        assert _result_docs(results["numpy"]) == _result_docs(
-            results["python"]
-        )
-
-    @given(small_system())
-    @settings(max_examples=15, deadline=None)
-    def test_verify_mode_counts_zero_divergences(self, system):
-        """``backend="verify"`` runs both backends per analysis and
-        counts mismatches -- contractually always zero."""
-        configs = _sweep_configs(system, 5)
-        context = AnalysisContext(system, AnalysisOptions(backend="verify"))
-        verified = context.analyse_batch(configs)
-        assert context.backend_divergences == 0
-        python = AnalysisContext(system).analyse_batch(configs)
-        assert _result_docs(verified) == _result_docs(python)
-
-    def test_wide_batch_replays_each_schedule_once(self, monkeypatch):
-        """A sweep wider than the schedule cache, one schedule key per
-        candidate (ST messages make the key carry the cycle length):
-        the artifacts the batch fetches travel on the group plans, so
-        no schedule is replayed a second time by the kernels."""
-        system = paper_system(3, 0, seed=23)
-        configs = _sweep_configs(system, 100)
-        context = AnalysisContext(system, AnalysisOptions(backend="numpy"))
-        keys = {context.schedule_key(c) for c in configs}
-        assert len(keys) > context.max_schedule_entries
-        replays = []
-        original = SchedulePlan.replay
-
-        def counting_replay(plan, config):
-            replays.append(context.schedule_key(config))
-            return original(plan, config)
-
-        monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
-        results = context.analyse_batch(configs)
-        assert sorted(replays) == sorted(keys)
-        monkeypatch.undo()
-        python = AnalysisContext(system).analyse_batch(configs)
-        assert _result_docs(results) == _result_docs(python)
+def _fully_busy_system() -> System:
+    """Node N1 is busy for its whole period (its SCS tasks fill it), so
+    the FPS task ``d2`` there has no staircase to run on."""
+    period = 200
+    tasks = [
+        scs_task("s1", wcet=1, node="N1"),
+        scs_task("hog", wcet=period - 1, node="N1"),
+        scs_task("s2", wcet=1, node="N2"),
+        fps_task("d1", wcet=1, node="N2", priority=1),
+        fps_task("d2", wcet=1, node="N1", priority=1),
+    ]
+    msgs = [dyn_msg("m1", 9, "s1", "d1"), dyn_msg("m2", 5, "s2", "d2")]
+    return single_graph_system(tasks, msgs, period=period, deadline=120)
 
 
 @requires_native
 @pytest.mark.native
-class TestNativeBitIdentity:
-    """The compiled backend under the numpy battery's microscope.
-
-    Same oracle, same observables: fuzzed systems (with fault
-    hypotheses), every mode combination, and the verify counter -- which
-    on a native-enabled build cross-checks python vs numpy *and* python
-    vs native per analysis.
-    """
-
+class TestBitIdentity:
     @given(small_system(), st.integers(3, 9), st.sampled_from((0, 1, 2)))
     @settings(max_examples=25, deadline=None)
     def test_native_matches_python_on_random_systems(
         self, system, points, fault_k
     ):
+        """Fuzzed systems, full-result identity: every field the
+        serializer covers (wcrt in insertion order included), plus the
+        result-list order of the batch -- under every fault hypothesis
+        ``k in {0, 1, 2}``, which the compiled kernels charge natively."""
         configs = _sweep_configs(system, points)
         python = AnalysisContext(
             system, AnalysisOptions(fault_hypothesis=fault_k)
@@ -280,46 +218,108 @@ class TestNativeBitIdentity:
             results["python"]
         )
 
-    def test_verify_mode_cross_checks_native_with_zero_divergences(self):
-        """On a native-enabled build ``backend="verify"`` compares the
-        Python oracle against *both* accelerated backends per analysis;
-        the counter is contractually zero."""
-        system = fig4_system()
-        configs = _sweep_configs(system, 8)
+    @pytest.mark.parametrize(
+        "system",
+        [
+            _fully_busy_system(),
+            # Periods so long that the caps leave the overflow prebound.
+            fig4_system(period=1 << 60, deadline=1 << 60),
+            # The same with no FPS/DYN activity to prebound: the caps
+            # alone would not fit the int64 lane buffers.
+            single_graph_system(
+                [scs_task("a", node="N1"), scs_task("b", node="N2")],
+                period=1 << 62,
+                deadline=1 << 62,
+            ),
+        ],
+        ids=[
+            "fully_busy_node",
+            "past_overflow_limit",
+            "no_activities_past_overflow_limit",
+        ],
+    )
+    def test_unsafe_groups_delegate_to_the_oracle(self, system, monkeypatch):
+        """A group the C kernels must not run -- a fully busy node, or
+        magnitudes past ``OVERFLOW_LIMIT`` -- is analysed by the Python
+        oracle on the group's fetched artifacts, one candidate at a
+        time, with the same answers and without importing numpy."""
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        configs = _sweep_configs(system, 4)
+        python = AnalysisContext(system).analyse_batch(configs)
+        delegated = []
+        fetched = AnalysisContext._analyse_fetched
+
+        def spy(ctx, config, arts):
+            delegated.append(config)
+            return fetched(ctx, config, arts)
+
+        monkeypatch.setattr(AnalysisContext, "_analyse_fetched", spy)
+        native = AnalysisContext(
+            system, AnalysisOptions(backend="native")
+        ).analyse_batch(configs)
+        assert delegated == configs
+        assert _result_docs(native) == _result_docs(python)
+
+    @given(small_system())
+    @settings(max_examples=15, deadline=None)
+    def test_verify_mode_counts_zero_divergences(self, system):
+        """``backend="verify"`` runs the oracle and the compiled kernels
+        per analysis and counts mismatches -- contractually always
+        zero."""
+        configs = _sweep_configs(system, 5)
         context = AnalysisContext(system, AnalysisOptions(backend="verify"))
         verified = context.analyse_batch(configs)
         assert context.backend_divergences == 0
         python = AnalysisContext(system).analyse_batch(configs)
         assert _result_docs(verified) == _result_docs(python)
 
+    def test_wide_batch_replays_each_schedule_once(self, monkeypatch):
+        """A sweep wider than the schedule cache, one schedule key per
+        candidate (ST messages make the key carry the cycle length):
+        the artifacts the batch fetches travel on the group plans, so
+        no schedule is replayed a second time by the kernels."""
+        system = paper_system(3, 0, seed=23)
+        configs = _sweep_configs(system, 100)
+        context = AnalysisContext(system, AnalysisOptions(backend="native"))
+        keys = {context.schedule_key(c) for c in configs}
+        assert len(keys) > context.max_schedule_entries
+        replays = []
+        original = SchedulePlan.replay
+
+        def counting_replay(plan, config):
+            replays.append(context.schedule_key(config))
+            return original(plan, config)
+
+        monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
+        results = context.analyse_batch(configs)
+        assert sorted(replays) == sorted(keys)
+        monkeypatch.undo()
+        python = AnalysisContext(system).analyse_batch(configs)
+        assert _result_docs(results) == _result_docs(python)
+
 
 # ----------------------------------------------------------------------
 # optimiser-level identity: traces, evaluations, cache hits
 # ----------------------------------------------------------------------
-def _numpy_bus(**kw) -> BusOptimisationOptions:
-    return BusOptimisationOptions(
-        analysis=AnalysisOptions(backend="numpy"), **kw
-    )
-
-
 def _native_bus(**kw) -> BusOptimisationOptions:
     return BusOptimisationOptions(
         analysis=AnalysisOptions(backend="native"), **kw
     )
 
 
-@requires_numpy
+@requires_native
+@pytest.mark.native
 def test_optimiser_trace_and_cache_accounting_identical():
     """A full search run is byte-identical across backends: same trace
     (points and estimates, in order), same exact-evaluation count, same
     cache-hit count, same best configuration and cost."""
     system = fig4_system()
     python = result_to_dict(optimise_obc(system, method="curvefit"))
-    numpy_ = result_to_dict(
-        optimise_obc(system, _numpy_bus(), method="curvefit")
+    native = result_to_dict(
+        optimise_obc(system, _native_bus(), method="curvefit")
     )
-    python["elapsed_seconds"] = numpy_["elapsed_seconds"] = 0.0
-    assert numpy_ == python
+    python["elapsed_seconds"] = native["elapsed_seconds"] = 0.0
+    assert native == python
 
 
 def _legacy_fixture(case_id: str) -> dict:
@@ -331,20 +331,15 @@ def _legacy_fixture(case_id: str) -> dict:
         return json.load(fh)
 
 
-def _legacy_backend_cases(backend):
-    """Legacy cases re-run on an accelerated backend: every strategy
-    that takes plain ``BusOptimisationOptions`` (SA/GA ride the same
+def _native_legacy_cases():
+    """Legacy cases re-run on the compiled backend: every strategy that
+    takes plain ``BusOptimisationOptions`` (SA/GA ride the same
     evaluator, and are covered at the pinned-options level by
     test_legacy_equivalence)."""
 
-    def bus(**kw):
-        return BusOptimisationOptions(
-            analysis=AnalysisOptions(backend=backend), **kw
-        )
-
     def small_bus(**kw):
         # The legacy-case ``_small_bus`` budgets on this backend.
-        return bus(
+        return _native_bus(
             ee_max_dyn_points=48,
             cf_candidates=64,
             max_extra_static_slots=1,
@@ -353,11 +348,11 @@ def _legacy_backend_cases(backend):
         )
 
     return (
-        ("bbc_fig3", lambda: optimise_bbc(fig3_system(), bus())),
-        ("bbc_fig4", lambda: optimise_bbc(fig4_system(), bus())),
+        ("bbc_fig3", lambda: optimise_bbc(fig3_system(), _native_bus())),
+        ("bbc_fig4", lambda: optimise_bbc(fig4_system(), _native_bus())),
         (
             "obc_cf_fig4",
-            lambda: optimise_obc(fig4_system(), bus(), "curvefit"),
+            lambda: optimise_obc(fig4_system(), _native_bus(), "curvefit"),
         ),
         (
             "obc_ee_paper3",
@@ -370,31 +365,13 @@ def _legacy_backend_cases(backend):
     )
 
 
-NUMPY_LEGACY_CASES = _legacy_backend_cases("numpy")
-NATIVE_LEGACY_CASES = _legacy_backend_cases("native")
+NATIVE_LEGACY_CASES = _native_legacy_cases()
 
 
 def _paper3_case(bus, method):
     from repro.synth import paper_suite
 
     return optimise_obc(paper_suite(3, count=1, seed=23)[0], bus, method)
-
-
-@requires_numpy
-@pytest.mark.parametrize(
-    "case_id,run", NUMPY_LEGACY_CASES, ids=[c[0] for c in NUMPY_LEGACY_CASES]
-)
-def test_legacy_traces_identical_under_numpy_backend(case_id, run):
-    """The pre-refactor oracle fixtures, generated on the pure-Python
-    implementations, are reproduced byte-for-byte by the array backend."""
-    expected = _legacy_fixture(case_id)
-    got = result_to_dict(run())
-    got["elapsed_seconds"] = 0.0
-    expected.setdefault("stop_reason", None)
-    assert got["trace"] == expected["trace"], (
-        f"{case_id}: numpy-backend search trace diverged from the oracle"
-    )
-    assert got == expected
 
 
 @requires_native
@@ -433,7 +410,7 @@ def test_backend_excluded_from_campaign_fingerprint():
                 )
             )
         )
-        for backend in ("python", "numpy", "native", "verify")
+        for backend in ("python", "native", "verify")
     }
     digests.add(_options_fingerprint(base))
     assert len(digests) == 1
@@ -446,30 +423,12 @@ def test_backend_excluded_from_campaign_fingerprint():
     assert _options_fingerprint(changed) not in digests
 
 
-@requires_numpy
-def test_campaign_resumes_across_backends(tmp_path):
-    """A campaign checkpointed under the Python backend resumes -- job
-    for job, nothing re-run -- when re-issued on the numpy backend."""
-    systems = {"fig4": fig4_system()}
-    python_jobs = campaign_matrix(systems, ["bbc"])
-    cold = run_campaign(systems, python_jobs, checkpoint_dir=str(tmp_path))
-    assert len(cold.executed) == 1
-
-    numpy_jobs = campaign_matrix(systems, ["bbc"], bus=_numpy_bus())
-    resumed = run_campaign(systems, numpy_jobs, checkpoint_dir=str(tmp_path))
-    assert len(resumed.resumed) == 1 and not resumed.executed
-    assert (
-        result_to_dict(resumed.results["fig4__bbc"])
-        == result_to_dict(cold.results["fig4__bbc"])
-    )
-
-
 @requires_native
 @pytest.mark.native
-def test_campaign_resumes_across_backends_including_native(tmp_path):
-    """A checkpoint written under the Python backend resumes untouched
-    when re-issued on the compiled backend -- the fingerprint treats
-    ``"native"`` exactly like the other result-identical modes."""
+def test_campaign_resumes_across_backends(tmp_path):
+    """A checkpoint written under the Python backend resumes -- job for
+    job, nothing re-run -- when re-issued on the compiled backend: the
+    fingerprint treats ``"native"`` like any result-identical knob."""
     systems = {"fig4": fig4_system()}
     cold = run_campaign(
         systems, campaign_matrix(systems, ["bbc"]),
@@ -493,8 +452,8 @@ def test_campaign_resumes_across_backends_including_native(tmp_path):
 # ----------------------------------------------------------------------
 def _dyn_only_smoke_system() -> System:
     """A 3-node, DYN-only application: the whole length sweep shares one
-    schedule key, so the array backend runs it as a single lockstep
-    group -- the shape the benchmarks pin at >=2x (see
+    schedule key, so the compiled backend runs it as a single group --
+    the shape the benchmarks pin (see
     ``benchmarks/results/BENCH_incremental_analysis.json``)."""
     def chain(prefix, length, period):
         tasks, msgs = [], []
@@ -531,48 +490,14 @@ def _dyn_only_smoke_system() -> System:
     return System(("N1", "N2", "N3"), Application("smoke", graphs))
 
 
-@requires_numpy
-@pytest.mark.perf_smoke
-def test_numpy_backend_smoke_identical_and_not_slower():
-    """<10s tier-1 smoke of the batched array sweep: bit identity on a
-    96-point DYN-only sweep, and the numpy batch comfortably beats the
-    warm Python loop.  The floor here is deliberately loose (1.2x on a
-    shape the bench pins at >=2x) -- wall-clock asserts on shared
-    machines must not flake; the real perf claim lives in
-    ``BENCH_incremental_analysis.json``."""
-    system = _dyn_only_smoke_system()
-    assert not tuple(system.application.st_messages())
-    configs = _sweep_configs(
-        system, 96, BusOptimisationOptions(ee_max_dyn_points=96)
-    )
-
-    python_ctx = AnalysisContext(system)
-    t0 = time.perf_counter()
-    python_results = python_ctx.analyse_batch(configs)
-    python_s = time.perf_counter() - t0
-
-    numpy_ctx = AnalysisContext(system, AnalysisOptions(backend="numpy"))
-    t0 = time.perf_counter()
-    numpy_results = numpy_ctx.analyse_batch(configs)
-    numpy_s = time.perf_counter() - t0
-
-    assert _result_docs(numpy_results) == _result_docs(python_results)
-    assert numpy_s < 10.0
-    assert python_s / numpy_s >= 1.2, (
-        f"array backend smoke ratio {python_s / numpy_s:.2f}x "
-        f"(python {python_s:.3f}s vs numpy {numpy_s:.3f}s)"
-    )
-
-
 @requires_native
 @pytest.mark.native
 @pytest.mark.perf_smoke
 def test_native_backend_smoke_identical_and_not_slower():
-    """<10s tier-1 smoke of the compiled sweep: bit identity on the
-    same 96-point DYN-only sweep, same deliberately loose speed floor
-    as the numpy smoke (the real claims -- >=2x over warm Python on
-    ST-heavy sweeps, >= numpy on pure-DYN -- live in
-    ``BENCH_incremental_analysis.json``)."""
+    """<10s tier-1 smoke of the compiled sweep: bit identity on a
+    96-point DYN-only sweep, and a deliberately loose speed floor
+    (1.2x) -- wall-clock asserts on shared machines must not flake; the
+    real claims live in ``BENCH_incremental_analysis.json``."""
     system = _dyn_only_smoke_system()
     configs = _sweep_configs(
         system, 96, BusOptimisationOptions(ee_max_dyn_points=96)

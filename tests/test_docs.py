@@ -63,7 +63,7 @@ class TestModuleSymbolPointers:
         good = self._problems(
             tmp_path,
             "see `benchmarks/check_docs.py:Testish`"
-            "`benchmarks/bench_incremental_analysis.py:Pr3WarmReference.analyse`\n",
+            "`src/repro/analysis/availability.py:NodeAvailability.dominance_tables`\n",
         )
         # Only the first pointer (missing class) is stale.
         assert len(good) == 1 and "Testish" in good[0]

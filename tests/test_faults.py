@@ -19,7 +19,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import analyse_system
+from repro.analysis import AnalysisContext, analyse_system
+from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisOptions
 from repro.errors import ConfigurationError, ModelError
 from repro.flexray.events import EventKind
@@ -278,34 +279,38 @@ class TestFaultHypothesis:
         assert checked > 100
         assert violations == 0
 
-    def test_numpy_backend_computes_faults_natively(self, caplog):
-        """fault_hypothesis no longer forces the python path on numpy.
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        native_or_none() is None,
+        reason="needs the compiled repro[native] extra",
+    )
+    def test_numpy_backend_computes_faults_natively(self, monkeypatch):
+        """fault_hypothesis never forces the python path on the compiled
+        backend (the test keeps its name from the retired numpy rung).
 
-        The array kernels charge the static ``k * gd_cycle`` slips and
-        the constant per-error DYN cycles inside the lowered plans, so
-        a fault batch runs vectorized (no fallback log) and stays
-        bit-identical to the python oracle.
+        The C kernels charge the static ``k * gd_cycle`` slips and the
+        constant per-error DYN cycles inside the lowered plans, so a
+        fault batch runs compiled -- no delegation to the Python
+        oracle -- and stays bit-identical to it.
         """
-        pytest.importorskip("numpy")
-        import logging
-
         system = fig4_system()
         config = basic_config(frame_ids=FIG4_FRAME_IDS)
-        for k in (0, 1, 2):
-            options = AnalysisOptions(backend="numpy", fault_hypothesis=k)
-            with caplog.at_level(
-                logging.INFO, logger="repro.analysis.context"
-            ):
-                from repro.analysis.context import AnalysisContext
-
-                context = AnalysisContext(system, options)
-                via_numpy = context.analyse_batch([config])[0]
-            python = analyse_system(
+        python = {
+            k: analyse_system(
                 system, config, AnalysisOptions(fault_hypothesis=k)
             )
-            assert via_numpy.wcrt == python.wcrt
-            assert via_numpy.schedulable == python.schedulable
-            assert not any(
-                "falling back" in record.message for record in caplog.records
-            )
+            for k in (0, 1, 2)
+        }
+
+        def no_delegation(*args):
+            raise AssertionError("the group was delegated to the oracle")
+
+        monkeypatch.setattr(AnalysisContext, "_analyse_fetched", no_delegation)
+        for k, expected in python.items():
+            options = AnalysisOptions(backend="native", fault_hypothesis=k)
+            via_native = AnalysisContext(system, options).analyse_batch(
+                [config]
+            )[0]
+            assert via_native.wcrt == expected.wcrt
+            assert via_native.schedulable == expected.schedulable
 

@@ -1,6 +1,6 @@
 """Fix-point warm starting: certified inner seeds and outer sweep modes.
 
-Three layers, three guarantees:
+Two layers, two guarantees:
 
 * the *inner* busy-window warm starts are certified lower-bound seeding
   -- bit-identical to cold by construction, fuzzed here against
@@ -9,13 +9,9 @@ Three layers, three guarantees:
   from the configuration's own static-only state -- a provable lower
   bound of the least fixed point -- so it is locked byte-identical to
   the fully cold ``"off"`` oracle, *including* on the adversarial
-  64-point sweep where neighbour seeding is known to diverge (the
-  retirement regression for the 2/64 counterexample);
-* ``warm_start="seed"`` (legacy neighbour seeding, opt-in) still
-  diverges on that sweep -- the pinned finding that the outer fix point
-  is not start-independent, and the reason certified seeds come from
-  the configuration's own lower bound rather than a neighbour's fixed
-  point.
+  64-point sweep where neighbour seeding was measured to diverge (the
+  retirement regression for the 2/64 counterexample recorded in
+  ``docs/ANALYSIS.md``).
 """
 
 import random
@@ -230,7 +226,7 @@ class TestOuterWarmStartModes:
             ).analyse(c)
             for c in configs
         ]
-        for mode in ("certified", "seed", "verify"):
+        for mode in ("certified", "verify"):
             ctx = AnalysisContext(system, AnalysisOptions(warm_start=mode))
             got = [ctx.analyse(c) for c in configs]
             assert [_signature(r) for r in got] == [
@@ -273,37 +269,9 @@ class TestOuterWarmStartModes:
         ]
         assert ctx.warm_start_divergences == 0
 
-        # ... while legacy "seed" mode really does diverge there, which
-        # is the documented reason neighbour seeding stays opt-in.
-        ctx_seed = AnalysisContext(system, AnalysisOptions(warm_start="seed"))
-        seeded = [ctx_seed.analyse(c) for c in configs]
-        assert [_signature(r) for r in seeded] != [
-            _signature(r) for r in cold
-        ]
-
-    def test_seeding_requires_sweep_neighbours(self):
-        """Changing the FrameID assignment invalidates the seed state."""
-        system = paper_suite(3, count=1, seed=23)[0]
-        configs = _sweep(system, points=4)
-        ctx = AnalysisContext(system, AnalysisOptions(warm_start="seed"))
-        for config in configs:
-            ctx.analyse(config)
-        # A different FrameID permutation is not a sweep neighbour: the
-        # next analysis must fall back to a cold start (seed key check).
-        fids = dict(configs[-1].frame_ids)
-        names = sorted(fids)
-        if len(names) >= 2:
-            a, b = names[0], names[1]
-            fids[a], fids[b] = fids[b], fids[a]
-        try:
-            other = configs[-1].with_frame_ids(fids)
-            other.validate_for(system)
-        except ConfigurationError:
-            pytest.skip("no legal FrameID permutation for this system")
-        cold = AnalysisContext(system).analyse(other)
-        assert _signature(ctx.analyse(other)) == _signature(cold)
-
     def test_unknown_mode_rejected(self):
         system = paper_suite(2, count=1, seed=23)[0]
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            AnalysisContext(system, AnalysisOptions(warm_start="always"))
+        # "seed" (the retired neighbour seeding) is unknown like any typo.
+        for mode in ("always", "seed"):
+            with pytest.raises(ConfigurationError, match="warm_start"):
+                AnalysisContext(system, AnalysisOptions(warm_start=mode))

@@ -346,28 +346,50 @@ class NodeAvailability:
 
         # Staircase breakpoints (busy boundaries folded into [0, period))
         # and, per instant, the same boundaries as offsets relative to
-        # the instant -- two sorted runs, concatenated in order.
+        # the instant -- two sorted runs, concatenated in order.  Between
+        # consecutive breakpoints the staircase is linear (slope 0 on a
+        # busy segment, 1 on a gap), so each instant also carries the
+        # staircase value ``F_ext(t + offset)`` at its breakpoints and
+        # the slope after each: any ``F_ext(t + w)`` is then one
+        # multiply-add from the last breakpoint at or before ``w``.
         bounds = sorted({b for s, e in self.busy for b in (s, e % period)})
+        starts = {s for s, _ in self.busy}
+        slack_before = self._slack_before
+        at_bound = [slack_before(b) for b in bounds]
+        slope = [0 if b in starts else 1 for b in bounds]
         rel: List[List[int]] = []
+        rel_value: List[List[int]] = []
+        rel_slope: List[List[int]] = []
+        lead_slope: List[int] = []
         for t in instants:
             k = bisect_left(bounds, t)
             rel.append(
                 [b - t for b in bounds[k:]]
                 + [b - t + period for b in bounds[:k]]
             )
+            rel_value.append(at_bound[k:] + [f + slack for f in at_bound[:k]])
+            rel_slope.append(slope[k:] + slope[:k])
+            # Slope of the segment holding t itself (the one opened by
+            # the last breakpoint before t, wrapping to the last one).
+            lead_slope.append(slope[k - 1])
 
-        slack_before = self._slack_before
         before = self._instant_slack_before
         budget = DOMINANCE_BUDGET_FACTOR * (n + len(bounds) + 1)
 
         def _dominated_by(t_idx: int, u_idx: int) -> bool:
             """True when instant u's staircase pointwise dominates t's."""
             nonlocal budget
-            t = instants[t_idx]
-            u = instants[u_idx]
-            base = before[t_idx] - before[u_idx]
+            t0 = before[t_idx]
+            u0 = before[u_idx]
+            base = t0 - u0
             a = rel[t_idx]
             b = rel[u_idx]
+            a_val = rel_value[t_idx]
+            b_val = rel_value[u_idx]
+            a_slope = rel_slope[t_idx]
+            b_slope = rel_slope[u_idx]
+            a_lead = lead_slope[t_idx]
+            b_lead = lead_slope[u_idx]
             ia = ib = 0
             la = len(a)
             lb = len(b)
@@ -381,18 +403,17 @@ class NodeAvailability:
                     w = b[ib]
                     ib += 1
                 budget -= 1
-                tx = t + w
-                ux = u + w
-                d_t = (
-                    slack_before(tx - period) + slack
-                    if tx >= period
-                    else slack_before(tx)
-                )
-                d_u = (
-                    slack_before(ux - period) + slack
-                    if ux >= period
-                    else slack_before(ux)
-                )
+                # a[ia - 1] / b[ib - 1] are the last breakpoints <= w.
+                if ia:
+                    k = ia - 1
+                    d_t = a_val[k] + a_slope[k] * (w - a[k])
+                else:
+                    d_t = t0 + a_lead * w
+                if ib:
+                    k = ib - 1
+                    d_u = b_val[k] + b_slope[k] * (w - b[k])
+                else:
+                    d_u = u0 + b_lead * w
                 if d_t - d_u < base:
                     return False
             return True

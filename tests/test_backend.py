@@ -127,13 +127,20 @@ class TestNumpyExtra:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_numpy_backend_without_numpy_is_actionable(self):
+        """The retired array backend fails eagerly -- at context
+        construction, where the backend was chosen -- with an error
+        that names the backends to choose from instead."""
+        with pytest.raises(ConfigurationError) as exc:
+            AnalysisContext(fig3_system(), AnalysisOptions(backend="numpy"))
+        message = str(exc.value)
+        assert "unknown backend 'numpy'" in message
+        for backend in ("python", "native", "verify"):
+            assert f'"{backend}"' in message
+
     def test_unknown_backend_rejected(self):
-        # "numpy" is a retired backend, rejected like any unknown name.
-        for backend in ("cuda", "numpy"):
-            with pytest.raises(ConfigurationError):
-                AnalysisContext(
-                    fig3_system(), AnalysisOptions(backend=backend)
-                )
+        with pytest.raises(ConfigurationError):
+            AnalysisContext(fig3_system(), AnalysisOptions(backend="cuda"))
 
 
 # ----------------------------------------------------------------------

@@ -136,14 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0; backoff between attempts is jittered)",
     )
     p_camp.add_argument(
-        "--campaign-workers",
-        type=int,
-        default=1,
-        help="jobs of the matrix run concurrently on N threads inside "
-        "this process (default 1 = sequential; results are identical "
-        "either way)",
-    )
-    p_camp.add_argument(
         "--fabric",
         metavar="DIR",
         help="submit the matrix to a distributed fabric directory "
@@ -497,7 +489,6 @@ def _cmd_campaign(args) -> int:
     options = CampaignOptions(
         job_timeout=args.job_timeout,
         max_retries=args.job_retries,
-        campaign_workers=args.campaign_workers,
     )
 
     # Fail fast on unwritable targets before any job burns CPU time.

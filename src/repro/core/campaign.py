@@ -32,6 +32,12 @@ Campaign-*definition* problems (unknown systems, duplicate or foreign
 checkpoints, an unwritable checkpoint directory) still raise up front:
 they mean the campaign itself is wrong, not one job.
 
+There is one engine: :func:`run_campaign` runs the matrix sequentially,
+in matrix order, and every job goes through :func:`_process_job`
+(resume-or-run, retry, timeout, checkpoint).  The distributed fabric
+(:mod:`repro.core.fabric`) calls the same unit once per claimed job;
+job-level parallelism is more fabric worker processes, not threads.
+
 ::
 
     from repro.core.campaign import campaign_matrix, run_campaign
@@ -80,38 +86,18 @@ StrategyRef = Union[str, Tuple[str, Optional[StrategyOptions]]]
 
 @dataclass(frozen=True)
 class CampaignOptions:
-    """Execution knobs of one :func:`run_campaign` call.
-
-    The fault-tolerance knobs (``job_timeout``, ``max_retries``,
-    ``retry_backoff``, ``retry_seed``) are documented on
-    :func:`run_campaign`; ``campaign_workers`` adds *job-level*
-    parallelism: ``N > 1`` runs up to N jobs of the matrix concurrently
-    on worker threads.  Jobs are independent (separate systems,
-    separate checkpoint files), so results, checkpoints and the final
-    :class:`CampaignReport` are identical to a serial run -- the report
-    lists ``executed``/``resumed`` in matrix order regardless of
-    completion order, and only the ``progress`` callback observes the
-    interleaving.  Worker threads overlap wall-clock wherever a job
-    releases the GIL or blocks -- per-strategy evaluation process pools
-    (``parallel_workers``), per-job timeouts, checkpoint I/O; for
-    process-level parallelism across hosts use the distributed fabric
-    (:mod:`repro.core.fabric`), whose workers are whole processes.
-    """
+    """Fault policy of a campaign, documented on :func:`run_campaign`
+    (a fabric manifest carries the same record)."""
 
     job_timeout: Optional[float] = None
     max_retries: int = 0
     retry_backoff: float = 0.5
     retry_seed: int = 0
-    campaign_workers: int = 1
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise CampaignError(
                 f"max_retries={self.max_retries} must be >= 0"
-            )
-        if self.campaign_workers < 1:
-            raise CampaignError(
-                f"campaign_workers={self.campaign_workers} must be >= 1"
             )
 
 
@@ -123,6 +109,10 @@ class CampaignJob:
     system_id: str
     strategy: str
     options: Optional[StrategyOptions] = None
+
+
+#: Observer of finished jobs: ``progress(job, result, resumed)``.
+ProgressFn = Callable[[CampaignJob, OptimisationResult, bool], None]
 
 
 @dataclass(frozen=True)
@@ -314,54 +304,29 @@ def run_campaign(
     systems: Mapping[str, System],
     jobs: Iterable[CampaignJob],
     checkpoint_dir: Optional[str] = None,
-    progress: Optional[Callable[[CampaignJob, OptimisationResult, bool], None]] = None,
+    progress: Optional[ProgressFn] = None,
     *,
-    options: Optional[CampaignOptions] = None,
-    job_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    retry_backoff: float = 0.5,
-    retry_seed: int = 0,
+    options: CampaignOptions = CampaignOptions(),
 ) -> CampaignReport:
-    """Execute a job matrix, resuming finished jobs from checkpoints.
+    """Execute a job matrix in order, resuming finished jobs from
+    checkpoints -- the sequential oracle the fabric is compared against.
 
-    Jobs run in matrix order -- sequentially by default, or up to
-    ``options.campaign_workers`` at a time on worker threads (results
-    and report identical either way; see :class:`CampaignOptions`).
     Per-job parallelism comes from each strategy's own
-    ``parallel_workers`` pool; multi-process / multi-host parallelism
-    from the distributed fabric (:mod:`repro.core.fabric`).
-    ``progress`` is called after every *successful* job with
-    ``(job, result, resumed)``.
+    ``parallel_workers`` pool; job-level parallelism from more fabric
+    worker processes (:mod:`repro.core.fabric`).  ``progress`` is called
+    after every *successful* job with ``(job, result, resumed)``.
 
-    Fault tolerance: ``job_timeout`` bounds each attempt's wall-clock
-    seconds (see :func:`_run_job` for the abandonment caveat);
-    ``max_retries`` re-runs a raising or timed-out job with jittered
-    exponential backoff (``retry_backoff * 2**attempt`` scaled by a
-    deterministic jitter in [0.5, 1.5), seeded from ``retry_seed`` and
-    the job id so concurrent shards do not retry in lockstep); a job
-    that still fails lands in :attr:`CampaignReport.failures` and the
-    matrix continues.  The legacy keyword knobs build a
-    :class:`CampaignOptions`; pass one *or* the other, not both.
+    Fault tolerance (``options``, a :class:`CampaignOptions`):
+    ``job_timeout`` bounds each attempt's wall-clock seconds (see
+    :func:`_run_job` for the abandonment caveat); ``max_retries``
+    re-runs a raising or timed-out job with jittered exponential backoff
+    (``retry_backoff * 2**attempt`` scaled by a deterministic jitter in
+    [0.5, 1.5), seeded from ``retry_seed`` and the job id so concurrent
+    shards do not retry in lockstep); a job that still fails lands in
+    :attr:`CampaignReport.failures` and the matrix continues.
     """
     start = time.perf_counter()
     jobs = tuple(jobs)
-    if options is None:
-        options = CampaignOptions(
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            retry_seed=retry_seed,
-        )
-    elif (
-        job_timeout is not None
-        or max_retries != 0
-        or retry_backoff != 0.5
-        or retry_seed != 0
-    ):
-        raise CampaignError(
-            "pass either options=CampaignOptions(...) or the legacy "
-            "keyword knobs, not both"
-        )
     if checkpoint_dir is not None:
         ensure_writable_dir(checkpoint_dir)
     for job in jobs:
@@ -370,25 +335,15 @@ def run_campaign(
                 f"job {job.job_id!r} references unknown system "
                 f"{job.system_id!r}"
             )
-    if options.campaign_workers > 1 and len(jobs) > 1:
-        outcomes = _run_jobs_threaded(
-            systems, jobs, checkpoint_dir, options, progress
-        )
-    else:
-        outcomes = {}
-        for job in jobs:
-            outcome = _process_job(systems, job, checkpoint_dir, options)
-            outcomes[job.job_id] = outcome
-            result, failure, was_resumed, _ = outcome
-            if failure is None and progress is not None:
-                progress(job, result, was_resumed)
     results: Dict[str, OptimisationResult] = {}
     executed: List[str] = []
     resumed: List[str] = []
     failures: Dict[str, CampaignJobFailure] = {}
     quarantined: List[str] = []
-    for job in jobs:  # report bookkeeping is matrix-ordered
-        result, failure, was_resumed, was_quarantined = outcomes[job.job_id]
+    for job in jobs:
+        result, failure, was_resumed, was_quarantined = _process_job(
+            systems, job, checkpoint_dir, options
+        )
         if was_quarantined:
             quarantined.append(job.job_id)
         if failure is not None:
@@ -396,6 +351,8 @@ def run_campaign(
             continue
         (resumed if was_resumed else executed).append(job.job_id)
         results[job.job_id] = result
+        if progress is not None:
+            progress(job, result, was_resumed)
     return CampaignReport(
         results=results,
         executed=tuple(executed),
@@ -407,22 +364,17 @@ def run_campaign(
     )
 
 
-#: One job's outcome: (result, failure, was_resumed, was_quarantined).
-_JobOutcome = Tuple[
-    Optional[OptimisationResult],
-    Optional[CampaignJobFailure],
-    bool,
-    bool,
-]
-
-
 def _process_job(
     systems: Mapping[str, System],
     job: CampaignJob,
     checkpoint_dir: Optional[str],
     options: CampaignOptions,
-) -> _JobOutcome:
-    """Resume-or-run one job: the unit both execution modes share."""
+) -> Tuple[
+    Optional[OptimisationResult], Optional[CampaignJobFailure], bool, bool
+]:
+    """Resume-or-run one job under the retry/timeout policy, then
+    checkpoint it: ``(result, failure, resumed, quarantined)``.  The
+    per-job unit of both :func:`run_campaign` and the fabric worker."""
     system = systems[job.system_id]
     result = None
     was_quarantined = False
@@ -430,94 +382,35 @@ def _process_job(
         result, was_quarantined = _load_checkpoint(checkpoint_dir, job, system)
     if result is not None:
         return result, None, True, was_quarantined
-    result, failure = _attempt_job(
-        system, job, options.job_timeout, options.max_retries,
-        options.retry_backoff, options.retry_seed,
-    )
+    result, failure = _attempt_job(system, job, options)
     if failure is not None:
         return None, failure, False, was_quarantined
     if checkpoint_dir is not None:
         _write_checkpoint(checkpoint_dir, job, system, result)
-    return result, failure, False, was_quarantined
-
-
-def _run_jobs_threaded(
-    systems: Mapping[str, System],
-    jobs: Tuple[CampaignJob, ...],
-    checkpoint_dir: Optional[str],
-    options: CampaignOptions,
-    progress: Optional[Callable[[CampaignJob, OptimisationResult, bool], None]],
-) -> Dict[str, _JobOutcome]:
-    """Run the matrix on ``campaign_workers`` threads.
-
-    Campaign-*definition* errors (foreign checkpoints) still raise: the
-    first one wins, the queue is drained, and every already-running job
-    finishes before the exception propagates.  ``progress`` fires in
-    completion order, serialised under a lock.
-    """
-    pending = list(jobs)
-    outcomes: Dict[str, _JobOutcome] = {}
-    lock = threading.Lock()
-    errors: List[BaseException] = []
-
-    def worker() -> None:
-        while True:
-            with lock:
-                if errors or not pending:
-                    return
-                job = pending.pop(0)
-            try:
-                outcome = _process_job(systems, job, checkpoint_dir, options)
-            except BaseException as exc:  # noqa: BLE001 - relayed below
-                with lock:
-                    errors.append(exc)
-                return
-            result, failure, was_resumed, _ = outcome
-            with lock:
-                outcomes[job.job_id] = outcome
-                if failure is None and progress is not None:
-                    progress(job, result, was_resumed)
-
-    threads = [
-        threading.Thread(
-            target=worker, daemon=True, name=f"campaign-worker-{i}"
-        )
-        for i in range(min(options.campaign_workers, len(jobs)))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return outcomes
+    return result, None, False, was_quarantined
 
 
 def _attempt_job(
-    system: System,
-    job: CampaignJob,
-    job_timeout: Optional[float],
-    max_retries: int,
-    retry_backoff: float,
-    retry_seed: int,
+    system: System, job: CampaignJob, options: CampaignOptions
 ) -> Tuple[Optional[OptimisationResult], Optional[CampaignJobFailure]]:
     """Run one job with bounded retries; ``(result, None)`` or
     ``(None, failure)``."""
     rng = None
     last: Tuple[str, str] = ("error", "job never ran")
     attempts = 0
-    for attempt in range(max_retries + 1):
+    backoff = options.retry_backoff
+    for attempt in range(options.max_retries + 1):
         attempts = attempt + 1
         try:
-            return _run_job(system, job, job_timeout), None
+            return _run_job(system, job, options.job_timeout), None
         except _JobTimeout as exc:
             last = ("timeout", str(exc))
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             last = ("error", f"{type(exc).__name__}: {exc}")
-        if attempt < max_retries and retry_backoff > 0:
+        if attempt < options.max_retries and backoff > 0:
             if rng is None:
-                rng = random.Random(f"{retry_seed}|{job.job_id}")
-            time.sleep(retry_backoff * (2**attempt) * (0.5 + rng.random()))
+                rng = random.Random(f"{options.retry_seed}|{job.job_id}")
+            time.sleep(backoff * (2**attempt) * (0.5 + rng.random()))
     kind, message = last
     return None, CampaignJobFailure(
         job_id=job.job_id, kind=kind, message=message, attempts=attempts
@@ -565,19 +458,13 @@ def _options_fingerprint(options: Optional[StrategyOptions]) -> str:
     return hashlib.sha256(repr(options).encode("utf-8")).hexdigest()[:16]
 
 
-#: Back-compat alias: the system digest moved to
-#: :func:`repro.io.serialization.system_fingerprint` when the service
-#: layer started keying its warm evaluator pool on it.
-_system_fingerprint = system_fingerprint
-
-
 def _job_meta(job: CampaignJob, system: System) -> dict:
     return {
         "job_id": job.job_id,
         "system_id": job.system_id,
         "strategy": job.strategy,
         "options_fingerprint": _options_fingerprint(job.options),
-        "system_fingerprint": _system_fingerprint(system),
+        "system_fingerprint": system_fingerprint(system),
     }
 
 

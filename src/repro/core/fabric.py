@@ -6,12 +6,13 @@ filesystem -- can drain concurrently and crash-safely.  A coordinator
 (:func:`fabric_submit`, ``repro campaign --fabric <dir>``) writes the
 matrix once as a content-addressed manifest; workers
 (:func:`fabric_work`, ``repro work <dir>``) claim jobs through atomic
-*lease* files, execute them through the existing
-:func:`~repro.core.campaign.run_campaign` job runner, and publish
-finished checkpoints atomically; :func:`fabric_collect` merges the
-published results back into one
+*lease* files, execute each one through the campaign engine's per-job
+unit (:func:`repro.core.campaign._process_job`: resume-or-run, retry,
+timeout, checkpoint), and publish finished checkpoints atomically;
+:func:`fabric_collect` merges the published results back into one
 :class:`~repro.core.campaign.CampaignReport`, byte-identical (modulo
-wall-clock fields) to a sequential single-process run.
+wall-clock fields) to a sequential single-process
+:func:`~repro.core.campaign.run_campaign`.
 
 Directory layout (everything lives under the fabric root)::
 
@@ -27,19 +28,24 @@ operation, so any worker may die at any point):
 
 1. **Claim** -- a worker creates ``leases/<job_id>.lease`` via
    hard-link-from-temp (atomic create-with-content; ``EEXIST`` means
-   someone else holds the job).  The lease records the owner id and a
-   monotonically increasing heartbeat counter.
+   someone else holds the job).  The lease records the owner id, its
+   host and pid, and a monotonically increasing heartbeat counter.
 2. **Heartbeat** -- while the job runs, a renewal thread rewrites the
    lease (write-temp + ``os.replace``) every ``ttl/4`` seconds,
    bumping the counter and the file's mtime.  Renewal re-reads the
    lease first and *stops* if the owner changed: a reaped worker never
    resurrects its lease.
 3. **Expiry / reap** -- a lease whose mtime is older than ``ttl`` is
-   dead.  A reaper ``os.rename``\\ s it to a ``.reaped.N`` tombstone
-   (exactly one racer wins the rename) and then claims normally.
-4. **Publish** -- the worker runs the job with its checkpoint inside a
-   *private* staging directory, then publishes via ``os.link`` into
-   the shared ``checkpoints/`` directory.  The link either creates the
+   dead.  So is a lease whose ``host`` is this host and whose ``pid``
+   no longer exists (``os.kill(pid, 0)`` raises
+   ``ProcessLookupError``): a crashed same-host worker is reaped at
+   once instead of after its ttl.  A reaper ``os.rename``\\ s the lease
+   to a ``.reaped.N`` tombstone (exactly one racer wins the rename) and
+   then claims normally.
+4. **Publish** -- the worker runs the job through ``_process_job``
+   with a fresh *private* staging directory as its checkpoint
+   directory, then publishes via ``os.link`` into the shared
+   ``checkpoints/`` directory.  The link either creates the
    file (exactly one winner, journalled ``completed``) or fails with
    ``EEXIST`` (the job was finished by someone else while our lease
    was presumed dead -- journalled ``lost-lease``, nothing clobbered).
@@ -53,8 +59,7 @@ idempotent: the takeover run produces the identical result document,
 and a half-written file can only exist in the dead worker's private
 staging area -- the shared directory only ever sees complete,
 atomically renamed checkpoints (anything unreadable there is moved
-aside by the quarantine path of
-:func:`~repro.core.campaign.run_campaign`'s checkpoint loader).
+aside by the quarantine path of the campaign checkpoint loader).
 
 ::
 
@@ -85,16 +90,17 @@ from typing import (
     Tuple,
 )
 
+from repro.core import campaign
 from repro.core.campaign import (
     CampaignJob,
     CampaignJobFailure,
     CampaignOptions,
     CampaignReport,
+    ProgressFn,
     StrategyRef,
     _load_checkpoint,
     campaign_matrix,
     ensure_writable_dir,
-    run_campaign,
 )
 from repro.errors import CampaignError, SerializationError, ServiceError
 from repro.io.serialization import (
@@ -219,7 +225,6 @@ def _manifest_doc(
         "max_retries": options.max_retries,
         "retry_backoff": options.retry_backoff,
         "retry_seed": options.retry_seed,
-        "campaign_workers": options.campaign_workers,
     }
     return envelope(
         "fabric_manifest",
@@ -298,7 +303,10 @@ def _decode_manifest(root: str, doc: Dict[str, Any]) -> FabricSpec:
         bus = bus_options_from_dict(body.get("bus"))
     except (SerializationError, ServiceError, KeyError) as exc:
         raise CampaignError(f"bad fabric manifest under {root!r}: {exc}") from exc
-    campaign_doc = body.get("campaign") or {}
+    campaign_doc = dict(body.get("campaign") or {})
+    # Written by manifests from before the job thread pool was removed;
+    # the fabric never used it, so those directories still load.
+    campaign_doc.pop("campaign_workers", None)
     try:
         options = CampaignOptions(**campaign_doc)
     except TypeError as exc:
@@ -362,7 +370,29 @@ def _lease_expired(path: str, ttl: float) -> bool:
     return age > ttl
 
 
-def _reap_lease(root: str, job_id: str, dead: Dict[str, Any]) -> bool:
+def _owner_exited(holder: Dict[str, Any]) -> bool:
+    """True when the lease's owner ran on this host and its pid is gone.
+
+    Only ``ProcessLookupError`` counts as gone (a ``PermissionError``
+    means alive); leases from other hosts wait out their ttl.  A reused
+    pid or a hostname clash can only misjudge liveness, never publish a
+    job twice: the ``os.link`` publish keeps completion exactly-once.
+    """
+    pid = holder.get("pid")
+    if holder.get("host") != socket.gethostname():
+        return False
+    if not isinstance(pid, int) or pid <= 0:
+        return False  # 0 and negative pids name process groups
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # PermissionError: alive, owned by another user
+    return False
+
+
+def _reap_lease(root: str, job_id: str) -> bool:
     """Move an expired lease to a tombstone; ``True`` if we won.
 
     ``os.rename`` is the arbiter: however many workers notice the
@@ -499,6 +529,7 @@ def fabric_work(
     max_jobs: Optional[int] = None,
     once: bool = False,
     log: Optional[Callable[[str], None]] = None,
+    progress: Optional[ProgressFn] = None,
 ) -> WorkerReport:
     """Drain jobs from a fabric directory until none remain claimable.
 
@@ -510,8 +541,11 @@ def fabric_work(
     ``ttl/4``).  With ``once`` the worker returns as soon as no job is
     immediately claimable instead of polling every ``poll`` seconds
     for leases to expire; ``max_jobs`` bounds how many jobs this call
-    may run.  Returns the worker's own accounting; the authoritative
-    fabric-wide record is the journal (:func:`fabric_events`).
+    may run.  ``progress(job, result, resumed)`` fires after every job
+    *this* worker publishes (``resumed`` is always ``False``: each claim
+    runs in a fresh staging directory).  Returns the worker's own
+    accounting; the authoritative fabric-wide record is the journal
+    (:func:`fabric_events`).
     """
     spec = load_fabric(root)
     if lease_ttl <= 0:
@@ -536,7 +570,7 @@ def fabric_work(
             continue
         _journal(spec.root, worker_id, "claimed", job=job.job_id)
         say(f"[{worker_id}] claimed {job.job_id}")
-        outcome = _execute_claim(spec, job, worker_id, lease_ttl)
+        outcome = _execute_claim(spec, job, worker_id, lease_ttl, progress)
         {"completed": completed, "failed": failed, "lost-lease": lost}[
             outcome
         ].append(job.job_id)
@@ -570,11 +604,13 @@ def _claim_next(
             # are both atomic-with-content -- so it means manual
             # tampering; reclaim it immediately rather than letting it
             # block its job forever.
-            if holder is not None and not _lease_expired(
-                path, float(holder.get("ttl", ttl))
+            if (
+                holder is not None
+                and not _lease_expired(path, float(holder.get("ttl", ttl)))
+                and not _owner_exited(holder)
             ):
                 continue
-            if not _reap_lease(spec.root, job.job_id, holder or {}):
+            if not _reap_lease(spec.root, job.job_id):
                 continue  # another worker won the takeover
             _journal(
                 spec.root,
@@ -593,7 +629,8 @@ def _claim_next(
 
 
 def _execute_claim(
-    spec: FabricSpec, job: CampaignJob, worker_id: str, ttl: float
+    spec: FabricSpec, job: CampaignJob, worker_id: str, ttl: float,
+    progress: Optional[ProgressFn],
 ) -> str:
     """Run one leased job to a published checkpoint or failure marker.
 
@@ -603,14 +640,14 @@ def _execute_claim(
     lease = _lease_path(spec.root, job.job_id)
     staging = os.path.join(spec.root, "staging", f"{worker_id}__{job.job_id}")
     shutil.rmtree(staging, ignore_errors=True)  # stale own crash debris
+    os.makedirs(staging)
     heartbeat = _Heartbeat(lease, worker_id, ttl)
     heartbeat.start()
     try:
-        report = run_campaign(
-            {job.system_id: spec.systems[job.system_id]},
-            (job,),
-            checkpoint_dir=staging,
-            options=spec.options,
+        # Looked up through the module at call time, so wrappers
+        # installed on repro.core.campaign._process_job see fabric jobs.
+        result, failure, _, _ = campaign._process_job(
+            spec.systems, job, staging, spec.options
         )
     finally:
         heartbeat.stop()
@@ -622,8 +659,7 @@ def _execute_claim(
         shutil.rmtree(staging, ignore_errors=True)
         _journal(spec.root, worker_id, "lost-lease", job=job.job_id)
         return "lost-lease"
-    if job.job_id in report.failures:
-        failure = report.failures[job.job_id]
+    if failure is not None:
         _atomic_write(
             _failure_path(spec.root, job.job_id),
             json.dumps(
@@ -653,13 +689,9 @@ def _execute_claim(
         outcome = "lost-lease"
     shutil.rmtree(staging, ignore_errors=True)
     _release_lease(lease, worker_id)
-    _journal(
-        spec.root,
-        worker_id,
-        outcome,
-        job=job.job_id,
-        resumed=job.job_id in report.resumed,
-    )
+    _journal(spec.root, worker_id, outcome, job=job.job_id)
+    if outcome == "completed" and progress is not None:
+        progress(job, result, False)
     return outcome
 
 

@@ -34,7 +34,10 @@ holds a fabric ``manifest.json`` (plus ``leases/``, ``journal/``...),
 the server process works the matrix as one ordinary fabric worker, and
 any number of external ``repro work <campaign dir>`` processes can
 join in; the published results land in the same ``checkpoints/``
-directory either way.
+directory either way.  ``GET /campaigns/<id>`` counts each job this
+process publishes as it lands; jobs published by other workers (or an
+earlier server) appear, marked ``resumed``, when the matrix is
+collected.
 """
 
 from __future__ import annotations
@@ -54,6 +57,18 @@ from repro.io.serialization import result_to_dict
 from repro.service.protocol import CampaignRequest, parse_campaign_request
 
 __all__ = ["CampaignState", "CampaignStore"]
+
+
+def _job_summary(result, resumed: bool) -> Dict[str, Any]:
+    """One job's entry in the ``GET /campaigns/<id>`` ``jobs`` map."""
+    return {
+        "resumed": resumed,
+        "schedulable": result.schedulable,
+        "cost": result.cost,
+        "evaluations": result.evaluations,
+        "trace_points": len(result.trace),
+        "stop_reason": result.stop_reason,
+    }
 
 
 class CampaignState:
@@ -242,14 +257,7 @@ class CampaignStore:
             # Job-boundary snapshot from the finished driver run's
             # trace; visible to GET /campaigns/<id> immediately.
             with self._lock:
-                state.jobs[job.job_id] = {
-                    "resumed": was_resumed,
-                    "schedulable": result.schedulable,
-                    "cost": result.cost,
-                    "evaluations": result.evaluations,
-                    "trace_points": len(result.trace),
-                    "stop_reason": result.stop_reason,
-                }
+                state.jobs[job.job_id] = _job_summary(result, was_resumed)
 
         try:
             if self.fabric:
@@ -262,18 +270,14 @@ class CampaignStore:
                 fabric_submit(
                     root, request.systems, request.strategies, bus=self.bus
                 )
-                fabric_work(root)
+                fabric_work(root, progress=progress)
                 report = fabric_collect(root)
+                # Jobs this process did not run were published by an
+                # external worker or by an earlier server.
                 with self._lock:
                     for job_id, result in report.results.items():
-                        state.jobs[job_id] = {
-                            "resumed": False,
-                            "schedulable": result.schedulable,
-                            "cost": result.cost,
-                            "evaluations": result.evaluations,
-                            "trace_points": len(result.trace),
-                            "stop_reason": result.stop_reason,
-                        }
+                        if job_id not in state.jobs:
+                            state.jobs[job_id] = _job_summary(result, True)
             else:
                 jobs = campaign_matrix(
                     request.systems, request.strategies, bus=self.bus

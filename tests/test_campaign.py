@@ -79,86 +79,15 @@ class TestRunCampaign:
             report.result_for("static", "sa")
 
 
-def _strip_clocks(doc):
-    if isinstance(doc, dict):
-        return {
-            k: _strip_clocks(v)
-            for k, v in doc.items()
-            if k != "elapsed_seconds"
-        }
-    if isinstance(doc, list):
-        return [_strip_clocks(v) for v in doc]
-    return doc
-
-
 class TestCampaignWorkers:
-    """``CampaignOptions.campaign_workers``: the job-level thread pool."""
+    """``CampaignOptions``: the campaign fault policy is validated.
 
-    def test_threaded_run_matches_serial_byte_for_byte(self):
-        from repro.io.serialization import result_to_dict
-
-        systems = _systems()
-        jobs = campaign_matrix(
-            systems,
-            ["bbc", ("sa", SAOptions(iterations=8, seed=5))],
-            bus=_small_bus(),
-        )
-        serial = run_campaign(systems, jobs)
-        threaded = run_campaign(
-            systems, jobs, options=CampaignOptions(campaign_workers=4)
-        )
-        assert threaded.executed == serial.executed  # matrix order kept
-        assert set(threaded.results) == set(serial.results)
-        for job_id, result in serial.results.items():
-            assert _strip_clocks(
-                result_to_dict(threaded.results[job_id])
-            ) == _strip_clocks(result_to_dict(result))
-
-    def test_threaded_failures_cost_cells_not_the_campaign(self):
-        from repro.core.strategies import (
-            StrategyOptions,
-            StrategySpec,
-            register_strategy,
-        )
-        from repro.core import strategies as strategies_module
-
-        def _boom(system, options):
-            raise RuntimeError("boom")
-
-        register_strategy(
-            StrategySpec(
-                name="explode",
-                summary="always raises (test-only)",
-                options_type=StrategyOptions,
-                runner=_boom,
-            )
-        )
-        try:
-            systems = _systems()
-            jobs = campaign_matrix(
-                systems, ["bbc", "explode"], bus=_small_bus()
-            )
-            report = run_campaign(
-                systems, jobs, options=CampaignOptions(campaign_workers=3)
-            )
-            assert sorted(report.failures) == ["dyn__explode", "static__explode"]
-            assert sorted(report.results) == ["dyn__bbc", "static__bbc"]
-            for failure in report.failures.values():
-                assert failure.kind == "error" and "boom" in failure.message
-        finally:
-            strategies_module._REGISTERED.pop("explode", None)
-
-    def test_options_and_legacy_kwargs_are_exclusive(self):
-        systems = _systems()
-        jobs = campaign_matrix(systems, ["bbc"], bus=_small_bus())
-        with pytest.raises(CampaignError, match="options"):
-            run_campaign(
-                systems, jobs, options=CampaignOptions(), max_retries=1
-            )
+    (Failure cells in a sequential run are covered by
+    ``tests/test_campaign_faults.py::TestTimeoutsAndRetries::
+    test_job_timeout_is_recorded_not_raised``.)
+    """
 
     def test_campaign_options_are_validated(self):
-        with pytest.raises(CampaignError):
-            CampaignOptions(campaign_workers=0)
         with pytest.raises(CampaignError):
             CampaignOptions(max_retries=-1)
 

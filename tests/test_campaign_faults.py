@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.campaign import (
     CampaignJobFailure,
+    CampaignOptions,
     campaign_matrix,
     ensure_writable_dir,
     ensure_writable_file,
@@ -77,7 +78,9 @@ class TestTimeoutsAndRetries:
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["sleepy", "bbc"])
         report = run_campaign(
-            systems, jobs, job_timeout=0.05, retry_backoff=0.0
+            systems,
+            jobs,
+            options=CampaignOptions(job_timeout=0.05, retry_backoff=0.0),
         )
         # The campaign completed: the slow cell failed, the other ran.
         assert set(report.results) == {"s__bbc"}
@@ -94,7 +97,9 @@ class TestTimeoutsAndRetries:
         registry("boom", _boom)
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["boom"])
-        report = run_campaign(systems, jobs, retry_backoff=0.0)
+        report = run_campaign(
+            systems, jobs, options=CampaignOptions(retry_backoff=0.0)
+        )
         failure = report.failures["s__boom"]
         assert failure.kind == "error"
         assert "ValueError" in failure.message
@@ -115,7 +120,9 @@ class TestTimeoutsAndRetries:
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["flaky"])
         report = run_campaign(
-            systems, jobs, max_retries=2, retry_backoff=0.0
+            systems,
+            jobs,
+            options=CampaignOptions(max_retries=2, retry_backoff=0.0),
         )
         assert calls["n"] == 3
         assert report.all_succeeded
@@ -126,7 +133,9 @@ class TestTimeoutsAndRetries:
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["boom"])
         report = run_campaign(
-            systems, jobs, max_retries=2, retry_backoff=0.0
+            systems,
+            jobs,
+            options=CampaignOptions(max_retries=2, retry_backoff=0.0),
         )
         assert report.failures["s__boom"].attempts == 3
 
@@ -134,14 +143,19 @@ class TestTimeoutsAndRetries:
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["bbc"])
         with pytest.raises(CampaignError, match="max_retries"):
-            run_campaign(systems, jobs, max_retries=-1)
+            run_campaign(
+                systems, jobs, options=CampaignOptions(max_retries=-1)
+            )
 
     def test_failed_job_writes_no_checkpoint(self, registry, tmp_path):
         registry("boom", _boom)
         systems = {"s": fig3_system()}
         jobs = campaign_matrix(systems, ["boom"])
         report = run_campaign(
-            systems, jobs, checkpoint_dir=str(tmp_path), retry_backoff=0.0
+            systems,
+            jobs,
+            checkpoint_dir=str(tmp_path),
+            options=CampaignOptions(retry_backoff=0.0),
         )
         assert report.failures
         assert not os.path.exists(tmp_path / "s__boom.json")
@@ -242,8 +256,7 @@ class TestAcceptanceScenario:
             systems,
             jobs,
             checkpoint_dir=str(tmp_path),
-            job_timeout=0.05,
-            retry_backoff=0.0,
+            options=CampaignOptions(job_timeout=0.05, retry_backoff=0.0),
         )
         # Completed, reporting both problems.
         assert report.quarantined == ("s__bbc",)

@@ -216,6 +216,40 @@ class TestCampaignRuntimeFlags:
         assert "--output" in capsys.readouterr().err
 
 
+def _strip_clocks(doc):
+    if isinstance(doc, dict):
+        return {
+            k: _strip_clocks(v)
+            for k, v in doc.items()
+            if k != "elapsed_seconds"
+        }
+    if isinstance(doc, list):
+        return [_strip_clocks(v) for v in doc]
+    return doc
+
+
+class TestCampaignFabric:
+    def test_fabric_campaign_writes_the_inline_report(
+        self, system_path, tmp_path
+    ):
+        reports = {}
+        for mode, extra in (
+            ("inline", []),
+            ("fabric", ["--fabric", str(tmp_path / "fab")]),
+        ):
+            out = str(tmp_path / f"{mode}.json")
+            rc = main(
+                ["campaign", system_path, "--strategies", "bbc,sa",
+                 "--sa-iterations", "40", *extra, "--output", out]
+            )
+            with open(out, encoding="utf-8") as fh:
+                reports[mode] = (rc, _strip_clocks(json.load(fh)))
+        assert reports["fabric"] == reports["inline"]
+        assert sorted(reports["fabric"][1]["jobs"]) == [
+            "system__bbc", "system__sa"
+        ]
+
+
 class TestConsoleEntryPoint:
     """The packaged `repro` command is `repro.cli:main` (setup.py
     console_scripts); `--help` must exit 0 on every layer of it."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -133,6 +134,24 @@ class TestManifest:
         assert loaded.options == options
         assert loaded.meta == {"suite": {"count": 3}}
 
+    def test_manifest_with_campaign_workers_still_drains(self, tmp_path):
+        # Manifests once carried a job-thread-pool size the fabric never
+        # used; such directories must keep loading, draining, collecting.
+        root = str(tmp_path / "fab")
+        spec = _submit(root)
+        manifest = os.path.join(root, "manifest.json")
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["campaign"]["campaign_workers"] = 1
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+
+        assert load_fabric(root).options == CampaignOptions()
+        report = fabric_work(root, worker_id="w0", lease_ttl=5.0)
+        assert sorted(report.completed) == sorted(j.job_id for j in spec.jobs)
+        merged = fabric_collect(root)
+        assert _result_docs(merged) == _result_docs(_oracle(spec))
+
     def test_per_strategy_bus_must_match_the_campaign_bus(self, tmp_path):
         with pytest.raises(CampaignError, match="bus"):
             fabric_submit(
@@ -219,41 +238,66 @@ class TestDrain:
 # ----------------------------------------------------------------------
 class TestLeases:
     def test_live_foreign_lease_is_honoured(self, tmp_path):
-        root = str(tmp_path / "fab")
-        spec = _submit(root)
-        blocked = spec.jobs[0]
-        path = _lease_path(root, blocked.job_id)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"owner": "ghost", "ttl": 9999.0, "beats": 0}, fh)
+        # A lease from another host (no host/pid recorded), and one held
+        # by a live process on this host: both wait out their ttl.
+        owners = {
+            "foreign": {},
+            "same-host": {"host": socket.gethostname(), "pid": os.getpid()},
+        }
+        for case, extra in owners.items():
+            root = str(tmp_path / case)
+            spec = _submit(root)
+            blocked = spec.jobs[0]
+            path = _lease_path(root, blocked.job_id)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {"owner": "ghost", "ttl": 9999.0, "beats": 0, **extra}, fh
+                )
 
-        report = fabric_work(root, worker_id="w0", lease_ttl=5.0, once=True)
-        assert blocked.job_id not in report.completed
-        assert len(report.completed) == len(spec.jobs) - 1
-        assert blocked.job_id in fabric_status(root).leased
+            report = fabric_work(
+                root, worker_id="w0", lease_ttl=5.0, once=True
+            )
+            assert blocked.job_id not in report.completed
+            assert len(report.completed) == len(spec.jobs) - 1
+            assert blocked.job_id in fabric_status(root).leased
 
-        os.remove(path)
-        fabric_work(root, worker_id="w0", lease_ttl=5.0)
-        assert fabric_status(root).complete
+            os.remove(path)
+            fabric_work(root, worker_id="w0", lease_ttl=5.0)
+            assert fabric_status(root).complete
 
     def test_expired_lease_is_reaped_and_taken_over(self, tmp_path):
-        root = str(tmp_path / "fab")
-        spec = _submit(root)
-        dead = spec.jobs[0]
-        path = _lease_path(root, dead.job_id)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"owner": "ghost", "ttl": 1.0, "beats": 3}, fh)
-        stale = time.time() - 60
-        os.utime(path, (stale, stale))
+        # A lease untouched for longer than its ttl, and a fresh one whose
+        # owner ran on this host and has exited: one pass reaps either.
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # exited and reaped: its pid no longer exists
+        dead_leases = {
+            "stale": ({"ttl": 1.0}, time.time() - 60),
+            "exited-owner": (
+                {"ttl": 9999.0, "host": socket.gethostname(), "pid": child.pid},
+                None,
+            ),
+        }
+        for case, (extra, mtime) in dead_leases.items():
+            root = str(tmp_path / case)
+            spec = _submit(root)
+            dead = spec.jobs[0]
+            path = _lease_path(root, dead.job_id)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"owner": "ghost", "beats": 3, **extra}, fh)
+            if mtime is not None:
+                os.utime(path, (mtime, mtime))
 
-        report = fabric_work(root, worker_id="w0", lease_ttl=5.0)
-        assert dead.job_id in report.reaped
-        assert dead.job_id in report.completed
-        reap_events = [
-            e for e in fabric_events(root) if e["event"] == "reaped"
-        ]
-        assert [e["dead_owner"] for e in reap_events] == ["ghost"]
-        # The tombstone keeps the takeover inspectable.
-        assert os.path.exists(f"{path}.reaped.1")
+            report = fabric_work(
+                root, worker_id="w0", lease_ttl=5.0, once=True
+            )
+            assert dead.job_id in report.reaped
+            assert dead.job_id in report.completed
+            reap_events = [
+                e for e in fabric_events(root) if e["event"] == "reaped"
+            ]
+            assert [e["dead_owner"] for e in reap_events] == ["ghost"]
+            # The tombstone keeps the takeover inspectable.
+            assert os.path.exists(f"{path}.reaped.1")
 
     def test_corrupt_lease_is_reclaimed_not_deadlocked(self, tmp_path):
         root = str(tmp_path / "fab")
@@ -381,8 +425,9 @@ class TestChaosTakeover:
             worker_a.kill()
             worker_a.wait(timeout=10)
 
-            # Worker B joins after the crash: it must wait out the dead
-            # lease's ttl, reap it, and finish the matrix.
+            # Worker B joins after the crash: A ran on this host and its
+            # pid is gone, so B reaps the dead lease at once (no ttl
+            # wait) and finishes the matrix.
             worker_b = _spawn_worker(root, "B", ttl)
             assert worker_b.wait(timeout=30) == 0, worker_b.stdout.read()
         finally:

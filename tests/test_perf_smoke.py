@@ -20,7 +20,7 @@ import pytest
 from repro.analysis import AnalysisContext
 from repro.casestudy.cruise_control import cruise_controller
 from repro.core.bbc import basic_configuration
-from repro.core.campaign import campaign_matrix, run_campaign
+from repro.core.campaign import CampaignOptions, campaign_matrix, run_campaign
 from repro.core.search import (
     BusOptimisationOptions,
     dyn_segment_bounds,
@@ -134,8 +134,7 @@ def test_fault_sweep_smoke(tmp_path):
         systems,
         jobs,
         checkpoint_dir=str(tmp_path),
-        job_timeout=1e-4,
-        retry_backoff=0.0,
+        options=CampaignOptions(job_timeout=1e-4, retry_backoff=0.0),
     )
     assert set(timed_out.failures) == {"smoke__bbc"}
     assert timed_out.failures["smoke__bbc"].kind == "timeout"

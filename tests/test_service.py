@@ -544,6 +544,18 @@ class TestCampaignDelete:
             assert status == 409
             assert "leases" in doc["error"]["message"]
 
+            # Live progress: bbc is published long before sa at 12000
+            # iterations finishes, so a poll sees one job done while the
+            # campaign is still running.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                _, live = _get(svc.port, f"/campaigns/{campaign_id}")
+                if live["jobs_done"] or live["status"] != "running":
+                    break
+                time.sleep(0.01)
+            assert (live["status"], live["jobs_done"]) == ("running", 1)
+            assert live["jobs"]["dyn__bbc"]["resumed"] is False
+
             done = _poll_campaign(svc.port, campaign_id)
             # The campaign really ran through the fabric: its directory
             # holds a manifest and the published checkpoints.

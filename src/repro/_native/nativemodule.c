@@ -539,6 +539,13 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
 /* the holistic Gauss-Seidel fix point, one lane at a time             */
 /* ------------------------------------------------------------------ */
 
+/* One pass walks plan->acts in array order, DYN and FPS interleaved
+ * (act->kind picks the update).  The blob lists them in the Python
+ * context's precedence order -- a sender before its message, a message
+ * before its receiver -- so each lane follows the oracle's trajectory
+ * pass for pass.  Response times land in W by row; the Python caller
+ * assembles the result dict in the oracle's item order. */
+
 static void
 run_lanes(const Plan *plan, const i64 *caps, const i64 *n_ms_v,
           const i64 *gd_v, const i64 *stb_v, i64 ms_len, i64 fault_k,

@@ -278,10 +278,10 @@ class StructureTemplate:
 
         # --- activity/name index ------------------------------------
         # Rows: static activities first (read-only), then DYN messages
-        # (view order), then FPS tasks (node order) -- the Gauss-Seidel
-        # evaluation order of the Python fix point.  Any referenced name
-        # outside those sets (defensive: senders/predecessors are always
-        # covered) gets a zero row, mirroring ``wcrt.get(name, 0)``.
+        # (view order), then FPS tasks (node order) -- the slot layout of
+        # the Python fix point.  Any referenced name outside those sets
+        # (defensive: senders/predecessors are always covered) gets a
+        # zero row, mirroring ``wcrt.get(name, 0)``.
         names: List[str] = list(static_names)
         name_idx: Dict[str, int] = {n: i for i, n in enumerate(names)}
 
@@ -309,11 +309,15 @@ class StructureTemplate:
                 _row(pred)
 
         # --- activity plans -----------------------------------------
+        # Built in the slot layout (DYN messages in view order, then FPS
+        # tasks in node order), then put into the context's evaluation
+        # order: the kernel walks ``activities`` in array order, so it
+        # runs the Python fix point's precedence-ordered passes.
         structure = ctx._dyn_structure(config)
         _, _, largest_of_sender = ctx._ct_tables(config)
-        activities = []
+        slots = []
         for view in views:
-            activities.append(
+            slots.append(
                 DynActPlan(
                     view.name,
                     name_idx[view.name],
@@ -325,7 +329,7 @@ class StructureTemplate:
                 )
             )
         for plan, node in fps_items:
-            activities.append(
+            slots.append(
                 FpsActPlan(
                     plan.name,
                     name_idx[plan.name],
@@ -335,6 +339,7 @@ class StructureTemplate:
                     name_idx,
                 )
             )
+        activities = [slots[i] for i in ctx._eval_order]
         act_pos = {a.name: pos for pos, a in enumerate(activities)}
         for name, deps in ctx._dependents(config).items():
             pos = act_pos.get(name)
@@ -345,12 +350,10 @@ class StructureTemplate:
         self.name_idx = name_idx
         self.n_rows = len(names)
         self.activities = activities
-        # wcrt assembly order: the Python fix point's exact dict
-        # insertion order (static entries, then first-pass activity
-        # writes), so the assembled dicts match it item for item.
-        self.wcrt_names = list(static_names) + [
-            a.name for a in activities
-        ]
+        # wcrt assembly order: the Python fix point's result order
+        # (static entries, then the slot layout), so the assembled dicts
+        # match it item for item.
+        self.wcrt_names = list(static_names) + list(ctx._slot_names)
         self.wcrt_rows = tuple(name_idx[n] for n in self.wcrt_names)
         self.release_max = max(
             (a.release for a in activities if a.kind == "fps"), default=0

@@ -52,7 +52,7 @@ def plan_blob(plan) -> array:
             n_instants, slack, period, n_gaps,
             instants[n_instants], before[n_instants],
             gap_ends[n_gaps], through[n_gaps], eval_order[n_instants]
-        per activity (plan order == the Gauss-Seidel pass order):
+        per activity (plan order == the fix point's precedence order):
             kind (0=dyn, 1=fps), row, own_sensitive, n_deps, deps...
             dyn:  sender_row, ct, lower_slots, frame_id, largest,
                   max_adjusted, n_hp, n_lf,

@@ -6,8 +6,9 @@ different lifetimes, and recomputing all of them per candidate (as the
 naive ``analyse_system`` loop does) dominates the optimisation time:
 
 (a) **per-system invariants** -- ancestor closures, predecessor lists,
-    period tables, ST/DYN message partitions, sorted FPS task lists and
-    their higher-priority interferer rows.  Computed once per
+    period tables, ST/DYN message partitions, sorted FPS task lists,
+    their higher-priority interferer rows and the fix point's
+    precedence order.  Computed once per
     :class:`AnalysisContext`.
 
 (b) **per-static-segment artifacts** -- the built
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict, namedtuple
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from repro.analysis.availability import NodeAvailability, wrap_busy_intervals
@@ -278,6 +280,18 @@ class AnalysisContext:
                     )
                 )
             self.fps_plans[node] = tuple(plans)
+        fps_tasks = [t for node in system.nodes for t in self.fps_by_node[node]]
+        #: The *slot layout* of the holistic fix point's activities: DYN
+        #: messages in ``dyn_messages`` order, then FPS tasks in
+        #: node/priority order.  Results list their entries in it (after
+        #: the static ones).
+        self._slot_names = tuple(m.name for m in self.dyn_messages) + tuple(
+            t.name for t in fps_tasks
+        )
+        #: The evaluation order: slot positions sorted into precedence
+        #: order, so one Gauss-Seidel pass evaluates a sender before its
+        #: message and a message before its receiver.
+        self._eval_order = precedence_order(app, self.dyn_messages, fps_tasks)
         self._cap_base = analysis_cap_base(app)
         #: The schedule depends on gd_cycle iff ST slot instances exist.
         self._st_dependent = bool(self.st_messages)
@@ -904,6 +918,12 @@ class AnalysisContext:
         ``certified=False`` is the fully cold oracle the fast path is
         verified against: same bottom start, but no inner seeds and no
         instant pruning.
+
+        Both walk DYN messages and FPS tasks in one Gauss-Seidel pass in
+        precedence order (``_eval_order``), so a task -> message -> task
+        chain settles in one pass instead of one pass per hop; any pass
+        order reaches the same least fixed point (docs/ANALYSIS.md,
+        "Evaluation order").
         """
         options = self.options
         fill_strategy = options.dyn_fill_strategy
@@ -953,55 +973,100 @@ class AnalysisContext:
         dirty_add = dirty.add
         last_own: Dict[str, int] = {}
         last_out: Dict[str, Tuple[int, bool]] = {}
-        fps_items = [
+        # (activity, availability) slots in the slot layout, walked in
+        # precedence order; a DYN message's slot carries no availability.
+        slots = [(view, None) for view in dyn_views] + [
             (plan, availability[node])
             for node in nodes
             for plan in fps_plans[node]
         ]
+        acts = [slots[i] for i in self._eval_order]
         converged = True
         for _ in range(options.max_holistic_iterations):
             changed = False
-
-            # DYN messages: jitter inherited from the sender task.  The
-            # memo caches the busy *window* (a pure function of the
-            # interferers' jitters -- plus the own jitter only when
-            # ancestor rows exist), so an own-jitter change alone just
-            # re-derives R_m = J_m + w + C_m from the cached window.
-            for view in dyn_views:
-                name = view.name
-                j_m = wcrt_get(view.sender, 0)
-                if jitters_get(name, 0) != j_m:
-                    jitters[name] = j_m
+            for act, node_availability in acts:
+                name = act.name
+                is_dyn = node_availability is None
+                if is_dyn:
+                    # DYN message: jitter inherited from the sender task.
+                    j = wcrt_get(act.sender, 0)
+                else:
+                    # FPS task: jitter = worst finish of any predecessor.
+                    j = act.release
+                    for pred in act.predecessors:
+                        v = wcrt_get(pred, 0)
+                        if v > j:
+                            j = v
+                if jitters_get(name, 0) != j:
+                    jitters[name] = j
                     changed = True
                     for dep in deps_get(name, ()):
                         dirty_add(dep)
+                # The memo caches the busy *window* (a pure function of
+                # the interferers' jitters -- plus the own jitter only
+                # when ancestor rows exist), so an own-jitter change
+                # alone just re-derives the response time from it.
                 cached = (
                     last_out.get(name)
                     if name not in dirty
-                    and (not view.own_sensitive or last_own.get(name) == j_m)
+                    and (not act.own_sensitive or last_own.get(name) == j)
                     else None
                 )
                 if cached is not None:
                     w, ok = cached
                 else:
-                    if view.sendable:
-                        w, ok, final = _dyn_busy_window(
-                            view.hp_info,
-                            view.lf_info,
-                            view.lower_slots,
-                            view.lam,
-                            view.theta,
-                            view.sigma,
-                            view.ct,
-                            view.gd_cycle,
-                            view.st_bus,
-                            view.ms_len,
+                    if not is_dyn:
+                        w, ok, demands = _fps_busy_window(
+                            act.wcet,
+                            act.interferers,
+                            node_availability,
                             jitters,
                             cap,
-                            j_m,
+                            j,
+                            seeds_get(name) if certified else None,
+                            certified,
+                            dominance,
+                        )
+                        if dominance_verify:
+                            # Force-build the tables (bypassing the lazy
+                            # amortisation threshold): verify must
+                            # actually run both ways from the first
+                            # maximisation, not compare the full path
+                            # with itself.
+                            node_availability.dominance_tables()
+                            elided, elided_ok, _ = _fps_busy_window(
+                                act.wcet,
+                                act.interferers,
+                                node_availability,
+                                jitters,
+                                cap,
+                                j,
+                                seeds_get(name) if certified else None,
+                                certified,
+                                True,
+                            )
+                            if (elided, elided_ok) != (w, ok):
+                                self.dominance_divergences += 1
+                        if certified:
+                            inner_seeds[name] = demands
+                    elif act.sendable:
+                        w, ok, final = _dyn_busy_window(
+                            act.hp_info,
+                            act.lf_info,
+                            act.lower_slots,
+                            act.lam,
+                            act.theta,
+                            act.sigma,
+                            act.ct,
+                            act.gd_cycle,
+                            act.st_bus,
+                            act.ms_len,
+                            jitters,
+                            cap,
+                            j,
                             fill_strategy,
                             seeds_get(name) if certified else None,
-                            view.fault_cycles,
+                            act.fault_cycles,
                         )
                         if certified:
                             inner_seeds[name] = final
@@ -1009,89 +1074,52 @@ class AnalysisContext:
                         # The frame can never be sent: certain miss.
                         w, ok = None, False
                     dirty.discard(name)
-                    last_own[name] = j_m
+                    last_own[name] = j
                     last_out[name] = (w, ok)
+                converged = converged and ok
                 if w is None:
                     value = cap
                 else:
-                    value = j_m + w + view.ct
+                    # R_m = J_m + w + C_m for a message, J_i + w for a task.
+                    value = j + w + act.ct if is_dyn else j + w
                     if value > cap:
                         value = cap
-                converged = converged and ok
                 if wcrt_get(name) != value:
                     wcrt[name] = value
-                    changed = True
-
-            # FPS tasks: jitter = worst finish of any predecessor.
-            for plan, node_availability in fps_items:
-                name = plan.name
-                j_i = plan.release
-                for pred in plan.predecessors:
-                    v = wcrt_get(pred, 0)
-                    if v > j_i:
-                        j_i = v
-                if jitters_get(name, 0) != j_i:
-                    jitters[name] = j_i
-                    changed = True
-                    for dep in deps_get(name, ()):
-                        dirty_add(dep)
-                cached = (
-                    last_out.get(name)
-                    if name not in dirty
-                    and (not plan.own_sensitive or last_own.get(name) == j_i)
-                    else None
-                )
-                if cached is not None:
-                    window_value, ok = cached
-                else:
-                    window_value, ok, demands = _fps_busy_window(
-                        plan.wcet,
-                        plan.interferers,
-                        node_availability,
-                        jitters,
-                        cap,
-                        j_i,
-                        seeds_get(name) if certified else None,
-                        certified,
-                        dominance,
-                    )
-                    if dominance_verify:
-                        # Force-build the tables (bypassing the lazy
-                        # amortisation threshold): verify must actually
-                        # run both ways from the first maximisation, not
-                        # compare the full path with itself.
-                        node_availability.dominance_tables()
-                        elided, elided_ok, _ = _fps_busy_window(
-                            plan.wcet,
-                            plan.interferers,
-                            node_availability,
-                            jitters,
-                            cap,
-                            j_i,
-                            seeds_get(name) if certified else None,
-                            certified,
-                            True,
-                        )
-                        if (elided, elided_ok) != (window_value, ok):
-                            self.dominance_divergences += 1
-                    if certified:
-                        inner_seeds[name] = demands
-                    dirty.discard(name)
-                    last_own[name] = j_i
-                    last_out[name] = (window_value, ok)
-                converged = converged and ok
-                r_i = j_i + window_value
-                if r_i > cap:
-                    r_i = cap
-                if wcrt_get(name) != r_i:
-                    wcrt[name] = r_i
                     changed = True
 
             if not changed:
                 break
         else:
             converged = False
+        # Results list their entries in the slot layout after the static
+        # ones, whatever order the passes ran in.
+        wcrt = {
+            name: wcrt[name]
+            for name in chain(arts.static_wcrt, self._slot_names)
+            if name in wcrt
+        }
         return wcrt, converged
+
+
+def precedence_order(app, dyn_messages, fps_tasks) -> Tuple[int, ...]:
+    """Positions into ``dyn_messages + fps_tasks`` in precedence order.
+
+    Sorted by each activity's longest-path depth in its task graph
+    (tasks and messages both count as hops), so every predecessor comes
+    first; ties break on FPS before DYN, then priority (FPS tasks) and
+    name.  The order is a pure function of the system.
+    """
+    depth: Dict[str, int] = {}
+    for g in app.graphs:
+        for name in g.topological_order():
+            depth[name] = max(
+                (depth[p] + 1 for p in g.predecessors(name)), default=0
+            )
+    keys = [(depth[m.name], 1, 0, m.name) for m in dyn_messages] + [
+        (depth[t.name], 0, t.priority, t.name) for t in fps_tasks
+    ]
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def ancestor_sets(app) -> Dict[str, frozenset]:

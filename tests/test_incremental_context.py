@@ -6,11 +6,21 @@ evaluation pool all have to produce bit-identical results, and the
 evaluator's LRU cache must change accounting only, never outcomes.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisContext, analyse_system
+from repro.analysis import context as context_module
+from repro.analysis.backend import native_or_none
+from repro.analysis.holistic import AnalysisOptions, WARM_START_MODES
 from repro.core import GAOptions, SAOptions, optimise_ga, optimise_sa
 from repro.core.bbc import basic_configuration
+from repro.core.config import FlexRayConfig
 from repro.core.ga import _initial_population
 from repro.core.search import (
     BusOptimisationOptions,
@@ -19,9 +29,19 @@ from repro.core.search import (
     min_static_slot,
     sweep_lengths,
 )
+from repro.core.strategies import StrategyOptions, optimise
 from repro.synth import paper_suite
+from repro.synth.suite import paper_system
 
-from tests.util import basic_config, fig3_system, fig4_system
+from tests.test_properties import small_system
+from tests.util import (
+    basic_config,
+    dyn_msg,
+    fig3_system,
+    fig4_system,
+    fps_task,
+    single_graph_system,
+)
 
 import random
 
@@ -244,3 +264,177 @@ class TestConfigKeys:
         b = a.with_dyn_length(30)
         assert a.static_key() == b.static_key()
         assert a.cache_key() != b.cache_key()
+
+
+# ----------------------------------------------------------------------
+# evaluation order of the holistic fix point
+# ----------------------------------------------------------------------
+def _legacy_order(app, dyn_messages, fps_tasks):
+    """The former pass order: every DYN message, then the FPS tasks
+    node by node -- the slot layout itself, unsorted."""
+    return tuple(range(len(dyn_messages) + len(fps_tasks)))
+
+
+@contextmanager
+def legacy_order():
+    """Contexts built inside this block walk the fix point in the legacy
+    DYN-then-FPS order instead of precedence order."""
+    with mock.patch.object(context_module, "precedence_order", _legacy_order):
+        yield
+
+
+@contextmanager
+def analysis_log():
+    """Records the signature of every oracle analysis and counts the
+    busy-window evaluations made inside the block."""
+    log = SimpleNamespace(signatures=[], windows=0)
+    analyse = AnalysisContext._analyse_python
+
+    def logged(ctx, config):
+        result = analyse(ctx, config)
+        log.signatures.append(AnalysisContext._result_signature(result))
+        return result
+
+    def counted(window):
+        def count(*args):
+            log.windows += 1
+            return window(*args)
+
+        return count
+
+    with mock.patch.object(
+        AnalysisContext, "_analyse_python", logged
+    ), mock.patch.object(
+        context_module,
+        "_fps_busy_window",
+        counted(context_module._fps_busy_window),
+    ), mock.patch.object(
+        context_module,
+        "_dyn_busy_window",
+        counted(context_module._dyn_busy_window),
+    ):
+        yield log
+
+
+#: The OBC/EE preset of the Fig. 9 benchmark: 192-point DYN sweeps.
+EE_BUS = BusOptimisationOptions(
+    max_dyn_points=32,
+    ee_max_dyn_points=192,
+    cf_candidates=128,
+    max_extra_static_slots=1,
+    max_slot_size_steps=2,
+)
+
+
+def _chain_system():
+    """FPS -> DYN -> FPS -> DYN -> FPS across two nodes: each hop of the
+    chain costs the legacy order one extra pass."""
+    tasks = [
+        fps_task("t1", wcet=5, node="N1", priority=1),
+        fps_task("t2", wcet=7, node="N2", priority=1),
+        fps_task("t3", wcet=3, node="N1", priority=2),
+    ]
+    msgs = [dyn_msg("m1", 4, "t1", "t2"), dyn_msg("m2", 6, "t2", "t3")]
+    return single_graph_system(tasks, msgs, period=200, deadline=200)
+
+
+CHAIN_CONFIG = FlexRayConfig(
+    static_slots=("N1", "N2"),
+    gd_static_slot=2,
+    n_minislots=20,
+    frame_ids={"m1": 1, "m2": 2},
+)
+
+
+class TestEvaluationOrder:
+    """Precedence order and the legacy DYN-then-FPS order are two
+    chaotic iterations of one monotone operator from the same bottom
+    state: wherever both stop on a no-change pass they return the same
+    least fixed point, item for item."""
+
+    def test_precedence_order_puts_senders_first(self):
+        system = _chain_system()
+        context = AnalysisContext(system)
+        names = [context._slot_names[i] for i in context._eval_order]
+        assert names == ["t1", "m1", "t2", "m2", "t3"]
+        # The result keeps the slot layout: DYN messages, then FPS tasks.
+        wcrt = context.analyse(CHAIN_CONFIG).wcrt
+        assert list(wcrt) == ["m1", "m2", "t1", "t3", "t2"]
+
+    @pytest.mark.parametrize("member", [(3, 1), (4, 0)])
+    def test_obc_ee_sweeps_match_legacy_order(self, member):
+        """Every analysis of a 192-point OBC/EE run (converged or not)
+        is identical in both orders; on ``paper_system(4, 0)`` the
+        precedence order needs at least 30% fewer busy windows."""
+        system = paper_system(*member, seed=23)
+        options = StrategyOptions(bus=EE_BUS)
+        with analysis_log() as new:
+            new_result = optimise(system, "obc-ee", options)
+        with legacy_order(), analysis_log() as old:
+            old_result = optimise(system, "obc-ee", options)
+        assert len(new.signatures) == 1152
+        assert new.signatures == old.signatures
+        assert (new_result.cost, new_result.evaluations) == (
+            old_result.cost,
+            old_result.evaluations,
+        )
+        if member == (4, 0):
+            assert new.windows <= 0.7 * old.windows, (new.windows, old.windows)
+
+    @given(
+        system=small_system(),
+        points=st.integers(1, 4),
+        mode=st.sampled_from(WARM_START_MODES),
+        fault_k=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_small_systems_match_legacy_order(
+        self, system, points, mode, fault_k
+    ):
+        options = AnalysisOptions(warm_start=mode, fault_hypothesis=fault_k)
+        configs = _candidate_configs(system, per_system=points)
+        new = AnalysisContext(system, options)
+        with legacy_order():
+            old = AnalysisContext(system, options)
+        for config in configs:
+            assert AnalysisContext._result_signature(
+                new.analyse(config)
+            ) == AnalysisContext._result_signature(old.analyse(config))
+        assert new.warm_start_divergences == old.warm_start_divergences == 0
+
+    def test_chain_converges_within_a_budget_the_legacy_order_exceeds(self):
+        """The documented difference: with a 3-pass budget the legacy
+        order runs out of passes on a two-hop chain, while the
+        precedence order converges to the least fixed point."""
+        system = _chain_system()
+        least = analyse_system(system, CHAIN_CONFIG)
+        assert least.converged
+        tight = AnalysisOptions(max_holistic_iterations=3)
+        result = analyse_system(system, CHAIN_CONFIG, tight)
+        assert result.converged and result.schedulable
+        assert tuple(result.wcrt.items()) == tuple(least.wcrt.items())
+        assert result.wcrt["t3"] == result.wcrt["m2"] + 3
+        with legacy_order():
+            legacy = analyse_system(system, CHAIN_CONFIG, tight)
+            legacy_least = analyse_system(system, CHAIN_CONFIG)
+        assert not legacy.converged
+        assert tuple(legacy_least.wcrt.items()) == tuple(least.wcrt.items())
+
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        native_or_none() is None,
+        reason="needs the compiled repro[native] extra",
+    )
+    def test_native_walks_the_same_order(self):
+        """The compiled kernel walks the template's activities in array
+        order, so it converges within the same tight budget."""
+        system = _chain_system()
+        tight = AnalysisOptions(max_holistic_iterations=3)
+        python = analyse_system(system, CHAIN_CONFIG, tight)
+        native = AnalysisContext(
+            system, replace(tight, backend="native")
+        ).analyse(CHAIN_CONFIG)
+        assert native.converged
+        assert AnalysisContext._result_signature(
+            native
+        ) == AnalysisContext._result_signature(python)

@@ -22,10 +22,16 @@
  *   - uncertified seeds (descending step or iteration-limit exit)
  *     restart the recurrence cold in place, matching the Python
  *     kernels' replay semantics;
- *   - the caller (analysis/backend/native.py) proves in unbounded
- *     Python arithmetic that no int64 intermediate can overflow
- *     before dispatching a batch here, and delegates any unsafe group
- *     to the Python oracle instead.
+ *   - every +, - and * on a lane-derived value is checked
+ *     (ck_add/ck_sub/ck_mul over __builtin_*_overflow): a lane whose
+ *     exact value would leave int64 stops at once and reports
+ *     conv = -1, and the caller (analysis/backend/native.py) reruns
+ *     just that lane on the Python oracle.  A lane that never trips a
+ *     check computed exactly the integers Python's unbounded ints
+ *     would, with or without -fwrapv (the builtins never wrap
+ *     silently).  Divisions need no check: every divisor is >= 1
+ *     (periods and slack validated at parse time, theta >= 1 on
+ *     sendable lanes).
  *
  * The module uses only the buffer protocol: the caller passes stdlib
  * array('q') buffers (raw y* / w* int64 buffers, size-checked here), so
@@ -43,6 +49,14 @@ typedef int64_t i64;
 #define NATIVE_MAGIC 0x4e41544956LL /* "NATIV" */
 #define MAX_FIXPOINT_ITERATIONS 512
 #define CAPSULE_NAME "repro._native.plan"
+
+/* Checked int64 arithmetic: store the exact result and yield 0, or
+ * yield 1 when it would leave int64 (the lane then reports overflow).
+ * The builtins compute in infinite precision, so they stay exact
+ * whether or not the build passes -fwrapv. */
+#define ck_add(a, b, out) __builtin_add_overflow(a, b, out)
+#define ck_sub(a, b, out) __builtin_sub_overflow(a, b, out)
+#define ck_mul(a, b, out) __builtin_mul_overflow(a, b, out)
 
 /* ceil(a / b) for b > 0, equal to Python's -(-a // b) for every a:
  * a > 0 is the classic (a - 1) / b + 1; a <= 0 truncates toward zero,
@@ -331,7 +345,29 @@ fail:
 /* the DYN Eq. (3) recurrence (dyn.seeded_busy_window, "bound" fill)   */
 /* ------------------------------------------------------------------ */
 
-static void
+/* Activations of interferer row r = (period, is_ancestor, jitter_row,
+ * ...) in window t: ancestors count offset-gated from the own jitter
+ * (0 when the offset window is empty), others from their own jitter. */
+static int
+dyn_count(const i64 *r, i64 t, i64 own_j, const i64 *J, i64 *n)
+{
+    i64 x;
+    if (r[1]) {
+        if (ck_add(t, own_j, &x) || ck_sub(x, r[0], &x))
+            return -1;
+        *n = x > 0 ? cdiv(x, r[0]) : 0;
+    } else {
+        if (ck_add(t, J[r[2]], &x))
+            return -1;
+        *n = cdiv(x, r[0]);
+    }
+    return 0;
+}
+
+/* Both kernels return 0, or -1 as soon as a checked operation
+ * overflows -- before any wrapped value is used as an index or a
+ * divisor; the lane's other state is then garbage and discarded. */
+static int
 eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
          i64 gd, i64 stb, i64 ms_len, i64 *seed_slot)
 {
@@ -354,49 +390,49 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
             s->last_w = w;
             s->last_ok = 0;
             seed_slot[0] = w;
-            return;
+            return 0;
         }
         iter++;
-        i64 hp_cycles = 0;
-        for (i64 i = 0; i < act->n_hp; i++) {
-            const i64 *r = act->hp + 3 * i;
-            if (r[1]) { /* ancestor: offset-gated count */
-                i64 slack = t + own_j - r[0];
-                if (slack > 0)
-                    hp_cycles += cdiv(slack, r[0]);
-            } else {
-                hp_cycles += cdiv(t + J[r[2]], r[0]);
-            }
-        }
+        i64 hp_cycles = 0, x, n;
+        for (i64 i = 0; i < act->n_hp; i++)
+            if (dyn_count(act->hp + 3 * i, t, own_j, J, &n) ||
+                ck_add(hp_cycles, n, &hp_cycles))
+                return -1;
         i64 lf_total = 0, lf_useful = 0;
         for (i64 i = 0; i < act->n_lf; i++) {
             const i64 *r = act->lf + 4 * i;
-            i64 n;
-            if (r[1]) {
-                i64 slack = t + own_j - r[0];
-                n = slack > 0 ? cdiv(slack, r[0]) : 0;
-            } else {
-                n = cdiv(t + J[r[2]], r[0]);
-            }
+            if (dyn_count(r, t, own_j, J, &n))
+                return -1;
             if (n > 0) { /* plan rows all carry adjusted > 0 */
-                lf_total += r[3] * n;
-                lf_useful += n;
+                if (ck_mul(r[3], n, &x) || ck_add(lf_total, x, &lf_total) ||
+                    ck_add(lf_useful, n, &lf_useful))
+                    return -1;
             }
         }
         i64 lf_q = lf_total / theta; /* theta >= 1 on sendable lanes */
         i64 lf_cycles = lf_useful < lf_q ? lf_useful : lf_q;
-        i64 leftover = lf_total - lf_cycles * theta;
+        i64 leftover, fc;
+        if (ck_mul(lf_cycles, theta, &x) || ck_sub(lf_total, x, &leftover))
+            return -1;
         if (leftover < 0)
             leftover = 0;
-        i64 fc = lower + leftover;
+        if (ck_add(lower, leftover, &fc))
+            return -1;
         if (fc > lam)
             fc = lam;
-        w = sigma + (hp_cycles + lf_cycles + extra) * gd + stb + fc * ms_len;
+        /* w = sigma + (hp_cycles + lf_cycles + extra) * gd
+         *     + (stb + fc * ms_len), Python's grouping */
+        i64 tail;
+        if (ck_add(hp_cycles, lf_cycles, &x) || ck_add(x, extra, &x) ||
+            ck_mul(x, gd, &x) || ck_add(sigma, x, &w) ||
+            ck_mul(fc, ms_len, &tail) || ck_add(stb, tail, &tail) ||
+            ck_add(w, tail, &w))
+            return -1;
         if (w >= cap) {
             s->last_w = cap;
             s->last_ok = 0;
             seed_slot[0] = t; /* pre-update window, as in Python */
-            return;
+            return 0;
         }
         if (w <= t) {
             if (seeded && w < t) { /* seed overshot: replay cold */
@@ -408,7 +444,7 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
             s->last_w = w;
             s->last_ok = 1;
             seed_slot[0] = w;
-            return;
+            return 0;
         }
         t = w;
     }
@@ -419,18 +455,56 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
 /* prune=True / dominance=False -- value- and flag-exact vs both)      */
 /* ------------------------------------------------------------------ */
 
-static void
+/* The window that `demand` units of slack open from instant t0 whose
+ * period offset has `offset` slack before it: Python's
+ * whole, rem = divmod(offset + demand - 1, slack);
+ * whole * period + gap_ends[k] - (through[k] - rem - 1) - t0. */
+static int
+stair_window(const Avail *av, i64 offset, i64 demand, i64 t0, i64 *out)
+{
+    i64 aa, w;
+    if (ck_add(offset, demand, &aa) || ck_sub(aa, 1, &aa))
+        return -1;
+    i64 whole = aa / av->slack, rem = aa % av->slack;
+    i64 k = bisect_gt(av->through, av->n_gaps, rem);
+    /* |rem| < slack, so rem + 1 cannot overflow */
+    if (ck_mul(whole, av->period, &w) || ck_add(w, av->gap_ends[k], &w) ||
+        ck_sub(w, av->through[k], &w) || ck_add(w, rem + 1, &w) ||
+        ck_sub(w, t0, out))
+        return -1;
+    return 0;
+}
+
+/* Interferer row's demand term at window `window`: count (0 when the
+ * shifted window is empty) and count * wcet. */
+static int
+row_demand(const i64 *row, const i64 *J, i64 own_j, i64 window, i64 *count,
+           i64 *demand)
+{
+    i64 jit, sv;
+    if (row[2]) {
+        if (ck_sub(own_j, row[0], &jit))
+            return -1;
+    } else {
+        jit = J[row[3]];
+    }
+    if (ck_add(window, jit, &sv))
+        return -1;
+    *count = sv > 0 ? cdiv(sv, row[0]) : 0;
+    return ck_mul(*count, row[1], demand) ? -1 : 0;
+}
+
+static int
 eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
          i64 *seed_arr, i64 *new_seeds)
 {
     const Avail *av = act->av;
     i64 n_instants = av->n_instants;
     i64 wcet = act->wcet;
-    i64 slack = av->slack, period = av->period, n_gaps = av->n_gaps;
-    const i64 *through = av->through, *gap_ends = av->gap_ends;
     i64 worst = 0;
     i64 conv_acc = 1;
     i64 bound_demand = -1, bound_activations = 0;
+    i64 count, term;
     for (i64 i = 0; i < n_instants; i++)
         new_seeds[i] = -1; /* pruned/unreached instants keep no seed */
     for (i64 oi = 0; oi < n_instants; oi++) {
@@ -445,22 +519,18 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
                 bound_demand = wcet;
                 bound_activations = 0;
                 for (i64 r = 0; r < act->n_int; r++) {
-                    const i64 *row = act->rows + 4 * r;
-                    i64 jit = row[2] ? own_j - row[0] : J[row[3]];
-                    i64 sv = worst + jit;
-                    if (sv > 0) {
-                        i64 count = cdiv(sv, row[0]);
-                        bound_demand += count * row[1];
-                        bound_activations += count;
-                    }
+                    if (row_demand(act->rows + 4 * r, J, own_j, worst,
+                                   &count, &term) ||
+                        ck_add(bound_demand, term, &bound_demand) ||
+                        ck_add(bound_activations, count, &bound_activations))
+                        return -1;
                 }
             }
-            if (bound_activations + 2 <= MAX_FIXPOINT_ITERATIONS) {
-                i64 aa = offset + bound_demand - 1;
-                i64 whole = aa / slack, rem = aa % slack;
-                i64 k = bisect_gt(through, n_gaps, rem);
-                i64 w_bound = whole * period + gap_ends[k]
-                              - (through[k] - rem - 1) - t0;
+            /* bound_activations + 2 <= MAX, without the addition */
+            if (bound_activations <= MAX_FIXPOINT_ITERATIONS - 2) {
+                i64 w_bound;
+                if (stair_window(av, offset, bound_demand, t0, &w_bound))
+                    return -1;
                 if (w_bound <= worst)
                     continue; /* instant provably cannot beat worst */
             }
@@ -484,11 +554,8 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
                 break;
             }
             iter++;
-            i64 aa = offset + demand - 1;
-            i64 whole = aa / slack, rem = aa % slack;
-            i64 k = bisect_gt(through, n_gaps, rem);
-            window = whole * period + gap_ends[k] - (through[k] - rem - 1)
-                     - t0;
+            if (stair_window(av, offset, demand, t0, &window))
+                return -1;
             if (window >= cap) {
                 w_res = cap;
                 ok_res = 0;
@@ -497,11 +564,10 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
             }
             i64 new_demand = wcet;
             for (i64 r = 0; r < act->n_int; r++) {
-                const i64 *row = act->rows + 4 * r;
-                i64 jit = row[2] ? own_j - row[0] : J[row[3]];
-                i64 sv = window + jit;
-                if (sv > 0)
-                    new_demand += cdiv(sv, row[0]) * row[1];
+                if (row_demand(act->rows + 4 * r, J, own_j, window, &count,
+                               &term) ||
+                    ck_add(new_demand, term, &new_demand))
+                    return -1;
             }
             if (new_demand == demand) {
                 w_res = window;
@@ -522,7 +588,7 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
             memcpy(seed_arr, new_seeds, (size_t)n_instants * sizeof(i64));
             s->last_w = cap;
             s->last_ok = 0;
-            return;
+            return 0;
         }
         if (w_res > worst) {
             worst = w_res;
@@ -533,6 +599,7 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
     memcpy(seed_arr, new_seeds, (size_t)n_instants * sizeof(i64));
     s->last_w = worst;
     s->last_ok = conv_acc;
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -543,131 +610,129 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
  * (act->kind picks the update).  The blob lists them in the Python
  * context's precedence order -- a sender before its message, a message
  * before its receiver -- so each lane follows the oracle's trajectory
- * pass for pass.  Response times land in W by row; the Python caller
- * assembles the result dict in the oracle's item order. */
+ * pass for pass.  Response times land in Wl by row; the Python caller
+ * assembles the result dict in the oracle's item order.  Returns the
+ * lane's conv flag: 1 converged, 0 not, -1 an int64 overflow (Wl is
+ * then garbage and the caller reruns the lane on the oracle). */
 
-static void
-run_lanes(const Plan *plan, const i64 *caps, const i64 *n_ms_v,
-          const i64 *gd_v, const i64 *stb_v, i64 ms_len, i64 fault_k,
-          i64 max_iters, i64 L, i64 *W, i64 *conv, i64 *J, i64 *seeds,
-          i64 *new_seeds, AState *st)
+static i64
+run_lane(const Plan *plan, i64 cap, i64 n_ms, i64 gd, i64 stb, i64 ms_len,
+         i64 fault_k, i64 max_iters, i64 *Wl, i64 *J, i64 *seeds,
+         i64 *new_seeds, AState *st)
 {
     i64 n_rows = plan->n_rows;
     i64 n_acts = plan->n_acts;
-    for (i64 lane = 0; lane < L; lane++) {
-        i64 cap = caps[lane], n_ms = n_ms_v[lane];
-        i64 gd = gd_v[lane], stb = stb_v[lane];
-        i64 *Wl = W + lane * n_rows;
-        for (i64 r = 0; r < n_rows; r++)
-            Wl[r] = plan->w0[r];
-        if (fault_k) {
-            /* _fix_point's static k-error bump, before the first pass */
-            i64 bump = fault_k * gd;
-            for (i64 k = 0; k < plan->n_fault; k++) {
-                i64 r = plan->fault_rows[k];
-                i64 inflated = Wl[r] + bump;
-                Wl[r] = inflated < cap ? inflated : cap;
+    for (i64 r = 0; r < n_rows; r++)
+        Wl[r] = plan->w0[r];
+    if (fault_k) {
+        /* _fix_point's static k-error bump, before the first pass */
+        i64 bump, inflated;
+        if (ck_mul(fault_k, gd, &bump))
+            return -1;
+        for (i64 k = 0; k < plan->n_fault; k++) {
+            i64 r = plan->fault_rows[k];
+            if (ck_add(Wl[r], bump, &inflated))
+                return -1;
+            Wl[r] = inflated < cap ? inflated : cap;
+        }
+    }
+    memset(J, 0, (size_t)n_rows * sizeof(i64));
+    for (i64 a = 0; a < n_acts; a++) {
+        const Act *act = &plan->acts[a];
+        AState *as = &st[a];
+        as->has = as->dirty = as->w_written = 0;
+        as->last_own = as->last_w = as->last_ok = 0;
+        if (act->kind == 0) {
+            /* _dyn_views per-lane scalar derivations:
+             * p_latest = n_ms - largest + 1, lam = p_latest - 1,
+             * theta = lam - f + 2, sigma = gd - stb - (f - 1) * ms_len */
+            i64 f = act->frame_id, p_latest, x;
+            if (ck_sub(n_ms, act->largest, &as->lam) ||
+                ck_add(as->lam, 1, &p_latest) ||
+                ck_sub(as->lam, f, &x) || ck_add(x, 2, &as->theta) ||
+                ck_sub(f, 1, &x) || ck_mul(x, ms_len, &x) ||
+                ck_sub(gd, stb, &as->sigma) ||
+                ck_sub(as->sigma, x, &as->sigma))
+                return -1;
+            as->sendable = f <= p_latest;
+            as->extra = 0;
+            if (fault_k && as->sendable) {
+                i64 per_error = 1;
+                if (act->max_adjusted > 0 &&
+                    ck_add(2, act->max_adjusted / as->theta, &per_error))
+                    return -1;
+                if (ck_mul(fault_k, per_error, &as->extra))
+                    return -1;
             }
         }
-        memset(J, 0, (size_t)n_rows * sizeof(i64));
+        i64 *sd = seeds + act->seed_off;
+        for (i64 k = 0; k < act->seed_len; k++)
+            sd[k] = -1;
+    }
+    i64 conv_flag = 1;
+    for (i64 it = 0; it < max_iters; it++) {
+        i64 changed = 0;
         for (i64 a = 0; a < n_acts; a++) {
             const Act *act = &plan->acts[a];
             AState *as = &st[a];
-            as->has = as->dirty = as->w_written = 0;
-            as->last_own = as->last_w = as->last_ok = 0;
+            i64 j;
             if (act->kind == 0) {
-                /* _dyn_views per-lane scalar derivations */
-                i64 f = act->frame_id;
-                i64 p_latest = n_ms - act->largest + 1;
-                as->lam = p_latest - 1;
-                as->theta = as->lam - f + 2;
-                as->sendable = f <= p_latest;
-                as->sigma = gd - stb - (f - 1) * ms_len;
-                as->extra = 0;
-                if (fault_k && as->sendable) {
-                    i64 per_error =
-                        act->max_adjusted <= 0
-                            ? 1
-                            : 2 + act->max_adjusted / as->theta;
-                    as->extra = fault_k * per_error;
+                j = Wl[act->sender_row];
+            } else {
+                j = act->release;
+                for (i64 k = 0; k < act->n_preds; k++) {
+                    i64 v = Wl[act->preds[k]];
+                    if (v > j)
+                        j = v;
                 }
             }
-            i64 *sd = seeds + act->seed_off;
-            for (i64 k = 0; k < act->seed_len; k++)
-                sd[k] = -1;
-        }
-        i64 conv_flag = 1, finished = 0;
-        for (i64 it = 0; it < max_iters; it++) {
-            i64 changed = 0;
-            for (i64 a = 0; a < n_acts; a++) {
-                const Act *act = &plan->acts[a];
-                AState *as = &st[a];
-                i64 j;
-                if (act->kind == 0) {
-                    j = Wl[act->sender_row];
-                } else {
-                    j = act->release;
-                    for (i64 k = 0; k < act->n_preds; k++) {
-                        i64 v = Wl[act->preds[k]];
-                        if (v > j)
-                            j = v;
-                    }
-                }
-                if (J[act->row] != j) {
-                    J[act->row] = j;
-                    changed = 1;
-                    for (i64 k = 0; k < act->n_deps; k++)
-                        st[act->deps[k]].dirty = 1;
-                }
-                if (!as->has || as->dirty ||
-                    (act->own_sensitive && as->last_own != j)) {
-                    if (act->kind == 0) {
-                        if (as->sendable)
-                            eval_dyn(act, as, J, j, cap, gd, stb, ms_len,
-                                     seeds + act->seed_off);
-                        else { /* never sendable: certain miss */
-                            as->last_w = 0;
-                            as->last_ok = 0;
-                        }
-                    } else {
-                        eval_fps(act, as, J, j, cap, seeds + act->seed_off,
-                                 new_seeds);
-                    }
-                    as->dirty = 0;
-                    as->last_own = j;
-                    as->has = 1;
-                }
-                conv_flag = conv_flag && as->last_ok;
-                i64 value;
+            if (J[act->row] != j) {
+                J[act->row] = j;
+                changed = 1;
+                for (i64 k = 0; k < act->n_deps; k++)
+                    st[act->deps[k]].dirty = 1;
+            }
+            if (!as->has || as->dirty ||
+                (act->own_sensitive && as->last_own != j)) {
                 if (act->kind == 0) {
                     if (as->sendable) {
-                        value = j + as->last_w + act->ct;
-                        if (value > cap)
-                            value = cap;
-                    } else {
-                        value = cap;
+                        if (eval_dyn(act, as, J, j, cap, gd, stb, ms_len,
+                                     seeds + act->seed_off))
+                            return -1;
+                    } else { /* never sendable: certain miss */
+                        as->last_w = 0;
+                        as->last_ok = 0;
                     }
-                } else {
-                    value = j + as->last_w;
-                    if (value > cap)
-                        value = cap;
+                } else if (eval_fps(act, as, J, j, cap,
+                                    seeds + act->seed_off, new_seeds)) {
+                    return -1;
                 }
-                /* first insertion into wcrt is always a change */
-                if (!as->w_written || Wl[act->row] != value) {
-                    Wl[act->row] = value;
-                    as->w_written = 1;
-                    changed = 1;
-                }
+                as->dirty = 0;
+                as->last_own = j;
+                as->has = 1;
             }
-            if (!changed) {
-                finished = 1;
-                break;
+            conv_flag = conv_flag && as->last_ok;
+            i64 value;
+            if (act->kind == 0 && !as->sendable) {
+                value = cap;
+            } else {
+                if (ck_add(j, as->last_w, &value) ||
+                    (act->kind == 0 && ck_add(value, act->ct, &value)))
+                    return -1;
+                if (value > cap)
+                    value = cap;
+            }
+            /* first insertion into wcrt is always a change */
+            if (!as->w_written || Wl[act->row] != value) {
+                Wl[act->row] = value;
+                as->w_written = 1;
+                changed = 1;
             }
         }
-        if (!finished) /* the Python for-else: exhaustion */
-            conv_flag = 0;
-        conv[lane] = conv_flag;
+        if (!changed)
+            return conv_flag;
     }
+    return 0; /* the Python for-else: exhaustion */
 }
 
 static PyObject *
@@ -706,11 +771,15 @@ native_run_batch(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    const i64 *caps = caps_b.buf, *n_ms = nms_b.buf, *gd = gd_b.buf,
+              *stb = stb_b.buf;
+    i64 *W = W_b.buf, *conv = conv_b.buf;
     Py_BEGIN_ALLOW_THREADS
-    run_lanes(plan, (const i64 *)caps_b.buf, (const i64 *)nms_b.buf,
-              (const i64 *)gd_b.buf, (const i64 *)stb_b.buf, (i64)ms_len,
-              (i64)fault_k, (i64)max_iters, L, (i64 *)W_b.buf,
-              (i64 *)conv_b.buf, J, seeds, new_seeds, st);
+    for (i64 lane = 0; lane < L; lane++)
+        conv[lane] = run_lane(plan, caps[lane], n_ms[lane], gd[lane],
+                              stb[lane], (i64)ms_len, (i64)fault_k,
+                              (i64)max_iters, W + lane * plan->n_rows, J,
+                              seeds, new_seeds, st);
     Py_END_ALLOW_THREADS
     result = Py_None;
     Py_INCREF(result);
@@ -738,7 +807,8 @@ static PyMethodDef native_methods[] = {
      "fault_k, max_holistic_iterations, W, conv) -> None\n\n"
      "Advance every lane's full holistic fix point; W is the (L, n_rows) "
      "int64 response-time buffer (filled in place), conv the per-lane "
-     "convergence flags."},
+     "flags: 1 converged, 0 not converged, -1 int64 overflow (the lane's "
+     "W row is then meaningless)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -18,12 +18,14 @@ cross-checked.
 The contract is the repo's established one: results are bit-identical
 to the pure-Python oracle.  The ingredients:
 
-* exact integer arithmetic end to end (int64, never float);
-* per-activity magnitude prebounds computed in unbounded Python
-  arithmetic per batch -- any group whose worst-case intermediate could
-  leave int64 is analysed by the Python oracle instead
-  (:data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`), and so is
-  any group with a fully busy node (no staircase to run);
+* exact integer arithmetic end to end (int64, never float), every
+  ``+``, ``-`` and ``*`` checked in C: a lane whose exact value would
+  leave int64 stops, and that lane alone is analysed by the Python
+  oracle -- a lane that never overflows computed the same integers
+  Python's unbounded ints would, with or without ``-fwrapv``;
+* groups with a fully busy node (no staircase to run) or an input
+  outside int64 (``array('q')`` packing raises ``OverflowError``) are
+  analysed by the Python oracle as well;
 * the certified warm-start seeds and the per-instant pruning bound are
   carried over as kernel state, and both are result-neutral by the
   repo's certification arguments (seeds below the least fixed point

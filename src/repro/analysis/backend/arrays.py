@@ -32,20 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-#: Magnitude prebound of the compiled kernels.  Every worst-case
-#: intermediate of an activity's fix point is bounded in unbounded
-#: Python arithmetic before a batch enters C; any activity whose bound
-#: reaches this limit (comfortably inside int64, leaving headroom for
-#: one addition) sends its group to the Python oracle instead.  Signed
-#: int64 overflow is undefined behaviour in C -- the prebound is what
-#: makes "exact integer arithmetic" a guarantee instead of a hope.
-OVERFLOW_LIMIT = 1 << 62
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 class AvailabilityArrays:
     """Staircase tables of one ``NodeAvailability`` pattern.
 
@@ -64,7 +50,7 @@ class AvailabilityArrays:
 
     __slots__ = (
         "stair", "instants", "before", "slack", "period", "gap_ends",
-        "through", "eval_order", "n_instants", "before_max",
+        "through", "eval_order", "n_instants",
     )
 
     def __init__(self, availability):
@@ -79,17 +65,14 @@ class AvailabilityArrays:
             self.before = None
             self.gap_ends = None
             self.through = None
-            self.before_max = 0
         elif tables.gap_ends is not None:
             self.before = tables.slack_before
             self.gap_ends = tables.gap_ends
             self.through = tables.slack_through
-            self.before_max = max(tables.slack_before)
         else:  # fully idle: the synthetic identity staircase
             self.before = [0] * self.n_instants
             self.gap_ends = [self.period]
             self.through = [self.period]
-            self.before_max = 0
 
 
 def availability_arrays(availability) -> AvailabilityArrays:
@@ -112,7 +95,7 @@ class DynActPlan:
     __slots__ = (
         "name", "kind", "row", "sender_row", "own_sensitive", "ct",
         "lower_slots", "dep_rows", "frame_id", "largest", "hp_rows",
-        "lf_rows", "p_max", "max_adjusted",
+        "lf_rows", "max_adjusted",
     )
 
     def __init__(self, name, row, sender_row, view, name_idx, frame_id,
@@ -147,43 +130,12 @@ class DynActPlan:
             for r in view.lf_info
             if r[3] > 0
         )
-        self.p_max = max(
-            (r[0] for r in self.hp_rows + self.lf_rows), default=0
-        )
         # The k-error per-error cycle cost depends on the largest lf
         # adjusted size (``_dyn_views``: max over *all* lf rows, default
         # 0 -- but ``per_error`` is 1 whenever that max is <= 0, so the
         # exact Python value is preserved even though rows with
         # adjusted <= 0 are dropped above).
         self.max_adjusted = max((r[3] for r in view.lf_info), default=0)
-
-    def overflow_safe(self, cap_max, jitter_bound, gd_max, sigma_max,
-                      st_bus_max, lam_max, ms_len, extra_max=0) -> bool:
-        """Prebound every int64 intermediate in unbounded Python ints.
-
-        The window ``t`` never exceeds the cap (capped trajectories
-        return before advancing) and every jitter is bounded by
-        ``jitter_bound``, so per-row activation counts are bounded by
-        ``ceil((cap + J) / period)``; the rest follows Eq. (3) termwise.
-        ``extra_max`` bounds the constant k-error ``extra_cycles`` term
-        charged per round (0 without a fault hypothesis).
-        """
-        s_max = cap_max + jitter_bound
-        hp_max = sum(_ceil_div(s_max, p) for p, _, _ in self.hp_rows)
-        lf_max = sum(
-            adj * _ceil_div(s_max, p) for p, _, _, adj in self.lf_rows
-        )
-        w_max = (
-            sigma_max
-            + (hp_max + lf_max + extra_max) * gd_max
-            + st_bus_max
-            + (self.lower_slots + lf_max + lam_max) * ms_len
-        )
-        return (
-            s_max + self.p_max < OVERFLOW_LIMIT
-            and lf_max < OVERFLOW_LIMIT
-            and w_max < OVERFLOW_LIMIT
-        )
 
 
 class FpsActPlan:
@@ -194,14 +146,14 @@ class FpsActPlan:
 
     __slots__ = (
         "name", "kind", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "node", "rows", "p_max", "dep_rows", "av", "stair",
+        "own_sensitive", "node", "rows", "dep_rows", "av", "stair",
     )
 
     #: Slots copied verbatim by :meth:`bind` (everything except the
     #: availability-dependent pair set by the bind itself).
     _SHARED_SLOTS = (
         "name", "kind", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "node", "rows", "p_max", "dep_rows",
+        "own_sensitive", "node", "rows", "dep_rows",
     )
 
     def __init__(self, name, row, pred_rows, plan, node, name_idx):
@@ -219,7 +171,6 @@ class FpsActPlan:
             (r[1], r[3], int(r[2]), 0 if r[2] else name_idx[r[0]])
             for r in plan.interferers
         )
-        self.p_max = max((r[0] for r in self.rows), default=0)
         self.dep_rows = ()
 
     def bind(self, availability) -> "FpsActPlan":
@@ -238,23 +189,6 @@ class FpsActPlan:
         bound.stair = bound.av.stair and bound.wcet > 0
         return bound
 
-    def overflow_safe(self, cap_max, jitter_bound) -> bool:
-        """Prebound the staircase and demand arithmetic in Python ints."""
-        s_max = cap_max + jitter_bound
-        demand_max = self.wcet + sum(
-            c * _ceil_div(s_max, p) for p, c, _, _ in self.rows
-        )
-        av = self.av
-        if not self.stair:
-            return True  # structurally unsafe: never reaches C anyway
-        stair_in = av.before_max + demand_max
-        window_max = (stair_in // av.slack + 1) * av.period + av.period
-        return (
-            s_max + self.p_max < OVERFLOW_LIMIT
-            and demand_max < OVERFLOW_LIMIT
-            and window_max < OVERFLOW_LIMIT
-        )
-
 
 class StructureTemplate:
     """The structure-key-invariant share of a :class:`GroupPlan`.
@@ -270,7 +204,7 @@ class StructureTemplate:
 
     __slots__ = (
         "names", "name_idx", "n_rows", "activities", "wcrt_names",
-        "wcrt_rows", "fault_rows", "release_max", "native_acts",
+        "wcrt_rows", "fault_rows", "native_acts",
     )
 
     def __init__(self, ctx, config, static_names: Tuple[str, ...]):
@@ -355,9 +289,6 @@ class StructureTemplate:
         # match it item for item.
         self.wcrt_names = list(static_names) + list(ctx._slot_names)
         self.wcrt_rows = tuple(name_idx[n] for n in self.wcrt_names)
-        self.release_max = max(
-            (a.release for a in activities if a.kind == "fps"), default=0
-        )
         # Static rows the k-error hypothesis inflates (``_fix_point``'s
         # ``_fault_static_names & wcrt`` intersection as row indices --
         # the bumps are independent per row, so iteration order is
@@ -385,7 +316,7 @@ class GroupPlan:
     """
 
     __slots__ = (
-        "template", "arts", "activities", "w0", "static_max", "stair",
+        "template", "arts", "activities", "w0", "stair",
         "native_state",
     )
 
@@ -406,7 +337,6 @@ class GroupPlan:
         for name, value in arts.static_wcrt.items():
             w0[name_idx[name]] = value
         self.w0 = w0
-        self.static_max = max(arts.static_wcrt.values(), default=0)
         #: Structural safety verdict: every FPS activity is on the
         #: staircase fast path.  Group-invariant; ``False`` sends every
         #: batch of this group to the Python oracle.
@@ -414,5 +344,5 @@ class GroupPlan:
             act.stair for act in self.activities if act.kind == "fps"
         )
         #: The parsed C plan capsule; ``None`` until the first batch of
-        #: this group passes both safety gates.
+        #: this group reaches the C kernels.
         self.native_state = None

@@ -11,20 +11,26 @@ Gauss-Seidel iteration in tight scalar loops with no per-step dispatch
 bit-identity argument).  Every buffer crossing into C is a stdlib
 ``array('q')``.
 
-The shim owns the two safety gates the C code relies on:
+The C kernel is the only module that knows its own arithmetic: every
+``+``, ``-`` and ``*`` on a lane-derived value is a checked int64
+operation, and a lane whose exact value would leave int64 stops and
+reports ``conv = -1``.  The shim keeps two gates around it:
 
 * **structural**: every FPS activity must be on the staircase fast path
   (``FpsActPlan.stair`` -- a non-degenerate or fully idle availability
   pattern and a positive wcet); the verdict is group-invariant and
-  cached as ``GroupPlan.stair``.
-* **overflow**: per-activity magnitude prebounds in unbounded Python
-  ints against :data:`~repro.analysis.backend.arrays.OVERFLOW_LIMIT`,
-  evaluated per batch because they depend on the lanes' caps.
+  cached as ``GroupPlan.stair``, and a failing group runs on the oracle.
+* **packing**: ``array('q')`` and the ``"L"`` argument format raise
+  :class:`OverflowError` exactly when an input (a cap, a static
+  response time, a release, ``fault_k``, the iteration budget) falls
+  outside int64; the group then runs on the oracle.
 
-A group failing either gate is delegated to the Python oracle, one
-candidate at a time, on the schedule artifacts the plan already carries
-(``AnalysisContext._analyse_fetched``) -- bit-identical by definition,
-and no schedule is replayed twice.
+Delegated candidates -- a failing group, or a single overflowed lane --
+are analysed by the Python oracle on the schedule artifacts the plan
+already carries (``AnalysisContext._analyse_fetched``): bit-identical by
+definition, and no schedule is replayed twice.  Every other lane
+computed exactly the integers Python's unbounded ints would, so its
+result is bit-identical too.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from array import array
 from typing import List
 
 from repro.analysis.backend import native_or_none
-from repro.analysis.backend.arrays import OVERFLOW_LIMIT
 
 #: Blob header magic ("NATIV"); bumped if the layout ever changes, so a
 #: stale extension rejects new blobs instead of misreading them.
@@ -139,73 +144,17 @@ def _acts_section(activities, av_index):
     return out
 
 
-def _batch_overflow_safe(ctx, plan, configs, cap_max, ms_len) -> bool:
-    """Whole-batch overflow verdict: every activity's prebound holds.
-
-    The maxima are over a handful of lane scalars, in plain Python
-    ints.  ``False`` delegates the batch to the Python oracle.  The
-    jitter bound is checked on its own too, so the lanes' caps and the
-    static response times always fit the int64 buffers -- even for a
-    plan with no FPS/DYN activity to prebound.
-    """
-    jitter_bound = max(cap_max, plan.static_max, plan.template.release_max)
-    if jitter_bound >= OVERFLOW_LIMIT:
-        return False
-    fault_k = ctx._fault_k
-    n_ms_l = [c.n_minislots for c in configs]
-    gd_l = [c.gd_cycle for c in configs]
-    stb_l = [c.st_bus for c in configs]
-    gd_max = max(abs(g) for g in gd_l)
-    stb_max = max(abs(s) for s in stb_l)
-    for act in plan.activities:
-        if act.kind == "dyn":
-            f = act.frame_id
-            largest = act.largest
-            lam_max = max(abs(n - largest) for n in n_ms_l)
-            sigma_max = max(
-                abs(g - s - (f - 1) * ms_len)
-                for g, s in zip(gd_l, stb_l)
-            )
-            extra_max = 0
-            if fault_k:
-                for n in n_ms_l:
-                    lam = n - largest
-                    theta = lam - f + 2
-                    if f + largest - 1 > n:
-                        continue  # not sendable: no extra cycles
-                    per_error = (
-                        1
-                        if act.max_adjusted <= 0
-                        else 2 + act.max_adjusted // theta
-                    )
-                    extra = fault_k * per_error
-                    if extra > extra_max:
-                        extra_max = extra
-            if not act.overflow_safe(
-                cap_max,
-                jitter_bound,
-                gd_max,
-                sigma_max,
-                stb_max,
-                lam_max,
-                ms_len,
-                extra_max,
-            ):
-                return False
-        else:
-            if not act.overflow_safe(cap_max, jitter_bound):
-                return False
-    return True
-
-
 def run_group_native(ctx, plan, configs) -> List:
-    """Analyse one group on the C kernels (the oracle when unsafe).
+    """Analyse one group on the C kernels (the oracle where they cannot).
 
     All *configs* share *plan*'s schedule and structure keys (the
     caller groups them); the returned
     :class:`~repro.analysis.holistic.AnalysisResult` list is
     bit-identical to the per-candidate Python path.
     """
+    arts = plan.arts
+    if not plan.stair:
+        return [ctx._analyse_fetched(c, arts) for c in configs]
     options = ctx.options
     cap_base = ctx._cap_base
     caps = [
@@ -213,38 +162,38 @@ def run_group_native(ctx, plan, configs) -> List:
         * (cap_base if cap_base > c.gd_cycle else c.gd_cycle)
         for c in configs
     ]
-    ms_len = configs[0].gd_minislot  # structure-key invariant
-    arts = plan.arts
-    if not plan.stair or not _batch_overflow_safe(
-        ctx, plan, configs, max(caps), ms_len
-    ):
-        return [ctx._analyse_fetched(c, arts) for c in configs]
     native = native_or_none()
-    if plan.native_state is None:
-        plan.native_state = native.build_plan(plan_blob(plan).tobytes())
     n_rows = plan.template.n_rows
     L = len(configs)
     # Lane-major response-time buffer: each lane's fix point works on
     # one contiguous row of ``n_rows`` entries.
     W = array("q", [0]) * (L * n_rows)
     conv = array("q", [0]) * L
-    native.run_batch(
-        plan.native_state,
-        array("q", caps),
-        array("q", [c.n_minislots for c in configs]),
-        array("q", [c.gd_cycle for c in configs]),
-        array("q", [c.st_bus for c in configs]),
-        ms_len,
-        ctx._fault_k,
-        options.max_holistic_iterations,
-        W,
-        conv,
-    )
+    try:
+        if plan.native_state is None:
+            plan.native_state = native.build_plan(plan_blob(plan).tobytes())
+        native.run_batch(
+            plan.native_state,
+            array("q", caps),
+            array("q", [c.n_minislots for c in configs]),
+            array("q", [c.gd_cycle for c in configs]),
+            array("q", [c.st_bus for c in configs]),
+            configs[0].gd_minislot,  # structure-key invariant
+            ctx._fault_k,
+            options.max_holistic_iterations,
+            W,
+            conv,
+        )
+    except OverflowError:  # an input outside int64
+        return [ctx._analyse_fetched(c, arts) for c in configs]
     names = plan.template.wcrt_names
     rows = plan.template.wcrt_rows
     results = []
     for lane, config in enumerate(configs):
+        if conv[lane] < 0:  # the lane overflowed int64
+            results.append(ctx._analyse_fetched(config, arts))
+            continue
         base = lane * n_rows
         wcrt = dict(zip(names, [W[base + r] for r in rows]))
-        results.append(ctx._result(config, arts, wcrt, conv[lane] != 0))
+        results.append(ctx._result(config, arts, wcrt, conv[lane] == 1))
     return results

@@ -784,8 +784,9 @@ class AnalysisContext:
         lowering is cached on the context, and infeasible candidates
         short-circuit exactly like the Python path.  Each group runs
         through :func:`repro.analysis.backend.native.run_group_native`,
-        which hands structurally unsafe or overflow-flagged groups back
-        to the Python oracle (:meth:`_analyse_fetched`).
+        which hands structurally unsafe groups, groups with an input
+        outside int64 and single lanes that overflowed int64 in the
+        kernel back to the Python oracle (:meth:`_analyse_fetched`).
         """
         if self._backend_gated():
             return [self._analyse_python(c) for c in configs]

@@ -121,10 +121,10 @@ class AnalysisOptions:
     #:   holistic fix point runs in tight scalar C loops inside the
     #:   ``repro._native`` extension (built by the ``repro[native]``
     #:   extra), with no per-step dispatch at all.  Results are
-    #:   bit-identical to ``"python"`` by contract: exact int64
-    #:   arithmetic behind a per-batch overflow prebound, the Python
-    #:   oracle for groups that fail it (or have a fully busy node), and
-    #:   the Python path outright for the oracle/debug modes
+    #:   bit-identical to ``"python"`` by contract: checked int64
+    #:   arithmetic, the Python oracle for any lane that would overflow
+    #:   it (and for groups with a fully busy node or an input outside
+    #:   int64), and the Python path outright for the oracle/debug modes
     #:   (``warm_start != "certified"``, ``dominance="verify"``,
     #:   ``dyn_fill_strategy="exact"``) whose whole point is staying on
     #:   the reference path.  Selecting it without the compiled module

@@ -272,9 +272,10 @@ def _run_job(system: System, job: CampaignJob, timeout: Optional[float]):
     """Run one job, raising :class:`_JobTimeout` past *timeout* seconds.
 
     The timeout runs the job on a daemon thread and abandons it on
-    expiry -- the thread may keep consuming CPU until its current
-    analysis finishes (Python offers no safe preemption), but the
-    campaign moves on.  ``timeout=None`` runs inline with zero overhead.
+    expiry -- the thread keeps consuming CPU until the *whole job*
+    finishes (Python offers no safe preemption, and the strategies have
+    no cancellation point), but the campaign moves on.
+    ``timeout=None`` runs inline with zero overhead.
     """
     if timeout is None:
         return optimise(system, job.strategy, job.options)

@@ -98,6 +98,33 @@ def _result_docs(results):
     return [analysis_result_to_dict(r) for r in results]
 
 
+def _delegating_run(system, configs, **options):
+    """Native results for *configs*, plus the candidates the native
+    backend handed to the Python oracle (``_analyse_fetched``)."""
+    delegated = []
+    fetched = AnalysisContext._analyse_fetched
+
+    def spy(ctx, config, arts):
+        delegated.append(config)
+        return fetched(ctx, config, arts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AnalysisContext, "_analyse_fetched", spy)
+        native = AnalysisContext(
+            system, AnalysisOptions(backend="native", **options)
+        ).analyse_batch(configs)
+    return native, delegated
+
+
+#: Magnitudes from 2**7 up to just past 2**62, clustered at powers of
+#: two where int64 intermediates start to overflow.
+_INT64_EDGE = st.builds(
+    lambda exp, offset: (1 << exp) + offset,
+    st.integers(7, 62),
+    st.integers(-64, 12345),
+)
+
+
 # ----------------------------------------------------------------------
 # numpy is no dependency of any backend (the retired repro[numpy] extra)
 # ----------------------------------------------------------------------
@@ -229,7 +256,7 @@ class TestBitIdentity:
         "system",
         [
             _fully_busy_system(),
-            # Periods so long that the caps leave the overflow prebound.
+            # Periods so long that the caps leave int64.
             fig4_system(period=1 << 60, deadline=1 << 60),
             # The same with no FPS/DYN activity to prebound: the caps
             # alone would not fit the int64 lane buffers.
@@ -247,7 +274,7 @@ class TestBitIdentity:
     )
     def test_unsafe_groups_delegate_to_the_oracle(self, system, monkeypatch):
         """A group the C kernels must not run -- a fully busy node, or
-        magnitudes past ``OVERFLOW_LIMIT`` -- is analysed by the Python
+        inputs that do not fit int64 -- is analysed by the Python
         oracle on the group's fetched artifacts, one candidate at a
         time, with the same answers and without importing numpy."""
         monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
@@ -265,6 +292,63 @@ class TestBitIdentity:
             system, AnalysisOptions(backend="native")
         ).analyse_batch(configs)
         assert delegated == configs
+        assert _result_docs(native) == _result_docs(python)
+
+    def test_iteration_budget_past_int64_runs_on_the_oracle(self):
+        """``max_holistic_iterations >= 2**63`` cannot be packed for the
+        kernel, so the group runs on the oracle instead of raising."""
+        system = fig4_system()
+        configs = _sweep_configs(system, 6)
+        options = {"max_holistic_iterations": 1 << 63}
+        python = AnalysisContext(
+            system, AnalysisOptions(**options)
+        ).analyse_batch(configs)
+        native, delegated = _delegating_run(system, configs, **options)
+        assert delegated == configs
+        assert _result_docs(native) == _result_docs(python)
+
+    def test_int64_edge_runs_in_c(self):
+        """Caps of 2**61 fit int64 and no lane overflows, so every
+        candidate runs in C."""
+        system = fig4_system(period=1 << 58, deadline=1 << 58)
+        configs = _sweep_configs(system, 4)
+        python = AnalysisContext(system).analyse_batch(configs)
+        native, delegated = _delegating_run(system, configs)
+        assert delegated == []
+        assert _result_docs(native) == _result_docs(python)
+
+    def test_only_overflowing_lanes_delegate(self):
+        """A huge fault hypothesis overflows some lanes' k-error terms
+        but not others': only those lanes rerun on the oracle."""
+        system = fig4_system(period=1 << 40, deadline=1 << 40)
+        configs = _sweep_configs(system, 6)
+        options = {"fault_hypothesis": 1 << 50}
+        python = AnalysisContext(
+            system, AnalysisOptions(**options)
+        ).analyse_batch(configs)
+        native, delegated = _delegating_run(system, configs, **options)
+        assert 0 < len(delegated) < len(configs)
+        assert _result_docs(native) == _result_docs(python)
+
+    @given(
+        _INT64_EDGE,
+        _INT64_EDGE,
+        st.sampled_from((1, 8)),
+        st.sampled_from((0, 1, 1 << 40, 1 << 50)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_overflow_edge_fuzz(self, period, deadline, cap_factor, fault_k):
+        """Periods, deadlines, caps and fault terms around the int64
+        boundary (``k = 2**50`` overflows some lanes' k-error terms):
+        whichever lanes or groups leave int64, the results equal the
+        oracle's."""
+        system = fig4_system(period=period, deadline=deadline)
+        configs = _sweep_configs(system, 4)
+        options = {"cap_factor": cap_factor, "fault_hypothesis": fault_k}
+        python = AnalysisContext(
+            system, AnalysisOptions(**options)
+        ).analyse_batch(configs)
+        native, _ = _delegating_run(system, configs, **options)
         assert _result_docs(native) == _result_docs(python)
 
     @given(small_system())

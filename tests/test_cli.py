@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -183,6 +184,7 @@ class TestCampaignRuntimeFlags:
         # The job must outlive the timeout by much more than one GIL
         # switch interval, so a tiny bbc run will not do: budget the SA
         # job ~1s of annealing and time it out after 50ms.
+        before = set(threading.enumerate())
         rc = main(
             [
                 "campaign", system_path,
@@ -199,6 +201,11 @@ class TestCampaignRuntimeFlags:
             payload = json.load(fh)
         assert payload["jobs"] == {}
         assert payload["failures"]["system__sa"]["kind"] == "timeout"
+        # The abandoned job thread keeps annealing; wait it out so its
+        # analyses cannot run on into later tests.
+        for thread in set(threading.enumerate()) - before:
+            if thread.name.startswith("campaign-job-"):
+                thread.join()
 
     def test_unwritable_output_fails_before_jobs(
         self, system_path, tmp_path, capsys

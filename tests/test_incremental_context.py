@@ -6,6 +6,7 @@ evaluation pool all have to produce bit-identical results, and the
 evaluator's LRU cache must change accounting only, never outcomes.
 """
 
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
@@ -286,18 +287,23 @@ def legacy_order():
 @contextmanager
 def analysis_log():
     """Records the signature of every oracle analysis and counts the
-    busy-window evaluations made inside the block."""
+    busy-window evaluations made inside the block -- the calling
+    thread's only, so a stray thread that is still analysing (an
+    abandoned timed-out campaign job) cannot leak into the log."""
     log = SimpleNamespace(signatures=[], windows=0)
     analyse = AnalysisContext._analyse_python
+    owner = threading.get_ident()
 
     def logged(ctx, config):
         result = analyse(ctx, config)
-        log.signatures.append(AnalysisContext._result_signature(result))
+        if threading.get_ident() == owner:
+            log.signatures.append(AnalysisContext._result_signature(result))
         return result
 
     def counted(window):
         def count(*args):
-            log.windows += 1
+            if threading.get_ident() == owner:
+                log.windows += 1
             return window(*args)
 
         return count

@@ -20,10 +20,10 @@ loop (up to 1024 exact analyses per static-segment variant):
 
 A second, **pure-DYN** scenario (TT graphs collapsed onto single nodes,
 so the whole sweep shares one schedule-cache entry) measures the
-pattern-level dominance tables against the same engine with
-``AnalysisOptions(dominance="off")`` -- the workload where their
-per-pattern construction amortises across every candidate (see
-``run_pure_dyn``).
+pattern-level dominance tables against the same engine with the tables
+never built (``DOMINANCE_LAZY_THRESHOLD`` raised out of reach) -- the
+workload where their per-pattern construction amortises across every
+candidate (see ``run_pure_dyn``).
 
 When the compiled ``repro._native`` extension is built, a
 ``native_batch`` generation rides both scenarios
@@ -43,8 +43,11 @@ smoke mode (default) finishes in well under 30 s; set
 from __future__ import annotations
 
 import os
+import sys
 import time
+from contextlib import contextmanager
 
+import repro.analysis.availability as availability_mod
 from repro.analysis import (
     AnalysisContext,
     AnalysisOptions,
@@ -431,6 +434,37 @@ def _dominance_stats(context: AnalysisContext) -> tuple:
     return maximal, dominated
 
 
+@contextmanager
+def _dominance_threshold(value):
+    """Run the block with ``DOMINANCE_LAZY_THRESHOLD`` set to *value*:
+    ``0`` builds the tables on the first maximisation, ``sys.maxsize``
+    never builds them (the dominance-off path; seeds and instant pruning
+    stay on)."""
+    saved = availability_mod.DOMINANCE_LAZY_THRESHOLD
+    availability_mod.DOMINANCE_LAZY_THRESHOLD = value
+    try:
+        yield
+    finally:
+        availability_mod.DOMINANCE_LAZY_THRESHOLD = saved
+
+
+def _make_dominance_off(system):
+    """A fresh-context maker for the dominance-off path; the threshold
+    patch covers exactly the timed sweep (see :func:`_time_interleaved`)."""
+
+    def make():
+        ctx = AnalysisContext(system)
+
+        def run(cfgs):
+            with _dominance_threshold(sys.maxsize):
+                return [ctx.analyse(c) for c in cfgs]
+
+        run.batched = True
+        return run
+
+    return make
+
+
 def _make_batch(system, backend):
     """A fresh-context maker whose analyser takes the whole sweep in one
     ``analyse_batch`` call (see :func:`_time_interleaved`)."""
@@ -458,7 +492,7 @@ def run_pure_dyn():
     warm_ctx_holder = []
 
     def _make_warm():
-        ctx = AnalysisContext(system)  # default: dominance="on"
+        ctx = AnalysisContext(system)
         warm_ctx_holder.append(ctx)
         return ctx.analyse
 
@@ -466,9 +500,7 @@ def run_pure_dyn():
     # generation's ratio is taken between sweeps of a few milliseconds,
     # which needs a little more best-of convergence.
     makes = {
-        "dominance_off": lambda: AnalysisContext(
-            system, AnalysisOptions(dominance="off")
-        ).analyse,
+        "dominance_off": _make_dominance_off(system),
         "warm": _make_warm,
     }
     if native_or_none() is not None:
@@ -478,19 +510,19 @@ def run_pure_dyn():
     warm_s, warm_results = timed["warm"]
     native_s, native_results = timed.get("native_batch", (None, None))
 
-    # Correctness: the dominance path against the dominance-off oracle,
-    # and the "verify" cross-checks (dominance and, when the extension
-    # is built, backend) counting divergences in-line.
-    verify_ctx = AnalysisContext(system, AnalysisOptions(dominance="verify"))
-    for c in configs:
-        verify_ctx.analyse(c)
-    backend_divergences = None
-    if native_or_none() is not None:
-        backend_verify_ctx = AnalysisContext(
-            system, AnalysisOptions(backend="verify")
-        )
-        backend_verify_ctx.analyse_batch(configs)
-        backend_divergences = backend_verify_ctx.backend_divergences
+    # Correctness, by direct comparison: the dominance path with its
+    # tables built from the first maximisation against the
+    # dominance-off results, and (when the extension is built) the
+    # native results against the Python ones, analysis by analysis.
+    with _dominance_threshold(0):
+        eager_ctx = AnalysisContext(system)
+        eager_results = [eager_ctx.analyse(c) for c in configs]
+    dominance_mismatches = _mismatches(eager_results, off_results)
+    backend_mismatches = (
+        None
+        if native_results is None
+        else _mismatches(native_results, warm_results)
+    )
 
     out = {
         "system": system,
@@ -505,12 +537,25 @@ def run_pure_dyn():
             "native_batch": native_results,
             "off": off_results,
         },
-        "divergences": verify_ctx.dominance_divergences,
-        "backend_divergences": backend_divergences,
+        "dominance_mismatches": dominance_mismatches,
+        "backend_mismatches": backend_mismatches,
         "dominance_stats": _dominance_stats(warm_ctx_holder[0]),
     }
     _cache["pure_dyn"] = out
     return out
+
+
+def _mismatches(results, oracle) -> int:
+    """Analyses whose full result -- WCRT insertion order and cost
+    breakdown included -- differs from the oracle's."""
+
+    def exact(r):
+        return (
+            r.feasible, r.schedulable, r.converged, r.failure, r.cost,
+            tuple(r.wcrt.items()),
+        )
+
+    return sum(exact(a) != exact(b) for a, b in zip(results, oracle))
 
 
 def _signature(result: AnalysisResult) -> tuple:
@@ -686,8 +731,8 @@ def test_incremental_analysis_identical_and_fast():
             ),
             "dominated_instants": pd_dominated,
             "maximal_instants": pd_maximal,
-            "dominance_verify_divergences": pure_dyn["divergences"],
-            "backend_verify_divergences": pure_dyn["backend_divergences"],
+            "dominance_mismatches": pure_dyn["dominance_mismatches"],
+            "backend_mismatches": pure_dyn["backend_mismatches"],
         },
         # The native backend's headline shape: singleton-lane groups on
         # the ST-heavy sweep (every cycle length a distinct schedule).
@@ -727,7 +772,7 @@ def test_incremental_analysis_identical_and_fast():
             "warm shares one AnalysisContext across the sweep; parallel adds "
             f"{modes['workers']} workers on {os.cpu_count()} CPU(s)",
             f"pure-DYN sweep ({pd_n} points, one shared schedule): warm vs "
-            f"dominance='off' {pd_off_s / pd_warm_s:.2f}x -- pattern-level "
+            f"dominance off {pd_off_s / pd_warm_s:.2f}x -- pattern-level "
             f"dominance elides {pd_dominated}/{pd_maximal + pd_dominated} "
             "instants once per availability",
         ]
@@ -757,8 +802,9 @@ def test_dominance_amortises_on_pure_dyn_sweep():
     off_sigs = [_signature(r) for r in pure_dyn["results"]["off"]]
     sigs = [_signature(r) for r in pure_dyn["results"]["warm"]]
     assert sigs == off_sigs, "warm diverged from the dominance-off oracle"
-    assert pure_dyn["divergences"] == 0, (
-        "dominance='verify' caught divergences on the pure-DYN sweep"
+    assert pure_dyn["dominance_mismatches"] == 0, (
+        "eagerly built dominance tables changed results on the pure-DYN "
+        "sweep"
     )
     maximal, dominated = pure_dyn["dominance_stats"]
     assert dominated > 0, "scenario exercises no dominated instants"
@@ -804,8 +850,8 @@ def run_st_heavy_backends():
 
 def test_native_backend_identical_and_fast():
     """The compiled backend's claims: bit identity on both sweep shapes
-    (results, WCRT insertion order and costs, plus an in-line
-    ``backend='verify'`` pass with zero divergences), and >= 2x over the
+    (results, WCRT insertion order and costs, compared analysis by
+    analysis), and >= 2x over the
     warm Python path on both the wide pure-DYN batch and the ST-heavy
     singleton-lane sweep."""
     if native_or_none() is None:
@@ -833,9 +879,8 @@ def test_native_backend_identical_and_fast():
             "wcrt insertion order diverged"
         )
         assert py_r.cost == nat_r.cost, "cost breakdowns diverged"
-    assert pure_dyn["backend_divergences"] == 0, (
-        "backend='verify' caught divergences with the native backend in "
-        "the loop"
+    assert pure_dyn["backend_mismatches"] == 0, (
+        "native results differ from the Python ones"
     )
 
     st_warm_s = st_heavy["seconds"]["warm"]

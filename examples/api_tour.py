@@ -66,18 +66,14 @@ True
 
 **Repeated analysis.**  An ``AnalysisContext`` shares per-system
 invariants, cached schedule artifacts and certified fix-point warm
-starts across calls.  The default ``AnalysisOptions.warm_start ==
-"certified"`` mode is locked bit-identical to the fully cold
-``"off"`` oracle (see docs/ANALYSIS.md), so a warm context is a pure
-speedup:
+starts across calls.  ``analyse`` is locked bit-identical to
+``analyse_cold``, the fully cold oracle without any of those warm
+starts (see docs/ANALYSIS.md), so a warm context is a pure speedup:
 
->>> AnalysisOptions().warm_start
-'certified'
 >>> warm = AnalysisContext(system)
->>> cold = AnalysisContext(system, AnalysisOptions(warm_start="off"))
 >>> sweep = [config.with_dyn_length(lo + k) for k in (0, 4, 8)]
 >>> [warm.analyse(c).wcrt for c in sweep] == [
-...     cold.analyse(c).wcrt for c in sweep
+...     warm.analyse_cold(c).wcrt for c in sweep
 ... ]
 True
 
@@ -85,12 +81,9 @@ True
 dominated* critical instants: instants whose delivered-slack function
 another instant dominates pointwise can never produce the worst busy
 window (docs/ANALYSIS.md has the proof).  The tables are a property of
-the ``NodeAvailability`` pattern alone -- built lazily, cached on the
-pattern, togglable per analysis via ``AnalysisOptions.dominance``
-(``"on"`` default, ``"off"`` oracle, ``"verify"`` cross-check):
+the ``NodeAvailability`` pattern alone -- built lazily and cached on
+the pattern:
 
->>> AnalysisOptions().dominance
-'on'
 >>> from repro.analysis import NodeAvailability
 >>> av = NodeAvailability([(0, 4), (6, 8), (9, 10)], period=12)
 >>> dom = av.dominance_tables()
@@ -108,10 +101,8 @@ True
 fix-point engine: ``"python"`` (default), ``"native"`` -- the
 compiled backend, which lowers the system's invariants once per group
 of candidates and runs each candidate's entire fix point inside the
-``repro._native`` C extension via ``AnalysisContext.analyse_batch`` --
-or ``"verify"``, which runs the oracle and the compiled kernels and
-counts divergences (contractually zero).  Results are bit-identical
-across backends; the extension is the optional ``repro[native]``
+``repro._native`` C extension via ``AnalysisContext.analyse_batch``.
+Results are bit-identical across backends; the extension is the optional ``repro[native]``
 extra, so this snippet picks it when it is built and the Python
 backend otherwise:
 
@@ -124,8 +115,6 @@ backend otherwise:
 ...     warm.analyse(c).wcrt for c in sweep
 ... ]
 True
->>> batched.backend_divergences
-0
 
 **Optimisation.**  Every strategy -- BBC, OBC/CF, OBC/EE, SA, GA --
 is a proposal generator executed by the unified search runtime

@@ -13,12 +13,11 @@ Public entry points
     repeated analyses (DYN-length sweeps, optimiser neighbourhoods)
     incremental.  See ``docs/ARCHITECTURE.md`` for its cache layers.
 :class:`AnalysisOptions`
-    Analysis tunables; the ``warm_start`` field selects the fix-point
-    trajectory (``"certified"`` default, ``"off"`` oracle, ``"verify"``
-    cross-check) and the ``backend`` field the evaluation backend
-    (``"python"`` reference, ``"native"`` compiled kernels, ``"verify"``
-    cross-check) --
-    every mode's determinism guarantee is documented on the field.
+    Analysis tunables; the ``backend`` field selects the evaluation
+    backend (``"python"`` reference, ``"native"`` compiled kernels,
+    bit-identical to it).  The fully cold reference trajectory the
+    certified fast path is tested against is
+    :meth:`AnalysisContext.analyse_cold`.
 
 The busy-window kernels (:func:`fps_task_busy_window`,
 :func:`dyn_message_busy_window`), the static scheduler

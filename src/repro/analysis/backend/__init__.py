@@ -12,8 +12,8 @@ full holistic fix point inside a compiled C extension
 (``repro._native``), in tight scalar loops with no per-step dispatch
 (:func:`repro.analysis.backend.native.run_group_native`).  That is the
 one accelerated rung beside the pure-Python oracle: ``"python"`` is the
-reference, ``"native"`` the compiled kernels, ``"verify"`` the two
-cross-checked.
+reference, ``"native"`` the compiled kernels; the tests check the two
+against each other.
 
 The contract is the repo's established one: results are bit-identical
 to the pure-Python oracle.  The ingredients:
@@ -31,20 +31,17 @@ to the pure-Python oracle.  The ingredients:
   repo's certification arguments (seeds below the least fixed point
   converge to exactly it; uncertified seeds trigger the same
   cold-replay detection as the Python path);
-* oracle/debug modes (``warm_start != "certified"``,
-  ``dominance="verify"``, ``dyn_fill_strategy="exact"``) fall back to
-  the Python path entirely -- their whole point is exercising the
-  reference semantics.
+* ``dyn_fill_strategy="exact"``, which the kernels do not implement,
+  runs on the Python path entirely.
 
 The extension is an *optional* build (the ``repro[native]`` extra,
 which needs a C toolchain and nothing else): the library probes it
-through :func:`native_or_none`, and :func:`require_backend` turns its
+through :func:`native_or_none`, and :func:`require_native` turns its
 absence into an actionable error at context construction instead of a
 deep ImportError mid-analysis.  Neither the Python backend nor the
-compiled one imports numpy.  :data:`BACKEND_REGISTRY` is the single
-source of truth for the legal ``AnalysisOptions.backend`` values -- the
-CLI ``--backend`` choices and the context's validation error both
-derive from it.
+compiled one imports numpy.  :data:`BACKEND_MODES` lists the legal
+``AnalysisOptions.backend`` values -- the CLI ``--backend`` choices and
+the context's validation error both derive from it.
 """
 
 from __future__ import annotations
@@ -90,14 +87,14 @@ def require_native():
     """Return ``repro._native`` or raise an actionable :class:`RuntimeError`.
 
     Called once per :class:`~repro.analysis.context.AnalysisContext`
-    construction when ``backend`` is ``"native"`` or ``"verify"`` -- the
-    failure happens eagerly, at the one place the user chose the
-    backend, not deep inside an analysis.
+    construction when ``backend`` is ``"native"`` -- the failure happens
+    eagerly, at the one place the user chose the backend, not deep
+    inside an analysis.
     """
     native = native_or_none()
     if native is None:
         raise RuntimeError(
-            'AnalysisOptions.backend="native" (and "verify") requires the '
+            'AnalysisOptions.backend="native" requires the '
             "compiled repro._native extension, which is built by the "
             "optional 'pip install repro[native]' extra (a C toolchain is "
             'needed at install time); without it choose backend="python".'
@@ -105,64 +102,25 @@ def require_native():
     return native
 
 
-def _always_available():
-    return True
+#: Legal values of ``AnalysisOptions.backend`` (re-exported by
+#: :mod:`repro.analysis.holistic`).
+BACKEND_MODES = ("python", "native")
 
-
-def _native_available():
-    return native_or_none() is not None
-
-
-#: The single source of truth for ``AnalysisOptions.backend``: mode ->
-#: (one-line description, availability probe, eager requirement check).
-#: The CLI ``--backend`` choices, the context validation error and the
-#: docs' backend ladder all derive from this mapping -- a new backend
-#: appears exactly once, here.
-BACKEND_REGISTRY = {
-    "python": {
-        "description": "pure-Python scalar oracle (always available)",
-        "available": _always_available,
-        "require": lambda: None,
-    },
-    "native": {
-        "description": "compiled C fix-point kernels (repro[native] extra)",
-        "available": _native_available,
-        "require": require_native,
-    },
-    "verify": {
-        "description": (
-            "run the Python oracle and the compiled kernels and count "
-            "divergences (repro[native] extra)"
-        ),
-        "available": _native_available,
-        "require": require_native,
-    },
+_BACKEND_DESCRIPTIONS = {
+    "python": "pure-Python scalar oracle (always available)",
+    "native": "compiled C fix-point kernels (repro[native] extra)",
 }
-
-#: Legal values of ``AnalysisOptions.backend``, in registry order
-#: (re-exported by :mod:`repro.analysis.holistic`).
-BACKEND_MODES = tuple(BACKEND_REGISTRY)
 
 
 def describe_backends() -> str:
-    """One-line availability summary of every registered backend.
+    """One-line availability summary of every backend.
 
     Used by the context's unknown-backend error and the CLI ``--backend``
-    help text, so both always list exactly the registry.
+    help text, so both always list exactly :data:`BACKEND_MODES`.
     """
     parts = []
-    for name, spec in BACKEND_REGISTRY.items():
-        state = "available" if spec["available"]() else "not installed"
-        parts.append(f'"{name}" ({spec["description"]}; {state})')
+    for name in BACKEND_MODES:
+        available = name == "python" or native_or_none() is not None
+        state = "available" if available else "not installed"
+        parts.append(f'"{name}" ({_BACKEND_DESCRIPTIONS[name]}; {state})')
     return ", ".join(parts)
-
-
-def require_backend(backend: str):
-    """Eagerly check that *backend* is usable; raise otherwise.
-
-    ``KeyError``-free: unknown names are the caller's
-    :class:`~repro.errors.ConfigurationError` (validated against
-    :data:`BACKEND_MODES` first); known-but-uninstalled backends raise
-    the registry's actionable :class:`RuntimeError`.
-    """
-    BACKEND_REGISTRY[backend]["require"]()

@@ -48,6 +48,7 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.availability import NodeAvailability, wrap_busy_intervals
 from repro.analysis.dyn import seeded_busy_window as _dyn_busy_window
+from repro.analysis.fill import FILL_STRATEGIES
 from repro.analysis.fps import hp_tasks, seeded_busy_window as _fps_busy_window
 from repro.analysis.priorities import critical_path_priorities
 from repro.analysis.scheduler import SchedulePlan
@@ -119,13 +120,19 @@ class _DynView:
         )
 
 
-def _lru_insert(cache: OrderedDict, key, value, bound) -> None:
-    """Insert under an LRU bound; ``None`` = unbounded, ``0`` = no retention."""
+#: LRU bounds of the context caches: schedule artifacts (and the
+#: compiled backend's group plans that pack them), the per-structure
+#: derivations, and the validation memo.
+_MAX_SCHEDULE_ENTRIES = 64
+_MAX_STRUCTURE_ENTRIES = 64
+_MAX_VALIDATION_ENTRIES = 4096
+
+
+def _lru_insert(cache: OrderedDict, key, value, bound: int) -> None:
+    """Insert, evicting the least recently used entries beyond *bound*."""
     cache[key] = value
-    if bound is not None:
-        limit = max(bound, 0)
-        while len(cache) > limit:
-            cache.popitem(last=False)
+    while len(cache) > bound:
+        cache.popitem(last=False)
 
 
 class AnalysisContext:
@@ -139,47 +146,31 @@ class AnalysisContext:
     incremental instead of from-scratch.
     """
 
-    def __init__(
-        self,
-        system: System,
-        options=None,
-        max_schedule_entries: int = 64,
-        max_structure_entries: int = 64,
-        max_validation_entries: int = 4096,
-    ):
-        from repro.analysis.holistic import (
-            AnalysisOptions,
+    def __init__(self, system: System, options=None):
+        from repro.analysis.backend import (
             BACKEND_MODES,
-            DOMINANCE_MODES,
-            WARM_START_MODES,
-            analysis_cap_base,
+            describe_backends,
+            require_native,
         )
+        from repro.analysis.holistic import AnalysisOptions, analysis_cap_base
 
         self.system = system
         self.options = options or AnalysisOptions()
-        if self.options.warm_start not in WARM_START_MODES:
-            raise ConfigurationError(
-                f"unknown warm_start mode {self.options.warm_start!r}; "
-                f"choose from {WARM_START_MODES}"
-            )
-        if self.options.dominance not in DOMINANCE_MODES:
-            raise ConfigurationError(
-                f"unknown dominance mode {self.options.dominance!r}; "
-                f"choose from {DOMINANCE_MODES}"
-            )
         if self.options.backend not in BACKEND_MODES:
-            from repro.analysis.backend import describe_backends
-
             raise ConfigurationError(
                 f"unknown backend {self.options.backend!r}; "
                 f"choose from {describe_backends()}"
             )
         # Fail at the one place the backend was chosen, not deep inside
-        # an analysis -- the registry knows the compiled backend's
-        # optional extra (repro[native]).
-        from repro.analysis.backend import require_backend
-
-        require_backend(self.options.backend)
+        # an analysis.
+        if self.options.backend == "native":
+            require_native()
+        if self.options.dyn_fill_strategy not in FILL_STRATEGIES:
+            raise ConfigurationError(
+                "unknown dyn_fill_strategy "
+                f"{self.options.dyn_fill_strategy!r}; "
+                f"choose from {FILL_STRATEGIES}"
+            )
         fault_k = self.options.fault_hypothesis
         if fault_k is not None and (
             isinstance(fault_k, bool)
@@ -193,27 +184,6 @@ class AnalysisContext:
             )
         #: k of the k-error fault hypothesis (0 = clean channel).
         self._fault_k = fault_k or 0
-        self.max_schedule_entries = max_schedule_entries
-        self.max_structure_entries = max_structure_entries
-        self.max_validation_entries = max_validation_entries
-        #: Divergences caught by the ``warm_start="verify"`` debug mode:
-        #: sweep points where the certified fast path produced a
-        #: different result than the canonical cold oracle (provably
-        #: impossible -- the counter exists to let tests and debug runs
-        #: assert exactly that).
-        self.warm_start_divergences = 0
-        #: Divergences caught by the ``dominance="verify"`` debug mode:
-        #: FPS maximisations where the dominance-elided instant set
-        #: produced a different (value, converged) pair than the full
-        #: maximisation (provably impossible -- same contract as
-        #: :attr:`warm_start_divergences`).
-        self.dominance_divergences = 0
-        #: Divergences caught by the ``backend="verify"`` debug mode:
-        #: analyses where the compiled native kernels produced a
-        #: different result than the Python oracle (contractually always
-        #: 0 -- the counter exists so tests and debug sweeps can assert
-        #: exactly that).
-        self.backend_divergences = 0
         app = system.application
         self.app = app
 
@@ -365,7 +335,7 @@ class AnalysisContext:
                 for m in self.dyn_messages
             }
             entry = (cts, minislots, largest_of_sender)
-            _lru_insert(self._ct_cache, key, entry, self.max_structure_entries)
+            _lru_insert(self._ct_cache, key, entry, _MAX_STRUCTURE_ENTRIES)
         return entry
 
     def _priorities(self, config: FlexRayConfig) -> Dict[str, int]:
@@ -375,7 +345,7 @@ class AnalysisContext:
         if prio is None:
             prio = critical_path_priorities(self.app, config)
             _lru_insert(
-                self._priorities_cache, key, prio, self.max_structure_entries
+                self._priorities_cache, key, prio, _MAX_STRUCTURE_ENTRIES
             )
         return prio
 
@@ -393,7 +363,7 @@ class AnalysisContext:
             plan = SchedulePlan(
                 self.system, self.options.schedule, self._priorities(config)
             )
-            _lru_insert(self._plan_cache, key, plan, self.max_structure_entries)
+            _lru_insert(self._plan_cache, key, plan, _MAX_STRUCTURE_ENTRIES)
         return plan
 
     def _validate(self, config: FlexRayConfig):
@@ -429,7 +399,7 @@ class AnalysisContext:
                 if floor is None or n < floor:
                     self._valid_floor[floor_key] = n
         _lru_insert(
-            self._valid_cache, key, failure, self.max_validation_entries
+            self._valid_cache, key, failure, _MAX_VALIDATION_ENTRIES
         )
         return failure
 
@@ -492,7 +462,7 @@ class AnalysisContext:
                 static_wcrt=static_wcrt,
                 availability=availability,
             )
-        _lru_insert(self._schedule_cache, key, entry, self.max_schedule_entries)
+        _lru_insert(self._schedule_cache, key, entry, _MAX_SCHEDULE_ENTRIES)
         return entry
 
     def structure_key(self, config: FlexRayConfig) -> tuple:
@@ -552,7 +522,7 @@ class AnalysisContext:
                 f, tuple(hp_rows), tuple(lf_rows), f - 1, tuple(input_names)
             )
         _lru_insert(
-            self._structure_cache, key, structure, self.max_structure_entries
+            self._structure_cache, key, structure, _MAX_STRUCTURE_ENTRIES
         )
         return structure
 
@@ -582,7 +552,7 @@ class AnalysisContext:
                     out.setdefault(inp, []).append(plan.name)
         deps = {name: tuple(v) for name, v in out.items()}
         _lru_insert(
-            self._structure_cache, key, deps, self.max_structure_entries
+            self._structure_cache, key, deps, _MAX_STRUCTURE_ENTRIES
         )
         return deps
 
@@ -604,7 +574,7 @@ class AnalysisContext:
                 self._backend_structures,
                 key,
                 template,
-                self.max_structure_entries,
+                _MAX_STRUCTURE_ENTRIES,
             )
         else:
             self._backend_structures.move_to_end(key)
@@ -707,16 +677,23 @@ class AnalysisContext:
         """Full scheduling + holistic analysis of one configuration.
 
         Bit-identical to :func:`repro.analysis.holistic.analyse_system`
-        run without a context; see the module docstring for what is
-        shared between calls.  ``options.warm_start`` selects the fix
-        point trajectory: the certified fast path (default), the fully
-        cold oracle, or the verify cross-check; ``options.backend``
-        selects the evaluation backend (see
+        run without a context, and to :meth:`analyse_cold`; see the
+        module docstring for what is shared between calls.
+        ``options.backend`` selects the evaluation backend (see
         :class:`~repro.analysis.holistic.AnalysisOptions`).
         """
-        if self.options.backend != "python":
+        if self.options.backend == "native":
             return self.analyse_batch([config])[0]
         return self._analyse_python(config)
+
+    def analyse_cold(self, config: FlexRayConfig):
+        """The fully cold oracle the certified path is checked against.
+
+        Python kernels whatever the backend, with no inner seeds, no
+        instant pruning and no dominance elision; bit-identical to
+        :meth:`analyse`, only slower.
+        """
+        return self._analyse_python(config, certified=False)
 
     def analyse_batch(self, configs) -> list:
         """Analyse a list of configurations under ``options.backend``.
@@ -726,55 +703,13 @@ class AnalysisContext:
         exactly the per-candidate loop; with ``backend="native"`` the
         feasible candidates are grouped by (schedule key, DYN structure
         key) and each group runs on the compiled kernels
-        (:func:`repro.analysis.backend.native.run_group_native`);
-        ``backend="verify"`` runs both, counts mismatches in
-        :attr:`backend_divergences` and returns the Python results.
+        (:func:`repro.analysis.backend.native.run_group_native`).
         Result lists are ordered like *configs* and bit-identical across
         backends.
         """
-        backend = self.options.backend
-        if backend == "python":
-            return [self._analyse_python(c) for c in configs]
-        if backend == "native":
+        if self.options.backend == "native":
             return self._analyse_native_batch(configs)
-        # "verify": the Python oracle versus the compiled kernels,
-        # mismatches counted per analysis.
-        python_results = [self._analyse_python(c) for c in configs]
-        for native_result, python_result in zip(
-            self._analyse_native_batch(configs), python_results
-        ):
-            if self._result_signature(
-                native_result
-            ) != self._result_signature(python_result):
-                self.backend_divergences += 1
-        return python_results
-
-    @staticmethod
-    def _result_signature(result) -> tuple:
-        """Everything the bit-identity contract covers, as a plain tuple."""
-        return (
-            result.feasible,
-            result.schedulable,
-            result.converged,
-            result.failure,
-            result.cost,
-            tuple(result.wcrt.items()),
-        )
-
-    def _backend_gated(self) -> bool:
-        """True when a batch must run the Python path per candidate.
-
-        Oracle/debug modes (``warm_start != "certified"``,
-        ``dominance="verify"``, ``dyn_fill_strategy="exact"``) exist to
-        exercise the reference semantics, so the compiled backend stands
-        down for them entirely.
-        """
-        options = self.options
-        return (
-            options.warm_start != "certified"
-            or options.dominance == "verify"
-            or options.dyn_fill_strategy != "bound"
-        )
+        return [self._analyse_python(c) for c in configs]
 
     def _analyse_native_batch(self, configs) -> list:
         """The compiled-kernel path of :meth:`analyse_batch`.
@@ -788,7 +723,8 @@ class AnalysisContext:
         outside int64 and single lanes that overflowed int64 in the
         kernel back to the Python oracle (:meth:`_analyse_fetched`).
         """
-        if self._backend_gated():
+        if self.options.dyn_fill_strategy != "bound":
+            # The kernels implement the polynomial fill bound only.
             return [self._analyse_python(c) for c in configs]
         from repro.analysis.backend.arrays import GroupPlan
         from repro.analysis.backend.native import run_group_native
@@ -815,7 +751,7 @@ class AnalysisContext:
             if plan is None:
                 plan = GroupPlan(self, configs[indices[0]], arts)
                 _lru_insert(
-                    self._backend_plans, key, plan, self.max_schedule_entries
+                    self._backend_plans, key, plan, _MAX_SCHEDULE_ENTRIES
                 )
             else:
                 self._backend_plans.move_to_end(key)
@@ -826,7 +762,7 @@ class AnalysisContext:
                 results[i] = result
         return results
 
-    def _analyse_python(self, config: FlexRayConfig):
+    def _analyse_python(self, config: FlexRayConfig, certified: bool = True):
         """The pure-Python analysis (reference semantics of every backend)."""
         from repro.analysis.holistic import _infeasible
 
@@ -837,9 +773,14 @@ class AnalysisContext:
         arts = self._schedule_artifacts(config)
         if arts.failure is not None:
             return _infeasible(config, arts.failure)
-        return self._analyse_fetched(config, arts)
+        return self._analyse_fetched(config, arts, certified)
 
-    def _analyse_fetched(self, config: FlexRayConfig, arts: _ScheduleArtifacts):
+    def _analyse_fetched(
+        self,
+        config: FlexRayConfig,
+        arts: _ScheduleArtifacts,
+        certified: bool = True,
+    ):
         """The oracle on a validated configuration and its fetched
         schedule artifacts -- the Python path past validation and the
         schedule fetch, and where the compiled backend delegates the
@@ -849,27 +790,9 @@ class AnalysisContext:
         gd_cycle = config.gd_cycle
         cap = options.cap_factor * (cap_base if cap_base > gd_cycle else gd_cycle)
         dyn_views = self._dyn_views(config)
-
-        # --- holistic fix point ---------------------------------------
-        mode = options.warm_start
-        if mode == "certified":
-            # The default: the certified trajectory.
-            wcrt, converged = self._fix_point(config, arts, dyn_views, cap)
-        elif mode == "off":
-            # The fully cold oracle the certified path is checked
-            # against: no inner seeds, no instant pruning.
-            wcrt, converged = self._fix_point(
-                config, arts, dyn_views, cap, certified=False
-            )
-        else:  # "verify": certified fast path versus the cold oracle
-            fast_wcrt, fast_converged = self._fix_point(
-                config, arts, dyn_views, cap
-            )
-            wcrt, converged = self._fix_point(
-                config, arts, dyn_views, cap, certified=False
-            )
-            if (fast_wcrt, fast_converged) != (wcrt, converged):
-                self.warm_start_divergences += 1
+        wcrt, converged = self._fix_point(
+            config, arts, dyn_views, cap, certified
+        )
         return self._result(config, arts, wcrt, converged)
 
     def _result(self, config: FlexRayConfig, arts: _ScheduleArtifacts,
@@ -917,8 +840,8 @@ class AnalysisContext:
         whose incremental per-instant bound is also enabled here).
 
         ``certified=False`` is the fully cold oracle the fast path is
-        verified against: same bottom start, but no inner seeds and no
-        instant pruning.
+        verified against: same bottom start, but no inner seeds, no
+        instant pruning and no dominance elision.
 
         Both walk DYN messages and FPS tasks in one Gauss-Seidel pass in
         precedence order (``_eval_order``), so a task -> message -> task
@@ -950,15 +873,11 @@ class AnalysisContext:
                     wcrt[name] = inflated if inflated < cap else cap
         jitters: Dict[str, int] = {}
         inner_seeds: Dict[str, object] = {}
-        # Pattern-level dominance (cache layer 3, riding layer 2's
-        # NodeAvailability objects): the elided
-        # instant sets live on the cached NodeAvailability objects, so
-        # they ride the per-static-segment schedule cache -- a pure-DYN
-        # sweep builds them once for the whole sweep.  The cold oracle
-        # (``certified=False``) disables dominance along with every
-        # other accelerator, whatever the option says.
-        dominance = certified and options.dominance == "on"
-        dominance_verify = certified and options.dominance == "verify"
+        # Pattern-level dominance (cache layer 3) rides with
+        # ``certified``: the elided instant sets live on the cached
+        # NodeAvailability objects, so they ride the per-static-segment
+        # schedule cache -- a pure-DYN sweep builds them once for the
+        # whole sweep.
         wcrt_get = wcrt.get
         jitters_get = jitters.get
         seeds_get = inner_seeds.get
@@ -1026,28 +945,8 @@ class AnalysisContext:
                             j,
                             seeds_get(name) if certified else None,
                             certified,
-                            dominance,
+                            certified,
                         )
-                        if dominance_verify:
-                            # Force-build the tables (bypassing the lazy
-                            # amortisation threshold): verify must
-                            # actually run both ways from the first
-                            # maximisation, not compare the full path
-                            # with itself.
-                            node_availability.dominance_tables()
-                            elided, elided_ok, _ = _fps_busy_window(
-                                act.wcet,
-                                act.interferers,
-                                node_availability,
-                                jitters,
-                                cap,
-                                j,
-                                seeds_get(name) if certified else None,
-                                certified,
-                                True,
-                            )
-                            if (elided, elided_ok) != (w, ok):
-                                self.dominance_divergences += 1
                         if certified:
                             inner_seeds[name] = demands
                     elif act.sendable:

@@ -28,15 +28,8 @@ from repro.core.cost import CostBreakdown
 from repro.model.system import System
 
 
-#: Legal values of :attr:`AnalysisOptions.warm_start`.
-WARM_START_MODES = ("certified", "off", "verify")
-
-#: Legal values of :attr:`AnalysisOptions.dominance`.
-DOMINANCE_MODES = ("on", "off", "verify")
-
-#: Legal values of :attr:`AnalysisOptions.backend`, re-exported from the
-#: backend registry (:data:`repro.analysis.backend.BACKEND_REGISTRY`) so
-#: a new backend appears in exactly one place.
+#: Legal values of :attr:`AnalysisOptions.backend`, re-exported from
+#: :mod:`repro.analysis.backend` so a backend is named in one place.
 from repro.analysis.backend import BACKEND_MODES  # noqa: E402
 
 
@@ -62,54 +55,6 @@ class AnalysisOptions:
     #: Filled-cycle computation for DYN messages: "bound" (polynomial)
     #: or "exact" (bin-covering search; tighter, slower).
     dyn_fill_strategy: str = "bound"
-    #: Warm starting of the holistic fix point:
-    #:
-    #: * ``"certified"`` (default) -- the third-generation fast path.
-    #:   The *outer* Kleene iteration is seeded from the configuration's
-    #:   own static-only state (the bottom element of the lattice, hence
-    #:   a provable lower bound of the least fixed point), the *inner*
-    #:   busy-window recurrences warm-start from certified lower-bound
-    #:   seeds (:func:`repro.analysis.fps.seeded_busy_window`,
-    #:   :func:`repro.analysis.dyn.seeded_busy_window`), and the FPS
-    #:   maximisation prunes critical instants through the incremental
-    #:   per-instant bound.  Every ingredient is provably bit-identical
-    #:   to the cold reference trajectory, which is why this mode is
-    #:   default-on (and regression-locked to ``"off"`` over the full
-    #:   bench sweep, adversarial points included).
-    #: * ``"off"`` -- the fully cold oracle: no inner seeds, no instant
-    #:   pruning, no outer state.  Slowest; exists as the reference
-    #:   semantics the certified path is checked against.
-    #: * ``"verify"`` -- debug mode: run the certified fast path *and*
-    #:   the cold oracle, count divergences on the owning
-    #:   :class:`~repro.analysis.context.AnalysisContext` (provably
-    #:   always 0), and return the cold result.
-    warm_start: str = "certified"
-    #: Pattern-level dominance elision of FPS critical instants
-    #: (the engine's newest cache layer; see ``docs/ANALYSIS.md``):
-    #:
-    #: * ``"on"`` (default) -- the FPS maximisation iterates only the
-    #:   availability pattern's *maximal* instants; dominated instants
-    #:   are elided against a cached per-pattern witness table
-    #:   (:meth:`repro.analysis.availability.NodeAvailability.dominance_tables`,
-    #:   built lazily on first maximisation).  Provably bit-identical to
-    #:   ``"off"``: elision is value- and cap-exact by pointwise
-    #:   dominance of the window maps, and the convergence flag is
-    #:   certified by the same activation-count guard as the
-    #:   per-instant bound (with an automatic no-dominance replay in
-    #:   the near-cap regime where the guard cannot certify it).
-    #: * ``"off"`` -- every critical instant is evaluated (modulo the
-    #:   per-instant bound, which ``warm_start`` controls); the oracle
-    #:   the dominance path is fuzzed and regression-locked against.
-    #: * ``"verify"`` -- debug mode: run every FPS maximisation both
-    #:   ways, count divergences on the owning
-    #:   :class:`~repro.analysis.context.AnalysisContext`
-    #:   (``dominance_divergences``, provably always 0), and return the
-    #:   full-maximisation result.
-    #:
-    #: ``warm_start="off"`` (the fully cold oracle) disables dominance
-    #: along with every other certified accelerator, whatever this
-    #: field says.
-    dominance: str = "on"
     #: Evaluation backend of the holistic fix point:
     #:
     #: * ``"python"`` (default) -- the pure-Python kernels; the
@@ -124,18 +69,10 @@ class AnalysisOptions:
     #:   bit-identical to ``"python"`` by contract: checked int64
     #:   arithmetic, the Python oracle for any lane that would overflow
     #:   it (and for groups with a fully busy node or an input outside
-    #:   int64), and the Python path outright for the oracle/debug modes
-    #:   (``warm_start != "certified"``, ``dominance="verify"``,
-    #:   ``dyn_fill_strategy="exact"``) whose whole point is staying on
-    #:   the reference path.  Selecting it without the compiled module
-    #:   raises a :class:`RuntimeError` naming the ``repro[native]``
-    #:   extra.
-    #: * ``"verify"`` -- debug mode: run every analysis on the Python
-    #:   oracle and on the compiled kernels (so it needs the extension
-    #:   too), count divergences on the owning
-    #:   :class:`~repro.analysis.context.AnalysisContext`
-    #:   (``backend_divergences``, contractually always 0) and return
-    #:   the Python result.
+    #:   int64), and the Python path outright for
+    #:   ``dyn_fill_strategy="exact"``, which the kernels do not
+    #:   implement.  Selecting it without the compiled module raises a
+    #:   :class:`RuntimeError` naming the ``repro[native]`` extra.
     backend: str = "python"
     #: k-error fault hypothesis: ``None`` (default) analyses the clean
     #: channel; an integer ``k >= 0`` charges up to *k* corrupted
@@ -232,17 +169,6 @@ def analyse_system(
     ):
         context = AnalysisContext(system, options)
     return context.analyse(config)
-
-
-def _ancestor_sets(app) -> Dict[str, frozenset]:
-    """Transitive predecessors of every activity within its graph.
-
-    Kept as an alias of :func:`repro.analysis.context.ancestor_sets`,
-    which the incremental analysis engine computes once per system.
-    """
-    from repro.analysis.context import ancestor_sets
-
-    return ancestor_sets(app)
 
 
 def _infeasible(config: FlexRayConfig, reason: str) -> AnalysisResult:

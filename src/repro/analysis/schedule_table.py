@@ -233,9 +233,6 @@ class ScheduleTable:
         clone._frame_used = dict(self._frame_used)
         return clone
 
-    #: Backwards-compatible alias (PR 1 name).
-    clone_for = retime_for
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

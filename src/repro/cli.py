@@ -299,10 +299,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    # Choices and help both derive from the one backend registry
-    # (repro.analysis.backend.BACKEND_REGISTRY), so a new backend shows
-    # up here -- with its availability on this interpreter -- without
-    # touching the CLI.
+    # Choices and help both derive from repro.analysis.backend, so the
+    # help shows each backend's availability on this interpreter.
     parser.add_argument(
         "--backend",
         choices=BACKEND_MODES,

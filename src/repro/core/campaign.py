@@ -435,8 +435,8 @@ def _options_fingerprint(options: Optional[StrategyOptions]) -> str:
     pinned byte-identical serial vs. parallel, so resuming a shard on a
     host with a different ``--workers`` must *keep* its checkpoints.
     ``analysis.backend`` is normalised out for the same reason: the
-    compiled backend is pinned bit-identical to the Python oracle (and
-    ``"verify"`` *asserts* that per analysis), so a campaign may resume
+    compiled backend is pinned bit-identical to the Python oracle (the
+    test suite compares the two directly), so a campaign may resume
     under a different backend -- e.g. shards first run on a host without
     the extension -- without discarding its checkpoints.  (``obc_chunk_size``
     and ``max_cache_entries`` stay in: chunking can evaluate extra

@@ -52,9 +52,8 @@ SERVICE_FORMAT_VERSION = 1
 
 #: The :class:`~repro.analysis.holistic.AnalysisOptions` fields the
 #: service protocol exposes.  Deliberately a subset: the remaining
-#: knobs (warm start, dominance, caps) are certified bit-identical to
-#: their defaults, so a network API that accepted them would only
-#: offer ways to get the same answers slower.
+#: knobs (schedule options, iteration limit, cap factor, fill strategy)
+#: stay at their defaults, the settings every optimiser runs with.
 ANALYSIS_OPTION_FIELDS = ("backend", "fault_hypothesis")
 
 

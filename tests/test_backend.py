@@ -1,4 +1,4 @@
-"""The compiled backend contract: bit identity, verify mode, extras.
+"""The compiled backend contract: bit identity and the optional extra.
 
 ``AnalysisOptions.backend="native"`` lowers each system's invariants
 into int tables once per group and runs every candidate's holistic fix
@@ -6,9 +6,9 @@ point inside the compiled ``repro._native`` C extension
 (:mod:`repro.analysis.backend`).  Its *entire* contract is "same
 answers, faster": these tests pin bit identity with the Python oracle
 at every observable level -- full analysis results over fuzzed systems
-(including fault hypotheses ``k in {0, 1, 2}``) and every
-``warm_start`` x ``dominance`` mode, the groups delegated back to the
-oracle, the ``"verify"`` cross-check counter, optimiser traces with
+(including fault hypotheses ``k in {0, 1, 2}``), the certified and cold
+Python paths with dominance tables built eagerly, lazily or never, the
+groups delegated back to the oracle, optimiser traces with
 their evaluation and cache-hit accounting, and the pre-refactor legacy
 trace fixtures byte-for-byte -- plus the packaging contract: the
 extension is the optional ``repro[native]`` extra, selecting it
@@ -29,13 +29,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext
+from repro.analysis import context as context_module
 from repro.analysis.backend import native_or_none
 from repro.analysis.scheduler import SchedulePlan
-from repro.analysis.holistic import (
-    AnalysisOptions,
-    DOMINANCE_MODES,
-    WARM_START_MODES,
-)
+from repro.analysis.holistic import AnalysisOptions
 from repro.core import optimise_bbc, optimise_obc
 from repro.core.bbc import basic_configuration
 from repro.core.campaign import (
@@ -162,7 +159,7 @@ class TestNumpyExtra:
             AnalysisContext(fig3_system(), AnalysisOptions(backend="numpy"))
         message = str(exc.value)
         assert "unknown backend 'numpy'" in message
-        for backend in ("python", "native", "verify"):
+        for backend in ("python", "native"):
             assert f'"{backend}"' in message
 
     def test_unknown_backend_rejected(self):
@@ -177,18 +174,14 @@ class TestNativeExtra:
     def test_native_backend_without_extension_is_actionable(
         self, monkeypatch
     ):
-        """Selecting the compiled backend (or the verify mode that runs
-        it) on a build that never produced the extension fails eagerly
-        -- at context construction -- with an error naming the
-        ``repro[native]`` extra."""
+        """Selecting the compiled backend on a build that never
+        produced the extension fails eagerly -- at context construction
+        -- with an error naming the ``repro[native]`` extra."""
         monkeypatch.setattr("repro.analysis.backend._native_module", None)
-        for backend in ("native", "verify"):
-            with pytest.raises(RuntimeError) as exc:
-                AnalysisContext(
-                    fig3_system(), AnalysisOptions(backend=backend)
-                )
-            assert "repro[native]" in str(exc.value)
-            assert "pip install" in str(exc.value)
+        with pytest.raises(RuntimeError) as exc:
+            AnalysisContext(fig3_system(), AnalysisOptions(backend="native"))
+        assert "repro[native]" in str(exc.value)
+        assert "pip install" in str(exc.value)
 
 
 # ----------------------------------------------------------------------
@@ -231,26 +224,26 @@ class TestBitIdentity:
         ).analyse_batch(configs)
         assert _result_docs(native) == _result_docs(python)
 
-    @pytest.mark.parametrize("warm_start", WARM_START_MODES)
-    @pytest.mark.parametrize("dominance", DOMINANCE_MODES)
-    def test_native_matches_python_in_every_mode(self, warm_start, dominance):
-        """Oracle/debug modes route the native backend onto the Python
-        path by design; certified modes run the C kernels -- either way
-        the answers are identical and the divergence counters stay 0."""
+    @pytest.mark.parametrize(
+        "dominance", [None, "eager_dominance", "no_dominance"]
+    )
+    def test_native_matches_python_and_cold_oracle(self, dominance, request):
+        """The C kernels, the certified Python path and the cold Python
+        oracle give identical answers, whether the Python path builds
+        its dominance tables lazily (the default), eagerly or never."""
+        if dominance is not None:
+            request.getfixturevalue(dominance)
         system = fig4_system()
         configs = _sweep_configs(system, 6)
-        results = {}
-        for backend in ("python", "native"):
-            options = AnalysisOptions(
-                backend=backend, warm_start=warm_start, dominance=dominance
-            )
-            context = AnalysisContext(system, options)
-            results[backend] = context.analyse_batch(configs)
-            assert context.warm_start_divergences == 0
-            assert context.dominance_divergences == 0
-        assert _result_docs(results["native"]) == _result_docs(
-            results["python"]
+        python_ctx = AnalysisContext(system)
+        python = _result_docs(python_ctx.analyse_batch(configs))
+        cold = _result_docs([python_ctx.analyse_cold(c) for c in configs])
+        native = _result_docs(
+            AnalysisContext(
+                system, AnalysisOptions(backend="native")
+            ).analyse_batch(configs)
         )
+        assert native == python == cold
 
     @pytest.mark.parametrize(
         "system",
@@ -353,16 +346,15 @@ class TestBitIdentity:
 
     @given(small_system())
     @settings(max_examples=15, deadline=None)
-    def test_verify_mode_counts_zero_divergences(self, system):
-        """``backend="verify"`` runs the oracle and the compiled kernels
-        per analysis and counts mismatches -- contractually always
-        zero."""
+    def test_native_analyse_matches_python_per_candidate(self, system):
+        """``analyse`` on the native backend (one-candidate groups, the
+        cached group plans reused across calls) equals the Python
+        oracle analysis by analysis."""
         configs = _sweep_configs(system, 5)
-        context = AnalysisContext(system, AnalysisOptions(backend="verify"))
-        verified = context.analyse_batch(configs)
-        assert context.backend_divergences == 0
+        context = AnalysisContext(system, AnalysisOptions(backend="native"))
+        native = [context.analyse(c) for c in configs]
         python = AnalysisContext(system).analyse_batch(configs)
-        assert _result_docs(verified) == _result_docs(python)
+        assert _result_docs(native) == _result_docs(python)
 
     def test_wide_batch_replays_each_schedule_once(self, monkeypatch):
         """A sweep wider than the schedule cache, one schedule key per
@@ -373,7 +365,7 @@ class TestBitIdentity:
         configs = _sweep_configs(system, 100)
         context = AnalysisContext(system, AnalysisOptions(backend="native"))
         keys = {context.schedule_key(c) for c in configs}
-        assert len(keys) > context.max_schedule_entries
+        assert len(keys) > context_module._MAX_SCHEDULE_ENTRIES
         replays = []
         original = SchedulePlan.replay
 
@@ -501,7 +493,7 @@ def test_backend_excluded_from_campaign_fingerprint():
                 )
             )
         )
-        for backend in ("python", "native", "verify")
+        for backend in ("python", "native")
     }
     digests.add(_options_fingerprint(base))
     assert len(digests) == 1

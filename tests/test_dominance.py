@@ -16,15 +16,16 @@ it is **bit-identical results**, validated in three layers:
   unpruned oracle for arbitrary patterns, interferers, jitters, seeds
   and caps -- including a deterministic trigger of the near-cap guard
   fallback and a zero-budget construction;
-* the full analysis: ``dominance="on"`` vs. the ``"off"`` oracle across
-  a DYN-length sweep, plus ``"verify"`` asserting zero divergences.
+* the full analysis: eagerly built dominance tables vs. tables never
+  built (the ``eager_dominance`` and ``no_dominance`` fixtures of
+  ``tests/conftest.py``) across a DYN-length sweep.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
-from repro.analysis import AnalysisContext, AnalysisOptions, NodeAvailability
+import repro.analysis.availability as availability_mod
+from repro.analysis import AnalysisContext, NodeAvailability
 from repro.analysis.availability import DominanceTables
 from repro.analysis.fps import (
     MAX_FIXPOINT_ITERATIONS,
@@ -38,7 +39,6 @@ from repro.core.search import (
     min_static_slot,
     sweep_lengths,
 )
-from repro.errors import ConfigurationError
 from repro.synth import paper_suite
 
 
@@ -243,17 +243,15 @@ class TestKernelBitIdentity:
             assert elided == unpruned
 
 
-@pytest.fixture
-def eager_dominance(monkeypatch):
-    """Build dominance tables on the first kernel request.
-
-    The production threshold defers construction past what a short test
-    sweep would ever cross; forcing it to zero makes the elision path
-    demonstrably active in the full-analysis equivalence tests below.
-    """
-    import repro.analysis.availability as availability_mod
-
-    monkeypatch.setattr(availability_mod, "DOMINANCE_LAZY_THRESHOLD", 0)
+def _cached_dominance_tables(ctx):
+    """The dominance tables (``None`` = not built) of every availability
+    pattern in *ctx*'s schedule cache."""
+    return [
+        availability.instant_advance_tables().dominance
+        for entry in ctx._schedule_cache.values()
+        if entry.availability is not None
+        for availability in entry.availability.values()
+    ]
 
 
 class TestAnalysisBitIdentity:
@@ -268,45 +266,23 @@ class TestAnalysisBitIdentity:
             for n in sweep_lengths(lo, hi, n_points)
         ]
 
-    def test_rejects_unknown_mode(self):
-        system, _ = self._sweep(1)
-        with pytest.raises(ConfigurationError):
-            AnalysisContext(system, AnalysisOptions(dominance="maybe"))
-
-    def test_sweep_identical_to_dominance_off(self, eager_dominance):
+    def test_sweep_identical_to_dominance_off(self, no_dominance, monkeypatch):
         system, configs = self._sweep()
-        on_ctx = AnalysisContext(system)  # default: dominance="on"
-        off_ctx = AnalysisContext(system, AnalysisOptions(dominance="off"))
-        for config in configs:
+        off_ctx = AnalysisContext(system)
+        off = [off_ctx.analyse(config) for config in configs]
+        # Now build the tables on the first kernel request (as the
+        # ``eager_dominance`` fixture does), for a fresh context.
+        monkeypatch.setattr(availability_mod, "DOMINANCE_LAZY_THRESHOLD", 0)
+        on_ctx = AnalysisContext(system)
+        for config, oracle in zip(configs, off):
             on = on_ctx.analyse(config)
-            off = off_ctx.analyse(config)
-            assert on.wcrt == off.wcrt, config.describe()
-            assert on.converged == off.converged
-            assert on.schedulable == off.schedulable
-            assert on.feasible == off.feasible
-
-    def test_verify_mode_reports_zero_divergences(self):
-        # Deliberately NOT eager: "verify" must force-build the tables
-        # past the amortisation threshold, or it would compare the full
-        # maximisation with itself and report vacuous zeros.
-        system, configs = self._sweep()
-        verify_ctx = AnalysisContext(
-            system, AnalysisOptions(dominance="verify")
-        )
-        off_ctx = AnalysisContext(system, AnalysisOptions(dominance="off"))
-        for config in configs:
-            checked = verify_ctx.analyse(config)
-            oracle = off_ctx.analyse(config)
-            assert checked.wcrt == oracle.wcrt
-            assert checked.converged == oracle.converged
-        assert verify_ctx.dominance_divergences == 0
-        # The cross-check really ran the elided path: the dominance
-        # tables of the cached availability patterns were built.
-        built = [
-            availability.instant_advance_tables().dominance
-            for entry in verify_ctx._schedule_cache.values()
-            if entry.availability is not None
-            for availability in entry.availability.values()
-        ]
+            assert on.wcrt == oracle.wcrt, config.describe()
+            assert on.converged == oracle.converged
+            assert on.schedulable == oracle.schedulable
+            assert on.feasible == oracle.feasible
+        # The comparison really ran the elided path against the full
+        # maximisation: only the dominance-on context built tables.
+        built = _cached_dominance_tables(on_ctx)
         assert built and all(dom is not None for dom in built)
         assert any(dom.dominated_order for dom in built)
+        assert all(dom is None for dom in _cached_dominance_tables(off_ctx))

@@ -15,7 +15,7 @@ Two layers:
 * a hypothesis property test over randomised kernels (pruned vs.
   unpruned, seeded and unseeded), plus deterministic edge patterns;
 * byte-identical WCRTs across the bench sweep: the full analysis under
-  the default (pruned) mode against the ``warm_start="off"`` oracle,
+  the default (pruned) path against the ``analyse_cold`` oracle,
   which runs every instant cold -- asserted point-by-point over the
   same OBC/EE sweep the benchmarks measure.
 """
@@ -23,7 +23,7 @@ Two layers:
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.analysis import AnalysisContext, AnalysisOptions, NodeAvailability
+from repro.analysis import AnalysisContext, NodeAvailability
 from repro.analysis.fps import prepped_busy_window, seeded_busy_window
 from repro.core.bbc import basic_configuration
 from repro.core.search import (
@@ -144,11 +144,11 @@ class TestPruningOnBenchSweep:
             basic_configuration(system, n, options)
             for n in sweep_lengths(lo, hi, 64)
         ]
-        pruned_ctx = AnalysisContext(system)  # default: certified + pruned
-        oracle_ctx = AnalysisContext(system, AnalysisOptions(warm_start="off"))
+        pruned_ctx = AnalysisContext(system)
+        oracle_ctx = AnalysisContext(system)
         for config in configs:
             pruned = pruned_ctx.analyse(config)
-            oracle = oracle_ctx.analyse(config)
+            oracle = oracle_ctx.analyse_cold(config)
             assert pruned.wcrt == oracle.wcrt, config.describe()
             assert pruned.converged == oracle.converged
             assert pruned.schedulable == oracle.schedulable

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import AnalysisContext, analyse_system
 from repro.analysis import context as context_module
 from repro.analysis.backend import native_or_none
-from repro.analysis.holistic import AnalysisOptions, WARM_START_MODES
+from repro.analysis.holistic import AnalysisOptions
 from repro.core import GAOptions, SAOptions, optimise_ga, optimise_sa
 from repro.core.bbc import basic_configuration
 from repro.core.config import FlexRayConfig
@@ -31,6 +31,7 @@ from repro.core.search import (
     sweep_lengths,
 )
 from repro.core.strategies import StrategyOptions, optimise
+from repro.errors import ConfigurationError
 from repro.synth import paper_suite
 from repro.synth.suite import paper_system
 
@@ -48,16 +49,14 @@ import random
 
 
 def _result_signature(result):
-    """Everything an optimiser can observe about an analysis outcome."""
+    """Everything the bit-identity contract covers, wcrt order included."""
     return (
         result.feasible,
         result.schedulable,
         result.converged,
         result.failure,
-        None if result.cost is None else (
-            result.cost.value, result.cost.schedulable
-        ),
-        tuple(sorted(result.wcrt.items())),
+        result.cost,
+        tuple(result.wcrt.items()),
     )
 
 
@@ -110,6 +109,16 @@ class TestWarmContextBitIdentical:
         direct = analyse_system(system, config)
         via_wrong = analyse_system(system, config, context=other)
         assert _result_signature(direct) == _result_signature(via_wrong)
+
+
+def test_unknown_fill_strategy_rejected_up_front():
+    """A bad ``dyn_fill_strategy`` fails at context construction, on a
+    system without DYN messages (which never reaches the fill code) as
+    on one with them."""
+    options = AnalysisOptions(dyn_fill_strategy="bogus")
+    for system in (fig3_system(), fig4_system()):
+        with pytest.raises(ConfigurationError, match="dyn_fill_strategy"):
+            AnalysisContext(system, options)
 
 
 class TestEvaluatorCache:
@@ -297,7 +306,7 @@ def analysis_log():
     def logged(ctx, config):
         result = analyse(ctx, config)
         if threading.get_ident() == owner:
-            log.signatures.append(AnalysisContext._result_signature(result))
+            log.signatures.append(_result_signature(result))
         return result
 
     def counted(window):
@@ -390,23 +399,22 @@ class TestEvaluationOrder:
     @given(
         system=small_system(),
         points=st.integers(1, 4),
-        mode=st.sampled_from(WARM_START_MODES),
+        method=st.sampled_from(("analyse", "analyse_cold")),
         fault_k=st.sampled_from((0, 1)),
     )
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_small_systems_match_legacy_order(
-        self, system, points, mode, fault_k
+        self, system, points, method, fault_k
     ):
-        options = AnalysisOptions(warm_start=mode, fault_hypothesis=fault_k)
+        options = AnalysisOptions(fault_hypothesis=fault_k)
         configs = _candidate_configs(system, per_system=points)
         new = AnalysisContext(system, options)
         with legacy_order():
             old = AnalysisContext(system, options)
         for config in configs:
-            assert AnalysisContext._result_signature(
-                new.analyse(config)
-            ) == AnalysisContext._result_signature(old.analyse(config))
-        assert new.warm_start_divergences == old.warm_start_divergences == 0
+            assert _result_signature(
+                getattr(new, method)(config)
+            ) == _result_signature(getattr(old, method)(config))
 
     def test_chain_converges_within_a_budget_the_legacy_order_exceeds(self):
         """The documented difference: with a 3-pass budget the legacy
@@ -441,6 +449,4 @@ class TestEvaluationOrder:
             system, replace(tight, backend="native")
         ).analyse(CHAIN_CONFIG)
         assert native.converged
-        assert AnalysisContext._result_signature(
-            native
-        ) == AnalysisContext._result_signature(python)
+        assert _result_signature(native) == _result_signature(python)

@@ -22,7 +22,7 @@ from repro.core.search import (
 )
 from repro.synth import paper_suite
 
-from tests.util import fig3_system, fig4_system
+from tests.util import fig4_system
 
 
 def _table_fingerprint(table):
@@ -144,9 +144,3 @@ class TestRetimeFor:
             assert entry.slot_start == expected
             if entry.cycle > 0:
                 assert entry.slot_start != original.slot_start
-
-    def test_clone_for_alias_kept(self):
-        system = fig3_system()
-        config = _sweep_configs(system, per_system=1)[0]
-        table = build_schedule(system, config)
-        assert table.clone_for(config).tasks == table.tasks

@@ -1,16 +1,16 @@
-"""Fix-point warm starting: certified inner seeds and outer sweep modes.
+"""Fix-point warm starting: certified inner seeds and the outer sweep.
 
 Two layers, two guarantees:
 
 * the *inner* busy-window warm starts are certified lower-bound seeding
   -- bit-identical to cold by construction, fuzzed here against
   uncertified seeds to exercise the runtime guards;
-* ``warm_start="certified"`` (the default) seeds the outer iteration
-  from the configuration's own static-only state -- a provable lower
-  bound of the least fixed point -- so it is locked byte-identical to
-  the fully cold ``"off"`` oracle, *including* on the adversarial
-  64-point sweep where neighbour seeding was measured to diverge (the
-  retirement regression for the 2/64 counterexample recorded in
+* ``AnalysisContext.analyse`` seeds the outer iteration from the
+  configuration's own static-only state -- a provable lower bound of
+  the least fixed point -- so it is locked byte-identical to the fully
+  cold oracle ``analyse_cold``, *including* on the adversarial 64-point
+  sweep where neighbour seeding was measured to diverge (the retirement
+  regression for the 2/64 counterexample recorded in
   ``docs/ANALYSIS.md``).
 """
 
@@ -35,7 +35,6 @@ from repro.core.search import (
     min_static_slot,
     sweep_lengths,
 )
-from repro.errors import ConfigurationError
 from repro.synth import paper_suite
 
 
@@ -206,7 +205,6 @@ class TestOuterWarmStartModes:
     def test_default_certified_equals_fresh_contexts_fig7_sweep(self):
         from benchmarks.bench_fig7_dyn_length_sweep import build_system
 
-        assert AnalysisOptions().warm_start == "certified"
         system = build_system()
         configs = _sweep(system, points=12)
         warm = AnalysisContext(system)
@@ -214,25 +212,18 @@ class TestOuterWarmStartModes:
             fresh = AnalysisContext(system).analyse(config)
             assert _signature(warm.analyse(config)) == _signature(fresh)
 
-    def test_all_modes_agree_with_cold_on_fig7_sweep(self):
-        """The Fig. 7 workload warm-starts cleanly in every mode."""
+    def test_certified_agrees_with_cold_on_fig7_sweep(self):
+        """The Fig. 7 workload warm-starts cleanly."""
         from benchmarks.bench_fig7_dyn_length_sweep import build_system
 
         system = build_system()
         configs = _sweep(system, points=12)
-        cold = [
-            AnalysisContext(
-                system, AnalysisOptions(warm_start="off")
-            ).analyse(c)
-            for c in configs
+        cold_ctx = AnalysisContext(system)
+        cold = [cold_ctx.analyse_cold(c) for c in configs]
+        ctx = AnalysisContext(system)
+        assert [_signature(ctx.analyse(c)) for c in configs] == [
+            _signature(r) for r in cold
         ]
-        for mode in ("certified", "verify"):
-            ctx = AnalysisContext(system, AnalysisOptions(warm_start=mode))
-            got = [ctx.analyse(c) for c in configs]
-            assert [_signature(r) for r in got] == [
-                _signature(r) for r in cold
-            ]
-            assert ctx.warm_start_divergences == 0
 
     def test_certified_locked_to_cold_on_adversarial_sweep(self):
         """Retirement regression for the 2/64 divergence counterexample.
@@ -250,28 +241,24 @@ class TestOuterWarmStartModes:
             seed=ADVERSARIAL["seed"],
         )[0]
         configs = _sweep(system, points=ADVERSARIAL["points"])
-        cold_ctx = AnalysisContext(system, AnalysisOptions(warm_start="off"))
-        cold = [cold_ctx.analyse(c) for c in configs]
+        cold_ctx = AnalysisContext(system)
+        cold = [_signature(cold_ctx.analyse_cold(c)) for c in configs]
 
-        certified_ctx = AnalysisContext(system)  # the default mode
-        certified = [certified_ctx.analyse(c) for c in configs]
-        assert [_signature(r) for r in certified] == [
-            _signature(r) for r in cold
-        ]
+        certified_ctx = AnalysisContext(system)
+        assert [
+            _signature(certified_ctx.analyse(c)) for c in configs
+        ] == cold
 
-        # "verify" runs both trajectories itself and must count zero
-        # divergences -- the cross-check mode the default is shipped
-        # with.
-        ctx = AnalysisContext(system, AnalysisOptions(warm_start="verify"))
-        verified = [ctx.analyse(c) for c in configs]
-        assert [_signature(r) for r in verified] == [
-            _signature(r) for r in cold
-        ]
-        assert ctx.warm_start_divergences == 0
+        # Both trajectories interleaved on one context, sharing its
+        # cached schedules and availability tables.
+        ctx = AnalysisContext(system)
+        for config, expected in zip(configs, cold):
+            assert _signature(ctx.analyse(config)) == expected
+            assert _signature(ctx.analyse_cold(config)) == expected
 
-    def test_unknown_mode_rejected(self):
-        system = paper_suite(2, count=1, seed=23)[0]
-        # "seed" (the retired neighbour seeding) is unknown like any typo.
-        for mode in ("always", "seed"):
-            with pytest.raises(ConfigurationError, match="warm_start"):
-                AnalysisContext(system, AnalysisOptions(warm_start=mode))
+
+def test_removed_oracle_options_are_type_errors():
+    """The oracles are context methods and test fixtures, not options."""
+    for removed in ("warm_start", "dominance"):
+        with pytest.raises(TypeError):
+            AnalysisOptions(**{removed: "off"})

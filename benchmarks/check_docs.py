@@ -16,7 +16,11 @@ this checker verifies, for every documentation file:
   (side-effect-free) AST scan for the named top-level function, class,
   assignment or ``Class.attribute``;
 * every relative markdown link resolves, and a ``#anchor`` fragment
-  matches a heading slug of the target document.
+  matches a heading slug of the target document;
+* every ``--flag`` of a ``python -m repro <command> ...`` invocation --
+  in an inline code span (which may wrap across lines) or a fenced
+  block (with ``\\`` line continuations) -- is an option string of that
+  subcommand's argparse parser, spelled out in full.
 
 Run directly (``python benchmarks/check_docs.py``) for a report, or let
 ``tests/test_docs.py`` fail tier-1 on the first stale pointer.
@@ -24,7 +28,9 @@ Run directly (``python benchmarks/check_docs.py``) for a report, or let
 
 from __future__ import annotations
 
+import argparse
 import ast
+import functools
 import importlib
 import re
 import sys
@@ -51,6 +57,11 @@ _MOD_SYMBOL = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`"
 )
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_SPAN = re.compile(r"`([^`]+)`")
+_INVOCATION = re.compile(r"python -m repro\s+(.*)")
+#: Shell syntax that ends one command line.
+_COMMAND_END = re.compile(r"\s(?:#|\||&&|;)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
@@ -146,6 +157,45 @@ def _check_mod_symbol(module: str, symbol: str, doc_dir: Path) -> str:
     return _check_dotted(f"{module}.{symbol}")
 
 
+@functools.lru_cache(maxsize=None)
+def _cli_options() -> dict:
+    """Subcommand name -> option strings of its argparse parser."""
+    from repro.cli import build_parser
+
+    options = {}
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                options[name] = set(sub._option_string_actions)
+    return options
+
+
+def _cli_problems(text: str) -> List[str]:
+    """Unknown subcommands and flags in *text*'s ``python -m repro`` lines."""
+    lines = []
+    for block in _FENCE.findall(text):
+        lines.extend(block.replace("\\\n", " ").splitlines())
+    lines.extend(_SPAN.findall(_FENCE.sub("", text)))
+    problems = []
+    for line in lines:
+        match = _INVOCATION.search(" ".join(line.split()))
+        if match is None:
+            continue
+        options = _cli_options()
+        words = _COMMAND_END.split(match.group(1))[0].split()
+        command = words[0] if words else ""
+        if command not in options:
+            problems.append(f"unknown command `python -m repro {command}`")
+            continue
+        for word in words:
+            flag = word.split("=", 1)[0]
+            if flag.startswith("--") and flag not in options[command]:
+                problems.append(
+                    f"`python -m repro {command}` has no flag `{flag}`"
+                )
+    return problems
+
+
 def check_file(path: Path) -> List[str]:
     """Problems found in one documentation file (empty = clean)."""
     problems: List[str] = []
@@ -188,6 +238,8 @@ def check_file(path: Path) -> List[str]:
             slugs = {_slug(h) for h in _HEADING.findall(dest.read_text(encoding="utf-8"))}
             if anchor not in slugs:
                 problems.append(f"{rel}: missing anchor ({target})")
+
+    problems.extend(f"{rel}: {problem}" for problem in _cli_problems(text))
     return problems
 
 

@@ -15,8 +15,8 @@ guarantees:
    Python oracle);
 4. optimisation -- the strategy registry (``repro.core.optimise``
    dispatches any registered strategy by name) on the unified search
-   runtime, serial or parallel, chunked or not, always byte-identical
-   at a fixed seed;
+   runtime, serial or parallel, always byte-identical at a fixed
+   seed;
 5. campaigns -- declarative (system x strategy) job matrices with
    JSON-persisted results and resumable checkpoints;
 6. fault injection -- seeded channel fault models with
@@ -134,21 +134,6 @@ deterministic best-selection.  Strategies dispatch by registry name:
 >>> by_name = optimise(system, "obc-ee", StrategyOptions(bus=small))
 >>> direct = optimise_obc(system, small, method="exhaustive")
 >>> by_name.trace == direct.trace
-True
-
-Fixed options give byte-identical outcomes however the work is
-scheduled -- here: the chunked OBC outer loop must find the same
-optimum as the serial one.
-
->>> import dataclasses
->>> chunked = optimise_obc(
-...     system,
-...     dataclasses.replace(small, obc_chunk_size=3),
-...     method="exhaustive",
-... )
->>> direct.best.config.cache_key() == chunked.best.config.cache_key()
-True
->>> direct.best.cost.value == chunked.best.cost.value
 True
 
 ``OptimisationResult`` carries the audit trail the paper's experiment

@@ -644,32 +644,6 @@ class AnalysisContext:
             (config.gd_cycle,) if self._st_dependent else ()
         )
 
-    def has_schedule_for(self, config: FlexRayConfig) -> bool:
-        """True when the tier-(b) cache already holds *config*'s schedule.
-
-        Lets the parallel evaluation pool decide per candidate whether
-        the worker should ship the (heavy) schedule table back or the
-        parent can cheaply re-attach it from its own cache.
-        """
-        return self.schedule_key(config) in self._schedule_cache
-
-    def schedule_table_for(self, config: FlexRayConfig):
-        """Schedule table of *config*, served from the tier-(b) cache.
-
-        Deterministic rebuild-or-fetch: the parallel evaluation pool
-        ships analysis results without their tables (the table is by far
-        the heaviest part of the pickle) and re-attaches them here;
-        ``None`` when the static segment cannot be scheduled.
-        """
-        arts = self._schedule_artifacts(config)
-        if arts.table is None:
-            return None
-        return (
-            arts.table
-            if arts.table.config is config
-            else arts.table.retime_for(config)
-        )
-
     # ------------------------------------------------------------------
     # the analysis itself
     # ------------------------------------------------------------------

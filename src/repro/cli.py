@@ -277,13 +277,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "results are byte-identical either way)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="OBC outer-loop chunk: static variants raced per "
-        "analyse_many batch (default 1 = exact Fig. 6 loop)",
-    )
-    parser.add_argument(
         "--max-seconds",
         type=float,
         default=None,
@@ -418,14 +411,12 @@ def _runtime_bus_options(args) -> Optional[BusOptimisationOptions]:
     """Evaluator options from the shared runtime flags (None = defaults)."""
     if (
         args.workers is None
-        and args.chunk_size is None
         and args.backend == "python"
         and args.fault_hypothesis is None
     ):
         return None
     return BusOptimisationOptions(
         parallel_workers=args.workers,
-        obc_chunk_size=args.chunk_size if args.chunk_size is not None else 1,
         analysis=AnalysisOptions(
             backend=args.backend, fault_hypothesis=args.fault_hypothesis
         ),

@@ -31,8 +31,7 @@ Public entry points
 :class:`BusOptimisationOptions`
     The shared evaluator/analysis knob record; every field documents
     its default and its determinism guarantee (notably
-    ``parallel_workers``, the opt-in process pool, and
-    ``obc_chunk_size``, the chunked OBC outer loop).
+    ``parallel_workers``, the opt-in process pool).
 :class:`Evaluator`
     The evaluation machinery behind the driver: a warm
     :class:`~repro.analysis.AnalysisContext`, an LRU result cache and

@@ -438,9 +438,8 @@ def _options_fingerprint(options: Optional[StrategyOptions]) -> str:
     compiled backend is pinned bit-identical to the Python oracle (the
     test suite compares the two directly), so a campaign may resume
     under a different backend -- e.g. shards first run on a host without
-    the extension -- without discarding its checkpoints.  (``obc_chunk_size``
-    and ``max_cache_entries`` stay in: chunking can evaluate extra
-    candidates under early stopping, and cache evictions change the
+    the extension -- without discarding its checkpoints.
+    (``max_cache_entries`` stays in: cache evictions change the
     evaluation accounting.)
     """
     if options is not None:

@@ -41,28 +41,6 @@ from repro.errors import AnalysisError
 from repro.model.system import System
 
 
-def ee_sweep_lengths(lo, hi, options, max_points: Optional[int] = None):
-    """The DYN lengths OBC/EE analyses for one static variant.
-
-    Shared between :func:`exhaustive_proposals` and the chunked OBC
-    prefetch (``repro.core.obc``) so the prefetched batch always equals
-    the search's candidate set.
-    """
-    if max_points is None:
-        max_points = options.ee_max_dyn_points
-    return sweep_lengths(lo, hi, max_points)
-
-
-def cf_seed_lengths(lo, hi, options):
-    """The exactly-analysed OBC/CF seed lengths (Fig. 8 lines 1-5).
-
-    Shared between :func:`curvefit_proposals` and the chunked OBC
-    prefetch so the prefetched batch always equals the search's first
-    exact points.
-    """
-    return spread_points(lo, hi, options.initial_cf_points)
-
-
 def exhaustive_proposals(
     options: BusOptimisationOptions,
     template: FlexRayConfig,
@@ -80,9 +58,10 @@ def exhaustive_proposals(
     # One batch: the sweep shares the evaluator's warm AnalysisContext
     # and fans out over the parallel pool when one is configured; the
     # first-best selection below matches the serial iteration order.
+    if max_points is None:
+        max_points = options.ee_max_dyn_points
     configs = [
-        template.with_dyn_length(n)
-        for n in ee_sweep_lengths(lo, hi, options, max_points)
+        template.with_dyn_length(n) for n in sweep_lengths(lo, hi, max_points)
     ]
     if not configs:
         return None
@@ -141,7 +120,7 @@ def curvefit_proposals(
     # keeps serial and parallel runs byte-identical -- branching on
     # ``parallel_workers`` here would make their evaluation counts and
     # traces diverge.
-    seed_lengths = cf_seed_lengths(lo, hi, options)
+    seed_lengths = spread_points(lo, hi, options.initial_cf_points)
     seed_results = yield CandidateBatch(
         tuple(template.with_dyn_length(n) for n in seed_lengths)
     )

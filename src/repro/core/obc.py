@@ -13,16 +13,6 @@ variant's DYN search is a ``yield from`` over the
 stop is the generator returning its selection -- which takes precedence
 over the driver's default lowest-cost pick, preserving the exact Fig. 6
 semantics (the run reports the configuration that *triggered* the stop).
-
-``BusOptimisationOptions.obc_chunk_size > 1`` turns the outer loop into
-a *chunked race*: static variants are independent until the first
-schedulable hit, so a chunk's initial candidate sets (each variant's
-full EE sweep, or its CF seed points) are prefetched through one
-:meth:`~repro.core.search.Evaluator.analyse_many` batch -- fanning out
-over the parallel pool when one is configured -- before the variants
-are searched in deterministic serial order.  The first hit always
-resolves to the same variant as the serial chunked run, so fixed-seed
-runs are byte-identical serial vs. parallel.
 """
 
 from __future__ import annotations
@@ -31,12 +21,7 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
-from repro.core.dynlen import (
-    cf_seed_lengths,
-    curvefit_proposals,
-    ee_sweep_lengths,
-    exhaustive_proposals,
-)
+from repro.core.dynlen import curvefit_proposals, exhaustive_proposals
 from repro.core.frameid import assign_frame_ids
 from repro.core.result import OptimisationResult
 from repro.core.runtime import (
@@ -68,8 +53,6 @@ def _static_variants(
 
     Each entry is ``(template, lo, hi)``; ``lo == hi == 0`` marks the
     no-DYN-message case whose single candidate is analysed directly.
-    Materialising the loop lets the chunked mode race whole variants
-    while keeping the exact Fig. 5/6 enumeration order.
     """
     frame_ids = assign_frame_ids(
         system, options.bits_per_mt, options.frame_overhead_bytes
@@ -116,31 +99,6 @@ def _no_dyn_config(template: FlexRayConfig) -> FlexRayConfig:
         return template
 
 
-def _prefetch_configs(
-    variant: Tuple[Optional[FlexRayConfig], int, int],
-    options: BusOptimisationOptions,
-    method: str,
-) -> List[FlexRayConfig]:
-    """The configurations a variant's search is known to analyse first.
-
-    OBC/EE analyses its whole sweep; OBC/CF starts with the exact seed
-    points; the no-DYN case has exactly one candidate.  The candidate
-    lengths come from the same helpers the searches themselves use
-    (:func:`~repro.core.dynlen.ee_sweep_lengths`,
-    :func:`~repro.core.dynlen.cf_seed_lengths`), so the prefetched
-    batch warms the evaluator's result cache with exactly what the
-    subsequent in-order search re-reads.
-    """
-    template, lo, hi = variant
-    if lo == 0 and hi == 0:
-        return [_no_dyn_config(template)]
-    if method == "curvefit":
-        lengths = cf_seed_lengths(lo, hi, options)
-    else:
-        lengths = ee_sweep_lengths(lo, hi, options)
-    return [template.with_dyn_length(n) for n in lengths]
-
-
 class OBCStrategy(SearchStrategy):
     """The Fig. 6 outer loop as a proposal strategy (CF or EE inner)."""
 
@@ -155,43 +113,23 @@ class OBCStrategy(SearchStrategy):
 
     def proposals(self, system: System) -> Proposals:
         bus = self.options.bus_options()
-        method = self.method
-        variants = _static_variants(system, bus)
-        chunk = max(1, bus.obc_chunk_size or 1)
         best: Optional[AnalysisResult] = None
-        for base in range(0, len(variants), chunk):
-            group = variants[base : base + chunk]
-            if len(group) > 1:
-                # Race the chunk: one batch over every variant's initial
-                # candidate set, fanned out over the pool when configured.
-                prefetch: List[FlexRayConfig] = []
-                for variant in group:
-                    prefetch.extend(_prefetch_configs(variant, bus, method))
-                yield CandidateBatch(tuple(prefetch))
-            for template, lo, hi in group:
-                if lo == 0 and hi == 0:
-                    results = yield CandidateBatch(
-                        (_no_dyn_config(template),)
-                    )
-                    result = results[0]
-                elif method == "curvefit":
-                    result = yield from curvefit_proposals(
-                        system, bus, template, lo, hi
-                    )
-                else:
-                    result = yield from exhaustive_proposals(
-                        bus, template, lo, hi
-                    )
-                if result is not None and not result.feasible:
-                    result = None
-                if better(result, best):
-                    best = result
-                if (
-                    bus.stop_when_schedulable
-                    and best is not None
-                    and best.schedulable
-                ):
-                    return best
+        for template, lo, hi in _static_variants(system, bus):
+            if lo == 0 and hi == 0:
+                results = yield CandidateBatch((_no_dyn_config(template),))
+                result = results[0]
+            elif self.method == "curvefit":
+                result = yield from curvefit_proposals(
+                    system, bus, template, lo, hi
+                )
+            else:
+                result = yield from exhaustive_proposals(bus, template, lo, hi)
+            if result is not None and not result.feasible:
+                result = None
+            if better(result, best):
+                best = result
+            if bus.stop_when_schedulable and best is not None and best.schedulable:
+                return best
         return best
 
 

@@ -19,6 +19,7 @@ parallel == serial byte-identically.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import time
@@ -45,6 +46,8 @@ from repro.core.strategies import StrategyOptions, StrategySpec
 from repro.errors import ConfigurationError
 from repro.flexray import params
 from repro.model.system import System
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,17 @@ def _optimise_sa_restarts(
                         [(system, sa_options, s) for s in seeds],
                     )
                 )
-        except Exception:
-            chains = None  # e.g. unpicklable payload: fall back to serial
+        except Exception as exc:
+            logger.warning(
+                "SA restart pool failed (%s: %s); re-running all %d "
+                "chain(s) serially -- results are identical, only slower. "
+                "A worker process may have died (OOM-killed?) or the "
+                "payload may not be picklable; rerun without --workers to "
+                "avoid the pool entirely.",
+                type(exc).__name__,
+                exc,
+                len(seeds),
+            )
     if chains is None:
         chains = [_sa_chain(system, sa_options, s) for s in seeds]
 

@@ -8,7 +8,6 @@ experiments of Section 7 report.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -75,24 +74,11 @@ class BusOptimisationOptions:
     max_cache_entries: Optional[int] = 4096
     #: Opt-in parallel candidate evaluation: number of worker processes
     #: used by :meth:`Evaluator.analyse_many` (GA generations, SA
-    #: restarts, the BBC/OBC-EE sweeps, chunked OBC prefetches).
+    #: restarts, the BBC/OBC-EE sweeps, the OBC/CF seed sets).
     #: ``None``/``1`` evaluates serially; results and traces are
     #: identical either way (the batch order is fixed before fan-out and
     #: the pool preserves it).
     parallel_workers: Optional[int] = None
-    #: Chunked OBC outer loop: number of static-segment variants whose
-    #: initial candidate sets (the full OBC/EE sweep, the OBC/CF seed
-    #: points) are prefetched through one :meth:`Evaluator.analyse_many`
-    #: batch before the variants are searched in order.  Static variants
-    #: are mutually independent until the first schedulable hit, so the
-    #: chunk races them through the parallel pool; the hit is then
-    #: resolved deterministically in serial variant order, making runs
-    #: byte-identical serial vs. parallel at a fixed chunk size.  The
-    #: default ``1`` is the exact Fig. 6 loop; with
-    #: ``stop_when_schedulable`` a larger chunk may evaluate (and record
-    #: in the trace) candidates of variants past the stopping one --
-    #: that is the admission price of racing the outer loop.
-    obc_chunk_size: int = 1
 
 
 @dataclass(frozen=True)
@@ -120,6 +106,9 @@ class EvaluatorStats:
         )
 
 
+#: Cache slot of a result :meth:`Evaluator.analyse_many` has yet to compute.
+_PENDING = object()
+
 #: Per-process warm context of the parallel evaluation pool workers.
 _POOL_CONTEXT: List[AnalysisContext] = []
 
@@ -129,15 +118,8 @@ def _pool_initializer(system: System, analysis: AnalysisOptions) -> None:
     _POOL_CONTEXT.append(AnalysisContext(system, analysis))
 
 
-def _pool_analyse(item: Tuple[FlexRayConfig, bool]) -> AnalysisResult:
-    config, strip_table = item
-    result = _POOL_CONTEXT[0].analyse(config)
-    if strip_table and result.table is not None:
-        # The schedule table dominates the result pickle; when the
-        # parent already holds this static segment in its schedule
-        # cache it re-attaches an identical table for free.
-        result = dataclasses.replace(result, table=None)
-    return result
+def _pool_analyse(config: FlexRayConfig) -> AnalysisResult:
+    return _POOL_CONTEXT[0].analyse(config)
 
 
 class Evaluator:
@@ -189,7 +171,8 @@ class Evaluator:
             self._cache.move_to_end(key)
             return cached
         result = self.context.analyse(config)
-        self._record(key, config, result)
+        self._remember(key, result)
+        self._note_exact(config, result)
         return result
 
     def analyse_many(
@@ -199,36 +182,47 @@ class Evaluator:
 
         Semantically identical to calling :meth:`analyse` per
         configuration in sequence -- same results, same evaluation
-        count, same trace order, same cache-hit accounting -- but
-        distinct uncached candidates are evaluated on the parallel pool
-        when ``options.parallel_workers`` asks for one.
+        count, same trace order, same cache-hit accounting, whatever
+        ``options.max_cache_entries`` -- but each distinct uncached
+        configuration is computed once, on the parallel pool when
+        ``options.parallel_workers`` asks for one.
         """
         configs = list(configs)
-        results: List[Optional[AnalysisResult]] = [None] * len(configs)
-        pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for i, config in enumerate(configs):
-            key = config.cache_key()
+        keys = [config.cache_key() for config in configs]
+        # Replay the serial order's cache accounting first, holding a
+        # placeholder for every result still to compute: a repeat is a
+        # hit exactly when the serial order would still find it cached.
+        results: List[Optional[AnalysisResult]] = []
+        misses: List[int] = []
+        pending: "OrderedDict[tuple, FlexRayConfig]" = OrderedDict()
+        for i, key in enumerate(keys):
             cached = self._cache.get(key)
-            if cached is not None:
+            if cached is None:
+                misses.append(i)
+                pending.setdefault(key, configs[i])
+                self._remember(key, _PENDING)
+            else:
                 self.cache_hits += 1
                 self._cache.move_to_end(key)
-                results[i] = cached
-            elif key in pending:
-                # Duplicate within the batch: the serial order would hit
-                # the cache filled by the first occurrence.
-                self.cache_hits += 1
-                pending[key].append(i)
-            else:
-                pending[key] = [i]
-        if pending:
-            items = list(pending.items())
-            unique = [configs[indices[0]] for _, indices in items]
-            computed = self._map(unique)
-            for (key, indices), result in zip(items, computed):
-                self._record(key, configs[indices[0]], result)
-                for i in indices:
-                    results[i] = result
-        return results
+            results.append(cached)
+        if not pending:
+            return results
+        try:
+            computed = dict(zip(pending, self._map(list(pending.values()))))
+        except BaseException:
+            for key in pending:
+                if self._cache.get(key) is _PENDING:
+                    del self._cache[key]
+            raise
+        for key, result in computed.items():
+            if key in self._cache:
+                self._cache[key] = result
+        for i in misses:
+            self._note_exact(configs[i], computed[keys[i]])
+        return [
+            computed[key] if result is None or result is _PENDING else result
+            for key, result in zip(keys, results)
+        ]
 
     def stats(self) -> EvaluatorStats:
         """Snapshot the evaluator's accounting (see :class:`EvaluatorStats`)."""
@@ -252,16 +246,16 @@ class Evaluator:
         self.close()
 
     # ------------------------------------------------------------------
-    def _record(
-        self, key: tuple, config: FlexRayConfig, result: AnalysisResult
-    ) -> None:
-        self.evaluations += 1
+    def _remember(self, key: tuple, result) -> None:
         self._cache[key] = result
         bound = self.options.max_cache_entries
         if bound is not None:
             limit = max(bound, 0)
             while len(self._cache) > limit:
                 self._cache.popitem(last=False)
+
+    def _note_exact(self, config: FlexRayConfig, result: AnalysisResult) -> None:
+        self.evaluations += 1
         self.trace.append(
             SearchPoint(
                 n_static_slots=config.n_static_slots,
@@ -279,29 +273,10 @@ class Evaluator:
         if workers > 1 and len(configs) > 1 and not self._parallel_broken:
             pool = self._ensure_pool(workers)
             if pool is not None:
-                # Workers strip the heavy schedule table from the
-                # result pickle only when the parent can re-attach an
-                # identical one cheaply: the key is already in the
-                # parent's tier-(b) cache, or an earlier candidate of
-                # this batch shares it (one parent-side rebuild then
-                # serves the whole group).  Candidates with a unique,
-                # uncached key -- an ST-sending sweep, where every
-                # cycle length means a distinct schedule -- ship the
-                # table back instead of being rebuilt serially here.
-                seen_keys = set()
-                items = []
-                for config in configs:
-                    key = self.context.schedule_key(config)
-                    strip = (
-                        key in seen_keys
-                        or self.context.has_schedule_for(config)
-                    )
-                    seen_keys.add(key)
-                    items.append((config, strip))
                 try:
                     chunksize = max(1, len(configs) // (workers * 4))
-                    mapped = list(
-                        pool.map(_pool_analyse, items, chunksize=chunksize)
+                    return list(
+                        pool.map(_pool_analyse, configs, chunksize=chunksize)
                     )
                 except Exception as exc:
                     # Broken pool / unpicklable payload: degrade to the
@@ -321,16 +296,6 @@ class Evaluator:
                     )
                     self._parallel_broken = True
                     self.close()
-                else:
-                    results = []
-                    for config, result in zip(configs, mapped):
-                        if result.feasible and result.table is None:
-                            result = dataclasses.replace(
-                                result,
-                                table=self.context.schedule_table_for(config),
-                            )
-                        results.append(result)
-                    return results
         # Serial path: the context's batch entry point -- a plain
         # per-candidate loop on the Python backend, grouped compiled
         # fix points on the native backend (bit-identical either way).

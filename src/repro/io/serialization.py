@@ -564,6 +564,15 @@ def bus_options_from_dict(data: Optional[Dict[str, Any]]):
             f"bus options must be a JSON object, got {type(data).__name__}"
         )
     doc = dict(data)
+    # Written by every document from before the chunked OBC loop was
+    # removed; chunk 1 was the plain Fig. 6 loop, so those still load.
+    chunk = doc.pop("obc_chunk_size", 1)
+    if chunk != 1:
+        raise SerializationError(
+            f"bus options set the removed field obc_chunk_size={chunk!r}; "
+            "the chunked OBC loop no longer exists, so this search "
+            "cannot be reproduced"
+        )
     analysis_doc = doc.pop("analysis", None) or {}
     if not isinstance(analysis_doc, dict):
         raise SerializationError("'analysis' must be a JSON object")

@@ -68,14 +68,6 @@ LEGACY_CASES = (
         ),
     ),
     LegacyCase(
-        "obc_ee_paper3_chunked",
-        lambda: optimise_obc(
-            paper_suite(3, count=1, seed=23)[0],
-            _small_bus(obc_chunk_size=3),
-            "exhaustive",
-        ),
-    ),
-    LegacyCase(
         "sa_fig4",
         lambda: optimise_sa(
             fig4_system(), sa_options=SAOptions(iterations=120, seed=11)

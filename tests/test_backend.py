@@ -420,14 +420,13 @@ def _native_legacy_cases():
     evaluator, and are covered at the pinned-options level by
     test_legacy_equivalence)."""
 
-    def small_bus(**kw):
+    def small_bus():
         # The legacy-case ``_small_bus`` budgets on this backend.
         return _native_bus(
             ee_max_dyn_points=48,
             cf_candidates=64,
             max_extra_static_slots=1,
             max_slot_size_steps=1,
-            **kw,
         )
 
     return (
@@ -440,10 +439,6 @@ def _native_legacy_cases():
         (
             "obc_ee_paper3",
             lambda: _paper3_case(small_bus(), "exhaustive"),
-        ),
-        (
-            "obc_ee_paper3_chunked",
-            lambda: _paper3_case(small_bus(obc_chunk_size=3), "exhaustive"),
         ),
     )
 
@@ -475,6 +470,57 @@ def test_legacy_traces_identical_under_native_backend(case_id, run):
         f"{case_id}: native-backend search trace diverged from the oracle"
     )
     assert got == expected
+
+
+@requires_native
+@pytest.mark.native
+def test_native_entry_points_keep_argument_refcounts():
+    """``build_plan`` and ``run_batch`` give back every reference they
+    take: 2,000 calls each on a real ``GroupPlan`` leave the refcount of
+    every argument object -- the blob bytes, the plan capsule and the
+    ``array('q')`` buffers -- where it started."""
+    from array import array
+
+    from repro.analysis.backend.native import plan_blob
+
+    system = fig4_system()
+    configs = _sweep_configs(system, 4)
+    ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
+    ctx.analyse_batch(configs)
+    key, plan = next(
+        (key, plan) for key, plan in ctx._backend_plans.items() if plan.stair
+    )
+    group = [
+        c for c in configs
+        if (ctx.schedule_key(c), ctx.structure_key(c)) == key
+    ]
+    native = native_or_none()
+    blob = plan_blob(plan).tobytes()
+    capsule = native.build_plan(blob)
+    cap_factor = ctx.options.cap_factor
+    inputs = [
+        array("q", [cap_factor * max(ctx._cap_base, c.gd_cycle) for c in group]),
+        array("q", [c.n_minislots for c in group]),
+        array("q", [c.gd_cycle for c in group]),
+        array("q", [c.st_bus for c in group]),
+    ]
+    W = array("q", [0]) * (len(group) * plan.template.n_rows)
+    conv = array("q", [0]) * len(group)
+    watched = [blob, capsule, *inputs, W, conv]
+    before = [sys.getrefcount(obj) for obj in watched]
+    for _ in range(2000):
+        native.build_plan(blob)
+        native.run_batch(
+            capsule,
+            *inputs,
+            group[0].gd_minislot,
+            ctx._fault_k,
+            ctx.options.max_holistic_iterations,
+            W,
+            conv,
+        )
+    assert [sys.getrefcount(obj) for obj in watched] == before
+    assert list(conv) == [1] * len(group)  # the loop did converge
 
 
 # ----------------------------------------------------------------------

@@ -72,3 +72,43 @@ class TestModuleSymbolPointers:
         problems = self._problems(tmp_path, "see `no/such/file.py:thing`\n")
         assert len(problems) == 1
         assert "does not exist" in problems[0]
+
+
+class TestCliFlags:
+    """``python -m repro`` invocations only use flags the CLI accepts."""
+
+    def _problems(self, tmp_path, text):
+        doc = tmp_path / "doc.md"
+        doc.write_text(text, encoding="utf-8")
+        return check_file(doc)
+
+    def test_live_flags_pass(self, tmp_path):
+        text = (
+            "Run `python -m repro optimise --algorithm obc-ee\n"
+            "--workers 2 system.json`, or\n\n"
+            "```sh\n"
+            "PYTHONPATH=src python -m repro campaign --strategies bbc \\\n"
+            "    --fabric out/fab --fabric-wait *.json  # --not-a-flag\n"
+            "```\n"
+        )
+        assert self._problems(tmp_path, text) == []
+
+    def test_bad_flag_in_a_wrapped_span_is_caught(self, tmp_path):
+        problems = self._problems(
+            tmp_path,
+            "Run `python -m repro optimise --algorithm obc-cf\n"
+            "--workers 4 --turbo 4 system.json`.\n",
+        )
+        assert len(problems) == 1
+        assert "--turbo" in problems[0] and "optimise" in problems[0]
+
+    def test_bad_flag_after_a_continuation_is_caught(self, tmp_path):
+        problems = self._problems(
+            tmp_path,
+            "```sh\npython -m repro work out/fab \\\n    --lease 5\n```\n",
+        )
+        assert len(problems) == 1 and "--lease" in problems[0]
+
+    def test_unknown_command_is_caught(self, tmp_path):
+        problems = self._problems(tmp_path, "`python -m repro optimize x`\n")
+        assert len(problems) == 1 and "optimize" in problems[0]

@@ -152,6 +152,30 @@ class TestManifest:
         merged = fabric_collect(root)
         assert _result_docs(merged) == _result_docs(_oracle(spec))
 
+    def _manifest_with_obc_chunk_size(self, tmp_path, value):
+        root = str(tmp_path / "fab")
+        spec = _submit(root)
+        manifest = os.path.join(root, "manifest.json")
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["bus"]["obc_chunk_size"] = value
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        return root, spec
+
+    def test_manifest_with_obc_chunk_size_one_still_loads(self, tmp_path):
+        # Every manifest written before the chunked OBC loop was removed
+        # carries the field; chunk 1 was the plain loop, so it loads.
+        root, spec = self._manifest_with_obc_chunk_size(tmp_path, 1)
+        loaded = load_fabric(root)
+        assert [j.job_id for j in loaded.jobs] == [j.job_id for j in spec.jobs]
+        assert all(j.options.bus == small_bus() for j in loaded.jobs)
+
+    def test_manifest_with_a_real_obc_chunk_is_rejected(self, tmp_path):
+        root, _ = self._manifest_with_obc_chunk_size(tmp_path, 3)
+        with pytest.raises(CampaignError, match="obc_chunk_size"):
+            load_fabric(root)
+
     def test_per_strategy_bus_must_match_the_campaign_bus(self, tmp_path):
         with pytest.raises(CampaignError, match="bus"):
             fabric_submit(

@@ -157,7 +157,12 @@ class TestEvaluatorCache:
         assert ev.cache_hits == 1
         assert len(ev.trace) == 1
 
-    def test_analyse_many_matches_serial_semantics(self):
+    @pytest.mark.parametrize(
+        "bound,evaluations,hits",
+        [(None, 3, 2), (0, 5, 0), (1, 5, 0), (2, 3, 2)],
+        ids=["None", "0", "1", "2"],
+    )
+    def test_analyse_many_matches_serial_semantics(self, bound, evaluations, hits):
         system = fig3_system()
         cfgs = [
             basic_config(
@@ -165,18 +170,24 @@ class TestEvaluatorCache:
             )
             for n in (0, 5, 0, 5, 10)  # duplicates inside the batch
         ]
-        serial = Evaluator(system, BusOptimisationOptions())
+        options = BusOptimisationOptions(max_cache_entries=bound)
+        serial = Evaluator(system, options)
         expected = [serial.analyse(c) for c in cfgs]
-        batched = Evaluator(system, BusOptimisationOptions())
+        batched = Evaluator(system, options)
+        computed = []
+        original = batched._map
+        batched._map = lambda configs: computed.extend(configs) or original(configs)
         got = batched.analyse_many(cfgs)
         assert [
             _result_signature(r) for r in got
         ] == [_result_signature(r) for r in expected]
-        assert batched.evaluations == serial.evaluations == 3
-        assert batched.cache_hits == serial.cache_hits == 2
+        assert batched.evaluations == serial.evaluations == evaluations
+        assert batched.cache_hits == serial.cache_hits == hits
         assert [p.n_minislots for p in batched.trace] == [
             p.n_minislots for p in serial.trace
         ]
+        # Each distinct configuration is still computed once.
+        assert [c.n_minislots for c in computed] == [0, 5, 10]
 
 
 class TestParallelDeterminism:

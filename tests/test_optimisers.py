@@ -10,7 +10,9 @@ from repro.core import (
     optimise_obc,
     optimise_sa,
 )
+from repro.core.obc import _static_variants
 from repro.errors import OptimisationError
+from repro.synth import paper_suite
 
 from tests.util import (
     dyn_msg,
@@ -95,6 +97,21 @@ class TestOBC:
         bbc = optimise_bbc(sys_)
         obc = optimise_obc(sys_, method="curvefit")
         assert obc.cost <= bbc.cost
+
+    def test_variant_enumeration_matches_serial_loop(self):
+        options = BusOptimisationOptions(
+            ee_max_dyn_points=32,
+            cf_candidates=64,
+            max_extra_static_slots=1,
+            max_slot_size_steps=2,
+        )
+        variants = _static_variants(paper_suite(3, count=1, seed=23)[0], options)
+        assert variants, "workload must produce static variants"
+        # Serial order: slot count outer, slot size inner, both ascending.
+        keys = [
+            (v[0].n_static_slots, v[0].gd_static_slot) for v in variants
+        ]
+        assert keys == sorted(keys)
 
     def test_trace_contains_estimates_for_cf(self):
         result = optimise_obc(fig4_system(), method="curvefit")

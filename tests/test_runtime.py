@@ -367,3 +367,41 @@ class TestParallelBatchIdentity:
         warning = "\n".join(record.getMessage() for record in caplog.records)
         assert "serially" in warning and "pool" in warning
         assert "RuntimeError" in warning  # names the underlying cause
+
+    def test_dead_sa_restart_pool_degrades_serially_with_actionable_warning(
+        self, caplog, monkeypatch
+    ):
+        """The SA restart pool falls back the same way: identical
+        serial chains, plus a warning that names the cause."""
+        import concurrent.futures
+        import logging
+
+        sa = SAOptions(iterations=30, seed=7, restarts=2)
+        expected = optimise(fig4_system(), "sa", sa)
+
+        class _DeadPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *args, **kwargs):
+                raise RuntimeError("worker died unexpectedly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _DeadPool)
+        with caplog.at_level(logging.WARNING, logger="repro.core.sa"):
+            result = optimise(
+                fig4_system(),
+                "sa",
+                dataclasses.replace(
+                    sa, bus=BusOptimisationOptions(parallel_workers=2)
+                ),
+            )
+        assert self._outcome(result) == self._outcome(expected)
+        warning = "\n".join(record.getMessage() for record in caplog.records)
+        assert "serially" in warning and "pool" in warning
+        assert "RuntimeError" in warning  # names the underlying cause

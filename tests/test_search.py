@@ -136,6 +136,29 @@ class TestEvaluator:
         assert not ev.trace[0].exact
         assert ev.trace[0].cost == -12.0
 
+    def test_failed_batch_leaves_no_placeholder_in_the_cache(self):
+        sys_ = fig3_system()
+        ev = Evaluator(sys_, BusOptimisationOptions())
+        cfgs = [
+            basic_config(
+                static_slots=("N1", "N2"), gd_static_slot=8, n_minislots=n
+            )
+            for n in (0, 5)
+        ]
+        ev.analyse(cfgs[0])
+
+        def fail(configs):
+            raise RuntimeError("analysis crashed")
+
+        ev._map = fail
+        with pytest.raises(RuntimeError):
+            ev.analyse_many(cfgs)
+        del ev._map
+        assert ev.evaluations == 1 and len(ev.trace) == 1
+        # The half-run batch left no result placeholder behind.
+        assert [r.config for r in ev.analyse_many(cfgs)] == cfgs
+        assert ev.evaluations == 2
+
 
 class TestBetter:
     def test_none_comparisons(self):

@@ -2,12 +2,13 @@
 
 The holistic pipeline spends nearly all of its time in pure integer
 arithmetic -- FPS/DYN busy-window fix points over precomputed prefix
-sums -- executed as per-candidate Python loops.  This package lowers the
-per-system invariants already computed by
-:class:`~repro.analysis.context.AnalysisContext` (interferer rows,
-``NodeAvailability`` gap/slack prefix sums, ``InstantTables``, DYN fill
-rows) into plain int tables once per (schedule, frame structure) group
-(:mod:`repro.analysis.backend.arrays`), then runs each candidate's
+sums -- executed as per-candidate Python loops.  This package lowers
+what :class:`~repro.analysis.context.AnalysisContext` already holds into
+plain int tables (:mod:`repro.analysis.backend.arrays`): the context's
+structure record (interferer rows, FrameIDs, transmission times) once
+per FrameID assignment, and the ``NodeAvailability`` gap/slack prefix
+sums and static response times once per (schedule, structure) group.
+It then runs each candidate's
 full holistic fix point inside a compiled C extension
 (``repro._native``), in tight scalar loops with no per-step dispatch
 (:func:`repro.analysis.backend.native.run_group_native`).  That is the

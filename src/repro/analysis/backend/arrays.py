@@ -4,33 +4,28 @@ A *group* is a set of candidate configurations sharing both the
 schedule key (identical static schedule, availability patterns and
 static response times) and the DYN structure key (identical FrameID
 assignment and bus-speed parameters, hence identical hp/lf interference
-rows and transmission times).  Everything that is invariant across such
-a group -- activity indices, interferer rows, availability staircase
-tables, the reverse interference map -- is lowered here exactly once
-into plain ints and tuples and cached on the owning
-:class:`~repro.analysis.context.AnalysisContext`; the per-lane scalars
-(caps, cycle geometry) are resolved per batch by
-:func:`repro.analysis.backend.native.run_group_native`, which packs the
-lowering into the int64 blob the C kernels parse.
+rows and transmission times).  The lowering follows that split:
 
-A pure-DYN sweep is one group end to end (every candidate shares the
-schedule and the FrameID assignment).  An ST-heavy sweep degenerates to
-*singleton* groups -- a fresh group per cycle length -- so the lowering
-itself becomes the hot path.  Everything in an activity plan is in fact
-invariant under the **structure key alone** (interferer rows, FrameIDs,
-transmission times, dependency maps: none of it reads the schedule);
-only the availability staircase tables and the static response times
-vary with the schedule key.  :class:`StructureTemplate` therefore
-caches the whole activity lowering once per structure key (plus the
-static-name order, defensively), and :class:`GroupPlan` construction
-collapses to binding availability patterns and filling ``w0`` -- which
-is what lets the compiled backend beat the warm Python path even on
-singleton-lane sweeps.
+* :class:`StructureTemplate` lowers the context's structure record
+  (``AnalysisContext._structure``) once per structure key: the plan
+  blob's per-activity int section, the nodes whose availability
+  patterns the FPS activities index, and the FPS wcet guard;
+* :class:`GroupPlan` adds the per-schedule rest: ``w0`` (the static
+  response times), the availability staircase tables and the staircase
+  verdict.
+
+The per-lane scalars (caps, cycle geometry) are resolved per batch by
+:func:`repro.analysis.backend.native.run_group_native`, which packs the
+plan into the int64 blob the C kernels parse.  A pure-DYN sweep is one
+group end to end; an ST-heavy sweep is a fresh *singleton* group per
+cycle length, all sharing one template, so each group costs only its
+``w0`` and availability tables.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
+
 
 class AvailabilityArrays:
     """Staircase tables of one ``NodeAvailability`` pattern.
@@ -89,133 +84,39 @@ def availability_arrays(availability) -> AvailabilityArrays:
     return arrays
 
 
-class DynActPlan:
-    """Group-invariant lowering of one DYN message's Eq. (3) fix point."""
-
-    __slots__ = (
-        "name", "kind", "row", "sender_row", "own_sensitive", "ct",
-        "lower_slots", "dep_rows", "frame_id", "largest", "hp_rows",
-        "lf_rows", "max_adjusted",
-    )
-
-    def __init__(self, name, row, sender_row, view, name_idx, frame_id,
-                 largest):
-        self.name = name
-        self.kind = "dyn"
-        self.row = row
-        self.sender_row = sender_row
-        self.own_sensitive = view.own_sensitive
-        self.ct = view.ct
-        self.lower_slots = view.lower_slots
-        self.dep_rows = ()
-        # The message's FrameID and its sender node's largest DYN frame:
-        # with these two group-invariant ints the per-lane view scalars
-        # (``lam``/``theta``/``sigma``/``sendable``) are pure arithmetic
-        # in the lane's ``n_minislots``/``gd_cycle``, so the kernel never
-        # needs per-lane ``_DynView`` objects.
-        self.frame_id = frame_id
-        self.largest = largest
-        # Interferer rows as (period, is_ancestor, jitter_row[, adjusted])
-        # int tuples; ancestor rows read the own jitter, so their jitter
-        # row is a placeholder 0.  Under the "bound" fill strategy, lf
-        # rows with adjusted size <= 0 contribute to neither ``lf_total``
-        # nor ``lf_useful`` -- they are dropped here, which is exact (the
-        # Python loop adds nothing for them either).
-        self.hp_rows = tuple(
-            (r[1], int(r[2]), 0 if r[2] else name_idx[r[0]])
-            for r in view.hp_info
-        )
-        self.lf_rows = tuple(
-            (r[1], int(r[2]), 0 if r[2] else name_idx[r[0]], r[3])
-            for r in view.lf_info
-            if r[3] > 0
-        )
-        # The k-error per-error cycle cost depends on the largest lf
-        # adjusted size (``_dyn_views``: max over *all* lf rows, default
-        # 0 -- but ``per_error`` is 1 whenever that max is <= 0, so the
-        # exact Python value is preserved even though rows with
-        # adjusted <= 0 are dropped above).
-        self.max_adjusted = max((r[3] for r in view.lf_info), default=0)
-
-
-class FpsActPlan:
-    """Structure-invariant lowering of one FPS task's busy-window
-    maximisation.  Template instances (built once per structure key)
-    leave the schedule-dependent slots unset; :meth:`bind` attaches a
-    concrete availability pattern for one group."""
-
-    __slots__ = (
-        "name", "kind", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "node", "rows", "dep_rows", "av", "stair",
-    )
-
-    #: Slots copied verbatim by :meth:`bind` (everything except the
-    #: availability-dependent pair set by the bind itself).
-    _SHARED_SLOTS = (
-        "name", "kind", "row", "pred_rows", "release", "wcet",
-        "own_sensitive", "node", "rows", "dep_rows",
-    )
-
-    def __init__(self, name, row, pred_rows, plan, node, name_idx):
-        self.name = name
-        self.kind = "fps"
-        self.row = row
-        self.pred_rows = pred_rows
-        self.release = plan.release
-        self.wcet = plan.wcet
-        self.own_sensitive = plan.own_sensitive
-        self.node = node
-        # Interferer rows as (period, wcet, is_ancestor, jitter_row) int
-        # tuples (ancestor rows: placeholder jitter row 0, as for DYN).
-        self.rows = tuple(
-            (r[1], r[3], int(r[2]), 0 if r[2] else name_idx[r[0]])
-            for r in plan.interferers
-        )
-        self.dep_rows = ()
-
-    def bind(self, availability) -> "FpsActPlan":
-        """A shallow copy bound to one group's availability pattern.
-
-        The interferer rows are shared; only the availability pair is
-        per group.  The compiled staircase kernel mirrors the Python
-        fast path, whose guard is ``gap_ends is not None and slack > 0
-        and wcet > 0`` (idle patterns lowered as the identity
-        staircase); anything else makes the group structurally unsafe.
-        """
-        bound = object.__new__(FpsActPlan)
-        for slot in self._SHARED_SLOTS:
-            setattr(bound, slot, getattr(self, slot))
-        bound.av = availability_arrays(availability)
-        bound.stair = bound.av.stair and bound.wcet > 0
-        return bound
-
-
 class StructureTemplate:
     """The structure-key-invariant share of a :class:`GroupPlan`.
 
-    Everything lowered here reads only tier-(a)/(c) invariants (system
-    structure, FrameID assignment, bus-speed parameters) plus the
-    static-name *order* (part of the cache key, defensively) -- never
-    the schedule itself.  Cached once per structure key on the context
-    (``_structure_template``), so an ST-heavy sweep's singleton groups
-    pay the activity lowering exactly once instead of once per cycle
-    length.
+    Lowered from one structure record of the context
+    (``AnalysisContext._structure``: FrameID assignment and bus speed)
+    and cached on that record, so an ST-heavy sweep's singleton groups
+    pay the activity lowering once per FrameID assignment instead of
+    once per cycle length.  Nothing here reads the schedule; the
+    static-name order that leads the row layout follows the bus-speed
+    ``SchedulePlan`` (replay inserts static entries in plan order),
+    which the structure key already fixes.
+
+    The lowering yields three things: ``acts``, the plan blob's
+    per-activity int section (see
+    :func:`repro.analysis.backend.native.plan_blob`); ``av_nodes``, the
+    nodes whose availability patterns the FPS activities index (first
+    occurrence in evaluation order); and ``wcet_positive``, whether
+    every FPS wcet is positive (the staircase kernel's one
+    structure-side guard).
     """
 
     __slots__ = (
-        "names", "name_idx", "n_rows", "activities", "wcrt_names",
-        "wcrt_rows", "fault_rows", "native_acts",
+        "static_names", "name_idx", "n_rows", "n_acts", "acts", "av_nodes",
+        "wcet_positive", "wcrt_names", "wcrt_rows", "fault_rows",
     )
 
-    def __init__(self, ctx, config, static_names: Tuple[str, ...]):
-        views = ctx._dyn_views(config)
-
+    def __init__(self, ctx, structure, static_names: Tuple[str, ...]):
         # --- activity/name index ------------------------------------
-        # Rows: static activities first (read-only), then DYN messages
-        # (view order), then FPS tasks (node order) -- the slot layout of
-        # the Python fix point.  Any referenced name outside those sets
-        # (defensive: senders/predecessors are always covered) gets a
-        # zero row, mirroring ``wcrt.get(name, 0)``.
+        # Rows: static activities first (read-only), then DYN messages,
+        # then FPS tasks (node order) -- the slot layout of the Python
+        # fix point.  Any referenced name outside those sets (defensive:
+        # senders/predecessors are always covered) gets a zero row,
+        # mirroring ``wcrt.get(name, 0)``.
         names: List[str] = list(static_names)
         name_idx: Dict[str, int] = {n: i for i, n in enumerate(names)}
 
@@ -232,58 +133,83 @@ class StructureTemplate:
             for node in ctx.system.nodes
             for plan in ctx.fps_plans[node]
         ]
-        for view in views:
-            _row(view.name)
+        for msg in structure.messages:
+            _row(msg.name)
         for plan, _ in fps_items:
             _row(plan.name)
-        for view in views:
-            _row(ctx.sender_task[view.name])
+        for msg in structure.messages:
+            _row(msg.sender)
         for plan, _ in fps_items:
             for pred in plan.predecessors:
                 _row(pred)
 
-        # --- activity plans -----------------------------------------
-        # Built in the slot layout (DYN messages in view order, then FPS
-        # tasks in node order), then put into the context's evaluation
-        # order: the kernel walks ``activities`` in array order, so it
-        # runs the Python fix point's precedence-ordered passes.
-        structure = ctx._dyn_structure(config)
-        _, _, largest_of_sender = ctx._ct_tables(config)
-        slots = []
-        for view in views:
-            slots.append(
-                DynActPlan(
-                    view.name,
-                    name_idx[view.name],
-                    name_idx[ctx.sender_task[view.name]],
-                    view,
-                    name_idx,
-                    structure[view.name][0],
-                    largest_of_sender[view.name],
-                )
-            )
-        for plan, node in fps_items:
-            slots.append(
-                FpsActPlan(
-                    plan.name,
-                    name_idx[plan.name],
-                    tuple(name_idx[p] for p in plan.predecessors),
-                    plan,
-                    node,
-                    name_idx,
-                )
-            )
-        activities = [slots[i] for i in ctx._eval_order]
-        act_pos = {a.name: pos for pos, a in enumerate(activities)}
-        for name, deps in ctx._dependents(config).items():
-            pos = act_pos.get(name)
-            if pos is not None:
-                activities[pos].dep_rows = tuple(act_pos[d] for d in deps)
+        # --- the per-activity section ---------------------------------
+        # Activities in the context's evaluation order: the kernel walks
+        # them in blob order, so it runs the Python fix point's
+        # precedence-ordered passes.  Interferer rows carry the jitter
+        # row they read; ancestor rows read the own jitter, so theirs
+        # is a placeholder 0.
+        slots = [(msg, None) for msg in structure.messages] + fps_items
+        order = [slots[i] for i in ctx._eval_order]
+        act_pos = {act.name: pos for pos, (act, _) in enumerate(order)}
+        deps_get = structure.dependents.get
+        av_nodes: List[str] = []
+        acts: List[int] = []
+        for act, node in order:
+            deps = deps_get(act.name, ())
+            acts += [
+                0 if node is None else 1,
+                name_idx[act.name],
+                int(act.own_sensitive),
+                len(deps),
+            ]
+            acts += [act_pos[d] for d in deps]
+            if node is None:
+                # Under the "bound" fill strategy lf rows with adjusted
+                # size <= 0 add nothing to ``lf_total`` or ``lf_useful``,
+                # so they are dropped (``max_adjusted`` still covers
+                # every lf row, as the k-error cost in the oracle does).
+                lf_rows = [r for r in act.lf_info if r[3] > 0]
+                acts += [
+                    name_idx[act.sender],
+                    act.ct,
+                    act.lower_slots,
+                    act.frame_id,
+                    act.largest,
+                    act.max_adjusted,
+                    len(act.hp_info),
+                    len(lf_rows),
+                ]
+                for name, period, anc in act.hp_info:
+                    acts += [period, int(anc), 0 if anc else name_idx[name]]
+                for name, period, anc, adjusted in lf_rows:
+                    acts += [
+                        period, int(anc), 0 if anc else name_idx[name],
+                        adjusted,
+                    ]
+            else:
+                if node not in av_nodes:
+                    av_nodes.append(node)
+                acts += [
+                    act.release,
+                    act.wcet,
+                    av_nodes.index(node),
+                    len(act.predecessors),
+                    len(act.interferers),
+                ]
+                acts += [name_idx[p] for p in act.predecessors]
+                for name, period, anc, wcet in act.interferers:
+                    acts += [
+                        period, wcet, int(anc), 0 if anc else name_idx[name],
+                    ]
 
-        self.names = names
+        self.static_names = static_names
         self.name_idx = name_idx
         self.n_rows = len(names)
-        self.activities = activities
+        self.n_acts = len(order)
+        self.acts = acts
+        self.av_nodes = tuple(av_nodes)
+        self.wcet_positive = all(plan.wcet > 0 for plan, _ in fps_items)
         # wcrt assembly order: the Python fix point's result order
         # (static entries, then the slot layout), so the assembled dicts
         # match it item for item.
@@ -297,51 +223,51 @@ class StructureTemplate:
         self.fault_rows = tuple(
             name_idx[n] for n in static_names if n in ctx._fault_static_names
         )
-        #: Lazily built per-activity section of the plan blob
-        #: (structure-invariant, see
-        #: ``repro.analysis.backend.native.plan_blob``); ``None`` until
-        #: the first group of this structure is dispatched to C.
-        self.native_acts = None
 
 
 class GroupPlan:
     """All group-invariant state of one batched fix point.
 
     Built once per (schedule key, DYN structure key) and cached on the
-    context.  Construction is deliberately thin: the activity lowering
-    comes from the shared :class:`StructureTemplate` (FPS activities
-    bound to this group's availability patterns, DYN activities shared
-    outright -- they carry no schedule-dependent state); only ``w0``
-    and the availability bindings are built here.
+    context.  The activity lowering is the structure record's shared
+    :class:`StructureTemplate` (built here on the record's first
+    group); only ``w0``, the availability tables and the staircase
+    verdict are per group.
     """
 
-    __slots__ = (
-        "template", "arts", "activities", "w0", "stair",
-        "native_state",
-    )
+    __slots__ = ("template", "arts", "w0", "avs", "stair", "native_state")
 
     def __init__(self, ctx, config, arts):
-        template = ctx._structure_template(config, tuple(arts.static_wcrt))
+        structure = ctx._structure(config)
+        template = structure.template
+        if template is None:
+            template = StructureTemplate(
+                ctx, structure, tuple(arts.static_wcrt)
+            )
+            structure.template = template
         self.template = template
         #: The group's schedule artifacts, fetched once by the caller:
         #: the kernels and the oracle delegation read them from here
         #: instead of re-fetching (a batch wider than the schedule cache
         #: would replay them again).
         self.arts = arts
-        self.activities = [
-            act if act.kind == "dyn" else act.bind(arts.availability[act.node])
-            for act in template.activities
-        ]
         w0 = [0] * template.n_rows
         name_idx = template.name_idx
         for name, value in arts.static_wcrt.items():
             w0[name_idx[name]] = value
         self.w0 = w0
+        #: The availability tables of ``template.av_nodes``, in order.
+        self.avs = [
+            availability_arrays(arts.availability[node])
+            for node in template.av_nodes
+        ]
         #: Structural safety verdict: every FPS activity is on the
-        #: staircase fast path.  Group-invariant; ``False`` sends every
-        #: batch of this group to the Python oracle.
-        self.stair = all(
-            act.stair for act in self.activities if act.kind == "fps"
+        #: staircase fast path, whose Python guard is ``gap_ends is not
+        #: None and slack > 0 and wcet > 0`` (idle patterns lowered as
+        #: the identity staircase).  ``False`` sends every batch of this
+        #: group to the Python oracle.
+        self.stair = template.wcet_positive and all(
+            av.stair for av in self.avs
         )
         #: The parsed C plan capsule; ``None`` until the first batch of
         #: this group reaches the C kernels.

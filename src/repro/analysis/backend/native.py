@@ -17,9 +17,9 @@ operation, and a lane whose exact value would leave int64 stops and
 reports ``conv = -1``.  The shim keeps two gates around it:
 
 * **structural**: every FPS activity must be on the staircase fast path
-  (``FpsActPlan.stair`` -- a non-degenerate or fully idle availability
-  pattern and a positive wcet); the verdict is group-invariant and
-  cached as ``GroupPlan.stair``, and a failing group runs on the oracle.
+  (a non-degenerate or fully idle availability pattern and a positive
+  wcet); the verdict is group-invariant and cached as
+  ``GroupPlan.stair``, and a failing group runs on the oracle.
 * **packing**: ``array('q')`` and the ``"L"`` argument format raise
   :class:`OverflowError` exactly when an input (a cap, a static
   response time, a release, ``fault_k``, the iteration budget) falls
@@ -66,82 +66,33 @@ def plan_blob(plan) -> array:
             fps:  release, wcet, av_index, n_preds, n_int, preds...,
                   n_int x (period, wcet, is_ancestor, jitter_row)
 
-    Only called for structurally safe groups, so every FPS activity's
-    availability carries the (possibly synthetic idle) staircase tables.
+    Only called for structurally safe groups, so every availability
+    pattern carries the (possibly synthetic idle) staircase tables.
 
     The per-activity section is **structure-invariant** (interferer
     rows, FrameIDs, transmission times; the availability references are
-    by index, and the index of a node's pattern -- first occurrence in
-    activity order -- is fixed by the template's activity order), so it
-    is serialized once and cached on ``plan.template``; only the header,
+    by index into ``template.av_nodes``), so it is lowered once per
+    structure record (``StructureTemplate.acts``); only the header,
     ``w0``, the fault rows and the availability tables are per group.
     """
     template = plan.template
-    avs = []
-    av_index = {}
-    for act in plan.activities:
-        if act.kind == "fps" and id(act.av) not in av_index:
-            av_index[id(act.av)] = len(avs)
-            avs.append(act.av)
     out = [
         PLAN_MAGIC,
         template.n_rows,
-        len(plan.activities),
-        len(avs),
+        template.n_acts,
+        len(plan.avs),
         len(template.fault_rows),
     ]
     out += plan.w0
     out += template.fault_rows
-    for av in avs:
+    for av in plan.avs:
         out += [av.n_instants, av.slack, av.period, len(av.gap_ends)]
         out += av.instants
         out += av.before
         out += av.gap_ends
         out += av.through
         out += av.eval_order
-    acts = template.native_acts
-    if acts is None:
-        acts = _acts_section(plan.activities, av_index)
-        template.native_acts = acts
-    return array("q", out + acts)
-
-
-def _acts_section(activities, av_index):
-    """The blob's per-activity section (see :func:`plan_blob`)."""
-    out = []
-    for act in activities:
-        out += [
-            0 if act.kind == "dyn" else 1,
-            act.row,
-            int(act.own_sensitive),
-            len(act.dep_rows),
-        ]
-        out += act.dep_rows
-        if act.kind == "dyn":
-            out += [
-                act.sender_row,
-                act.ct,
-                act.lower_slots,
-                act.frame_id,
-                act.largest,
-                act.max_adjusted,
-                len(act.hp_rows),
-                len(act.lf_rows),
-            ]
-            for row in act.hp_rows + act.lf_rows:
-                out += row
-        else:
-            out += [
-                act.release,
-                act.wcet,
-                av_index[id(act.av)],
-                len(act.pred_rows),
-                len(act.rows),
-            ]
-            out += act.pred_rows
-            for row in act.rows:
-                out += row
-    return out
+    return array("q", out + template.acts)
 
 
 def run_group_native(ctx, plan, configs) -> List:

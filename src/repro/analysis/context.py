@@ -24,12 +24,15 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     purely event-triggered applications additionally share it across
     the whole DYN-length sweep.
 
-(c) **per-configuration interference structure** -- hp/lf membership,
-    interferer periods, ancestor flags, adjusted frame sizes and
-    ``sigma``/``pLatestTx`` scalars of every DYN message.  The holistic
-    fix point used to rebuild these on every iteration; they are now
-    resolved once per (FrameID assignment, bus parameters) and reduced
-    to prebound tuples the inner loops iterate directly.
+(c) **per-structure interference records** -- hp/lf membership,
+    interferer periods, ancestor flags, adjusted frame sizes,
+    transmission times and the reverse interference map of every DYN
+    message.  They depend only on the FrameID assignment and the bus
+    speed (the *structure key*), so each key's record is built once,
+    in one place, and read by both the Python fix point and the
+    compiled backend's lowering; per configuration only the
+    cycle-geometry scalars (``pLatestTx``-derived ``lam``/``theta``,
+    ``sigma``, sendability, the k-error cycle cost) are added.
 
 On top of the tiers, the fix point memoises each activity's last input
 signature (its own jitter plus the jitters of its interferers) and skips
@@ -80,49 +83,49 @@ _FpsPlan = namedtuple(
 )
 
 
-class _DynView:
-    """Per-(config, message) data of one DYN message (tier c).
+#: One DYN message's share of a structure record (tier c): everything
+#: its Eq. (3) busy window reads that depends only on the FrameID
+#: assignment and the bus speed.  ``hp_info`` rows are (name, period,
+#: is_ancestor), ``lf_info`` rows (name, period, is_ancestor, adjusted
+#: size); ``largest`` is the sender node's largest DYN frame in
+#: minislots.  ``own_sensitive`` mirrors :data:`_FpsPlan`: the
+#: queuing-delay recurrence reads the message's own jitter only through
+#: the ancestor interference reduction, so without ancestor rows an
+#: own-jitter change alone never forces a re-evaluation (the response
+#: time ``J_m + w + C_m`` is re-derived from the cached window instead).
+#: ``max_adjusted`` (the largest lf adjusted size, 0 without lf rows)
+#: sizes the k-error per-error cycle cost.
+_DynMessage = namedtuple(
+    "_DynMessage",
+    "name sender frame_id hp_info lf_info lower_slots input_names ct "
+    "largest own_sensitive max_adjusted",
+)
 
-    ``own_sensitive`` mirrors :data:`_FpsPlan`: the queuing-delay
-    recurrence reads the message's own jitter only through the ancestor
-    interference reduction, so without ancestor rows the busy window is
-    a pure function of the interferers' jitters and an own-jitter change
-    alone never forces a re-evaluation (the response time
-    ``J_m + w + C_m`` is re-derived from the cached window instead).
-    """
+#: The per-configuration scalars of one DYN message (cycle geometry on
+#: top of its :data:`_DynMessage`).
+_DynView = namedtuple("_DynView", "lam theta sigma sendable fault_cycles")
 
-    __slots__ = (
-        "name", "sender", "input_names", "hp_info", "lf_info", "lower_slots",
-        "sendable", "lam", "theta", "sigma", "ct", "gd_cycle", "st_bus",
-        "ms_len", "own_sensitive", "fault_cycles",
-    )
 
-    def __init__(self, name, sender, input_names, hp_info, lf_info,
-                 lower_slots, sendable, lam, theta, sigma, ct, gd_cycle,
-                 st_bus, ms_len, fault_cycles=0):
-        self.name = name
-        self.sender = sender
-        self.input_names = input_names
-        self.hp_info = hp_info
-        self.lf_info = lf_info
-        self.lower_slots = lower_slots
-        self.sendable = sendable
-        self.lam = lam
-        self.theta = theta
-        self.sigma = sigma
-        self.ct = ct
-        self.gd_cycle = gd_cycle
-        self.st_bus = st_bus
-        self.ms_len = ms_len
-        self.fault_cycles = fault_cycles
-        self.own_sensitive = any(r[2] for r in hp_info) or any(
-            r[2] for r in lf_info
-        )
+class _Structure:
+    """The tier (c) record of one structure key, built by
+    :meth:`AnalysisContext._structure`: the :data:`_DynMessage` of every
+    DYN message (in ``dyn_messages`` order), the reverse interference
+    map (``dependents``: who must be re-evaluated when an activity's
+    jitter changes) and the compiled backend's
+    :class:`~repro.analysis.backend.arrays.StructureTemplate`, built on
+    first use (``None`` until then)."""
+
+    __slots__ = ("messages", "dependents", "template")
+
+    def __init__(self, messages, dependents):
+        self.messages = messages
+        self.dependents = dependents
+        self.template = None
 
 
 #: LRU bounds of the context caches: schedule artifacts (and the
-#: compiled backend's group plans that pack them), the per-structure
-#: derivations, and the validation memo.
+#: compiled backend's group plans that pack them), the structure
+#: records (and the schedule plans), and the validation memo and floor.
 _MAX_SCHEDULE_ENTRIES = 64
 _MAX_STRUCTURE_ENTRIES = 64
 _MAX_VALIDATION_ENTRIES = 4096
@@ -273,9 +276,8 @@ class AnalysisContext:
 
         # --- caches for tiers (b) and (c) -----------------------------
         self._schedule_cache: OrderedDict = OrderedDict()
+        #: One :class:`_Structure` per structure key.
         self._structure_cache: OrderedDict = OrderedDict()
-        self._ct_cache: OrderedDict = OrderedDict()
-        self._priorities_cache: OrderedDict = OrderedDict()
         #: Retimable schedule plans (job expansion + list-scheduling
         #: order), keyed by the bus-speed parameters alone -- the whole
         #: DYN sweep, every FrameID assignment and every static-segment
@@ -289,79 +291,33 @@ class AnalysisContext:
         #: (schedule key, DYN structure key); rides the same LRU bound
         #: as the schedule cache whose artifacts it packs.
         self._backend_plans: OrderedDict = OrderedDict()
-        #: Structure-key-invariant activity lowerings shared by those
-        #: plans (``StructureTemplate``), keyed by (structure key,
-        #: static-name order).  On an ST-heavy sweep every cycle length
-        #: is a fresh schedule key -- a fresh singleton ``GroupPlan`` --
-        #: but one template serves them all.
-        self._backend_structures: OrderedDict = OrderedDict()
         #: Monotone validation floor: per (everything except the DYN
         #: length), the smallest ``n_minislots`` that validated clean.
         #: Growing the dynamic segment only relaxes ``validate_for``'s
         #: checks (``pLatestTx`` rises, FrameID fits get easier, the
         #: static checks do not involve it), so any configuration at or
         #: above the floor is valid without re-scanning the system.
-        self._valid_floor: Dict[tuple, int] = {}
+        self._valid_floor: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
     # cached derivations
     # ------------------------------------------------------------------
-    def _ct_tables(self, config: FlexRayConfig) -> tuple:
-        """(ct per message, minislots per DYN message, largest frame of
-        the sender node per DYN message)."""
-        key = (config.bits_per_mt, config.frame_overhead_bytes,
-               config.gd_minislot)
-        entry = self._ct_cache.get(key)
-        if entry is None:
-            bits = config.bits_per_mt
-            overhead = config.frame_overhead_bytes
-            ms = config.gd_minislot
-            cts = {
-                m.name: ceil_div((m.size + overhead) * 8, bits)
-                for m in self.app.messages()
-            }
-            minislots = {
-                m.name: ceil_div(cts[m.name], ms) for m in self.dyn_messages
-            }
-            largest: Dict[str, int] = {}
-            for m in self.dyn_messages:
-                node = self.sender_node[m.name]
-                if minislots[m.name] > largest.get(node, 0):
-                    largest[node] = minislots[m.name]
-            #: Resolved per message: the sender node's largest DYN frame
-            #: (``_dyn_views`` reads it per view per analyse call).
-            largest_of_sender = {
-                m.name: largest[self.sender_node[m.name]]
-                for m in self.dyn_messages
-            }
-            entry = (cts, minislots, largest_of_sender)
-            _lru_insert(self._ct_cache, key, entry, _MAX_STRUCTURE_ENTRIES)
-        return entry
-
-    def _priorities(self, config: FlexRayConfig) -> Dict[str, int]:
-        """Critical-path priorities; they depend only on the bus speed."""
-        key = (config.bits_per_mt, config.frame_overhead_bytes)
-        prio = self._priorities_cache.get(key)
-        if prio is None:
-            prio = critical_path_priorities(self.app, config)
-            _lru_insert(
-                self._priorities_cache, key, prio, _MAX_STRUCTURE_ENTRIES
-            )
-        return prio
-
     def _plan(self, config: FlexRayConfig) -> SchedulePlan:
         """Retimable schedule plan for *config*'s bus-speed parameters.
 
         The plan (job expansion, dependency keys, list-scheduling order)
         is invariant across the cycle geometry, so its cache key is the
-        bus speed alone: one plan serves every candidate of a DYN-length
-        sweep, and each candidate's table is a cheap placement replay.
+        bus speed alone (as are the critical-path priorities it orders
+        by): one plan serves every candidate of a DYN-length sweep, and
+        each candidate's table is a cheap placement replay.
         """
         key = (config.bits_per_mt, config.frame_overhead_bytes)
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = SchedulePlan(
-                self.system, self.options.schedule, self._priorities(config)
+                self.system,
+                self.options.schedule,
+                critical_path_priorities(self.app, config),
             )
             _lru_insert(self._plan_cache, key, plan, _MAX_STRUCTURE_ENTRIES)
         return plan
@@ -397,7 +353,12 @@ class AnalysisContext:
             else:
                 failure = None
                 if floor is None or n < floor:
-                    self._valid_floor[floor_key] = n
+                    _lru_insert(
+                        self._valid_floor,
+                        floor_key,
+                        n,
+                        _MAX_VALIDATION_ENTRIES,
+                    )
         _lru_insert(
             self._valid_cache, key, failure, _MAX_VALIDATION_ENTRIES
         )
@@ -480,20 +441,39 @@ class AnalysisContext:
             config.gd_minislot,
         )
 
-    def _dyn_structure(self, config: FlexRayConfig) -> Dict[str, tuple]:
-        """Tier (c): hp/lf rows per DYN message for a FrameID assignment."""
+    def _structure(self, config: FlexRayConfig) -> _Structure:
+        """Tier (c): the structure record of *config*'s structure key.
+
+        The one place a FrameID assignment's DYN interference structure
+        is derived; the Python fix point and the compiled backend's
+        lowering both read it.
+        """
         key = self.structure_key(config)
-        structure = self._structure_cache.get(key)
-        if structure is not None:
+        record = self._structure_cache.get(key)
+        if record is not None:
             self._structure_cache.move_to_end(key)
-            return structure
-        _, minislots, _ = self._ct_tables(config)
+            return record
+        bits = config.bits_per_mt
+        overhead = config.frame_overhead_bytes
+        ms_len = config.gd_minislot
         frame_ids = config.frame_ids
         period = self.period
-        structure = {}
+        sender_node = self.sender_node
+        cts = {
+            m.name: ceil_div((m.size + overhead) * 8, bits)
+            for m in self.dyn_messages
+        }
+        minislots = {name: ceil_div(ct, ms_len) for name, ct in cts.items()}
+        largest: Dict[str, int] = {}
+        for name, size in minislots.items():
+            node = sender_node[name]
+            if size > largest.get(node, 0):
+                largest[node] = size
+        messages = []
+        dependents: Dict[str, List[str]] = {}
         for m in self.dyn_messages:
             f = frame_ids[m.name]
-            node = self.sender_node[m.name]
+            node = sender_node[m.name]
             anc = self.ancestors.get(m.name, frozenset())
             hp_rows: List[tuple] = []
             lf_rows: List[tuple] = []
@@ -510,7 +490,7 @@ class AnalysisContext:
                     input_names.append(other.name)
                 elif (
                     other_f == f
-                    and self.sender_node[other.name] == node
+                    and sender_node[other.name] == node
                     and (other.priority, other.name)
                     <= (m.priority, m.name)
                 ):
@@ -518,81 +498,49 @@ class AnalysisContext:
                         (other.name, period[other.name], other.name in anc)
                     )
                     input_names.append(other.name)
-            structure[m.name] = (
-                f, tuple(hp_rows), tuple(lf_rows), f - 1, tuple(input_names)
+            for inp in input_names:
+                dependents.setdefault(inp, []).append(m.name)
+            messages.append(
+                _DynMessage(
+                    name=m.name,
+                    sender=self.sender_task[m.name],
+                    frame_id=f,
+                    hp_info=tuple(hp_rows),
+                    lf_info=tuple(lf_rows),
+                    lower_slots=f - 1,
+                    input_names=tuple(input_names),
+                    ct=cts[m.name],
+                    largest=largest[node],
+                    own_sensitive=any(r[2] for r in hp_rows)
+                    or any(r[2] for r in lf_rows),
+                    max_adjusted=max((r[3] for r in lf_rows), default=0),
+                )
             )
-        _lru_insert(
-            self._structure_cache, key, structure, _MAX_STRUCTURE_ENTRIES
-        )
-        return structure
-
-    def _dependents(self, config: FlexRayConfig) -> Dict[str, tuple]:
-        """Reverse interference map: who must be re-evaluated when an
-        activity's jitter changes.
-
-        Derived from the same per-configuration structure as
-        :meth:`_dyn_structure` (an activity's busy-window inputs are its
-        own jitter plus its interferers' jitters); the fix point uses it
-        for exact change tracking instead of rebuilding input-signature
-        tuples every pass.
-        """
-        key = ("deps",) + self.structure_key(config)
-        deps = self._structure_cache.get(key)
-        if deps is not None:
-            self._structure_cache.move_to_end(key)
-            return deps
-        structure = self._dyn_structure(config)
-        out: Dict[str, List[str]] = {}
-        for m in self.dyn_messages:
-            for inp in structure[m.name][4]:
-                out.setdefault(inp, []).append(m.name)
         for node in self.system.nodes:
             for plan in self.fps_plans[node]:
                 for inp in plan.input_names:
-                    out.setdefault(inp, []).append(plan.name)
-        deps = {name: tuple(v) for name, v in out.items()}
-        _lru_insert(
-            self._structure_cache, key, deps, _MAX_STRUCTURE_ENTRIES
+                    dependents.setdefault(inp, []).append(plan.name)
+        record = _Structure(
+            tuple(messages),
+            {name: tuple(v) for name, v in dependents.items()},
         )
-        return deps
+        _lru_insert(
+            self._structure_cache, key, record, _MAX_STRUCTURE_ENTRIES
+        )
+        return record
 
-    def _structure_template(self, config: FlexRayConfig, static_names):
-        """The backend's structure-invariant activity lowering, cached.
-
-        Keyed by the structure key plus the static-name insertion order
-        (the template's row layout leads with it; in practice the order
-        is schedule-key-invariant -- it follows the replay plan -- but
-        keying on it keeps the reuse provably sound).
-        """
-        from repro.analysis.backend.arrays import StructureTemplate
-
-        key = (self.structure_key(config), static_names)
-        template = self._backend_structures.get(key)
-        if template is None:
-            template = StructureTemplate(self, config, static_names)
-            _lru_insert(
-                self._backend_structures,
-                key,
-                template,
-                _MAX_STRUCTURE_ENTRIES,
-            )
-        else:
-            self._backend_structures.move_to_end(key)
-        return template
-
-    def _dyn_views(self, config: FlexRayConfig) -> List[_DynView]:
-        """Per-configuration DYN message views (tier c + scalars)."""
-        structure = self._dyn_structure(config)
-        cts, _, largest_of_sender = self._ct_tables(config)
+    def _dyn_views(self, config: FlexRayConfig, structure: _Structure):
+        """The per-configuration scalars of every DYN message, aligned
+        with ``structure.messages``."""
         n_minislots = config.n_minislots
         gd_cycle = config.gd_cycle
         st_bus = config.st_bus
         ms_len = config.gd_minislot
         fault_k = self._fault_k
         views = []
-        for m in self.dyn_messages:
-            f, hp_info, lf_info, lower_slots, input_names = structure[m.name]
-            p_latest = n_minislots - largest_of_sender[m.name] + 1
+        for msg in structure.messages:
+            f = msg.frame_id
+            p_latest = n_minislots - msg.largest + 1
             lam = p_latest - 1
             theta = lam - f + 2
             sendable = f <= p_latest
@@ -604,25 +552,15 @@ class AnalysisContext:
                 # (at worst) the largest adjusted size, adding at most
                 # ``a // theta`` filled cycles plus one cycle each for
                 # the instance-count bound and the final-cycle leftover.
-                max_adjusted = max((row[3] for row in lf_info), default=0)
+                max_adjusted = msg.max_adjusted
                 per_error = 1 if max_adjusted <= 0 else 2 + max_adjusted // theta
                 fault_cycles = fault_k * per_error
             views.append(
                 _DynView(
-                    name=m.name,
-                    sender=self.sender_task[m.name],
-                    input_names=input_names,
-                    hp_info=hp_info,
-                    lf_info=lf_info,
-                    lower_slots=lower_slots,
-                    sendable=sendable,
                     lam=lam,
                     theta=theta,
                     sigma=gd_cycle - st_bus - (f - 1) * ms_len,
-                    ct=cts[m.name],
-                    gd_cycle=gd_cycle,
-                    st_bus=st_bus,
-                    ms_len=ms_len,
+                    sendable=sendable,
                     fault_cycles=fault_cycles,
                 )
             )
@@ -763,10 +701,7 @@ class AnalysisContext:
         cap_base = self._cap_base
         gd_cycle = config.gd_cycle
         cap = options.cap_factor * (cap_base if cap_base > gd_cycle else gd_cycle)
-        dyn_views = self._dyn_views(config)
-        wcrt, converged = self._fix_point(
-            config, arts, dyn_views, cap, certified
-        )
+        wcrt, converged = self._fix_point(config, arts, cap, certified)
         return self._result(config, arts, wcrt, converged)
 
     def _result(self, config: FlexRayConfig, arts: _ScheduleArtifacts,
@@ -796,7 +731,6 @@ class AnalysisContext:
         self,
         config: FlexRayConfig,
         arts: _ScheduleArtifacts,
-        dyn_views: List[_DynView],
         cap: int,
         certified: bool = True,
     ) -> Tuple[Dict[str, int], bool]:
@@ -828,6 +762,10 @@ class AnalysisContext:
         availability = arts.availability
         fps_plans = self.fps_plans
         nodes = self.system.nodes
+        structure = self._structure(config)
+        gd_cycle = config.gd_cycle
+        st_bus = config.st_bus
+        ms_len = config.gd_minislot
 
         wcrt: Dict[str, int] = dict(arts.static_wcrt)
         if self._fault_k:
@@ -861,16 +799,21 @@ class AnalysisContext:
         # its own jitter changed (``last_own``) or some interferer's
         # jitter was updated since its last evaluation (``dirty``, fed by
         # the reverse interference map).
-        dependents = self._dependents(config)
-        deps_get = dependents.get
+        deps_get = structure.dependents.get
         dirty = set()
         dirty_add = dirty.add
         last_own: Dict[str, int] = {}
         last_out: Dict[str, Tuple[int, bool]] = {}
-        # (activity, availability) slots in the slot layout, walked in
-        # precedence order; a DYN message's slot carries no availability.
-        slots = [(view, None) for view in dyn_views] + [
-            (plan, availability[node])
+        # (activity, availability, view) slots in the slot layout,
+        # walked in precedence order; a DYN message's slot carries its
+        # per-configuration view instead of an availability.
+        slots = [
+            (msg, None, view)
+            for msg, view in zip(
+                structure.messages, self._dyn_views(config, structure)
+            )
+        ] + [
+            (plan, availability[node], None)
             for node in nodes
             for plan in fps_plans[node]
         ]
@@ -878,7 +821,7 @@ class AnalysisContext:
         converged = True
         for _ in range(options.max_holistic_iterations):
             changed = False
-            for act, node_availability in acts:
+            for act, node_availability, view in acts:
                 name = act.name
                 is_dyn = node_availability is None
                 if is_dyn:
@@ -923,24 +866,24 @@ class AnalysisContext:
                         )
                         if certified:
                             inner_seeds[name] = demands
-                    elif act.sendable:
+                    elif view.sendable:
                         w, ok, final = _dyn_busy_window(
                             act.hp_info,
                             act.lf_info,
                             act.lower_slots,
-                            act.lam,
-                            act.theta,
-                            act.sigma,
+                            view.lam,
+                            view.theta,
+                            view.sigma,
                             act.ct,
-                            act.gd_cycle,
-                            act.st_bus,
-                            act.ms_len,
+                            gd_cycle,
+                            st_bus,
+                            ms_len,
                             jitters,
                             cap,
                             j,
                             fill_strategy,
                             seeds_get(name) if certified else None,
-                            act.fault_cycles,
+                            view.fault_cycles,
                         )
                         if certified:
                             inner_seeds[name] = final

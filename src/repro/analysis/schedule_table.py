@@ -111,37 +111,6 @@ class ScheduleTable:
             t = max(t, e)
         return t
 
-    def gap_starts(self, node: str, earliest: int, duration: int, limit: int) -> List[int]:
-        """Up to *limit* candidate start times (one per gap) for a task.
-
-        The first candidate is the first-fit start; each later candidate
-        is the first fit after the busy interval that bounds the previous
-        candidate's gap, i.e. exactly one candidate per distinct gap that
-        can hold *duration* macroticks.  Public helper for placement
-        exploration (the built-in FPS-aware heuristic of Fig. 2 line 11
-        currently spreads candidates over the slack window via
-        ``first_fit`` instead -- see ``scheduler._placement_candidates``).
-        Candidates are strictly increasing; abutting busy intervals are
-        treated as one blocked region.
-        """
-        if limit < 1:
-            return []
-        candidates: List[int] = []
-        busy = self._node_busy.get(node, [])
-        t = max(0, earliest)
-        while len(candidates) < limit:
-            start = self.first_fit(node, t, duration)
-            candidates.append(start)
-            # The gap holding [start, start + duration) extends to the
-            # first busy interval at or beyond the placement's end (any
-            # earlier interval would have blocked the first fit).  The
-            # next distinct gap begins after that interval.
-            idx = bisect.bisect_left(busy, (start + duration, -1))
-            if idx == len(busy):
-                break  # the candidate lies in the unbounded tail gap
-            t = busy[idx][1]
-        return candidates
-
     def add_task(self, job_key: str, task: Task, start: int) -> ScheduledTask:
         """Record an SCS task instance at *start*; rejects overlaps."""
         if job_key in self.tasks:

@@ -381,6 +381,49 @@ class TestBitIdentity:
         assert _result_docs(results) == _result_docs(python)
 
 
+@requires_native
+@pytest.mark.native
+@pytest.mark.parametrize("fault_k", [None, 1])
+def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
+    """An ST-heavy sweep has one structure key and one schedule key per
+    cycle length: its singleton groups share one structure record and
+    one ``StructureTemplate``.  Every group's static-name order is the
+    template's -- it follows the bus-speed plan, which is why the
+    template needs no schedule-side key -- and the results equal the
+    Python oracle's, wcrt insertion order included."""
+    from repro.analysis.backend import arrays
+
+    built = []
+    template_class = arrays.StructureTemplate
+
+    def counting_template(*args):
+        built.append(template_class(*args))
+        return built[-1]
+
+    monkeypatch.setattr(arrays, "StructureTemplate", counting_template)
+    system = paper_system(3, 0, seed=23)
+    configs = _sweep_configs(system, 16)
+    context = AnalysisContext(
+        system, AnalysisOptions(backend="native", fault_hypothesis=fault_k)
+    )
+    native = context.analyse_batch(configs)
+    assert len(context._structure_cache) == 1
+    assert len(built) == 1
+    assert len(context._backend_plans) == len(
+        {context.schedule_key(c) for c in configs}
+    ) > 1
+    for plan in context._backend_plans.values():
+        assert plan.template is built[0]
+        assert tuple(plan.arts.static_wcrt) == built[0].static_names
+    python = AnalysisContext(
+        system, AnalysisOptions(fault_hypothesis=fault_k)
+    ).analyse_batch(configs)
+    assert [list(r.wcrt.items()) for r in native] == [
+        list(r.wcrt.items()) for r in python
+    ]
+    assert _result_docs(native) == _result_docs(python)
+
+
 # ----------------------------------------------------------------------
 # optimiser-level identity: traces, evaluations, cache hits
 # ----------------------------------------------------------------------
@@ -521,6 +564,92 @@ def test_native_entry_points_keep_argument_refcounts():
         )
     assert [sys.getrefcount(obj) for obj in watched] == before
     assert list(conv) == [1] * len(group)  # the loop did converge
+
+
+#: The loop runs in a fork of a fresh interpreter: ``ru_maxrss`` is a
+#: high-water mark that survives ``exec`` (a child started by the test
+#: reports the test process's own peak), and only a fork starts it
+#: from this small process's footprint.
+_RSS_LOOP = """
+import importlib.util, os, pickle, resource, sys
+spec = importlib.util.spec_from_file_location("repro._native", sys.argv[1])
+native = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(native)
+with open(sys.argv[2], "rb") as fh:
+    blob, run_args = pickle.load(fh)
+capsule = native.build_plan(blob)
+
+def loop(calls):
+    for _ in range(calls):
+        native.build_plan(blob)
+        native.run_batch(capsule, *run_args)
+
+loop(2000)
+pid = os.fork()
+if pid == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    loop(20000)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    sys.stdout.flush()
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@requires_native
+@pytest.mark.native
+@pytest.mark.skipif(
+    "libasan" in os.environ.get("LD_PRELOAD", ""),
+    reason="ASan's quarantine holds freed memory back, so RSS grows "
+    "under it whether or not the extension leaks",
+)
+def test_native_entry_points_keep_rss_flat(tmp_path):
+    """After a warm-up, 20,000 calls each of ``build_plan`` and
+    ``run_batch`` on a real group plan grow the peak RSS by less than
+    1 MiB: a leaked plan struct alone (~100 bytes a call) would cost
+    about 2 MB."""
+    import pickle
+    from array import array
+
+    from repro.analysis.backend.native import plan_blob
+
+    system = fig4_system()
+    configs = _sweep_configs(system, 4)
+    ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
+    ctx.analyse_batch(configs)
+    key, plan = next(
+        (key, plan) for key, plan in ctx._backend_plans.items() if plan.stair
+    )
+    group = [
+        c for c in configs
+        if (ctx.schedule_key(c), ctx.structure_key(c)) == key
+    ]
+    cap_factor = ctx.options.cap_factor
+    run_args = (
+        array("q", [cap_factor * max(ctx._cap_base, c.gd_cycle) for c in group]),
+        array("q", [c.n_minislots for c in group]),
+        array("q", [c.gd_cycle for c in group]),
+        array("q", [c.st_bus for c in group]),
+        group[0].gd_minislot,
+        ctx._fault_k,
+        ctx.options.max_holistic_iterations,
+        array("q", [0]) * (len(group) * plan.template.n_rows),
+        array("q", [0]) * len(group),
+    )
+    inputs = tmp_path / "inputs.pickle"
+    inputs.write_bytes(pickle.dumps((plan_blob(plan).tobytes(), run_args)))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _RSS_LOOP,
+            native_or_none().__file__, str(inputs),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth_kib = int(proc.stdout)
+    assert growth_kib < 1024, f"peak RSS grew by {growth_kib} KiB"
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,33 @@ def test_unknown_fill_strategy_rejected_up_front():
             AnalysisContext(system, options)
 
 
+def test_validation_floor_is_lru_bounded(monkeypatch):
+    """The validation floor holds at most ``_MAX_VALIDATION_ENTRIES``
+    (static segment, FrameID assignment) entries -- SA moves and the
+    service's long-lived contexts would otherwise grow it without
+    limit -- and evicting floors never changes a result."""
+    monkeypatch.setattr(context_module, "_MAX_VALIDATION_ENTRIES", 4)
+    system = fig4_system()
+    base = basic_configuration(system, 40)
+    # N1 sends m1 and m3, N2 sends m2: m2's FrameID must differ.
+    assignments = [
+        {"m1": a, "m3": b, "m2": c}
+        for a in range(1, 5)
+        for b in range(1, 5)
+        for c in range(1, 6)
+        if c not in (a, b)
+    ][:20]
+    context = AnalysisContext(system)
+    for frame_ids in assignments:
+        config = base.with_frame_ids(frame_ids)
+        result = context.analyse(config)
+        assert result.feasible
+        assert _result_signature(result) == _result_signature(
+            context.analyse_cold(config)
+        )
+    assert len(context._valid_floor) <= 4
+
+
 class TestEvaluatorCache:
     def test_lru_bound_evicts_and_recounts(self):
         system = fig3_system()

@@ -69,60 +69,6 @@ class TestFirstFit:
         assert table.first_fit("N1", 0, 8) == 17
         assert table.first_fit("N1", 6, 7) == 17
 
-    def test_gap_starts_candidates(self, table):
-        table.add_task("a#0", scs_task("a", wcet=5), 2)
-        table.add_task("b#0", scs_task("b", wcet=5), 12)
-        starts = table.gap_starts("N1", 0, 2, limit=3)
-        assert starts[0] == 0
-        assert 7 in starts or 17 in starts
-
-    def test_gap_starts_one_candidate_per_gap(self, table):
-        table.add_task("a#0", scs_task("a", wcet=5), 2)
-        table.add_task("b#0", scs_task("b", wcet=5), 12)
-        # gaps: [0,2) fits 2, [7,12) fits 2+, tail from 17
-        assert table.gap_starts("N1", 0, 2, limit=10) == [0, 7, 17]
-        # duration 4 skips the leading gap: first fit lands at 7
-        assert table.gap_starts("N1", 0, 4, limit=10) == [7, 17]
-
-    def test_gap_starts_abutting_intervals_not_reproposed(self, table):
-        """Abutting busy intervals are one blocked region: the rescan
-        must neither re-propose a start inside it nor skip the gap
-        behind it (the seed's ``start + 1`` advance did both)."""
-        table.add_task("a#0", scs_task("a", wcet=5), 5)
-        table.add_task("b#0", scs_task("b", wcet=5), 10)  # abuts a#0
-        table.add_task("c#0", scs_task("c", wcet=5), 20)
-        starts = table.gap_starts("N1", 0, 3, limit=10)
-        assert starts == [0, 15, 25]
-        assert len(set(starts)) == len(starts)
-
-    def test_gap_starts_zero_leading_gap(self, table):
-        table.add_task("a#0", scs_task("a", wcet=4), 0)
-        table.add_task("b#0", scs_task("b", wcet=4), 4)  # abuts at 4
-        assert table.gap_starts("N1", 0, 2, limit=5) == [8]
-
-    def test_gap_starts_limit_one_is_first_fit(self, table):
-        table.add_task("a#0", scs_task("a", wcet=5), 2)
-        assert table.gap_starts("N1", 0, 2, limit=1) == [
-            table.first_fit("N1", 0, 2)
-        ]
-        assert table.gap_starts("N1", 0, 2, limit=0) == []
-
-    def test_gap_starts_strictly_increasing_and_feasible(self, table):
-        import random
-
-        rng = random.Random(5)
-        t = 0
-        for k in range(8):
-            t += rng.randint(1, 6)
-            table.add_task(f"x{k}#0", scs_task(f"x{k}", wcet=rng.randint(1, 4)), t)
-            t = table.tasks[f"x{k}#0"].finish
-        for duration in (1, 2, 5):
-            starts = table.gap_starts("N1", 0, duration, limit=6)
-            assert starts == sorted(set(starts))
-            for s in starts:
-                # each candidate must itself be a feasible first fit
-                assert table.first_fit("N1", s, duration) == s
-
     def test_rejects_zero_duration(self, table):
         with pytest.raises(SchedulingError):
             table.first_fit("N1", 0, 0)

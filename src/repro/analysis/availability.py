@@ -169,46 +169,51 @@ class NodeAvailability:
                 )
         self.period = period
         self.busy = merged
-        self._busy_per_period = sum(e - s for s, e in merged)
-        # Precomputed once: the response-time fix points call ``advance``
-        # millions of times per optimiser run and the gap list / critical
-        # instants never change after construction.
-        self._gap_list = self._compute_gaps()
-        self._critical_instants = [0] + [s for s, _ in merged]
-        # Prefix-sum view of the gaps so ``advance`` can bisect instead of
-        # walking the gap list: ``_gap_ends[k]`` is the end of gap k and
-        # ``_slack_through[k]`` the pattern slack accumulated up to (and
-        # including) gap k.
-        self._gap_starts_arr = [s for s, _ in self._gap_list]
-        self._gap_ends = [e for _, e in self._gap_list]
-        self._slack_through: List[int] = []
+        # Precomputed once, in one pass over the merged pattern: the
+        # response-time fix points call ``advance`` millions of times per
+        # optimiser run and none of this changes after construction.
+        # ``_gap_ends[k]`` is the end of gap k and ``_slack_through[k]``
+        # the pattern slack up to and including gap k, so ``advance`` can
+        # bisect instead of walking the gap list.  The critical instants
+        # are time 0 and every busy start; ``_instant_slack_before`` holds
+        # the pattern slack before each (merged intervals never touch, so
+        # every busy start but a leading one at 0 closes a gap), and
+        # ``blocks`` the busy run starting at each.
+        gaps: List[Tuple[int, int]] = []
+        through: List[int] = []
+        before = [0]
+        blocks = [merged[0][1] if merged and merged[0][0] == 0 else 0]
         acc = 0
-        for s, e in self._gap_list:
-            acc += e - s
-            self._slack_through.append(acc)
-        #: Pattern slack before each critical instant, precomputed: the
-        #: FPS busy-window kernel only ever advances from critical
-        #: instants, so it can skip the per-call offset bisect entirely.
-        self._instant_slack_before = [
-            self._slack_before(t) for t in self._critical_instants
-        ]
+        prev = 0
+        for s, e in merged:
+            if s > prev:
+                gaps.append((prev, s))
+                acc += s - prev
+                through.append(acc)
+            before.append(acc)
+            blocks.append(e - s)
+            prev = e
+        if prev < period:
+            gaps.append((prev, period))
+            acc += period - prev
+            through.append(acc)
+        self._busy_per_period = period - acc
+        self._gap_list = gaps
+        self._critical_instants = [0] + [s for s, _ in merged]
+        self._gap_starts_arr = [s for s, _ in gaps]
+        self._gap_ends = [e for _, e in gaps]
+        self._slack_through = through
+        self._instant_slack_before = before
         #: Evaluation order for the busy-window maximisation: instants
-        #: sorted by descending initial busy-run length (ties by index).
-        #: Instants with long initial blocking tend to produce the
-        #: largest busy windows, so visiting them first makes the
-        #: incremental per-instant bound of
+        #: sorted by descending initial busy-run length (ties by index:
+        #: the sort is stable).  Instants with long initial blocking
+        #: tend to produce the largest busy windows, so visiting them
+        #: first makes the incremental per-instant bound of
         #: :func:`repro.analysis.fps.seeded_busy_window` prune the rest
         #: early.  The maximisation result is order-independent.
-        end_of_run = dict(merged)
-
-        def _initial_block(t: int) -> int:
-            return end_of_run[t] - t if t in end_of_run else 0
-
+        longest_first = [-b for b in blocks]
         self._instant_eval_order = tuple(
-            sorted(
-                range(len(self._critical_instants)),
-                key=lambda i: (-_initial_block(self._critical_instants[i]), i),
-            )
+            sorted(range(len(blocks)), key=longest_first.__getitem__)
         )
         #: Dominance-enabled maximisations served so far; the dominance
         #: tables are built once this crosses the amortisation threshold
@@ -524,14 +529,3 @@ class NodeAvailability:
 
     def _gaps(self) -> List[Tuple[int, int]]:
         return self._gap_list
-
-    def _compute_gaps(self) -> List[Tuple[int, int]]:
-        gaps: List[Tuple[int, int]] = []
-        prev = 0
-        for s, e in self.busy:
-            if s > prev:
-                gaps.append((prev, s))
-            prev = e
-        if prev < self.period:
-            gaps.append((prev, self.period))
-        return gaps

@@ -268,11 +268,6 @@ class AnalysisContext:
         self._cap_base = analysis_cap_base(app)
         #: The schedule depends on gd_cycle iff ST slot instances exist.
         self._st_dependent = bool(self.st_messages)
-        self._period_lookup = self.period.__getitem__
-        #: Lazy ``job_key -> (activity name, instance * period)`` memo:
-        #: the static response times re-derive both per table otherwise
-        #: (the job keys of a system are invariant across the sweep).
-        self._job_base: Dict[str, tuple] = {}
 
         # --- caches for tiers (b) and (c) -----------------------------
         self._schedule_cache: OrderedDict = OrderedDict()
@@ -365,33 +360,27 @@ class AnalysisContext:
         return failure
 
     def _static_wcrt(self, table) -> Dict[str, int]:
-        """Static response times of *table*, with job bases memoised.
+        """Static response times of a replayed *table*, from its record.
 
-        Identical to
-        :func:`repro.analysis.st_msg.static_response_times`, but the
-        ``job_key -> (name, instance * period)`` decomposition is cached
-        on the context -- the job keys of a system never change across
-        the sweep, only the placements do.
+        Per activity the largest ``finish - instance * period`` over its
+        jobs, in the job table's ``names`` order: the values and the key
+        order of :func:`repro.analysis.st_msg.static_response_times`.
         """
-        bases = self._job_base
-        period = self.period
-        wcrt: Dict[str, int] = {}
-        wcrt_get = wcrt.get
-        for entries in (table.tasks, table.messages):
-            for key, entry in entries.items():
-                nb = bases.get(key)
-                if nb is None:
-                    name, instance = key.rsplit("#", 1)
-                    nb = (name, int(instance) * period[name])
-                    bases[key] = nb
-                name, base = nb
-                v = entry.finish - base
-                cur = wcrt_get(name, 0)
-                wcrt[name] = v if v > cur else cur
-        return wcrt
+        record = table.record
+        jobs = record.jobs
+        worst = [0] * len(jobs.names)
+        for n, f, base in zip(jobs.name_of, record.finish, jobs.base):
+            v = f - base
+            if v > worst[n]:
+                worst[n] = v
+        return dict(zip(jobs.names, worst))
 
     def _schedule_artifacts(self, config: FlexRayConfig) -> _ScheduleArtifacts:
-        """Tier (b): replay-or-fetch the static schedule and its derivates."""
+        """Tier (b): replay-or-fetch the static schedule and its derivates.
+
+        The static response times and the availability patterns read
+        the replay's flat record; no table entry is built.
+        """
         key = self.schedule_key(config)
         entry = self._schedule_cache.get(key)
         if entry is not None:
@@ -407,20 +396,20 @@ class AnalysisContext:
                 availability=None,
             )
         else:
-            static_wcrt = self._static_wcrt(table)
-            availability = {
-                node: NodeAvailability(
-                    wrap_busy_intervals(
-                        table.busy_intervals(node), table.horizon
-                    ),
-                    table.horizon,
-                )
-                for node in self.system.nodes
-            }
+            record = table.record
+            horizon = record.horizon
+            availability = {}
+            for node in self.system.nodes:
+                busy = record.busy.get(node, [])
+                # Sorted, disjoint and starting at >= 0: only a spill
+                # past the horizon needs folding back into the period.
+                if busy and busy[-1][1] > horizon:
+                    busy = wrap_busy_intervals(busy, horizon)
+                availability[node] = NodeAvailability(busy, horizon)
             entry = _ScheduleArtifacts(
                 table=table,
                 failure=None,
-                static_wcrt=static_wcrt,
+                static_wcrt=self._static_wcrt(table),
                 availability=availability,
             )
         _lru_insert(self._schedule_cache, key, entry, _MAX_SCHEDULE_ENTRIES)

@@ -4,13 +4,19 @@ Holds the off-line computed start times of SCS tasks and the (cycle,
 slot, in-frame offset) placement of ST messages -- the artefact the
 paper's ``GlobalSchedulingAlgorithm`` (Fig. 2) produces and each node's
 CPU consults at run time ("2/2" entries in Fig. 1).
+
+A replayed schedule (:meth:`repro.analysis.scheduler.SchedulePlan.replay`)
+is a flat :class:`ScheduleRecord` of ints; its :class:`ScheduleTable`
+is a view that builds the :class:`ScheduledTask` /
+:class:`ScheduledMessage` entries only when they are first read.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlexRayConfig
 from repro.errors import SchedulingError
@@ -72,13 +78,93 @@ class ScheduledMessage:
         return self.start + self.ct
 
 
+_AFTER_ANY_END = float("inf")
+
+
+def first_gap(
+    intervals: Sequence[Tuple[int, int]], earliest: int, duration: int
+) -> Tuple[int, int]:
+    """First fit on one node: ``(start, index)``.
+
+    *start* is the earliest time >= *earliest* (and >= 0) at which a gap
+    of *duration* MT opens between the sorted, disjoint busy
+    *intervals*; inserting ``(start, start + duration)`` at *index*
+    keeps them sorted.  The scan begins at a bisect instead of the first
+    interval, which returns exactly what a linear scan would: every
+    interval before it ends at or before *earliest*.
+    """
+    if duration <= 0:
+        raise SchedulingError(f"duration must be positive, got {duration}")
+    t = earliest if earliest > 0 else 0
+    i = bisect_right(intervals, (t, _AFTER_ANY_END))
+    if i and intervals[i - 1][1] > t:
+        i -= 1
+    n = len(intervals)
+    while i < n:
+        s, e = intervals[i]
+        if s >= t + duration:
+            break
+        t = e
+        i += 1
+    return t, i
+
+
+class JobTable:
+    """The jobs of a schedule plan, in plan order.
+
+    ``keys[i]`` is job *i*'s ``name#instance`` key, ``activities[i]`` its
+    task or message and ``base[i]`` its ``instance * period``; ``index``
+    maps a key back to *i*.  ``names`` orders the activities the way the
+    static response times list them -- task names, then message names,
+    each in first-job order -- and ``name_of[i]`` indexes it.
+    """
+
+    __slots__ = ("keys", "activities", "base", "index", "names", "name_of")
+
+    def __init__(self, keys: Tuple[str, ...], activities: tuple,
+                 base: Tuple[int, ...]):
+        self.keys = keys
+        self.activities = activities
+        self.base = base
+        self.index = {key: i for i, key in enumerate(keys)}
+        is_task = [isinstance(a, Task) for a in activities]
+        self.names = tuple(
+            dict.fromkeys(a.name for a, t in zip(activities, is_task) if t)
+        ) + tuple(
+            dict.fromkeys(a.name for a, t in zip(activities, is_task) if not t)
+        )
+        slot = {name: i for i, name in enumerate(self.names)}
+        self.name_of = tuple(slot[a.name] for a in activities)
+
+
+#: The flat outcome of one schedule replay, indexed like its
+#: :class:`JobTable` (``jobs``).  ``start[i]`` is a task's start time, or
+#: a message's offset into its frame; ``cell[i]`` is ``None`` for a task
+#: and ``(cycle, slot)`` for a message; ``duration[i]`` the task's wcet
+#: or the message's transmission time; ``finish[i]`` the absolute
+#: completion time under the configuration the record was replayed for.
+#: ``busy`` maps each node hosting SCS jobs to its sorted, disjoint busy
+#: intervals, and ``frame_used`` each used ``(cycle, slot)`` to the
+#: payload MT packed into it.  Never mutated once built: every view of
+#: it shares it.
+ScheduleRecord = namedtuple(
+    "ScheduleRecord",
+    "jobs horizon start cell duration finish busy frame_used",
+)
+
+
 class ScheduleTable:
-    """Mutable builder/container for the static schedule.
+    """The static schedule: a builder for hand-made tables, or a view.
 
     Tracks, per node, the busy intervals occupied by SCS tasks (used both
     for placement and as the FPS availability pattern) and, per static
     slot instance, the frame payload already consumed by packed ST
     messages.
+
+    A table made by :meth:`from_record` is a view of a replayed
+    :class:`ScheduleRecord`: ``tasks`` and ``messages`` are built on
+    first access, and it pickles as its record.  Adding an entry to a
+    view first gives it private copies of everything it shares.
     """
 
     def __init__(self, config: FlexRayConfig, horizon: int):
@@ -86,10 +172,83 @@ class ScheduleTable:
             raise SchedulingError(f"schedule horizon must be positive, got {horizon}")
         self.config = config
         self.horizon = horizon
-        self.tasks: Dict[str, ScheduledTask] = {}
-        self.messages: Dict[str, ScheduledMessage] = {}
+        #: The replayed record this table views, or ``None``.
+        self.record: Optional[ScheduleRecord] = None
+        self._tasks: Optional[Dict[str, ScheduledTask]] = {}
+        self._messages: Optional[Dict[str, ScheduledMessage]] = {}
         self._node_busy: Dict[str, List[Tuple[int, int]]] = {}
         self._frame_used: Dict[Tuple[int, int], int] = {}
+
+    @classmethod
+    def from_record(
+        cls, config: FlexRayConfig, record: ScheduleRecord
+    ) -> "ScheduleTable":
+        """A view of *record* whose message times derive from *config*."""
+        table = cls.__new__(cls)
+        table._bind(config, record)
+        return table
+
+    def _bind(self, config: FlexRayConfig, record: ScheduleRecord) -> None:
+        self.config = config
+        self.horizon = record.horizon
+        self.record = record
+        self._tasks = self._messages = None
+        self._node_busy = record.busy
+        self._frame_used = record.frame_used
+
+    def __getstate__(self):
+        if self.record is None:
+            return self.__dict__
+        return {"config": self.config, "record": self.record}
+
+    def __setstate__(self, state) -> None:
+        if state.get("record") is None:
+            self.__dict__.update(state)
+        else:
+            self._bind(state["config"], state["record"])
+
+    # ------------------------------------------------------------------
+    # entries
+    # ------------------------------------------------------------------
+    @property
+    def tasks(self) -> Dict[str, ScheduledTask]:
+        """SCS task entries by job key, in placement order."""
+        if self._tasks is None:
+            self._materialise()
+        return self._tasks
+
+    @property
+    def messages(self) -> Dict[str, ScheduledMessage]:
+        """ST message entries by job key, in placement order."""
+        if self._messages is None:
+            self._materialise()
+        return self._messages
+
+    def _materialise(self) -> None:
+        record = self.record
+        config = self.config
+        activities = record.jobs.activities
+        start = record.start
+        tasks: Dict[str, ScheduledTask] = {}
+        messages: Dict[str, ScheduledMessage] = {}
+        for i, (key, cell) in enumerate(zip(record.jobs.keys, record.cell)):
+            if cell is None:
+                tasks[key] = ScheduledTask(key, activities[i], start[i])
+            else:
+                messages[key] = ScheduledMessage(
+                    key, activities[i], cell[0], cell[1], start[i],
+                    record.duration[i], config,
+                )
+        self._tasks = tasks
+        self._messages = messages
+
+    def _own(self) -> None:
+        """Detach a view from its shared record before an edit."""
+        if self.record is not None:
+            self._materialise()
+            self._node_busy = {n: list(v) for n, v in self._node_busy.items()}
+            self._frame_used = dict(self._frame_used)
+            self.record = None
 
     # ------------------------------------------------------------------
     # task placement
@@ -100,24 +259,16 @@ class ScheduleTable:
 
     def first_fit(self, node: str, earliest: int, duration: int) -> int:
         """Earliest start >= *earliest* of a gap of *duration* MT on *node*."""
-        if duration <= 0:
-            raise SchedulingError(f"duration must be positive, got {duration}")
-        t = max(0, earliest)
-        for s, e in self._node_busy.get(node, []):
-            if e <= t:
-                continue
-            if s >= t + duration:
-                break
-            t = max(t, e)
-        return t
+        return first_gap(self._node_busy.get(node, []), earliest, duration)[0]
 
     def add_task(self, job_key: str, task: Task, start: int) -> ScheduledTask:
         """Record an SCS task instance at *start*; rejects overlaps."""
-        if job_key in self.tasks:
+        self._own()
+        if job_key in self._tasks:
             raise SchedulingError(f"job {job_key!r} already scheduled")
         end = start + task.wcet
         intervals = self._node_busy.setdefault(task.node, [])
-        idx = bisect.bisect_left(intervals, (start, end))
+        idx = bisect_left(intervals, (start, end))
         for neighbour in intervals[max(0, idx - 1) : idx + 1]:
             if neighbour[0] < end and start < neighbour[1]:
                 raise SchedulingError(
@@ -126,7 +277,7 @@ class ScheduleTable:
                 )
         intervals.insert(idx, (start, end))
         entry = ScheduledTask(job_key=job_key, task=task, start=start)
-        self.tasks[job_key] = entry
+        self._tasks[job_key] = entry
         return entry
 
     # ------------------------------------------------------------------
@@ -144,7 +295,8 @@ class ScheduleTable:
         The message occupies the next free payload position of the frame;
         rejects the placement when the frame has no room left.
         """
-        if job_key in self.messages:
+        self._own()
+        if job_key in self._messages:
             raise SchedulingError(f"job {job_key!r} already scheduled")
         ct = self.config.message_ct(message)
         used = self.frame_used(cycle, slot)
@@ -165,7 +317,7 @@ class ScheduleTable:
             config=self.config,
         )
         self._frame_used[(cycle, slot)] = used + ct
-        self.messages[job_key] = entry
+        self._messages[job_key] = entry
         return entry
 
     # ------------------------------------------------------------------
@@ -181,6 +333,7 @@ class ScheduleTable:
         its cache key (same static segment and cycle geometry, e.g. a
         different FrameID assignment): placements are byte-identical,
         only the configuration view the derived times come from changes.
+        A view's copy is another view of the same record.
 
         NOTE: rebinding across a *different* ``gd_cycle`` yields a table
         whose derived times shift with the new geometry -- that is only
@@ -190,13 +343,13 @@ class ScheduleTable:
         messages exist (placement indices are empirically *not*
         cycle-length-invariant; see ``SchedulePlan`` for what is).
         """
-        clone = ScheduleTable.__new__(ScheduleTable)
-        clone.config = config
-        clone.horizon = self.horizon
-        clone.tasks = dict(self.tasks)
-        clone.messages = {
+        if self.record is not None:
+            return ScheduleTable.from_record(config, self.record)
+        clone = ScheduleTable(config, self.horizon)
+        clone._tasks = dict(self._tasks)
+        clone._messages = {
             key: replace(entry, config=config)
-            for key, entry in self.messages.items()
+            for key, entry in self._messages.items()
         }
         clone._node_busy = {n: list(v) for n, v in self._node_busy.items()}
         clone._frame_used = dict(self._frame_used)
@@ -207,11 +360,19 @@ class ScheduleTable:
     # ------------------------------------------------------------------
     def finish_of(self, job_key: str) -> Optional[int]:
         """Completion time of a scheduled job, or None when not scheduled."""
-        if job_key in self.tasks:
-            return self.tasks[job_key].finish
-        if job_key in self.messages:
-            return self.messages[job_key].finish
-        return None
+        record = self.record
+        if record is None:
+            if job_key in self._tasks:
+                return self._tasks[job_key].finish
+            if job_key in self._messages:
+                return self._messages[job_key].finish
+            return None
+        i = record.jobs.index.get(job_key)
+        if i is None:
+            return None
+        end = record.start[i] + record.duration[i]
+        cell = record.cell[i]
+        return end if cell is None else end + st_slot_start(self.config, *cell)
 
     def task_entries_on(self, node: str) -> List[ScheduledTask]:
         """All SCS task entries of *node*, by start time."""

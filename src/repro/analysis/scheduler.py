@@ -16,17 +16,22 @@ design-space loops stay affordable.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import FlexRayConfig
 from repro.errors import SchedulingError
 from repro.model.jobs import Job, expand_jobs
-from repro.model.message import Message
 from repro.model.system import System
 from repro.model.task import Task
 from repro.analysis.priorities import critical_path_priorities
-from repro.analysis.schedule_table import ScheduleTable
+from repro.analysis.schedule_table import (
+    JobTable,
+    ScheduleRecord,
+    ScheduleTable,
+    first_gap,
+)
 
 
 @dataclass(frozen=True)
@@ -88,24 +93,6 @@ def build_schedule(
     return plan.replay(config, wcrt_estimates)
 
 
-class _PlanJob:
-    """Per-job record of a :class:`SchedulePlan`.
-
-    ``pred_keys`` are the predecessor job keys placed in the table;
-    ``ext_preds`` the names of event-triggered predecessors that need
-    ``wcrt_estimates``; ``base`` the instance's period offset those
-    estimates are relative to.
-    """
-
-    __slots__ = ("job", "pred_keys", "ext_preds", "base")
-
-    def __init__(self, job, pred_keys, ext_preds, base):
-        self.job = job
-        self.pred_keys = pred_keys
-        self.ext_preds = ext_preds
-        self.base = base
-
-
 class SchedulePlan:
     """Configuration-independent half of the global scheduling algorithm.
 
@@ -117,7 +104,7 @@ class SchedulePlan:
     never by where previous jobs were placed.  Everything that is
     invariant across candidate configurations sharing the bus-speed
     parameters lives here: the expanded job instances, the dependency
-    keys and the scheduling order.  :meth:`replay` then performs only
+    indices and the scheduling order.  :meth:`replay` then performs only
     the placement arithmetic for one concrete configuration, producing a
     table byte-identical to a from-scratch :func:`build_schedule`.
 
@@ -127,6 +114,11 @@ class SchedulePlan:
     cycle length) and derives each cycle length's table by replay,
     instead of re-running job expansion, priority assignment and ready
     -list ordering per candidate.
+
+    The plan is lowered into tables in plan order (``jobs``, a
+    :class:`~repro.analysis.schedule_table.JobTable`, plus per job its
+    release, its predecessors' *indices* and its node -- a message's is
+    its sender's), so :meth:`replay` runs on plain ints.
     """
 
     def __init__(
@@ -146,125 +138,220 @@ class SchedulePlan:
         # --- dependency bookkeeping (structural, config-free) ---------
         pending: Dict[str, int] = {}
         successors: Dict[str, List[str]] = {}
-        preds: Dict[str, Tuple[List[str], List[str]]] = {}
         for j in jobs:
-            pred_keys: List[str] = []
-            ext_preds: List[str] = []
+            count = 0
             for pred in j.graph.predecessors(j.name):
                 pred_key = f"{pred}#{j.instance}"
                 if pred_key in job_by_key:
-                    pred_keys.append(pred_key)
+                    count += 1
                     successors.setdefault(pred_key, []).append(j.key)
-                else:
-                    ext_preds.append(pred)
-            pending[j.key] = len(pred_keys)
-            preds[j.key] = (pred_keys, ext_preds)
+            pending[j.key] = count
 
         # --- the list-scheduling order --------------------------------
         ready: List[tuple] = []
         for j in jobs:
             if pending[j.key] == 0:
                 heapq.heappush(ready, _entry(j, priorities))
-        order: List[_PlanJob] = []
+        order: List[Job] = []
         while ready:
             job = heapq.heappop(ready)[-1]
-            pred_keys, ext_preds = preds[job.key]
-            order.append(
-                _PlanJob(
-                    job=job,
-                    pred_keys=tuple(pred_keys),
-                    ext_preds=tuple(ext_preds),
-                    base=job.instance * job.graph.period,
-                )
-            )
+            order.append(job)
             for succ_key in successors.get(job.key, ()):  # TT_ready_list
                 pending[succ_key] -= 1
                 if pending[succ_key] == 0:
                     heapq.heappush(ready, _entry(job_by_key[succ_key], priorities))
         if len(order) != len(jobs):  # pragma: no cover - DAG guarantees progress
-            placed = {rec.job.key for rec in order}
+            placed = {job.key for job in order}
             missing = sorted(k for k in job_by_key if k not in placed)
             raise SchedulingError(f"jobs never became ready: {missing[:5]}")
-        self.order: Tuple[_PlanJob, ...] = tuple(order)
+
+        # --- the int lowering -----------------------------------------
+        self._order: Tuple[Job, ...] = tuple(order)
+        self.jobs = JobTable(
+            tuple(job.key for job in order),
+            tuple(job.activity for job in order),
+            tuple(job.instance * job.graph.period for job in order),
+        )
+        index = self.jobs.index
+        self._is_task = tuple(job.is_task for job in order)
+        self._release = tuple(job.release for job in order)
+        self._node = tuple(
+            job.activity.node if job.is_task else system.sender_node(job.activity)
+            for job in order
+        )
+        self._task_nodes = tuple(
+            dict.fromkeys(n for n, t in zip(self._node, self._is_task) if t)
+        )
+        preds = []
+        ext = []
+        for job in order:
+            inside: List[int] = []
+            outside: List[str] = []
+            for pred in job.graph.predecessors(job.name):
+                i = index.get(f"{pred}#{job.instance}")
+                if i is None:
+                    outside.append(pred)
+                else:
+                    inside.append(i)
+            preds.append(tuple(inside))
+            ext.append(tuple(outside))
+        self._preds = tuple(preds)
+        #: Event-triggered predecessors, which need ``wcrt_estimates``.
+        self._ext = tuple(ext)
+        #: Per-job durations (wcet, or the message's transmission time)
+        #: by bus speed, the only configuration fields they read.
+        self._durations: Dict[tuple, Tuple[int, ...]] = {}
+
+    def _duration(self, config: FlexRayConfig) -> Tuple[int, ...]:
+        key = (config.bits_per_mt, config.frame_overhead_bytes)
+        durations = self._durations.get(key)
+        if durations is None:
+            durations = tuple(
+                a.wcet if is_task else config.message_ct(a)
+                for a, is_task in zip(self.jobs.activities, self._is_task)
+            )
+            self._durations[key] = durations
+        return durations
 
     def replay(
         self,
         config: FlexRayConfig,
         wcrt_estimates: Optional[Mapping[str, int]] = None,
     ) -> ScheduleTable:
-        """Place every job of the plan under *config*'s cycle geometry."""
+        """Place every job of the plan under *config*'s cycle geometry.
+
+        Plain int arithmetic over the plan's tables: a ``finish`` list
+        indexed like the plan, per-node sorted busy intervals filled by
+        first fit, and ``frame_used`` per ``(cycle, slot)``.  Returns a
+        view of the resulting :class:`ScheduleRecord`.
+        """
         options = self.options
-        system = self.system
+        fps_aware = options.fps_aware
         horizon = self.horizon
-        table = ScheduleTable(config, horizon)
-        finish_of = table.finish_of
-        # Per-replay lookups: slot ownership and transmission times are
-        # scanned per ST job otherwise (the replay places one job per
-        # slot instance search, so these add up over a DYN sweep).
-        st_slots: Dict[str, Tuple[int, ...]] = {}
-        for rec in self.order:
-            job = rec.job
-            asap = job.release
-            for pred_key in rec.pred_keys:
-                finish = finish_of(pred_key)
-                if finish is None:  # pragma: no cover - order invariant
-                    raise SchedulingError(
-                        f"predecessor {pred_key!r} of {job.key!r} not scheduled yet"
-                    )
-                if finish > asap:
-                    asap = finish
-            for pred in rec.ext_preds:
+        keys = self.jobs.keys
+        duration = self._duration(config)
+        is_task = self._is_task
+        node_of = self._node
+        preds = self._preds
+        ext = self._ext
+        n = len(keys)
+        start = [0] * n
+        finish = [0] * n
+        cell: List[Optional[Tuple[int, int]]] = [None] * n
+        busy: Dict[str, List[Tuple[int, int]]] = {
+            node: [] for node in self._task_nodes
+        }
+        frame_used: Dict[Tuple[int, int], int] = {}
+        gd_cycle = config.gd_cycle
+        gd_static_slot = config.gd_static_slot
+        limit = options.horizon_factor * horizon + gd_cycle
+        # (slot, offset of the slot in its cycle) per sender node.
+        slots_of: Dict[str, Tuple[Tuple[int, int], ...]] = {}
+        for i, asap in enumerate(self._release):
+            for p in preds[i]:
+                f = finish[p]
+                if f > asap:
+                    asap = f
+            for pred in ext[i]:
                 if wcrt_estimates is None or pred not in wcrt_estimates:
                     raise SchedulingError(
-                        f"SCS activity {job.name!r} depends on event-triggered "
-                        f"activity {pred!r}; pass wcrt_estimates to schedule it"
+                        f"SCS activity {self.jobs.activities[i].name!r} "
+                        f"depends on event-triggered activity {pred!r}; "
+                        "pass wcrt_estimates to schedule it"
                     )
-                est = rec.base + wcrt_estimates[pred]
+                est = self.jobs.base[i] + wcrt_estimates[pred]
                 if est > asap:
                     asap = est
-            if isinstance(job.activity, Task):
-                _schedule_task(table, system, job, asap, options)
-            else:
-                node = system.sender_node(job.activity)
-                slots = st_slots.get(node)
-                if slots is None:
-                    slots = config.st_slots_of(node)
-                    st_slots[node] = slots
-                _schedule_st_message(
-                    table, config, job, asap, options, horizon, node, slots
+            d = duration[i]
+            if is_task[i]:
+                intervals = busy[node_of[i]]
+                if fps_aware:
+                    s = self._fps_aware_start(i, intervals, asap)
+                    k = bisect_left(intervals, (s, s + d))
+                else:
+                    s, k = first_gap(intervals, asap, d)
+                intervals.insert(k, (s, s + d))
+                start[i] = s
+                finish[i] = s + d
+                continue
+            node = node_of[i]
+            slots = slots_of.get(node)
+            if slots is None:
+                slots = tuple(
+                    (slot, (slot - 1) * gd_static_slot)
+                    for slot in config.st_slots_of(node)
                 )
-        return table
+                slots_of[node] = slots
+            if not slots:
+                raise SchedulingError(
+                    f"node {node!r} sends ST message "
+                    f"{self.jobs.activities[i].name!r} but owns no static slot"
+                )
+            placed = _slot_instance(
+                frame_used, slots, asap, d, gd_cycle, gd_static_slot, limit
+            )
+            if placed is None:
+                raise SchedulingError(
+                    f"no static slot instance before {limit} MT can carry "
+                    f"message {keys[i]!r} (ready at {asap}, C_m={d})"
+                )
+            where, slot_start, used = placed
+            frame_used[where] = used + d
+            cell[i] = where
+            start[i] = used
+            finish[i] = slot_start + used + d
+        record = ScheduleRecord(
+            self.jobs, horizon, start, cell, duration, finish, busy, frame_used
+        )
+        return ScheduleTable.from_record(config, record)
+
+    def _fps_aware_start(self, i: int, intervals, asap: int) -> int:
+        """Fig. 2 line 11: of the candidate starts of task job *i*, the
+        one that disturbs its node's FPS tasks least (earliest on ties)."""
+        job = self._order[i]
+        best_start, best_score = None, None
+        for start in _placement_candidates(intervals, job, asap, self.options):
+            score = _fps_disturbance(
+                intervals, self.system, job.activity, start, self.horizon
+            )
+            if best_score is None or (score, start) < (best_score, best_start):
+                best_start, best_score = start, score
+        return best_start
 
 
 def _entry(job: Job, priorities: Mapping[str, int]) -> tuple:
     return (-priorities[job.name], job.release, job.name, job.instance, job)
 
 
-def _schedule_task(
-    table: ScheduleTable,
-    system: System,
-    job: Job,
-    asap: int,
-    options: ScheduleOptions,
-) -> None:
-    task: Task = job.activity
-    if not options.fps_aware:
-        start = table.first_fit(task.node, asap, task.wcet)
-        table.add_task(job.key, task, start)
-        return
-    best_start, best_score = None, None
-    for start in _placement_candidates(table, job, asap, options):
-        score = _fps_disturbance(table, system, task, start)
-        # prefer lower disturbance; tie-break on earlier start
-        if best_score is None or (score, start) < (best_score, best_start):
-            best_start, best_score = start, score
-    table.add_task(job.key, task, best_start)
+def _slot_instance(frame_used, slots, ready, ct, gd_cycle, gd_static_slot, limit):
+    """The first static slot instance of *slots* starting at or after
+    *ready* whose frame still has room for *ct* MT, before *limit*:
+    ``((cycle, slot), slot start, payload MT already used)``, or
+    ``None``."""
+    cycle = max(0, ready // gd_cycle)
+    cycle_base = cycle * gd_cycle
+    while cycle_base < limit:
+        for slot, offset in slots:
+            slot_start = cycle_base + offset
+            if slot_start < ready:
+                continue
+            where = (cycle, slot)
+            used = frame_used.get(where, 0)
+            if used + ct <= gd_static_slot:
+                return where, slot_start, used
+        cycle += 1
+        cycle_base += gd_cycle
+    return None
 
 
 def _placement_candidates(
-    table: ScheduleTable, job: Job, asap: int, options: ScheduleOptions
+    intervals: Sequence[Tuple[int, int]],
+    job: Job,
+    asap: int,
+    options: ScheduleOptions,
 ) -> list:
-    """Candidate start times for an SCS task (Fig. 2 line 11).
+    """Candidate start times for an SCS task (Fig. 2 line 11), given the
+    busy *intervals* of its node.
 
     The earliest feasible start plus starts spread across the job's slack
     window up to its deadline: packing every SCS task back-to-back at the
@@ -279,59 +366,26 @@ def _placement_candidates(
     if k > 1 and latest > asap:
         for j in range(1, k):
             raw.add(asap + round(j * (latest - asap) / (k - 1)))
-    starts = {table.first_fit(task.node, t, task.wcet) for t in raw}
+    starts = {first_gap(intervals, t, task.wcet)[0] for t in raw}
     return sorted(starts)
 
 
 def _fps_disturbance(
-    table: ScheduleTable, system: System, task: Task, start: int
+    intervals: Sequence[Tuple[int, int]],
+    system: System,
+    task: Task,
+    start: int,
+    horizon: int,
 ) -> float:
     """Node-local proxy for the worst-case response-time increase of the
-    FPS tasks on ``task.node`` if ``task`` starts at *start*.
+    FPS tasks on ``task.node`` if ``task`` starts at *start*, given the
+    node's busy *intervals*.
 
     Sum of FPS response times computed against the candidate busy pattern
     (infinite when some FPS task would no longer terminate).
     """
     from repro.analysis.fps import node_local_fps_cost  # local import: no cycle
 
-    busy = table.busy_intervals(task.node)
+    busy = list(intervals)
     busy.append((start, start + task.wcet))
-    return node_local_fps_cost(system, task.node, busy, table.horizon)
-
-
-def _schedule_st_message(
-    table: ScheduleTable,
-    config: FlexRayConfig,
-    job: Job,
-    ready: int,
-    options: ScheduleOptions,
-    horizon: int,
-    node: str,
-    slots: Tuple[int, ...],
-) -> None:
-    message: Message = job.activity
-    if not slots:
-        raise SchedulingError(
-            f"node {node!r} sends ST message {message.name!r} but owns no static slot"
-        )
-    ct = config.message_ct(message)
-    gd_cycle = config.gd_cycle
-    gd_static_slot = config.gd_static_slot
-    frame_used = table.frame_used
-    limit = options.horizon_factor * horizon + gd_cycle
-    cycle = max(0, ready // gd_cycle)
-    cycle_base = cycle * gd_cycle
-    while cycle_base < limit:
-        for slot in slots:
-            slot_start = cycle_base + (slot - 1) * gd_static_slot
-            if slot_start < ready:
-                continue
-            if frame_used(cycle, slot) + ct <= gd_static_slot:
-                table.add_message(job.key, message, cycle, slot)
-                return
-        cycle += 1
-        cycle_base += gd_cycle
-    raise SchedulingError(
-        f"no static slot instance before {limit} MT can carry message "
-        f"{job.key!r} (ready at {ready}, C_m={ct})"
-    )
+    return node_local_fps_cost(system, task.node, busy, horizon)

@@ -36,6 +36,9 @@ class System:
     _tasks_by_node: Mapping[str, Tuple[Task, ...]] = field(
         default=None, repr=False, compare=False
     )
+    _sender_nodes: Mapping[str, str] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -53,6 +56,15 @@ class System:
         object.__setattr__(
             self, "_tasks_by_node", {n: tuple(ts) for n, ts in by_node.items()}
         )
+        object.__setattr__(
+            self,
+            "_sender_nodes",
+            {
+                m.name: g.task(m.sender).node
+                for g in self.application.graphs
+                for m in g.messages
+            },
+        )
 
     # ------------------------------------------------------------------
     def tasks_on(self, node: str) -> Tuple[Task, ...]:
@@ -64,7 +76,10 @@ class System:
 
     def sender_node(self, message: Message) -> str:
         """Node that transmits *message*."""
-        return self.application.graph_of(message.name).task(message.sender).node
+        node = self._sender_nodes.get(message.name)
+        if node is None:  # no such message: the graph walk raises its error
+            return self.application.graph_of(message.name).task(message.sender).node
+        return node
 
     def st_sender_nodes(self) -> Tuple[str, ...]:
         """Nodes that transmit at least one ST message (``nodesST``), in node order."""
@@ -80,8 +95,9 @@ class System:
         """All messages whose sender task runs on *node*."""
         if node not in self._tasks_by_node:
             raise ModelError(f"system has no node {node!r}")
+        senders = self._sender_nodes
         for m in self.application.messages():
-            if self.sender_node(m) == node:
+            if senders[m.name] == node:
                 yield m
 
     def node_utilisation(self, node: str) -> float:

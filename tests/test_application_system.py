@@ -105,6 +105,31 @@ class TestSystem:
         m1 = sys_.application.message("m1")
         assert sys_.sender_node(m1) == "N1"
 
+    @pytest.mark.parametrize("n_nodes,index", [(3, 1), (4, 0), (5, 0)])
+    def test_sender_node_map_matches_graph_walk(self, n_nodes, index):
+        """The map built at construction agrees with walking each
+        message's graph to its sender task, for every message."""
+        from repro.synth.suite import paper_system
+
+        system = paper_system(n_nodes, index, seed=23)
+        app = system.application
+        messages = list(app.messages())
+        assert messages
+        for m in messages:
+            walked = app.graph_of(m.name).task(m.sender).node
+            assert system.sender_node(m) == walked
+        for node in system.nodes:
+            assert list(system.messages_sent_by(node)) == [
+                m for m in messages
+                if app.graph_of(m.name).task(m.sender).node == node
+            ]
+
+    def test_sender_node_of_unknown_message_raises(self):
+        sys_ = System(("N1", "N2"), two_graph_app())
+        stranger = st_msg("m9", 2, "a1", "b1")
+        with pytest.raises(ModelError, match="has no activity 'm9'"):
+            sys_.sender_node(stranger)
+
     def test_messages_sent_by(self):
         sys_ = System(("N1", "N2"), two_graph_app())
         assert {m.name for m in sys_.messages_sent_by("N1")} == {"m1", "m2"}

@@ -277,9 +277,9 @@ class TestGAPopulationDedup:
 
 class TestStaticWcrtMemo:
     def test_context_static_wcrt_equals_public_function(self):
-        """`AnalysisContext._static_wcrt` (job-base memoised) must stay
-        locked to the public `static_response_times` it reimplements --
-        checked across a sweep so the memo is exercised warm."""
+        """`AnalysisContext._static_wcrt` (a fold over the replay record)
+        must stay locked to the public `static_response_times` it
+        reimplements -- checked across a sweep."""
         from repro.analysis import static_response_times
 
         system = paper_suite(3, count=1, seed=23)[0]

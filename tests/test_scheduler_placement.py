@@ -29,17 +29,24 @@ def make_table(horizon=100):
     return ScheduleTable(cfg, horizon=horizon)
 
 
+def candidates(table, job, asap, k):
+    """The candidate starts of *job* against node N1's busy intervals."""
+    return _placement_candidates(
+        table.busy_intervals("N1"), job, asap, ScheduleOptions(fps_candidates=k)
+    )
+
+
 class TestPlacementCandidates:
     def test_single_candidate_without_fps_awareness_budget(self):
         job = make_job()
         table = make_table()
-        out = _placement_candidates(table, job, 0, ScheduleOptions(fps_candidates=1))
+        out = candidates(table, job, 0, 1)
         assert out == [0]
 
     def test_candidates_spread_over_slack_window(self):
         job = make_job(wcet=10, deadline=100)
         table = make_table()
-        out = _placement_candidates(table, job, 0, ScheduleOptions(fps_candidates=4))
+        out = candidates(table, job, 0, 4)
         assert out[0] == 0
         assert out[-1] == 90  # latest start meeting the deadline
         assert len(out) == 4
@@ -48,20 +55,18 @@ class TestPlacementCandidates:
         job = make_job(wcet=10, deadline=100)
         table = make_table()
         table.add_task("x#0", scs_task("x", wcet=20, node="N1"), 0)
-        out = _placement_candidates(table, job, 0, ScheduleOptions(fps_candidates=3))
+        out = candidates(table, job, 0, 3)
         assert all(start >= 20 for start in out)
 
     def test_no_negative_window(self):
         # Deadline already passed relative to asap: single candidate at asap.
         job = make_job(wcet=10, deadline=100)
         table = make_table(horizon=400)
-        out = _placement_candidates(
-            table, job, 250, ScheduleOptions(fps_candidates=4)
-        )
+        out = candidates(table, job, 250, 4)
         assert out == [250]
 
     def test_deduplicated_and_sorted(self):
         job = make_job(wcet=50, deadline=60)  # tiny slack window
         table = make_table()
-        out = _placement_candidates(table, job, 0, ScheduleOptions(fps_candidates=4))
+        out = candidates(table, job, 0, 4)
         assert out == sorted(set(out))

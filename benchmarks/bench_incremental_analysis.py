@@ -19,11 +19,9 @@ loop (up to 1024 exact analyses per static-segment variant):
   asserted everywhere.
 
 A second, **pure-DYN** scenario (TT graphs collapsed onto single nodes,
-so the whole sweep shares one schedule-cache entry) measures the
-pattern-level dominance tables against the same engine with the tables
-never built (``DOMINANCE_LAZY_THRESHOLD`` raised out of reach) -- the
-workload where their per-pattern construction amortises across every
-candidate (see ``run_pure_dyn``).
+so the whole sweep shares one schedule-cache entry) times the warm
+Python path on the widest batch the compiled backend sees (see
+``run_pure_dyn``).
 
 When the compiled ``repro._native`` extension is built, a
 ``native_batch`` generation rides both scenarios
@@ -43,11 +41,8 @@ smoke mode (default) finishes in well under 30 s; set
 from __future__ import annotations
 
 import os
-import sys
 import time
-from contextlib import contextmanager
 
-import repro.analysis.availability as availability_mod
 from repro.analysis import (
     AnalysisContext,
     AnalysisOptions,
@@ -357,13 +352,12 @@ def _pure_dyn_system(n_nodes: int, seed: int):
     """A Fig. 9 system with its TT graphs collapsed onto single nodes.
 
     Every time-triggered graph keeps its SCS tasks (so the nodes retain
-    rich static busy patterns -- the raw material of the dominance
-    tables) but is remapped onto the node that already hosts most of its
-    tasks, turning its ST messages into same-node precedences.  The
-    resulting application sends **only DYN messages**, so the schedule
-    key drops ``gd_cycle`` and the whole DYN-length sweep shares one
-    schedule-cache entry -- the workload where a per-availability
-    construction amortises across every candidate.
+    rich static busy patterns) but is remapped onto the node that
+    already hosts most of its tasks, turning its ST messages into
+    same-node precedences.  The resulting application sends **only DYN
+    messages**, so the schedule key drops ``gd_cycle`` and the whole
+    DYN-length sweep shares one schedule-cache entry -- the widest batch
+    the compiled backend sees.
     """
     import dataclasses
     from collections import Counter
@@ -419,52 +413,6 @@ def _pure_dyn_configs():
     return system, configs
 
 
-def _dominance_stats(context: AnalysisContext) -> tuple:
-    """(maximal, dominated) instant counts across the context's cached
-    availability patterns (dominance tables that were actually built)."""
-    maximal = dominated = 0
-    for entry in context._schedule_cache.values():
-        if entry.availability is None:
-            continue
-        for availability in entry.availability.values():
-            dom = availability.instant_advance_tables().dominance
-            if dom is not None:
-                maximal += len(dom.maximal_order)
-                dominated += len(dom.dominated_order)
-    return maximal, dominated
-
-
-@contextmanager
-def _dominance_threshold(value):
-    """Run the block with ``DOMINANCE_LAZY_THRESHOLD`` set to *value*:
-    ``0`` builds the tables on the first maximisation, ``sys.maxsize``
-    never builds them (the dominance-off path; seeds and instant pruning
-    stay on)."""
-    saved = availability_mod.DOMINANCE_LAZY_THRESHOLD
-    availability_mod.DOMINANCE_LAZY_THRESHOLD = value
-    try:
-        yield
-    finally:
-        availability_mod.DOMINANCE_LAZY_THRESHOLD = saved
-
-
-def _make_dominance_off(system):
-    """A fresh-context maker for the dominance-off path; the threshold
-    patch covers exactly the timed sweep (see :func:`_time_interleaved`)."""
-
-    def make():
-        ctx = AnalysisContext(system)
-
-        def run(cfgs):
-            with _dominance_threshold(sys.maxsize):
-                return [ctx.analyse(c) for c in cfgs]
-
-        run.batched = True
-        return run
-
-    return make
-
-
 def _make_batch(system, backend):
     """A fresh-context maker whose analyser takes the whole sweep in one
     ``analyse_batch`` call (see :func:`_time_interleaved`)."""
@@ -482,42 +430,24 @@ def _make_batch(system, backend):
 
 
 def run_pure_dyn():
-    """Time the dominance kernel against the dominance-off path (and the
-    compiled backend, when built) on the pure-DYN sweep; cached across
-    test functions."""
+    """Time the warm Python path (and the compiled backend, when built)
+    on the pure-DYN sweep; cached across test functions."""
     if "pure_dyn" in _cache:
         return _cache["pure_dyn"]
     system, configs = _pure_dyn_configs()
 
-    warm_ctx_holder = []
-
-    def _make_warm():
-        ctx = AnalysisContext(system)
-        warm_ctx_holder.append(ctx)
-        return ctx.analyse
-
     # Eight interleaved rounds (up from the default six): the compiled
     # generation's ratio is taken between sweeps of a few milliseconds,
     # which needs a little more best-of convergence.
-    makes = {
-        "dominance_off": _make_dominance_off(system),
-        "warm": _make_warm,
-    }
+    makes = {"warm": lambda: AnalysisContext(system).analyse}
     if native_or_none() is not None:
         makes["native_batch"] = _make_batch(system, "native")
     timed = _time_interleaved(makes, configs, repeats=8)
-    off_s, off_results = timed["dominance_off"]
     warm_s, warm_results = timed["warm"]
     native_s, native_results = timed.get("native_batch", (None, None))
 
-    # Correctness, by direct comparison: the dominance path with its
-    # tables built from the first maximisation against the
-    # dominance-off results, and (when the extension is built) the
-    # native results against the Python ones, analysis by analysis.
-    with _dominance_threshold(0):
-        eager_ctx = AnalysisContext(system)
-        eager_results = [eager_ctx.analyse(c) for c in configs]
-    dominance_mismatches = _mismatches(eager_results, off_results)
+    # Correctness, by direct comparison: (when the extension is built)
+    # the native results against the Python ones, analysis by analysis.
     backend_mismatches = (
         None
         if native_results is None
@@ -527,19 +457,9 @@ def run_pure_dyn():
     out = {
         "system": system,
         "configs": configs,
-        "seconds": {
-            "dominance_off": off_s,
-            "warm": warm_s,
-            "native_batch": native_s,
-        },
-        "results": {
-            "warm": warm_results,
-            "native_batch": native_results,
-            "off": off_results,
-        },
-        "dominance_mismatches": dominance_mismatches,
+        "seconds": {"warm": warm_s, "native_batch": native_s},
+        "results": {"warm": warm_results, "native_batch": native_results},
         "backend_mismatches": backend_mismatches,
-        "dominance_stats": _dominance_stats(warm_ctx_holder[0]),
     }
     _cache["pure_dyn"] = out
     return out
@@ -678,10 +598,8 @@ def test_incremental_analysis_identical_and_fast():
     par_s = results["parallel"][0]
     pure_dyn = run_pure_dyn()
     pd_n = len(pure_dyn["configs"])
-    pd_off_s = pure_dyn["seconds"]["dominance_off"]
     pd_warm_s = pure_dyn["seconds"]["warm"]
     pd_native_s = pure_dyn["seconds"]["native_batch"]
-    pd_maximal, pd_dominated = pure_dyn["dominance_stats"]
     have_native = native_or_none() is not None
     if have_native:
         st_heavy = run_st_heavy_backends()
@@ -713,25 +631,19 @@ def test_incremental_analysis_identical_and_fast():
             "warm_context": round(seed_s / warm_s, 2),
             "parallel": round(seed_s / par_s, 2),
         },
-        # The dominance scenario: a pure-DYN sweep (no ST messages, one
-        # shared schedule-cache entry) where the pattern-level tables
-        # amortise across every candidate.
+        # The pure-DYN sweep (no ST messages, one shared schedule-cache
+        # entry): the compiled backend's widest batch.
         "pure_dyn": {
             "sweep_points": pd_n,
             "seconds": {
-                "dominance_off": round(pd_off_s, 4),
                 "warm_context": round(pd_warm_s, 4),
                 "native_batch": (
                     round(pd_native_s, 4) if have_native else None
                 ),
             },
-            "warm_vs_dominance_off": round(pd_off_s / pd_warm_s, 2),
             "native_batch_vs_warm": (
                 round(pd_warm_s / pd_native_s, 2) if have_native else None
             ),
-            "dominated_instants": pd_dominated,
-            "maximal_instants": pd_maximal,
-            "dominance_mismatches": pure_dyn["dominance_mismatches"],
             "backend_mismatches": pure_dyn["backend_mismatches"],
         },
         # The native backend's headline shape: singleton-lane groups on
@@ -771,10 +683,8 @@ def test_incremental_analysis_identical_and_fast():
         + [
             "warm shares one AnalysisContext across the sweep; parallel adds "
             f"{modes['workers']} workers on {os.cpu_count()} CPU(s)",
-            f"pure-DYN sweep ({pd_n} points, one shared schedule): warm vs "
-            f"dominance off {pd_off_s / pd_warm_s:.2f}x -- pattern-level "
-            f"dominance elides {pd_dominated}/{pd_maximal + pd_dominated} "
-            "instants once per availability",
+            f"pure-DYN sweep ({pd_n} points, one shared schedule): warm "
+            f"{pd_warm_s:.2f} s",
         ]
         + (
             [
@@ -791,28 +701,6 @@ def test_incremental_analysis_identical_and_fast():
     # The headline claim: a warm context beats the seed behaviour >= 3x.
     assert seed_s / warm_s >= 3.0, (
         f"warm context only {seed_s / warm_s:.2f}x faster than seed behaviour"
-    )
-
-
-def test_dominance_amortises_on_pure_dyn_sweep():
-    """PR 4's claim: on a pure-DYN sweep (one shared schedule, so one
-    dominance construction for the whole sweep) the dominance kernel
-    beats the dominance-off path >= 1.1x, bit-identically."""
-    pure_dyn = run_pure_dyn()
-    off_sigs = [_signature(r) for r in pure_dyn["results"]["off"]]
-    sigs = [_signature(r) for r in pure_dyn["results"]["warm"]]
-    assert sigs == off_sigs, "warm diverged from the dominance-off oracle"
-    assert pure_dyn["dominance_mismatches"] == 0, (
-        "eagerly built dominance tables changed results on the pure-DYN "
-        "sweep"
-    )
-    maximal, dominated = pure_dyn["dominance_stats"]
-    assert dominated > 0, "scenario exercises no dominated instants"
-    off_s = pure_dyn["seconds"]["dominance_off"]
-    warm_s = pure_dyn["seconds"]["warm"]
-    assert off_s / warm_s >= 1.1, (
-        f"dominance kernel only {off_s / warm_s:.2f}x faster than the "
-        "dominance-off path on the pure-DYN sweep"
     )
 
 
@@ -868,9 +756,9 @@ def test_native_backend_identical_and_fast():
     )
 
     pure_dyn = run_pure_dyn()
-    off_sigs = [_signature(r) for r in pure_dyn["results"]["off"]]
+    warm_sigs = [_signature(r) for r in pure_dyn["results"]["warm"]]
     native_results = pure_dyn["results"]["native_batch"]
-    assert [_signature(r) for r in native_results] == off_sigs, (
+    assert [_signature(r) for r in native_results] == warm_sigs, (
         "native backend diverged from the Python oracle"
     )
     for py_r, nat_r in zip(pure_dyn["results"]["warm"], native_results):
@@ -948,7 +836,6 @@ def test_optimisers_identical_serial_vs_parallel():
 
 if __name__ == "__main__":
     test_incremental_analysis_identical_and_fast()
-    test_dominance_amortises_on_pure_dyn_sweep()
     test_native_backend_identical_and_fast()
     test_optimisers_identical_serial_vs_parallel()
     print("bench_incremental_analysis: all checks passed")

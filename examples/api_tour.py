@@ -77,25 +77,19 @@ starts (see docs/ANALYSIS.md), so a warm context is a pure speedup:
 ... ]
 True
 
-**Dominance tables.**  The FPS maximisation elides *pattern-level
-dominated* critical instants: instants whose delivered-slack function
-another instant dominates pointwise can never produce the worst busy
-window (docs/ANALYSIS.md has the proof).  The tables are a property of
-the ``NodeAvailability`` pattern alone -- built lazily and cached on
-the pattern:
+**Availability patterns.**  FPS tasks run only in the slack of the
+static schedule.  ``NodeAvailability`` answers "when has the node
+delivered *x* macroticks of slack?", and the FPS maximisation visits
+its critical instants (time 0 and every busy start) longest initial
+busy run first, so the per-instant bound prunes early:
 
 >>> from repro.analysis import NodeAvailability
->>> av = NodeAvailability([(0, 4), (6, 8), (9, 10)], period=12)
->>> dom = av.dominance_tables()
->>> instants = av.critical_instants()
->>> [instants[i] for i in dom.maximal_order]  # longest block survives
-[0]
->>> sorted(dom.maximal_order + dom.dominated_order) == list(
-...     range(len(instants))
-... )
-True
->>> all(dom.witness[i] in dom.maximal_order for i in dom.dominated_order)
-True
+>>> av = NodeAvailability([(2, 5), (8, 10)], period=12)
+>>> av.advance(0, 4)  # slack 0-2, then 5-7
+7
+>>> tables = av.instant_advance_tables()
+>>> [tables.instants[i] for i in tables.eval_order]
+[2, 8, 0]
 
 **Evaluation backends.**  ``AnalysisOptions.backend`` selects the
 fix-point engine: ``"python"`` (default), ``"native"`` -- the

@@ -451,8 +451,8 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
 }
 
 /* ------------------------------------------------------------------ */
-/* the FPS staircase maximisation (fps.seeded_busy_window,             */
-/* prune=True / dominance=False -- value- and flag-exact vs both)      */
+/* the FPS staircase maximisation (fps.seeded_busy_window, prune=True  */
+/* -- value- and flag-exact vs the unpruned path)                      */
 /* ------------------------------------------------------------------ */
 
 /* The window that `demand` units of slack open from instant t0 whose

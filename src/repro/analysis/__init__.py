@@ -22,15 +22,12 @@ Public entry points
 The busy-window kernels (:func:`fps_task_busy_window`,
 :func:`dyn_message_busy_window`), the static scheduler
 (:func:`build_schedule`, :class:`SchedulePlan`) and the availability
-primitive (:class:`NodeAvailability`, whose lazily-built
-:class:`DominanceTables` let the FPS maximisation elide pattern-level
-dominated critical instants) are exported for direct use in tests,
+primitive (:class:`NodeAvailability`) are exported for direct use in tests,
 benchmarks and tooling; the math behind them is derived in
 ``docs/ANALYSIS.md``.
 """
 
 from repro.analysis.availability import (
-    DominanceTables,
     InstantTables,
     NodeAvailability,
     merge_intervals,
@@ -82,7 +79,6 @@ __all__ = [
     "BACKEND_MODES",
     "BusLoad",
     "SlackEntry",
-    "DominanceTables",
     "DynInterference",
     "InstantTables",
     "NodeAvailability",

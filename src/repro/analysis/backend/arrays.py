@@ -49,7 +49,7 @@ class AvailabilityArrays:
     )
 
     def __init__(self, availability):
-        tables = availability.instant_advance_tables(False)
+        tables = availability.instant_advance_tables()
         self.slack = tables.slack_per_period
         self.period = tables.period
         self.n_instants = len(tables.instants)

@@ -590,9 +590,8 @@ class AnalysisContext:
     def analyse_cold(self, config: FlexRayConfig):
         """The fully cold oracle the certified path is checked against.
 
-        Python kernels whatever the backend, with no inner seeds, no
-        instant pruning and no dominance elision; bit-identical to
-        :meth:`analyse`, only slower.
+        Python kernels whatever the backend, with no inner seeds and no
+        instant pruning; bit-identical to :meth:`analyse`, only slower.
         """
         return self._analyse_python(config, certified=False)
 
@@ -737,8 +736,8 @@ class AnalysisContext:
         whose incremental per-instant bound is also enabled here).
 
         ``certified=False`` is the fully cold oracle the fast path is
-        verified against: same bottom start, but no inner seeds, no
-        instant pruning and no dominance elision.
+        verified against: same bottom start, but no inner seeds and no
+        instant pruning.
 
         Both walk DYN messages and FPS tasks in one Gauss-Seidel pass in
         precedence order (``_eval_order``), so a task -> message -> task
@@ -774,11 +773,6 @@ class AnalysisContext:
                     wcrt[name] = inflated if inflated < cap else cap
         jitters: Dict[str, int] = {}
         inner_seeds: Dict[str, object] = {}
-        # Pattern-level dominance (cache layer 3) rides with
-        # ``certified``: the elided instant sets live on the cached
-        # NodeAvailability objects, so they ride the per-static-segment
-        # schedule cache -- a pure-DYN sweep builds them once for the
-        # whole sweep.
         wcrt_get = wcrt.get
         jitters_get = jitters.get
         seeds_get = inner_seeds.get
@@ -850,7 +844,6 @@ class AnalysisContext:
                             cap,
                             j,
                             seeds_get(name) if certified else None,
-                            certified,
                             certified,
                         )
                         if certified:

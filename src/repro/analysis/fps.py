@@ -169,22 +169,19 @@ def prepped_busy_window(
     cap: int,
     own_jitter: int = 0,
     prune: bool = True,
-    dominance: bool = False,
 ) -> Tuple[int, bool]:
     """Worst busy window over all critical instants, from prebound rows.
 
     Hot-path variant of :func:`fps_task_busy_window` used by the
     incremental analysis engine: the interferer rows come from
     :func:`interferer_info` (cached per system) instead of being derived
-    per call.  ``prune`` enables the incremental per-instant bound and
-    ``dominance`` the pattern-level instant elision (see
+    per call.  ``prune`` enables the incremental per-instant bound (see
     :func:`seeded_busy_window`); ``prune=False`` is the unpruned
     reference path the pruning equivalence tests compare against.
     Returns ``(value, converged)``.
     """
     value, converged, _ = seeded_busy_window(
-        wcet, info, availability, jitters, cap, own_jitter, None, prune,
-        dominance,
+        wcet, info, availability, jitters, cap, own_jitter, None, prune
     )
     return value, converged
 
@@ -198,7 +195,6 @@ def seeded_busy_window(
     own_jitter: int,
     seeds: Optional[Sequence[Optional[int]]] = None,
     prune: bool = True,
-    dominance: bool = False,
 ) -> Tuple[int, bool, List[Optional[int]]]:
     """:func:`prepped_busy_window` with per-instant fix-point warm starts.
 
@@ -234,36 +230,14 @@ def seeded_busy_window(
     with it the prune rate -- as early as possible; the maximisation is
     order-independent.
 
-    ``dominance`` additionally elides **pattern-level dominated**
-    instants: the availability's lazily-built
-    :meth:`~repro.analysis.availability.NodeAvailability.dominance_tables`
-    certify, per dominated instant, a maximal instant whose window map
-    dominates it pointwise -- so its fixed point (and every Kleene
-    iterate, which covers the truncation regime) can never exceed the
-    dominator's, and the instant is skipped without even the bound's
-    single ``advance``.  The elision is value- and cap-exact
-    unconditionally; the convergence *flag* is certified by the same
-    activation-count guard as the per-instant bound, checked once after
-    the maximisation -- in the rare near-cap regime where it fails, the
-    call replays without dominance, so the returned ``(value,
-    converged)`` pair is always bit-identical to the unpruned path.
-    The tables are a property of the availability pattern alone, so one
-    construction amortises across the entire fix point and -- on
-    workloads that reuse schedules, e.g. pure-DYN sweeps -- across every
-    configuration sharing the pattern (``docs/ANALYSIS.md`` has the
-    proofs).
-
     Returns ``(value, converged, demands)`` where ``demands[k]`` is the
     converged demand at instant k -- the certified seed for the next call
     under larger jitters (``None`` for instants that were pruned or not
     reached because an earlier instant already hit the cap).
     """
-    use_dominance = dominance and prune
-    (instants, before, slack, period, gap_ends, through, eval_order, dom) = (
-        availability.instant_advance_tables(use_dominance)
+    (instants, before, slack, period, gap_ends, through, eval_order) = (
+        availability.instant_advance_tables()
     )
-    if not use_dominance:
-        dom = None
     n_instants = len(instants)
     demands: List[Optional[int]] = [None] * n_instants
     worst = 0
@@ -276,15 +250,7 @@ def seeded_busy_window(
     # idle node, zero slack) and warm-start fallbacks take the generic
     # ``_busy_window_at`` path instead; results are identical.
     fast = gap_ends is not None and slack > 0 and wcet > 0
-    if not prune:
-        schedule = range(n_instants)
-        deferred = ()
-    elif dom is not None:
-        schedule = dom.maximal_order
-        deferred = dom.dominated_order
-    else:
-        schedule = eval_order
-        deferred = ()
+    schedule = eval_order if prune else range(n_instants)
     # Per-instant bound state; recomputed lazily whenever ``worst`` grows.
     bound_demand = -1
     bound_activations = 0
@@ -358,26 +324,6 @@ def seeded_busy_window(
             worst = window
             bound_demand = -1
         converged = converged and ok
-    if deferred:
-        # Dominated instants are value-exact unconditionally (their
-        # Kleene iterates are pointwise below their dominators'), but
-        # their convergence flags need the same activation-count
-        # certificate as the per-instant bound: a dominated instant
-        # converges within N(worst) + 2 iterations.  Outside that
-        # regime -- which requires ~MAX_FIXPOINT_ITERATIONS distinct
-        # interferer activations inside the worst window -- replay the
-        # maximisation without dominance; the result is identical.
-        if bound_demand < 0:
-            bound_activations = 0
-            for p, c_j, jit in rows:
-                s = worst + jit
-                if s > 0:
-                    bound_activations += -(-s // p)
-        if bound_activations + 2 > MAX_FIXPOINT_ITERATIONS:
-            return seeded_busy_window(
-                wcet, info, availability, jitters, cap, own_jitter, seeds,
-                prune, False,
-            )
     return worst, converged, demands
 
 

@@ -9,9 +9,6 @@ source tree stays clean) and registers the result as ``repro._native``.
 Without a working C compiler -- or with ``CC=false`` in the
 environment -- the build fails, the session header says why, and the
 ``native``-marked tests skip.
-
-It also holds the dominance-threshold fixtures the analysis
-equivalence tests share.
 """
 
 import importlib.util
@@ -19,8 +16,6 @@ import pathlib
 import shutil
 import sys
 import tempfile
-
-import pytest
 
 _SOURCE = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -76,28 +71,3 @@ def pytest_report_header(config):
 def pytest_unconfigure(config):
     if _build_dir is not None:
         shutil.rmtree(_build_dir, ignore_errors=True)
-
-
-@pytest.fixture
-def eager_dominance(monkeypatch):
-    """Build dominance tables on the first kernel request.
-
-    The production threshold defers construction past what a short test
-    sweep would ever cross; forcing it to zero makes the elision path
-    demonstrably active in full-analysis equivalence tests.
-    """
-    from repro.analysis import availability
-
-    monkeypatch.setattr(availability, "DOMINANCE_LAZY_THRESHOLD", 0)
-
-
-@pytest.fixture
-def no_dominance(monkeypatch):
-    """Never build dominance tables: the dominance-off oracle.
-
-    Seeds and instant pruning stay on; only the pattern-level elision is
-    off, because nothing outside the tests requests the tables directly.
-    """
-    from repro.analysis import availability
-
-    monkeypatch.setattr(availability, "DOMINANCE_LAZY_THRESHOLD", sys.maxsize)

@@ -154,9 +154,7 @@ class TestAdvanceBisectEquivalence:
     def test_instant_tables_consistent_with_advance(self):
         av = NodeAvailability([(2, 5), (8, 10)], period=12)
         tables = av.instant_advance_tables()
-        (instants, before, slack, period, gap_ends, through, eval_order,
-         dominance) = tables
-        assert dominance is None  # lazily built, not requested here
+        instants, before, slack, period, gap_ends, through, eval_order = tables
         assert instants == av.critical_instants()
         assert slack == av.slack_per_period and period == av.period
         # The evaluation order is a permutation sorted by descending
@@ -190,8 +188,7 @@ class TestAdvanceBisectEquivalence:
         assert isinstance(tables, InstantTables)
         assert tables.instants == tables[0]
         assert tables.eval_order == tables[6]
-        assert tables.dominance is None
-        # A direct request builds and caches the tables in place.
-        dom = av.dominance_tables()
-        assert dom is not None
-        assert av.instant_advance_tables().dominance is dom
+        assert len(tables) == 7
+        # Built once in the constructor: every request returns the same
+        # tables.
+        assert av.instant_advance_tables() is tables

@@ -7,9 +7,8 @@ point inside the compiled ``repro._native`` C extension
 answers, faster": these tests pin bit identity with the Python oracle
 at every observable level -- full analysis results over fuzzed systems
 (including fault hypotheses ``k in {0, 1, 2}``), the certified and cold
-Python paths with dominance tables built eagerly, lazily or never, the
-groups delegated back to the oracle, optimiser traces with
-their evaluation and cache-hit accounting, and the pre-refactor legacy
+Python paths, the groups delegated back to the oracle, optimiser traces
+with their evaluation and cache-hit accounting, and the pre-refactor legacy
 trace fixtures byte-for-byte -- plus the packaging contract: the
 extension is the optional ``repro[native]`` extra, selecting it
 without the build is an eager, actionable ``RuntimeError``, nothing
@@ -224,15 +223,9 @@ class TestBitIdentity:
         ).analyse_batch(configs)
         assert _result_docs(native) == _result_docs(python)
 
-    @pytest.mark.parametrize(
-        "dominance", [None, "eager_dominance", "no_dominance"]
-    )
-    def test_native_matches_python_and_cold_oracle(self, dominance, request):
+    def test_native_matches_python_and_cold_oracle(self):
         """The C kernels, the certified Python path and the cold Python
-        oracle give identical answers, whether the Python path builds
-        its dominance tables lazily (the default), eagerly or never."""
-        if dominance is not None:
-            request.getfixturevalue(dominance)
+        oracle give identical answers."""
         system = fig4_system()
         configs = _sweep_configs(system, 6)
         python_ctx = AnalysisContext(system)

@@ -40,7 +40,7 @@ class TestModuleSymbolPointers:
             "Report via `benchmarks/_report.py:report` and "
             "`benchmarks/check_docs.py:check_file`; the kernel is "
             "`repro.analysis.fps:seeded_busy_window`, the surface "
-            "`repro.analysis.availability:NodeAvailability.dominance_tables` "
+            "`repro.analysis.availability:NodeAvailability.advance` "
             "and the constant `benchmarks/check_docs.py:DOC_FILES`.\n"
         )
         assert self._problems(tmp_path, text) == []
@@ -63,7 +63,7 @@ class TestModuleSymbolPointers:
         good = self._problems(
             tmp_path,
             "see `benchmarks/check_docs.py:Testish`"
-            "`src/repro/analysis/availability.py:NodeAvailability.dominance_tables`\n",
+            "`src/repro/analysis/availability.py:NodeAvailability.advance`\n",
         )
         # Only the first pointer (missing class) is stale.
         assert len(good) == 1 and "Testish" in good[0]

@@ -117,6 +117,25 @@ class TestPruningEquivalence:
                     wcet, info, availability, jitters, 500, 0, prune=False
                 )
 
+    def test_activation_guard_keeps_the_convergence_flag(self):
+        """Near the iteration limit the bound alone would lose the flag.
+
+        Here the worst instant converges to 436772, but another instant
+        whose fixed point is no higher needs more than
+        ``MAX_FIXPOINT_ITERATIONS`` steps to reach it.  Skipping that
+        instant would report ``converged=True``.  The activation-count guard
+        (``N(W) + 2 > MAX_FIXPOINT_ITERATIONS`` here) makes the pruned
+        path evaluate it, so both paths report ``False``.
+        """
+        availability = NodeAvailability([(80, 160), (360, 414)], 722)
+        info = (("j0", 217, False, 73), ("j1", 262, False, 124))
+        jitters = {"j0": 3518, "j1": 1790}
+        expected = (436772, False)
+        for prune in (False, True):
+            assert prepped_busy_window(
+                9, info, availability, jitters, 10**9, 0, prune=prune
+            ) == expected
+
     def test_eval_order_is_a_permutation(self):
         av = NodeAvailability([(1, 4), (6, 7), (8, 9)], 12)
         tables = av.instant_advance_tables()

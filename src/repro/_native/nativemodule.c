@@ -4,9 +4,10 @@
  * two busy-window recurrences (repro/analysis/dyn.py Eq. (3),
  * repro/analysis/fps.py staircase maximisation with the per-instant
  * pruning bound).  One lane = one candidate configuration; each lane
- * runs its entire holistic Gauss-Seidel iteration in C with no per-step
- * Python dispatch, so even the singleton-lane groups of ST-heavy sweeps
- * run faster than the warm Python path.
+ * runs its entire holistic fix point -- the component schedule, with
+ * Gauss-Seidel passes inside each cyclic component -- in C with no
+ * per-step Python dispatch, so even the singleton-lane groups of
+ * ST-heavy sweeps run faster than the warm Python path.
  *
  * Bit-identity contract: every arithmetic step mirrors the Python
  * kernels statement for statement --
@@ -46,7 +47,7 @@
 
 typedef int64_t i64;
 
-#define NATIVE_MAGIC 0x4e41544956LL /* "NATIV" */
+#define NATIVE_MAGIC 0x4e41544957LL /* "NATIW" */
 #define MAX_FIXPOINT_ITERATIONS 512
 #define CAPSULE_NAME "repro._native.plan"
 
@@ -129,10 +130,14 @@ typedef struct {
 typedef struct {
     i64 n_rows;
     i64 n_acts;
+    i64 n_comps;
     i64 n_avs;
     i64 n_fault;
     const i64 *w0;
     const i64 *fault_rows;
+    /* the fix point's schedule: n_comps rows of (start, end, cyclic),
+     * activity slices tiling [0, n_acts) in order */
+    const i64 *comps;
     Avail *avs;
     Act *acts;
     i64 seed_total;
@@ -238,16 +243,30 @@ native_build_plan(PyObject *self, PyObject *args)
     i64 magic;
     if (take1(&c, &magic) || magic != NATIVE_MAGIC ||
         take1(&c, &plan->n_rows) || take1(&c, &plan->n_acts) ||
-        take1(&c, &plan->n_avs) || take1(&c, &plan->n_fault) ||
-        plan->n_rows < 0 || plan->n_acts < 0 || plan->n_avs < 0 ||
-        plan->n_fault < 0)
+        take1(&c, &plan->n_comps) || take1(&c, &plan->n_avs) ||
+        take1(&c, &plan->n_fault) ||
+        plan->n_rows < 0 || plan->n_acts < 0 || plan->n_comps < 0 ||
+        plan->n_comps > plan->n_acts || plan->n_comps > c.n ||
+        plan->n_avs < 0 || plan->n_fault < 0)
         goto fail;
     if (take(&c, plan->n_rows, &plan->w0) ||
-        take(&c, plan->n_fault, &plan->fault_rows))
+        take(&c, plan->n_fault, &plan->fault_rows) ||
+        take(&c, 3 * plan->n_comps, &plan->comps))
         goto fail;
     for (i64 k = 0; k < plan->n_fault; k++)
         if (plan->fault_rows[k] < 0 || plan->fault_rows[k] >= plan->n_rows)
             goto fail;
+    /* The components must tile [0, n_acts) in order, each non-empty. */
+    i64 next = 0;
+    for (i64 k = 0; k < plan->n_comps; k++) {
+        const i64 *comp = plan->comps + 3 * k;
+        if (comp[0] != next || comp[1] <= comp[0] ||
+            (comp[2] != 0 && comp[2] != 1))
+            goto fail;
+        next = comp[1];
+    }
+    if (next != plan->n_acts)
+        goto fail;
 
     plan->avs = (Avail *)calloc(plan->n_avs ? plan->n_avs : 1, sizeof(Avail));
     plan->acts = (Act *)calloc(plan->n_acts ? plan->n_acts : 1, sizeof(Act));
@@ -606,14 +625,17 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
 /* the holistic Gauss-Seidel fix point, one lane at a time             */
 /* ------------------------------------------------------------------ */
 
-/* One pass walks plan->acts in array order, DYN and FPS interleaved
- * (act->kind picks the update).  The blob lists them in the Python
- * context's precedence order -- a sender before its message, a message
- * before its receiver -- so each lane follows the oracle's trajectory
- * pass for pass.  Response times land in Wl by row; the Python caller
- * assembles the result dict in the oracle's item order.  Returns the
- * lane's conv flag: 1 converged, 0 not, -1 an int64 overflow (Wl is
- * then garbage and the caller reruns the lane on the oracle). */
+/* The lane walks the plan's components in order, each a slice of
+ * plan->acts with DYN and FPS interleaved (act->kind picks the update):
+ * an acyclic component gets one pass, a cyclic one passes until a pass
+ * changes nothing, at most max_iters of them (running out clears the
+ * conv flag, and the walk goes on).  The blob lists the components and
+ * their members exactly as the Python context's schedule does, so each
+ * lane follows the oracle's trajectory pass for pass.  Response times
+ * land in Wl by row; the Python caller assembles the result dict in the
+ * oracle's item order.  Returns the lane's conv flag: 1 converged, 0
+ * not, -1 an int64 overflow (Wl is then garbage and the caller reruns
+ * the lane on the oracle). */
 
 static i64
 run_lane(const Plan *plan, i64 cap, i64 n_ms, i64 gd, i64 stb, i64 ms_len,
@@ -670,69 +692,75 @@ run_lane(const Plan *plan, i64 cap, i64 n_ms, i64 gd, i64 stb, i64 ms_len,
             sd[k] = -1;
     }
     i64 conv_flag = 1;
-    for (i64 it = 0; it < max_iters; it++) {
-        i64 changed = 0;
-        for (i64 a = 0; a < n_acts; a++) {
-            const Act *act = &plan->acts[a];
-            AState *as = &st[a];
-            i64 j;
-            if (act->kind == 0) {
-                j = Wl[act->sender_row];
-            } else {
-                j = act->release;
-                for (i64 k = 0; k < act->n_preds; k++) {
-                    i64 v = Wl[act->preds[k]];
-                    if (v > j)
-                        j = v;
-                }
-            }
-            if (J[act->row] != j) {
-                J[act->row] = j;
-                changed = 1;
-                for (i64 k = 0; k < act->n_deps; k++)
-                    st[act->deps[k]].dirty = 1;
-            }
-            if (!as->has || as->dirty ||
-                (act->own_sensitive && as->last_own != j)) {
+    for (i64 c = 0; c < plan->n_comps; c++) {
+        const i64 *comp = plan->comps + 3 * c;
+        i64 passes = comp[2] ? max_iters : 1, it;
+        for (it = 0; it < passes; it++) {
+            i64 changed = 0;
+            for (i64 a = comp[0]; a < comp[1]; a++) {
+                const Act *act = &plan->acts[a];
+                AState *as = &st[a];
+                i64 j;
                 if (act->kind == 0) {
-                    if (as->sendable) {
-                        if (eval_dyn(act, as, J, j, cap, gd, stb, ms_len,
-                                     seeds + act->seed_off))
-                            return -1;
-                    } else { /* never sendable: certain miss */
-                        as->last_w = 0;
-                        as->last_ok = 0;
+                    j = Wl[act->sender_row];
+                } else {
+                    j = act->release;
+                    for (i64 k = 0; k < act->n_preds; k++) {
+                        i64 v = Wl[act->preds[k]];
+                        if (v > j)
+                            j = v;
                     }
-                } else if (eval_fps(act, as, J, j, cap,
-                                    seeds + act->seed_off, new_seeds)) {
-                    return -1;
                 }
-                as->dirty = 0;
-                as->last_own = j;
-                as->has = 1;
-            }
-            conv_flag = conv_flag && as->last_ok;
-            i64 value;
-            if (act->kind == 0 && !as->sendable) {
-                value = cap;
-            } else {
-                if (ck_add(j, as->last_w, &value) ||
-                    (act->kind == 0 && ck_add(value, act->ct, &value)))
-                    return -1;
-                if (value > cap)
+                if (J[act->row] != j) {
+                    J[act->row] = j;
+                    changed = 1;
+                    for (i64 k = 0; k < act->n_deps; k++)
+                        st[act->deps[k]].dirty = 1;
+                }
+                if (!as->has || as->dirty ||
+                    (act->own_sensitive && as->last_own != j)) {
+                    if (act->kind == 0) {
+                        if (as->sendable) {
+                            if (eval_dyn(act, as, J, j, cap, gd, stb, ms_len,
+                                         seeds + act->seed_off))
+                                return -1;
+                        } else { /* never sendable: certain miss */
+                            as->last_w = 0;
+                            as->last_ok = 0;
+                        }
+                    } else if (eval_fps(act, as, J, j, cap,
+                                        seeds + act->seed_off, new_seeds)) {
+                        return -1;
+                    }
+                    as->dirty = 0;
+                    as->last_own = j;
+                    as->has = 1;
+                }
+                conv_flag = conv_flag && as->last_ok;
+                i64 value;
+                if (act->kind == 0 && !as->sendable) {
                     value = cap;
+                } else {
+                    if (ck_add(j, as->last_w, &value) ||
+                        (act->kind == 0 && ck_add(value, act->ct, &value)))
+                        return -1;
+                    if (value > cap)
+                        value = cap;
+                }
+                /* first insertion into wcrt is always a change */
+                if (!as->w_written || Wl[act->row] != value) {
+                    Wl[act->row] = value;
+                    as->w_written = 1;
+                    changed = 1;
+                }
             }
-            /* first insertion into wcrt is always a change */
-            if (!as->w_written || Wl[act->row] != value) {
-                Wl[act->row] = value;
-                as->w_written = 1;
-                changed = 1;
-            }
+            if (!changed || !comp[2])
+                break;
         }
-        if (!changed)
-            return conv_flag;
+        if (it == passes) /* the Python for-else: exhaustion */
+            conv_flag = 0;
     }
-    return 0; /* the Python for-else: exhaustion */
+    return conv_flag;
 }
 
 static PyObject *
@@ -758,6 +786,11 @@ native_run_batch(PyObject *self, PyObject *args)
         W_b.len != (Py_ssize_t)(L * plan->n_rows * 8)) {
         PyErr_SetString(PyExc_ValueError,
                         "run_batch buffer sizes disagree with the plan");
+        goto done;
+    }
+    if (max_iters < 1) { /* no pass at all would report w0 as a result */
+        PyErr_SetString(PyExc_ValueError,
+                        "max_holistic_iterations must be >= 1");
         goto done;
     }
     J = (i64 *)malloc((size_t)(plan->n_rows ? plan->n_rows : 1) * 8);
@@ -805,7 +838,9 @@ static PyMethodDef native_methods[] = {
     {"run_batch", native_run_batch, METH_VARARGS,
      "run_batch(plan, caps, n_minislots, gd_cycle, st_bus, ms_len, "
      "fault_k, max_holistic_iterations, W, conv) -> None\n\n"
-     "Advance every lane's full holistic fix point; W is the (L, n_rows) "
+     "Advance every lane's full holistic fix point (at most "
+     "max_holistic_iterations passes per cyclic component); W is the "
+     "(L, n_rows) "
      "int64 response-time buffer (filled in place), conv the per-lane "
      "flags: 1 converged, 0 not converged, -1 int64 overflow (the lane's "
      "W row is then meaningless)."},

@@ -96,8 +96,8 @@ class StructureTemplate:
     ``SchedulePlan`` (replay inserts static entries in plan order),
     which the structure key already fixes.
 
-    The lowering yields three things: ``acts``, the plan blob's
-    per-activity int section (see
+    The lowering yields four things: ``acts``, the plan blob's
+    per-activity int section, and ``comps``, its component section (see
     :func:`repro.analysis.backend.native.plan_blob`); ``av_nodes``, the
     nodes whose availability patterns the FPS activities index (first
     occurrence in evaluation order); and ``wcet_positive``, whether
@@ -106,8 +106,9 @@ class StructureTemplate:
     """
 
     __slots__ = (
-        "static_names", "name_idx", "n_rows", "n_acts", "acts", "av_nodes",
-        "wcet_positive", "wcrt_names", "wcrt_rows", "fault_rows",
+        "static_names", "name_idx", "n_rows", "n_acts", "acts", "n_comps",
+        "comps", "av_nodes", "wcet_positive", "wcrt_names", "wcrt_rows",
+        "fault_rows",
     )
 
     def __init__(self, ctx, structure, static_names: Tuple[str, ...]):
@@ -144,13 +145,14 @@ class StructureTemplate:
                 _row(pred)
 
         # --- the per-activity section ---------------------------------
-        # Activities in the context's evaluation order: the kernel walks
-        # them in blob order, so it runs the Python fix point's
-        # precedence-ordered passes.  Interferer rows carry the jitter
-        # row they read; ancestor rows read the own jitter, so theirs
-        # is a placeholder 0.
+        # Activities in the structure record's schedule order, one
+        # component after the other: the kernel walks the components'
+        # ``(start, end, cyclic)`` slices of the blob order exactly as
+        # the Python fix point walks its schedule.  Interferer rows carry
+        # the jitter row they read; ancestor rows read the own jitter, so
+        # theirs is a placeholder 0.
         slots = [(msg, None) for msg in structure.messages] + fps_items
-        order = [slots[i] for i in ctx._eval_order]
+        order = [slots[i] for i in structure.order]
         act_pos = {act.name: pos for pos, (act, _) in enumerate(order)}
         deps_get = structure.dependents.get
         av_nodes: List[str] = []
@@ -208,6 +210,8 @@ class StructureTemplate:
         self.n_rows = len(names)
         self.n_acts = len(order)
         self.acts = acts
+        self.n_comps = len(structure.components)
+        self.comps = [x for comp in structure.components for x in comp]
         self.av_nodes = tuple(av_nodes)
         self.wcet_positive = all(plan.wcet > 0 for plan, _ in fps_items)
         # wcrt assembly order: the Python fix point's result order

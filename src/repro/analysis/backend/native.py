@@ -5,8 +5,9 @@
 the results come out through the Python path's own tail
 (``AnalysisContext._result``: Eq. (5) on the wcrt dict, the cached
 schedule retimed) -- but the fix points in between run inside the
-``repro._native`` C extension, each lane's *entire* holistic
-Gauss-Seidel iteration in tight scalar loops with no per-step dispatch
+``repro._native`` C extension, each lane's *entire* holistic fix point
+(the same component schedule the oracle walks) in tight scalar loops
+with no per-step dispatch
 (see ``src/repro/_native/nativemodule.c`` for the transcription and its
 bit-identity argument).  Every buffer crossing into C is a stdlib
 ``array('q')``.
@@ -40,9 +41,9 @@ from typing import List
 
 from repro.analysis.backend import native_or_none
 
-#: Blob header magic ("NATIV"); bumped if the layout ever changes, so a
-#: stale extension rejects new blobs instead of misreading them.
-PLAN_MAGIC = 0x4E41544956
+#: Blob header magic ("NATIW"); bumped whenever the layout changes, so
+#: a stale extension rejects new blobs instead of misreading them.
+PLAN_MAGIC = 0x4E41544957
 
 
 def plan_blob(plan) -> array:
@@ -50,14 +51,16 @@ def plan_blob(plan) -> array:
 
     Layout (every field one int64, in order)::
 
-        MAGIC, n_rows, n_acts, n_avs, n_fault
+        MAGIC, n_rows, n_acts, n_comps, n_avs, n_fault
         w0[n_rows]
         fault_rows[n_fault]
+        per component (schedule order; the slices tile [0, n_acts)):
+            start, end, cyclic
         per availability pattern:
             n_instants, slack, period, n_gaps,
             instants[n_instants], before[n_instants],
             gap_ends[n_gaps], through[n_gaps], eval_order[n_instants]
-        per activity (plan order == the fix point's precedence order):
+        per activity (plan order == the fix point's schedule order):
             kind (0=dyn, 1=fps), row, own_sensitive, n_deps, deps...
             dyn:  sender_row, ct, lower_slots, frame_id, largest,
                   max_adjusted, n_hp, n_lf,
@@ -69,22 +72,26 @@ def plan_blob(plan) -> array:
     Only called for structurally safe groups, so every availability
     pattern carries the (possibly synthetic idle) staircase tables.
 
-    The per-activity section is **structure-invariant** (interferer
-    rows, FrameIDs, transmission times; the availability references are
-    by index into ``template.av_nodes``), so it is lowered once per
-    structure record (``StructureTemplate.acts``); only the header,
-    ``w0``, the fault rows and the availability tables are per group.
+    The component and per-activity sections are
+    **structure-invariant** (the component schedule, interferer rows,
+    FrameIDs, transmission times; the availability references are by
+    index into ``template.av_nodes``), so they are lowered once per
+    structure record (``StructureTemplate.comps`` and ``.acts``); only
+    the header, ``w0``, the fault rows and the availability tables are
+    per group.
     """
     template = plan.template
     out = [
         PLAN_MAGIC,
         template.n_rows,
         template.n_acts,
+        template.n_comps,
         len(plan.avs),
         len(template.fault_rows),
     ]
     out += plan.w0
     out += template.fault_rows
+    out += template.comps
     for av in plan.avs:
         out += [av.n_instants, av.slack, av.period, len(av.gap_ends)]
         out += av.instants

@@ -7,9 +7,9 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
 
 (a) **per-system invariants** -- ancestor closures, predecessor lists,
     period tables, ST/DYN message partitions, sorted FPS task lists,
-    their higher-priority interferer rows and the fix point's
-    precedence order.  Computed once per
-    :class:`AnalysisContext`.
+    their higher-priority interferer rows, the fix point's precedence
+    order and the FrameID-independent edges of its dependency graph.
+    Computed once per :class:`AnalysisContext`.
 
 (b) **per-static-segment artifacts** -- the built
     :class:`~repro.analysis.schedule_table.ScheduleTable`, the static
@@ -27,23 +27,28 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
 (c) **per-structure interference records** -- hp/lf membership,
     interferer periods, ancestor flags, adjusted frame sizes,
     transmission times and the reverse interference map of every DYN
-    message.  They depend only on the FrameID assignment and the bus
+    message, plus the fix point's *component schedule* (the strongly
+    connected components of the activities' dependency graph in
+    topological order; DYN hp/lf interference edges depend on the
+    FrameIDs).  They depend only on the FrameID assignment and the bus
     speed (the *structure key*), so each key's record is built once,
     in one place, and read by both the Python fix point and the
     compiled backend's lowering; per configuration only the
     cycle-geometry scalars (``pLatestTx``-derived ``lam``/``theta``,
     ``sigma``, sendability, the k-error cycle cost) are added.
 
-On top of the tiers, the fix point memoises each activity's last input
-signature (its own jitter plus the jitters of its interferers) and skips
-the busy-window recurrence when nothing changed -- the final "no change"
-sweep of the holistic iteration then costs signature comparisons instead
-of full recomputation.  All caches are LRU-bounded and every shortcut is
-a pure-function memoisation, so results are bit-identical to a cold run.
+The fix point walks the component schedule: an acyclic component is
+evaluated once (its inputs are final by then), and only a cyclic one
+iterates.  Inside a cyclic component it tracks which activities'
+inputs changed and skips the busy-window recurrence when nothing did --
+the final "no change" pass then costs lookups instead of full
+recomputation.  All caches are LRU-bounded and every shortcut is a
+pure-function memoisation, so results are bit-identical to a cold run.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 from collections import OrderedDict, namedtuple
 from itertools import chain
@@ -111,15 +116,19 @@ class _Structure:
     :meth:`AnalysisContext._structure`: the :data:`_DynMessage` of every
     DYN message (in ``dyn_messages`` order), the reverse interference
     map (``dependents``: who must be re-evaluated when an activity's
-    jitter changes) and the compiled backend's
-    :class:`~repro.analysis.backend.arrays.StructureTemplate`, built on
-    first use (``None`` until then)."""
+    jitter changes), the component schedule (``order``: slot positions
+    in evaluation order; ``components``: ``(start, end, cyclic)``
+    slices of it, see :func:`component_schedule`) and the compiled
+    backend's :class:`~repro.analysis.backend.arrays.StructureTemplate`,
+    built on first use (``None`` until then)."""
 
-    __slots__ = ("messages", "dependents", "template")
+    __slots__ = ("messages", "dependents", "order", "components", "template")
 
-    def __init__(self, messages, dependents):
+    def __init__(self, messages, dependents, order, components):
         self.messages = messages
         self.dependents = dependents
+        self.order = order
+        self.components = components
         self.template = None
 
 
@@ -187,6 +196,16 @@ class AnalysisContext:
             )
         #: k of the k-error fault hypothesis (0 = clean channel).
         self._fault_k = fault_k or 0
+        budget = self.options.max_holistic_iterations
+        if (
+            isinstance(budget, bool)
+            or not isinstance(budget, int)
+            or budget < 1
+        ):
+            raise ConfigurationError(
+                f"max_holistic_iterations={budget!r} must be an integer "
+                ">= 1 (the pass budget of each cyclic component)"
+            )
         app = system.application
         self.app = app
 
@@ -261,10 +280,31 @@ class AnalysisContext:
         self._slot_names = tuple(m.name for m in self.dyn_messages) + tuple(
             t.name for t in fps_tasks
         )
-        #: The evaluation order: slot positions sorted into precedence
-        #: order, so one Gauss-Seidel pass evaluates a sender before its
-        #: message and a message before its receiver.
+        #: Slot positions sorted into precedence order (a sender before
+        #: its message, a message before its receiver): the order inside
+        #: each component of the fix point's schedule, and its
+        #: tie-break between components.
         self._eval_order = precedence_order(app, self.dyn_messages, fps_tasks)
+        #: The FrameID-independent edges of the fix point's dependency
+        #: graph over slot positions: ``_readers[u]`` lists the positions
+        #: that read u's response time (a DYN message its sender's, an
+        #: FPS task its predecessors') or u's jitter (an FPS task its
+        #: interferers').  :meth:`_structure` adds the DYN hp/lf edges.
+        self._slot_pos = {name: i for i, name in enumerate(self._slot_names)}
+        readers: List[List[int]] = [[] for _ in self._slot_names]
+        slot_pos = self._slot_pos
+        for i, m in enumerate(self.dyn_messages):
+            sender = slot_pos.get(self.sender_task[m.name])
+            if sender is not None:
+                readers[sender].append(i)
+        for node in system.nodes:
+            for plan in self.fps_plans[node]:
+                v = slot_pos[plan.name]
+                for name in chain(plan.predecessors, plan.input_names):
+                    u = slot_pos.get(name)
+                    if u is not None:
+                        readers[u].append(v)
+        self._readers = tuple(tuple(r) for r in readers)
         self._cap_base = analysis_cap_base(app)
         #: The schedule depends on gd_cycle iff ST slot instances exist.
         self._st_dependent = bool(self.st_messages)
@@ -509,9 +549,17 @@ class AnalysisContext:
             for plan in self.fps_plans[node]:
                 for inp in plan.input_names:
                     dependents.setdefault(inp, []).append(plan.name)
+        slot_pos = self._slot_pos
+        readers = [list(r) for r in self._readers]
+        for i, msg in enumerate(messages):
+            for inp in msg.input_names:
+                readers[slot_pos[inp]].append(i)
+        order, components = component_schedule(self._eval_order, readers)
         record = _Structure(
             tuple(messages),
             {name: tuple(v) for name, v in dependents.items()},
+            order,
+            components,
         )
         _lru_insert(
             self._structure_cache, key, record, _MAX_STRUCTURE_ENTRIES
@@ -739,10 +787,15 @@ class AnalysisContext:
         verified against: same bottom start, but no inner seeds and no
         instant pruning.
 
-        Both walk DYN messages and FPS tasks in one Gauss-Seidel pass in
-        precedence order (``_eval_order``), so a task -> message -> task
-        chain settles in one pass instead of one pass per hop; any pass
-        order reaches the same least fixed point (docs/ANALYSIS.md,
+        Both walk the structure record's component schedule: the
+        strongly connected components of the dependency graph in
+        topological order, members in precedence order.  An acyclic
+        component is evaluated once -- everything it reads is final by
+        then -- and a cyclic one runs Gauss-Seidel passes over its
+        members until a pass changes nothing, at most
+        ``max_holistic_iterations`` of them; running out clears
+        ``converged``.  Every walk that stops on no-change passes
+        reaches the same least fixed point (docs/ANALYSIS.md,
         "Evaluation order").
         """
         options = self.options
@@ -788,7 +841,7 @@ class AnalysisContext:
         last_own: Dict[str, int] = {}
         last_out: Dict[str, Tuple[int, bool]] = {}
         # (activity, availability, view) slots in the slot layout,
-        # walked in precedence order; a DYN message's slot carries its
+        # walked in schedule order; a DYN message's slot carries its
         # per-configuration view instead of an availability.
         slots = [
             (msg, None, view)
@@ -800,97 +853,100 @@ class AnalysisContext:
             for node in nodes
             for plan in fps_plans[node]
         ]
-        acts = [slots[i] for i in self._eval_order]
+        acts = [slots[i] for i in structure.order]
+        budget = options.max_holistic_iterations
         converged = True
-        for _ in range(options.max_holistic_iterations):
-            changed = False
-            for act, node_availability, view in acts:
-                name = act.name
-                is_dyn = node_availability is None
-                if is_dyn:
-                    # DYN message: jitter inherited from the sender task.
-                    j = wcrt_get(act.sender, 0)
-                else:
-                    # FPS task: jitter = worst finish of any predecessor.
-                    j = act.release
-                    for pred in act.predecessors:
-                        v = wcrt_get(pred, 0)
-                        if v > j:
-                            j = v
-                if jitters_get(name, 0) != j:
-                    jitters[name] = j
-                    changed = True
-                    for dep in deps_get(name, ()):
-                        dirty_add(dep)
-                # The memo caches the busy *window* (a pure function of
-                # the interferers' jitters -- plus the own jitter only
-                # when ancestor rows exist), so an own-jitter change
-                # alone just re-derives the response time from it.
-                cached = (
-                    last_out.get(name)
-                    if name not in dirty
-                    and (not act.own_sensitive or last_own.get(name) == j)
-                    else None
-                )
-                if cached is not None:
-                    w, ok = cached
-                else:
-                    if not is_dyn:
-                        w, ok, demands = _fps_busy_window(
-                            act.wcet,
-                            act.interferers,
-                            node_availability,
-                            jitters,
-                            cap,
-                            j,
-                            seeds_get(name) if certified else None,
-                            certified,
-                        )
-                        if certified:
-                            inner_seeds[name] = demands
-                    elif view.sendable:
-                        w, ok, final = _dyn_busy_window(
-                            act.hp_info,
-                            act.lf_info,
-                            act.lower_slots,
-                            view.lam,
-                            view.theta,
-                            view.sigma,
-                            act.ct,
-                            gd_cycle,
-                            st_bus,
-                            ms_len,
-                            jitters,
-                            cap,
-                            j,
-                            fill_strategy,
-                            seeds_get(name) if certified else None,
-                            view.fault_cycles,
-                        )
-                        if certified:
-                            inner_seeds[name] = final
+        for start, end, cyclic in structure.components:
+            members = acts[start:end]
+            for _ in range(budget if cyclic else 1):
+                changed = False
+                for act, node_availability, view in members:
+                    name = act.name
+                    is_dyn = node_availability is None
+                    if is_dyn:
+                        # DYN message: jitter inherited from the sender task.
+                        j = wcrt_get(act.sender, 0)
                     else:
-                        # The frame can never be sent: certain miss.
-                        w, ok = None, False
-                    dirty.discard(name)
-                    last_own[name] = j
-                    last_out[name] = (w, ok)
-                converged = converged and ok
-                if w is None:
-                    value = cap
-                else:
-                    # R_m = J_m + w + C_m for a message, J_i + w for a task.
-                    value = j + w + act.ct if is_dyn else j + w
-                    if value > cap:
+                        # FPS task: jitter = worst finish of any predecessor.
+                        j = act.release
+                        for pred in act.predecessors:
+                            v = wcrt_get(pred, 0)
+                            if v > j:
+                                j = v
+                    if jitters_get(name, 0) != j:
+                        jitters[name] = j
+                        changed = True
+                        for dep in deps_get(name, ()):
+                            dirty_add(dep)
+                    # The memo caches the busy *window* (a pure function of
+                    # the interferers' jitters -- plus the own jitter only
+                    # when ancestor rows exist), so an own-jitter change
+                    # alone just re-derives the response time from it.
+                    cached = (
+                        last_out.get(name)
+                        if name not in dirty
+                        and (not act.own_sensitive or last_own.get(name) == j)
+                        else None
+                    )
+                    if cached is not None:
+                        w, ok = cached
+                    else:
+                        if not is_dyn:
+                            w, ok, demands = _fps_busy_window(
+                                act.wcet,
+                                act.interferers,
+                                node_availability,
+                                jitters,
+                                cap,
+                                j,
+                                seeds_get(name) if certified else None,
+                                certified,
+                            )
+                            if certified:
+                                inner_seeds[name] = demands
+                        elif view.sendable:
+                            w, ok, final = _dyn_busy_window(
+                                act.hp_info,
+                                act.lf_info,
+                                act.lower_slots,
+                                view.lam,
+                                view.theta,
+                                view.sigma,
+                                act.ct,
+                                gd_cycle,
+                                st_bus,
+                                ms_len,
+                                jitters,
+                                cap,
+                                j,
+                                fill_strategy,
+                                seeds_get(name) if certified else None,
+                                view.fault_cycles,
+                            )
+                            if certified:
+                                inner_seeds[name] = final
+                        else:
+                            # The frame can never be sent: certain miss.
+                            w, ok = None, False
+                        dirty.discard(name)
+                        last_own[name] = j
+                        last_out[name] = (w, ok)
+                    converged = converged and ok
+                    if w is None:
                         value = cap
-                if wcrt_get(name) != value:
-                    wcrt[name] = value
-                    changed = True
+                    else:
+                        # R_m = J_m + w + C_m (message), J_i + w (task).
+                        value = j + w + act.ct if is_dyn else j + w
+                        if value > cap:
+                            value = cap
+                    if wcrt_get(name) != value:
+                        wcrt[name] = value
+                        changed = True
 
-            if not changed:
-                break
-        else:
-            converged = False
+                if not (changed and cyclic):
+                    break
+            else:
+                converged = False
         # Results list their entries in the slot layout after the static
         # ones, whatever order the passes ran in.
         wcrt = {
@@ -919,6 +975,94 @@ def precedence_order(app, dyn_messages, fps_tasks) -> Tuple[int, ...]:
         (depth[t.name], 0, t.priority, t.name) for t in fps_tasks
     ]
     return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def component_schedule(order, readers):
+    """The fix point's component schedule over slot positions.
+
+    *order* is the precedence order (a permutation of the positions)
+    and ``readers[u]`` lists the positions that read u's response time
+    or jitter -- the dependency graph's edges.  Returns ``(flat,
+    components)``: the strongly connected components in topological
+    order, ties broken by lowest precedence rank, with members in
+    precedence order, concatenated into ``flat``; ``components`` holds
+    one ``(start, end, cyclic)`` slice of ``flat`` per component.  A
+    component is cyclic when it has more than one member or a
+    self-loop; only a cyclic one needs more than one evaluation.
+    """
+    n = len(order)
+    rank = [0] * n
+    for r, pos in enumerate(order):
+        rank[pos] = r
+    # Tarjan's algorithm, iterative; ``comp[v]`` numbers the components
+    # in completion order (reverse topological).
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: List[int] = []
+    members: List[List[int]] = []
+    counter = 0
+    for root in order:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(readers[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(readers[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    c = len(members)
+                    group = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = c
+                        group.append(w)
+                        if w == v:
+                            break
+                    group.sort(key=rank.__getitem__)
+                    members.append(group)
+    # Kahn's algorithm over the condensation, always releasing the
+    # ready component whose first member ranks lowest.
+    indegree = [0] * len(members)
+    for u in range(n):
+        for v in readers[u]:
+            if comp[u] != comp[v]:
+                indegree[comp[v]] += 1
+    ready = [(rank[g[0]], c) for c, g in enumerate(members) if not indegree[c]]
+    heapq.heapify(ready)
+    flat: List[int] = []
+    components = []
+    while ready:
+        c = heapq.heappop(ready)[1]
+        group = members[c]
+        start = len(flat)
+        flat += group
+        cyclic = len(group) > 1 or group[0] in readers[group[0]]
+        components.append((start, len(flat), cyclic))
+        for u in group:
+            for v in readers[u]:
+                d = comp[v]
+                if d != c:
+                    indegree[d] -= 1
+                    if not indegree[d]:
+                        heapq.heappush(ready, (rank[members[d][0]], d))
+    return tuple(flat), tuple(components)
 
 
 def ancestor_sets(app) -> Dict[str, frozenset]:

@@ -45,8 +45,10 @@ class AnalysisOptions:
     #: Static-scheduler knobs (FPS-aware placement, horizon factor);
     #: see :class:`~repro.analysis.scheduler.ScheduleOptions`.
     schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
-    #: Outer Kleene iteration limit; exceeding it flags the result as
-    #: non-converged (``converged=False``), never raises.
+    #: Outer Kleene iteration limit, in passes per cyclic component of
+    #: the fix point's schedule (an acyclic component is evaluated
+    #: once); exceeding it flags the result as non-converged
+    #: (``converged=False``), never raises.  An integer >= 1.
     max_holistic_iterations: int = 64
     #: The divergence cap is ``cap_factor * max(hyperperiod, deadlines,
     #: gd_cycle)`` -- larger than any deadline, so a truncated response

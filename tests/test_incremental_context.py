@@ -121,6 +121,60 @@ def test_unknown_fill_strategy_rejected_up_front():
             AnalysisContext(system, options)
 
 
+_BAD_BUDGETS = (0, -1, True, False, 2.5, "3", None)
+
+
+def _assert_budget_checked(backend):
+    """Every bad ``max_holistic_iterations`` fails at context
+    construction; the smallest legal budget analyses."""
+    system = paper_system(3, 1, seed=23)
+    for bad in _BAD_BUDGETS:
+        options = AnalysisOptions(
+            max_holistic_iterations=bad, backend=backend
+        )
+        with pytest.raises(
+            ConfigurationError, match="max_holistic_iterations"
+        ):
+            AnalysisContext(system, options)
+    one = AnalysisOptions(max_holistic_iterations=1, backend=backend)
+    config = _candidate_configs(system, per_system=1)[0]
+    assert AnalysisContext(system, one).analyse(config).feasible
+
+
+def test_iteration_budget_validated():
+    _assert_budget_checked("python")
+
+
+@pytest.mark.native
+@pytest.mark.skipif(
+    native_or_none() is None, reason="needs the compiled repro[native] extra"
+)
+def test_iteration_budget_validated_native():
+    """The kernel itself refuses a budget below 1 too, instead of
+    skipping every pass and reporting the static rows as a result."""
+    from array import array
+
+    _assert_budget_checked("native")
+    system = fig4_system()
+    context = AnalysisContext(system, AnalysisOptions(backend="native"))
+    config = _candidate_configs(system, per_system=1)[0]
+    context.analyse(config)
+    plan = next(iter(context._backend_plans.values()))
+    with pytest.raises(ValueError, match="max_holistic_iterations"):
+        native_or_none().run_batch(
+            plan.native_state,
+            array("q", [1000]),
+            array("q", [config.n_minislots]),
+            array("q", [config.gd_cycle]),
+            array("q", [config.st_bus]),
+            config.gd_minislot,
+            0,
+            0,
+            array("q", [0]) * plan.template.n_rows,
+            array("q", [0]),
+        )
+
+
 def test_validation_floor_is_lru_bounded(monkeypatch):
     """The validation floor holds at most ``_MAX_VALIDATION_ENTRIES``
     (static segment, FrameID assignment) entries -- SA moves and the
@@ -323,11 +377,30 @@ def _legacy_order(app, dyn_messages, fps_tasks):
     return tuple(range(len(dyn_messages) + len(fps_tasks)))
 
 
+def _single_component(order, readers):
+    """The whole-system walk as a component schedule: every activity in
+    one cyclic component, in (the possibly patched) precedence order."""
+    return tuple(order), ((0, len(order), True),) if order else ()
+
+
+@contextmanager
+def single_component():
+    """Analyses run inside this block walk the fix point as one cyclic
+    component: whole-system Gauss-Seidel passes in precedence order, the
+    reference walk the component schedule is checked against."""
+    with mock.patch.object(
+        context_module, "component_schedule", _single_component
+    ):
+        yield
+
+
 @contextmanager
 def legacy_order():
-    """Contexts built inside this block walk the fix point in the legacy
-    DYN-then-FPS order instead of precedence order."""
-    with mock.patch.object(context_module, "precedence_order", _legacy_order):
+    """Contexts built and analysed inside this block walk the fix point
+    in whole-system passes in the legacy DYN-then-FPS order."""
+    with mock.patch.object(
+        context_module, "precedence_order", _legacy_order
+    ), single_component():
         yield
 
 
@@ -400,10 +473,11 @@ CHAIN_CONFIG = FlexRayConfig(
 
 
 class TestEvaluationOrder:
-    """Precedence order and the legacy DYN-then-FPS order are two
-    chaotic iterations of one monotone operator from the same bottom
-    state: wherever both stop on a no-change pass they return the same
-    least fixed point, item for item."""
+    """The component schedule, the whole-system walk in precedence order
+    and the legacy DYN-then-FPS walk are chaotic iterations of one
+    monotone operator from the same bottom state: wherever all stop on
+    no-change passes they return the same least fixed point, item for
+    item."""
 
     def test_precedence_order_puts_senders_first(self):
         system = _chain_system()
@@ -417,13 +491,14 @@ class TestEvaluationOrder:
     @pytest.mark.parametrize("member", [(3, 1), (4, 0)])
     def test_obc_ee_sweeps_match_legacy_order(self, member):
         """Every analysis of a 192-point OBC/EE run (converged or not)
-        is identical in both orders; on ``paper_system(4, 0)`` the
-        precedence order needs at least 30% fewer busy windows."""
+        is identical under the component schedule and the former
+        whole-system walk; on ``paper_system(4, 0)`` the schedule needs
+        at most 0.6x the busy windows."""
         system = paper_system(*member, seed=23)
         options = StrategyOptions(bus=EE_BUS)
         with analysis_log() as new:
             new_result = optimise(system, "obc-ee", options)
-        with legacy_order(), analysis_log() as old:
+        with single_component(), analysis_log() as old:
             old_result = optimise(system, "obc-ee", options)
         assert len(new.signatures) == 1152
         assert new.signatures == old.signatures
@@ -432,7 +507,7 @@ class TestEvaluationOrder:
             old_result.evaluations,
         )
         if member == (4, 0):
-            assert new.windows <= 0.7 * old.windows, (new.windows, old.windows)
+            assert new.windows <= 0.6 * old.windows, (new.windows, old.windows)
 
     @given(
         system=small_system(),
@@ -444,20 +519,29 @@ class TestEvaluationOrder:
     def test_small_systems_match_legacy_order(
         self, system, points, method, fault_k
     ):
+        """The schedule matches both whole-system walks: in precedence
+        order and in the legacy DYN-then-FPS order."""
         options = AnalysisOptions(fault_hypothesis=fault_k)
         configs = _candidate_configs(system, per_system=points)
-        new = AnalysisContext(system, options)
+
+        def signatures():
+            context = AnalysisContext(system, options)
+            return [
+                _result_signature(getattr(context, method)(config))
+                for config in configs
+            ]
+
+        new = signatures()
+        with single_component():
+            whole = signatures()
         with legacy_order():
-            old = AnalysisContext(system, options)
-        for config in configs:
-            assert _result_signature(
-                getattr(new, method)(config)
-            ) == _result_signature(getattr(old, method)(config))
+            legacy = signatures()
+        assert new == whole == legacy
 
     def test_chain_converges_within_a_budget_the_legacy_order_exceeds(self):
         """The documented difference: with a 3-pass budget the legacy
         order runs out of passes on a two-hop chain, while the
-        precedence order converges to the least fixed point."""
+        component schedule converges to the least fixed point."""
         system = _chain_system()
         least = analyse_system(system, CHAIN_CONFIG)
         assert least.converged
@@ -472,19 +556,200 @@ class TestEvaluationOrder:
         assert not legacy.converged
         assert tuple(legacy_least.wcrt.items()) == tuple(least.wcrt.items())
 
+    def test_acyclic_chain_converges_on_a_one_pass_budget(self):
+        """The budget is per cyclic component: an acyclic chain needs no
+        pass beyond its one evaluation per activity, while the
+        whole-system walk always needs a second, no-change pass."""
+        system = _chain_system()
+        least = analyse_system(system, CHAIN_CONFIG)
+        one = AnalysisOptions(max_holistic_iterations=1)
+        result = analyse_system(system, CHAIN_CONFIG, one)
+        assert result.converged
+        assert tuple(result.wcrt.items()) == tuple(least.wcrt.items())
+        with single_component():
+            whole = analyse_system(system, CHAIN_CONFIG, one)
+        assert not whole.converged
+
     @pytest.mark.native
     @pytest.mark.skipif(
         native_or_none() is None,
         reason="needs the compiled repro[native] extra",
     )
     def test_native_walks_the_same_order(self):
-        """The compiled kernel walks the template's activities in array
+        """The compiled kernel walks the template's components in blob
         order, so it converges within the same tight budget."""
         system = _chain_system()
-        tight = AnalysisOptions(max_holistic_iterations=3)
-        python = analyse_system(system, CHAIN_CONFIG, tight)
+        for budget in (1, 3):
+            tight = AnalysisOptions(max_holistic_iterations=budget)
+            python = analyse_system(system, CHAIN_CONFIG, tight)
+            native = AnalysisContext(
+                system, replace(tight, backend="native")
+            ).analyse(CHAIN_CONFIG)
+            assert native.converged
+            assert _result_signature(native) == _result_signature(python)
+
+
+def _schedule(context, config):
+    """The structure record's schedule as (names, cyclic) components."""
+    structure = context._structure(config)
+    names = [context._slot_names[i] for i in structure.order]
+    return [
+        (names[start:end], cyclic)
+        for start, end, cyclic in structure.components
+    ]
+
+
+def _edges(context, config):
+    """The dependency edges (reader, read) by name, straight from the
+    activities' own inputs: a DYN message reads its sender's response
+    time and its hp/lf interferers' jitters, an FPS task its
+    predecessors' response times and its interferers' jitters."""
+    structure = context._structure(config)
+    edges = set()
+    for msg in structure.messages:
+        edges.add((msg.name, msg.sender))
+        edges.update((msg.name, row[0]) for row in msg.hp_info + msg.lf_info)
+    for plans in context.fps_plans.values():
+        for plan in plans:
+            edges.update((plan.name, p) for p in plan.predecessors)
+            edges.update((plan.name, row[0]) for row in plan.interferers)
+    slots = set(context._slot_names)
+    return {(v, u) for v, u in edges if u in slots}
+
+
+class TestComponentSchedule:
+    def test_chain_is_five_acyclic_singletons(self):
+        context = AnalysisContext(_chain_system())
+        assert _schedule(context, CHAIN_CONFIG) == [
+            ([name], False) for name in ("t1", "m1", "t2", "m2", "t3")
+        ]
+
+    def test_self_loop_is_cyclic(self):
+        """A singleton is cyclic only through a self-loop; components
+        follow precedence order unless an edge says otherwise (0 reads
+        1, so 1 goes first although 0 ranks lower)."""
+        order, components = context_module.component_schedule(
+            (2, 0, 1), [[0], [0], []]
+        )
+        assert order == (2, 1, 0)
+        assert components == ((0, 1, False), (1, 2, False), (2, 3, True))
+
+    def test_two_task_cycle_is_cyclic(self):
+        """A low-priority task interfered with by its own same-node,
+        higher-priority successor: the successor reads the task's
+        response time, the task reads the successor's jitter."""
+        system = single_graph_system(
+            [
+                fps_task("lo", wcet=5, node="N1", priority=2),
+                fps_task("hi", wcet=3, node="N1", priority=1),
+                fps_task("other", wcet=2, node="N2", priority=1),
+            ],
+            precedences=(("lo", "hi"),),
+            period=200,
+            deadline=200,
+        )
+        config = FlexRayConfig(
+            static_slots=("N1", "N2"), gd_static_slot=2, n_minislots=10,
+            frame_ids={},
+        )
+        context = AnalysisContext(system)
+        assert _schedule(context, config) == [
+            (["other"], False),
+            (["lo", "hi"], True),
+        ]
+        result = context.analyse(config)
+        assert result.converged
+        with single_component():
+            whole = AnalysisContext(system).analyse(config)
+        assert _result_signature(result) == _result_signature(whole)
+
+    @given(system=small_system(), points=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_components_follow_what_they_read(self, system, points):
+        context = AnalysisContext(system)
+        rank = {
+            context._slot_names[i]: r
+            for r, i in enumerate(context._eval_order)
+        }
+        for config in _candidate_configs(system, per_system=points):
+            if context._validate(config) is not None:
+                continue
+            schedule = _schedule(context, config)
+            where = {
+                name: k
+                for k, (names, _) in enumerate(schedule)
+                for name in names
+            }
+            assert sorted(where) == sorted(context._slot_names)
+            edges = _edges(context, config)
+            for reader, read in edges:
+                assert where[read] <= where[reader]
+            for names, cyclic in schedule:
+                assert names == sorted(names, key=rank.__getitem__)
+                assert cyclic == (
+                    len(names) > 1 or (names[0], names[0]) in edges
+                )
+
+    def test_paper_system_has_cycles(self):
+        """The pinned Fig. 9 systems mix cycles and acyclic activities."""
+        system = paper_system(4, 0, seed=23)
+        context = AnalysisContext(system)
+        config = _candidate_configs(system, per_system=1)[0]
+        schedule = _schedule(context, config)
+        cyclic = [names for names, cyclic in schedule if cyclic]
+        assert cyclic and len(cyclic) < len(schedule)
+
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        native_or_none() is None,
+        reason="needs the compiled repro[native] extra",
+    )
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_native_matches_on_cycles_under_a_tight_budget(self, budget):
+        """Cyclic components that run out of a tight budget leave the
+        same state and flags on both backends."""
+        system = paper_system(4, 0, seed=23)
+        configs = _candidate_configs(system, per_system=8)
+        tight = AnalysisOptions(max_holistic_iterations=budget)
+        python = AnalysisContext(system, tight).analyse_batch(configs)
         native = AnalysisContext(
             system, replace(tight, backend="native")
-        ).analyse(CHAIN_CONFIG)
-        assert native.converged
-        assert _result_signature(native) == _result_signature(python)
+        ).analyse_batch(configs)
+        assert [_result_signature(r) for r in native] == [
+            _result_signature(r) for r in python
+        ]
+        assert any(r.feasible and not r.converged for r in python)
+
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        native_or_none() is None,
+        reason="needs the compiled repro[native] extra",
+    )
+    def test_native_rejects_a_malformed_component_section(self):
+        """The kernel parses the component section defensively: the
+        slices must tile the activities in order, each non-empty, with
+        a 0/1 cyclic flag, and a blob with the old magic is refused."""
+        from repro.analysis.backend.native import plan_blob
+
+        system = paper_system(3, 1, seed=23)
+        context = AnalysisContext(system, AnalysisOptions(backend="native"))
+        context.analyse(_candidate_configs(system, per_system=1)[0])
+        plan = next(iter(context._backend_plans.values()))
+        blob = plan_blob(plan)
+        native_or_none().build_plan(blob.tobytes())
+        template = plan.template
+        comps = 6 + template.n_rows + len(template.fault_rows)
+        assert list(blob[comps:comps + 3 * template.n_comps]) == list(
+            template.comps
+        )
+        for offset, value in (
+            (0, 0x4E41544956),  # the previous layout's magic
+            (3, template.n_comps + 1),  # more components than slices
+            (comps, 1),  # the first slice does not start at 0
+            (comps + 1, 0),  # an empty slice
+            (comps + 2, 2),  # a cyclic flag outside 0/1
+        ):
+            bad = blob[:]
+            bad[offset] = value
+            with pytest.raises(ValueError, match="malformed"):
+                native_or_none().build_plan(bad.tobytes())

@@ -31,6 +31,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -284,18 +285,33 @@ class TestWarmPoolConcurrency:
 # ----------------------------------------------------------------------
 # admission control (acceptance: storms capped, zero dropped successes)
 # ----------------------------------------------------------------------
+@contextmanager
+def _switch_interval(seconds):
+    """Run the block under a shorter interpreter thread switch interval."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
 class TestAdmissionControl:
     def test_storm_is_capped_with_zero_dropped_successes(self, tmp_path):
         # 12 clients, two fingerprints, cap 2.  The systems are big
-        # enough that one analysis outlasts the interpreter's thread
-        # switch interval, so handler threads genuinely overlap in the
-        # admitted region; same-fingerprint requests additionally
+        # enough that one analysis outlasts many of the 0.5 ms thread
+        # switch intervals set here, so handler threads genuinely overlap
+        # in the admitted region; same-fingerprint requests additionally
         # serialize on their warm evaluator *inside* that region, so
         # admitted-but-waiting clients keep both slots occupied for the
         # whole drain and the rest of the storm is turned away with 429
-        # until slots free up.
+        # until slots free up.  (Under the default 5 ms interval a
+        # thread can parse, analyse and leave within a few slices, and
+        # the storm sometimes drains without a single 429.)
         n, cap = 12, 2
-        with _Service(tmp_path, max_concurrent=cap) as svc:
+        with _switch_interval(0.0005), _Service(
+            tmp_path, max_concurrent=cap
+        ) as svc:
             systems = [
                 generate_system(
                     GeneratorConfig(

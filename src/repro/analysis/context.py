@@ -61,7 +61,7 @@ from repro.analysis.fps import hp_tasks, seeded_busy_window as _fps_busy_window
 from repro.analysis.priorities import critical_path_priorities
 from repro.analysis.scheduler import SchedulePlan
 from repro.core.config import FlexRayConfig
-from repro.core.cost import cost_function
+from repro.core.cost import cost_order, cost_over
 from repro.errors import ConfigurationError, SchedulingError
 from repro.model.system import System
 from repro.model.times import ceil_div
@@ -218,6 +218,8 @@ class AnalysisContext:
             for m in g.messages:
                 self.period[m.name] = g.period
         self.ancestors = ancestor_sets(app)
+        #: Eq. (5)'s ``(activity, deadline)`` terms, resolved once.
+        self._cost_order = cost_order(app)
         self.st_messages = tuple(app.st_messages())
         self.dyn_messages = tuple(app.dyn_messages())
         #: Static-side activities the k-error hypothesis inflates: every
@@ -752,7 +754,7 @@ class AnalysisContext:
             if arts.table.config is config
             else arts.table.retime_for(config)
         )
-        cost = cost_function(self.app, wcrt)
+        cost = cost_over(self._cost_order, wcrt)
         return AnalysisResult(
             config=config,
             feasible=True,

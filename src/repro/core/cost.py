@@ -84,6 +84,51 @@ def cost_function(
     )
 
 
+def cost_over(
+    order: Sequence[Tuple[str, int]], wcrt: Mapping[str, int]
+) -> CostBreakdown:
+    """:func:`cost_function` over a resolved :func:`cost_order`.
+
+    Equal to ``cost_function(application, wcrt)`` for
+    ``order = cost_order(application)``, including the
+    :class:`AnalysisError` naming the first activity without a response
+    time; callers that cost many results per system resolve the order
+    once instead of looking every deadline up again.
+    """
+    f1 = 0
+    f2 = 0
+    misses = 0
+    worst = 0
+    try:
+        for name, deadline in order:
+            diff = wcrt[name] - deadline
+            f2 += diff
+            if diff > 0:
+                f1 += diff
+                misses += 1
+                if diff > worst:
+                    worst = diff
+    except KeyError as exc:
+        raise AnalysisError(
+            f"no response time for activity {exc.args[0]!r}"
+        ) from None
+    if f1 > 0:
+        return CostBreakdown(
+            value=float(f1),
+            schedulable=False,
+            misses=misses,
+            worst_violation=worst,
+            total_slack=-f2,
+        )
+    return CostBreakdown(
+        value=float(f2),
+        schedulable=True,
+        misses=0,
+        worst_violation=0,
+        total_slack=-f2,
+    )
+
+
 def cost_values(
     deadlines: Sequence[int], columns: Sequence[Sequence[int]]
 ) -> List[float]:

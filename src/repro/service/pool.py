@@ -1,15 +1,30 @@
-"""The warm evaluator pool: per-system analysis state kept resident.
+"""The warm per-system state of the service: decoded systems and evaluators.
 
-The expensive part of answering an ``/analyse`` request is not the
-analysis itself but everything an :class:`~repro.core.search.Evaluator`
-accumulates around it: the per-system invariants and schedule caches of
-its :class:`~repro.analysis.context.AnalysisContext`, the backend's
-packed arrays, and the LRU result cache.  The pool keeps one warm
-evaluator per ``(system fingerprint, options fingerprint)`` key, so
-repeated requests against the same system -- the heavy-traffic shape
-the service is built for -- ride warm caches instead of rebuilding
-them, and the evaluator's own result cache becomes a *shared
-cross-request result cache* for free.
+Almost every ``/analyse`` request names a system the server has seen
+before, so the service keeps two things per system resident:
+
+* :class:`SystemMemo` maps a system document's exact JSON text
+  (``json.dumps`` of the decoded request field, used whole as the key,
+  never a truncated digest) to its decoded
+  :class:`~repro.model.system.System` and its
+  :func:`~repro.io.serialization.system_fingerprint`.  A repeated
+  document skips ``system_from_dict`` and the fingerprint's canonical
+  re-encoding; a new one pays one extra ``json.dumps``.  The memo is
+  LRU-bounded by the same ``pool_entries`` as the evaluators, and a
+  document whose decode raises is never stored, so a malformed system
+  gets its 400 on every request.
+* :class:`EvaluatorPool` keeps one warm
+  :class:`~repro.core.search.Evaluator` per ``(system fingerprint,
+  options fingerprint)`` key: the per-system invariants and schedule
+  caches of its :class:`~repro.analysis.context.AnalysisContext`, the
+  backend's packed arrays, and the LRU result cache.  Repeated requests
+  against the same system -- the heavy-traffic shape the service is
+  built for -- ride warm caches instead of rebuilding them, and the
+  evaluator's own result cache becomes a *shared cross-request result
+  cache* for free.
+
+With both warm, the analysis itself is most of a request's handler
+time.
 
 Concurrency model: an evaluator is **not** thread-safe, so each pool
 entry carries a lock and :meth:`EvaluatorPool.lease` hands the caller
@@ -17,7 +32,9 @@ exclusive use for the duration of one request.  N threads hammering one
 fingerprint therefore share a *single* warm evaluator, serialized at
 the entry lock (the analysis is CPU-bound pure Python, so serializing
 per system loses nothing to the GIL), while requests for different
-fingerprints proceed concurrently on their own entries.
+fingerprints proceed concurrently on their own entries.  The memo's
+decoded systems are shared read-only; its own lock guards only the
+LRU bookkeeping, never a decode.
 
 Eviction is LRU over distinct keys, bounded by ``max_entries``; evicted
 evaluators are released through their context-manager :meth:`close` as
@@ -28,14 +45,65 @@ lands in service responses and ``/health``.
 
 from __future__ import annotations
 
+import json
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.core.search import BusOptimisationOptions, Evaluator
+from repro.io.serialization import system_fingerprint, system_from_dict
 from repro.model.system import System
 
-__all__ = ["EvaluatorPool", "PoolLease"]
+__all__ = ["EvaluatorPool", "PoolLease", "SystemMemo"]
+
+
+class SystemMemo:
+    """LRU memo of decoded system documents, keyed by their JSON text."""
+
+    def __init__(self, max_entries: int = 8):
+        if max_entries < 1:
+            raise ValueError(f"max_entries={max_entries} must be >= 1")
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, Tuple[System, str]]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def decode(self, doc: Any) -> Tuple[System, str]:
+        """``(system, fingerprint)`` of a system document.
+
+        A :class:`~repro.errors.SerializationError` from the decode
+        propagates and leaves the memo unchanged.
+        """
+        key = json.dumps(doc)
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return found
+        system = system_from_dict(doc)
+        decoded = (system, system_fingerprint(system))
+        with self._lock:
+            self.misses += 1
+            # A concurrent request may have stored the same document
+            # meanwhile; keep that one, so every request shares it.
+            decoded = self._entries.setdefault(key, decoded)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+        return decoded
+
+    def stats(self) -> dict:
+        """Accounting snapshot for ``/health``."""
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "max_entries": self.max_entries,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
 
 
 class _Entry:

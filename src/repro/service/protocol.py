@@ -56,10 +56,10 @@ from repro.io.serialization import (
     config_from_dict,
     envelope,
     parse_envelope,
-    system_fingerprint,
     system_from_dict,
 )
 from repro.model.system import System
+from repro.service.pool import SystemMemo
 
 __all__ = [
     "AnalyseRequest",
@@ -119,11 +119,12 @@ def _require(data: Dict[str, Any], key: str) -> Any:
     return data[key]
 
 
-def parse_analyse_request(data: Any) -> AnalyseRequest:
-    """Validate and decode a ``POST /analyse`` body."""
+def parse_analyse_request(data: Any, systems: SystemMemo) -> AnalyseRequest:
+    """Validate and decode a ``POST /analyse`` body; the system document
+    is decoded through the server's *systems* memo."""
     try:
         data = parse_envelope(data, "analyse_request")
-        system = system_from_dict(_require(data, "system"))
+        system, fingerprint = systems.decode(_require(data, "system"))
         config = config_from_dict(_require(data, "config"))
         options = analysis_options_from_dict(data.get("options"))
     except SerializationError as exc:
@@ -132,7 +133,7 @@ def parse_analyse_request(data: Any) -> AnalyseRequest:
         system=system,
         config=config,
         options=options,
-        fingerprint=system_fingerprint(system),
+        fingerprint=fingerprint,
     )
 
 

@@ -31,7 +31,9 @@ Scaling model -- the three mechanisms the tests pin:
   for the same system fingerprint share one resident
   :class:`~repro.core.search.Evaluator`; its result cache doubles as
   the shared cross-request result cache, and every response reports
-  whether the request hit a warm evaluator and what it cost.
+  whether the request hit a warm evaluator and what it cost.  A
+  repeated system document is decoded once
+  (:class:`~repro.service.pool.SystemMemo`).
 * **Admission control**: at most ``max_concurrent`` analyse requests
   are processed at once; requests beyond the cap are rejected
   *immediately* with 429 + ``Retry-After`` instead of queueing without
@@ -54,7 +56,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.search import BusOptimisationOptions
 from repro.errors import ReproError, ServiceError
 from repro.io.serialization import envelope, error_to_dict
-from repro.service.pool import EvaluatorPool
+from repro.service.pool import EvaluatorPool, SystemMemo
 from repro.service.protocol import (
     analyse_response,
     guard_repro_error,
@@ -99,6 +101,7 @@ class AnalysisService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.pool = EvaluatorPool(max_entries=config.pool_entries)
+        self.systems = SystemMemo(max_entries=config.pool_entries)
         self.store = CampaignStore(
             config.state_dir, bus=config.bus, fabric=config.fabric
         )
@@ -129,7 +132,7 @@ class AnalysisService:
     # endpoints
     # ------------------------------------------------------------------
     def analyse(self, body: Any) -> Tuple[int, Dict[str, Any]]:
-        request = parse_analyse_request(body)
+        request = parse_analyse_request(body, self.systems)
         if not self._admit():
             raise ServiceError(
                 f"over capacity: {self.config.max_concurrent} analyse "
@@ -190,6 +193,7 @@ class AnalysisService:
                 "status": "ok",
                 "admission": admission,
                 "pool": self.pool.stats(),
+                "systems": self.systems.stats(),
                 "campaigns": self.store.stats(),
             },
         )
@@ -222,7 +226,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(exc.status, error_to_dict(code, str(exc), exc.status), **extra)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # Only a plain decimal count: "abc" would raise inside int(),
+        # and "-1" would make read() block until the client hangs up.
+        if not (header.isascii() and header.isdigit()):
+            raise ServiceError(
+                f"Content-Length {header!r} is not a non-negative "
+                "decimal integer",
+                status=400,
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError("request body is empty", status=400)

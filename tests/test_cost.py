@@ -1,9 +1,16 @@
 """Unit tests for the schedulability-degree cost function (Eq. (5))."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.cost import cost_function
+from repro.analysis.context import AnalysisContext
+from repro.core.cost import cost_function, cost_order, cost_over
+from repro.core.sa import SAOptions
+from repro.core.search import BusOptimisationOptions
+from repro.core.strategies import StrategyOptions, optimise
 from repro.errors import AnalysisError
+from repro.synth.suite import paper_system
 
 from tests.util import fig3_system
 
@@ -69,3 +76,64 @@ class TestCostFunction:
         sys_ = fig3_system(deadline=40)
         cost = cost_function(sys_.application, wcrt_for(sys_, 10))
         assert float(cost) == cost.value
+
+
+class TestResolvedCostOrder:
+    """``cost_over`` (the analysis context's fold over a resolved
+    :func:`cost_order`) against the public ``cost_function`` oracle."""
+
+    def test_missing_activity_raises_like_the_oracle(self):
+        sys_ = fig3_system(deadline=40)
+        wcrt = wcrt_for(sys_, 10)
+        order = cost_order(sys_.application)
+        missing = order[3][0]
+        del wcrt[missing]
+        with pytest.raises(AnalysisError) as oracle:
+            cost_function(sys_.application, wcrt)
+        with pytest.raises(AnalysisError) as fold:
+            cost_over(order, wcrt)
+        assert str(fold.value) == str(oracle.value)
+        assert missing in str(fold.value)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"m3": 55}, {"m3": 55, "r2": 48}, {"m3": 40}, {"t1": 39}],
+    )
+    def test_fold_equals_oracle(self, overrides):
+        sys_ = fig3_system(deadline=40)
+        wcrt = dict(wcrt_for(sys_, 10), **overrides)
+        assert cost_over(cost_order(sys_.application), wcrt) == cost_function(
+            sys_.application, wcrt
+        )
+
+    def test_every_obc_ee_and_sa_analysis_costs_as_the_oracle(
+        self, monkeypatch
+    ):
+        system = paper_system(3, 1, seed=23)
+        results = []
+        original = AnalysisContext._result
+
+        def recording(self, *args):
+            result = original(self, *args)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(AnalysisContext, "_result", recording)
+        # The Fig. 9 laptop presets (benchmarks/fig9_common.py).
+        bus = BusOptimisationOptions(
+            max_dyn_points=32,
+            ee_max_dyn_points=192,
+            cf_candidates=128,
+            max_extra_static_slots=1,
+            max_slot_size_steps=2,
+        )
+        optimise(system, "obc-ee", StrategyOptions(bus=bus))
+        optimise(system, "sa", SAOptions(bus=bus, iterations=220, seed=7))
+        # Some cyclic components run out of passes on this system.
+        assert {r.converged for r in results} == {True, False}
+        for result in results:
+            oracle = cost_function(system.application, result.wcrt)
+            assert result.cost == oracle
+            assert dataclasses.astuple(result.cost) == dataclasses.astuple(
+                oracle
+            )

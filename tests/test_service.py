@@ -2,7 +2,7 @@
 
 Everything here talks to the service the way a real client would: over
 a socket, JSON in / JSON out, no reaching into server internals.  The
-battery pins the three scaling mechanisms of the service layer:
+battery pins the scaling mechanisms of the service layer:
 
 * **Warm pool** -- threaded clients hammering one system fingerprint
   share a single warm :class:`~repro.core.search.Evaluator`, asserted
@@ -13,6 +13,10 @@ battery pins the three scaling mechanisms of the service layer:
   concurrency cap gets 429s (counted against ``/health``), every
   client eventually succeeds (zero dropped successes), and the
   observed ``peak_active`` never exceeds the cap.
+* **Decoded-system memo** -- a repeated system document is decoded
+  once, answers equal a cold server's, and failed decodes are never
+  stored.  Counting ``system_from_dict`` calls is the one place this
+  file patches a server internal.
 * **Durability** -- a server SIGKILLed mid-campaign resumes the
   campaign from its checkpoints on restart, and the final report is
   byte-identical (modulo wall-clock fields) to an uninterrupted run.
@@ -25,6 +29,7 @@ well under ten seconds.
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -45,6 +50,8 @@ from repro.io.serialization import (
     analysis_result_to_dict,
     config_to_dict,
     result_to_dict,
+    system_fingerprint,
+    system_from_dict,
     system_to_dict,
 )
 from repro.service import ServiceConfig, create_server
@@ -231,6 +238,191 @@ class TestAnalyseEndpoint:
             status, doc = _get(svc.port, "/campaigns/deadbeefdeadbeef")
             assert status == 404
             assert doc["error"]["code"] == "not-found"
+
+
+def _raw_post(port, head):
+    """Send a hand-written request head over a bare socket; return the
+    status line of the reply (the server closes after answering)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0].decode("latin-1")
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-1", "+5", "1e3", "0x10"])
+    def test_non_decimal_content_length_gets_400_before_the_body(
+        self, tmp_path, value
+    ):
+        with _Service(tmp_path) as svc:
+            # No body follows: a server that tried to read one would
+            # never answer, and the socket timeout fails the test.
+            head = (
+                "POST /analyse HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {value}\r\n\r\n"
+            ).encode("latin-1")
+            status_line = _raw_post(svc.port, head)
+            assert status_line.split()[1] == "400", status_line
+            # The server is still healthy afterwards.
+            assert _get(svc.port, "/health")[0] == 200
+
+    def test_exact_content_length_is_still_served(self, tmp_path):
+        with _Service(tmp_path) as svc:
+            body = json.dumps(_analyse_body()).encode("utf-8")
+            head = (
+                "POST /analyse HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1")
+            assert _raw_post(svc.port, head + body).split()[1] == "200"
+
+
+# ----------------------------------------------------------------------
+# the decoded-system memo
+# ----------------------------------------------------------------------
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Count the service's ``system_from_dict`` calls."""
+    import repro.service.pool as pool
+
+    calls = []
+    original = pool.system_from_dict
+
+    def counting(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(pool, "system_from_dict", counting)
+    return calls
+
+
+def _without_service(doc):
+    """A response body minus the per-request pool accounting."""
+    return {k: v for k, v in doc.items() if k != "service"}
+
+
+class TestSystemMemo:
+    def test_repeated_document_is_decoded_once(self, tmp_path, decode_calls):
+        configs = [
+            basic_config(frame_ids=FIG4_FRAME_IDS, n_minislots=n)
+            for n in (13, 17, 13)
+        ]
+        with _Service(tmp_path) as svc:
+            for config in configs:
+                status, _ = _post(
+                    svc.port, "/analyse", _analyse_body(config=config)
+                )
+                assert status == 200
+            _, health = _get(svc.port, "/health")
+        assert len(decode_calls) == 1
+        assert health["systems"] == {
+            "entries": 1, "max_entries": 8, "hits": 2, "misses": 1,
+        }
+
+    def test_memo_answers_equal_cold_server_answers(self, tmp_path):
+        system_doc = system_to_dict(fig4_system())
+        configs = [
+            basic_config(frame_ids=FIG4_FRAME_IDS, n_minislots=n)
+            for n in (13, 17, 21)
+        ]
+        with _Service(tmp_path / "warm") as warm:
+            served = [
+                _post(warm.port, "/analyse", _analyse_body(config=c))[1]
+                for c in configs
+            ]
+        for config, doc in zip(configs, served):
+            with _Service(tmp_path / f"cold{config.n_minislots}") as cold:
+                _, fresh = _post(
+                    cold.port, "/analyse", _analyse_body(config=config)
+                )
+            assert _without_service(doc) == _without_service(fresh)
+            assert doc["fingerprint"] == system_fingerprint(
+                system_from_dict(system_doc)
+            )
+
+    def test_changed_field_gets_its_own_fingerprint_and_pool_entry(
+        self, tmp_path
+    ):
+        base = _analyse_body()
+        changed = json.loads(json.dumps(base))
+        changed["system"]["application"]["graphs"][0]["tasks"][2]["wcet"] = 2
+        with _Service(tmp_path) as svc:
+            _, first = _post(svc.port, "/analyse", base)
+            _, second = _post(svc.port, "/analyse", changed)
+            _, health = _get(svc.port, "/health")
+        assert first["fingerprint"] != second["fingerprint"]
+        assert second["fingerprint"] == system_fingerprint(
+            system_from_dict(changed["system"])
+        )
+        assert second["service"]["pool_hit"] is False
+        assert health["pool"]["entries"] == 2
+        assert health["systems"]["entries"] == 2
+
+    def test_malformed_document_gets_400_every_time_and_is_not_stored(
+        self, tmp_path, decode_calls
+    ):
+        bad = _analyse_body()
+        del bad["system"]["application"]
+        with _Service(tmp_path) as svc:
+            for _ in range(3):
+                status, doc = _post(svc.port, "/analyse", bad)
+                assert status == 400, doc
+                assert doc["error"]["code"] == "bad-request"
+            _, health = _get(svc.port, "/health")
+        assert len(decode_calls) == 3
+        assert health["systems"]["entries"] == 0
+        assert health["pool"]["entries"] == 0
+
+    def test_memo_is_bounded_by_pool_entries(self, tmp_path, decode_calls):
+        systems = [fig4_system(period=200 + 20 * i) for i in range(4)]
+        with _Service(tmp_path, pool_entries=2) as svc:
+            for system in systems + systems[-2:]:
+                status, _ = _post(
+                    svc.port, "/analyse", _analyse_body(system=system)
+                )
+                assert status == 200
+                _, health = _get(svc.port, "/health")
+                assert health["systems"]["entries"] <= 2
+            # The two most recent documents were still held; the
+            # oldest ones were dropped and decode again.
+            _post(svc.port, "/analyse", _analyse_body(system=systems[0]))
+        assert len(decode_calls) == 5
+        assert health["systems"]["hits"] == 2
+
+    def test_threaded_clients_posting_one_document_get_identical_200s(
+        self, tmp_path
+    ):
+        n = 8
+        with _Service(tmp_path, max_concurrent=n) as svc:
+            body = _analyse_body()
+            barrier = threading.Barrier(n)
+            results = [None] * n
+
+            def client(i):
+                barrier.wait()
+                results[i] = _post(svc.port, "/analyse", body)
+
+            threads = [
+                threading.Thread(target=client, args=(i,)) for i in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            _, health = _get(svc.port, "/health")
+        assert all(r is not None and r[0] == 200 for r in results)
+        bodies = {
+            json.dumps(_without_service(doc), sort_keys=True)
+            for _, doc in results
+        }
+        assert len(bodies) == 1
+        assert health["systems"]["entries"] == 1
+        assert health["systems"]["hits"] + health["systems"]["misses"] == n
 
 
 # ----------------------------------------------------------------------

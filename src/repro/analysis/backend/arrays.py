@@ -6,10 +6,10 @@ static response times) and the DYN structure key (identical FrameID
 assignment and bus-speed parameters, hence identical hp/lf interference
 rows and transmission times).  The lowering follows that split:
 
-* :class:`StructureTemplate` lowers the context's structure record
-  (``AnalysisContext._structure``) once per structure key: the plan
-  blob's per-activity int section, the nodes whose availability
-  patterns the FPS activities index, and the FPS wcet guard;
+* :class:`StructureTemplate` packs the context's int-row structure
+  record (``AnalysisContext._structure``, the rows the Python fix
+  point runs on) once per structure key: the plan blob's per-activity
+  and component sections, and the FPS wcet guard;
 * :class:`GroupPlan` adds the per-schedule rest: ``w0`` (the static
   response times), the availability staircase tables and the staircase
   verdict.
@@ -24,7 +24,7 @@ cycle length, all sharing one template, so each group costs only its
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 class AvailabilityArrays:
@@ -85,148 +85,88 @@ def availability_arrays(availability) -> AvailabilityArrays:
 
 
 class StructureTemplate:
-    """The structure-key-invariant share of a :class:`GroupPlan`.
+    """The plan blob's structure-key-invariant sections.
 
-    Lowered from one structure record of the context
-    (``AnalysisContext._structure``: FrameID assignment and bus speed)
-    and cached on that record, so an ST-heavy sweep's singleton groups
-    pay the activity lowering once per FrameID assignment instead of
-    once per cycle length.  Nothing here reads the schedule; the
-    static-name order that leads the row layout follows the bus-speed
-    ``SchedulePlan`` (replay inserts static entries in plan order),
-    which the structure key already fixes.
-
-    The lowering yields four things: ``acts``, the plan blob's
-    per-activity int section, and ``comps``, its component section (see
-    :func:`repro.analysis.backend.native.plan_blob`); ``av_nodes``, the
-    nodes whose availability patterns the FPS activities index (first
-    occurrence in evaluation order); and ``wcet_positive``, whether
-    every FPS wcet is positive (the staircase kernel's one
+    Packed straight from the int rows of one structure record of the
+    context (``AnalysisContext._structure``: FrameID assignment and bus
+    speed) and cached on that record, so an ST-heavy sweep's singleton
+    groups pay the packing once per FrameID assignment instead of once
+    per cycle length.  The record's rows and activity order are the
+    blob's: ``acts`` is the per-activity int section, ``comps`` the
+    component section and ``n_rows``, ``n_acts``, ``n_comps`` and
+    ``fault_rows`` the header's structure-side fields (see
+    :func:`repro.analysis.backend.native.plan_blob`); ``wcet_positive``
+    says whether every FPS wcet is positive (the staircase kernel's one
     structure-side guard).
     """
 
     __slots__ = (
-        "static_names", "name_idx", "n_rows", "n_acts", "acts", "n_comps",
-        "comps", "av_nodes", "wcet_positive", "wcrt_names", "wcrt_rows",
-        "fault_rows",
+        "n_rows", "n_acts", "n_comps", "fault_rows", "acts", "comps",
+        "wcet_positive",
     )
 
-    def __init__(self, ctx, structure, static_names: Tuple[str, ...]):
-        # --- activity/name index ------------------------------------
-        # Rows: static activities first (read-only), then DYN messages,
-        # then FPS tasks (node order) -- the slot layout of the Python
-        # fix point.  Any referenced name outside those sets (defensive:
-        # senders/predecessors are always covered) gets a zero row,
-        # mirroring ``wcrt.get(name, 0)``.
-        names: List[str] = list(static_names)
-        name_idx: Dict[str, int] = {n: i for i, n in enumerate(names)}
+    def __init__(self, structure):
+        interference = structure.interference
 
-        def _row(name: str) -> int:
-            i = name_idx.get(name)
-            if i is None:
-                i = len(names)
-                names.append(name)
-                name_idx[name] = i
-            return i
+        def blob_rows(plain, anc):
+            """``(row, period, is_ancestor, size)`` in row order; an
+            ancestor reads the own jitter, so its jitter row is 0."""
+            merged = [(r, interference[r][0], 0, interference[r][2])
+                      for r in plain]
+            merged += [(r, period, 1, size) for r, period, size in anc]
+            merged.sort()
+            return [(0 if a else r, p, a, size) for r, p, a, size in merged]
 
-        fps_items = [
-            (plan, node)
-            for node in ctx.system.nodes
-            for plan in ctx.fps_plans[node]
-        ]
-        for msg in structure.messages:
-            _row(msg.name)
-        for plan, _ in fps_items:
-            _row(plan.name)
-        for msg in structure.messages:
-            _row(msg.sender)
-        for plan, _ in fps_items:
-            for pred in plan.predecessors:
-                _row(pred)
+        def reads(act):
+            if act[0]:
+                return act[9] + tuple(e[0] for e in act[10])
+            return act[10] + act[11] + tuple(e[0] for e in act[12] + act[13])
 
-        # --- the per-activity section ---------------------------------
-        # Activities in the structure record's schedule order, one
-        # component after the other: the kernel walks the components'
-        # ``(start, end, cyclic)`` slices of the blob order exactly as
-        # the Python fix point walks its schedule.  Interferer rows carry
-        # the jitter row they read; ancestor rows read the own jitter, so
-        # theirs is a placeholder 0.
-        slots = [(msg, None) for msg in structure.messages] + fps_items
-        order = [slots[i] for i in structure.order]
-        act_pos = {act.name: pos for pos, (act, _) in enumerate(order)}
-        deps_get = structure.dependents.get
-        av_nodes: List[str] = []
+        # The blob's dependency rows list *every* reader of an activity's
+        # jitter (the record keeps only the same-component ones the
+        # Python fix point needs), readers in slot order: by row.
+        deps: Dict[int, List[int]] = {}
+        for pos, act in sorted(
+            enumerate(structure.acts), key=lambda item: item[1][1]
+        ):
+            for r in reads(act):
+                deps.setdefault(r, []).append(pos)
         acts: List[int] = []
-        for act, node in order:
-            deps = deps_get(act.name, ())
-            acts += [
-                0 if node is None else 1,
-                name_idx[act.name],
-                int(act.own_sensitive),
-                len(deps),
-            ]
-            acts += [act_pos[d] for d in deps]
-            if node is None:
+        wcet_positive = True
+        for act in structure.acts:
+            kind, row, own_sensitive = act[:3]
+            readers = deps.get(row, ())
+            acts += [kind, row, int(own_sensitive), len(readers), *readers]
+            if kind == 0:
+                (ct, sender, lower, frame_id, largest, max_adjusted, hp, lf,
+                 hp_anc, lf_anc) = act[4:]
+                hp = blob_rows(hp, hp_anc)
                 # Under the "bound" fill strategy lf rows with adjusted
                 # size <= 0 add nothing to ``lf_total`` or ``lf_useful``,
                 # so they are dropped (``max_adjusted`` still covers
                 # every lf row, as the k-error cost in the oracle does).
-                lf_rows = [r for r in act.lf_info if r[3] > 0]
-                acts += [
-                    name_idx[act.sender],
-                    act.ct,
-                    act.lower_slots,
-                    act.frame_id,
-                    act.largest,
-                    act.max_adjusted,
-                    len(act.hp_info),
-                    len(lf_rows),
-                ]
-                for name, period, anc in act.hp_info:
-                    acts += [period, int(anc), 0 if anc else name_idx[name]]
-                for name, period, anc, adjusted in lf_rows:
-                    acts += [
-                        period, int(anc), 0 if anc else name_idx[name],
-                        adjusted,
-                    ]
+                lf = [r for r in blob_rows(lf, lf_anc) if r[3] > 0]
+                acts += [sender, ct, lower, frame_id, largest, max_adjusted,
+                         len(hp), len(lf)]
+                for jrow, period, anc, _ in hp:
+                    acts += [period, anc, jrow]
+                for jrow, period, anc, adjusted in lf:
+                    acts += [period, anc, jrow, adjusted]
             else:
-                if node not in av_nodes:
-                    av_nodes.append(node)
-                acts += [
-                    act.release,
-                    act.wcet,
-                    av_nodes.index(node),
-                    len(act.predecessors),
-                    len(act.interferers),
-                ]
-                acts += [name_idx[p] for p in act.predecessors]
-                for name, period, anc, wcet in act.interferers:
-                    acts += [
-                        period, wcet, int(anc), 0 if anc else name_idx[name],
-                    ]
-
-        self.static_names = static_names
-        self.name_idx = name_idx
-        self.n_rows = len(names)
-        self.n_acts = len(order)
-        self.acts = acts
+                release, preds, wcet, av_index, plain, anc = act[5:]
+                wcet_positive = wcet_positive and wcet > 0
+                ints = blob_rows(plain, anc)
+                acts += [release, wcet, av_index, len(preds), len(ints),
+                         *preds]
+                for jrow, period, anc, c in ints:
+                    acts += [period, c, anc, jrow]
+        self.n_rows = structure.n_rows
+        self.n_acts = len(structure.acts)
         self.n_comps = len(structure.components)
+        self.fault_rows = structure.fault_rows
+        self.acts = acts
         self.comps = [x for comp in structure.components for x in comp]
-        self.av_nodes = tuple(av_nodes)
-        self.wcet_positive = all(plan.wcet > 0 for plan, _ in fps_items)
-        # wcrt assembly order: the Python fix point's result order
-        # (static entries, then the slot layout), so the assembled dicts
-        # match it item for item.
-        self.wcrt_names = list(static_names) + list(ctx._slot_names)
-        self.wcrt_rows = tuple(name_idx[n] for n in self.wcrt_names)
-        # Static rows the k-error hypothesis inflates (``_fix_point``'s
-        # ``_fault_static_names & wcrt`` intersection as row indices --
-        # the bumps are independent per row, so iteration order is
-        # irrelevant).  Lowered unconditionally: the rows are a group
-        # invariant whether or not the batch carries a hypothesis.
-        self.fault_rows = tuple(
-            name_idx[n] for n in static_names if n in ctx._fault_static_names
-        )
+        self.wcet_positive = wcet_positive
 
 
 class GroupPlan:
@@ -239,31 +179,28 @@ class GroupPlan:
     verdict are per group.
     """
 
-    __slots__ = ("template", "arts", "w0", "avs", "stair", "native_state")
+    __slots__ = (
+        "structure", "template", "arts", "w0", "avs", "stair", "native_state",
+    )
 
     def __init__(self, ctx, config, arts):
         structure = ctx._structure(config)
         template = structure.template
         if template is None:
-            template = StructureTemplate(
-                ctx, structure, tuple(arts.static_wcrt)
-            )
-            structure.template = template
+            template = structure.template = StructureTemplate(structure)
+        self.structure = structure
         self.template = template
         #: The group's schedule artifacts, fetched once by the caller:
         #: the kernels and the oracle delegation read them from here
         #: instead of re-fetching (a batch wider than the schedule cache
         #: would replay them again).
         self.arts = arts
-        w0 = [0] * template.n_rows
-        name_idx = template.name_idx
-        for name, value in arts.static_wcrt.items():
-            w0[name_idx[name]] = value
-        self.w0 = w0
-        #: The availability tables of ``template.av_nodes``, in order.
+        #: The initial response times by row (the fix point's start).
+        self.w0 = [*arts.static_wcrt.values(), *structure.tail]
+        #: The availability tables of ``structure.av_nodes``, in order.
         self.avs = [
             availability_arrays(arts.availability[node])
-            for node in template.av_nodes
+            for node in structure.av_nodes
         ]
         #: Structural safety verdict: every FPS activity is on the
         #: staircase fast path, whose Python guard is ``gap_ends is not

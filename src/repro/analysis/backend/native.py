@@ -75,7 +75,7 @@ def plan_blob(plan) -> array:
     The component and per-activity sections are
     **structure-invariant** (the component schedule, interferer rows,
     FrameIDs, transmission times; the availability references are by
-    index into ``template.av_nodes``), so they are lowered once per
+    index into the record's ``av_nodes``), so they are packed once per
     structure record (``StructureTemplate.comps`` and ``.acts``); only
     the header, ``w0``, the fault rows and the availability tables are
     per group.
@@ -144,14 +144,14 @@ def run_group_native(ctx, plan, configs) -> List:
         )
     except OverflowError:  # an input outside int64
         return [ctx._analyse_fetched(c, arts) for c in configs]
-    names = plan.template.wcrt_names
-    rows = plan.template.wcrt_rows
+    # The result's rows lead the row layout, in the oracle's item order.
+    names = plan.structure.names
     results = []
     for lane, config in enumerate(configs):
         if conv[lane] < 0:  # the lane overflowed int64
             results.append(ctx._analyse_fetched(config, arts))
             continue
         base = lane * n_rows
-        wcrt = dict(zip(names, [W[base + r] for r in rows]))
+        wcrt = dict(zip(names, W[base:base + len(names)]))
         results.append(ctx._result(config, arts, wcrt, conv[lane] == 1))
     return results

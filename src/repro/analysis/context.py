@@ -7,7 +7,7 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
 
 (a) **per-system invariants** -- ancestor closures, predecessor lists,
     period tables, ST/DYN message partitions, sorted FPS task lists,
-    their higher-priority interferer rows, the fix point's precedence
+    their higher-priority interferers (by slot), the fix point's precedence
     order and the FrameID-independent edges of its dependency graph.
     Computed once per :class:`AnalysisContext`.
 
@@ -24,18 +24,24 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     purely event-triggered applications additionally share it across
     the whole DYN-length sweep.
 
-(c) **per-structure interference records** -- hp/lf membership,
-    interferer periods, ancestor flags, adjusted frame sizes,
-    transmission times and the reverse interference map of every DYN
-    message, plus the fix point's *component schedule* (the strongly
-    connected components of the activities' dependency graph in
-    topological order; DYN hp/lf interference edges depend on the
-    FrameIDs).  They depend only on the FrameID assignment and the bus
-    speed (the *structure key*), so each key's record is built once,
-    in one place, and read by both the Python fix point and the
-    compiled backend's lowering; per configuration only the
-    cycle-geometry scalars (``pLatestTx``-derived ``lam``/``theta``,
-    ``sigma``, sendability, the k-error cycle cost) are added.
+(c) **per-structure int rows** -- every activity of the fix point
+    lowered to int rows: a row index per activity, the hp/lf and FPS
+    interferers as rows (same-graph ancestors as ``(row, period,
+    size)`` entries) over a per-row ``(period, size)`` table,
+    transmission times, predecessor and sender rows, the reverse
+    interference map, and the fix point's *component schedule*
+    (the strongly connected components of the activities' dependency
+    graph in topological order; DYN hp/lf interference edges depend on
+    the FrameIDs).  They depend only on the FrameID assignment and the
+    bus speed (the *structure key*), so each key's record is built
+    once, in one place.  The one record is read by both the Python fix
+    point (its state lives in lists indexed by row) and the compiled
+    backend's :class:`~repro.analysis.backend.arrays.StructureTemplate`
+    (which packs the same rows into the C plan blob); per
+    configuration only the cycle geometry (``pLatestTx``-derived
+    ``lam``/``theta``, ``sigma``, sendability, the k-error cycle cost)
+    is computed, inline.  The busy-window kernels take the interferer
+    rows resolved to ``(period, jitter or ancestor offset, size)``.
 
 The fix point walks the component schedule: an acyclic component is
 evaluated once (its inputs are final by then), and only a cyclic one
@@ -51,13 +57,12 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import OrderedDict, namedtuple
-from itertools import chain
 from typing import Dict, List, Tuple
 
 from repro.analysis.availability import NodeAvailability, wrap_busy_intervals
-from repro.analysis.dyn import seeded_busy_window as _dyn_busy_window
+from repro.analysis.dyn import resolved_busy_window as _dyn_busy_window
 from repro.analysis.fill import FILL_STRATEGIES
-from repro.analysis.fps import hp_tasks, seeded_busy_window as _fps_busy_window
+from repro.analysis.fps import hp_tasks, resolved_busy_window as _fps_busy_window
 from repro.analysis.priorities import critical_path_priorities
 from repro.analysis.scheduler import SchedulePlan
 from repro.core.config import FlexRayConfig
@@ -74,61 +79,89 @@ _ScheduleArtifacts = namedtuple(
     "_ScheduleArtifacts", "table failure static_wcrt availability"
 )
 
-#: Prebound FPS task row (tier a): interferers as (name, period,
-#: is_ancestor, wcet) tuples, predecessors for the jitter update, the
-#: interferer names whose jitters form the memo signature, and
-#: ``own_sensitive`` -- whether the busy window depends on the task's
-#: own jitter at all (it enters the recurrence only through the
-#: ancestor interference reduction, so without ancestor rows the window
-#: is a pure function of the interferers' jitters and an own-jitter
-#: change alone never forces a re-evaluation).
-_FpsPlan = namedtuple(
-    "_FpsPlan",
-    "name release wcet interferers predecessors input_names own_sensitive",
+#: One FPS task's tier (a) row, in the slot layout.  ``interferers``
+#: are ``(slot, period, is_ancestor, wcet)`` over the node's
+#: higher-priority FPS tasks (slot positions, not names) and
+#: ``predecessors`` names the activities whose response times form the
+#: task's jitter; the structure record lowers both to int rows.
+_FpsTask = namedtuple("_FpsTask", "release wcet node predecessors interferers")
+
+#: The row layout of one bus speed and minislot length, shared by its
+#: structure records.  ``names``: the static names in the bus-speed
+#: plan's ``jobs.names`` order (the schedule artifacts' ``static_wcrt``
+#: values fill their rows in order), then the slot layout; ``tail``:
+#: the initial zeros of every row past the static ones (the rows of
+#: names read but in neither included); ``n_static``; ``interference``:
+#: per row the ``(period, jitter, size)`` an interferer row resolves
+#: to at jitter 0 -- size is a DYN message's adjusted frame size, an
+#: FPS task's wcet (``(0, 0, 0)`` past the slots); the DYN messages'
+#: ``cts``, ``minislots`` and ``senders`` rows; the FPS tasks' ``preds``
+#: rows and their interferers split into ``plain`` rows and ``anc``
+#: ``(row, period, wcet)`` entries (same-graph ancestors); and the
+#: static ``fault_rows`` the k-error hypothesis inflates.
+_Rows = namedtuple(
+    "_Rows",
+    "names tail n_static interference cts minislots senders preds plain "
+    "anc fault_rows",
 )
-
-
-#: One DYN message's share of a structure record (tier c): everything
-#: its Eq. (3) busy window reads that depends only on the FrameID
-#: assignment and the bus speed.  ``hp_info`` rows are (name, period,
-#: is_ancestor), ``lf_info`` rows (name, period, is_ancestor, adjusted
-#: size); ``largest`` is the sender node's largest DYN frame in
-#: minislots.  ``own_sensitive`` mirrors :data:`_FpsPlan`: the
-#: queuing-delay recurrence reads the message's own jitter only through
-#: the ancestor interference reduction, so without ancestor rows an
-#: own-jitter change alone never forces a re-evaluation (the response
-#: time ``J_m + w + C_m`` is re-derived from the cached window instead).
-#: ``max_adjusted`` (the largest lf adjusted size, 0 without lf rows)
-#: sizes the k-error per-error cycle cost.
-_DynMessage = namedtuple(
-    "_DynMessage",
-    "name sender frame_id hp_info lf_info lower_slots input_names ct "
-    "largest own_sensitive max_adjusted",
-)
-
-#: The per-configuration scalars of one DYN message (cycle geometry on
-#: top of its :data:`_DynMessage`).
-_DynView = namedtuple("_DynView", "lam theta sigma sendable fault_cycles")
 
 
 class _Structure:
-    """The tier (c) record of one structure key, built by
-    :meth:`AnalysisContext._structure`: the :data:`_DynMessage` of every
-    DYN message (in ``dyn_messages`` order), the reverse interference
-    map (``dependents``: who must be re-evaluated when an activity's
-    jitter changes), the component schedule (``order``: slot positions
-    in evaluation order; ``components``: ``(start, end, cyclic)``
-    slices of it, see :func:`component_schedule`) and the compiled
+    """The tier (c) record of one structure key, lowered to int rows by
+    :meth:`AnalysisContext._structure`.
+
+    *Rows* index the fix point's response-time and interference lists:
+    the static activities first, then the slot layout, then any other
+    name an activity reads (a row that stays 0) -- the :data:`_Rows`
+    layout, shared by the records of one bus speed.  ``names`` lists
+    the static and slot rows' names (the result dict's keys, in order),
+    ``tail`` the initial zeros of every row past the static ones,
+    ``n_rows`` counts them all and ``interference`` holds each row's
+    ``(period, jitter, size)`` at jitter 0.
+
+    ``acts`` lists the activities in schedule order (``order``: their
+    slot positions; ``components``: ``(start, end, cyclic)`` slices, see
+    :func:`component_schedule`).  Every act starts ``(kind, row,
+    own_sensitive, deps, add)`` -- ``deps`` are the act positions in
+    the same cyclic component that read its jitter (re-evaluated when
+    it changes), ``own_sensitive`` says whether its window reads its
+    own jitter at all (only through ancestor entries), and ``add`` is
+    what the response time adds to jitter plus window -- followed by
+
+    * a DYN message (kind 0, ``add`` its transmission time ``ct``):
+      ``sender_row, lower_slots, frame_id, largest, max_adjusted, hp,
+      lf, hp_anc, lf_anc``; ``largest`` is the sender node's largest
+      frame in minislots and ``max_adjusted`` the largest lf adjusted
+      size (0 without lf rows), which sizes the k-error cycle cost;
+    * an FPS task (kind 1, ``add`` 0): ``release, preds, wcet,
+      av_index, interferers, anc``; ``av_index`` picks its node from
+      ``av_nodes``.
+
+    Interferers are plain rows (``hp``, ``lf``, ``interferers``, read at
+    the row's current jitter) plus ``(row, period, size)`` ancestor
+    entries (``hp_anc``, ``lf_anc``, ``anc``), whose count reads the own
+    jitter instead.  Rows ascend within each, which is the interferer
+    order of the C plan blob.  ``fault_rows`` are the static rows the
+    k-error hypothesis inflates, and ``template`` the compiled
     backend's :class:`~repro.analysis.backend.arrays.StructureTemplate`,
-    built on first use (``None`` until then)."""
+    packed from these rows on first use (``None`` until then).
+    """
 
-    __slots__ = ("messages", "dependents", "order", "components", "template")
+    __slots__ = (
+        "names", "tail", "n_rows", "interference", "acts", "order",
+        "components", "av_nodes", "fault_rows", "template",
+    )
 
-    def __init__(self, messages, dependents, order, components):
-        self.messages = messages
-        self.dependents = dependents
+    def __init__(self, rows, acts, order, components, av_nodes):
+        self.names = rows.names
+        self.tail = rows.tail
+        self.n_rows = rows.n_static + len(rows.tail)
+        self.interference = rows.interference
+        self.fault_rows = rows.fault_rows
+        self.acts = acts
         self.order = order
         self.components = components
+        self.av_nodes = av_nodes
         self.template = None
 
 
@@ -251,29 +284,6 @@ class AnalysisContext:
             )
             for node in system.nodes
         }
-        self.fps_plans: Dict[str, Tuple[_FpsPlan, ...]] = {}
-        for node in system.nodes:
-            fps = self.fps_by_node[node]
-            plans = []
-            for task in fps:
-                anc = self.ancestors.get(task.name, frozenset())
-                info = tuple(
-                    (j.name, self.period[j.name], j.name in anc, j.wcet)
-                    for j in hp_tasks(task, fps)
-                )
-                g = app.graph_of(task.name)
-                plans.append(
-                    _FpsPlan(
-                        name=task.name,
-                        release=task.release,
-                        wcet=task.wcet,
-                        interferers=info,
-                        predecessors=tuple(g.predecessors(task.name)),
-                        input_names=tuple(r[0] for r in info),
-                        own_sensitive=any(r[2] for r in info),
-                    )
-                )
-            self.fps_plans[node] = tuple(plans)
         fps_tasks = [t for node in system.nodes for t in self.fps_by_node[node]]
         #: The *slot layout* of the holistic fix point's activities: DYN
         #: messages in ``dyn_messages`` order, then FPS tasks in
@@ -282,6 +292,29 @@ class AnalysisContext:
         self._slot_names = tuple(m.name for m in self.dyn_messages) + tuple(
             t.name for t in fps_tasks
         )
+        slot_pos = {name: i for i, name in enumerate(self._slot_names)}
+        fps_rows = []
+        for node in system.nodes:
+            fps = self.fps_by_node[node]
+            for task in fps:
+                anc = self.ancestors.get(task.name, frozenset())
+                fps_rows.append(
+                    _FpsTask(
+                        release=task.release,
+                        wcet=task.wcet,
+                        node=node,
+                        predecessors=tuple(
+                            app.graph_of(task.name).predecessors(task.name)
+                        ),
+                        interferers=tuple(
+                            (slot_pos[j.name], self.period[j.name],
+                             j.name in anc, j.wcet)
+                            for j in hp_tasks(task, fps)
+                        ),
+                    )
+                )
+        #: The FPS tasks' tier (a) rows, in the slot layout.
+        self._fps_tasks: Tuple[_FpsTask, ...] = tuple(fps_rows)
         #: Slot positions sorted into precedence order (a sender before
         #: its message, a message before its receiver): the order inside
         #: each component of the fix point's schedule, and its
@@ -292,20 +325,19 @@ class AnalysisContext:
         #: that read u's response time (a DYN message its sender's, an
         #: FPS task its predecessors') or u's jitter (an FPS task its
         #: interferers').  :meth:`_structure` adds the DYN hp/lf edges.
-        self._slot_pos = {name: i for i, name in enumerate(self._slot_names)}
         readers: List[List[int]] = [[] for _ in self._slot_names]
-        slot_pos = self._slot_pos
         for i, m in enumerate(self.dyn_messages):
             sender = slot_pos.get(self.sender_task[m.name])
             if sender is not None:
                 readers[sender].append(i)
-        for node in system.nodes:
-            for plan in self.fps_plans[node]:
-                v = slot_pos[plan.name]
-                for name in chain(plan.predecessors, plan.input_names):
-                    u = slot_pos.get(name)
-                    if u is not None:
-                        readers[u].append(v)
+        n_dyn = len(self.dyn_messages)
+        for i, task in enumerate(self._fps_tasks, n_dyn):
+            for name in task.predecessors:
+                u = slot_pos.get(name)
+                if u is not None:
+                    readers[u].append(i)
+            for u, _, _, _ in task.interferers:
+                readers[u].append(i)
         self._readers = tuple(tuple(r) for r in readers)
         self._cap_base = analysis_cap_base(app)
         #: The schedule depends on gd_cycle iff ST slot instances exist.
@@ -313,8 +345,10 @@ class AnalysisContext:
 
         # --- caches for tiers (b) and (c) -----------------------------
         self._schedule_cache: OrderedDict = OrderedDict()
-        #: One :class:`_Structure` per structure key.
+        #: One :class:`_Structure` per structure key, and one row layout
+        #: (:data:`_Rows`) per bus speed that its records share.
         self._structure_cache: OrderedDict = OrderedDict()
+        self._row_cache: OrderedDict = OrderedDict()
         #: Retimable schedule plans (job expansion + list-scheduling
         #: order), keyed by the bus-speed parameters alone -- the whole
         #: DYN sweep, every FrameID assignment and every static-segment
@@ -472,138 +506,189 @@ class AnalysisContext:
             config.gd_minislot,
         )
 
+    def _rows(self, config: FlexRayConfig) -> _Rows:
+        """The row layout of *config*'s bus speed (see :data:`_Rows`).
+
+        The static names follow the bus-speed ``SchedulePlan`` (replay
+        lists the static response times in plan order) and the DYN frame
+        sizes the minislot length, so every structure record of one
+        (bus speed, minislot) pair shares its rows.
+        """
+        bits = config.bits_per_mt
+        overhead = config.frame_overhead_bytes
+        ms_len = config.gd_minislot
+        key = (bits, overhead, ms_len)
+        layout = self._row_cache.get(key)
+        if layout is not None:
+            return layout
+        static_names = self._plan(config).jobs.names
+        names = static_names + self._slot_names
+        row_of = {name: i for i, name in enumerate(names)}
+        base = len(static_names)
+
+        def row(name: str) -> int:
+            # Names read but neither static nor slots (defensive: senders
+            # and predecessors are always covered) get a zero row.
+            i = row_of.get(name)
+            if i is None:
+                i = row_of[name] = len(row_of)
+            return i
+
+        dyn = self.dyn_messages
+        senders = tuple(row(self.sender_task[m.name]) for m in dyn)
+        preds = tuple(
+            tuple(row(p) for p in task.predecessors) for task in self._fps_tasks
+        )
+        cts = tuple(ceil_div((m.size + overhead) * 8, bits) for m in dyn)
+        minislots = tuple(ceil_div(ct, ms_len) for ct in cts)
+        interference = (
+            [(0, 0, 0)] * base
+            + [(self.period[m.name], 0, q - 1) for m, q in zip(dyn, minislots)]
+            + [(self.period[n], 0, t.wcet)
+               for n, t in zip(self._slot_names[len(dyn):], self._fps_tasks)]
+            + [(0, 0, 0)] * (len(row_of) - len(names))
+        )
+        layout = _Rows(
+            names=names,
+            tail=(0,) * (len(row_of) - base),
+            n_static=base,
+            interference=tuple(interference),
+            cts=cts,
+            minislots=minislots,
+            senders=senders,
+            preds=preds,
+            plain=tuple(
+                tuple(base + u for u, _, anc, _ in task.interferers if not anc)
+                for task in self._fps_tasks
+            ),
+            anc=tuple(
+                tuple((base + u, p, c) for u, p, anc, c in task.interferers if anc)
+                for task in self._fps_tasks
+            ),
+            fault_rows=tuple(
+                i for i, name in enumerate(static_names)
+                if name in self._fault_static_names
+            ),
+        )
+        _lru_insert(self._row_cache, key, layout, _MAX_STRUCTURE_ENTRIES)
+        return layout
+
     def _structure(self, config: FlexRayConfig) -> _Structure:
-        """Tier (c): the structure record of *config*'s structure key.
+        """Tier (c): the int-row structure record of *config*'s
+        structure key.
 
         The one place a FrameID assignment's DYN interference structure
-        is derived; the Python fix point and the compiled backend's
-        lowering both read it.
+        is derived and lowered to rows; the Python fix point and the
+        compiled backend's :class:`StructureTemplate
+        <repro.analysis.backend.arrays.StructureTemplate>` both read it.
         """
         key = self.structure_key(config)
         record = self._structure_cache.get(key)
         if record is not None:
             self._structure_cache.move_to_end(key)
             return record
-        bits = config.bits_per_mt
-        overhead = config.frame_overhead_bytes
-        ms_len = config.gd_minislot
         frame_ids = config.frame_ids
         period = self.period
         sender_node = self.sender_node
-        cts = {
-            m.name: ceil_div((m.size + overhead) * 8, bits)
-            for m in self.dyn_messages
-        }
-        minislots = {name: ceil_div(ct, ms_len) for name, ct in cts.items()}
+        dyn = self.dyn_messages
+        n_dyn = len(dyn)
+        rows = self._rows(config)
+        base = rows.n_static
+        minislots = rows.minislots
         largest: Dict[str, int] = {}
-        for name, size in minislots.items():
-            node = sender_node[name]
+        for m, size in zip(dyn, minislots):
+            node = sender_node[m.name]
             if size > largest.get(node, 0):
                 largest[node] = size
-        messages = []
-        dependents: Dict[str, List[str]] = {}
-        for m in self.dyn_messages:
+
+        # DYN hp/lf rows, and the reverse interference map over slot
+        # positions (DYN readers first, then the FPS ones).
+        readers = [list(r) for r in self._readers]
+        dependents: List[List[int]] = [[] for _ in self._slot_names]
+        dyn_rows = []
+        for i, m in enumerate(dyn):
             f = frame_ids[m.name]
             node = sender_node[m.name]
             anc = self.ancestors.get(m.name, frozenset())
-            hp_rows: List[tuple] = []
-            lf_rows: List[tuple] = []
-            input_names: List[str] = []
-            for other in self.dyn_messages:
-                if other.name == m.name:
+            hp: List[int] = []
+            lf: List[int] = []
+            hp_anc: List[tuple] = []
+            lf_anc: List[tuple] = []
+            max_adjusted = 0
+            for k, other in enumerate(dyn):
+                if k == i:
                     continue
                 other_f = frame_ids[other.name]
                 if other_f < f:
-                    lf_rows.append(
-                        (other.name, period[other.name], other.name in anc,
-                         minislots[other.name] - 1)
-                    )
-                    input_names.append(other.name)
+                    adjusted = minislots[k] - 1
+                    if adjusted > max_adjusted:
+                        max_adjusted = adjusted
+                    if other.name in anc:
+                        lf_anc.append((base + k, period[other.name], adjusted))
+                    else:
+                        lf.append(base + k)
                 elif (
                     other_f == f
                     and sender_node[other.name] == node
                     and (other.priority, other.name)
                     <= (m.priority, m.name)
                 ):
-                    hp_rows.append(
-                        (other.name, period[other.name], other.name in anc)
-                    )
-                    input_names.append(other.name)
-            for inp in input_names:
-                dependents.setdefault(inp, []).append(m.name)
-            messages.append(
-                _DynMessage(
-                    name=m.name,
-                    sender=self.sender_task[m.name],
-                    frame_id=f,
-                    hp_info=tuple(hp_rows),
-                    lf_info=tuple(lf_rows),
-                    lower_slots=f - 1,
-                    input_names=tuple(input_names),
-                    ct=cts[m.name],
-                    largest=largest[node],
-                    own_sensitive=any(r[2] for r in hp_rows)
-                    or any(r[2] for r in lf_rows),
-                    max_adjusted=max((r[3] for r in lf_rows), default=0),
-                )
-            )
-        for node in self.system.nodes:
-            for plan in self.fps_plans[node]:
-                for inp in plan.input_names:
-                    dependents.setdefault(inp, []).append(plan.name)
-        slot_pos = self._slot_pos
-        readers = [list(r) for r in self._readers]
-        for i, msg in enumerate(messages):
-            for inp in msg.input_names:
-                readers[slot_pos[inp]].append(i)
+                    if other.name in anc:
+                        hp_anc.append((base + k, period[other.name], 0))
+                    else:
+                        hp.append(base + k)
+                else:
+                    continue
+                dependents[k].append(i)
+                readers[k].append(i)
+            dyn_rows.append((
+                rows.cts[i], rows.senders[i], f - 1, f, largest[node],
+                max_adjusted, tuple(hp), tuple(lf), tuple(hp_anc),
+                tuple(lf_anc),
+            ))
+        for i, task in enumerate(self._fps_tasks, n_dyn):
+            for u, _, _, _ in task.interferers:
+                dependents[u].append(i)
+
         order, components = component_schedule(self._eval_order, readers)
+        # Only a reader in the same cyclic component needs the dirty
+        # mark: one in a later component has not run yet, and its first
+        # evaluation reads the final jitter anyway.
+        act_pos = [0] * len(order)
+        comp_of = [-1] * len(order)
+        for c, (start, end, cyclic) in enumerate(components):
+            for pos in range(start, end):
+                act_pos[order[pos]] = pos
+                if cyclic:
+                    comp_of[pos] = c
+        av_nodes: List[str] = []
+        acts = []
+        for pos, slot in enumerate(order):
+            deps = tuple(
+                act_pos[v] for v in dependents[slot]
+                if comp_of[act_pos[v]] == comp_of[pos] >= 0
+            )
+            if slot < n_dyn:
+                fields = dyn_rows[slot]
+                own = bool(fields[-2] or fields[-1])
+                acts.append((0, base + slot, own, deps) + fields)
+            else:
+                k = slot - n_dyn
+                task = self._fps_tasks[k]
+                if task.node not in av_nodes:
+                    av_nodes.append(task.node)
+                acts.append((
+                    1, base + slot, bool(rows.anc[k]), deps, 0,
+                    task.release, rows.preds[k], task.wcet,
+                    av_nodes.index(task.node), rows.plain[k], rows.anc[k],
+                ))
         record = _Structure(
-            tuple(messages),
-            {name: tuple(v) for name, v in dependents.items()},
-            order,
-            components,
+            rows, tuple(acts), order, components, tuple(av_nodes)
         )
         _lru_insert(
             self._structure_cache, key, record, _MAX_STRUCTURE_ENTRIES
         )
         return record
-
-    def _dyn_views(self, config: FlexRayConfig, structure: _Structure):
-        """The per-configuration scalars of every DYN message, aligned
-        with ``structure.messages``."""
-        n_minislots = config.n_minislots
-        gd_cycle = config.gd_cycle
-        st_bus = config.st_bus
-        ms_len = config.gd_minislot
-        fault_k = self._fault_k
-        views = []
-        for msg in structure.messages:
-            f = msg.frame_id
-            p_latest = n_minislots - msg.largest + 1
-            lam = p_latest - 1
-            theta = lam - f + 2
-            sendable = f <= p_latest
-            fault_cycles = 0
-            if fault_k and sendable:
-                # Worst per-error cycle cost charged into Eq. (3): a
-                # corrupted own/hp frame occupies slot f for one extra
-                # cycle; a corrupted lf frame re-injects one instance of
-                # (at worst) the largest adjusted size, adding at most
-                # ``a // theta`` filled cycles plus one cycle each for
-                # the instance-count bound and the final-cycle leftover.
-                max_adjusted = msg.max_adjusted
-                per_error = 1 if max_adjusted <= 0 else 2 + max_adjusted // theta
-                fault_cycles = fault_k * per_error
-            views.append(
-                _DynView(
-                    lam=lam,
-                    theta=theta,
-                    sigma=gd_cycle - st_bus - (f - 1) * ms_len,
-                    sendable=sendable,
-                    fault_cycles=fault_cycles,
-                )
-            )
-        return views
 
     def schedule_key(self, config: FlexRayConfig) -> tuple:
         """Identity of everything *config*'s schedule table depends on.
@@ -782,7 +867,7 @@ class AnalysisContext:
         -- each busy-window recurrence is seeded with its own previous
         converged demand/window, a lower bound of the new least fixed
         point, so the seeded recurrence provably converges to exactly
-        the cold value (see :func:`repro.analysis.fps.seeded_busy_window`,
+        the cold value (see :func:`repro.analysis.fps.resolved_busy_window`,
         whose incremental per-instant bound is also enabled here).
 
         ``certified=False`` is the fully cold oracle the fast path is
@@ -802,16 +887,20 @@ class AnalysisContext:
         """
         options = self.options
         fill_strategy = options.dyn_fill_strategy
-        availability = arts.availability
-        fps_plans = self.fps_plans
-        nodes = self.system.nodes
         structure = self._structure(config)
+        acts = structure.acts
+        availability = arts.availability
+        avs = [availability[node] for node in structure.av_nodes]
+        n_minislots = config.n_minislots
         gd_cycle = config.gd_cycle
         st_bus = config.st_bus
         ms_len = config.gd_minislot
+        fault_k = self._fault_k
 
-        wcrt: Dict[str, int] = dict(arts.static_wcrt)
-        if self._fault_k:
+        # Response times and jitters by row; the static rows start from
+        # the replayed schedule, every other row from 0.
+        wcrt = [*arts.static_wcrt.values(), *structure.tail]
+        if fault_k:
             # k-error hypothesis, static side: each channel error delays
             # any ST frame or message-fed TT job by at most one whole
             # bus cycle (a corrupted static frame retries in its slot's
@@ -820,143 +909,164 @@ class AnalysisContext:
             # errors cost at most k cycles per static activity.  The
             # inflated values then feed the DYN/FPS jitters through the
             # holistic fix point below.
-            bump = self._fault_k * config.gd_cycle
-            for name in self._fault_static_names:
-                value = wcrt.get(name)
-                if value is not None:
-                    inflated = value + bump
-                    wcrt[name] = inflated if inflated < cap else cap
-        jitters: Dict[str, int] = {}
-        inner_seeds: Dict[str, object] = {}
-        wcrt_get = wcrt.get
-        jitters_get = jitters.get
-        seeds_get = inner_seeds.get
-        # Exact change tracking replaces per-pass input-signature tuples:
-        # an activity's busy window is a pure function of its own jitter
-        # and its interferers' jitters, so it must be re-evaluated iff
-        # its own jitter changed (``last_own``) or some interferer's
-        # jitter was updated since its last evaluation (``dirty``, fed by
-        # the reverse interference map).
-        deps_get = structure.dependents.get
-        dirty = set()
-        dirty_add = dirty.add
-        last_own: Dict[str, int] = {}
-        last_out: Dict[str, Tuple[int, bool]] = {}
-        # (activity, availability, view) slots in the slot layout,
-        # walked in schedule order; a DYN message's slot carries its
-        # per-configuration view instead of an availability.
-        slots = [
-            (msg, None, view)
-            for msg, view in zip(
-                structure.messages, self._dyn_views(config, structure)
-            )
-        ] + [
-            (plan, availability[node], None)
-            for node in nodes
-            for plan in fps_plans[node]
-        ]
-        acts = [slots[i] for i in structure.order]
+            bump = fault_k * gd_cycle
+            for r in structure.fault_rows:
+                inflated = wcrt[r] + bump
+                wcrt[r] = inflated if inflated < cap else cap
+        # Each row's resolved interferer row ``(period, jitter, size)``,
+        # replaced whenever the row's jitter changes: a busy window picks
+        # its plain interferers' rows from here as they are.
+        resolved = list(structure.interference)
+        get = resolved.__getitem__
+        # Per act position: exact change tracking instead of per-pass
+        # input signatures.  An activity's busy window is a pure function
+        # of its own jitter and its interferers' jitters, so it must be
+        # re-evaluated iff its own jitter changed (``last_own``, read
+        # only when ancestor entries make the window depend on it) or
+        # some interferer's jitter was updated since its last evaluation
+        # (``dirty``, fed by the acts' ``deps``).  ``last_ok`` is None
+        # until the first evaluation.
+        n_acts = len(acts)
+        dirty = [False] * n_acts
+        last_own = [0] * n_acts
+        last_w = [None] * n_acts
+        last_ok = [None] * n_acts
+        seeds = [None] * n_acts
         budget = options.max_holistic_iterations
         converged = True
         for start, end, cyclic in structure.components:
-            members = acts[start:end]
-            for _ in range(budget if cyclic else 1):
-                changed = False
-                for act, node_availability, view in members:
-                    name = act.name
-                    is_dyn = node_availability is None
-                    if is_dyn:
-                        # DYN message: jitter inherited from the sender task.
-                        j = wcrt_get(act.sender, 0)
-                    else:
+            for it in range(budget if cyclic else 1):
+                # A first pass writes every member's response time for
+                # the first time: always a change.
+                changed = not it
+                for pos in range(start, end):
+                    act = acts[pos]
+                    fps = act[0]
+                    if fps:
                         # FPS task: jitter = worst finish of any predecessor.
-                        j = act.release
-                        for pred in act.predecessors:
-                            v = wcrt_get(pred, 0)
+                        (_, row, own_sensitive, deps, add, j, preds, wcet,
+                         av, ints, anc) = act
+                        for r in preds:
+                            v = wcrt[r]
                             if v > j:
                                 j = v
-                    if jitters_get(name, 0) != j:
-                        jitters[name] = j
-                        changed = True
-                        for dep in deps_get(name, ()):
-                            dirty_add(dep)
-                    # The memo caches the busy *window* (a pure function of
-                    # the interferers' jitters -- plus the own jitter only
-                    # when ancestor rows exist), so an own-jitter change
-                    # alone just re-derives the response time from it.
-                    cached = (
-                        last_out.get(name)
-                        if name not in dirty
-                        and (not act.own_sensitive or last_own.get(name) == j)
-                        else None
-                    )
-                    if cached is not None:
-                        w, ok = cached
                     else:
-                        if not is_dyn:
+                        # DYN message: jitter inherited from the sender task.
+                        (_, row, own_sensitive, deps, add, sender, lower, f,
+                         largest, max_adjusted, hp, lf, hp_anc, lf_anc) = act
+                        j = wcrt[sender]
+                    own = resolved[row]
+                    if own[1] != j:
+                        resolved[row] = (own[0], j, own[2])
+                        changed = True
+                        for dep in deps:
+                            dirty[dep] = True
+                    # The cache keeps the busy *window* (a pure function of
+                    # the interferers' jitters -- plus the own jitter only
+                    # when ancestor entries exist), so an own-jitter change
+                    # alone just re-derives the response time from it.  An
+                    # ancestor's row resolves to the offset ``j - period``
+                    # (see repro.analysis.fps.interferer_rows).
+                    if (
+                        dirty[pos]
+                        or (own_sensitive and last_own[pos] != j)
+                        or last_ok[pos] is None
+                    ):
+                        if fps:
+                            rows = list(map(get, ints))
+                            if own_sensitive:
+                                rows += [(p, j - p, c) for _, p, c in anc]
                             w, ok, demands = _fps_busy_window(
-                                act.wcet,
-                                act.interferers,
-                                node_availability,
-                                jitters,
+                                wcet,
+                                rows,
+                                avs[av],
                                 cap,
-                                j,
-                                seeds_get(name) if certified else None,
+                                seeds[pos],
                                 certified,
                             )
                             if certified:
-                                inner_seeds[name] = demands
-                        elif view.sendable:
-                            w, ok, final = _dyn_busy_window(
-                                act.hp_info,
-                                act.lf_info,
-                                act.lower_slots,
-                                view.lam,
-                                view.theta,
-                                view.sigma,
-                                act.ct,
-                                gd_cycle,
-                                st_bus,
-                                ms_len,
-                                jitters,
-                                cap,
-                                j,
-                                fill_strategy,
-                                seeds_get(name) if certified else None,
-                                view.fault_cycles,
-                            )
-                            if certified:
-                                inner_seeds[name] = final
+                                seeds[pos] = demands
                         else:
-                            # The frame can never be sent: certain miss.
-                            w, ok = None, False
-                        dirty.discard(name)
-                        last_own[name] = j
-                        last_out[name] = (w, ok)
-                    converged = converged and ok
+                            # The cycle geometry (pLatestTx of the
+                            # sender node) of this configuration.
+                            lam = n_minislots - largest
+                            if f <= lam + 1:
+                                theta = lam - f + 2
+                                extra = 0
+                                if fault_k:
+                                    # Worst per-error cycle cost charged
+                                    # into Eq. (3): a corrupted own/hp
+                                    # frame occupies slot f for one extra
+                                    # cycle; a corrupted lf frame
+                                    # re-injects one instance of (at
+                                    # worst) the largest adjusted size,
+                                    # adding at most ``a // theta`` filled
+                                    # cycles plus one cycle each for the
+                                    # instance-count bound and the
+                                    # final-cycle leftover.
+                                    extra = fault_k * (
+                                        1 if max_adjusted <= 0
+                                        else 2 + max_adjusted // theta
+                                    )
+                                # hp rows are rare: an empty tuple
+                                # passes as it is.
+                                hp_rows = hp and list(map(get, hp))
+                                lf_rows = list(map(get, lf))
+                                if own_sensitive:
+                                    hp_rows = [*hp_rows, *[
+                                        (p, j - p, a) for _, p, a in hp_anc
+                                    ]]
+                                    lf_rows += [
+                                        (p, j - p, a) for _, p, a in lf_anc
+                                    ]
+                                w, ok, final = _dyn_busy_window(
+                                    hp_rows,
+                                    lf_rows,
+                                    lower,
+                                    lam,
+                                    theta,
+                                    gd_cycle - st_bus - lower * ms_len,
+                                    add,
+                                    gd_cycle,
+                                    st_bus,
+                                    ms_len,
+                                    cap,
+                                    fill_strategy,
+                                    seeds[pos],
+                                    extra,
+                                )
+                                if certified:
+                                    seeds[pos] = final
+                            else:
+                                # The frame can never be sent: certain miss.
+                                w, ok = None, False
+                        dirty[pos] = False
+                        last_own[pos] = j
+                        last_w[pos] = w
+                        last_ok[pos] = ok
+                    else:
+                        w = last_w[pos]
+                        ok = last_ok[pos]
+                    if not ok:
+                        converged = False
                     if w is None:
                         value = cap
                     else:
                         # R_m = J_m + w + C_m (message), J_i + w (task).
-                        value = j + w + act.ct if is_dyn else j + w
+                        value = j + w + add
                         if value > cap:
                             value = cap
-                    if wcrt_get(name) != value:
-                        wcrt[name] = value
+                    if wcrt[row] != value:
+                        wcrt[row] = value
                         changed = True
 
                 if not (changed and cyclic):
                     break
             else:
                 converged = False
-        # Results list their entries in the slot layout after the static
-        # ones, whatever order the passes ran in.
-        wcrt = {
-            name: wcrt[name]
-            for name in chain(arts.static_wcrt, self._slot_names)
-            if name in wcrt
-        }
-        return wcrt, converged
+        # Results list the static entries, then the slot layout, whatever
+        # order the passes ran in.
+        return dict(zip(structure.names, wcrt)), converged
 
 
 def precedence_order(app, dyn_messages, fps_tasks) -> Tuple[int, ...]:

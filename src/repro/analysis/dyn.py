@@ -39,7 +39,7 @@ hence sound for worst-case analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.config import FlexRayConfig
 from repro.errors import AnalysisError
@@ -169,13 +169,10 @@ def prepped_busy_window(
     own_jitter: int,
     fill_strategy: str,
 ) -> Tuple[int, bool]:
-    """Eq. (3) fix point over prebound interference rows.
+    """Eq. (3) fix point over prebound name-keyed interference rows.
 
-    Hot-path variant used by the incremental analysis engine: hp/lf
-    membership, periods, ancestor flags and adjusted frame sizes are
-    resolved once per configuration (see
-    :meth:`repro.analysis.context.AnalysisContext`) instead of on every
-    fix-point iteration.  Returns ``(busy window, converged)``.
+    The name-keyed entry point over :func:`resolved_busy_window`.
+    Returns ``(busy window, converged)``.
     """
     w, converged, _ = seeded_busy_window(
         hp_info, lf_info, lower_slots, lam, theta, sigma_m, ct, gd_cycle,
@@ -204,6 +201,54 @@ def seeded_busy_window(
 ) -> Tuple[int, bool, int]:
     """:func:`prepped_busy_window` with a fix-point warm start.
 
+    The name-keyed entry point over :func:`resolved_busy_window` (see
+    there for the seed and ``extra_cycles`` contracts): hp rows
+    ``(name, period, is_ancestor)`` resolve to ``(period, jitter, 0)``
+    and lf rows ``(name, period, is_ancestor, adjusted)`` to ``(period,
+    jitter, adjusted)``, an ancestor's jitter being the offset
+    ``own_jitter - period``.  Returns ``(busy window, converged, final
+    window)``.
+    """
+    get = jitters.get
+    hp = [(p, own_jitter - p if anc else get(name, 0), 0)
+          for name, p, anc in hp_info]
+    lf = [(p, own_jitter - p if anc else get(name, 0), adjusted)
+          for name, p, anc, adjusted in lf_info]
+    return resolved_busy_window(
+        hp, lf, lower_slots, lam, theta, sigma_m, ct, gd_cycle, st_bus,
+        ms_len, cap, fill_strategy, seed, extra_cycles,
+    )
+
+
+def resolved_busy_window(
+    hp_rows: Sequence[Tuple[int, int, int]],
+    lf_rows: Sequence[Tuple[int, int, int]],
+    lower_slots: int,
+    lam: int,
+    theta: int,
+    sigma_m: int,
+    ct: int,
+    gd_cycle: int,
+    st_bus: int,
+    ms_len: int,
+    cap: int,
+    fill_strategy: str,
+    seed: int = None,
+    extra_cycles: int = 0,
+) -> Tuple[int, bool, int]:
+    """The DYN busy-window kernel: Eq. (3)'s fix point over resolved
+    ``(period, jitter, adjusted size)`` hp and lf rows (an hp row's size
+    is not read).
+
+    Each row's jitter is already resolved -- the interferer's release
+    jitter, or for a same-graph ancestor the offset ``own_jitter -
+    period`` -- so one activation count ``ceil(s / period) if s > 0
+    else 0`` with ``s = window + jitter`` covers both interferer kinds
+    (:func:`repro.analysis.fps.interference_count`).  The result does
+    not depend on the row order.  The holistic fix point resolves the
+    rows from its int-row state, the name-keyed entry points through
+    :func:`seeded_busy_window`.
+
     ``seed`` optionally supplies the starting window; it MUST be a
     certified lower bound of the converged busy window (Eq. (3)'s
     right-hand side is monotone in the window, so iterating from any
@@ -230,74 +275,70 @@ def seeded_busy_window(
             f"unknown fill strategy {fill_strategy!r}; "
             f"choose from {FILL_STRATEGIES}"
         )
-    jitters_get = jitters.get
     seeded = seed is not None and seed > ct
     t = seed if seeded else ct
     w = 0
-    bound_only = fill_strategy == "bound"
+    exact = fill_strategy != "bound"
+    # The window-independent terms of Eq. (3): sigma, the k-error
+    # cycles and the static segment of the final cycle.
+    base = sigma_m + extra_cycles * gd_cycle + st_bus
     for _ in range(MAX_FIXPOINT_ITERATIONS):
         hp_cycles = 0
-        for name, period, is_ancestor in hp_info:
-            if is_ancestor:
-                slack = t + own_jitter - period
-                if slack > 0:
-                    hp_cycles += -(-slack // period)
-            else:
-                hp_cycles += -(-(t + jitters_get(name, 0)) // period)
-        # Aggregate the lf frame instances as (adjusted size, count)
-        # pairs: the bound strategy never materialises the multiset.
-        lf_total = 0  # sum of adjusted sizes over all instances
-        lf_useful = 0  # instances with adjusted size > 0
-        lf_pairs: List[Tuple[int, int]] = [] if not bound_only else None
-        for name, period, is_ancestor, adjusted in lf_info:
-            if is_ancestor:
-                slack = t + own_jitter - period
-                n = -(-slack // period) if slack > 0 else 0
-            else:
-                n = -(-(t + jitters_get(name, 0)) // period)
-            if n:
-                if adjusted > 0:
-                    lf_total += adjusted * n
-                    lf_useful += n
-                if lf_pairs is not None:
-                    lf_pairs.append((adjusted, n))
-        # theta >= 1 is guaranteed by the f <= p_latest check above.
-        if bound_only:
-            lf_cycles = lf_useful if lf_useful < lf_total // theta else lf_total // theta
-        else:
+        for period, jitter, _ in hp_rows:
+            s = t + jitter
+            if s > 0:
+                hp_cycles += -(-s // period)
+        # Aggregate the lf frame instances: sums of adjusted sizes
+        # (``lf_total``) and of instances with a positive one
+        # (``lf_useful``); the bound strategy never materialises the
+        # multiset, the exact one gets it as (adjusted size, count) pairs.
+        lf_total = 0
+        lf_useful = 0
+        for period, jitter, adjusted in lf_rows:
+            s = t + jitter
+            if s > 0 and adjusted > 0:
+                n = -(-s // period)
+                lf_total += adjusted * n
+                lf_useful += n
+        if exact:
             lf_cycles = max_filled_cycles_aggregated(
-                lf_pairs, theta, fill_strategy
+                [(adjusted, -(-(t + jitter) // period))
+                 for period, jitter, adjusted in lf_rows if t + jitter > 0],
+                theta,
+                fill_strategy,
             )
+        else:
+            # theta >= 1 is guaranteed by the caller's sendability check.
+            lf_cycles = lf_total // theta
+            if lf_useful < lf_cycles:
+                lf_cycles = lf_useful
         leftover = lf_total - lf_cycles * theta
         if leftover < 0:
             leftover = 0
-        final_consumed = min(lam, lower_slots + leftover)
-        w_final = st_bus + final_consumed * ms_len
-        w = (
-            sigma_m
-            + (hp_cycles + lf_cycles + extra_cycles) * gd_cycle
-            + w_final
-        )
+        consumed = lower_slots + leftover
+        if consumed > lam:
+            consumed = lam
+        w = base + (hp_cycles + lf_cycles) * gd_cycle + consumed * ms_len
         if w >= cap:
             return cap, False, t
         if w <= t:
             if seeded and w < t:
                 # The seed overshot the least fixed point: replay cold so
                 # the result stays bit-identical to an unseeded run.
-                return seeded_busy_window(
-                    hp_info, lf_info, lower_slots, lam, theta, sigma_m, ct,
-                    gd_cycle, st_bus, ms_len, jitters, cap, own_jitter,
-                    fill_strategy, extra_cycles=extra_cycles,
+                return resolved_busy_window(
+                    hp_rows, lf_rows, lower_slots, lam, theta, sigma_m, ct,
+                    gd_cycle, st_bus, ms_len, cap, fill_strategy,
+                    extra_cycles=extra_cycles,
                 )
             return w, True, w
         t = w
     if seeded:
         # The truncated value is trajectory-dependent; only the cold
         # trajectory's truncation is the canonical result.
-        return seeded_busy_window(
-            hp_info, lf_info, lower_slots, lam, theta, sigma_m, ct,
-            gd_cycle, st_bus, ms_len, jitters, cap, own_jitter,
-            fill_strategy, extra_cycles=extra_cycles,
+        return resolved_busy_window(
+            hp_rows, lf_rows, lower_slots, lam, theta, sigma_m, ct,
+            gd_cycle, st_bus, ms_len, cap, fill_strategy,
+            extra_cycles=extra_cycles,
         )
     return w, False, w
 

@@ -144,7 +144,7 @@ def interferer_rows(
     jitters: Mapping[str, int],
     own_jitter: int,
 ) -> List[Tuple[int, int, int]]:
-    """Fully-resolved ``(period, wcet, jitter)`` rows for one maximisation.
+    """Resolved ``(period, jitter, wcet)`` rows for one maximisation.
 
     The release jitters are constant for the duration of one busy-window
     maximisation, so the name lookups and the ancestor offset are
@@ -156,7 +156,7 @@ def interferer_rows(
     """
     jitters_get = jitters.get
     return [
-        (p, c_j, own_jitter - p if is_ancestor else jitters_get(name, 0))
+        (p, own_jitter - p if is_ancestor else jitters_get(name, 0), c_j)
         for name, p, is_ancestor, c_j in info
     ]
 
@@ -172,11 +172,10 @@ def prepped_busy_window(
 ) -> Tuple[int, bool]:
     """Worst busy window over all critical instants, from prebound rows.
 
-    Hot-path variant of :func:`fps_task_busy_window` used by the
-    incremental analysis engine: the interferer rows come from
-    :func:`interferer_info` (cached per system) instead of being derived
-    per call.  ``prune`` enables the incremental per-instant bound (see
-    :func:`seeded_busy_window`); ``prune=False`` is the unpruned
+    The name-keyed entry point over :func:`resolved_busy_window`: the
+    interferer rows come from :func:`interferer_info`.  ``prune``
+    enables the incremental per-instant bound (see
+    :func:`resolved_busy_window`); ``prune=False`` is the unpruned
     reference path the pruning equivalence tests compare against.
     Returns ``(value, converged)``.
     """
@@ -196,7 +195,32 @@ def seeded_busy_window(
     seeds: Optional[Sequence[Optional[int]]] = None,
     prune: bool = True,
 ) -> Tuple[int, bool, List[Optional[int]]]:
-    """:func:`prepped_busy_window` with per-instant fix-point warm starts.
+    """:func:`prepped_busy_window` with per-instant warm starts.
+
+    The name-keyed entry point over :func:`resolved_busy_window` (see
+    there for the seed contract); returns ``(value, converged,
+    demands)``.
+    """
+    rows = interferer_rows(info, jitters, own_jitter)
+    return resolved_busy_window(wcet, rows, availability, cap, seeds, prune)
+
+
+def resolved_busy_window(
+    wcet: int,
+    rows: Sequence[Tuple[int, int, int]],
+    availability: NodeAvailability,
+    cap: int,
+    seeds: Optional[Sequence[Optional[int]]] = None,
+    prune: bool = True,
+) -> Tuple[int, bool, List[Optional[int]]]:
+    """The FPS busy-window kernel: the worst window over all critical
+    instants, from resolved ``(period, jitter, wcet)`` interferer rows.
+
+    ``rows`` carry each interferer's jitter already resolved -- its
+    release jitter, or the ancestor offset ``own_jitter - period`` (see
+    :func:`interferer_rows`); the holistic fix point resolves them from
+    its int-row state, the name-keyed entry points from a jitter map.
+    The result does not depend on the row order.
 
     ``seeds[k]`` optionally supplies a starting demand for the busy
     window at critical instant k.  Seeds MUST be certified lower bounds
@@ -243,7 +267,6 @@ def seeded_busy_window(
     worst = 0
     converged = True
     n_seeds = len(seeds) if seeds is not None else 0
-    rows = interferer_rows(info, jitters, own_jitter)
     # The common case inlines the whole demand recurrence (no ``advance``
     # calls): every t0 is a critical instant, whose pattern-slack offset
     # is precomputed on the availability.  Degenerate patterns (fully
@@ -261,7 +284,7 @@ def seeded_busy_window(
             if bound_demand < 0:
                 bound_demand = wcet
                 bound_activations = 0
-                for p, c_j, jit in rows:
+                for p, jit, c_j in rows:
                     s = worst + jit
                     if s > 0:
                         count = -(-s // p)
@@ -296,7 +319,7 @@ def seeded_busy_window(
                     result = (cap, False, demand)
                     break
                 new_demand = wcet
-                for p, c_j, jit in rows:
+                for p, jit, c_j in rows:
                     s = window + jit
                     if s > 0:
                         new_demand += -(-s // p) * c_j
@@ -337,8 +360,7 @@ def _busy_window_at(
 ) -> Tuple[int, bool, int]:
     """One instant's demand recurrence over resolved interferer rows.
 
-    Generic-``advance`` fallback of :func:`seeded_busy_window`; ``rows``
-    come from :func:`interferer_rows`.
+    Generic-``advance`` fallback of :func:`resolved_busy_window`.
     """
     seeded = seed is not None and seed > wcet
     demand = seed if seeded else wcet
@@ -352,7 +374,7 @@ def _busy_window_at(
         if window >= cap:
             return cap, False, demand
         new_demand = wcet
-        for p, c_j, jit in rows:
+        for p, jit, c_j in rows:
             s = window + jit
             if s > 0:
                 new_demand += -(-s // p) * c_j

@@ -248,8 +248,11 @@ def _clamped(values: List[float]) -> List[int]:
     Clamp: a high-degree Newton polynomial can oscillate wildly between
     nodes; negative or astronomic response times are noise.  Each bound
     of ``min(10**12, max(0, r))`` is applied only to rows that cross it.
+    The values are always floats (``NewtonCurves`` builds them from
+    ``float(y)``), so the unbound ``float.__round__`` gives ``round``'s
+    ints and its errors on inf/NaN without the builtin's dispatch.
     """
-    rounded = list(map(round, values))
+    rounded = list(map(float.__round__, values))
     if min(rounded) < 0:
         rounded = [r if r > 0 else 0 for r in rounded]
     if max(rounded) > 10**12:

@@ -48,7 +48,9 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -69,6 +71,11 @@ from repro.service.state import CampaignStore
 __all__ = ["AnalysisService", "ServiceConfig", "create_server", "serve"]
 
 logger = logging.getLogger(__name__)
+
+#: Seconds a client gets to deliver a whole request body once its head
+#: is in: a peer that announces more bytes than it sends is answered
+#: 408 and disconnected instead of pinning a handler thread.
+BODY_DEADLINE_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -219,10 +226,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _error(self, exc: ServiceError) -> None:
-        codes = {400: "bad-request", 404: "not-found", 409: "conflict",
-                 422: "unprocessable", 429: "over-capacity"}
+        codes = {400: "bad-request", 404: "not-found", 408: "request-timeout",
+                 409: "conflict", 422: "unprocessable", 429: "over-capacity"}
         code = codes.get(exc.status, "error")
         extra = {"Retry_After": "1"} if exc.status == 429 else {}
+        if self.close_connection:
+            extra["Connection"] = "close"
         self._reply(exc.status, error_to_dict(code, str(exc), exc.status), **extra)
 
     def _read_body(self) -> Any:
@@ -236,13 +245,50 @@ class _Handler(BaseHTTPRequestHandler):
                 status=400,
             )
         length = int(header)
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_exactly(length) if length else b""
         if not raw:
             raise ServiceError("request body is empty", status=400)
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"body is not valid JSON: {exc}", status=400)
+
+    def _read_exactly(self, length: int) -> bytes:
+        """The *length* body bytes, read within :data:`BODY_DEADLINE_S`.
+
+        A body that is cut short (408 when the deadline passes, 400 when
+        the peer closes first) leaves the stream out of step, so the
+        connection is closed after the error reply.
+        """
+        deadline = time.monotonic() + BODY_DEADLINE_S
+        chunks = []
+        got = 0
+        try:
+            while got < length:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(length - got)
+                if not chunk:
+                    self.close_connection = True
+                    raise ServiceError(
+                        f"request body ended after {got} of {length} "
+                        "bytes (the client closed the connection)",
+                        status=400,
+                    )
+                chunks.append(chunk)
+                got += len(chunk)
+        except socket.timeout:
+            self.close_connection = True
+            raise ServiceError(
+                f"request body incomplete after {BODY_DEADLINE_S:g} s "
+                f"({got} of {length} bytes)",
+                status=408,
+            ) from None
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     def _dispatch(self, route) -> None:
         try:

@@ -381,8 +381,8 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     """An ST-heavy sweep has one structure key and one schedule key per
     cycle length: its singleton groups share one structure record and
     one ``StructureTemplate``.  Every group's static-name order is the
-    template's -- it follows the bus-speed plan, which is why the
-    template needs no schedule-side key -- and the results equal the
+    record's -- it follows the bus-speed plan, which is why the
+    record needs no schedule-side key -- and the results equal the
     Python oracle's, wcrt insertion order included."""
     from repro.analysis.backend import arrays
 
@@ -407,7 +407,11 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     ) > 1
     for plan in context._backend_plans.values():
         assert plan.template is built[0]
-        assert tuple(plan.arts.static_wcrt) == built[0].static_names
+        # The record's static rows are exactly the group's static names,
+        # in order: ``w0`` takes the static response times positionally.
+        static = tuple(plan.arts.static_wcrt)
+        assert plan.structure.names[:len(static)] == static
+        assert plan.structure.n_rows - len(plan.structure.tail) == len(static)
     python = AnalysisContext(
         system, AnalysisOptions(fault_hypothesis=fault_k)
     ).analyse_batch(configs)

@@ -138,3 +138,44 @@ class TestBatchedSeedPoints:
         assert warmed.evaluations - primed_evals == (
             plain.evaluations - len(seeds)
         )
+
+
+class TestClampedRounding:
+    """``_clamped`` rounds with the unbound ``float.__round__``: the same
+    ints as the builtin ``round`` (half to even, signed zeros, huge
+    values) and the same exceptions on non-finite values."""
+
+    VALUES = [
+        0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 1e12 + 0.5, 2.5e12, 3e15 + 0.5,
+        0.0, -0.0, 0.49999999999999994, 2.0**53 + 1.0, -7.5, 123456.5,
+        1e300, -1e300, 9.999999999995e11,
+    ]
+
+    def test_same_ints_as_round(self):
+        from repro.core.dynlen import _clamped
+
+        expected = [round(v) for v in self.VALUES]
+        assert list(map(float.__round__, self.VALUES)) == expected
+        assert all(type(r) is int for r in map(float.__round__, self.VALUES))
+        assert _clamped(self.VALUES) == [
+            min(10**12, max(0, r)) for r in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (float("inf"), OverflowError),
+            (float("-inf"), OverflowError),
+            (float("nan"), ValueError),
+        ],
+    )
+    def test_same_exceptions_as_round(self, value, error):
+        from repro.core.dynlen import _clamped
+
+        with pytest.raises(error) as builtin:
+            round(value)
+        with pytest.raises(error) as unbound:
+            float.__round__(value)
+        assert str(unbound.value) == str(builtin.value)
+        with pytest.raises(error):
+            _clamped([1.0, value, 2.0])

@@ -601,18 +601,20 @@ def _schedule(context, config):
 
 def _edges(context, config):
     """The dependency edges (reader, read) by name, straight from the
-    activities' own inputs: a DYN message reads its sender's response
+    activities' own int rows: a DYN message reads its sender's response
     time and its hp/lf interferers' jitters, an FPS task its
     predecessors' response times and its interferers' jitters."""
     structure = context._structure(config)
+    names = structure.names
     edges = set()
-    for msg in structure.messages:
-        edges.add((msg.name, msg.sender))
-        edges.update((msg.name, row[0]) for row in msg.hp_info + msg.lf_info)
-    for plans in context.fps_plans.values():
-        for plan in plans:
-            edges.update((plan.name, p) for p in plan.predecessors)
-            edges.update((plan.name, row[0]) for row in plan.interferers)
+    for act in structure.acts:
+        if act[0]:
+            reads = act[6] + act[9] + tuple(e[0] for e in act[10])
+        else:
+            reads = (act[5],) + act[10] + act[11] + tuple(
+                e[0] for e in act[12] + act[13]
+            )
+        edges.update((names[act[1]], names[r]) for r in reads if r < len(names))
     slots = set(context._slot_names)
     return {(v, u) for v, u in edges if u in slots}
 

@@ -55,6 +55,7 @@ from repro.io.serialization import (
     system_to_dict,
 )
 from repro.service import ServiceConfig, create_server
+from repro.service import server as server_module
 
 from tests.util import (
     FIG4_FRAME_IDS,
@@ -280,6 +281,75 @@ class TestContentLength:
                 f"Content-Length: {len(body)}\r\n\r\n"
             ).encode("latin-1")
             assert _raw_post(svc.port, head + body).split()[1] == "200"
+
+
+def _short_body_head(announced=100):
+    return (
+        "POST /analyse HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Length: {announced}\r\n\r\n"
+    ).encode("latin-1")
+
+
+def _read_reply(sock):
+    """Everything the server sends until it closes the connection."""
+    reply = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return reply
+        reply += chunk
+
+
+class TestShortBody:
+    """A body shorter than its ``Content-Length`` must not pin a handler
+    thread: the read runs under ``BODY_DEADLINE_S``."""
+
+    def test_stalled_body_gets_408_and_a_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "BODY_DEADLINE_S", 0.5)
+        with _Service(tmp_path) as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5
+            ) as sock:
+                sock.sendall(_short_body_head() + b'{"a": 1}')
+                started = time.monotonic()
+                reply = _read_reply(sock)
+                waited = time.monotonic() - started
+            head, _, body = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].split()[1] == "408", lines[0]
+            assert "connection: close" in [h.lower() for h in lines[1:]]
+            doc = json.loads(body)
+            assert doc["error"]["code"] == "request-timeout"
+            assert "8 of 100 bytes" in doc["error"]["message"]
+            assert 0.4 <= waited < 4.0, waited
+            assert _get(svc.port, "/health")[0] == 200
+
+    def test_body_cut_by_the_peer_gets_400(self, tmp_path):
+        with _Service(tmp_path) as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5
+            ) as sock:
+                sock.sendall(_short_body_head() + b'{"a": 1}')
+                sock.shutdown(socket.SHUT_WR)
+                reply = _read_reply(sock)
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400", head
+            doc = json.loads(body)
+            assert doc["error"]["code"] == "bad-request"
+            assert "ended after 8 of 100 bytes" in doc["error"]["message"]
+            assert _get(svc.port, "/health")[0] == 200
+
+    def test_health_answers_while_a_body_stalls(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "BODY_DEADLINE_S", 30.0)
+        with _Service(tmp_path) as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=5
+            ) as sock:
+                sock.sendall(_short_body_head() + b'{"a"')
+                time.sleep(0.1)  # the handler thread is now reading
+                started = time.monotonic()
+                assert _get(svc.port, "/health")[0] == 200
+                assert time.monotonic() - started < 2.0
 
 
 # ----------------------------------------------------------------------

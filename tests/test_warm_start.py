@@ -201,6 +201,44 @@ class TestInnerWarmStartKernels:
                 assert bogus[0] >= cold[0]
 
 
+    def test_kernels_ignore_row_order(self):
+        """The holistic fix point hands the kernels its plain interferer
+        rows first and its ancestor rows last, not in the name-keyed
+        order: both kernels must give the same result for any order."""
+        from repro.analysis.dyn import resolved_busy_window as dyn_rows
+        from repro.analysis.fps import (
+            interferer_rows,
+            resolved_busy_window as fps_rows,
+        )
+
+        rng = random.Random(29)
+        for _ in range(200):
+            availability, info, jitters = self._random_case(rng)
+            wcet = rng.randint(1, 8)
+            cap = rng.randint(50, 4000)
+            rows = interferer_rows(info, jitters, rng.randint(0, 60))
+            shuffled = rng.sample(rows, len(rows))
+            for prune in (True, False):
+                assert fps_rows(
+                    wcet, shuffled, availability, cap, None, prune
+                ) == fps_rows(wcet, rows, availability, cap, None, prune)
+            lf = [
+                (rng.randint(10, 300), rng.randint(-60, 50), rng.randint(0, 4))
+                for _ in range(rng.randint(0, 5))
+            ]
+            hp = [(p, j, 0) for p, j, _ in lf[: rng.randint(0, len(lf))]]
+            args = (
+                len(lf), len(lf) + rng.randint(0, 3), rng.randint(1, 5),
+                rng.randint(1, 60), rng.randint(1, 12), rng.randint(20, 150),
+                rng.randint(0, 15), rng.randint(1, 4), rng.randint(100, 6000),
+            )
+            for strategy in ("bound", "exact"):
+                assert dyn_rows(
+                    rng.sample(hp, len(hp)), rng.sample(lf, len(lf)), *args,
+                    strategy,
+                ) == dyn_rows(hp, lf, *args, strategy)
+
+
 class TestOuterWarmStartModes:
     def test_default_certified_equals_fresh_contexts_fig7_sweep(self):
         from benchmarks.bench_fig7_dyn_length_sweep import build_system

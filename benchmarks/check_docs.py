@@ -1,16 +1,18 @@
 """Lightweight documentation checker (wired into tier-1 via tests/test_docs.py).
 
 The architecture documents under ``docs/`` point into the codebase with
-backticked dotted names (```repro.analysis.fps.seeded_busy_window```),
+backticked dotted names (```repro.analysis.fps.resolved_busy_window```),
 backticked repo paths (```src/repro/analysis/context.py```),
 backticked ``module:symbol`` pointers (```benchmarks/_report.py:report```
-or ```repro.analysis.fps:seeded_busy_window```) and relative markdown
+or ```repro.analysis.fps:resolved_busy_window```) and relative markdown
 links.  Stale pointers are the classic way architecture docs rot, so
 this checker verifies, for every documentation file:
 
 * every backticked ``repro.*`` dotted name imports (module) or resolves
   (module attribute, class attribute one level deep);
 * every backticked token that looks like a repo path exists;
+* every bare backticked benchmark name (```bench_end_to_end.py```,
+  ```BENCH_end_to_end.json```) names a file under ``benchmarks/``;
 * every backticked ``module:symbol`` pointer resolves its symbol --
   dotted modules through import + ``getattr``, ``*.py`` paths through a
   (side-effect-free) AST scan for the named top-level function, class,
@@ -56,6 +58,8 @@ _MOD_SYMBOL = re.compile(
     r"`([A-Za-z0-9_./-]+\.py|[A-Za-z_][\w.]*):"
     r"([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`"
 )
+#: Bare benchmark script and result names (no directory part).
+_BENCH_NAME = re.compile(r"`(bench_[A-Za-z0-9_]+\.py|BENCH_[A-Za-z0-9_]+\.json)`")
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
 _SPAN = re.compile(r"`([^`]+)`")
@@ -158,6 +162,15 @@ def _check_mod_symbol(module: str, symbol: str, doc_dir: Path) -> str:
 
 
 @functools.lru_cache(maxsize=None)
+def _benchmark_files() -> frozenset:
+    """Names of every file under ``benchmarks/``."""
+    return frozenset(
+        path.name for path in (REPO_ROOT / "benchmarks").rglob("*")
+        if path.is_file()
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _cli_options() -> dict:
     """Subcommand name -> option strings of its argparse parser."""
     from repro.cli import build_parser
@@ -224,6 +237,13 @@ def check_file(path: Path) -> List[str]:
             target = "src/" + target
         if not (REPO_ROOT / target).exists():
             problems.append(f"{rel}: backticked path `{match.group(1)}` does not exist")
+
+    for match in _BENCH_NAME.finditer(text):
+        if match.group(1) not in _benchmark_files():
+            problems.append(
+                f"{rel}: benchmark name `{match.group(1)}` names no file "
+                "under benchmarks/"
+            )
 
     for match in _LINK.finditer(text):
         target = match.group(1)

@@ -361,7 +361,7 @@ fail:
 }
 
 /* ------------------------------------------------------------------ */
-/* the DYN Eq. (3) recurrence (dyn.seeded_busy_window, "bound" fill)   */
+/* the DYN Eq. (3) recurrence (dyn.resolved_busy_window, "bound" fill) */
 /* ------------------------------------------------------------------ */
 
 /* Activations of interferer row r = (period, is_ancestor, jitter_row,
@@ -470,8 +470,8 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
 }
 
 /* ------------------------------------------------------------------ */
-/* the FPS staircase maximisation (fps.seeded_busy_window, prune=True  */
-/* -- value- and flag-exact vs the unpruned path)                      */
+/* the FPS staircase maximisation (fps.resolved_busy_window,           */
+/* prune=True -- value- and flag-exact vs the unpruned path)           */
 /* ------------------------------------------------------------------ */
 
 /* The window that `demand` units of slack open from instant t0 whose

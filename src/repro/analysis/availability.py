@@ -9,7 +9,7 @@ primitive the FPS response-time analysis is built on.
 Beyond the point queries, each :class:`NodeAvailability` builds the
 prefix-sum :class:`InstantTables` that turn ``advance`` into a
 ``divmod`` plus a bisect for the busy-window maximisation of
-:func:`repro.analysis.fps.seeded_busy_window`.
+:func:`repro.analysis.fps.resolved_busy_window`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.errors import AnalysisError
 class InstantTables(NamedTuple):
     """Raw per-instant tables of the inlined busy-window kernel.
 
-    Everything :func:`repro.analysis.fps.seeded_busy_window` needs to
+    Everything :func:`repro.analysis.fps.resolved_busy_window` needs to
     compute ``advance(instant, demand)`` without a method call.
     Empty-pattern nodes (no busy intervals) have ``slack_before``,
     ``gap_ends`` and ``slack_through`` set to ``None``.
@@ -146,7 +146,7 @@ class NodeAvailability:
         # the sort is stable).  Instants with long initial blocking
         # tend to produce the largest busy windows, so visiting them
         # first makes the incremental per-instant bound of
-        # :func:`repro.analysis.fps.seeded_busy_window` prune the rest
+        # :func:`repro.analysis.fps.resolved_busy_window` prune the rest
         # early.  The maximisation result is order-independent.
         longest_first = [-b for b in blocks]
         eval_order = tuple(
@@ -167,7 +167,7 @@ class NodeAvailability:
         """Tables for the inlined busy-window kernel, as :class:`InstantTables`.
 
         Built once in ``__init__``; see
-        :func:`repro.analysis.fps.seeded_busy_window` for the consumer.
+        :func:`repro.analysis.fps.resolved_busy_window` for the consumer.
         """
         return self._tables
 

@@ -409,10 +409,7 @@ class AnalysisContext:
         # from the configuration directly (not by slicing ``cache_key``,
         # whose layout belongs to ``repro.core.config``).
         n = config.n_minislots
-        floor_key = (
-            config.static_key(),
-            tuple(sorted(config.frame_ids.items())),
-        )
+        floor_key = (config.static_key(), config.frame_key)
         floor = self._valid_floor.get(floor_key)
         if floor is not None and n >= floor:
             failure = None
@@ -500,7 +497,7 @@ class AnalysisContext:
         differ in cycle geometry, i.e. the per-view scalars).
         """
         return (
-            tuple(sorted(config.frame_ids.items())),
+            config.frame_key,
             config.bits_per_mt,
             config.frame_overhead_bytes,
             config.gd_minislot,
@@ -966,7 +963,7 @@ class AnalysisContext:
                     # when ancestor entries exist), so an own-jitter change
                     # alone just re-derives the response time from it.  An
                     # ancestor's row resolves to the offset ``j - period``
-                    # (see repro.analysis.fps.interferer_rows).
+                    # (see repro.analysis.fps.resolved_busy_window).
                     if (
                         dirty[pos]
                         or (own_sensitive and last_own[pos] != j)

@@ -124,19 +124,21 @@ def dyn_message_busy_window(
         return WcrtResult(value=cap, converged=False)
 
     sets = interference_sets(message, config, system)
-    hp_info = tuple(
-        (j.name, period_of(j.name), j.name in ancestors) for j in sets.hp
-    )
-    lf_info = tuple(
-        (j.name, period_of(j.name), j.name in ancestors,
-         config.minislots_needed(j) - 1)
-        for j in sets.lf
-    )
+
+    def row(j, size):
+        # Resolved (period, jitter, size); an ancestor's jitter is the
+        # offset ``own_jitter - period`` (see resolved_busy_window).
+        p = period_of(j.name)
+        jit = own_jitter - p if j.name in ancestors else jitters.get(j.name, 0)
+        return (p, jit, size)
+
+    hp = [row(j, 0) for j in sets.hp]
+    lf = [row(j, config.minislots_needed(j) - 1) for j in sets.lf]
     lam = p_latest - 1  # max minislots consumed before slot f, still sendable
     theta = lam - f + 2  # adjusted minislots needed to fill one cycle
-    value, converged = prepped_busy_window(
-        hp_info,
-        lf_info,
+    value, converged, _ = resolved_busy_window(
+        hp,
+        lf,
         sets.lower_slots,
         lam,
         theta,
@@ -145,79 +147,10 @@ def dyn_message_busy_window(
         config.gd_cycle,
         config.st_bus,
         config.gd_minislot,
-        jitters,
         cap,
-        own_jitter,
         fill_strategy,
     )
     return WcrtResult(value=value, converged=converged)
-
-
-def prepped_busy_window(
-    hp_info: Tuple[Tuple[str, int, bool], ...],
-    lf_info: Tuple[Tuple[str, int, bool, int], ...],
-    lower_slots: int,
-    lam: int,
-    theta: int,
-    sigma_m: int,
-    ct: int,
-    gd_cycle: int,
-    st_bus: int,
-    ms_len: int,
-    jitters: Mapping[str, int],
-    cap: int,
-    own_jitter: int,
-    fill_strategy: str,
-) -> Tuple[int, bool]:
-    """Eq. (3) fix point over prebound name-keyed interference rows.
-
-    The name-keyed entry point over :func:`resolved_busy_window`.
-    Returns ``(busy window, converged)``.
-    """
-    w, converged, _ = seeded_busy_window(
-        hp_info, lf_info, lower_slots, lam, theta, sigma_m, ct, gd_cycle,
-        st_bus, ms_len, jitters, cap, own_jitter, fill_strategy,
-    )
-    return w, converged
-
-
-def seeded_busy_window(
-    hp_info: Tuple[Tuple[str, int, bool], ...],
-    lf_info: Tuple[Tuple[str, int, bool, int], ...],
-    lower_slots: int,
-    lam: int,
-    theta: int,
-    sigma_m: int,
-    ct: int,
-    gd_cycle: int,
-    st_bus: int,
-    ms_len: int,
-    jitters: Mapping[str, int],
-    cap: int,
-    own_jitter: int,
-    fill_strategy: str,
-    seed: int = None,
-    extra_cycles: int = 0,
-) -> Tuple[int, bool, int]:
-    """:func:`prepped_busy_window` with a fix-point warm start.
-
-    The name-keyed entry point over :func:`resolved_busy_window` (see
-    there for the seed and ``extra_cycles`` contracts): hp rows
-    ``(name, period, is_ancestor)`` resolve to ``(period, jitter, 0)``
-    and lf rows ``(name, period, is_ancestor, adjusted)`` to ``(period,
-    jitter, adjusted)``, an ancestor's jitter being the offset
-    ``own_jitter - period``.  Returns ``(busy window, converged, final
-    window)``.
-    """
-    get = jitters.get
-    hp = [(p, own_jitter - p if anc else get(name, 0), 0)
-          for name, p, anc in hp_info]
-    lf = [(p, own_jitter - p if anc else get(name, 0), adjusted)
-          for name, p, anc, adjusted in lf_info]
-    return resolved_busy_window(
-        hp, lf, lower_slots, lam, theta, sigma_m, ct, gd_cycle, st_bus,
-        ms_len, cap, fill_strategy, seed, extra_cycles,
-    )
 
 
 def resolved_busy_window(
@@ -246,8 +179,8 @@ def resolved_busy_window(
     else 0`` with ``s = window + jitter`` covers both interferer kinds
     (:func:`repro.analysis.fps.interference_count`).  The result does
     not depend on the row order.  The holistic fix point resolves the
-    rows from its int-row state, the name-keyed entry points through
-    :func:`seeded_busy_window`.
+    rows from its int-row state, :func:`dyn_message_busy_window` from a
+    jitter map.
 
     ``seed`` optionally supplies the starting window; it MUST be a
     certified lower bound of the converged busy window (Eq. (3)'s

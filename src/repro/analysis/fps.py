@@ -85,23 +85,6 @@ def interference_count(
     return ceil_div(window + jitter, period)
 
 
-def interferer_info(
-    interferers: Sequence[Task],
-    period_of,
-    ancestors: frozenset,
-) -> Tuple[Tuple[str, int, bool, int], ...]:
-    """Prebound ``(name, period, is_ancestor, wcet)`` rows per interferer.
-
-    The busy-window fix point re-reads the period and the ancestor flag
-    of every interferer on every iteration; resolving both once per
-    (task, interferer) pair keeps the inner loop free of graph lookups.
-    """
-    return tuple(
-        (j.name, period_of(j.name), j.name in ancestors, j.wcet)
-        for j in interferers
-    )
-
-
 def fps_task_busy_window(
     task: Task,
     interferers: Sequence[Task],
@@ -132,77 +115,15 @@ def fps_task_busy_window(
     ancestors:
         Names of same-graph transitive predecessors of *task*.
     """
-    info = interferer_info(interferers, period_of, ancestors)
-    value, converged = prepped_busy_window(
-        task.wcet, info, availability, jitters, cap, own_jitter
+    rows = []
+    for j in interferers:
+        p = period_of(j.name)
+        jit = own_jitter - p if j.name in ancestors else jitters.get(j.name, 0)
+        rows.append((p, jit, j.wcet))
+    value, converged, _ = resolved_busy_window(
+        task.wcet, rows, availability, cap
     )
     return WcrtResult(value=value, converged=converged)
-
-
-def interferer_rows(
-    info: Sequence[Tuple[str, int, bool, int]],
-    jitters: Mapping[str, int],
-    own_jitter: int,
-) -> List[Tuple[int, int, int]]:
-    """Resolved ``(period, jitter, wcet)`` rows for one maximisation.
-
-    The release jitters are constant for the duration of one busy-window
-    maximisation, so the name lookups and the ancestor offset are
-    resolved once per call instead of once per fix-point iteration.
-    Ancestors get the *negative* offset jitter ``own_jitter - period``;
-    with the unified count ``ceil(s / period) if s > 0 else 0`` for
-    ``s = window + jitter`` this reproduces
-    :func:`interference_count` exactly for both interferer kinds.
-    """
-    jitters_get = jitters.get
-    return [
-        (p, own_jitter - p if is_ancestor else jitters_get(name, 0), c_j)
-        for name, p, is_ancestor, c_j in info
-    ]
-
-
-def prepped_busy_window(
-    wcet: int,
-    info: Sequence[Tuple[str, int, bool, int]],
-    availability: NodeAvailability,
-    jitters: Mapping[str, int],
-    cap: int,
-    own_jitter: int = 0,
-    prune: bool = True,
-) -> Tuple[int, bool]:
-    """Worst busy window over all critical instants, from prebound rows.
-
-    The name-keyed entry point over :func:`resolved_busy_window`: the
-    interferer rows come from :func:`interferer_info`.  ``prune``
-    enables the incremental per-instant bound (see
-    :func:`resolved_busy_window`); ``prune=False`` is the unpruned
-    reference path the pruning equivalence tests compare against.
-    Returns ``(value, converged)``.
-    """
-    value, converged, _ = seeded_busy_window(
-        wcet, info, availability, jitters, cap, own_jitter, None, prune
-    )
-    return value, converged
-
-
-def seeded_busy_window(
-    wcet: int,
-    info: Sequence[Tuple[str, int, bool, int]],
-    availability: NodeAvailability,
-    jitters: Mapping[str, int],
-    cap: int,
-    own_jitter: int,
-    seeds: Optional[Sequence[Optional[int]]] = None,
-    prune: bool = True,
-) -> Tuple[int, bool, List[Optional[int]]]:
-    """:func:`prepped_busy_window` with per-instant warm starts.
-
-    The name-keyed entry point over :func:`resolved_busy_window` (see
-    there for the seed contract); returns ``(value, converged,
-    demands)``.
-    """
-    rows = interferer_rows(info, jitters, own_jitter)
-    return resolved_busy_window(wcet, rows, availability, cap, seeds, prune)
 
 
 def resolved_busy_window(
@@ -217,10 +138,13 @@ def resolved_busy_window(
     instants, from resolved ``(period, jitter, wcet)`` interferer rows.
 
     ``rows`` carry each interferer's jitter already resolved -- its
-    release jitter, or the ancestor offset ``own_jitter - period`` (see
-    :func:`interferer_rows`); the holistic fix point resolves them from
-    its int-row state, the name-keyed entry points from a jitter map.
-    The result does not depend on the row order.
+    release jitter, or for a same-graph ancestor the *negative* offset
+    ``own_jitter - period``, with which the unified count ``ceil(s /
+    period) if s > 0 else 0`` for ``s = window + jitter`` reproduces
+    :func:`interference_count` exactly for both interferer kinds.  The
+    holistic fix point resolves them from its int-row state,
+    :func:`fps_task_busy_window` from a jitter map.  The result does not
+    depend on the row order.
 
     ``seeds[k]`` optionally supplies a starting demand for the busy
     window at critical instant k.  Seeds MUST be certified lower bounds

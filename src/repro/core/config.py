@@ -18,6 +18,7 @@ Configurations are immutable; the optimisers derive neighbours with the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -140,6 +141,16 @@ class FlexRayConfig:
     def gd_cycle(self) -> int:
         """Length of the whole communication cycle in macroticks."""
         return self._gd_cycle
+
+    @cached_property
+    def frame_key(self) -> Tuple[Tuple[str, int], ...]:
+        """``frame_ids`` as a name-sorted tuple of items (hashable).
+
+        Sorted once, on first use: every analysis reads it several times
+        (cache, validation and structure keys), while configurations
+        that are only generated or serialised never pay for it.
+        """
+        return tuple(sorted(self.frame_ids.items()))
 
     # ------------------------------------------------------------------
     # message metrics
@@ -302,10 +313,7 @@ class FlexRayConfig:
     def cache_key(self) -> tuple:
         """Hashable identity of the full configuration (``frame_ids`` is a
         dict, so the dataclass itself is unhashable)."""
-        return self.static_key() + (
-            self.n_minislots,
-            tuple(sorted(self.frame_ids.items())),
-        )
+        return self.static_key() + (self.n_minislots, self.frame_key)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

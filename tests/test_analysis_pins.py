@@ -7,6 +7,12 @@ holistic fix point that preceded the int-row structure record, so they
 pin the rewrite to its reference: any change to a response time, its
 key order, a convergence flag or a cost shows up here.
 
+The seed-reference pin folds a 64-point BBC-shaped DYN-length sweep of
+``paper_system(4, 0, seed=23)`` through the seed-era reference analysis (every quantity re-derived per call, the
+DYN interference sets on every fix-point iteration), computed before
+that reference copy was deleted; the warm context, the cold
+``analyse_system`` path and the parallel evaluator must all match it.
+
 The plan-blob pin covers the bytes the compiled backend's C plan is
 parsed from, for the systems of CI's backend sweep.
 """
@@ -17,7 +23,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis import AnalysisContext
+from repro.analysis import AnalysisContext, analyse_system
 from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisOptions
 from repro.core.bbc import basic_configuration
@@ -25,6 +31,7 @@ from repro.core.obc import _static_variants
 from repro.core.sa import SAOptions
 from repro.core.search import (
     BusOptimisationOptions,
+    Evaluator,
     dyn_segment_bounds,
     min_static_slot,
     sweep_lengths,
@@ -134,15 +141,58 @@ def test_ee_sweep_matches_pin(case):
     assert sweep_digest(analysis) == (pin, 192)
 
 
-def _backend_sweep(system):
-    """CI's backend-sweep configurations: 16 BBC points."""
+def _seed_signature(result):
+    """What the seed-reference pin folds per analysis (WCRTs sorted)."""
+    return (
+        result.feasible,
+        result.schedulable,
+        result.converged,
+        result.failure,
+        None if result.cost is None else result.cost.value,
+        tuple(sorted(result.wcrt.items())),
+    )
+
+
+def _seed_mode_results(mode, system, configs):
+    if mode == "warm":
+        context = AnalysisContext(system)
+        return [context.analyse(c) for c in configs]
+    if mode == "cold":
+        return [analyse_system(system, c) for c in configs]
+    with Evaluator(
+        system, BusOptimisationOptions(parallel_workers=2)
+    ) as evaluator:
+        return evaluator.analyse_many(configs)
+
+
+#: (sha256, analyses) over ``_seed_signature`` of the seed-era reference
+#: analysis on the 64-point ``_backend_sweep`` of ``paper_system(4, 0)``.
+SEED_REFERENCE_PIN = (
+    "eaa6e9d478cff0beb54b105dbaa8995cd3b6f8ee88fe6e60cb53591cc0343dbe",
+    64,
+)
+
+
+@pytest.mark.parametrize("mode", ["warm", "cold", "parallel"])
+def test_sweep_matches_seed_reference_pin(mode):
+    system = paper_system(4, 0, seed=23)
+    results = _seed_mode_results(mode, system, _backend_sweep(system, 64))
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(repr(_seed_signature(result)).encode())
+    assert (digest.hexdigest(), len(results)) == SEED_REFERENCE_PIN
+
+
+def _backend_sweep(system, points=16):
+    """BBC configurations over the legal DYN lengths (CI's backend sweep
+    takes 16 points)."""
     options = BusOptimisationOptions()
     st_nodes = system.st_sender_nodes()
     slot = min_static_slot(system, options) if st_nodes else 0
     lo, hi = dyn_segment_bounds(system, len(st_nodes) * slot, options)
     return [
         basic_configuration(system, n, options)
-        for n in sweep_lengths(lo, hi, 16)
+        for n in sweep_lengths(lo, hi, points)
     ]
 
 

@@ -708,8 +708,7 @@ def test_campaign_resumes_across_backends(tmp_path):
 def _dyn_only_smoke_system() -> System:
     """A 3-node, DYN-only application: the whole length sweep shares one
     schedule key, so the compiled backend runs it as a single group --
-    the shape the benchmarks pin (see
-    ``benchmarks/results/BENCH_incremental_analysis.json``)."""
+    the widest batch the compiled backend sees."""
     def chain(prefix, length, period):
         tasks, msgs = [], []
         for i in range(length):
@@ -752,7 +751,7 @@ def test_native_backend_smoke_identical_and_not_slower():
     """<10s tier-1 smoke of the compiled sweep: bit identity on a
     96-point DYN-only sweep, and a deliberately loose speed floor
     (1.2x) -- wall-clock asserts on shared machines must not flake; the
-    real claims live in ``BENCH_incremental_analysis.json``."""
+    end-to-end claims live in ``BENCH_end_to_end.json``."""
     system = _dyn_only_smoke_system()
     configs = _sweep_configs(
         system, 96, BusOptimisationOptions(ee_max_dyn_points=96)

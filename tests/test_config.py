@@ -1,6 +1,10 @@
 """Unit tests for FlexRayConfig (protocol limits, geometry, validation)."""
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FlexRayConfig
 from repro.errors import ConfigurationError
@@ -205,3 +209,51 @@ class TestDerivation:
         cfg = make_config()
         cfg.with_dyn_length(20)
         assert cfg.n_minislots == 13
+
+
+def _sorted_cache_key(cfg):
+    """``cache_key()`` spelled out, sorting the FrameIDs on every call."""
+    return cfg.static_key() + (
+        cfg.n_minislots,
+        tuple(sorted(cfg.frame_ids.items())),
+    )
+
+
+_FRAME_IDS = st.dictionaries(
+    st.text(alphabet="abmn0123", min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=20),
+    max_size=8,
+)
+
+
+class TestFrameKey:
+    """The sorted FrameID items are computed once per configuration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frame_ids=_FRAME_IDS,
+        other=_FRAME_IDS,
+        n=st.integers(min_value=20, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_cache_key_unchanged_on_generated_configs(
+        self, frame_ids, other, n, seed
+    ):
+        items = list(frame_ids.items())
+        random.Random(seed).shuffle(items)
+        cfg = make_config(n_minislots=n, frame_ids=dict(items))
+        assert cfg.cache_key() == _sorted_cache_key(cfg)
+        assert cfg.cache_key() == make_config(
+            n_minislots=n, frame_ids=frame_ids
+        ).cache_key()
+        # Derived copies carry their own (new) key.
+        for derived in (
+            cfg.with_frame_ids(other),
+            dataclasses.replace(cfg, frame_ids=other),
+        ):
+            assert derived.frame_key == tuple(sorted(other.items()))
+            assert derived.cache_key() == _sorted_cache_key(derived)
+        assert cfg.frame_key == tuple(sorted(frame_ids.items()))
+        longer = cfg.with_dyn_length(n + 1)
+        assert longer.frame_key == cfg.frame_key
+        assert longer.cache_key() == _sorted_cache_key(longer)

@@ -1,8 +1,9 @@
 """Documentation stays live: stale module pointers fail tier-1.
 
 ``benchmarks/check_docs.py`` verifies every backticked ``repro.*``
-dotted name, backticked repo path, backticked ``module:symbol`` pointer
-and relative markdown link in the documentation set (top-level README,
+dotted name, backticked repo path, backticked ``module:symbol`` pointer,
+bare backticked benchmark name and relative markdown link in the
+documentation set (top-level README,
 docs/, benchmarks/README).  This test wires it into the default pytest
 run, so renaming a module or a public function without updating the
 architecture docs breaks the build -- the docs are part of the API
@@ -39,7 +40,7 @@ class TestModuleSymbolPointers:
         text = (
             "Report via `benchmarks/_report.py:report` and "
             "`benchmarks/check_docs.py:check_file`; the kernel is "
-            "`repro.analysis.fps:seeded_busy_window`, the surface "
+            "`repro.analysis.fps:resolved_busy_window`, the surface "
             "`repro.analysis.availability:NodeAvailability.advance` "
             "and the constant `benchmarks/check_docs.py:DOC_FILES`.\n"
         )
@@ -112,3 +113,28 @@ class TestCliFlags:
     def test_unknown_command_is_caught(self, tmp_path):
         problems = self._problems(tmp_path, "`python -m repro optimize x`\n")
         assert len(problems) == 1 and "optimize" in problems[0]
+
+
+class TestBenchNames:
+    """Bare ``bench_*.py`` / ``BENCH_*.json`` names must exist."""
+
+    def _problems(self, tmp_path, text):
+        doc = tmp_path / "doc.md"
+        doc.write_text(text, encoding="utf-8")
+        return check_file(doc)
+
+    def test_live_names_pass(self, tmp_path):
+        text = (
+            "Run `bench_end_to_end.py`; it writes `BENCH_end_to_end.json`. "
+            "Every `bench_*.py` file emits a `BENCH_*.json`.\n"
+        )
+        assert self._problems(tmp_path, text) == []
+
+    def test_stale_names_are_caught(self, tmp_path):
+        problems = self._problems(
+            tmp_path,
+            "See `bench_retired_sweep.py` and `BENCH_retired_sweep.json`.\n",
+        )
+        assert len(problems) == 2
+        assert "bench_retired_sweep.py" in problems[0]
+        assert "BENCH_retired_sweep.json" in problems[1]

@@ -24,7 +24,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext, NodeAvailability
-from repro.analysis.fps import prepped_busy_window, seeded_busy_window
+from repro.analysis.fps import resolved_busy_window
 from repro.core.bbc import basic_configuration
 from repro.core.search import (
     BusOptimisationOptions,
@@ -33,6 +33,8 @@ from repro.core.search import (
     sweep_lengths,
 )
 from repro.synth import paper_suite
+
+from tests.util import resolve_rows
 
 
 @st.composite
@@ -70,13 +72,10 @@ class TestPruningEquivalence:
     def test_pruned_equals_unpruned(self, case):
         busy, period, info, jitters, wcet, cap, own = case
         availability = NodeAvailability(busy, period)
-        unpruned = prepped_busy_window(
-            wcet, info, availability, jitters, cap, own, prune=False
-        )
-        pruned = prepped_busy_window(
-            wcet, info, availability, jitters, cap, own, prune=True
-        )
-        assert pruned == unpruned
+        rows = resolve_rows(info, jitters, own)
+        unpruned = resolved_busy_window(wcet, rows, availability, cap, None, False)
+        pruned = resolved_busy_window(wcet, rows, availability, cap, None, True)
+        assert pruned[:2] == unpruned[:2]
 
     @settings(max_examples=200, deadline=None)
     @given(_kernel_case(), st.randoms(use_true_random=False))
@@ -84,19 +83,17 @@ class TestPruningEquivalence:
         """Seeds and pruning compose: still bit-identical to cold."""
         busy, period, info, jitters, wcet, cap, own = case
         availability = NodeAvailability(busy, period)
-        cold = prepped_busy_window(
-            wcet, info, availability, jitters, cap, own, prune=False
-        )
-        # Converged demands from an unpruned seeded run are certified
-        # lower bounds; any value at or below them must reproduce cold.
-        _, _, demands = seeded_busy_window(
-            wcet, info, availability, jitters, cap, own, None, False
+        rows = resolve_rows(info, jitters, own)
+        # Converged demands from an unpruned run are certified lower
+        # bounds; any value at or below them must reproduce cold.
+        cold_value, cold_ok, demands = resolved_busy_window(
+            wcet, rows, availability, cap, None, False
         )
         seeds = [None if d is None else rng.randint(0, d) for d in demands]
-        value, ok, _ = seeded_busy_window(
-            wcet, info, availability, jitters, cap, own, seeds, True
+        value, ok, _ = resolved_busy_window(
+            wcet, rows, availability, cap, seeds, True
         )
-        assert (value, ok) == cold
+        assert (value, ok) == (cold_value, cold_ok)
 
     def test_zero_wcet_and_degenerate_patterns(self):
         """Generic-path corners: idle node, zero slack, wcet == 0."""
@@ -105,17 +102,16 @@ class TestPruningEquivalence:
             ([(0, 10)], 10, 3),     # zero slack
             ([(2, 5)], 10, 0),      # wcet == 0 (generic path)
         ]
-        info = (("j0", 7, False, 2),)
-        jitters = {"j0": 5}
+        rows = resolve_rows((("j0", 7, False, 2),), {"j0": 5}, 0)
         for busy, period, wcet in cases:
             availability = NodeAvailability(busy, period)
             for prune in (False, True):
-                got = prepped_busy_window(
-                    wcet, info, availability, jitters, 500, 0, prune=prune
+                got = resolved_busy_window(
+                    wcet, rows, availability, 500, None, prune
                 )
-                assert got == prepped_busy_window(
-                    wcet, info, availability, jitters, 500, 0, prune=False
-                )
+                assert got[:2] == resolved_busy_window(
+                    wcet, rows, availability, 500, None, False
+                )[:2]
 
     def test_activation_guard_keeps_the_convergence_flag(self):
         """Near the iteration limit the bound alone would lose the flag.
@@ -129,12 +125,12 @@ class TestPruningEquivalence:
         """
         availability = NodeAvailability([(80, 160), (360, 414)], 722)
         info = (("j0", 217, False, 73), ("j1", 262, False, 124))
-        jitters = {"j0": 3518, "j1": 1790}
+        rows = resolve_rows(info, {"j0": 3518, "j1": 1790}, 0)
         expected = (436772, False)
         for prune in (False, True):
-            assert prepped_busy_window(
-                9, info, availability, jitters, 10**9, 0, prune=prune
-            ) == expected
+            assert resolved_busy_window(
+                9, rows, availability, 10**9, None, prune
+            )[:2] == expected
 
     def test_eval_order_is_a_permutation(self):
         av = NodeAvailability([(1, 4), (6, 7), (8, 9)], 12)

@@ -30,6 +30,7 @@ from repro.core.strategies import (
     register_strategy,
 )
 from repro.errors import OptimisationError
+from repro.synth import paper_suite
 
 from tests.util import basic_config, fig3_system, fig4_system
 
@@ -405,3 +406,52 @@ class TestParallelBatchIdentity:
         warning = "\n".join(record.getMessage() for record in caplog.records)
         assert "serially" in warning and "pool" in warning
         assert "RuntimeError" in warning  # names the underlying cause
+
+
+def test_optimisers_identical_serial_vs_parallel():
+    """Fixed-seed optimiser outcomes are byte-identical with the pool on."""
+    import dataclasses
+
+    from repro.core import (
+        GAOptions,
+        SAOptions,
+        optimise_bbc,
+        optimise_ga,
+        optimise_obc,
+        optimise_sa,
+    )
+
+    system = paper_suite(3, count=1, seed=23)[0]
+    serial = BusOptimisationOptions(
+        max_dyn_points=16,
+        ee_max_dyn_points=48,
+        cf_candidates=64,
+        max_extra_static_slots=1,
+        max_slot_size_steps=1,
+    )
+    parallel = dataclasses.replace(serial, parallel_workers=2)
+
+    def outcome(result):
+        cfg = result.config
+        return (
+            result.cost,
+            result.schedulable,
+            result.evaluations,
+            result.cache_hits,
+            None if cfg is None else cfg.cache_key(),
+            result.trace,
+        )
+
+    runners = (
+        ("BBC", lambda o: optimise_bbc(system, o)),
+        ("OBC/EE", lambda o: optimise_obc(system, o, "exhaustive")),
+        ("OBC/CF", lambda o: optimise_obc(system, o, "curvefit")),
+        ("SA", lambda o: optimise_sa(
+            system, o, SAOptions(iterations=60, seed=9, restarts=2))),
+        ("GA", lambda o: optimise_ga(
+            system, o, GAOptions(population=6, generations=3, seed=5))),
+    )
+    for name, run in runners:
+        assert outcome(run(serial)) == outcome(run(parallel)), (
+            f"{name}: parallel run diverged from serial at fixed seed"
+        )

@@ -20,14 +20,8 @@ import pytest
 
 from repro.analysis import AnalysisContext, AnalysisOptions
 from repro.analysis.availability import NodeAvailability
-from repro.analysis.dyn import (
-    prepped_busy_window as dyn_cold,
-    seeded_busy_window as dyn_seeded,
-)
-from repro.analysis.fps import (
-    prepped_busy_window as fps_cold,
-    seeded_busy_window as fps_seeded,
-)
+from repro.analysis.dyn import resolved_busy_window as dyn_rows
+from repro.analysis.fps import resolved_busy_window as fps_rows
 from repro.core.bbc import basic_configuration
 from repro.core.search import (
     BusOptimisationOptions,
@@ -36,6 +30,8 @@ from repro.core.search import (
     sweep_lengths,
 )
 from repro.synth import paper_suite
+
+from tests.util import resolve_rows
 
 
 def _signature(result):
@@ -90,24 +86,19 @@ class TestInnerWarmStartKernels:
             wcet = rng.randint(1, 10)
             cap = rng.randint(50, 4000)
             own = rng.randint(0, 30)
-            cold = fps_cold(wcet, info, availability, jitters, cap, own)
-            value, ok, demands = fps_seeded(
-                wcet, info, availability, jitters, cap, own, None
-            )
+            rows = resolve_rows(info, jitters, own)
+            cold = fps_rows(wcet, rows, availability, cap)[:2]
+            value, ok, demands = fps_rows(wcet, rows, availability, cap, None)
             assert (value, ok) == cold
             # Certified seeds: any start at or below the converged
             # demand must reproduce the cold result exactly.
             seeds = [
                 None if d is None else rng.randint(0, d) for d in demands
             ]
-            again = fps_seeded(
-                wcet, info, availability, jitters, cap, own, seeds
-            )
+            again = fps_rows(wcet, rows, availability, cap, seeds)
             assert (again[0], again[1]) == cold
             # Exact re-seed with the converged demands: same again.
-            exact = fps_seeded(
-                wcet, info, availability, jitters, cap, own, demands
-            )
+            exact = fps_rows(wcet, rows, availability, cap, demands)
             assert (exact[0], exact[1]) == cold
 
     def test_fps_uncertified_seed_guard(self):
@@ -128,18 +119,13 @@ class TestInnerWarmStartKernels:
             wcet = rng.randint(1, 10)
             cap = rng.randint(50, 4000)
             own = rng.randint(0, 30)
-            cold_value, _ = fps_cold(
-                wcet, info, availability, jitters, cap, own
-            )
-            _, _, demands = fps_seeded(
-                wcet, info, availability, jitters, cap, own, None
-            )
+            rows = resolve_rows(info, jitters, own)
+            cold_value, _, _ = fps_rows(wcet, rows, availability, cap)
+            _, _, demands = fps_rows(wcet, rows, availability, cap, None)
             bogus = [
                 None if d is None else d + rng.randint(1, 25) for d in demands
             ]
-            value, _, _ = fps_seeded(
-                wcet, info, availability, jitters, cap, own, bogus
-            )
+            value, _, _ = fps_rows(wcet, rows, availability, cap, bogus)
             assert value >= cold_value
             if value == cold_value:
                 guarded += 1
@@ -174,29 +160,23 @@ class TestInnerWarmStartKernels:
             ms = rng.randint(1, 4)
             cap = rng.randint(100, 6000)
             own = rng.randint(0, 40)
+            args = (
+                resolve_rows(hp, jitters, own), resolve_rows(lf, jitters, own),
+                lower, lam, theta, sigma, ct, gd_cycle, st_bus, ms, cap,
+            )
             for strategy in ("bound", "exact"):
-                cold = dyn_cold(
-                    hp, lf, lower, lam, theta, sigma, ct, gd_cycle, st_bus,
-                    ms, jitters, cap, own, strategy,
-                )
-                w, ok, final = dyn_seeded(
-                    hp, lf, lower, lam, theta, sigma, ct, gd_cycle, st_bus,
-                    ms, jitters, cap, own, strategy,
-                )
+                cold = dyn_rows(*args, strategy)[:2]
+                w, ok, final = dyn_rows(*args, strategy, None)
                 assert (w, ok) == cold
-                seeded = dyn_seeded(
-                    hp, lf, lower, lam, theta, sigma, ct, gd_cycle, st_bus,
-                    ms, jitters, cap, own, strategy,
-                    seed=rng.randint(0, final),
+                seeded = dyn_rows(
+                    *args, strategy, seed=rng.randint(0, final)
                 )
                 assert (seeded[0], seeded[1]) == cold
                 # Uncertified over-seeds: never below the cold least
                 # fixed point (see the FPS guard test for why equality
                 # cannot be promised).
-                bogus = dyn_seeded(
-                    hp, lf, lower, lam, theta, sigma, ct, gd_cycle, st_bus,
-                    ms, jitters, cap, own, strategy,
-                    seed=final + rng.randint(1, 30),
+                bogus = dyn_rows(
+                    *args, strategy, seed=final + rng.randint(1, 30)
                 )
                 assert bogus[0] >= cold[0]
 
@@ -205,18 +185,12 @@ class TestInnerWarmStartKernels:
         """The holistic fix point hands the kernels its plain interferer
         rows first and its ancestor rows last, not in the name-keyed
         order: both kernels must give the same result for any order."""
-        from repro.analysis.dyn import resolved_busy_window as dyn_rows
-        from repro.analysis.fps import (
-            interferer_rows,
-            resolved_busy_window as fps_rows,
-        )
-
         rng = random.Random(29)
         for _ in range(200):
             availability, info, jitters = self._random_case(rng)
             wcet = rng.randint(1, 8)
             cap = rng.randint(50, 4000)
-            rows = interferer_rows(info, jitters, rng.randint(0, 60))
+            rows = resolve_rows(info, jitters, rng.randint(0, 60))
             shuffled = rng.sample(rows, len(rows))
             for prune in (True, False):
                 assert fps_rows(

@@ -11,7 +11,9 @@ instead of keeping their own drifting copies:
 * ``bound_scenario_systems`` / ``fuzz_faults`` -- the (system, config)
   grid and fault-model scenarios behind the fault-hypothesis soundness
   referee (``tests/test_faults.py``) and its hypothesis twin
-  (``tests/test_properties.py``).
+  (``tests/test_properties.py``),
+* ``resolve_rows`` -- name-keyed interferer rows resolved into the busy-
+  window kernels' ``(period, jitter, size)`` rows.
 """
 
 from __future__ import annotations
@@ -201,3 +203,16 @@ def basic_config(
         n_minislots=n_minislots,
         frame_ids=frame_ids or {},
     )
+
+
+def resolve_rows(info, jitters, own_jitter):
+    """The ``(period, jitter, size)`` rows of ``fps.resolved_busy_window``
+    and ``dyn.resolved_busy_window`` from name-keyed ``(name, period,
+    is_ancestor[, size])`` rows: an ancestor's jitter is the offset
+    ``own_jitter - period``, any other interferer's its entry in
+    *jitters* (0 when absent), and a missing size reads 0 (DYN hp rows).
+    """
+    return [
+        (p, own_jitter - p if anc else jitters.get(name, 0), size[0] if size else 0)
+        for name, p, anc, *size in info
+    ]

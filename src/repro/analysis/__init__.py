@@ -52,6 +52,7 @@ from repro.analysis.holistic import (
     AnalysisOptions,
     AnalysisResult,
     BACKEND_MODES,
+    SweepRow,
     analyse_system,
     analysis_cap,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "BACKEND_MODES",
     "BusLoad",
     "SlackEntry",
+    "SweepRow",
     "DynInterference",
     "InstantTables",
     "NodeAvailability",

@@ -99,47 +99,69 @@ class NodeAvailability:
     def __init__(self, busy: Sequence[Tuple[int, int]], period: int):
         if period <= 0:
             raise AnalysisError(f"availability period must be positive, got {period}")
-        merged = merge_intervals(busy)
-        for s, e in merged:
+        # Precomputed once, in one pass over the sorted intervals that
+        # merges overlapping and touching ones as it goes: the
+        # response-time fix points call ``advance`` millions of times per
+        # optimiser run and none of this changes after construction.
+        # ``gap_ends[k]`` is the end of gap k and ``through[k]`` the
+        # pattern slack up to and including gap k, so ``advance`` can
+        # bisect instead of walking the gap list.  The critical instants
+        # are time 0 and every merged busy start; ``before`` holds the
+        # pattern slack before each (merged intervals never touch, so
+        # every busy start but a leading one at 0 closes a gap), and
+        # ``blocks`` the busy run starting at each.
+        spans = sorted(busy)
+        merged: List[Tuple[int, int]] = []
+        instants = [0]
+        gaps: List[Tuple[int, int]] = []
+        gap_starts: List[int] = []
+        gap_ends: List[int] = []
+        through: List[int] = []
+        before = [0]
+        blocks = [0]
+        acc = 0
+        prev = 0
+        i = 0
+        n = len(spans)
+        while i < n:
+            s, e = spans[i]
+            i += 1
+            if e <= s:
+                continue  # empty
+            while i < n and spans[i][0] <= e:
+                if spans[i][1] > e:
+                    e = spans[i][1]
+                i += 1
             if s < 0 or e > period:
                 raise AnalysisError(
                     f"busy interval ({s}, {e}) escapes the period [0, {period})"
                 )
-        self.period = period
-        self.busy = merged
-        # Precomputed once, in one pass over the merged pattern: the
-        # response-time fix points call ``advance`` millions of times per
-        # optimiser run and none of this changes after construction.
-        # ``_gap_ends[k]`` is the end of gap k and ``_slack_through[k]``
-        # the pattern slack up to and including gap k, so ``advance`` can
-        # bisect instead of walking the gap list.  The critical instants
-        # are time 0 and every busy start; ``before`` holds the pattern
-        # slack before each (merged intervals never touch, so every busy
-        # start but a leading one at 0 closes a gap), and ``blocks`` the
-        # busy run starting at each.
-        gaps: List[Tuple[int, int]] = []
-        through: List[int] = []
-        before = [0]
-        blocks = [merged[0][1] if merged and merged[0][0] == 0 else 0]
-        acc = 0
-        prev = 0
-        for s, e in merged:
+            merged.append((s, e))
             if s > prev:
                 gaps.append((prev, s))
+                gap_starts.append(prev)
+                gap_ends.append(s)
                 acc += s - prev
                 through.append(acc)
+            elif not s:
+                blocks[0] = e  # a leading busy run blocks time 0 too
+            instants.append(s)
             before.append(acc)
             blocks.append(e - s)
             prev = e
         if prev < period:
             gaps.append((prev, period))
+            gap_starts.append(prev)
+            gap_ends.append(period)
             acc += period - prev
             through.append(acc)
+        self.period = period
+        self.busy = merged
         self._busy_per_period = period - acc
         self._gap_list = gaps
-        self._critical_instants = [0] + [s for s, _ in merged]
-        self._gap_starts_arr = [s for s, _ in gaps]
-        self._gap_ends = [e for _, e in gaps]
+        self._critical_instants = instants
+        self._gap_starts_arr = gap_starts
+        self._gap_ends = gap_ends
         self._slack_through = through
         # Evaluation order for the busy-window maximisation: instants
         # sorted by descending initial busy-run length (ties by index:
@@ -154,11 +176,11 @@ class NodeAvailability:
         )
         idle = not merged
         self._tables = InstantTables(
-            self._critical_instants,
+            instants,
             None if idle else before,
-            period - self._busy_per_period,
+            acc,
             period,
-            None if idle else self._gap_ends,
+            None if idle else gap_ends,
             None if idle else through,
             eval_order,
         )

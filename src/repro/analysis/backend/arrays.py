@@ -14,7 +14,7 @@ rows and transmission times).  The lowering follows that split:
   response times), the availability staircase tables and the staircase
   verdict.
 
-The per-lane scalars (caps, cycle geometry) are resolved per batch by
+The per-lane scalars (caps, cycle geometry) are resolved per run by
 :func:`repro.analysis.backend.native.run_group_native`, which packs the
 plan into the int64 blob the C kernels parse.  A pure-DYN sweep is one
 group end to end; an ST-heavy sweep is a fresh *singleton* group per
@@ -102,7 +102,7 @@ class StructureTemplate:
 
     __slots__ = (
         "n_rows", "n_acts", "n_comps", "fault_rows", "acts", "comps",
-        "wcet_positive",
+        "wcet_positive", "packed_acts",
     )
 
     def __init__(self, structure):
@@ -167,6 +167,8 @@ class StructureTemplate:
         self.acts = acts
         self.comps = [x for comp in structure.components for x in comp]
         self.wcet_positive = wcet_positive
+        #: ``acts`` as an ``array('q')``, packed by the first plan blob.
+        self.packed_acts = None
 
 
 class GroupPlan:
@@ -183,8 +185,7 @@ class GroupPlan:
         "structure", "template", "arts", "w0", "avs", "stair", "native_state",
     )
 
-    def __init__(self, ctx, config, arts):
-        structure = ctx._structure(config)
+    def __init__(self, structure, arts):
         template = structure.template
         if template is None:
             template = structure.template = StructureTemplate(structure)

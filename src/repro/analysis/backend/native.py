@@ -26,9 +26,9 @@ reports ``conv = -1``.  The shim keeps two gates around it:
   response time, a release, ``fault_k``, the iteration budget) falls
   outside int64; the group then runs on the oracle.
 
-Delegated candidates -- a failing group, or a single overflowed lane --
-are analysed by the Python oracle on the schedule artifacts the plan
-already carries (``AnalysisContext._analyse_fetched``): bit-identical by
+Delegated lanes -- a failing group, or a single overflowed lane -- come
+back as ``None``, and the context analyses them with the Python oracle
+on the schedule artifacts the plan already carries: bit-identical by
 definition, and no schedule is replayed twice.  Every other lane
 computed exactly the integers Python's unbounded ints would, so its
 result is bit-identical too.
@@ -76,9 +76,10 @@ def plan_blob(plan) -> array:
     **structure-invariant** (the component schedule, interferer rows,
     FrameIDs, transmission times; the availability references are by
     index into the record's ``av_nodes``), so they are packed once per
-    structure record (``StructureTemplate.comps`` and ``.acts``); only
-    the header, ``w0``, the fault rows and the availability tables are
-    per group.
+    structure record (``StructureTemplate.comps`` and ``.acts``, the
+    latter kept as an ``array('q')`` after its first blob); only the
+    header, ``w0``, the fault rows and the availability tables are per
+    group.
     """
     template = plan.template
     out = [
@@ -99,30 +100,34 @@ def plan_blob(plan) -> array:
         out += av.gap_ends
         out += av.through
         out += av.eval_order
-    return array("q", out + template.acts)
+    acts = template.packed_acts
+    if acts is None:
+        # Raises OverflowError, as the rest of the blob does, while an
+        # input is outside int64.
+        acts = template.packed_acts = array("q", template.acts)
+    blob = array("q", out)
+    blob += acts
+    return blob
 
 
-def run_group_native(ctx, plan, configs) -> List:
-    """Analyse one group on the C kernels (the oracle where they cannot).
+def run_group_native(ctx, plan, lanes, ms_len) -> List:
+    """Run one group's lanes on the C kernels.
 
-    All *configs* share *plan*'s schedule and structure keys (the
-    caller groups them); the returned
-    :class:`~repro.analysis.holistic.AnalysisResult` list is
-    bit-identical to the per-candidate Python path.
+    Every lane ``(n_minislots, gd_cycle, st_bus)`` shares *plan*'s
+    schedule and structure keys (the caller groups them; *ms_len* is
+    the structure key's minislot length).  Returns per lane ``(wcrt,
+    converged)`` -- the response times in result order
+    (``plan.structure.names``) -- or ``None`` for a lane the Python
+    oracle must analyse: every lane of a structurally unsafe group or
+    of one with an input outside int64, and a lane that overflowed
+    int64 in the kernel.
     """
-    arts = plan.arts
     if not plan.stair:
-        return [ctx._analyse_fetched(c, arts) for c in configs]
+        return [None] * len(lanes)
     options = ctx.options
-    cap_base = ctx._cap_base
-    caps = [
-        options.cap_factor
-        * (cap_base if cap_base > c.gd_cycle else c.gd_cycle)
-        for c in configs
-    ]
     native = native_or_none()
     n_rows = plan.template.n_rows
-    L = len(configs)
+    L = len(lanes)
     # Lane-major response-time buffer: each lane's fix point works on
     # one contiguous row of ``n_rows`` entries.
     W = array("q", [0]) * (L * n_rows)
@@ -132,26 +137,22 @@ def run_group_native(ctx, plan, configs) -> List:
             plan.native_state = native.build_plan(plan_blob(plan).tobytes())
         native.run_batch(
             plan.native_state,
-            array("q", caps),
-            array("q", [c.n_minislots for c in configs]),
-            array("q", [c.gd_cycle for c in configs]),
-            array("q", [c.st_bus for c in configs]),
-            configs[0].gd_minislot,  # structure-key invariant
+            array("q", [ctx._cap(gd_cycle) for _, gd_cycle, _ in lanes]),
+            array("q", [n for n, _, _ in lanes]),
+            array("q", [gd_cycle for _, gd_cycle, _ in lanes]),
+            array("q", [st_bus for _, _, st_bus in lanes]),
+            ms_len,
             ctx._fault_k,
             options.max_holistic_iterations,
             W,
             conv,
         )
     except OverflowError:  # an input outside int64
-        return [ctx._analyse_fetched(c, arts) for c in configs]
+        return [None] * L
     # The result's rows lead the row layout, in the oracle's item order.
-    names = plan.structure.names
-    results = []
-    for lane, config in enumerate(configs):
-        if conv[lane] < 0:  # the lane overflowed int64
-            results.append(ctx._analyse_fetched(config, arts))
-            continue
-        base = lane * n_rows
-        wcrt = dict(zip(names, W[base:base + len(names)]))
-        results.append(ctx._result(config, arts, wcrt, conv[lane] == 1))
-    return results
+    n_names = len(plan.structure.names)
+    return [
+        None if conv[lane] < 0  # the lane overflowed int64
+        else (W[lane * n_rows:lane * n_rows + n_names].tolist(), conv[lane] == 1)
+        for lane in range(L)
+    ]

@@ -11,9 +11,9 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     order and the FrameID-independent edges of its dependency graph.
     Computed once per :class:`AnalysisContext`.
 
-(b) **per-static-segment artifacts** -- the built
-    :class:`~repro.analysis.schedule_table.ScheduleTable`, the static
-    response times and the per-node
+(b) **per-static-segment artifacts** -- the replayed
+    :class:`~repro.analysis.schedule_table.ScheduleRecord` (a result's
+    table is a view of it), the static response times and the per-node
     :class:`~repro.analysis.availability.NodeAvailability` patterns.
     These depend on the static segment structure, the bus speed
     parameters and -- *only when the application sends ST messages* --
@@ -43,6 +43,10 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     is computed, inline.  The busy-window kernels take the interferer
     rows resolved to ``(period, jitter or ancestor offset, size)``.
 
+A DYN-length sweep (:meth:`AnalysisContext.analyse_sweep`) reads all
+three tiers per length from one template and a length -- no
+configuration per length -- and returns compact rows.
+
 The fix point walks the component schedule: an acyclic component is
 evaluated once (its inputs are final by then), and only a cyclic one
 iterates.  Inside a cyclic component it tracks which activities'
@@ -63,7 +67,15 @@ from repro.analysis.availability import NodeAvailability, wrap_busy_intervals
 from repro.analysis.dyn import resolved_busy_window as _dyn_busy_window
 from repro.analysis.fill import FILL_STRATEGIES
 from repro.analysis.fps import hp_tasks, resolved_busy_window as _fps_busy_window
+from repro.analysis.holistic import (
+    AnalysisOptions,
+    AnalysisResult,
+    SweepRow,
+    _infeasible,
+    analysis_cap_base,
+)
 from repro.analysis.priorities import critical_path_priorities
+from repro.analysis.schedule_table import ScheduleTable
 from repro.analysis.scheduler import SchedulePlan
 from repro.core.config import FlexRayConfig
 from repro.core.cost import cost_order, cost_over
@@ -73,10 +85,13 @@ from repro.model.times import ceil_div
 
 logger = logging.getLogger(__name__)
 
-#: Per-static-segment artifacts (tier b).  ``failure`` carries the
-#: scheduling error message when the segment cannot be scheduled at all.
+#: Per-static-segment artifacts (tier b): the replayed
+#: :class:`~repro.analysis.schedule_table.ScheduleRecord` (a result's
+#: table is a view of it), the static response times and the per-node
+#: availability.  ``failure`` carries the scheduling error message when
+#: the segment cannot be scheduled at all.
 _ScheduleArtifacts = namedtuple(
-    "_ScheduleArtifacts", "table failure static_wcrt availability"
+    "_ScheduleArtifacts", "record failure static_wcrt availability"
 )
 
 #: One FPS task's tier (a) row, in the slot layout.  ``interferers``
@@ -97,12 +112,14 @@ _FpsTask = namedtuple("_FpsTask", "release wcet node predecessors interferers")
 #: FPS task's wcet (``(0, 0, 0)`` past the slots); the DYN messages'
 #: ``cts``, ``minislots`` and ``senders`` rows; the FPS tasks' ``preds``
 #: rows and their interferers split into ``plain`` rows and ``anc``
-#: ``(row, period, wcet)`` entries (same-graph ancestors); and the
-#: static ``fault_rows`` the k-error hypothesis inflates.
+#: ``(row, period, wcet)`` entries (same-graph ancestors); the static
+#: ``fault_rows`` the k-error hypothesis inflates; and ``cost_rows``,
+#: Eq. (5)'s ``(row, deadline)`` terms (``None`` when some activity has
+#: no row, which :func:`~repro.core.cost.cost_over` then reports).
 _Rows = namedtuple(
     "_Rows",
     "names tail n_static interference cts minislots senders preds plain "
-    "anc fault_rows",
+    "anc fault_rows cost_rows",
 )
 
 
@@ -149,11 +166,12 @@ class _Structure:
 
     __slots__ = (
         "names", "tail", "n_rows", "interference", "acts", "order",
-        "components", "av_nodes", "fault_rows", "template",
+        "components", "av_nodes", "fault_rows", "cost_rows", "template",
     )
 
     def __init__(self, rows, acts, order, components, av_nodes):
         self.names = rows.names
+        self.cost_rows = rows.cost_rows
         self.tail = rows.tail
         self.n_rows = rows.n_static + len(rows.tail)
         self.interference = rows.interference
@@ -197,7 +215,6 @@ class AnalysisContext:
             describe_backends,
             require_native,
         )
-        from repro.analysis.holistic import AnalysisOptions, analysis_cap_base
 
         self.system = system
         self.options = options or AnalysisOptions()
@@ -432,14 +449,13 @@ class AnalysisContext:
         )
         return failure
 
-    def _static_wcrt(self, table) -> Dict[str, int]:
-        """Static response times of a replayed *table*, from its record.
+    def _static_wcrt(self, record) -> Dict[str, int]:
+        """Static response times of a replayed schedule *record*.
 
         Per activity the largest ``finish - instance * period`` over its
         jobs, in the job table's ``names`` order: the values and the key
         order of :func:`repro.analysis.st_msg.static_response_times`.
         """
-        record = table.record
         jobs = record.jobs
         worst = [0] * len(jobs.names)
         for n, f, base in zip(jobs.name_of, record.finish, jobs.base):
@@ -449,27 +465,35 @@ class AnalysisContext:
         return dict(zip(jobs.names, worst))
 
     def _schedule_artifacts(self, config: FlexRayConfig) -> _ScheduleArtifacts:
-        """Tier (b): replay-or-fetch the static schedule and its derivates.
+        """Tier (b): replay-or-fetch the static schedule and its derivates."""
+        return self._artifacts_at(
+            config, config.gd_cycle, self.schedule_key(config)
+        )
+
+    def _artifacts_at(
+        self, config: FlexRayConfig, gd_cycle: int, key: tuple
+    ) -> _ScheduleArtifacts:
+        """:meth:`_schedule_artifacts` for *config*'s static segment at
+        the cycle length *gd_cycle*, whose schedule key is *key* -- how
+        a sweep fetches each length's schedule from its template.
 
         The static response times and the availability patterns read
         the replay's flat record; no table entry is built.
         """
-        key = self.schedule_key(config)
         entry = self._schedule_cache.get(key)
         if entry is not None:
             self._schedule_cache.move_to_end(key)
             return entry
         try:
-            table = self._plan(config).replay(config)
+            record = self._plan(config).replay(config, gd_cycle=gd_cycle)
         except SchedulingError as exc:
             entry = _ScheduleArtifacts(
-                table=None,
+                record=None,
                 failure=f"static scheduling failed: {exc}",
                 static_wcrt=None,
                 availability=None,
             )
         else:
-            record = table.record
             horizon = record.horizon
             availability = {}
             for node in self.system.nodes:
@@ -480,9 +504,9 @@ class AnalysisContext:
                     busy = wrap_busy_intervals(busy, horizon)
                 availability[node] = NodeAvailability(busy, horizon)
             entry = _ScheduleArtifacts(
-                table=table,
+                record=record,
                 failure=None,
-                static_wcrt=self._static_wcrt(table),
+                static_wcrt=self._static_wcrt(record),
                 availability=availability,
             )
         _lru_insert(self._schedule_cache, key, entry, _MAX_SCHEDULE_ENTRIES)
@@ -565,6 +589,14 @@ class AnalysisContext:
             fault_rows=tuple(
                 i for i, name in enumerate(static_names)
                 if name in self._fault_static_names
+            ),
+            cost_rows=(
+                tuple((row_of[name], d) for name, d in self._cost_order)
+                if all(
+                    row_of.get(name, len(names)) < len(names)
+                    for name, _ in self._cost_order
+                )
+                else None
             ),
         )
         _lru_insert(self._row_cache, key, layout, _MAX_STRUCTURE_ENTRIES)
@@ -739,9 +771,155 @@ class AnalysisContext:
         Result lists are ordered like *configs* and bit-identical across
         backends.
         """
-        if self.options.backend == "native":
+        if self._native_kernels():
             return self._analyse_native_batch(configs)
         return [self._analyse_python(c) for c in configs]
+
+    def analyse_sweep(self, sweep) -> list:
+        """Analyse one static variant at many DYN lengths.
+
+        *sweep* names a template configuration and its ``lengths`` (a
+        :class:`~repro.core.runtime.CandidateSweep`); length n stands
+        for ``template.with_dyn_length(n)``, but no configuration is
+        built per length.  The sweep validates through the monotone
+        floor (its first legal length clears the rest), derives the
+        structure record once, and per length replays the schedule (or
+        fetches it) and runs the fix point -- on the compiled kernels
+        under ``backend="native"``, lanes of one schedule sharing a
+        group.
+
+        Returns one entry per length, in order: a
+        :class:`~repro.analysis.holistic.SweepRow` -- failure or cost,
+        schedulable, converged and the response times -- except at the
+        sweep's best (the first lowest ``cost_value``), which is the
+        full :class:`~repro.analysis.holistic.AnalysisResult`.  Every
+        entry equals :meth:`analyse` of that length's configuration,
+        field for field.
+        """
+        template = sweep.template
+        lengths = sweep.lengths
+        st_bus = template.st_bus
+        ms_len = template.gd_minislot
+        static_key = template.static_key()
+        structure_key = self.structure_key(template)
+        floor_key = (static_key, template.frame_key)
+        floor = self._valid_floor.get(floor_key)
+        native = self._native_kernels()
+        structure = None
+        entries: list = [None] * len(lengths)
+        # The running best: (index, row, schedule artifacts).
+        best = None
+        # Native: consecutive feasible lengths sharing a schedule key,
+        # run as one group -- ``(key, artifacts, [index...])``.
+        run = None
+
+        def emit(i, failure, arts=None, values=None, converged=False):
+            nonlocal best
+            if failure is not None:
+                row = SweepRow(template, lengths[i], failure, None, False, False)
+            else:
+                names = structure.names
+                if len(values) > len(names):
+                    del values[len(names):]
+                cost_rows = structure.cost_rows
+                cost = (
+                    cost_over(cost_rows, values) if cost_rows is not None
+                    # Some activity has no row: the name-keyed fold
+                    # reports it.
+                    else cost_over(self._cost_order, dict(zip(names, values)))
+                )
+                row = SweepRow(
+                    template, lengths[i], None, cost,
+                    cost.schedulable and converged, converged, names, values,
+                )
+            entries[i] = row
+            if best is None or row.cost_value < best[1].cost_value:
+                best = (i, row, arts)
+
+        def flush():
+            from repro.analysis.backend.native import run_group_native
+
+            key, arts, indices = run
+            plan = self._group_plan((key, structure_key), structure, arts)
+            lanes = []
+            for i in indices:
+                gd_cycle = st_bus + lengths[i] * ms_len
+                lanes.append((lengths[i], gd_cycle, st_bus))
+            for i, lane, out in zip(
+                indices, lanes, run_group_native(self, plan, lanes, ms_len)
+            ):
+                if out is None:  # the oracle analyses this lane
+                    out = self._fix_point(
+                        structure, arts, lane[0], lane[1], st_bus, ms_len,
+                        self._cap(lane[1]),
+                    )
+                emit(i, None, arts, *out)
+
+        for i, n in enumerate(lengths):
+            if floor is None or n < floor:
+                failure = self._validate(template.with_dyn_length(n))
+                floor = self._valid_floor.get(floor_key)
+            else:
+                failure = None
+            if failure is None:
+                gd_cycle = st_bus + n * ms_len
+                key = (
+                    static_key + (gd_cycle,) if self._st_dependent
+                    else static_key
+                )
+                arts = self._artifacts_at(template, gd_cycle, key)
+                failure = arts.failure
+            if failure is not None:
+                if run is not None:
+                    flush()
+                    run = None
+                emit(i, failure)
+                continue
+            if structure is None:
+                structure = self._structure(template)
+            if not native:
+                emit(i, None, arts, *self._fix_point(
+                    structure, arts, n, gd_cycle, st_bus, ms_len,
+                    self._cap(gd_cycle),
+                ))
+            elif run is not None and run[0] == key:
+                run[2].append(i)
+            else:
+                if run is not None:
+                    flush()
+                run = (key, arts, [i])
+        if run is not None:
+            flush()
+        if best is not None:
+            i, row, arts = best
+            config = template.with_dyn_length(row.n_minislots)
+            entries[i] = (
+                _infeasible(config, row.failure)
+                if row.failure is not None
+                else self._result(config, arts, row.wcrt, row.converged)
+            )
+        return entries
+
+    def _native_kernels(self) -> bool:
+        """Whether analyses run on the compiled kernels: the native
+        backend, under the "bound" fill strategy the kernels implement."""
+        return (
+            self.options.backend == "native"
+            and self.options.dyn_fill_strategy == "bound"
+        )
+
+    def _group_plan(self, key, structure, arts):
+        """The cached :class:`~repro.analysis.backend.arrays.GroupPlan`
+        of a (schedule key, structure key) group."""
+        from repro.analysis.backend.arrays import GroupPlan
+
+        plan = self._backend_plans.get(key)
+        if plan is None:
+            plan = GroupPlan(structure, arts)
+            _lru_insert(self._backend_plans, key, plan, _MAX_SCHEDULE_ENTRIES)
+        else:
+            self._backend_plans.move_to_end(key)
+        return plan
 
     def _analyse_native_batch(self, configs) -> list:
         """The compiled-kernel path of :meth:`analyse_batch`.
@@ -755,12 +933,7 @@ class AnalysisContext:
         outside int64 and single lanes that overflowed int64 in the
         kernel back to the Python oracle (:meth:`_analyse_fetched`).
         """
-        if self.options.dyn_fill_strategy != "bound":
-            # The kernels implement the polynomial fill bound only.
-            return [self._analyse_python(c) for c in configs]
-        from repro.analysis.backend.arrays import GroupPlan
         from repro.analysis.backend.native import run_group_native
-        from repro.analysis.holistic import _infeasible
 
         results = [None] * len(configs)
         # key -> (the group's schedule artifacts, candidate indices); the
@@ -779,25 +952,27 @@ class AnalysisContext:
             key = (self.schedule_key(config), self.structure_key(config))
             groups.setdefault(key, (arts, []))[1].append(i)
         for key, (arts, indices) in groups.items():
-            plan = self._backend_plans.get(key)
-            if plan is None:
-                plan = GroupPlan(self, configs[indices[0]], arts)
-                _lru_insert(
-                    self._backend_plans, key, plan, _MAX_SCHEDULE_ENTRIES
-                )
-            else:
-                self._backend_plans.move_to_end(key)
-            for i, result in zip(
-                indices,
-                run_group_native(self, plan, [configs[i] for i in indices]),
-            ):
-                results[i] = result
+            first = configs[indices[0]]
+            plan = self._group_plan(key, self._structure(first), arts)
+            names = plan.structure.names
+            lanes = [
+                (configs[i].n_minislots, configs[i].gd_cycle, configs[i].st_bus)
+                for i in indices
+            ]
+            outs = run_group_native(self, plan, lanes, first.gd_minislot)
+            for i, out in zip(indices, outs):
+                config = configs[i]
+                if out is None:  # the lane runs on the oracle
+                    results[i] = self._analyse_fetched(config, arts)
+                else:
+                    values, converged = out
+                    results[i] = self._result(
+                        config, arts, dict(zip(names, values)), converged
+                    )
         return results
 
     def _analyse_python(self, config: FlexRayConfig, certified: bool = True):
         """The pure-Python analysis (reference semantics of every backend)."""
-        from repro.analysis.holistic import _infeasible
-
         failure = self._validate(config)
         if failure is not None:
             return _infeasible(config, failure)
@@ -817,25 +992,29 @@ class AnalysisContext:
         schedule artifacts -- the Python path past validation and the
         schedule fetch, and where the compiled backend delegates the
         groups it cannot run."""
-        options = self.options
-        cap_base = self._cap_base
         gd_cycle = config.gd_cycle
-        cap = options.cap_factor * (cap_base if cap_base > gd_cycle else gd_cycle)
-        wcrt, converged = self._fix_point(config, arts, cap, certified)
-        return self._result(config, arts, wcrt, converged)
+        structure = self._structure(config)
+        wcrt, converged = self._fix_point(
+            structure, arts, config.n_minislots, gd_cycle, config.st_bus,
+            config.gd_minislot, self._cap(gd_cycle), certified,
+        )
+        return self._result(
+            config, arts, dict(zip(structure.names, wcrt)), converged
+        )
+
+    def _cap(self, gd_cycle: int) -> int:
+        """The divergence cap at cycle length *gd_cycle*
+        (:func:`~repro.analysis.holistic.analysis_cap`)."""
+        cap_base = self._cap_base
+        return self.options.cap_factor * (
+            cap_base if cap_base > gd_cycle else gd_cycle
+        )
 
     def _result(self, config: FlexRayConfig, arts: _ScheduleArtifacts,
                 wcrt: Dict[str, int], converged: bool):
         """The result tail shared by the oracle and the compiled
-        backend: Eq. (5) on the wcrt dict, the cached schedule retimed
-        to *config*."""
-        from repro.analysis.holistic import AnalysisResult
-
-        table = (
-            arts.table
-            if arts.table.config is config
-            else arts.table.retime_for(config)
-        )
+        backend: Eq. (5) on the wcrt dict, and a view of the schedule
+        record bound to *config*."""
         cost = cost_over(self._cost_order, wcrt)
         return AnalysisResult(
             config=config,
@@ -844,17 +1023,23 @@ class AnalysisContext:
             converged=converged,
             cost=cost,
             wcrt=wcrt,
-            table=table,
+            table=ScheduleTable.from_record(config, arts.record),
         )
 
     def _fix_point(
         self,
-        config: FlexRayConfig,
+        structure: _Structure,
         arts: _ScheduleArtifacts,
+        n_minislots: int,
+        gd_cycle: int,
+        st_bus: int,
+        ms_len: int,
         cap: int,
         certified: bool = True,
-    ) -> Tuple[Dict[str, int], bool]:
-        """The holistic Kleene iteration; returns ``(wcrt, converged)``.
+    ) -> Tuple[List[int], bool]:
+        """The holistic Kleene iteration over *structure*'s rows at one
+        cycle geometry; returns ``(wcrt, converged)``, the response
+        times by row (result order: ``structure.names`` first).
 
         With ``certified=True`` this is the default fast path: the outer
         state starts from the configuration's own static-only state (the
@@ -884,14 +1069,9 @@ class AnalysisContext:
         """
         options = self.options
         fill_strategy = options.dyn_fill_strategy
-        structure = self._structure(config)
         acts = structure.acts
         availability = arts.availability
         avs = [availability[node] for node in structure.av_nodes]
-        n_minislots = config.n_minislots
-        gd_cycle = config.gd_cycle
-        st_bus = config.st_bus
-        ms_len = config.gd_minislot
         fault_k = self._fault_k
 
         # Response times and jitters by row; the static rows start from
@@ -1061,9 +1241,9 @@ class AnalysisContext:
                     break
             else:
                 converged = False
-        # Results list the static entries, then the slot layout, whatever
+        # Rows list the static entries, then the slot layout, whatever
         # order the passes ran in.
-        return dict(zip(structure.names, wcrt)), converged
+        return wcrt, converged
 
 
 def precedence_order(app, dyn_messages, fps_tasks) -> Tuple[int, ...]:

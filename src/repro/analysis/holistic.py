@@ -114,6 +114,71 @@ class AnalysisResult:
         return self.cost.value
 
 
+class SweepRow:
+    """One length of a DYN-length sweep, analysed without a configuration.
+
+    What :meth:`AnalysisContext.analyse_sweep
+    <repro.analysis.context.AnalysisContext.analyse_sweep>` returns per
+    length instead of an :class:`AnalysisResult`: the outcome of
+    analysing ``template.with_dyn_length(n_minislots)``, equal field for
+    field to that result's, minus the configuration object and the
+    schedule table.  ``failure`` is ``None`` exactly when the length is
+    feasible.  ``values`` holds the response times in result order
+    (``names``; the result's ``wcrt`` keys) -- or ``None`` on the
+    compact copy (:meth:`compact`) the optimiser's result cache keeps.
+    """
+
+    __slots__ = (
+        "template", "n_minislots", "failure", "cost", "schedulable",
+        "converged", "names", "values",
+    )
+
+    def __init__(self, template, n_minislots, failure, cost, schedulable,
+                 converged, names=None, values=None):
+        self.template = template
+        self.n_minislots = n_minislots
+        self.failure = failure
+        self.cost = cost
+        self.schedulable = schedulable
+        self.converged = converged
+        self.names = names
+        self.values = values
+
+    @property
+    def feasible(self) -> bool:
+        return self.failure is None
+
+    @property
+    def cost_value(self) -> float:
+        """Cost for optimisers, as :attr:`AnalysisResult.cost_value`."""
+        if self.failure is not None or self.cost is None:
+            return math.inf
+        return self.cost.value
+
+    @property
+    def wcrt(self) -> Dict[str, int]:
+        """The response times by activity (empty when infeasible)."""
+        if self.failure is not None:
+            return {}
+        return dict(zip(self.names, self.values))
+
+    def compact(self) -> "SweepRow":
+        """This row without its response times."""
+        return SweepRow(
+            self.template, self.n_minislots, self.failure, self.cost,
+            self.schedulable, self.converged,
+        )
+
+    @classmethod
+    def of(cls, result: AnalysisResult) -> "SweepRow":
+        """The compact row of a full *result*."""
+        config = result.config
+        return cls(
+            config, config.n_minislots, None if result.feasible else
+            result.failure, result.cost, result.schedulable, result.converged,
+        )
+
+
 def analysis_cap_base(app) -> int:
     """Configuration-independent part of :func:`analysis_cap`.
 

@@ -80,17 +80,17 @@ def build_schedule(
     incremental analysis engine computes them once per parameter set
     instead of once per candidate configuration.
 
-    Implemented as ``SchedulePlan(system, options, priorities).replay
-    (config, wcrt_estimates)``: the plan holds everything that does not
-    depend on the candidate configuration's cycle geometry, so repeated
-    analyses (a DYN-length sweep) construct it once and replay it per
-    candidate.  A one-shot build and a replayed plan produce
-    byte-identical tables by construction.
+    Implemented as a view of ``SchedulePlan(system, options,
+    priorities).replay(config, wcrt_estimates)``: the plan holds
+    everything that does not depend on the candidate configuration's
+    cycle geometry, so repeated analyses (a DYN-length sweep) construct
+    it once and replay it per candidate.  A one-shot build and a
+    replayed plan produce byte-identical tables by construction.
     """
     if priorities is None:
         priorities = critical_path_priorities(system.application, config)
     plan = SchedulePlan(system, options, priorities)
-    return plan.replay(config, wcrt_estimates)
+    return ScheduleTable.from_record(config, plan.replay(config, wcrt_estimates))
 
 
 class SchedulePlan:
@@ -105,13 +105,14 @@ class SchedulePlan:
     invariant across candidate configurations sharing the bus-speed
     parameters lives here: the expanded job instances, the dependency
     indices and the scheduling order.  :meth:`replay` then performs only
-    the placement arithmetic for one concrete configuration, producing a
-    table byte-identical to a from-scratch :func:`build_schedule`.
+    the placement arithmetic for one concrete cycle geometry, producing
+    the record of a table byte-identical to a from-scratch
+    :func:`build_schedule`.
 
     This is what makes the schedule representation *retimable* at the
     cache level: the incremental analysis engine caches one plan per
     bus-speed parameter set (``FlexRayConfig.static_key()`` alone, no
-    cycle length) and derives each cycle length's table by replay,
+    cycle length) and derives each cycle length's record by replay,
     instead of re-running job expansion, priority assignment and ready
     -list ordering per candidate.
 
@@ -217,13 +218,20 @@ class SchedulePlan:
         self,
         config: FlexRayConfig,
         wcrt_estimates: Optional[Mapping[str, int]] = None,
-    ) -> ScheduleTable:
+        gd_cycle: Optional[int] = None,
+    ) -> ScheduleRecord:
         """Place every job of the plan under *config*'s cycle geometry.
 
         Plain int arithmetic over the plan's tables: a ``finish`` list
         indexed like the plan, per-node sorted busy intervals filled by
-        first fit, and ``frame_used`` per ``(cycle, slot)``.  Returns a
-        view of the resulting :class:`ScheduleRecord`.
+        first fit, and ``frame_used`` per ``(cycle, slot)``.  Returns the
+        resulting :class:`ScheduleRecord`;
+        ``ScheduleTable.from_record(config, record)`` is its table.
+
+        ``gd_cycle`` replaces *config*'s cycle length: a DYN-length
+        sweep replays its template at each length without building a
+        configuration per length (the static segment and the bus speed
+        are the template's).
         """
         options = self.options
         fps_aware = options.fps_aware
@@ -242,7 +250,8 @@ class SchedulePlan:
             node: [] for node in self._task_nodes
         }
         frame_used: Dict[Tuple[int, int], int] = {}
-        gd_cycle = config.gd_cycle
+        if gd_cycle is None:
+            gd_cycle = config.gd_cycle
         gd_static_slot = config.gd_static_slot
         limit = options.horizon_factor * horizon + gd_cycle
         # (slot, offset of the slot in its cycle) per sender node.
@@ -300,10 +309,9 @@ class SchedulePlan:
             cell[i] = where
             start[i] = used
             finish[i] = slot_start + used + d
-        record = ScheduleRecord(
+        return ScheduleRecord(
             self.jobs, horizon, start, cell, duration, finish, busy, frame_used
         )
-        return ScheduleTable.from_record(config, record)
 
     def _fps_aware_start(self, i: int, intervals, asap: int) -> int:
         """Fig. 2 line 11: of the candidate starts of task job *i*, the

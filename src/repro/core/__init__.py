@@ -56,6 +56,7 @@ _EXPORTS = {
     "CampaignOptions": "repro.core.campaign",
     "CampaignReport": "repro.core.campaign",
     "CandidateBatch": "repro.core.runtime",
+    "CandidateSweep": "repro.core.runtime",
     "CostBreakdown": "repro.core.cost",
     "Evaluator": "repro.core.search",
     "FabricSpec": "repro.core.fabric",
@@ -154,7 +155,12 @@ if TYPE_CHECKING:  # pragma: no cover - static typing aid only
     from repro.core.mapping import MappingOptions, MappingResult, optimise_mapping
     from repro.core.obc import optimise_obc
     from repro.core.result import OptimisationResult, SearchPoint
-    from repro.core.runtime import CandidateBatch, SearchDriver, SearchStrategy
+    from repro.core.runtime import (
+        CandidateBatch,
+        CandidateSweep,
+        SearchDriver,
+        SearchStrategy,
+    )
     from repro.core.sa import SAOptions, optimise_sa
     from repro.core.search import (
         BusOptimisationOptions,

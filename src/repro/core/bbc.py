@@ -5,9 +5,9 @@ needs: unique criticality-ordered FrameIDs, one static slot per
 ST-sending node, the slot just large enough for the biggest ST frame,
 and a sweep over the legal DYN segment lengths keeping the best cost.
 
-The whole sweep is one :class:`~repro.core.runtime.CandidateBatch`:
-BBC proposes every candidate up front, the
-:class:`~repro.core.runtime.SearchDriver` evaluates the batch (on the
+The whole sweep is one :class:`~repro.core.runtime.CandidateSweep`:
+BBC proposes every DYN length up front against one template, the
+:class:`~repro.core.runtime.SearchDriver` evaluates the sweep (on the
 parallel pool when configured) and its default deterministic selection
 -- lowest cost, first occurrence, infeasible discarded -- is exactly
 the Fig. 5 outcome.
@@ -20,6 +20,7 @@ from repro.core.frameid import assign_frame_ids
 from repro.core.result import OptimisationResult
 from repro.core.runtime import (
     CandidateBatch,
+    CandidateSweep,
     Proposals,
     SearchDriver,
     SearchStrategy,
@@ -62,7 +63,7 @@ def basic_configuration(
 
 
 class BBCStrategy(SearchStrategy):
-    """The Fig. 5 sweep as a single-batch proposal strategy."""
+    """The Fig. 5 sweep as a single-sweep proposal strategy."""
 
     algorithm = "BBC"
 
@@ -76,15 +77,15 @@ class BBCStrategy(SearchStrategy):
             # No DYN messages: the cycle is purely static.
             yield CandidateBatch((basic_configuration(system, 0, bus),))
         else:
-            # The whole sweep shares one static segment, so the warm
-            # context reuses one schedule; batching also lets the
-            # parallel pool fan the candidates out when configured.
-            yield CandidateBatch(
-                tuple(
-                    basic_configuration(system, n_minislots, bus)
-                    for n_minislots in sweep_lengths(lo, hi, bus.max_dyn_points)
+            # The whole sweep shares one static segment and structure,
+            # so the warm context derives them once; one sweep also lets
+            # the parallel pool fan the lengths out when configured.
+            lengths = sweep_lengths(lo, hi, bus.max_dyn_points)
+            if lengths:
+                yield CandidateSweep(
+                    basic_configuration(system, lengths[0], bus),
+                    tuple(lengths),
                 )
-            )
         return None  # driver default selection == Fig. 5's keep-the-best
 
 

@@ -315,6 +315,13 @@ class FlexRayConfig:
         dict, so the dataclass itself is unhashable)."""
         return self.static_key() + (self.n_minislots, self.frame_key)
 
+    def cache_keys(self, lengths) -> list:
+        """``with_dyn_length(n).cache_key()`` per DYN length in
+        *lengths*, without building those configurations."""
+        static_key = self.static_key()
+        frame_key = self.frame_key
+        return [static_key + (n, frame_key) for n in lengths]
+
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

@@ -12,7 +12,10 @@ fixed static-segment structure:
 
 Both are written against the proposal protocol of
 :mod:`repro.core.runtime`: they yield
-:class:`~repro.core.runtime.CandidateBatch` objects and receive the
+:class:`~repro.core.runtime.CandidateSweep` objects (the exhaustive
+sweep, the curve fit's seed set and its estimates, all against the
+variant's template) and :class:`~repro.core.runtime.CandidateBatch`
+objects (the curve fit's single refinement points) and receive the
 evaluated results, so the OBC strategy composes them with ``yield
 from`` and the search driver owns evaluation.  The legacy entry points
 :func:`exhaustive_dyn_length` / :func:`curvefit_dyn_length` drive the
@@ -24,13 +27,18 @@ calling conventions.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
 from repro.core.cost import cost_order, cost_values
 from repro.core.curvefit import NewtonCurves, spread_points
-from repro.core.runtime import CandidateBatch, Proposals, drive_with_evaluator
+from repro.core.runtime import (
+    CandidateBatch,
+    CandidateSweep,
+    Proposals,
+    drive_with_evaluator,
+)
 from repro.core.search import (
     BusOptimisationOptions,
     Evaluator,
@@ -55,17 +63,16 @@ def exhaustive_proposals(
     the configuration ``max_points >= hi - lo + 1``).
     """
     best: Optional[AnalysisResult] = None
-    # One batch: the sweep shares the evaluator's warm AnalysisContext
-    # and fans out over the parallel pool when one is configured; the
-    # first-best selection below matches the serial iteration order.
+    # One sweep: the lengths share the evaluator's warm AnalysisContext
+    # and fan out over the parallel pool when one is configured; the
+    # first-best selection below matches the serial iteration order
+    # (the sweep's best comes back as a full result).
     if max_points is None:
         max_points = options.ee_max_dyn_points
-    configs = [
-        template.with_dyn_length(n) for n in sweep_lengths(lo, hi, max_points)
-    ]
-    if not configs:
+    lengths = sweep_lengths(lo, hi, max_points)
+    if not lengths:
         return None
-    results = yield CandidateBatch(tuple(configs))
+    results = yield CandidateSweep(template, tuple(lengths))
     for result in results:
         if better(result, best):
             best = result
@@ -83,21 +90,14 @@ def curvefit_proposals(
     if hi < lo:
         return None
 
+    # Exact points: full results, or the seed sweep's rows (which the
+    # driver turns into a full result if one is returned).
     exact: Dict[int, AnalysisResult] = {}
     # One response-time curve per activity, rows in Eq. (5) order.
     order = cost_order(system.application)
     names = [name for name, _ in order]
     deadlines = [deadline for _, deadline in order]
     curves = NewtonCurves(len(names))
-    # The candidate lengths are fixed for this static variant, so each
-    # one's configuration is built once, not once per round.
-    configs: Dict[int, FlexRayConfig] = {}
-
-    def config_for(n: int) -> FlexRayConfig:
-        config = configs.get(n)
-        if config is None:
-            config = configs[n] = template.with_dyn_length(n)
-        return config
 
     def record_point(n: int, result: AnalysisResult) -> None:
         exact[n] = result
@@ -112,7 +112,7 @@ def curvefit_proposals(
             curves.add_point(n, [wcrt[name] for name in names])
 
     # Line 1-5: seed points, analysed exactly.  The seeds are mutually
-    # independent, so they go out as one batch: they share the
+    # independent, so they go out as one sweep: they share the
     # evaluator's result cache and fan out over the parallel pool when
     # one is configured.  Batching unconditionally forfeits the old
     # stop-at-first-schedulable-seed early exit (rare: it only fired
@@ -121,9 +121,7 @@ def curvefit_proposals(
     # ``parallel_workers`` here would make their evaluation counts and
     # traces diverge.
     seed_lengths = spread_points(lo, hi, options.initial_cf_points)
-    seed_results = yield CandidateBatch(
-        tuple(template.with_dyn_length(n) for n in seed_lengths)
-    )
+    seed_results = yield CandidateSweep(template, tuple(seed_lengths))
     for n, result in zip(seed_lengths, seed_results):
         record_point(n, result)
         if result.schedulable and options.stop_when_schedulable:
@@ -138,13 +136,13 @@ def curvefit_proposals(
         and len(exact) < options.cf_max_points
     ):
         scored, estimates = _score_candidates(
-            candidates, exact, curves, deadlines, config_for
+            candidates, exact, curves, deadlines
         )
         if estimates:
-            # Estimate-only batch: the interpolated points land in the
+            # Estimate-only sweep: the interpolated points land in the
             # trace now, before the next exact analysis -- the legacy
             # trace order.
-            yield CandidateBatch(estimates=tuple(estimates))
+            yield CandidateSweep(template, estimates=tuple(estimates))
         if not scored:
             break
         cost_min, n_best = scored[0]
@@ -157,11 +155,11 @@ def curvefit_proposals(
             n_next = next((n for _, n in scored if n not in exact), None)
             if n_next is None:
                 break
-            results = yield CandidateBatch((config_for(n_next),))
+            results = yield CandidateBatch((template.with_dyn_length(n_next),))
             record_point(n_next, results[0])
         else:
             # Lines 13-17: analyse the promising interpolated point.
-            results = yield CandidateBatch((config_for(n_best),))
+            results = yield CandidateBatch((template.with_dyn_length(n_best),))
             result = results[0]
             record_point(n_best, result)
             if result.schedulable:
@@ -215,13 +213,12 @@ def _score_candidates(
     exact: Dict[int, AnalysisResult],
     curves: NewtonCurves,
     deadlines: List[int],
-    config_for: Callable[[int], FlexRayConfig],
-) -> Tuple[List[Tuple[float, int]], List[Tuple[FlexRayConfig, float]]]:
+) -> Tuple[List[Tuple[float, int]], List[Tuple[int, float]]]:
     """Cost per candidate length: exact when analysed, else interpolated.
 
     Returns ``(scored, estimates)``: (cost, length) pairs sorted
-    best-first, plus the interpolated points to record in the search
-    trace (in candidate order).  Candidates are skipped while fewer than
+    best-first, plus the interpolated ``(length, cost)`` points to
+    record in the search trace (in candidate order).  Candidates are skipped while fewer than
     two exact feasible points exist (nothing to interpolate from).
     Every open candidate is interpolated and costed in one batched pass.
     """
@@ -232,12 +229,11 @@ def _score_candidates(
             scored.append((exact[n].cost_value, n))
         else:
             open_lengths.append(n)
-    estimates: List[Tuple[FlexRayConfig, float]] = []
+    estimates: List[Tuple[int, float]] = []
     if len(curves) >= 2 and open_lengths:
         columns = [_clamped(row) for row in curves.evaluate(open_lengths)]
-        for n, cost in zip(open_lengths, cost_values(deadlines, columns)):
-            estimates.append((config_for(n), cost))
-            scored.append((cost, n))
+        estimates = list(zip(open_lengths, cost_values(deadlines, columns)))
+        scored += [(cost, n) for n, cost in estimates]
     scored.sort(key=lambda pair: (pair[0], pair[1]))
     return scored, estimates
 

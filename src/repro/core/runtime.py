@@ -4,15 +4,17 @@ Every bus-access optimisation strategy in this repository -- BBC,
 OBC/CF, OBC/EE, SA, GA and anything registered through
 :mod:`repro.core.strategies` -- is a *proposal generator*: it yields
 :class:`CandidateBatch` objects (configurations it wants analysed,
-plus any interpolated cost estimates to record in the trace) and
-receives the evaluated :class:`~repro.analysis.holistic.AnalysisResult`
-list back at the ``yield``.  One :class:`SearchDriver` owns everything
-around that conversation:
+plus any interpolated cost estimates to record in the trace) or
+:class:`CandidateSweep` objects (one static variant at many DYN
+lengths) and receives the evaluated results back at the ``yield``.
+One :class:`SearchDriver` owns everything around that conversation:
 
 * **evaluation** -- every batch goes through
-  :meth:`~repro.core.search.Evaluator.analyse_many`, so every strategy
-  is batch-capable and rides the result cache, the dedup-within-batch
-  logic and (when configured) the parallel process pool;
+  :meth:`~repro.core.search.Evaluator.analyse_many` and every sweep
+  through :meth:`~repro.core.search.Evaluator.analyse_sweep`, so every
+  strategy is batch-capable and rides the result cache, the
+  dedup-within-batch logic and (when configured) the parallel process
+  pool;
 * **trace recording** -- exact points and estimates land in the
   evaluator's trace in proposal order, serial or parallel;
 * **budgets** -- wall-clock and evaluation-count limits
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, Optional, Tuple, Union
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
@@ -53,10 +55,12 @@ from repro.core.result import OptimisationResult
 from repro.core.search import Evaluator, better
 
 #: Type of the conversation a strategy has with the driver: yields
-#: batches, receives result lists, returns an optional explicit
-#: best-selection (None delegates selection to the driver).
+#: batches or sweeps, receives result lists (a sweep's may hold
+#: :class:`~repro.analysis.holistic.SweepRow` entries), returns an
+#: optional explicit best-selection (None delegates selection to the
+#: driver; a returned row is materialised into its full result).
 Proposals = Generator[
-    "CandidateBatch", List[AnalysisResult], Optional[AnalysisResult]
+    Union["CandidateBatch", "CandidateSweep"], list, Optional[AnalysisResult]
 ]
 
 
@@ -75,6 +79,39 @@ class CandidateBatch:
 
     configs: Tuple[FlexRayConfig, ...] = ()
     estimates: Tuple[Tuple[FlexRayConfig, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class CandidateSweep:
+    """One round of the proposal protocol over a DYN-length sweep.
+
+    The candidates are ``template`` at each of ``lengths`` -- what
+    ``template.with_dyn_length(n)`` would be, without building those
+    configurations.  They are analysed by
+    :meth:`~repro.core.search.Evaluator.analyse_sweep`, and the
+    generator receives one entry per length: the sweep's best (first
+    lowest cost) and cache hits as full
+    :class:`~repro.analysis.holistic.AnalysisResult` objects, every
+    other length as a :class:`~repro.analysis.holistic.SweepRow` with
+    the same cost, flags and response times.  ``estimates`` are
+    interpolated ``(n_minislots, cost)`` points against the template,
+    recorded in the trace before the lengths are analysed, as
+    :class:`CandidateBatch` records its estimates.
+    """
+
+    template: FlexRayConfig
+    lengths: Tuple[int, ...] = ()
+    estimates: Tuple[Tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(self.lengths))
+        every = [*self.lengths, *(n for n, _ in self.estimates)]
+        if every:
+            # Every length check of FlexRayConfig is monotone in the DYN
+            # length (the range, FrameID fit, the 16 ms cycle, a
+            # non-empty cycle), so the extremes build iff all lengths do.
+            self.template.with_dyn_length(min(every))
+            self.template.with_dyn_length(max(every))
 
 
 class SearchStrategy:
@@ -97,7 +134,8 @@ class SearchStrategy:
         self.options = options
 
     def proposals(self, system) -> Proposals:
-        """Yield :class:`CandidateBatch` objects for *system*.
+        """Yield :class:`CandidateBatch` / :class:`CandidateSweep`
+        objects for *system*.
 
         Receives the evaluated results of each batch at the ``yield``;
         may ``return`` an explicit best :class:`AnalysisResult` (or
@@ -116,15 +154,28 @@ def drive_with_evaluator(gen: Proposals, evaluator: Evaluator):
     caller-owned evaluator, and by :class:`SearchDriver` subgenerators
     through ``yield from``.  Returns the generator's return value.
     """
-    results: Optional[List[AnalysisResult]] = None
+    results: Optional[list] = None
     while True:
         try:
             batch = gen.send(results)
         except StopIteration as stop:
-            return stop.value
-        for config, cost in batch.estimates:
-            evaluator.note_estimate(config, cost)
-        results = evaluator.analyse_many(list(batch.configs))
+            return evaluator.result_of(stop.value)
+        results = _evaluate(evaluator, batch)
+
+
+def _evaluate(evaluator: Evaluator, batch) -> list:
+    """One protocol round: record *batch*'s estimates in the trace, then
+    analyse its candidates (a :class:`CandidateBatch` through
+    ``analyse_many``, a :class:`CandidateSweep` through
+    ``analyse_sweep``)."""
+    if isinstance(batch, CandidateSweep):
+        template = batch.template
+        for n, cost in batch.estimates:
+            evaluator.note_estimate(template, cost, n)
+        return evaluator.analyse_sweep(batch) if batch.lengths else []
+    for config, cost in batch.estimates:
+        evaluator.note_estimate(config, cost)
+    return evaluator.analyse_many(list(batch.configs))
 
 
 class SearchDriver:
@@ -149,7 +200,7 @@ class SearchDriver:
         stop_reason: Optional[str] = None
         with Evaluator(self.system, options.bus_options()) as evaluator:
             gen = self.strategy.proposals(self.system)
-            results: Optional[List[AnalysisResult]] = None
+            results: Optional[list] = None
             while True:
                 try:
                     batch = gen.send(results)
@@ -160,9 +211,7 @@ class SearchDriver:
                     gen.close()
                     stop_reason = "budget"
                     break
-                for config, cost in batch.estimates:
-                    evaluator.note_estimate(config, cost)
-                results = evaluator.analyse_many(list(batch.configs))
+                results = _evaluate(evaluator, batch)
                 for result in results:
                     if better(result, best):
                         best = result
@@ -174,7 +223,7 @@ class SearchDriver:
                 selected = best
             return OptimisationResult(
                 algorithm=self.strategy.algorithm,
-                best=selected,
+                best=evaluator.result_of(selected),
                 evaluations=evaluator.evaluations,
                 elapsed_seconds=time.perf_counter() - start,
                 trace=tuple(evaluator.trace),

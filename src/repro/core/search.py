@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.context import AnalysisContext
-from repro.analysis.holistic import AnalysisOptions, AnalysisResult
+from repro.analysis.holistic import AnalysisOptions, AnalysisResult, SweepRow
 from repro.core.config import FlexRayConfig
 from repro.core.result import SearchPoint
 from repro.errors import OptimisationError
@@ -122,6 +122,10 @@ def _pool_analyse(config: FlexRayConfig) -> AnalysisResult:
     return _POOL_CONTEXT[0].analyse(config)
 
 
+def _pool_analyse_sweep(sweep) -> list:
+    return _POOL_CONTEXT[0].analyse_sweep(sweep)
+
+
 class Evaluator:
     """Counts exact analyses and accumulates the search trace.
 
@@ -132,15 +136,24 @@ class Evaluator:
     reported in ``cache_hits`` -- so the paper's evaluation-count
     comparisons stay exact whether or not candidates are batched.
 
+    The cache holds a full :class:`AnalysisResult` per configuration
+    analysed through :meth:`analyse` or :meth:`analyse_many`, and a
+    compact :class:`~repro.analysis.holistic.SweepRow` (no response
+    times, no schedule) per length of a sweep (:meth:`analyse_sweep`)
+    except the sweep's best.  A row becomes a full result only when
+    something reads it -- a cache hit, or :meth:`result_of` -- by
+    re-analysing its configuration through the context; that
+    re-analysis is not an evaluation.
+
     Determinism guarantees (all pinned by tests):
 
-    * :meth:`analyse` and :meth:`analyse_many` produce results
-      bit-identical to a fresh ``analyse_system`` call per
-      configuration;
-    * :meth:`analyse_many` preserves order, evaluation counts and trace
-      order whether it runs serially or on the pool
-      (``options.parallel_workers``), so fixed-seed optimiser runs are
-      byte-identical either way;
+    * :meth:`analyse`, :meth:`analyse_many` and :meth:`analyse_sweep`
+      produce results bit-identical to a fresh ``analyse_system`` call
+      per configuration;
+    * :meth:`analyse_many` and :meth:`analyse_sweep` preserve order,
+      evaluation counts and trace order whether they run serially or
+      on the pool (``options.parallel_workers``), so fixed-seed
+      optimiser runs are byte-identical either way;
     * a broken pool degrades to the serial path with identical results.
 
     The evaluator is a context manager: ``with Evaluator(...) as ev:``
@@ -158,7 +171,7 @@ class Evaluator:
         self.cache_hits = 0
         self.trace: List[SearchPoint] = []
         self.context = AnalysisContext(system, options.analysis)
-        self._cache: "OrderedDict[tuple, AnalysisResult]" = OrderedDict()
+        self._cache: OrderedDict = OrderedDict()
         self._executor = None
         self._parallel_broken = False
 
@@ -167,12 +180,10 @@ class Evaluator:
         key = config.cache_key()
         cached = self._cache.get(key)
         if cached is not None:
-            self.cache_hits += 1
-            self._cache.move_to_end(key)
-            return cached
+            return self._hit(key, cached, config)
         result = self.context.analyse(config)
         self._remember(key, result)
-        self._note_exact(config, result)
+        self._note(config, config.n_minislots, result, exact=True)
         return result
 
     def analyse_many(
@@ -189,40 +200,94 @@ class Evaluator:
         """
         configs = list(configs)
         keys = [config.cache_key() for config in configs]
-        # Replay the serial order's cache accounting first, holding a
-        # placeholder for every result still to compute: a repeat is a
-        # hit exactly when the serial order would still find it cached.
-        results: List[Optional[AnalysisResult]] = []
-        misses: List[int] = []
-        pending: "OrderedDict[tuple, FlexRayConfig]" = OrderedDict()
-        for i, key in enumerate(keys):
-            cached = self._cache.get(key)
-            if cached is None:
-                misses.append(i)
-                pending.setdefault(key, configs[i])
-                self._remember(key, _PENDING)
-            else:
-                self.cache_hits += 1
-                self._cache.move_to_end(key)
-            results.append(cached)
+        results, misses, pending = self._replay_accounting(
+            keys, configs, configs.__getitem__
+        )
         if not pending:
             return results
-        try:
-            computed = dict(zip(pending, self._map(list(pending.values()))))
-        except BaseException:
-            for key in pending:
-                if self._cache.get(key) is _PENDING:
-                    del self._cache[key]
-            raise
+        computed = self._compute(pending, lambda: self._map(list(pending.values())))
         for key, result in computed.items():
             if key in self._cache:
                 self._cache[key] = result
         for i in misses:
-            self._note_exact(configs[i], computed[keys[i]])
+            config = configs[i]
+            self._note(config, config.n_minislots, computed[keys[i]], exact=True)
         return [
             computed[key] if result is None or result is _PENDING else result
             for key, result in zip(keys, results)
         ]
+
+    def analyse_sweep(self, sweep) -> list:
+        """Analyse a :class:`~repro.core.runtime.CandidateSweep`: one
+        template at each of its DYN lengths, preserving order.
+
+        Semantically :meth:`analyse_many` over
+        ``template.with_dyn_length(n)`` per length -- same evaluation
+        count, cache-hit accounting and trace -- without building those
+        configurations: the context analyses the uncached lengths as
+        one sweep (in chunks on the parallel pool when one is
+        configured) and returns compact rows.  Per length the returned
+        list holds the sweep's best (its first lowest ``cost_value``)
+        and every cache hit as a full :class:`AnalysisResult`, and every
+        other length as a :class:`~repro.analysis.holistic.SweepRow`
+        carrying its response times; :meth:`result_of` turns such a row
+        into its full result.  The cache keeps the best as a full
+        result and every other length as a compact row.
+        """
+        template = sweep.template
+        lengths = sweep.lengths
+        keys = template.cache_keys(lengths)
+        results, misses, pending = self._replay_accounting(
+            keys, lengths, lambda i: template.with_dyn_length(lengths[i])
+        )
+        if pending:
+            computed = self._compute(
+                pending,
+                lambda: self._map_sweep(
+                    replace(sweep, lengths=tuple(pending.values()), estimates=())
+                ),
+            )
+            for i in misses:
+                self._note(template, lengths[i], computed[keys[i]], exact=True)
+            results = [
+                computed[key] if result is None or result is _PENDING else result
+                for key, result in zip(keys, results)
+            ]
+        # The best is a full result: a hit is one, and so is the first
+        # lowest-cost length of every sweep (or pool chunk) computed.
+        best = None
+        for entry in results:
+            if better(entry, best):
+                best = entry
+        if pending:
+            for key, entry in computed.items():
+                if key in self._cache:
+                    self._cache[key] = (
+                        entry if entry is best
+                        else entry.compact() if isinstance(entry, SweepRow)
+                        else SweepRow.of(entry)
+                    )
+        return results
+
+    def result_of(self, entry):
+        """The full :class:`AnalysisResult` of an :meth:`analyse_sweep`
+        entry (``None`` and full results pass through unchanged).
+
+        A row is re-analysed through the context -- not an evaluation,
+        not a cache hit -- and its cache slot, if it still has one,
+        upgraded to the result in place.
+        """
+        if entry is None or isinstance(entry, AnalysisResult):
+            return entry
+        config = entry.template.with_dyn_length(entry.n_minislots)
+        key = config.cache_key()
+        cached = self._cache.get(key)
+        if isinstance(cached, AnalysisResult):
+            return cached
+        result = self.context.analyse(config)
+        if isinstance(cached, SweepRow):
+            self._cache[key] = result
+        return result
 
     def stats(self) -> EvaluatorStats:
         """Snapshot the evaluator's accounting (see :class:`EvaluatorStats`)."""
@@ -246,6 +311,55 @@ class Evaluator:
         self.close()
 
     # ------------------------------------------------------------------
+    def _hit(self, key: tuple, cached, config: FlexRayConfig):
+        """Account a cache hit on *key*; a compact row is materialised
+        (re-analysed through the context, uncounted) in place."""
+        self.cache_hits += 1
+        self._cache.move_to_end(key)
+        if isinstance(cached, SweepRow):
+            cached = self._cache[key] = self.context.analyse(config)
+        return cached
+
+    def _replay_accounting(self, keys, items, config_at):
+        """Replay the serial order's cache accounting over *keys*.
+
+        A repeat is a hit exactly when the serial order would still find
+        it cached; every result still to compute holds a placeholder
+        slot.  ``items[i]`` is what computing key *i* takes (its
+        configuration or DYN length), and ``config_at(i)`` builds its
+        configuration (a hit on a compact row needs it).  Returns
+        ``(results, misses, pending)``: the hits (``None`` or the
+        placeholder elsewhere), the miss indices, and the distinct keys
+        to compute mapped to their first item.
+        """
+        results: list = []
+        misses: List[int] = []
+        pending: OrderedDict = OrderedDict()
+        for i, key in enumerate(keys):
+            cached = self._cache.get(key)
+            if cached is None:
+                misses.append(i)
+                pending.setdefault(key, items[i])
+                self._remember(key, _PENDING)
+            elif cached is _PENDING:
+                self.cache_hits += 1
+                self._cache.move_to_end(key)
+            else:
+                cached = self._hit(key, cached, config_at(i))
+            results.append(cached)
+        return results, misses, pending
+
+    def _compute(self, pending: OrderedDict, run) -> dict:
+        """``run()``'s outputs by pending key; a failure drops the
+        placeholders it left in the cache."""
+        try:
+            return dict(zip(pending, run()))
+        except BaseException:
+            for key in pending:
+                if self._cache.get(key) is _PENDING:
+                    del self._cache[key]
+            raise
+
     def _remember(self, key: tuple, result) -> None:
         self._cache[key] = result
         bound = self.options.max_cache_entries
@@ -254,52 +368,89 @@ class Evaluator:
             while len(self._cache) > limit:
                 self._cache.popitem(last=False)
 
-    def _note_exact(self, config: FlexRayConfig, result: AnalysisResult) -> None:
-        self.evaluations += 1
+    def _note(self, config: FlexRayConfig, n_minislots: int, result,
+              exact: bool) -> None:
+        """Record *result* -- an exact result or row, or an estimated
+        cost -- in the trace at *config*'s static segment and
+        *n_minislots*; an exact point is one evaluation."""
+        if exact:
+            self.evaluations += 1
+            cost = result.cost_value
+            schedulable = result.schedulable
+        else:
+            cost = result
+            schedulable = cost <= 0
         self.trace.append(
             SearchPoint(
                 n_static_slots=config.n_static_slots,
                 gd_static_slot=config.gd_static_slot,
-                n_minislots=config.n_minislots,
-                cost=result.cost_value,
-                schedulable=result.schedulable,
-                exact=True,
+                n_minislots=n_minislots,
+                cost=cost,
+                schedulable=schedulable,
+                exact=exact,
             )
         )
 
     def _map(self, configs: List[FlexRayConfig]) -> List[AnalysisResult]:
         """Evaluate distinct configurations, parallel when requested."""
-        workers = self.options.parallel_workers or 0
-        if workers > 1 and len(configs) > 1 and not self._parallel_broken:
-            pool = self._ensure_pool(workers)
-            if pool is not None:
-                try:
-                    chunksize = max(1, len(configs) // (workers * 4))
-                    return list(
-                        pool.map(_pool_analyse, configs, chunksize=chunksize)
-                    )
-                except Exception as exc:
-                    # Broken pool / unpicklable payload: degrade to the
-                    # serial path (identical results) for the whole run.
-                    logger.warning(
-                        "parallel evaluation pool failed mid-batch "
-                        "(%s: %s); re-running this batch of %d "
-                        "candidate(s) serially and disabling the pool "
-                        "for the rest of the run -- results are "
-                        "identical, only slower. A worker process may "
-                        "have died (OOM-killed?) or the payload may "
-                        "not be picklable; rerun without --workers to "
-                        "avoid the pool entirely.",
-                        type(exc).__name__,
-                        exc,
-                        len(configs),
-                    )
-                    self._parallel_broken = True
-                    self.close()
+        chunks = self._pool_map(_pool_analyse, configs, len(configs))
+        if chunks is not None:
+            return chunks
         # Serial path: the context's batch entry point -- a plain
         # per-candidate loop on the Python backend, grouped compiled
         # fix points on the native backend (bit-identical either way).
         return self.context.analyse_batch(configs)
+
+    def _map_sweep(self, sweep) -> list:
+        """Evaluate a sweep of distinct lengths, in chunks on the pool
+        when requested; a chunk's best comes back as a full result."""
+        lengths = sweep.lengths
+        workers = self.options.parallel_workers or 0
+        if workers > 1 and len(lengths) > 1 and not self._parallel_broken:
+            size = max(1, len(lengths) // (workers * 4))
+            parts = self._pool_map(
+                _pool_analyse_sweep,
+                [
+                    replace(sweep, lengths=lengths[i:i + size])
+                    for i in range(0, len(lengths), size)
+                ],
+                len(lengths),
+            )
+            if parts is not None:
+                return [entry for part in parts for entry in part]
+        return self.context.analyse_sweep(sweep)
+
+    def _pool_map(self, fn, jobs: list, candidates: int) -> Optional[list]:
+        """``fn`` over *jobs* on the pool, or ``None`` for the serial
+        path (no pool asked for, one job, or the pool failed)."""
+        workers = self.options.parallel_workers or 0
+        if workers <= 1 or len(jobs) <= 1 or self._parallel_broken:
+            return None
+        pool = self._ensure_pool(workers)
+        if pool is None:
+            return None
+        try:
+            chunksize = max(1, len(jobs) // (workers * 4))
+            return list(pool.map(fn, jobs, chunksize=chunksize))
+        except Exception as exc:
+            # Broken pool / unpicklable payload: degrade to the serial
+            # path (identical results) for the whole run.
+            logger.warning(
+                "parallel evaluation pool failed mid-batch "
+                "(%s: %s); re-running this batch of %d "
+                "candidate(s) serially and disabling the pool "
+                "for the rest of the run -- results are "
+                "identical, only slower. A worker process may "
+                "have died (OOM-killed?) or the payload may "
+                "not be picklable; rerun without --workers to "
+                "avoid the pool entirely.",
+                type(exc).__name__,
+                exc,
+                candidates,
+            )
+            self._parallel_broken = True
+            self.close()
+            return None
 
     def _ensure_pool(self, workers: int):
         if self._executor is None:
@@ -323,18 +474,18 @@ class Evaluator:
                 return None
         return self._executor
 
-    def note_estimate(self, config: FlexRayConfig, cost: float) -> None:
-        """Record an interpolated (non-exact) point in the trace."""
-        self.trace.append(
-            SearchPoint(
-                n_static_slots=config.n_static_slots,
-                gd_static_slot=config.gd_static_slot,
-                n_minislots=config.n_minislots,
-                cost=cost,
-                schedulable=cost <= 0,
-                exact=False,
-            )
-        )
+    def note_estimate(
+        self, config: FlexRayConfig, cost: float,
+        n_minislots: Optional[int] = None,
+    ) -> None:
+        """Record an interpolated (non-exact) point in the trace.
+
+        ``n_minislots`` places it at another DYN length of *config*'s
+        static segment (a sweep's estimates are against its template).
+        """
+        if n_minislots is None:
+            n_minislots = config.n_minislots
+        self._note(config, n_minislots, cost, exact=False)
 
 
 def better(a: Optional[AnalysisResult], b: Optional[AnalysisResult]) -> bool:

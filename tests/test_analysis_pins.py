@@ -18,7 +18,6 @@ parsed from, for the systems of CI's backend sweep.
 """
 
 import hashlib
-import threading
 from unittest import mock
 
 import pytest
@@ -53,11 +52,11 @@ FIG9_BUS = BusOptimisationOptions(
 FIG9_SA = SAOptions(iterations=220, seed=7, bus=FIG9_BUS)
 
 
-def _fold(digest, config, result):
+def _fold(digest, key, result):
     digest.update(
         repr(
             (
-                config.cache_key(),
+                key,
                 tuple(result.wcrt.items()),
                 result.converged,
                 result.cost,
@@ -67,21 +66,21 @@ def _fold(digest, config, result):
 
 
 def optimiser_digest(system, algorithm, options):
-    """``(sha256, analyses)`` over every exact analysis of one run."""
+    """``(sha256, analyses)`` over every exact analysis of one run, in
+    the order the evaluator records them: a full result, or a DYN
+    sweep's row (same response times, convergence and cost)."""
     digest = hashlib.sha256()
     count = 0
-    analyse = AnalysisContext._analyse_python
-    owner = threading.get_ident()
+    note = Evaluator._note
 
-    def logged(ctx, config):
+    def logged(evaluator, config, n_minislots, result, exact):
         nonlocal count
-        result = analyse(ctx, config)
-        if threading.get_ident() == owner:
-            _fold(digest, config, result)
+        if exact:
+            _fold(digest, config.cache_keys((n_minislots,))[0], result)
             count += 1
-        return result
+        return note(evaluator, config, n_minislots, result, exact)
 
-    with mock.patch.object(AnalysisContext, "_analyse_python", logged):
+    with mock.patch.object(Evaluator, "_note", logged):
         optimise(system, algorithm, options)
     return digest.hexdigest(), count
 
@@ -95,7 +94,7 @@ def sweep_digest(analysis: AnalysisOptions):
     digest = hashlib.sha256()
     configs = [template.with_dyn_length(n) for n in sweep_lengths(lo, hi, 192)]
     for config in configs:
-        _fold(digest, config, context.analyse(config))
+        _fold(digest, config.cache_key(), context.analyse(config))
     return digest.hexdigest(), len(configs)
 
 

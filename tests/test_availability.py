@@ -1,6 +1,7 @@
 """Unit tests for the node availability function."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.availability import NodeAvailability, merge_intervals
 from repro.errors import AnalysisError
@@ -192,3 +193,69 @@ class TestAdvanceBisectEquivalence:
         # Built once in the constructor: every request returns the same
         # tables.
         assert av.instant_advance_tables() is tables
+
+
+def _reference_tables(busy, period):
+    """The two-pass construction: ``merge_intervals``, then the tables."""
+    merged = merge_intervals(busy)
+    for s, e in merged:
+        if s < 0 or e > period:
+            raise AnalysisError(
+                f"busy interval ({s}, {e}) escapes the period [0, {period})"
+            )
+    gaps, through, before = [], [], [0]
+    blocks = [merged[0][1] if merged and merged[0][0] == 0 else 0]
+    acc = prev = 0
+    for s, e in merged:
+        if s > prev:
+            gaps.append((prev, s))
+            acc += s - prev
+            through.append(acc)
+        before.append(acc)
+        blocks.append(e - s)
+        prev = e
+    if prev < period:
+        gaps.append((prev, period))
+        acc += period - prev
+        through.append(acc)
+    eval_order = tuple(sorted(range(len(blocks)), key=lambda i: -blocks[i]))
+    idle = not merged
+    tables = (
+        [0] + [s for s, _ in merged],
+        None if idle else before,
+        acc,
+        period,
+        None if idle else [e for _, e in gaps],
+        None if idle else through,
+        eval_order,
+    )
+    return merged, gaps, [s for s, _ in gaps], tables
+
+
+class TestOnePassTables:
+    """``NodeAvailability`` merges and tabulates in one pass; it must
+    build exactly what merging first and tabulating after builds."""
+
+    @given(
+        busy=st.lists(
+            st.tuples(st.integers(-3, 60), st.integers(-3, 60)), max_size=12
+        ),
+        period=st.integers(1, 60),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_merge_intervals_reference(self, busy, period):
+        try:
+            expected = _reference_tables(busy, period)
+        except AnalysisError as exc:
+            with pytest.raises(AnalysisError) as got:
+                NodeAvailability(busy, period)
+            assert str(got.value) == str(exc)
+            return
+        av = NodeAvailability(busy, period)
+        merged, gaps, gap_starts, tables = expected
+        assert av.busy == merged
+        assert av._gap_list == gaps
+        assert av._gap_starts_arr == gap_starts
+        assert tuple(av.instant_advance_tables()) == tables
+        assert av.slack_per_period == tables[2]
+        assert av.critical_instants() == tables[0]

@@ -362,9 +362,9 @@ class TestBitIdentity:
         replays = []
         original = SchedulePlan.replay
 
-        def counting_replay(plan, config):
+        def counting_replay(plan, config, wcrt_estimates=None, gd_cycle=None):
             replays.append(context.schedule_key(config))
-            return original(plan, config)
+            return original(plan, config, wcrt_estimates, gd_cycle)
 
         monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
         results = context.analyse_batch(configs)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.context import AnalysisContext
+from repro.analysis.holistic import SweepRow
 from repro.core.cost import cost_function, cost_order, cost_over
 from repro.core.sa import SAOptions
 from repro.core.search import BusOptimisationOptions
@@ -112,13 +113,24 @@ class TestResolvedCostOrder:
         system = paper_system(3, 1, seed=23)
         results = []
         original = AnalysisContext._result
+        sweep = AnalysisContext.analyse_sweep
 
         def recording(self, *args):
             result = original(self, *args)
             results.append(result)
             return result
 
+        def recording_rows(self, *args):
+            # A sweep's rows are costed without ``_result``; its best is
+            # recorded there already.
+            entries = sweep(self, *args)
+            results.extend(
+                e for e in entries if isinstance(e, SweepRow) and e.feasible
+            )
+            return entries
+
         monkeypatch.setattr(AnalysisContext, "_result", recording)
+        monkeypatch.setattr(AnalysisContext, "analyse_sweep", recording_rows)
         # The Fig. 9 laptop presets (benchmarks/fig9_common.py).
         bus = BusOptimisationOptions(
             max_dyn_points=32,

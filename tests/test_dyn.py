@@ -6,6 +6,7 @@ from repro.analysis.dyn import (
     dyn_message_busy_window,
     dyn_message_wcrt,
     interference_sets,
+    resolved_busy_window,
     sigma,
 )
 from repro.core.config import FlexRayConfig
@@ -154,3 +155,30 @@ class TestBusyWindow:
             m3, cfg, sys_, {"m1": 150}, PERIODS, CAP
         )
         assert with_jit.value >= no_jit.value
+
+
+class TestBoundFillThetaBoundary:
+    """The "bound" fill charges ``lf_total // theta`` filled cycles: a
+    cycle is filled only once the lf frames' adjusted minislots *reach*
+    theta.  One adjusted minislot short of it fills nothing."""
+
+    @staticmethod
+    def _window(lf_rows):
+        # theta 2, no hp rows and no lower slots; sigma 10, ct 3,
+        # gdCycle 100, STbus 20, 1-MT minislots, lam 4.
+        value, converged, _ = resolved_busy_window(
+            [], lf_rows, 0, 4, 2, 10, 3, 100, 20, 1, CAP, "bound"
+        )
+        return value, converged
+
+    def test_adjusted_size_below_theta_fills_no_cycle(self):
+        # One lf instance of adjusted size 1 < theta: 1 // 2 = 0 filled
+        # cycles, and its minislot is consumed in the final cycle:
+        # w = sigma + STbus + 1 = 31.
+        assert self._window([(1000, 0, 1)]) == (31, True)
+
+    def test_adjusted_sizes_reaching_theta_fill_one_cycle(self):
+        # Two instances of adjusted size 1 reach theta: one filled cycle,
+        # nothing left over: w = sigma + gdCycle + STbus = 130.
+        assert self._window([(1000, 0, 1), (1000, 0, 1)]) == (130, True)
+

@@ -86,7 +86,9 @@ class TestCurveFit:
         options = BusOptimisationOptions(stop_when_schedulable=False)
         proposals = curvefit_proposals(system, options, template, lo, hi)
         seeds = next(proposals)
-        results = evaluator.analyse_many(seeds.configs)
+        results = evaluator.analyse_many(
+            seeds.template.with_dyn_length(n) for n in seeds.lengths
+        )
         assert any(r.feasible for r in results)
         dropped = list(system.application.graphs[0].topological_order())[-1]
         broken = [

@@ -9,9 +9,13 @@ from repro.analysis.fps import (
     fps_task_busy_window,
     hp_tasks,
     node_local_fps_cost,
+    resolved_busy_window,
 )
 
 from tests.util import fps_task, scs_task, single_graph_system
+
+
+CAP = 10_000
 
 
 def periods(mapping):
@@ -126,3 +130,35 @@ class TestNodeLocalCost:
             [fps_task("e", wcet=5, node="N1", priority=1)], nodes=("N1",)
         )
         assert node_local_fps_cost(sys_, "N1", [(0, 100)], 100) == math.inf
+
+
+class TestExactMultipleActivations:
+    """An interferer released with jitter J is active ``ceil((w + J) /
+    T)`` times in a window w: when ``w + J`` is an exact multiple k*T
+    that is k activations, not ``floor + 1 = k + 1``."""
+
+    def test_idle_node_window_equal_to_the_period(self):
+        # C=5 under (T=10, C=5): w = 5 -> 10; at w = 10 = 1*T one
+        # activation, so the window stays 10.
+        av = NodeAvailability([], period=100)
+        value, converged, _ = resolved_busy_window(5, [(10, 0, 5)], av, CAP)
+        assert (value, converged) == (10, True)
+
+    def test_idle_node_window_plus_jitter_on_a_multiple(self):
+        # Jitter 5: w = 5 -> 10 -> 15; at w = 15, w + J = 20 = 2*T gives
+        # two activations, so the window stays 15.
+        av = NodeAvailability([], period=100)
+        value, converged, _ = resolved_busy_window(5, [(10, 5, 5)], av, CAP)
+        assert (value, converged) == (15, True)
+
+    def test_busy_node_window_on_a_multiple(self):
+        # The staircase path: from the busy start at 90 (blocked to
+        # 100) the window grows 15 -> 25 -> 30; at w = 30 = 3*T three
+        # activations keep the demand at 20, so the window stays 30.
+        av = NodeAvailability([(90, 100)], period=100)
+        for prune in (True, False):
+            value, converged, _ = resolved_busy_window(
+                5, [(10, 0, 5)], av, CAP, prune=prune
+            )
+            assert (value, converged) == (30, True)
+

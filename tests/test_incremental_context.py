@@ -19,6 +19,7 @@ from repro.analysis import AnalysisContext, analyse_system
 from repro.analysis import context as context_module
 from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisOptions
+from repro.analysis.schedule_table import ScheduleTable
 from repro.core import GAOptions, SAOptions, optimise_ga, optimise_sa
 from repro.core.bbc import basic_configuration
 from repro.core.config import FlexRayConfig
@@ -346,9 +347,10 @@ class TestStaticWcrtMemo:
         for n in sweep_lengths(lo, hi, 8):
             config = basic_configuration(system, n, options)
             arts = context._schedule_artifacts(config)
-            assert arts.table is not None
-            assert context._static_wcrt(arts.table) == static_response_times(
-                system.application, arts.table
+            assert arts.record is not None
+            assert context._static_wcrt(arts.record) == static_response_times(
+                system.application,
+                ScheduleTable.from_record(config, arts.record),
             )
 
 
@@ -406,12 +408,14 @@ def legacy_order():
 
 @contextmanager
 def analysis_log():
-    """Records the signature of every oracle analysis and counts the
+    """Records the signature of every oracle analysis -- of one
+    configuration, or of each length of a DYN sweep -- and counts the
     busy-window evaluations made inside the block -- the calling
     thread's only, so a stray thread that is still analysing (an
     abandoned timed-out campaign job) cannot leak into the log."""
     log = SimpleNamespace(signatures=[], windows=0)
     analyse = AnalysisContext._analyse_python
+    analyse_sweep = AnalysisContext.analyse_sweep
     owner = threading.get_ident()
 
     def logged(ctx, config):
@@ -419,6 +423,12 @@ def analysis_log():
         if threading.get_ident() == owner:
             log.signatures.append(_result_signature(result))
         return result
+
+    def logged_sweep(ctx, sweep):
+        entries = analyse_sweep(ctx, sweep)
+        if threading.get_ident() == owner:
+            log.signatures += map(_result_signature, entries)
+        return entries
 
     def counted(window):
         def count(*args):
@@ -430,6 +440,8 @@ def analysis_log():
 
     with mock.patch.object(
         AnalysisContext, "_analyse_python", logged
+    ), mock.patch.object(
+        AnalysisContext, "analyse_sweep", logged_sweep
     ), mock.patch.object(
         context_module,
         "_fps_busy_window",

@@ -258,7 +258,8 @@ def _context_outcome(context, config):
         prefix = "static scheduling failed: "
         assert arts.failure.startswith(prefix)
         return ("error", arts.failure[len(prefix):])
-    return fingerprint(arts.table, arts.static_wcrt)
+    table = ScheduleTable.from_record(config, arts.record)
+    return fingerprint(table, arts.static_wcrt)
 
 
 # ----------------------------------------------------------------------

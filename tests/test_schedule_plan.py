@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.analysis.priorities import critical_path_priorities
+from repro.analysis.schedule_table import ScheduleTable
 from repro.analysis.scheduler import SchedulePlan, ScheduleOptions, build_schedule
 from repro.core.bbc import basic_configuration
 from repro.core.search import (
@@ -77,7 +78,7 @@ class TestReplayEquivalence:
                         options,
                         critical_path_priorities(system.application, config),
                     )
-                replayed = plan.replay(config)
+                replayed = ScheduleTable.from_record(config, plan.replay(config))
                 assert _table_fingerprint(replayed) == _table_fingerprint(
                     fresh
                 ), f"replay diverged ({n_nodes} nodes, {config.describe()})"
@@ -94,7 +95,8 @@ class TestReplayEquivalence:
             system, options, critical_path_priorities(system.application, c1)
         )
         plan.replay(c1)  # "build at C1" -- replay must be stateless
-        assert _table_fingerprint(plan.replay(c2)) == _table_fingerprint(
+        replayed = ScheduleTable.from_record(c2, plan.replay(c2))
+        assert _table_fingerprint(replayed) == _table_fingerprint(
             build_schedule(system, c2, options)
         )
 
@@ -108,7 +110,7 @@ class TestReplayEquivalence:
             options,
             critical_path_priorities(system.application, configs[0]),
         )
-        first = plan.replay(configs[0])
+        first = ScheduleTable.from_record(configs[0], plan.replay(configs[0]))
         for config in configs[1:]:
             table = build_schedule(system, config, options)
             # Index-space placements coincide...

@@ -24,6 +24,11 @@ this checker verifies, for every documentation file:
   block (with ``\\`` line continuations) -- is an option string of that
   subcommand's argparse parser, spelled out in full.
 
+The docstrings under ``src/repro`` point into the codebase too
+(```:class:`~repro.core.config.FlexRayConfig```), so every backticked
+``repro.*`` dotted name in a module, class or function docstring --
+``~``-prefixed Sphinx targets included -- must resolve as well.
+
 Run directly (``python benchmarks/check_docs.py``) for a report, or let
 ``tests/test_docs.py`` fail tier-1 on the first stale pointer.
 """
@@ -67,6 +72,10 @@ _INVOCATION = re.compile(r"python -m repro\s+(.*)")
 #: Shell syntax that ends one command line.
 _COMMAND_END = re.compile(r"\s(?:#|\||&&|;)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+#: Backticked ``repro.*`` names in docstrings, ``~``-prefixed or not.
+_DOC_DOTTED = re.compile(r"`~?(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
+#: The package whose docstrings are under the checker's contract.
+SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
 
 def _slug(heading: str) -> str:
@@ -263,8 +272,35 @@ def check_file(path: Path) -> List[str]:
     return problems
 
 
+def check_docstrings(root: Path = SOURCE_ROOT) -> List[str]:
+    """Stale ``repro.*`` pointers in the docstrings of *root*'s modules."""
+    problems: List[str] = []
+    for path in sorted(root.rglob("*.py")):
+        try:
+            rel = path.relative_to(REPO_ROOT)
+        except ValueError:
+            rel = path
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+            ):
+                continue
+            doc = ast.get_docstring(node, clean=False) or ""
+            for match in _DOC_DOTTED.finditer(doc):
+                reason = _check_dotted(match.group(1))
+                if reason:
+                    where = getattr(node, "lineno", 1)
+                    problems.append(
+                        f"{rel}:{where}: stale docstring pointer "
+                        f"`{match.group(1)}` ({reason})"
+                    )
+    return problems
+
+
 def check_all() -> List[str]:
-    """Problems across every documentation file under the contract."""
+    """Problems across every documentation file and docstring under the
+    contract."""
     problems: List[str] = []
     for name in DOC_FILES:
         path = REPO_ROOT / name
@@ -272,6 +308,7 @@ def check_all() -> List[str]:
             problems.append(f"{name}: documentation file missing")
             continue
         problems.extend(check_file(path))
+    problems.extend(check_docstrings())
     return problems
 
 
@@ -279,7 +316,10 @@ def main() -> int:
     problems = check_all()
     for problem in problems:
         print(problem)
-    print(f"check_docs: {len(problems)} problem(s) across {len(DOC_FILES)} file(s)")
+    print(
+        f"check_docs: {len(problems)} problem(s) across {len(DOC_FILES)} "
+        "file(s) and the docstrings under src/repro"
+    )
     return 1 if problems else 0
 
 

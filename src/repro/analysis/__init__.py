@@ -37,7 +37,6 @@ from repro.analysis.context import AnalysisContext, ancestor_sets
 from repro.analysis.dyn import (
     DynInterference,
     dyn_message_busy_window,
-    dyn_message_wcrt,
     interference_sets,
     sigma,
 )
@@ -70,7 +69,7 @@ from repro.analysis.sensitivity import (
     bus_load,
     slack_report,
 )
-from repro.analysis.st_msg import static_release_offsets, static_response_times
+from repro.analysis.st_msg import static_response_times
 
 __all__ = [
     "AnalysisContext",
@@ -97,7 +96,6 @@ __all__ = [
     "bus_load",
     "critical_path_priorities",
     "dyn_message_busy_window",
-    "dyn_message_wcrt",
     "fill_bound",
     "fps_task_busy_window",
     "hp_tasks",
@@ -108,7 +106,6 @@ __all__ = [
     "message_costs",
     "sigma",
     "slack_report",
-    "static_release_offsets",
     "static_response_times",
     "wrap_busy_intervals",
 ]

@@ -113,7 +113,6 @@ class NodeAvailability:
         spans = sorted(busy)
         merged: List[Tuple[int, int]] = []
         instants = [0]
-        gaps: List[Tuple[int, int]] = []
         gap_starts: List[int] = []
         gap_ends: List[int] = []
         through: List[int] = []
@@ -138,7 +137,6 @@ class NodeAvailability:
                 )
             merged.append((s, e))
             if s > prev:
-                gaps.append((prev, s))
                 gap_starts.append(prev)
                 gap_ends.append(s)
                 acc += s - prev
@@ -150,7 +148,6 @@ class NodeAvailability:
             blocks.append(e - s)
             prev = e
         if prev < period:
-            gaps.append((prev, period))
             gap_starts.append(prev)
             gap_ends.append(period)
             acc += period - prev
@@ -158,7 +155,6 @@ class NodeAvailability:
         self.period = period
         self.busy = merged
         self._busy_per_period = period - acc
-        self._gap_list = gaps
         self._critical_instants = instants
         self._gap_starts_arr = gap_starts
         self._gap_ends = gap_ends
@@ -197,11 +193,6 @@ class NodeAvailability:
     def slack_per_period(self) -> int:
         """Available macroticks in one period."""
         return self.period - self._busy_per_period
-
-    def is_busy(self, t: int) -> bool:
-        """True when the node is running an SCS task at absolute time *t*."""
-        tp = t % self.period
-        return any(s <= tp < e for s, e in self.busy)
 
     def available_in(self, t0: int, t1: int) -> int:
         """Slack macroticks inside the absolute window [t0, t1)."""
@@ -271,13 +262,6 @@ class NodeAvailability:
         pos = self._gap_ends[k] - (through[k] - target)
         return (full + whole) * period + pos
 
-    def busy_starts(self) -> List[int]:
-        """Pattern-relative start times of busy intervals (critical instants)."""
-        return [s for s, _ in self.busy]
-
     def critical_instants(self) -> List[int]:
         """Candidate busy-window origins: time 0 plus every busy start."""
         return self._critical_instants
-
-    def _gaps(self) -> List[Tuple[int, int]]:
-        return self._gap_list

@@ -81,7 +81,7 @@ from repro.core.config import FlexRayConfig
 from repro.core.cost import cost_order, cost_over
 from repro.errors import ConfigurationError, SchedulingError
 from repro.model.system import System
-from repro.model.times import ceil_div
+from repro.model.times import ceil_div, transmission_time
 
 logger = logging.getLogger(__name__)
 
@@ -560,7 +560,7 @@ class AnalysisContext:
         preds = tuple(
             tuple(row(p) for p in task.predecessors) for task in self._fps_tasks
         )
-        cts = tuple(ceil_div((m.size + overhead) * 8, bits) for m in dyn)
+        cts = tuple(transmission_time(m.size, overhead, bits) for m in dyn)
         minislots = tuple(ceil_div(ct, ms_len) for ct in cts)
         interference = (
             [(0, 0, 0)] * base

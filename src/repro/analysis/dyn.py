@@ -47,7 +47,6 @@ from repro.analysis.fill import FILL_STRATEGIES, max_filled_cycles_aggregated
 from repro.analysis.fps import MAX_FIXPOINT_ITERATIONS, WcrtResult
 from repro.model.message import Message
 from repro.model.system import System
-from repro.model.times import ceil_div
 
 
 @dataclass(frozen=True)
@@ -274,23 +273,3 @@ def resolved_busy_window(
             extra_cycles=extra_cycles,
         )
     return w, False, w
-
-
-def dyn_message_wcrt(
-    message: Message,
-    config: FlexRayConfig,
-    system: System,
-    jitters: Mapping[str, int],
-    period_of,
-    cap: int,
-    ancestors: frozenset = frozenset(),
-    fill_strategy: str = "bound",
-) -> WcrtResult:
-    """Full worst-case response time R_m = J_m + w_m + C_m (Eq. (2))."""
-    own_jitter = jitters.get(message.name, 0)
-    window = dyn_message_busy_window(
-        message, config, system, jitters, period_of, cap, own_jitter, ancestors,
-        fill_strategy,
-    )
-    value = min(cap, own_jitter + window.value + config.message_ct(message))
-    return WcrtResult(value=value, converged=window.converged)

@@ -19,11 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.availability import (
-    NodeAvailability,
-    merge_intervals,
-    wrap_busy_intervals,
-)
+from repro.analysis.availability import NodeAvailability, wrap_busy_intervals
 from repro.model.system import System
 from repro.model.task import Task
 from repro.model.times import ceil_div

@@ -10,7 +10,7 @@ win ties against activities of slack graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.core.config import FlexRayConfig
 from repro.model.application import Application
@@ -39,12 +39,3 @@ def critical_path_priorities(
         for name in g.topological_order():
             prio[name] = g.longest_path_from(name, costs) - slack
     return prio
-
-
-def sort_key(priorities: Mapping[str, int]):
-    """Deterministic sort key for ready lists: priority desc, then name."""
-
-    def key(job) -> tuple:
-        return (-priorities[job.name], job.release, job.name, job.instance)
-
-    return key

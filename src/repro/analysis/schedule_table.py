@@ -13,9 +13,9 @@ is a view that builds the :class:`ScheduledTask` /
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlexRayConfig
@@ -154,30 +154,14 @@ ScheduleRecord = namedtuple(
 
 
 class ScheduleTable:
-    """The static schedule: a builder for hand-made tables, or a view.
+    """The static schedule: a read-only view of a :class:`ScheduleRecord`.
 
-    Tracks, per node, the busy intervals occupied by SCS tasks (used both
-    for placement and as the FPS availability pattern) and, per static
-    slot instance, the frame payload already consumed by packed ST
-    messages.
-
-    A table made by :meth:`from_record` is a view of a replayed
-    :class:`ScheduleRecord`: ``tasks`` and ``messages`` are built on
-    first access, and it pickles as its record.  Adding an entry to a
-    view first gives it private copies of everything it shares.
+    Exposes, per node, the busy intervals occupied by SCS tasks (the
+    FPS availability pattern) and, per static slot instance, the frame
+    payload consumed by packed ST messages.  Every table comes from
+    :meth:`from_record`; ``tasks`` and ``messages`` are built on first
+    access, and it pickles as its record.
     """
-
-    def __init__(self, config: FlexRayConfig, horizon: int):
-        if horizon <= 0:
-            raise SchedulingError(f"schedule horizon must be positive, got {horizon}")
-        self.config = config
-        self.horizon = horizon
-        #: The replayed record this table views, or ``None``.
-        self.record: Optional[ScheduleRecord] = None
-        self._tasks: Optional[Dict[str, ScheduledTask]] = {}
-        self._messages: Optional[Dict[str, ScheduledMessage]] = {}
-        self._node_busy: Dict[str, List[Tuple[int, int]]] = {}
-        self._frame_used: Dict[Tuple[int, int], int] = {}
 
     @classmethod
     def from_record(
@@ -185,27 +169,17 @@ class ScheduleTable:
     ) -> "ScheduleTable":
         """A view of *record* whose message times derive from *config*."""
         table = cls.__new__(cls)
-        table._bind(config, record)
+        table.__setstate__({"config": config, "record": record})
         return table
 
-    def _bind(self, config: FlexRayConfig, record: ScheduleRecord) -> None:
-        self.config = config
-        self.horizon = record.horizon
-        self.record = record
-        self._tasks = self._messages = None
-        self._node_busy = record.busy
-        self._frame_used = record.frame_used
-
     def __getstate__(self):
-        if self.record is None:
-            return self.__dict__
         return {"config": self.config, "record": self.record}
 
     def __setstate__(self, state) -> None:
-        if state.get("record") is None:
-            self.__dict__.update(state)
-        else:
-            self._bind(state["config"], state["record"])
+        self.config = state["config"]
+        self.record = record = state["record"]
+        self.horizon = record.horizon
+        self._tasks = self._messages = None
 
     # ------------------------------------------------------------------
     # entries
@@ -242,89 +216,15 @@ class ScheduleTable:
         self._tasks = tasks
         self._messages = messages
 
-    def _own(self) -> None:
-        """Detach a view from its shared record before an edit."""
-        if self.record is not None:
-            self._materialise()
-            self._node_busy = {n: list(v) for n, v in self._node_busy.items()}
-            self._frame_used = dict(self._frame_used)
-            self.record = None
-
     # ------------------------------------------------------------------
-    # task placement
+    # queries
     # ------------------------------------------------------------------
     def busy_intervals(self, node: str) -> List[Tuple[int, int]]:
         """Sorted, disjoint (start, end) intervals occupied by SCS tasks."""
-        return list(self._node_busy.get(node, []))
+        return list(self.record.busy.get(node, []))
 
-    def first_fit(self, node: str, earliest: int, duration: int) -> int:
-        """Earliest start >= *earliest* of a gap of *duration* MT on *node*."""
-        return first_gap(self._node_busy.get(node, []), earliest, duration)[0]
-
-    def add_task(self, job_key: str, task: Task, start: int) -> ScheduledTask:
-        """Record an SCS task instance at *start*; rejects overlaps."""
-        self._own()
-        if job_key in self._tasks:
-            raise SchedulingError(f"job {job_key!r} already scheduled")
-        end = start + task.wcet
-        intervals = self._node_busy.setdefault(task.node, [])
-        idx = bisect_left(intervals, (start, end))
-        for neighbour in intervals[max(0, idx - 1) : idx + 1]:
-            if neighbour[0] < end and start < neighbour[1]:
-                raise SchedulingError(
-                    f"job {job_key!r} at [{start}, {end}) overlaps interval "
-                    f"{neighbour} on node {task.node!r}"
-                )
-        intervals.insert(idx, (start, end))
-        entry = ScheduledTask(job_key=job_key, task=task, start=start)
-        self._tasks[job_key] = entry
-        return entry
-
-    # ------------------------------------------------------------------
-    # message placement
-    # ------------------------------------------------------------------
-    def frame_used(self, cycle: int, slot: int) -> int:
-        """Payload macroticks already packed into slot instance (cycle, slot)."""
-        return self._frame_used.get((cycle, slot), 0)
-
-    def add_message(
-        self, job_key: str, message: Message, cycle: int, slot: int
-    ) -> ScheduledMessage:
-        """Pack an ST message instance into static slot (cycle, slot).
-
-        The message occupies the next free payload position of the frame;
-        rejects the placement when the frame has no room left.
-        """
-        self._own()
-        if job_key in self._messages:
-            raise SchedulingError(f"job {job_key!r} already scheduled")
-        ct = self.config.message_ct(message)
-        used = self.frame_used(cycle, slot)
-        if used + ct > self.config.gd_static_slot:
-            raise SchedulingError(
-                f"frame (cycle {cycle}, slot {slot}) has {used} MT used; message "
-                f"{message.name!r} ({ct} MT) does not fit gd_static_slot="
-                f"{self.config.gd_static_slot}"
-            )
-        st_slot_start(self.config, cycle, slot)  # validates (cycle, slot)
-        entry = ScheduledMessage(
-            job_key=job_key,
-            message=message,
-            cycle=cycle,
-            slot=slot,
-            offset=used,
-            ct=ct,
-            config=self.config,
-        )
-        self._frame_used[(cycle, slot)] = used + ct
-        self._messages[job_key] = entry
-        return entry
-
-    # ------------------------------------------------------------------
-    # cache support
-    # ------------------------------------------------------------------
     def retime_for(self, config: FlexRayConfig) -> "ScheduleTable":
-        """Copy with identical placements, re-bound to *config*.
+        """Another view of the same record, re-bound to *config*.
 
         Placements are stored in (cycle, slot, offset) coordinates, so
         rebinding derives every absolute message time from *config*'s
@@ -333,7 +233,6 @@ class ScheduleTable:
         its cache key (same static segment and cycle geometry, e.g. a
         different FrameID assignment): placements are byte-identical,
         only the configuration view the derived times come from changes.
-        A view's copy is another view of the same record.
 
         NOTE: rebinding across a *different* ``gd_cycle`` yields a table
         whose derived times shift with the new geometry -- that is only
@@ -343,30 +242,11 @@ class ScheduleTable:
         messages exist (placement indices are empirically *not*
         cycle-length-invariant; see ``SchedulePlan`` for what is).
         """
-        if self.record is not None:
-            return ScheduleTable.from_record(config, self.record)
-        clone = ScheduleTable(config, self.horizon)
-        clone._tasks = dict(self._tasks)
-        clone._messages = {
-            key: replace(entry, config=config)
-            for key, entry in self._messages.items()
-        }
-        clone._node_busy = {n: list(v) for n, v in self._node_busy.items()}
-        clone._frame_used = dict(self._frame_used)
-        return clone
+        return ScheduleTable.from_record(config, self.record)
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def finish_of(self, job_key: str) -> Optional[int]:
         """Completion time of a scheduled job, or None when not scheduled."""
         record = self.record
-        if record is None:
-            if job_key in self._tasks:
-                return self._tasks[job_key].finish
-            if job_key in self._messages:
-                return self._messages[job_key].finish
-            return None
         i = record.jobs.index.get(job_key)
         if i is None:
             return None
@@ -380,16 +260,3 @@ class ScheduleTable:
             (e for e in self.tasks.values() if e.task.node == node),
             key=lambda e: e.start,
         )
-
-    def st_message_entries(self) -> List[ScheduledMessage]:
-        """All ST message entries, by bus time."""
-        return sorted(self.messages.values(), key=lambda e: (e.slot_start, e.offset))
-
-    def makespan(self) -> int:
-        """Latest completion time of any scheduled activity (0 when empty)."""
-        latest = 0
-        for e in self.tasks.values():
-            latest = max(latest, e.finish)
-        for e in self.messages.values():
-            latest = max(latest, e.finish)
-        return latest

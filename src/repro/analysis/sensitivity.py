@@ -9,7 +9,7 @@ given configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig

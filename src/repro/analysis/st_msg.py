@@ -34,17 +34,3 @@ def static_response_times(
         base = int(instance) * period_of(name)
         wcrt[name] = max(wcrt.get(name, 0), entry.finish - base)
     return wcrt
-
-
-def static_release_offsets(
-    application: Application, table: ScheduleTable
-) -> Dict[str, int]:
-    """Worst ready-time offset of each statically scheduled activity.
-
-    For a DYN message produced by an SCS task, the message becomes ready
-    when the task completes; the completion offset (relative to the graph
-    release) acts as the message's inherited "jitter" term J_m in
-    Eq. (2) -- deterministic, but it still shifts the response time that
-    is compared against the relative deadline.
-    """
-    return static_response_times(application, table)

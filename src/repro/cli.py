@@ -64,7 +64,7 @@ from repro.io.serialization import (
     save_system,
 )
 from repro.synth.taskgraph_gen import GeneratorConfig, generate_system
-from repro.viz.gantt import render_bus_trace, render_cycle, render_schedule
+from repro.viz.gantt import render_bus_trace, render_cycle
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,11 +151,6 @@ class CampaignReport:
     failures: Mapping[str, CampaignJobFailure] = field(default_factory=dict)
     quarantined: Tuple[str, ...] = ()
 
-    @property
-    def all_succeeded(self) -> bool:
-        """True when every job produced a result."""
-        return not self.failures
-
     def result_for(self, system_id: str, strategy: str) -> OptimisationResult:
         """The result of the (system, strategy) cell; raises when absent."""
         job_id = job_id_for(system_id, strategy)

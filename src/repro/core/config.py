@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.flexray import params
 from repro.model.message import Message
 from repro.model.system import System
-from repro.model.times import ceil_div
+from repro.model.times import ceil_div, transmission_time
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,9 @@ class FlexRayConfig:
     # ------------------------------------------------------------------
     def message_ct(self, message: Message) -> int:
         """Transmission time C_m of *message* in macroticks (Eq. (1))."""
-        total_bytes = message.size + self.frame_overhead_bytes
-        return ceil_div(total_bytes * 8, self.bits_per_mt)
+        return transmission_time(
+            message.size, self.frame_overhead_bytes, self.bits_per_mt
+        )
 
     def minislots_needed(self, message: Message) -> int:
         """Number of minislots the DYN frame of *message* occupies."""

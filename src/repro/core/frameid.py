@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 
 from repro.flexray import params
 from repro.model.system import System
-from repro.model.times import ceil_div
+from repro.model.times import transmission_time
 
 
 def message_criticalities(
@@ -23,7 +23,7 @@ def message_criticalities(
     """CP_m = D_m - LP_m per DYN message; smaller = more critical."""
     app = system.application
     costs = {
-        m.name: ceil_div((m.size + frame_overhead_bytes) * 8, bits_per_mt)
+        m.name: transmission_time(m.size, frame_overhead_bytes, bits_per_mt)
         for m in app.messages()
     }
     crit: Dict[str, int] = {}

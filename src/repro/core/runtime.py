@@ -3,10 +3,10 @@
 Every bus-access optimisation strategy in this repository -- BBC,
 OBC/CF, OBC/EE, SA, GA and anything registered through
 :mod:`repro.core.strategies` -- is a *proposal generator*: it yields
-:class:`CandidateBatch` objects (configurations it wants analysed,
-plus any interpolated cost estimates to record in the trace) or
+:class:`CandidateBatch` objects (configurations it wants analysed) or
 :class:`CandidateSweep` objects (one static variant at many DYN
-lengths) and receives the evaluated results back at the ``yield``.
+lengths, plus any interpolated cost estimates against it to record in
+the trace) and receives the evaluated results back at the ``yield``.
 One :class:`SearchDriver` owns everything around that conversation:
 
 * **evaluation** -- every batch goes through
@@ -70,15 +70,9 @@ class CandidateBatch:
 
     ``configs`` are analysed (in order, deduplicated against the
     evaluator's cache) and their results sent back into the generator.
-    ``estimates`` are interpolated (non-exact) cost points recorded in
-    the search trace *before* the batch is evaluated -- the order the
-    curve-fitting heuristic's trace semantics require.  A batch may
-    carry only estimates (``configs == ()``); the generator then
-    receives an empty result list.
     """
 
     configs: Tuple[FlexRayConfig, ...] = ()
-    estimates: Tuple[Tuple[FlexRayConfig, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,11 @@ class CandidateSweep:
     :class:`~repro.analysis.holistic.AnalysisResult` objects, every
     other length as a :class:`~repro.analysis.holistic.SweepRow` with
     the same cost, flags and response times.  ``estimates`` are
-    interpolated ``(n_minislots, cost)`` points against the template,
-    recorded in the trace before the lengths are analysed, as
-    :class:`CandidateBatch` records its estimates.
+    interpolated (non-exact) ``(n_minislots, cost)`` points against the
+    template, recorded in the search trace *before* the lengths are
+    analysed -- the order the curve-fitting heuristic's trace semantics
+    require.  A sweep may carry only estimates (``lengths == ()``); the
+    generator then receives an empty result list.
     """
 
     template: FlexRayConfig
@@ -164,17 +160,14 @@ def drive_with_evaluator(gen: Proposals, evaluator: Evaluator):
 
 
 def _evaluate(evaluator: Evaluator, batch) -> list:
-    """One protocol round: record *batch*'s estimates in the trace, then
-    analyse its candidates (a :class:`CandidateBatch` through
-    ``analyse_many``, a :class:`CandidateSweep` through
-    ``analyse_sweep``)."""
+    """One protocol round: a :class:`CandidateBatch` through
+    ``analyse_many``; a :class:`CandidateSweep`'s estimates into the
+    trace, then its lengths through ``analyse_sweep``."""
     if isinstance(batch, CandidateSweep):
         template = batch.template
         for n, cost in batch.estimates:
             evaluator.note_estimate(template, cost, n)
         return evaluator.analyse_sweep(batch) if batch.lengths else []
-    for config, cost in batch.estimates:
-        evaluator.note_estimate(config, cost)
     return evaluator.analyse_many(list(batch.configs))
 
 

@@ -17,10 +17,10 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.holistic import AnalysisOptions, AnalysisResult, SweepRow
 from repro.core.config import FlexRayConfig
 from repro.core.result import SearchPoint
-from repro.errors import OptimisationError
+from repro.errors import ConfigurationError, OptimisationError
 from repro.flexray import params
 from repro.model.system import System
-from repro.model.times import ceil_div
+from repro.model.times import ceil_div, transmission_time
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +79,14 @@ class BusOptimisationOptions:
     #: identical either way (the batch order is fixed before fan-out and
     #: the pool preserves it).
     parallel_workers: Optional[int] = None
+
+    def __post_init__(self):
+        # message_ct divides by the bus speed unchecked: reject what it
+        # cannot take once, here.
+        if self.bits_per_mt < 1:
+            raise ConfigurationError("bits_per_mt must be >= 1")
+        if self.frame_overhead_bytes < 0:
+            raise ConfigurationError("frame_overhead_bytes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -475,16 +483,11 @@ class Evaluator:
         return self._executor
 
     def note_estimate(
-        self, config: FlexRayConfig, cost: float,
-        n_minislots: Optional[int] = None,
+        self, config: FlexRayConfig, cost: float, n_minislots: int
     ) -> None:
-        """Record an interpolated (non-exact) point in the trace.
-
-        ``n_minislots`` places it at another DYN length of *config*'s
-        static segment (a sweep's estimates are against its template).
-        """
-        if n_minislots is None:
-            n_minislots = config.n_minislots
+        """Record an interpolated (non-exact) point in the trace, at DYN
+        length *n_minislots* of *config*'s static segment (a sweep's
+        estimates are against its template)."""
         self._note(config, n_minislots, cost, exact=False)
 
 
@@ -499,7 +502,9 @@ def better(a: Optional[AnalysisResult], b: Optional[AnalysisResult]) -> bool:
 
 def message_ct(size: int, options: BusOptimisationOptions) -> int:
     """Transmission time of a payload under the optimiser's bus settings."""
-    return ceil_div((size + options.frame_overhead_bytes) * 8, options.bits_per_mt)
+    return transmission_time(
+        size, options.frame_overhead_bytes, options.bits_per_mt
+    )
 
 
 def min_static_slot(system: System, options: BusOptimisationOptions) -> int:

@@ -10,17 +10,7 @@ from repro.flexray.faults import (
     NO_FAULTS,
     resolve_faults,
 )
-from repro.flexray.timeline import (
-    cycle_of,
-    cycle_start,
-    dyn_segment_end,
-    dyn_segment_start,
-    earliest_dyn_slot_start,
-    next_cycle_start,
-    st_slot_end,
-    st_slot_instances,
-    st_slot_start,
-)
+from repro.flexray.timeline import cycle_start, st_slot_start
 
 __all__ = [
     "BlackoutFaults",
@@ -29,15 +19,8 @@ __all__ = [
     "GilbertElliottFaults",
     "IidFaults",
     "NO_FAULTS",
-    "cycle_of",
     "cycle_start",
-    "dyn_segment_end",
-    "dyn_segment_start",
-    "earliest_dyn_slot_start",
-    "next_cycle_start",
     "params",
     "resolve_faults",
-    "st_slot_end",
-    "st_slot_instances",
     "st_slot_start",
 ]

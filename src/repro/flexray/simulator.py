@@ -30,7 +30,6 @@ from repro.errors import ModelError, SimulationError
 from repro.flexray.controller import ChiQueues
 from repro.flexray.events import EventKind, TraceEvent
 from repro.flexray.faults import FaultSpec, resolve_faults
-from repro.model.jobs import expand_jobs
 from repro.model.message import Message
 from repro.model.system import System
 from repro.model.task import Task

@@ -1,14 +1,15 @@
-"""Bus-cycle geometry helpers.
+"""Bus-cycle geometry: where a static slot instance lies in time.
 
 Pure functions mapping (cycle, slot) coordinates of a
-:class:`~repro.core.config.FlexRayConfig` to absolute macrotick times and
-back.  Used by the static scheduler, the timing analysis and the
-simulator, so all three agree on where every slot lies.
+:class:`~repro.core.config.FlexRayConfig` to absolute macrotick times.
+The schedule table derives every ST message time from
+:func:`st_slot_start`, so the static scheduler, the timing analysis and
+the simulator agree on where each slot lies.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
@@ -30,57 +31,3 @@ def st_slot_start(config: "FlexRayConfig", cycle: int, slot: int) -> int:
             f"static slot {slot} outside [1, {config.n_static_slots}]"
         )
     return cycle_start(config, cycle) + (slot - 1) * config.gd_static_slot
-
-def st_slot_end(config: "FlexRayConfig", cycle: int, slot: int) -> int:
-    """Absolute end time of static slot *slot* (1-based) in *cycle*."""
-    return st_slot_start(config, cycle, slot) + config.gd_static_slot
-
-
-def dyn_segment_start(config: "FlexRayConfig", cycle: int) -> int:
-    """Absolute start time of the dynamic segment of *cycle*."""
-    return cycle_start(config, cycle) + config.st_bus
-
-
-def dyn_segment_end(config: "FlexRayConfig", cycle: int) -> int:
-    """Absolute end time of the dynamic segment of *cycle*."""
-    return dyn_segment_start(config, cycle) + config.dyn_bus
-
-
-def cycle_of(config: "FlexRayConfig", t: int) -> int:
-    """Index of the bus cycle containing absolute time *t*."""
-    if t < 0:
-        raise ConfigurationError(f"time must be >= 0, got {t}")
-    return t // config.gd_cycle
-
-
-def next_cycle_start(config: "FlexRayConfig", t: int) -> int:
-    """Start of the first cycle beginning strictly after time *t*."""
-    return (cycle_of(config, t) + 1) * config.gd_cycle
-
-
-def earliest_dyn_slot_start(config: "FlexRayConfig", cycle: int, frame_id: int) -> int:
-    """Earliest possible start of dynamic slot *frame_id* in *cycle*.
-
-    Reached when all lower dynamic slots are empty, i.e. each consumed a
-    single minislot.
-    """
-    if frame_id < 1:
-        raise ConfigurationError(f"FrameID must be >= 1, got {frame_id}")
-    return dyn_segment_start(config, cycle) + (frame_id - 1) * config.gd_minislot
-
-
-def st_slot_instances(
-    config: "FlexRayConfig", node: str, horizon: int
-) -> Iterator[Tuple[int, int, int]]:
-    """All static slot instances of *node* with start < *horizon*.
-
-    Yields ``(cycle, slot, start_time)`` in chronological order.
-    """
-    slots = config.st_slots_of(node)
-    cycle = 0
-    while cycle * config.gd_cycle < horizon:
-        for slot in slots:
-            start = st_slot_start(config, cycle, slot)
-            if start < horizon:
-                yield (cycle, slot, start)
-        cycle += 1

@@ -2,11 +2,11 @@
 
 from repro.model.application import Application
 from repro.model.graph import TaskGraph
-from repro.model.jobs import Job, expand_jobs, iter_fps_tasks, job_count
+from repro.model.jobs import Job, expand_jobs
 from repro.model.message import Message, MessageKind
 from repro.model.system import System
 from repro.model.task import SchedulingPolicy, Task
-from repro.model.times import TimeMT, bytes_to_mt, ceil_div, check_time, lcm
+from repro.model.times import TimeMT, ceil_div, check_time, lcm
 from repro.model.validation import validate_system
 
 __all__ = [
@@ -19,12 +19,9 @@ __all__ = [
     "Task",
     "TaskGraph",
     "TimeMT",
-    "bytes_to_mt",
     "ceil_div",
     "check_time",
     "expand_jobs",
-    "iter_fps_tasks",
-    "job_count",
     "lcm",
     "validate_system",
 ]

@@ -172,10 +172,6 @@ class TaskGraph:
         """Activities with no predecessors."""
         return tuple(n for n in self._topo if not self._pred[n])
 
-    def sinks(self) -> Tuple[str, ...]:
-        """Activities with no successors."""
-        return tuple(n for n in self._topo if not self._succ[n])
-
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------

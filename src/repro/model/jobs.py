@@ -9,7 +9,7 @@ offset) with absolute deadline k*T + D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Union
+from typing import List, Union
 
 from repro.model.application import Application
 from repro.model.graph import TaskGraph
@@ -101,13 +101,3 @@ def _instances(activity, graph: TaskGraph, count: int, release_offset: int, dead
             )
         )
     return out
-
-
-def job_count(application: Application, horizon: int = None) -> int:
-    """Number of SCS/ST jobs the static scheduler will place."""
-    return len(expand_jobs(application, scs_only=True, horizon=horizon))
-
-
-def iter_fps_tasks(application: Application) -> Iterator[Task]:
-    """All FPS tasks of the application."""
-    return (t for t in application.tasks() if t.is_fps)

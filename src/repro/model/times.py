@@ -63,12 +63,12 @@ def ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def bytes_to_mt(size_bytes: int, bits_per_mt: int = 10) -> int:
-    """Transmission time of *size_bytes* on the bus, rounded up to whole MT.
+def transmission_time(size_bytes: int, overhead_bytes: int, bits_per_mt: int) -> int:
+    """Frame transmission time C_m of Eq. (1), in whole macroticks.
 
-    ``bits_per_mt`` is the number of bits transferred per macrotick; the
-    default of 10 corresponds to 10 Mbit/s with 1 MT = 1 us.
+    ``(size_bytes + overhead_bytes) * 8`` bits at ``bits_per_mt`` bits
+    per macrotick, rounded up.  Checks nothing: ``Message`` and
+    ``FlexRayConfig`` validate sizes and bus speeds when they are built,
+    and the analysis calls this once per message and bus speed.
     """
-    check_time(size_bytes, "size_bytes", allow_zero=False)
-    check_time(bits_per_mt, "bits_per_mt", allow_zero=False)
-    return ceil_div(size_bytes * 8, bits_per_mt)
+    return -(-(size_bytes + overhead_bytes) * 8 // bits_per_mt)

@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.holistic import AnalysisOptions
 from repro.core.search import BusOptimisationOptions

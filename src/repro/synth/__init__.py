@@ -3,7 +3,6 @@
 from repro.synth.sharding import ShardEntry, ShardSpec, shard_plan
 from repro.synth.suite import (
     fault_grid,
-    full_paper_benchmark,
     paper_suite,
     paper_system,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "ShardEntry",
     "ShardSpec",
     "fault_grid",
-    "full_paper_benchmark",
     "generate_system",
     "paper_suite",
     "paper_system",

@@ -47,9 +47,9 @@ class ShardEntry:
 class ShardSpec:
     """A self-describing slice of the full benchmark sweep.
 
-    ``suite_key`` fields (``node_counts``, ``count``, ``seed``) identify
-    the sweep the shard belongs to; the aggregator refuses to merge
-    shards of different sweeps.
+    ``node_counts``, ``count`` and ``seed`` identify the sweep the shard
+    belongs to; the aggregator refuses to merge shards of different
+    sweeps.
     """
 
     shard: int
@@ -58,10 +58,6 @@ class ShardSpec:
     node_counts: Tuple[int, ...]
     count: int
     seed: int
-
-    def suite_key(self) -> tuple:
-        """Identity of the sweep this shard partitions."""
-        return (self.node_counts, self.count, self.seed)
 
     def systems(self, base: GeneratorConfig = None) -> Iterator[Tuple[ShardEntry, System]]:
         """Regenerate this shard's systems, in shard order."""

@@ -60,15 +60,3 @@ def fault_grid(
     to anchor a sweep's baseline.
     """
     return [IidFaults(rate=r, seed=s) for r in rates for s in seeds]
-
-
-def full_paper_benchmark(
-    node_counts=(2, 3, 4, 5, 6, 7),
-    count: int = 25,
-    base: GeneratorConfig = None,
-    seed: int = 2007,
-):
-    """All node-count classes of the paper's experiment, as a dict."""
-    return {
-        n: paper_suite(n, count=count, base=base, seed=seed) for n in node_counts
-    }

@@ -31,10 +31,14 @@ class TestNodeAvailability:
 
     def test_is_busy_wraps_periodically(self):
         av = NodeAvailability([(2, 5)], period=10)
-        assert av.is_busy(3)
-        assert not av.is_busy(0)
-        assert av.is_busy(13)
-        assert not av.is_busy(15)
+
+        def is_busy(t):
+            return av.available_in(t, t + 1) == 0
+
+        assert is_busy(3)
+        assert not is_busy(0)
+        assert is_busy(13)
+        assert not is_busy(15)
 
     def test_available_in_within_one_period(self):
         av = NodeAvailability([(2, 5)], period=10)
@@ -85,7 +89,7 @@ class TestNodeAvailability:
 
     def test_busy_starts(self):
         av = NodeAvailability([(2, 5), (8, 10)], period=10)
-        assert av.busy_starts() == [2, 8]
+        assert av.critical_instants() == [0, 2, 8]
 
     def test_rejects_interval_outside_period(self):
         with pytest.raises(AnalysisError):
@@ -115,7 +119,7 @@ class TestAdvanceBisectEquivalence:
         if slack == 0:
             return None
         period = av.period
-        gaps = av._gap_list
+        gaps = list(zip(av._gap_starts_arr, av._gap_ends))
         remaining = demand
         whole = (remaining - 1) // slack
         t = t0 + whole * period
@@ -254,7 +258,7 @@ class TestOnePassTables:
         av = NodeAvailability(busy, period)
         merged, gaps, gap_starts, tables = expected
         assert av.busy == merged
-        assert av._gap_list == gaps
+        assert list(zip(av._gap_starts_arr, av._gap_ends)) == gaps
         assert av._gap_starts_arr == gap_starts
         assert tuple(av.instant_advance_tables()) == tables
         assert av.slack_per_period == tables[2]

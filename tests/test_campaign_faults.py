@@ -89,7 +89,7 @@ class TestTimeoutsAndRetries:
         assert failure.kind == "timeout"
         assert failure.attempts == 1
         assert "wall-clock timeout" in failure.message
-        assert not report.all_succeeded
+        assert report.failures
         with pytest.raises(CampaignError, match="timed out"):
             report.result_for("s", "sleepy")
 
@@ -125,7 +125,7 @@ class TestTimeoutsAndRetries:
             options=CampaignOptions(max_retries=2, retry_backoff=0.0),
         )
         assert calls["n"] == 3
-        assert report.all_succeeded
+        assert not report.failures
         assert report.result_for("s", "flaky").evaluations > 0
 
     def test_retries_exhausted_reports_attempt_count(self, registry):
@@ -275,4 +275,4 @@ class TestAcceptanceScenario:
             checkpoint_dir=str(tmp_path),
         )
         assert resumed.resumed == ("s__bbc",)
-        assert resumed.all_succeeded
+        assert not resumed.failures

@@ -4,7 +4,8 @@
 dotted name, backticked repo path, backticked ``module:symbol`` pointer,
 bare backticked benchmark name and relative markdown link in the
 documentation set (top-level README,
-docs/, benchmarks/README).  This test wires it into the default pytest
+docs/, benchmarks/README), and every backticked ``repro.*`` name in the
+docstrings under ``src/repro``.  This test wires it into the default pytest
 run, so renaming a module or a public function without updating the
 architecture docs breaks the build -- the docs are part of the API
 surface.
@@ -12,7 +13,13 @@ surface.
 
 import pytest
 
-from benchmarks.check_docs import DOC_FILES, REPO_ROOT, check_all, check_file
+from benchmarks.check_docs import (
+    DOC_FILES,
+    REPO_ROOT,
+    check_all,
+    check_docstrings,
+    check_file,
+)
 
 
 pytestmark = pytest.mark.docs
@@ -138,3 +145,23 @@ class TestBenchNames:
         assert len(problems) == 2
         assert "bench_retired_sweep.py" in problems[0]
         assert "BENCH_retired_sweep.json" in problems[1]
+
+
+class TestDocstringPointers:
+    """``repro.*`` names in docstrings resolve, ``~``-prefixed or not."""
+
+    def test_stale_docstring_pointers_are_caught(self, tmp_path):
+        (tmp_path / "mod.py").write_text(
+            '"""See :func:`~repro.analysis.fps.resolved_busy_window` and\n'
+            ':meth:`~repro.analysis.schedule_table.ScheduleTable.add_task`."""\n'
+            "\n\n"
+            "def f():\n"
+            '    """Like ``repro.flexray.timeline.st_slot_end``."""\n',
+            encoding="utf-8",
+        )
+        problems = check_docstrings(tmp_path)
+        assert len(problems) == 2
+        assert "ScheduleTable.add_task" in problems[0]
+        assert "mod.py:1:" in problems[0]
+        assert "timeline.st_slot_end" in problems[1]
+        assert "mod.py:5:" in problems[1]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.dyn import (
     dyn_message_busy_window,
-    dyn_message_wcrt,
     interference_sets,
     resolved_busy_window,
     sigma,
@@ -113,10 +112,19 @@ class TestBusyWindow:
         sys_ = fig4_system()
         cfg = make_config({"m1": 1, "m2": 2, "m3": 3})
         m3 = sys_.application.message("m3")
-        base = dyn_message_wcrt(m3, cfg, sys_, {}, PERIODS, CAP)
-        assert base.value == 89 + 3
-        jit = dyn_message_wcrt(m3, cfg, sys_, {"m3": 10}, PERIODS, CAP)
-        assert jit.value == 89 + 3 + 10
+        ct = cfg.message_ct(m3)
+
+        def wcrt(own_jitter):
+            """R_m = J_m + w_m + C_m (Eq. (2))."""
+            jitters = {"m3": own_jitter}
+            window = dyn_message_busy_window(
+                m3, cfg, sys_, jitters, PERIODS, CAP, own_jitter
+            )
+            assert window.converged
+            return own_jitter + window.value + ct
+
+        assert wcrt(0) == 89 + 3
+        assert wcrt(10) == 89 + 3 + 10
 
     def test_longer_dyn_segment_reduces_lf_fills(self):
         sys_ = fig4_system()

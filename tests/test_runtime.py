@@ -16,6 +16,7 @@ from repro.core.ga import GAOptions
 from repro.core.result import OptimisationResult
 from repro.core.runtime import (
     CandidateBatch,
+    CandidateSweep,
     SearchDriver,
     SearchStrategy,
     drive_with_evaluator,
@@ -92,9 +93,9 @@ class TestSearchDriver:
         assert result.stop_reason is None
 
     def test_estimates_recorded_before_batch(self):
-        cfg = _configs([5])[0]
+        template = _configs([0])[0]
         strategy = _ScriptedStrategy(
-            [CandidateBatch(_configs([0]), estimates=((cfg, -3.0),))]
+            [CandidateSweep(template, lengths=(0,), estimates=((5, -3.0),))]
         )
         result = SearchDriver(fig3_system(), strategy).run()
         assert [p.exact for p in result.trace] == [False, True]
@@ -124,10 +125,10 @@ class TestSearchDriver:
         assert result.best is None
 
     def test_estimate_only_batch_gets_empty_results(self):
-        cfg = _configs([5])[0]
+        template = _configs([0])[0]
         strategy = _ScriptedStrategy(
             [
-                CandidateBatch(estimates=((cfg, 7.5),)),
+                CandidateSweep(template, estimates=((5, 7.5),)),
                 CandidateBatch(_configs([0])),
             ]
         )

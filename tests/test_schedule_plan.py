@@ -39,7 +39,7 @@ def _table_fingerprint(table):
             for k, e in table.messages.items()
         },
         {n: table.busy_intervals(n) for n in _nodes_of(table)},
-        dict(table._frame_used),
+        dict(table.record.frame_used),
     )
 
 

@@ -11,7 +11,7 @@ from repro.core.search import (
     quota_slot_assignment,
     sweep_lengths,
 )
-from repro.errors import OptimisationError
+from repro.errors import ConfigurationError, OptimisationError
 from repro.flexray import params
 
 from tests.util import (
@@ -56,6 +56,13 @@ class TestMinStaticSlot:
     def test_overhead_included(self):
         options = BusOptimisationOptions(frame_overhead_bytes=8)
         assert min_static_slot(fig3_system(), options) == 12
+
+    @pytest.mark.parametrize(
+        "bad", [{"bits_per_mt": 0}, {"frame_overhead_bytes": -1}]
+    )
+    def test_bus_speed_rejected_before_any_division(self, bad):
+        with pytest.raises(ConfigurationError):
+            BusOptimisationOptions(**bad)
 
 
 class TestDynBounds:
@@ -132,7 +139,7 @@ class TestEvaluator:
         sys_ = fig3_system()
         ev = Evaluator(sys_, BusOptimisationOptions())
         cfg = basic_config(n_minislots=5)
-        ev.note_estimate(cfg, -12.0)
+        ev.note_estimate(cfg, -12.0, cfg.n_minislots)
         assert not ev.trace[0].exact
         assert ev.trace[0].cost == -12.0
 

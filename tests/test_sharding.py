@@ -25,7 +25,7 @@ class TestShardPlan:
         a = shard_plan((2, 3, 4), count=5, num_shards=3, seed=99)
         b = shard_plan((4, 3, 2), count=5, num_shards=3, seed=99)
         assert a == b  # node counts are normalised
-        assert a[0].suite_key() == ((2, 3, 4), 5, 99)
+        assert (a[0].node_counts, a[0].count, a[0].seed) == ((2, 3, 4), 5, 99)
         assert all(spec.num_shards == 3 for spec in a)
 
     def test_more_shards_than_systems(self):
@@ -76,7 +76,8 @@ class TestShardPlanProperties:
         assert set(scattered) == expected  # ...and no losses
         # Every entry knows which sweep it belongs to.
         assert all(
-            spec.suite_key() == (tuple(classes), count, seed)
+            (spec.node_counts, spec.count, spec.seed)
+            == (tuple(classes), count, seed)
             for spec in plan
         )
 

@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.analysis.schedule_table import ScheduleTable
 from repro.core.config import FlexRayConfig
 from repro.errors import SimulationError
 from repro.flexray.simulator import SimulationOptions, simulate
 from repro.model import Application, System, TaskGraph
 
-from tests.util import dyn_msg, fps_task, scs_task, single_graph_system, st_msg
+from tests.util import (
+    dyn_msg,
+    fps_task,
+    schedule_view,
+    scs_task,
+    single_graph_system,
+    st_msg,
+)
 
 
 class TestStMessageConsistency:
@@ -30,9 +36,14 @@ class TestStMessageConsistency:
         cfg = FlexRayConfig(
             static_slots=("N1", "N2"), gd_static_slot=4, n_minislots=0
         )
-        table = ScheduleTable(cfg, horizon=40)
-        table.add_task("a#0", app.task("a"), 0)  # finishes at 10
-        table.add_message("m#0", app.message("m"), cycle=0, slot=1)  # slot at 0!
+        table = schedule_view(
+            cfg,
+            app,
+            [
+                ("a#0", app.task("a"), 0),  # finishes at 10
+                ("m#0", app.message("m"), 0, 1),  # slot at 0!
+            ],
+        )
         with pytest.raises(SimulationError, match="not ready"):
             simulate(system, cfg, table=table)
 
@@ -52,10 +63,15 @@ class TestStMessageConsistency:
         cfg = FlexRayConfig(
             static_slots=("N1", "N2"), gd_static_slot=4, n_minislots=0
         )
-        table = ScheduleTable(cfg, horizon=40)
-        table.add_task("a#0", app.task("a"), 0)
-        table.add_message("m#0", app.message("m"), cycle=1, slot=1)  # arrives ~10
-        table.add_task("b#0", app.task("b"), 2)  # starts before the data
+        table = schedule_view(
+            cfg,
+            app,
+            [
+                ("a#0", app.task("a"), 0),
+                ("m#0", app.message("m"), 1, 1),  # arrives ~10
+                ("b#0", app.task("b"), 2),  # starts before the data
+            ],
+        )
         with pytest.raises(SimulationError, match="inputs arrive"):
             simulate(system, cfg, table=table)
 

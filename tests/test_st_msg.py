@@ -1,14 +1,13 @@
 """Unit tests for static response-time extraction."""
 
-from repro.analysis.schedule_table import ScheduleTable
-from repro.analysis.st_msg import static_release_offsets, static_response_times
+from repro.analysis.st_msg import static_response_times
 from repro.core.config import FlexRayConfig
 from repro.model import Application, System, TaskGraph
 
-from tests.util import scs_task, st_msg
+from tests.util import schedule_view, scs_task, st_msg
 
 
-def build_table():
+def build_app():
     g = TaskGraph(
         name="g",
         period=20,
@@ -19,37 +18,36 @@ def build_table():
     app = Application("app", (g,))
     System(("N1", "N2"), app)
     cfg = FlexRayConfig(static_slots=("N1", "N2"), gd_static_slot=4, n_minislots=0)
-    table = ScheduleTable(cfg, horizon=40)
-    return app, cfg, table
+    return app, cfg
 
 
 class TestStaticResponseTimes:
     def test_single_instance(self):
-        app, _, table = build_table()
-        table.add_task("a#0", app.task("a"), 3)
+        app, cfg = build_app()
+        table = schedule_view(cfg, app, [("a#0", app.task("a"), 3)])
         wcrt = static_response_times(app, table)
         assert wcrt["a"] == 5
 
     def test_max_over_instances_relative_to_period(self):
-        app, _, table = build_table()
-        table.add_task("a#0", app.task("a"), 3)  # R = 5
-        table.add_task("a#1", app.task("a"), 29)  # base 20 -> R = 11
+        app, cfg = build_app()
+        table = schedule_view(
+            cfg,
+            app,
+            [
+                ("a#0", app.task("a"), 3),  # R = 5
+                ("a#1", app.task("a"), 29),  # base 20 -> R = 11
+            ],
+        )
         wcrt = static_response_times(app, table)
         assert wcrt["a"] == 11
 
     def test_message_uses_arrival_time(self):
-        app, cfg, table = build_table()
-        entry = table.add_message("m#0", app.message("m"), cycle=1, slot=1)
+        app, cfg = build_app()
+        table = schedule_view(cfg, app, [("m#0", app.message("m"), 1, 1)])
+        entry = table.messages["m#0"]
         wcrt = static_response_times(app, table)
         assert wcrt["m"] == entry.finish  # instance 0: base 0
 
-    def test_release_offsets_alias(self):
-        app, _, table = build_table()
-        table.add_task("a#0", app.task("a"), 3)
-        assert static_release_offsets(app, table) == static_response_times(
-            app, table
-        )
-
     def test_empty_table(self):
-        app, _, table = build_table()
-        assert static_response_times(app, table) == {}
+        app, cfg = build_app()
+        assert static_response_times(app, schedule_view(cfg, app, [])) == {}

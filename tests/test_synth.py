@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.model import validate_system
 from repro.synth import GeneratorConfig, generate_system, paper_suite
-from repro.synth.suite import full_paper_benchmark
 
 
 class TestGeneratorConfig:
@@ -116,8 +115,3 @@ class TestSuites:
             tuple(t.wcet for t in s.application.tasks()) for s in suite
         }
         assert len(descs) == 3
-
-    def test_full_benchmark_structure(self):
-        bench = full_paper_benchmark(node_counts=(2, 3), count=2, seed=5)
-        assert set(bench) == {2, 3}
-        assert all(len(v) == 2 for v in bench.values())

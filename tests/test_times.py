@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.model.times import bytes_to_mt, ceil_div, check_time, lcm
+from repro.model import Message, MessageKind
+from repro.model.times import ceil_div, check_time, lcm, transmission_time
 
 
 class TestCheckTime:
@@ -70,17 +71,24 @@ class TestCeilDiv:
 
 
 class TestBytesToMt:
+    """C_m of Eq. (1): ``transmission_time(size, overhead, bits_per_mt)``."""
+
     def test_default_rate_10mbps(self):
         # 10 bits per MT: 5 bytes = 40 bits -> 4 MT
-        assert bytes_to_mt(5) == 4
+        assert transmission_time(5, 0, 10) == 4
+        # the frame overhead is sent too: 5 + 5 bytes = 80 bits -> 8 MT
+        assert transmission_time(5, 5, 10) == 8
 
     def test_rounding_up(self):
         # 1 byte = 8 bits -> ceil(8/10) = 1 MT
-        assert bytes_to_mt(1) == 1
+        assert transmission_time(1, 0, 10) == 1
 
     def test_byte_per_mt_rate(self):
-        assert bytes_to_mt(7, bits_per_mt=8) == 7
+        assert transmission_time(7, 0, 8) == 7
 
     def test_rejects_zero_size(self):
+        # transmission_time checks nothing; a zero-size message is
+        # rejected where it is built.
         with pytest.raises(ValidationError):
-            bytes_to_mt(0)
+            Message(name="m", size=0, sender="a", receivers=("b",),
+                    kind=MessageKind.ST)

@@ -13,13 +13,16 @@ instead of keeping their own drifting copies:
   referee (``tests/test_faults.py``) and its hypothesis twin
   (``tests/test_properties.py``),
 * ``resolve_rows`` -- name-keyed interferer rows resolved into the busy-
-  window kernels' ``(period, jitter, size)`` rows.
+  window kernels' ``(period, jitter, size)`` rows,
+* ``schedule_view`` -- a ``ScheduleTable`` over a hand-placed
+  ``ScheduleRecord``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.analysis.schedule_table import JobTable, ScheduleRecord, ScheduleTable
 from repro.core.config import FlexRayConfig
 from repro.core.search import BusOptimisationOptions
 from repro.flexray.faults import (
@@ -27,6 +30,7 @@ from repro.flexray.faults import (
     GilbertElliottFaults,
     IidFaults,
 )
+from repro.flexray.timeline import st_slot_start
 from repro.model import (
     Application,
     Message,
@@ -216,3 +220,49 @@ def resolve_rows(info, jitters, own_jitter):
         (p, own_jitter - p if anc else jitters.get(name, 0), size[0] if size else 0)
         for name, p, anc, *size in info
     ]
+
+
+def schedule_view(config, application, placements) -> ScheduleTable:
+    """A ``ScheduleTable`` view of a hand-placed ``ScheduleRecord``.
+
+    *placements* are ``(job_key, task, start)`` for SCS tasks and
+    ``(job_key, message, cycle, slot)`` for ST messages, in placement
+    order; a message takes the next free payload offset of its frame.
+    Nothing is checked, so a test can build a schedule the scheduler
+    never would (a frame sent before its sender finished, say).  The
+    horizon is the application's hyper-period.
+    """
+    keys, activities, base, start, cell, duration, finish = (
+        [] for _ in range(7)
+    )
+    busy, frame_used = {}, {}
+    for key, activity, *where in placements:
+        keys.append(key)
+        activities.append(activity)
+        base.append(int(key.rsplit("#", 1)[1]) * application.period_of(activity.name))
+        if isinstance(activity, Task):
+            (at,) = where
+            busy.setdefault(activity.node, []).append((at, at + activity.wcet))
+            start.append(at)
+            cell.append(None)
+            duration.append(activity.wcet)
+            finish.append(at + activity.wcet)
+        else:
+            ct = config.message_ct(activity)
+            used = frame_used.get(tuple(where), 0)
+            frame_used[tuple(where)] = used + ct
+            start.append(used)
+            cell.append(tuple(where))
+            duration.append(ct)
+            finish.append(st_slot_start(config, *where) + used + ct)
+    record = ScheduleRecord(
+        JobTable(tuple(keys), tuple(activities), tuple(base)),
+        application.hyperperiod,
+        start,
+        cell,
+        duration,
+        finish,
+        {node: sorted(spans) for node, spans in busy.items()},
+        frame_used,
+    )
+    return ScheduleTable.from_record(config, record)

@@ -94,20 +94,25 @@ busy run first, so the per-instant bound prunes early:
 **Evaluation backends.**  ``AnalysisOptions.backend`` selects the
 fix-point engine: ``"python"`` (default), ``"native"`` -- the
 compiled backend, which lowers the system's invariants once per group
-of candidates and runs each candidate's entire fix point inside the
-``repro._native`` C extension via ``AnalysisContext.analyse_batch``.
-Results are bit-identical across backends; the extension is the optional ``repro[native]``
-extra, so this snippet picks it when it is built and the Python
-backend otherwise:
+of DYN lengths sharing a schedule and runs each length's entire fix
+point inside the ``repro._native`` C extension.  ``analyse`` and
+``AnalysisContext.analyse_sweep`` -- one static variant at many DYN
+lengths, a compact row per length and a full result for the best --
+run the same per-length path on either backend, and results are
+bit-identical across backends; the extension is the optional
+``repro[native]`` extra, so this snippet picks it when it is built and
+the Python backend otherwise:
 
 >>> AnalysisOptions().backend
 'python'
 >>> from repro.analysis.backend import native_or_none
+>>> from repro.core.runtime import CandidateSweep
 >>> backend = "native" if native_or_none() is not None else "python"
->>> batched = AnalysisContext(system, AnalysisOptions(backend=backend))
->>> [r.wcrt for r in batched.analyse_batch(sweep)] == [
-...     warm.analyse(c).wcrt for c in sweep
-... ]
+>>> swept = AnalysisContext(system, AnalysisOptions(backend=backend))
+>>> rows = swept.analyse_sweep(
+...     CandidateSweep(config, tuple(c.n_minislots for c in sweep))
+... )
+>>> [r.wcrt for r in rows] == [warm.analyse(c).wcrt for c in sweep]
 True
 
 **Optimisation.**  Every strategy -- BBC, OBC/CF, OBC/EE, SA, GA --

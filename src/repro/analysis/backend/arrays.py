@@ -193,7 +193,7 @@ class GroupPlan:
         self.template = template
         #: The group's schedule artifacts, fetched once by the caller:
         #: the kernels and the oracle delegation read them from here
-        #: instead of re-fetching (a batch wider than the schedule cache
+        #: instead of re-fetching (a sweep wider than the schedule cache
         #: would replay them again).
         self.arts = arts
         #: The initial response times by row (the fix point's start).

@@ -43,9 +43,11 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     is computed, inline.  The busy-window kernels take the interferer
     rows resolved to ``(period, jitter or ancestor offset, size)``.
 
-A DYN-length sweep (:meth:`AnalysisContext.analyse_sweep`) reads all
-three tiers per length from one template and a length -- no
-configuration per length -- and returns compact rows.
+Every analysis reads all three tiers per length from one template and
+a length -- no configuration per length: a DYN-length sweep
+(:meth:`AnalysisContext.analyse_sweep`) returns compact rows, and a
+single configuration (:meth:`AnalysisContext.analyse`) is the same
+path at its own length.
 
 The fix point walks the component schedule: an acyclic component is
 evaluated once (its inputs are final by then), and only a cyclic one
@@ -202,10 +204,13 @@ class AnalysisContext:
     """Shared state of repeated holistic analyses of one system.
 
     Construct once per (system, options) pair and call :meth:`analyse`
-    per candidate configuration; results are bit-identical to
-    ``analyse_system(system, config, options)`` with no context.  The
-    optimiser :class:`~repro.core.search.Evaluator` owns one context per
-    run, which is what makes DYN-length sweeps and SA/GA neighbourhoods
+    per candidate configuration, or :meth:`analyse_sweep` per static
+    variant at many DYN lengths; results are bit-identical to
+    ``analyse_system(system, config, options)`` with no context, and to
+    the cold oracle :meth:`analyse_cold`.  All three run one per-length
+    path (:meth:`_analyse_lengths`) on either backend.  The optimiser
+    :class:`~repro.core.search.Evaluator` owns one context per run,
+    which is what makes DYN-length sweeps and SA/GA neighbourhoods
     incremental instead of from-scratch.
     """
 
@@ -246,16 +251,17 @@ class AnalysisContext:
             )
         #: k of the k-error fault hypothesis (0 = clean channel).
         self._fault_k = fault_k or 0
-        budget = self.options.max_holistic_iterations
-        if (
-            isinstance(budget, bool)
-            or not isinstance(budget, int)
-            or budget < 1
+        for field, what in (
+            ("max_holistic_iterations", "the pass budget of each cyclic "
+             "component"),
+            ("cap_factor", "the multiple of max(hyperperiod, deadlines, "
+             "gd_cycle) that caps a diverging response time"),
         ):
-            raise ConfigurationError(
-                f"max_holistic_iterations={budget!r} must be an integer "
-                ">= 1 (the pass budget of each cyclic component)"
-            )
+            value = getattr(self.options, field)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigurationError(
+                    f"{field}={value!r} must be an integer >= 1 ({what})"
+                )
         app = system.application
         self.app = app
 
@@ -464,18 +470,12 @@ class AnalysisContext:
                 worst[n] = v
         return dict(zip(jobs.names, worst))
 
-    def _schedule_artifacts(self, config: FlexRayConfig) -> _ScheduleArtifacts:
-        """Tier (b): replay-or-fetch the static schedule and its derivates."""
-        return self._artifacts_at(
-            config, config.gd_cycle, self.schedule_key(config)
-        )
-
     def _artifacts_at(
         self, config: FlexRayConfig, gd_cycle: int, key: tuple
     ) -> _ScheduleArtifacts:
-        """:meth:`_schedule_artifacts` for *config*'s static segment at
-        the cycle length *gd_cycle*, whose schedule key is *key* -- how
-        a sweep fetches each length's schedule from its template.
+        """Tier (b): replay-or-fetch the static schedule of *config*'s
+        static segment at the cycle length *gd_cycle*, whose schedule
+        key is *key*, and its derivates.
 
         The static response times and the availability patterns read
         the replay's flat record; no table entry is built.
@@ -719,8 +719,9 @@ class AnalysisContext:
         )
         return record
 
-    def schedule_key(self, config: FlexRayConfig) -> tuple:
-        """Identity of everything *config*'s schedule table depends on.
+    def schedule_key(self, config: FlexRayConfig, gd_cycle: int) -> tuple:
+        """Identity of everything the schedule table of *config*'s
+        static segment at the cycle length *gd_cycle* depends on.
 
         ``static_key()`` plus -- only when the application sends ST
         messages -- the cycle length.  Configurations sharing this key
@@ -731,9 +732,8 @@ class AnalysisContext:
         ``static_key()`` alone is the :class:`SchedulePlan` the table is
         replayed from, see :meth:`_plan`.)
         """
-        return config.static_key() + (
-            (config.gd_cycle,) if self._st_dependent else ()
-        )
+        key = config.static_key()
+        return key + (gd_cycle,) if self._st_dependent else key
 
     # ------------------------------------------------------------------
     # the analysis itself
@@ -747,9 +747,8 @@ class AnalysisContext:
         ``options.backend`` selects the evaluation backend (see
         :class:`~repro.analysis.holistic.AnalysisOptions`).
         """
-        if self.options.backend == "native":
-            return self.analyse_batch([config])[0]
-        return self._analyse_python(config)
+        (out,) = self._analyse_lengths(config, (config.n_minislots,))
+        return self._result(config, out)
 
     def analyse_cold(self, config: FlexRayConfig):
         """The fully cold oracle the certified path is checked against.
@@ -757,23 +756,10 @@ class AnalysisContext:
         Python kernels whatever the backend, with no inner seeds and no
         instant pruning; bit-identical to :meth:`analyse`, only slower.
         """
-        return self._analyse_python(config, certified=False)
-
-    def analyse_batch(self, configs) -> list:
-        """Analyse a list of configurations under ``options.backend``.
-
-        The batch entry point of :meth:`Evaluator.analyse_many
-        <repro.core.search.Evaluator>`: with ``backend="python"`` it is
-        exactly the per-candidate loop; with ``backend="native"`` the
-        feasible candidates are grouped by (schedule key, DYN structure
-        key) and each group runs on the compiled kernels
-        (:func:`repro.analysis.backend.native.run_group_native`).
-        Result lists are ordered like *configs* and bit-identical across
-        backends.
-        """
-        if self._native_kernels():
-            return self._analyse_native_batch(configs)
-        return [self._analyse_python(c) for c in configs]
+        (out,) = self._analyse_lengths(
+            config, (config.n_minislots,), certified=False
+        )
+        return self._result(config, out)
 
     def analyse_sweep(self, sweep) -> list:
         """Analyse one static variant at many DYN lengths.
@@ -781,12 +767,7 @@ class AnalysisContext:
         *sweep* names a template configuration and its ``lengths`` (a
         :class:`~repro.core.runtime.CandidateSweep`); length n stands
         for ``template.with_dyn_length(n)``, but no configuration is
-        built per length.  The sweep validates through the monotone
-        floor (its first legal length clears the rest), derives the
-        structure record once, and per length replays the schedule (or
-        fetches it) and runs the fix point -- on the compiled kernels
-        under ``backend="native"``, lanes of one schedule sharing a
-        group.
+        built per length (see :meth:`_analyse_lengths`).
 
         Returns one entry per length, in order: a
         :class:`~repro.analysis.holistic.SweepRow` -- failure or cost,
@@ -798,29 +779,16 @@ class AnalysisContext:
         """
         template = sweep.template
         lengths = sweep.lengths
-        st_bus = template.st_bus
-        ms_len = template.gd_minislot
-        static_key = template.static_key()
-        structure_key = self.structure_key(template)
-        floor_key = (static_key, template.frame_key)
-        floor = self._valid_floor.get(floor_key)
-        native = self._native_kernels()
-        structure = None
-        entries: list = [None] * len(lengths)
-        # The running best: (index, row, schedule artifacts).
+        entries: list = []
+        # The running best: (index, its core output).
         best = None
-        # Native: consecutive feasible lengths sharing a schedule key,
-        # run as one group -- ``(key, artifacts, [index...])``.
-        run = None
-
-        def emit(i, failure, arts=None, values=None, converged=False):
-            nonlocal best
-            if failure is not None:
-                row = SweepRow(template, lengths[i], failure, None, False, False)
+        for n, out in zip(lengths, self._analyse_lengths(template, lengths)):
+            if isinstance(out, str):
+                row = SweepRow(template, n, out, None, False, False)
             else:
+                _, structure, values, converged = out
                 names = structure.names
-                if len(values) > len(names):
-                    del values[len(names):]
+                del values[len(names):]
                 cost_rows = structure.cost_rows
                 cost = (
                     cost_over(cost_rows, values) if cost_rows is not None
@@ -829,76 +797,105 @@ class AnalysisContext:
                     else cost_over(self._cost_order, dict(zip(names, values)))
                 )
                 row = SweepRow(
-                    template, lengths[i], None, cost,
+                    template, n, None, cost,
                     cost.schedulable and converged, converged, names, values,
                 )
-            entries[i] = row
-            if best is None or row.cost_value < best[1].cost_value:
-                best = (i, row, arts)
+            if best is None or row.cost_value < entries[best[0]].cost_value:
+                best = (len(entries), out)
+            entries.append(row)
+        if best is not None:
+            i, out = best
+            entries[i] = self._result(template.with_dyn_length(lengths[i]), out)
+        return entries
+
+    def _analyse_lengths(self, template: FlexRayConfig, lengths,
+                         certified: bool = True):
+        """The one per-length analysis path behind :meth:`analyse`,
+        :meth:`analyse_cold` and :meth:`analyse_sweep`.
+
+        Analyses *template*'s static variant at each DYN length of
+        *lengths*; length n stands for ``template.with_dyn_length(n)``,
+        and only a length below the monotone validation floor builds
+        that configuration, to validate it (the template validates
+        itself at its own length).  The first legal length clears every
+        longer one.  The structure record is derived once, and per
+        length the schedule is fetched by its :meth:`schedule_key` and
+        the fix point runs: on the Python kernels, or under
+        ``backend="native"`` on the compiled ones, consecutive lengths
+        sharing a schedule as the lanes of one group
+        (:func:`repro.analysis.backend.native.run_group_native`); a lane
+        the kernels hand back runs on the Python fix point, on the
+        artifacts already fetched.  ``certified=False`` runs the cold
+        oracle's Python kernels whatever the backend.
+
+        Yields per length, in order, its failure message or ``(arts,
+        structure, wcrt, converged)``: the schedule artifacts, the
+        structure record and the response times by row (result order:
+        ``structure.names`` first).
+        """
+        st_bus = template.st_bus
+        ms_len = template.gd_minislot
+        floor_key = (template.static_key(), template.frame_key)
+        floor = self._valid_floor.get(floor_key)
+        native = certified and self._native_kernels()
+        structure = None
+        # Native: consecutive feasible lengths sharing a schedule key,
+        # run as one group -- ``(key, artifacts, lanes)``.
+        run = None
 
         def flush():
             from repro.analysis.backend.native import run_group_native
 
-            key, arts, indices = run
-            plan = self._group_plan((key, structure_key), structure, arts)
-            lanes = []
-            for i in indices:
-                gd_cycle = st_bus + lengths[i] * ms_len
-                lanes.append((lengths[i], gd_cycle, st_bus))
-            for i, lane, out in zip(
-                indices, lanes, run_group_native(self, plan, lanes, ms_len)
+            key, arts, lanes = run
+            plan = self._group_plan(
+                (key, self.structure_key(template)), structure, arts
+            )
+            for lane, out in zip(
+                lanes, run_group_native(self, plan, lanes, ms_len)
             ):
                 if out is None:  # the oracle analyses this lane
                     out = self._fix_point(
-                        structure, arts, lane[0], lane[1], st_bus, ms_len,
-                        self._cap(lane[1]),
+                        structure, arts, *lane, ms_len, self._cap(lane[1])
                     )
-                emit(i, None, arts, *out)
+                yield (arts, structure, *out)
 
-        for i, n in enumerate(lengths):
+        for n in lengths:
             if floor is None or n < floor:
-                failure = self._validate(template.with_dyn_length(n))
-                floor = self._valid_floor.get(floor_key)
+                failure = self._validate(
+                    template if n == template.n_minislots
+                    else template.with_dyn_length(n)
+                )
+                if failure is None:  # every longer length is legal too
+                    floor = n
             else:
                 failure = None
             if failure is None:
                 gd_cycle = st_bus + n * ms_len
-                key = (
-                    static_key + (gd_cycle,) if self._st_dependent
-                    else static_key
-                )
+                key = self.schedule_key(template, gd_cycle)
                 arts = self._artifacts_at(template, gd_cycle, key)
                 failure = arts.failure
             if failure is not None:
                 if run is not None:
-                    flush()
+                    yield from flush()
                     run = None
-                emit(i, failure)
+                yield failure
                 continue
             if structure is None:
                 structure = self._structure(template)
+            lane = (n, gd_cycle, st_bus)
             if not native:
-                emit(i, None, arts, *self._fix_point(
-                    structure, arts, n, gd_cycle, st_bus, ms_len,
-                    self._cap(gd_cycle),
+                yield (arts, structure, *self._fix_point(
+                    structure, arts, *lane, ms_len, self._cap(gd_cycle),
+                    certified,
                 ))
             elif run is not None and run[0] == key:
-                run[2].append(i)
+                run[2].append(lane)
             else:
                 if run is not None:
-                    flush()
-                run = (key, arts, [i])
+                    yield from flush()
+                run = (key, arts, [lane])
         if run is not None:
-            flush()
-        if best is not None:
-            i, row, arts = best
-            config = template.with_dyn_length(row.n_minislots)
-            entries[i] = (
-                _infeasible(config, row.failure)
-                if row.failure is not None
-                else self._result(config, arts, row.wcrt, row.converged)
-            )
-        return entries
+            yield from flush()
 
     def _native_kernels(self) -> bool:
         """Whether analyses run on the compiled kernels: the native
@@ -921,87 +918,6 @@ class AnalysisContext:
             self._backend_plans.move_to_end(key)
         return plan
 
-    def _analyse_native_batch(self, configs) -> list:
-        """The compiled-kernel path of :meth:`analyse_batch`.
-
-        Candidates are grouped by (schedule key, DYN structure key), the
-        per-group :class:`~repro.analysis.backend.arrays.GroupPlan`
-        lowering is cached on the context, and infeasible candidates
-        short-circuit exactly like the Python path.  Each group runs
-        through :func:`repro.analysis.backend.native.run_group_native`,
-        which hands structurally unsafe groups, groups with an input
-        outside int64 and single lanes that overflowed int64 in the
-        kernel back to the Python oracle (:meth:`_analyse_fetched`).
-        """
-        from repro.analysis.backend.native import run_group_native
-
-        results = [None] * len(configs)
-        # key -> (the group's schedule artifacts, candidate indices); the
-        # artifacts fetched here travel on the plan, so a batch wider
-        # than the schedule cache replays each schedule once, not twice.
-        groups: "OrderedDict[tuple, tuple]" = OrderedDict()
-        for i, config in enumerate(configs):
-            failure = self._validate(config)
-            if failure is not None:
-                results[i] = _infeasible(config, failure)
-                continue
-            arts = self._schedule_artifacts(config)
-            if arts.failure is not None:
-                results[i] = _infeasible(config, arts.failure)
-                continue
-            key = (self.schedule_key(config), self.structure_key(config))
-            groups.setdefault(key, (arts, []))[1].append(i)
-        for key, (arts, indices) in groups.items():
-            first = configs[indices[0]]
-            plan = self._group_plan(key, self._structure(first), arts)
-            names = plan.structure.names
-            lanes = [
-                (configs[i].n_minislots, configs[i].gd_cycle, configs[i].st_bus)
-                for i in indices
-            ]
-            outs = run_group_native(self, plan, lanes, first.gd_minislot)
-            for i, out in zip(indices, outs):
-                config = configs[i]
-                if out is None:  # the lane runs on the oracle
-                    results[i] = self._analyse_fetched(config, arts)
-                else:
-                    values, converged = out
-                    results[i] = self._result(
-                        config, arts, dict(zip(names, values)), converged
-                    )
-        return results
-
-    def _analyse_python(self, config: FlexRayConfig, certified: bool = True):
-        """The pure-Python analysis (reference semantics of every backend)."""
-        failure = self._validate(config)
-        if failure is not None:
-            return _infeasible(config, failure)
-
-        arts = self._schedule_artifacts(config)
-        if arts.failure is not None:
-            return _infeasible(config, arts.failure)
-        return self._analyse_fetched(config, arts, certified)
-
-    def _analyse_fetched(
-        self,
-        config: FlexRayConfig,
-        arts: _ScheduleArtifacts,
-        certified: bool = True,
-    ):
-        """The oracle on a validated configuration and its fetched
-        schedule artifacts -- the Python path past validation and the
-        schedule fetch, and where the compiled backend delegates the
-        groups it cannot run."""
-        gd_cycle = config.gd_cycle
-        structure = self._structure(config)
-        wcrt, converged = self._fix_point(
-            structure, arts, config.n_minislots, gd_cycle, config.st_bus,
-            config.gd_minislot, self._cap(gd_cycle), certified,
-        )
-        return self._result(
-            config, arts, dict(zip(structure.names, wcrt)), converged
-        )
-
     def _cap(self, gd_cycle: int) -> int:
         """The divergence cap at cycle length *gd_cycle*
         (:func:`~repro.analysis.holistic.analysis_cap`)."""
@@ -1010,11 +926,15 @@ class AnalysisContext:
             cap_base if cap_base > gd_cycle else gd_cycle
         )
 
-    def _result(self, config: FlexRayConfig, arts: _ScheduleArtifacts,
-                wcrt: Dict[str, int], converged: bool):
-        """The result tail shared by the oracle and the compiled
-        backend: Eq. (5) on the wcrt dict, and a view of the schedule
-        record bound to *config*."""
+    def _result(self, config: FlexRayConfig, out):
+        """The full result of *config* from its :meth:`_analyse_lengths`
+        output *out*: the infeasible result of a failure, or Eq. (5) on
+        the wcrt dict and a view of the schedule record bound to
+        *config*."""
+        if isinstance(out, str):
+            return _infeasible(config, out)
+        arts, structure, values, converged = out
+        wcrt = dict(zip(structure.names, values))
         cost = cost_over(self._cost_order, wcrt)
         return AnalysisResult(
             config=config,

@@ -185,14 +185,7 @@ class Evaluator:
 
     def analyse(self, config: FlexRayConfig) -> AnalysisResult:
         """Full scheduling + holistic analysis of one configuration."""
-        key = config.cache_key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return self._hit(key, cached, config)
-        result = self.context.analyse(config)
-        self._remember(key, result)
-        self._note(config, config.n_minislots, result, exact=True)
-        return result
+        return self.analyse_many((config,))[0]
 
     def analyse_many(
         self, configs: Iterable[FlexRayConfig]
@@ -404,10 +397,7 @@ class Evaluator:
         chunks = self._pool_map(_pool_analyse, configs, len(configs))
         if chunks is not None:
             return chunks
-        # Serial path: the context's batch entry point -- a plain
-        # per-candidate loop on the Python backend, grouped compiled
-        # fix points on the native backend (bit-identical either way).
-        return self.context.analyse_batch(configs)
+        return [self.context.analyse(c) for c in configs]
 
     def _map_sweep(self, sweep) -> list:
         """Evaluate a sweep of distinct lengths, in chunks on the pool

@@ -208,10 +208,14 @@ def plan_blob_digest():
     for system in systems:
         ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
         configs = _backend_sweep(system)
-        ctx.analyse_batch(configs)
+        for config in configs:
+            ctx.analyse(config)
         seen = set()
         for config in configs:
-            key = (ctx.schedule_key(config), ctx.structure_key(config))
+            key = (
+                ctx.schedule_key(config, config.gd_cycle),
+                ctx.structure_key(config),
+            )
             plan = ctx._backend_plans.get(key)
             if plan is None or key in seen or not plan.stair:
                 continue

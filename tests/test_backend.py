@@ -31,7 +31,7 @@ from repro.analysis import AnalysisContext
 from repro.analysis import context as context_module
 from repro.analysis.backend import native_or_none
 from repro.analysis.scheduler import SchedulePlan
-from repro.analysis.holistic import AnalysisOptions
+from repro.analysis.holistic import AnalysisOptions, AnalysisResult
 from repro.core import optimise_bbc, optimise_obc
 from repro.core.bbc import basic_configuration
 from repro.core.campaign import (
@@ -39,6 +39,7 @@ from repro.core.campaign import (
     campaign_matrix,
     run_campaign,
 )
+from repro.core.runtime import CandidateSweep
 from repro.core.search import (
     BusOptimisationOptions,
     dyn_segment_bounds,
@@ -94,22 +95,60 @@ def _result_docs(results):
     return [analysis_result_to_dict(r) for r in results]
 
 
-def _delegating_run(system, configs, **options):
-    """Native results for *configs*, plus the candidates the native
-    backend handed to the Python oracle (``_analyse_fetched``)."""
-    delegated = []
-    fetched = AnalysisContext._analyse_fetched
+def _sweep_of(configs):
+    """The :class:`CandidateSweep` of *configs*: one template (the
+    first) at each of their DYN lengths."""
+    template = configs[0]
+    assert all(c == template.with_dyn_length(c.n_minislots) for c in configs)
+    return CandidateSweep(template, tuple(c.n_minislots for c in configs))
 
-    def spy(ctx, config, arts):
-        delegated.append(config)
-        return fetched(ctx, config, arts)
+
+def _entry_docs(entries):
+    """Sweep entries, deep-compare safe: every row's signature (wcrt
+    order included) and the best's full serialized result."""
+    return [
+        analysis_result_to_dict(e) if isinstance(e, AnalysisResult)
+        else (e.n_minislots, e.failure, e.cost, e.schedulable, e.converged,
+              tuple(e.wcrt.items()))
+        for e in entries
+    ]
+
+
+def _run(system, configs, **options):
+    """``(results, sweep entries)`` for *configs* on fresh contexts:
+    ``analyse`` per configuration, and one ``analyse_sweep`` over their
+    DYN lengths, where the native backend runs multi-lane groups."""
+    options = AnalysisOptions(**options)
+    context = AnalysisContext(system, options)
+    results = [context.analyse(c) for c in configs]
+    entries = AnalysisContext(system, options).analyse_sweep(_sweep_of(configs))
+    return results, entries
+
+
+def _assert_same(native, python):
+    """Two :func:`_run` outputs are identical, result for result and
+    entry for entry."""
+    assert _result_docs(native[0]) == _result_docs(python[0])
+    assert _entry_docs(native[1]) == _entry_docs(python[1])
+
+
+def _delegating_run(system, configs, **options):
+    """:func:`_run` on the native backend, plus the DYN lengths whose
+    lanes the kernels handed to the Python fix point (the per-length
+    core's oracle fallback) -- the same for both entry points."""
+    delegated = {}  # context -> its delegated lengths
+    fix_point = AnalysisContext._fix_point
+
+    def spy(ctx, structure, arts, n_minislots, *args):
+        delegated.setdefault(ctx, []).append(n_minislots)
+        return fix_point(ctx, structure, arts, n_minislots, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AnalysisContext, "_analyse_fetched", spy)
-        native = AnalysisContext(
-            system, AnalysisOptions(backend="native", **options)
-        ).analyse_batch(configs)
-    return native, delegated
+        patch.setattr(AnalysisContext, "_fix_point", spy)
+        native = _run(system, configs, backend="native", **options)
+    each, swept = list(delegated.values()) or ([], [])
+    assert each == swept
+    return native, each
 
 
 #: Magnitudes from 2**7 up to just past 2**62, clustered at powers of
@@ -210,18 +249,16 @@ class TestBitIdentity:
         self, system, points, fault_k
     ):
         """Fuzzed systems, full-result identity: every field the
-        serializer covers (wcrt in insertion order included), plus the
-        result-list order of the batch -- under every fault hypothesis
-        ``k in {0, 1, 2}``, which the compiled kernels charge natively."""
+        serializer covers (wcrt in insertion order included), per
+        configuration and per sweep entry, in order -- under every fault
+        hypothesis ``k in {0, 1, 2}``, which the compiled kernels charge
+        natively."""
         configs = _sweep_configs(system, points)
-        python = AnalysisContext(
-            system, AnalysisOptions(fault_hypothesis=fault_k)
-        ).analyse_batch(configs)
-        native = AnalysisContext(
-            system,
-            AnalysisOptions(backend="native", fault_hypothesis=fault_k),
-        ).analyse_batch(configs)
-        assert _result_docs(native) == _result_docs(python)
+        python = _run(system, configs, fault_hypothesis=fault_k)
+        native = _run(
+            system, configs, backend="native", fault_hypothesis=fault_k
+        )
+        _assert_same(native, python)
 
     def test_native_matches_python_and_cold_oracle(self):
         """The C kernels, the certified Python path and the cold Python
@@ -229,13 +266,10 @@ class TestBitIdentity:
         system = fig4_system()
         configs = _sweep_configs(system, 6)
         python_ctx = AnalysisContext(system)
-        python = _result_docs(python_ctx.analyse_batch(configs))
+        native_ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
+        python = _result_docs([python_ctx.analyse(c) for c in configs])
         cold = _result_docs([python_ctx.analyse_cold(c) for c in configs])
-        native = _result_docs(
-            AnalysisContext(
-                system, AnalysisOptions(backend="native")
-            ).analyse_batch(configs)
-        )
+        native = _result_docs([native_ctx.analyse(c) for c in configs])
         assert native == python == cold
 
     @pytest.mark.parametrize(
@@ -261,24 +295,14 @@ class TestBitIdentity:
     def test_unsafe_groups_delegate_to_the_oracle(self, system, monkeypatch):
         """A group the C kernels must not run -- a fully busy node, or
         inputs that do not fit int64 -- is analysed by the Python
-        oracle on the group's fetched artifacts, one candidate at a
-        time, with the same answers and without importing numpy."""
+        oracle on the group's fetched artifacts, one lane at a time,
+        with the same answers and without importing numpy."""
         monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
         configs = _sweep_configs(system, 4)
-        python = AnalysisContext(system).analyse_batch(configs)
-        delegated = []
-        fetched = AnalysisContext._analyse_fetched
-
-        def spy(ctx, config, arts):
-            delegated.append(config)
-            return fetched(ctx, config, arts)
-
-        monkeypatch.setattr(AnalysisContext, "_analyse_fetched", spy)
-        native = AnalysisContext(
-            system, AnalysisOptions(backend="native")
-        ).analyse_batch(configs)
-        assert delegated == configs
-        assert _result_docs(native) == _result_docs(python)
+        python = _run(system, configs)
+        native, delegated = _delegating_run(system, configs)
+        assert delegated == [c.n_minislots for c in configs]
+        _assert_same(native, python)
 
     def test_iteration_budget_past_int64_runs_on_the_oracle(self):
         """``max_holistic_iterations >= 2**63`` cannot be packed for the
@@ -286,35 +310,32 @@ class TestBitIdentity:
         system = fig4_system()
         configs = _sweep_configs(system, 6)
         options = {"max_holistic_iterations": 1 << 63}
-        python = AnalysisContext(
-            system, AnalysisOptions(**options)
-        ).analyse_batch(configs)
+        python = _run(system, configs, **options)
         native, delegated = _delegating_run(system, configs, **options)
-        assert delegated == configs
-        assert _result_docs(native) == _result_docs(python)
+        assert delegated == [c.n_minislots for c in configs]
+        _assert_same(native, python)
 
     def test_int64_edge_runs_in_c(self):
         """Caps of 2**61 fit int64 and no lane overflows, so every
         candidate runs in C."""
         system = fig4_system(period=1 << 58, deadline=1 << 58)
         configs = _sweep_configs(system, 4)
-        python = AnalysisContext(system).analyse_batch(configs)
+        python = _run(system, configs)
         native, delegated = _delegating_run(system, configs)
         assert delegated == []
-        assert _result_docs(native) == _result_docs(python)
+        _assert_same(native, python)
 
     def test_only_overflowing_lanes_delegate(self):
         """A huge fault hypothesis overflows some lanes' k-error terms
-        but not others': only those lanes rerun on the oracle."""
+        but not others': only those lanes rerun on the oracle, whether
+        each runs alone or in one group with the others."""
         system = fig4_system(period=1 << 40, deadline=1 << 40)
         configs = _sweep_configs(system, 6)
         options = {"fault_hypothesis": 1 << 50}
-        python = AnalysisContext(
-            system, AnalysisOptions(**options)
-        ).analyse_batch(configs)
+        python = _run(system, configs, **options)
         native, delegated = _delegating_run(system, configs, **options)
         assert 0 < len(delegated) < len(configs)
-        assert _result_docs(native) == _result_docs(python)
+        _assert_same(native, python)
 
     @given(
         _INT64_EDGE,
@@ -331,11 +352,9 @@ class TestBitIdentity:
         system = fig4_system(period=period, deadline=deadline)
         configs = _sweep_configs(system, 4)
         options = {"cap_factor": cap_factor, "fault_hypothesis": fault_k}
-        python = AnalysisContext(
-            system, AnalysisOptions(**options)
-        ).analyse_batch(configs)
+        python = _run(system, configs, **options)
         native, _ = _delegating_run(system, configs, **options)
-        assert _result_docs(native) == _result_docs(python)
+        _assert_same(native, python)
 
     @given(small_system())
     @settings(max_examples=15, deadline=None)
@@ -346,32 +365,35 @@ class TestBitIdentity:
         configs = _sweep_configs(system, 5)
         context = AnalysisContext(system, AnalysisOptions(backend="native"))
         native = [context.analyse(c) for c in configs]
-        python = AnalysisContext(system).analyse_batch(configs)
+        python_ctx = AnalysisContext(system)
+        python = [python_ctx.analyse(c) for c in configs]
         assert _result_docs(native) == _result_docs(python)
 
     def test_wide_batch_replays_each_schedule_once(self, monkeypatch):
-        """A sweep wider than the schedule cache, one schedule key per
-        candidate (ST messages make the key carry the cycle length):
-        the artifacts the batch fetches travel on the group plans, so
-        no schedule is replayed a second time by the kernels."""
+        """A 100-length sweep wider than the schedule cache, one
+        schedule key per length (ST messages make the key carry the
+        cycle length): the artifacts each length fetches travel on its
+        group plan, so no schedule is replayed a second time by the
+        kernels."""
         system = paper_system(3, 0, seed=23)
         configs = _sweep_configs(system, 100)
+        sweep = _sweep_of(configs)
         context = AnalysisContext(system, AnalysisOptions(backend="native"))
-        keys = {context.schedule_key(c) for c in configs}
-        assert len(keys) > context_module._MAX_SCHEDULE_ENTRIES
+        keys = [context.schedule_key(c, c.gd_cycle) for c in configs]
+        assert len(set(keys)) == len(keys) > context_module._MAX_SCHEDULE_ENTRIES
         replays = []
         original = SchedulePlan.replay
 
         def counting_replay(plan, config, wcrt_estimates=None, gd_cycle=None):
-            replays.append(context.schedule_key(config))
+            replays.append(context.schedule_key(config, gd_cycle))
             return original(plan, config, wcrt_estimates, gd_cycle)
 
         monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
-        results = context.analyse_batch(configs)
-        assert sorted(replays) == sorted(keys)
+        entries = context.analyse_sweep(sweep)
+        assert replays == keys
         monkeypatch.undo()
-        python = AnalysisContext(system).analyse_batch(configs)
-        assert _result_docs(results) == _result_docs(python)
+        python = AnalysisContext(system).analyse_sweep(sweep)
+        assert _entry_docs(entries) == _entry_docs(python)
 
 
 @requires_native
@@ -379,8 +401,9 @@ class TestBitIdentity:
 @pytest.mark.parametrize("fault_k", [None, 1])
 def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     """An ST-heavy sweep has one structure key and one schedule key per
-    cycle length: its singleton groups share one structure record and
-    one ``StructureTemplate``.  Every group's static-name order is the
+    cycle length: its singleton groups -- per configuration or per
+    sweep length -- share one structure record and one
+    ``StructureTemplate``.  Every group's static-name order is the
     record's -- it follows the bus-speed plan, which is why the
     record needs no schedule-side key -- and the results equal the
     Python oracle's, wcrt insertion order included."""
@@ -396,29 +419,32 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     monkeypatch.setattr(arrays, "StructureTemplate", counting_template)
     system = paper_system(3, 0, seed=23)
     configs = _sweep_configs(system, 16)
-    context = AnalysisContext(
-        system, AnalysisOptions(backend="native", fault_hypothesis=fault_k)
-    )
-    native = context.analyse_batch(configs)
-    assert len(context._structure_cache) == 1
-    assert len(built) == 1
-    assert len(context._backend_plans) == len(
-        {context.schedule_key(c) for c in configs}
-    ) > 1
-    for plan in context._backend_plans.values():
-        assert plan.template is built[0]
-        # The record's static rows are exactly the group's static names,
-        # in order: ``w0`` takes the static response times positionally.
-        static = tuple(plan.arts.static_wcrt)
-        assert plan.structure.names[:len(static)] == static
-        assert plan.structure.n_rows - len(plan.structure.tail) == len(static)
-    python = AnalysisContext(
-        system, AnalysisOptions(fault_hypothesis=fault_k)
-    ).analyse_batch(configs)
+    options = AnalysisOptions(backend="native", fault_hypothesis=fault_k)
+    per_config = AnalysisContext(system, options)
+    native = [per_config.analyse(c) for c in configs]
+    swept = AnalysisContext(system, options)
+    entries = swept.analyse_sweep(_sweep_of(configs))
+    keys = {swept.schedule_key(c, c.gd_cycle) for c in configs}
+    assert len(keys) > 1
+    assert len(built) == 2
+    for context, template in zip((per_config, swept), built):
+        assert len(context._structure_cache) == 1
+        assert len(context._backend_plans) == len(keys)
+        for plan in context._backend_plans.values():
+            assert plan.template is template
+            # The record's static rows are exactly the group's static
+            # names, in order: ``w0`` takes the static response times
+            # positionally.
+            static = tuple(plan.arts.static_wcrt)
+            assert plan.structure.names[:len(static)] == static
+            assert plan.structure.n_rows - len(plan.structure.tail) == len(
+                static
+            )
+    python = _run(system, configs, fault_hypothesis=fault_k)
     assert [list(r.wcrt.items()) for r in native] == [
-        list(r.wcrt.items()) for r in python
+        list(r.wcrt.items()) for r in python[0]
     ]
-    assert _result_docs(native) == _result_docs(python)
+    _assert_same((native, entries), python)
 
 
 # ----------------------------------------------------------------------
@@ -526,13 +552,14 @@ def test_native_entry_points_keep_argument_refcounts():
     system = fig4_system()
     configs = _sweep_configs(system, 4)
     ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
-    ctx.analyse_batch(configs)
+    for config in configs:
+        ctx.analyse(config)
     key, plan = next(
         (key, plan) for key, plan in ctx._backend_plans.items() if plan.stair
     )
     group = [
         c for c in configs
-        if (ctx.schedule_key(c), ctx.structure_key(c)) == key
+        if (ctx.schedule_key(c, c.gd_cycle), ctx.structure_key(c)) == key
     ]
     native = native_or_none()
     blob = plan_blob(plan).tobytes()
@@ -613,13 +640,14 @@ def test_native_entry_points_keep_rss_flat(tmp_path):
     system = fig4_system()
     configs = _sweep_configs(system, 4)
     ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
-    ctx.analyse_batch(configs)
+    for config in configs:
+        ctx.analyse(config)
     key, plan = next(
         (key, plan) for key, plan in ctx._backend_plans.items() if plan.stair
     )
     group = [
         c for c in configs
-        if (ctx.schedule_key(c), ctx.structure_key(c)) == key
+        if (ctx.schedule_key(c, c.gd_cycle), ctx.structure_key(c)) == key
     ]
     cap_factor = ctx.options.cap_factor
     run_args = (
@@ -749,7 +777,8 @@ def _dyn_only_smoke_system() -> System:
 @pytest.mark.perf_smoke
 def test_native_backend_smoke_identical_and_not_slower():
     """<10s tier-1 smoke of the compiled sweep: bit identity on a
-    96-point DYN-only sweep, and a deliberately loose speed floor
+    96-point DYN-only sweep (its entries, and ``analyse`` per
+    configuration), and a deliberately loose speed floor
     (1.2x) -- wall-clock asserts on shared machines must not flake; the
     end-to-end claims live in ``BENCH_end_to_end.json``."""
     system = _dyn_only_smoke_system()
@@ -757,17 +786,21 @@ def test_native_backend_smoke_identical_and_not_slower():
         system, 96, BusOptimisationOptions(ee_max_dyn_points=96)
     )
 
+    sweep = _sweep_of(configs)
     python_ctx = AnalysisContext(system)
     t0 = time.perf_counter()
-    python_results = python_ctx.analyse_batch(configs)
+    python_entries = python_ctx.analyse_sweep(sweep)
     python_s = time.perf_counter() - t0
 
     native_ctx = AnalysisContext(system, AnalysisOptions(backend="native"))
     t0 = time.perf_counter()
-    native_results = native_ctx.analyse_batch(configs)
+    native_entries = native_ctx.analyse_sweep(sweep)
     native_s = time.perf_counter() - t0
 
-    assert _result_docs(native_results) == _result_docs(python_results)
+    assert _entry_docs(native_entries) == _entry_docs(python_entries)
+    assert _result_docs([native_ctx.analyse(c) for c in configs]) == (
+        _result_docs([python_ctx.analyse(c) for c in configs])
+    )
     assert native_s < 10.0
     assert python_s / native_s >= 1.2, (
         f"native backend smoke ratio {python_s / native_s:.2f}x "

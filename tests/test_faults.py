@@ -305,12 +305,10 @@ class TestFaultHypothesis:
         def no_delegation(*args):
             raise AssertionError("the group was delegated to the oracle")
 
-        monkeypatch.setattr(AnalysisContext, "_analyse_fetched", no_delegation)
+        monkeypatch.setattr(AnalysisContext, "_fix_point", no_delegation)
         for k, expected in python.items():
             options = AnalysisOptions(backend="native", fault_hypothesis=k)
-            via_native = AnalysisContext(system, options).analyse_batch(
-                [config]
-            )[0]
+            via_native = AnalysisContext(system, options).analyse(config)
             assert via_native.wcrt == expected.wcrt
             assert via_native.schedulable == expected.schedulable
 

@@ -43,6 +43,7 @@ from tests.util import (
     fig3_system,
     fig4_system,
     fps_task,
+    schedule_artifacts,
     single_graph_system,
 )
 
@@ -144,6 +145,38 @@ def _assert_budget_checked(backend):
 
 def test_iteration_budget_validated():
     _assert_budget_checked("python")
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "native",
+            marks=[
+                pytest.mark.native,
+                pytest.mark.skipif(
+                    native_or_none() is None,
+                    reason="needs the compiled repro[native] extra",
+                ),
+            ],
+        ),
+    ],
+)
+def test_cap_factor_validated(backend):
+    """A ``cap_factor`` that is not an integer >= 1 fails at context
+    construction, naming the field: 0 or -1 truncate every response
+    time to a non-positive cap (an unschedulable configuration then
+    scores far below its true cost), 1.5 leaks floats into the response
+    times and "8" fails deep inside the analysis."""
+    system = paper_system(3, 1, seed=23)
+    for bad in (0, -1, 1.5, True, "8"):
+        options = AnalysisOptions(cap_factor=bad, backend=backend)
+        with pytest.raises(ConfigurationError, match="cap_factor"):
+            AnalysisContext(system, options)
+    one = AnalysisOptions(cap_factor=1, backend=backend)
+    config = _candidate_configs(system, per_system=1)[0]
+    assert AnalysisContext(system, one).analyse(config).feasible
 
 
 @pytest.mark.native
@@ -346,7 +379,7 @@ class TestStaticWcrtMemo:
         context = AnalysisContext(system)
         for n in sweep_lengths(lo, hi, 8):
             config = basic_configuration(system, n, options)
-            arts = context._schedule_artifacts(config)
+            arts = schedule_artifacts(context, config)
             assert arts.record is not None
             assert context._static_wcrt(arts.record) == static_response_times(
                 system.application,
@@ -408,13 +441,13 @@ def legacy_order():
 
 @contextmanager
 def analysis_log():
-    """Records the signature of every oracle analysis -- of one
-    configuration, or of each length of a DYN sweep -- and counts the
+    """Records the signature of every analysis -- of one configuration
+    (``analyse``), or of each length of a DYN sweep -- and counts the
     busy-window evaluations made inside the block -- the calling
     thread's only, so a stray thread that is still analysing (an
     abandoned timed-out campaign job) cannot leak into the log."""
     log = SimpleNamespace(signatures=[], windows=0)
-    analyse = AnalysisContext._analyse_python
+    analyse = AnalysisContext.analyse
     analyse_sweep = AnalysisContext.analyse_sweep
     owner = threading.get_ident()
 
@@ -439,7 +472,7 @@ def analysis_log():
         return count
 
     with mock.patch.object(
-        AnalysisContext, "_analyse_python", logged
+        AnalysisContext, "analyse", logged
     ), mock.patch.object(
         AnalysisContext, "analyse_sweep", logged_sweep
     ), mock.patch.object(
@@ -725,10 +758,10 @@ class TestComponentSchedule:
         system = paper_system(4, 0, seed=23)
         configs = _candidate_configs(system, per_system=8)
         tight = AnalysisOptions(max_holistic_iterations=budget)
-        python = AnalysisContext(system, tight).analyse_batch(configs)
-        native = AnalysisContext(
-            system, replace(tight, backend="native")
-        ).analyse_batch(configs)
+        python_ctx = AnalysisContext(system, tight)
+        native_ctx = AnalysisContext(system, replace(tight, backend="native"))
+        python = [python_ctx.analyse(c) for c in configs]
+        native = [native_ctx.analyse(c) for c in configs]
         assert [_result_signature(r) for r in native] == [
             _result_signature(r) for r in python
         ]

@@ -63,7 +63,7 @@ def test_warm_sweep_fast_and_bit_identical():
     # cycle length still gets its own (replayed) table.
     assert len(context._plan_cache) == 1
     assert len(context._schedule_cache) == len(
-        {context.schedule_key(c) for c in configs}
+        {context.schedule_key(c, c.gd_cycle) for c in configs}
     )
 
     cold = [AnalysisContext(system).analyse(c) for c in configs]

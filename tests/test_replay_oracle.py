@@ -47,7 +47,14 @@ from repro.model.jobs import expand_jobs
 from repro.synth.suite import paper_system
 from repro.synth.taskgraph_gen import GeneratorConfig, generate_system
 
-from tests.util import dyn_msg, fps_task, scs_task, single_graph_system, st_msg
+from tests.util import (
+    dyn_msg,
+    fps_task,
+    schedule_artifacts,
+    scs_task,
+    single_graph_system,
+    st_msg,
+)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +274,7 @@ def _oracle_instant_tables(busy, period):
 def _check_availability(system, context, config, options=None):
     """The context's availability patterns equal the oracle's, built
     from the reference table's busy intervals."""
-    arts = context._schedule_artifacts(config)
+    arts = schedule_artifacts(context, config)
     if arts.failure is not None:
         return
     table = _oracle_table(system, config, options)
@@ -315,7 +322,7 @@ def _view_outcome(system, config, options=None, wcrt_estimates=None):
 
 def _context_outcome(context, config):
     """The schedule as the analysis context caches it."""
-    arts = context._schedule_artifacts(config)
+    arts = schedule_artifacts(context, config)
     if arts.failure is not None:
         prefix = "static scheduling failed: "
         assert arts.failure.startswith(prefix)

@@ -15,7 +15,9 @@ instead of keeping their own drifting copies:
 * ``resolve_rows`` -- name-keyed interferer rows resolved into the busy-
   window kernels' ``(period, jitter, size)`` rows,
 * ``schedule_view`` -- a ``ScheduleTable`` over a hand-placed
-  ``ScheduleRecord``.
+  ``ScheduleRecord``,
+* ``schedule_artifacts`` -- a context's cached schedule artifacts of a
+  configuration at its own cycle length.
 """
 
 from __future__ import annotations
@@ -220,6 +222,15 @@ def resolve_rows(info, jitters, own_jitter):
         (p, own_jitter - p if anc else jitters.get(name, 0), size[0] if size else 0)
         for name, p, anc, *size in info
     ]
+
+
+def schedule_artifacts(context, config):
+    """*context*'s schedule artifacts of *config* at its own cycle
+    length, fetched (or replayed) by its schedule key."""
+    gd_cycle = config.gd_cycle
+    return context._artifacts_at(
+        config, gd_cycle, context.schedule_key(config, gd_cycle)
+    )
 
 
 def schedule_view(config, application, placements) -> ScheduleTable:

@@ -66,6 +66,9 @@ from repro.io.serialization import (
 from repro.synth.taskgraph_gen import GeneratorConfig, generate_system
 from repro.viz.gantt import render_bus_trace, render_cycle
 
+#: Seconds between the fabric status polls of ``campaign --fabric-wait``.
+FABRIC_POLL_S = 2.0
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of the ``repro`` CLI."""
@@ -125,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-timeout",
         type=float,
         default=None,
-        help="per-job wall-clock timeout in seconds; a job that exceeds "
-        "it is recorded as failed and the campaign continues",
+        help="per-job wall-clock timeout in seconds, checked between "
+        "analysis batches; a job that exceeds it is recorded as failed "
+        "and the campaign continues",
     )
     p_camp.add_argument(
         "--job-retries",
@@ -562,7 +566,7 @@ def _coordinate_fabric(args, systems, strategies, options):
             print(status.describe())
             if status.complete:
                 break
-            _time.sleep(max(args.job_timeout or 0, 2.0))
+            _time.sleep(FABRIC_POLL_S)
     else:
         fabric_work(args.fabric, log=print)
     return fabric_collect(args.fabric)

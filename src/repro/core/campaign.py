@@ -24,8 +24,9 @@ under a ``.quarantined.N`` suffix for post-mortem inspection -- and the
 job re-run.
 
 The runtime is *fault-tolerant*: a job that raises (or exceeds the
-optional per-job wall-clock timeout) is retried up to ``max_retries``
-times with jittered exponential backoff, and a job that still fails is
+optional per-job wall-clock timeout, which its search driver checks at
+batch boundaries) is retried up to ``max_retries`` times with jittered
+exponential backoff, and a job that still fails is
 recorded in :attr:`CampaignReport.failures` instead of aborting the
 rest of the matrix -- a long fault sweep survives one bad cell.
 Campaign-*definition* problems (unknown systems, duplicate or foreign
@@ -50,9 +51,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -67,10 +68,12 @@ from typing import (
 )
 
 from repro.core.result import OptimisationResult
+from repro.core.runtime import DeadlineExceeded, deadline
 from repro.core.strategies import (
     StrategyOptions,
     get_strategy,
     optimise,
+    valid_limit,
 )
 from repro.errors import CampaignError, SerializationError
 from repro.io.serialization import (
@@ -95,9 +98,19 @@ class CampaignOptions:
     retry_seed: int = 0
 
     def __post_init__(self):
-        if self.max_retries < 0:
+        if self.max_retries is None or not valid_limit(self.max_retries, True):
             raise CampaignError(
-                f"max_retries={self.max_retries} must be >= 0"
+                f"max_retries={self.max_retries!r} must be an int >= 0"
+            )
+        if not valid_limit(self.job_timeout):
+            raise CampaignError(
+                f"job_timeout={self.job_timeout!r} must be None or a "
+                f"number >= 0"
+            )
+        backoff = self.retry_backoff
+        if backoff is None or not valid_limit(backoff) or backoff == math.inf:
+            raise CampaignError(
+                f"retry_backoff={backoff!r} must be a finite number >= 0"
             )
 
 
@@ -259,43 +272,6 @@ def ensure_writable_file(path: str, flag: str = "--output") -> None:
         ) from exc
 
 
-class _JobTimeout(Exception):
-    """Internal: a job exceeded its wall-clock timeout."""
-
-
-def _run_job(system: System, job: CampaignJob, timeout: Optional[float]):
-    """Run one job, raising :class:`_JobTimeout` past *timeout* seconds.
-
-    The timeout runs the job on a daemon thread and abandons it on
-    expiry -- the thread keeps consuming CPU until the *whole job*
-    finishes (Python offers no safe preemption, and the strategies have
-    no cancellation point), but the campaign moves on.
-    ``timeout=None`` runs inline with zero overhead.
-    """
-    if timeout is None:
-        return optimise(system, job.strategy, job.options)
-    box: dict = {}
-
-    def runner() -> None:
-        try:
-            box["result"] = optimise(system, job.strategy, job.options)
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            box["error"] = exc
-
-    thread = threading.Thread(
-        target=runner, daemon=True, name=f"campaign-job-{job.job_id}"
-    )
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        raise _JobTimeout(
-            f"exceeded the {timeout}s per-job wall-clock timeout"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
-
-
 def run_campaign(
     systems: Mapping[str, System],
     jobs: Iterable[CampaignJob],
@@ -313,8 +289,11 @@ def run_campaign(
     after every *successful* job with ``(job, result, resumed)``.
 
     Fault tolerance (``options``, a :class:`CampaignOptions`):
-    ``job_timeout`` bounds each attempt's wall-clock seconds (see
-    :func:`_run_job` for the abandonment caveat); ``max_retries``
+    ``job_timeout`` bounds each attempt's wall-clock seconds.  The
+    timeout is cooperative: the job's search driver checks it at every
+    batch boundary and stops there, so no work outlives a timed-out
+    job -- and a runner that never reaches a batch boundary (one that
+    only sleeps, say) is not cut off.  ``max_retries``
     re-runs a raising or timed-out job with jittered exponential backoff
     (``retry_backoff * 2**attempt`` scaled by a deterministic jitter in
     [0.5, 1.5), seeded from ``retry_seed`` and the job id so concurrent
@@ -389,8 +368,9 @@ def _process_job(
 def _attempt_job(
     system: System, job: CampaignJob, options: CampaignOptions
 ) -> Tuple[Optional[OptimisationResult], Optional[CampaignJobFailure]]:
-    """Run one job with bounded retries; ``(result, None)`` or
-    ``(None, failure)``."""
+    """Run one job inline with bounded retries; ``(result, None)`` or
+    ``(None, failure)``.  Past ``job_timeout`` seconds the job's search
+    driver raises :class:`~repro.core.runtime.DeadlineExceeded`."""
     rng = None
     last: Tuple[str, str] = ("error", "job never ran")
     attempts = 0
@@ -398,9 +378,14 @@ def _attempt_job(
     for attempt in range(options.max_retries + 1):
         attempts = attempt + 1
         try:
-            return _run_job(system, job, options.job_timeout), None
-        except _JobTimeout as exc:
-            last = ("timeout", str(exc))
+            with deadline(options.job_timeout):
+                return optimise(system, job.strategy, job.options), None
+        except DeadlineExceeded:
+            last = (
+                "timeout",
+                f"exceeded the {options.job_timeout}s per-job wall-clock "
+                f"timeout",
+            )
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             last = ("error", f"{type(exc).__name__}: {exc}")
         if attempt < options.max_retries and backoff > 0:

@@ -309,7 +309,7 @@ def _decode_manifest(root: str, doc: Dict[str, Any]) -> FabricSpec:
     campaign_doc.pop("campaign_workers", None)
     try:
         options = CampaignOptions(**campaign_doc)
-    except TypeError as exc:
+    except (TypeError, CampaignError) as exc:
         raise CampaignError(
             f"bad fabric manifest under {root!r}: {exc}"
         ) from exc

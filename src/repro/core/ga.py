@@ -16,7 +16,6 @@ trajectory is byte-identical to a serial run.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -40,8 +39,8 @@ class GAOptions(StrategyOptions):
     """Population and budget of the genetic algorithm.
 
     Extends :class:`~repro.core.strategies.StrategyOptions` (evaluator
-    knobs + driver budgets); the inherited ``max_seconds`` doubles as
-    the legacy generation-loop budget.
+    knobs + driver budgets); the driver checks ``max_seconds`` before
+    each generation's analysis.
     """
 
     population: int = 12
@@ -64,7 +63,6 @@ class GAStrategy(SearchStrategy):
     def proposals(self, system: System) -> Proposals:
         ga_options = self.options
         bus = ga_options.bus_options()
-        start = time.perf_counter()
         rng = random.Random(ga_options.seed)
 
         population = _initial_population(
@@ -77,11 +75,6 @@ class GAStrategy(SearchStrategy):
         scored = list(zip(results, population))
 
         for _ in range(ga_options.generations):
-            if (
-                ga_options.max_seconds is not None
-                and time.perf_counter() - start > ga_options.max_seconds
-            ):
-                break
             next_gen: List[FlexRayConfig] = [
                 cfg for _, cfg in sorted(scored, key=lambda rc: rc[0].cost_value)[
                     : ga_options.elite

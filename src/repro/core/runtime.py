@@ -20,7 +20,9 @@ One :class:`SearchDriver` owns everything around that conversation:
 * **budgets** -- wall-clock and evaluation-count limits
   (:class:`~repro.core.strategies.StrategyOptions`) are enforced at
   batch boundaries; an exhausted budget closes the generator and
-  finishes the run with ``stop_reason="budget"``;
+  finishes the run with ``stop_reason="budget"``; past the caller's
+  :func:`deadline` it closes the generator and raises
+  :class:`DeadlineExceeded`;
 * **deterministic best-selection** -- the driver folds every evaluated
   result with :func:`~repro.core.search.better` (strictly-lower cost
   wins, first occurrence wins ties) and discards an infeasible
@@ -46,6 +48,8 @@ byte-identical to their pre-runtime implementations.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Generator, Optional, Tuple, Union
 
@@ -53,6 +57,7 @@ from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
 from repro.core.result import OptimisationResult
 from repro.core.search import Evaluator, better
+from repro.errors import ReproError
 
 #: Type of the conversation a strategy has with the driver: yields
 #: batches or sweeps, receives result lists (a sweep's may hold
@@ -62,6 +67,36 @@ from repro.core.search import Evaluator, better
 Proposals = Generator[
     Union["CandidateBatch", "CandidateSweep"], list, Optional[AnalysisResult]
 ]
+
+#: The ``time.monotonic()`` deadline set by :func:`deadline`, or None.
+_DEADLINE: ContextVar[Optional[float]] = ContextVar("deadline", default=None)
+
+
+class DeadlineExceeded(ReproError):
+    """A driver run reached a batch boundary past its :func:`deadline`."""
+
+
+@contextmanager
+def deadline(seconds: Optional[float]):
+    """Stop every :class:`SearchDriver` run in the block at its first
+    batch boundary *seconds* from now (``None``: no limit); nested
+    blocks keep the earlier deadline."""
+    if seconds is None:
+        yield
+        return
+    at = time.monotonic() + seconds
+    outer = _DEADLINE.get()
+    token = _DEADLINE.set(at if outer is None else min(at, outer))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def seconds_left() -> Optional[float]:
+    """Seconds to the current :func:`deadline` (``None``: none)."""
+    at = _DEADLINE.get()
+    return None if at is None else at - time.monotonic()
 
 
 @dataclass(frozen=True)
@@ -147,8 +182,7 @@ def drive_with_evaluator(gen: Proposals, evaluator: Evaluator):
     legacy per-variant search entry points
     (:func:`repro.core.dynlen.curvefit_dyn_length`,
     :func:`repro.core.dynlen.exhaustive_dyn_length`) that operate on a
-    caller-owned evaluator, and by :class:`SearchDriver` subgenerators
-    through ``yield from``.  Returns the generator's return value.
+    caller-owned evaluator.  Returns the generator's return value.
     """
     results: Optional[list] = None
     while True:
@@ -177,8 +211,8 @@ class SearchDriver:
     ``SearchDriver(system, strategy).run()`` is the single execution
     path of every optimiser: it owns the evaluator (and releases its
     pool via the context-manager protocol), enforces the strategy's
-    budgets, folds the default best and builds the
-    :class:`~repro.core.result.OptimisationResult`.
+    budgets and the caller's :func:`deadline`, folds the default best
+    and builds the :class:`~repro.core.result.OptimisationResult`.
     """
 
     def __init__(self, system, strategy: SearchStrategy):
@@ -194,20 +228,22 @@ class SearchDriver:
         with Evaluator(self.system, options.bus_options()) as evaluator:
             gen = self.strategy.proposals(self.system)
             results: Optional[list] = None
-            while True:
-                try:
-                    batch = gen.send(results)
-                except StopIteration as stop:
-                    selected = stop.value
-                    break
-                if self._budget_exhausted(options, start, evaluator):
-                    gen.close()
-                    stop_reason = "budget"
-                    break
-                results = _evaluate(evaluator, batch)
-                for result in results:
-                    if better(result, best):
-                        best = result
+            try:
+                while True:
+                    try:
+                        batch = gen.send(results)
+                    except StopIteration as stop:
+                        selected = stop.value
+                        break
+                    if self._budget_exhausted(options, start, evaluator):
+                        stop_reason = "budget"
+                        break
+                    results = _evaluate(evaluator, batch)
+                    for result in results:
+                        if better(result, best):
+                            best = result
+            finally:
+                gen.close()
             if selected is None:
                 # Default deterministic selection: lowest cost, first
                 # occurrence on ties; an infeasible best is no best.
@@ -226,6 +262,9 @@ class SearchDriver:
 
     @staticmethod
     def _budget_exhausted(options, start: float, evaluator: Evaluator) -> bool:
+        at = _DEADLINE.get()
+        if at is not None and time.monotonic() > at:
+            raise DeadlineExceeded("the run passed its wall-clock deadline")
         if (
             options.max_seconds is not None
             and time.perf_counter() - start > options.max_seconds

@@ -32,9 +32,12 @@ from repro.core.config import FlexRayConfig
 from repro.core.result import OptimisationResult
 from repro.core.runtime import (
     CandidateBatch,
+    DeadlineExceeded,
     Proposals,
     SearchDriver,
     SearchStrategy,
+    deadline,
+    seconds_left,
 )
 from repro.core.search import (
     BusOptimisationOptions,
@@ -56,9 +59,7 @@ class SAOptions(StrategyOptions):
 
     Extends :class:`~repro.core.strategies.StrategyOptions`, so it also
     carries the evaluator knobs (``bus``) and the driver budgets; the
-    inherited ``max_seconds`` doubles as the legacy per-chain wall-clock
-    budget (checked inside the chain at the same point as before, so
-    fixed-seed traces are unchanged).
+    driver checks ``max_seconds`` before each move's analysis.
     """
 
     iterations: int = 400
@@ -99,7 +100,6 @@ class SAStrategy(SearchStrategy):
     def proposals(self, system: System) -> Proposals:
         sa_options = self.options
         bus = sa_options.bus_options()
-        start = time.perf_counter()
         rng = random.Random(self.chain_seed)
 
         current_cfg = _initial_config(system, bus)
@@ -113,11 +113,6 @@ class SAStrategy(SearchStrategy):
 
         moves_left = sa_options.moves_per_temperature
         for _ in range(sa_options.iterations):
-            if (
-                sa_options.max_seconds is not None
-                and time.perf_counter() - start > sa_options.max_seconds
-            ):
-                break
             neighbour_cfg = _neighbour(system, current_cfg, bus, rng)
             if neighbour_cfg is None:
                 continue
@@ -160,7 +155,8 @@ def optimise_sa(
 def _optimise_sa_restarts(
     system: System, sa_options: SAOptions
 ) -> OptimisationResult:
-    """Run independent chains and merge them deterministically."""
+    """Run independent chains and merge them deterministically; pool
+    chains re-enter the caller's :func:`~repro.core.runtime.deadline`."""
     start = time.perf_counter()
     seeds = [sa_options.seed + i for i in range(sa_options.restarts)]
     chains: Optional[list] = None
@@ -169,13 +165,11 @@ def _optimise_sa_restarts(
         try:
             from concurrent.futures import ProcessPoolExecutor
 
+            jobs = [(system, sa_options, s, seconds_left()) for s in seeds]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                chains = list(
-                    pool.map(
-                        _sa_chain_job,
-                        [(system, sa_options, s) for s in seeds],
-                    )
-                )
+                chains = list(pool.map(_sa_chain_job, jobs))
+        except DeadlineExceeded:
+            raise
         except Exception as exc:
             logger.warning(
                 "SA restart pool failed (%s: %s); re-running all %d "
@@ -188,7 +182,7 @@ def _optimise_sa_restarts(
                 len(seeds),
             )
     if chains is None:
-        chains = [_sa_chain(system, sa_options, s) for s in seeds]
+        chains = [_sa_chain_job((system, sa_options, s, None)) for s in seeds]
 
     best: Optional[AnalysisResult] = None
     trace = []
@@ -215,16 +209,12 @@ def _optimise_sa_restarts(
 
 
 def _sa_chain_job(args) -> OptimisationResult:
-    """Module-level wrapper so restart chains can cross process bounds."""
-    system, sa_options, seed = args
-    return _sa_chain(system, sa_options, seed)
-
-
-def _sa_chain(
-    system: System, sa_options: SAOptions, seed: int
-) -> OptimisationResult:
-    """One annealing chain: its own driver, evaluator and trace."""
-    return SearchDriver(system, SAStrategy(sa_options, chain_seed=seed)).run()
+    """One annealing chain (its own driver, evaluator and trace) under
+    a deadline *left* seconds away; module-level so restart chains can
+    cross process bounds."""
+    system, sa_options, seed, left = args
+    with deadline(left):
+        return SearchDriver(system, SAStrategy(sa_options, chain_seed=seed)).run()
 
 
 def _initial_config(

@@ -23,14 +23,24 @@ The one-call entry point is :func:`optimise`::
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from importlib import import_module
 from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.core.result import OptimisationResult
 from repro.core.search import BusOptimisationOptions
-from repro.errors import OptimisationError
+from repro.errors import ConfigurationError, OptimisationError
 from repro.model.system import System
+
+
+def valid_limit(value, integral: bool = False) -> bool:
+    """Whether *value* is ``None`` or a non-bool real (an int when
+    *integral*) >= 0 -- NaN fails the comparison."""
+    if value is None:
+        return True
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -49,17 +59,26 @@ class StrategyOptions:
     #: means the :class:`~repro.core.search.BusOptimisationOptions`
     #: defaults.
     bus: Optional[BusOptimisationOptions] = None
-    #: Wall-clock budget of one driver run, enforced at batch
-    #: boundaries (``None`` = unbounded).  SA/GA additionally keep
-    #: their legacy in-loop checks, so their fixed-seed traces are
-    #: unchanged; composite runners that merge several driver runs
-    #: (SA's restart chains) apply the budgets *per run* and propagate
+    #: Wall-clock budget of one driver run in seconds, enforced at
+    #: batch boundaries by the driver alone (``None`` = unbounded);
+    #: composite runners that merge several driver runs (SA's restart
+    #: chains) apply the budgets *per run* and propagate
     #: ``stop_reason`` -- see :class:`~repro.core.sa.SAOptions`.
     max_seconds: Optional[float] = None
     #: Exact-analysis budget per driver run, enforced at batch
     #: boundaries -- the last batch may overshoot by its own size
     #: (``None`` = unbounded).
     max_evaluations: Optional[int] = None
+
+    def __post_init__(self):
+        limits = (("max_seconds", False), ("max_evaluations", True))
+        for name, integral in limits:
+            value = getattr(self, name)
+            if not valid_limit(value, integral):
+                kind = "an int" if integral else "a number"
+                raise ConfigurationError(
+                    f"{name}={value!r} must be None or {kind} >= 0"
+                )
 
     def bus_options(self) -> BusOptimisationOptions:
         """The effective evaluator options (defaults when unset)."""

@@ -44,6 +44,7 @@ from repro.analysis.holistic import AnalysisOptions
 from repro.core.search import BusOptimisationOptions
 from repro.core.strategies import StrategyOptions, get_strategy
 from repro.errors import (
+    ConfigurationError,
     OptimisationError,
     ReproError,
     SerializationError,
@@ -166,7 +167,7 @@ def _strategy_options(
             merged[key] = budget[key]
     try:
         return spec.options_type(**merged)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigurationError) as exc:
         raise _bad_request(f"bad options for strategy {name!r}: {exc}") from exc
 
 

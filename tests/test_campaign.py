@@ -91,6 +91,31 @@ class TestCampaignWorkers:
         with pytest.raises(CampaignError):
             CampaignOptions(max_retries=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("job_timeout", -1.0),
+            ("job_timeout", float("nan")),
+            ("job_timeout", "1"),
+            ("job_timeout", True),
+            ("retry_backoff", -0.5),
+            ("retry_backoff", float("inf")),
+            ("retry_backoff", float("nan")),
+            ("retry_backoff", None),
+            ("max_retries", 1.5),
+            ("max_retries", True),
+            ("max_retries", None),
+        ],
+    )
+    def test_bad_limits_are_rejected(self, field, value):
+        with pytest.raises(CampaignError, match=field):
+            CampaignOptions(**{field: value})
+
+    def test_good_limits_are_accepted(self):
+        options = CampaignOptions(job_timeout=0, retry_backoff=0)
+        assert (options.job_timeout, options.retry_backoff) == (0, 0)
+        assert CampaignOptions(job_timeout=float("inf")).job_timeout > 0
+
 
 class TestCheckpoints:
     def test_resume_loads_identical_results(self, tmp_path):

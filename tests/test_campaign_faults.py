@@ -12,11 +12,14 @@ the fixture, so the registry other tests see stays untouched.
 """
 
 import json
+import logging
 import os
+import threading
 import time
 
 import pytest
 
+from repro.analysis import AnalysisContext
 from repro.core.campaign import (
     CampaignJobFailure,
     CampaignOptions,
@@ -26,6 +29,10 @@ from repro.core.campaign import (
     job_id_for,
     run_campaign,
 )
+from repro.core.fabric import fabric_collect, fabric_submit, fabric_work
+from repro.core.runtime import CandidateBatch, SearchDriver, SearchStrategy
+from repro.core.sa import SAOptions
+from repro.core.search import BusOptimisationOptions
 from repro.core.strategies import (
     StrategyOptions,
     StrategySpec,
@@ -35,7 +42,7 @@ from repro.core.strategies import (
 )
 from repro.errors import CampaignError
 
-from tests.util import fig3_system
+from tests.util import fig3_system, fig4_system
 
 
 @pytest.fixture
@@ -63,9 +70,19 @@ def _bbc(system, options):
     return optimise(system, "bbc", None)
 
 
+class _SleepyStrategy(SearchStrategy):
+    """Sleeps about 10 ms before each (empty) batch and never ends."""
+
+    algorithm = "sleepy"
+
+    def proposals(self, system):
+        while True:
+            time.sleep(0.01)
+            yield CandidateBatch()
+
+
 def _sleepy(system, options):
-    time.sleep(30)
-    return _bbc(system, options)  # pragma: no cover - always timed out
+    return SearchDriver(system, _SleepyStrategy(options)).run()
 
 
 def _boom(system, options):
@@ -92,6 +109,72 @@ class TestTimeoutsAndRetries:
         assert report.failures
         with pytest.raises(CampaignError, match="timed out"):
             report.result_for("s", "sleepy")
+
+    def test_no_work_runs_after_a_timeout(self, monkeypatch):
+        calls = []
+        for name in ("analyse", "analyse_sweep"):
+            original = getattr(AnalysisContext, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                calls.append(time.monotonic())
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(AnalysisContext, name, spy)
+        systems = {"s": fig4_system()}
+        jobs = campaign_matrix(systems, [("sa", SAOptions(iterations=20000))])
+        before = set(threading.enumerate())
+        report = run_campaign(
+            systems,
+            jobs,
+            options=CampaignOptions(job_timeout=0.2, retry_backoff=0.0),
+        )
+        assert report.failures["s__sa"].kind == "timeout"
+        assert set(threading.enumerate()) <= before
+        assert calls  # the job did analyse before its deadline
+        done = len(calls)
+        time.sleep(0.3)
+        assert len(calls) == done
+
+    def test_parallel_restarts_time_out_without_a_serial_rerun(self, caplog):
+        options = SAOptions(
+            iterations=1_000_000,
+            restarts=2,
+            bus=BusOptimisationOptions(parallel_workers=2),
+        )
+        systems = {"s": fig4_system()}
+        jobs = campaign_matrix(systems, [("sa", options)])
+        start = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="repro.core.sa"):
+            report = run_campaign(
+                systems,
+                jobs,
+                options=CampaignOptions(job_timeout=0.5, retry_backoff=0.0),
+            )
+        failure = report.failures["s__sa"]
+        assert (failure.kind, failure.attempts) == ("timeout", 1)
+        assert "wall-clock timeout" in failure.message
+        assert "pool failed" not in caplog.text
+        assert time.perf_counter() - start < 10.0  # the chains stopped
+
+    def test_fabric_worker_records_the_same_timeout(self, registry, tmp_path):
+        registry("sleepy", _sleepy)
+        systems = {"s": fig3_system()}
+        options = CampaignOptions(
+            job_timeout=0.05, max_retries=1, retry_backoff=0.0
+        )
+        inline = run_campaign(
+            systems, campaign_matrix(systems, ["sleepy", "bbc"]),
+            options=options,
+        )
+        root = str(tmp_path / "fab")
+        fabric_submit(root, systems, ["sleepy", "bbc"], options=options)
+        fabric_work(root, worker_id="w0", lease_ttl=5.0)
+        merged = fabric_collect(root)
+        assert merged.failures == inline.failures
+        assert set(merged.results) == {"s__bbc"}
+        failure = merged.failures["s__sleepy"]
+        assert (failure.kind, failure.attempts) == ("timeout", 2)
+        assert "wall-clock timeout" in failure.message
 
     def test_exception_is_recorded_with_type_and_message(self, registry):
         registry("boom", _boom)

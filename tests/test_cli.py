@@ -181,9 +181,7 @@ class TestCampaignRuntimeFlags:
         self, system_path, tmp_path, capsys
     ):
         out = str(tmp_path / "summary.json")
-        # The job must outlive the timeout by much more than one GIL
-        # switch interval, so a tiny bbc run will not do: budget the SA
-        # job ~1s of annealing and time it out after 50ms.
+        # Budget the SA job ~1s of annealing and time it out after 50ms.
         before = set(threading.enumerate())
         rc = main(
             [
@@ -201,11 +199,27 @@ class TestCampaignRuntimeFlags:
             payload = json.load(fh)
         assert payload["jobs"] == {}
         assert payload["failures"]["system__sa"]["kind"] == "timeout"
-        # The abandoned job thread keeps annealing; wait it out so its
-        # analyses cannot run on into later tests.
-        for thread in set(threading.enumerate()) - before:
-            if thread.name.startswith("campaign-job-"):
-                thread.join()
+        # The job stopped at its deadline: nothing it started runs on.
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--max-seconds", "nan"], "max_seconds"),
+            (["--max-seconds", "-1"], "max_seconds"),
+            (["--max-evaluations", "-3"], "max_evaluations"),
+            (["--job-timeout", "-1"], "job_timeout"),
+            (["--job-timeout", "nan"], "job_timeout"),
+        ],
+    )
+    def test_bad_limits_exit_2_before_any_job(
+        self, system_path, capsys, flags, field
+    ):
+        rc = main(["campaign", system_path, "--strategies", "bbc", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "[ran]" not in captured.out
 
     def test_unwritable_output_fails_before_jobs(
         self, system_path, tmp_path, capsys
@@ -255,6 +269,32 @@ class TestCampaignFabric:
         assert sorted(reports["fabric"][1]["jobs"]) == [
             "system__bbc", "system__sa"
         ]
+
+
+    def test_fabric_wait_polls_every_two_seconds(
+        self, system_path, tmp_path, monkeypatch, capsys
+    ):
+        import time
+        from types import SimpleNamespace
+
+        import repro.cli as cli
+
+        root = str(tmp_path / "fab")
+        argv = ["campaign", system_path, "--strategies", "bbc",
+                "--fabric", root, "--job-timeout", "600"]
+        assert main(argv) == 0  # drains the fabric in this process
+        states = iter([False, False, True])
+        monkeypatch.setattr(
+            cli,
+            "fabric_status",
+            lambda root: SimpleNamespace(
+                complete=next(states), describe=lambda: "status"
+            ),
+        )
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert main([*argv, "--fabric-wait"]) == 0
+        assert sleeps == [cli.FABRIC_POLL_S] * 2 == [2.0, 2.0]
 
 
 class TestConsoleEntryPoint:

@@ -176,6 +176,33 @@ class TestManifest:
         with pytest.raises(CampaignError, match="obc_chunk_size"):
             load_fabric(root)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("campaign", "job_timeout", -1.0),
+            ("campaign", "job_timeout", "1"),
+            ("campaign", "retry_backoff", None),
+            ("request", "max_seconds", -1.0),
+            ("request", "max_evaluations", "3"),
+        ],
+    )
+    def test_manifest_with_a_bad_limit_fails_to_decode(
+        self, tmp_path, section, key, value
+    ):
+        root = str(tmp_path / "fab")
+        _submit(root)
+        manifest = os.path.join(root, "manifest.json")
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        target = doc[section]
+        if section == "request":
+            target = target["budget"]
+        target[key] = value
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        with pytest.raises(CampaignError, match=f"bad fabric manifest.*{key}"):
+            load_fabric(root)
+
     def test_per_strategy_bus_must_match_the_campaign_bus(self, tmp_path):
         with pytest.raises(CampaignError, match="bus"):
             fabric_submit(

@@ -8,6 +8,7 @@ dispatch and the evaluator's context-manager lifetime.
 """
 
 import dataclasses
+import time
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.core.strategies import (
     get_strategy,
     register_strategy,
 )
-from repro.errors import OptimisationError
+from repro.errors import ConfigurationError, OptimisationError
 from repro.synth import paper_suite
 
 from tests.util import basic_config, fig3_system, fig4_system
@@ -250,6 +251,67 @@ class TestStrategyOptions:
         ga = GAOptions(max_seconds=1.5)
         assert sa.max_evaluations == 7
         assert ga.max_seconds == 1.5
+
+    @pytest.mark.parametrize("options_type", [StrategyOptions, SAOptions])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_seconds", "1"),
+            ("max_seconds", -0.5),
+            ("max_seconds", float("nan")),
+            ("max_seconds", True),
+            ("max_evaluations", -3),
+            ("max_evaluations", 2.0),
+            ("max_evaluations", False),
+        ],
+    )
+    def test_bad_budgets_rejected_where_built(self, options_type, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            options_type(**{field: value})
+
+    def test_good_budgets_accepted(self):
+        options = StrategyOptions(max_seconds=0, max_evaluations=0)
+        assert (options.max_seconds, options.max_evaluations) == (0, 0)
+        assert StrategyOptions(max_seconds=float("inf")).max_seconds > 0
+
+
+@pytest.fixture
+def batch_clock(monkeypatch):
+    """A fake wall clock that advances one second per evaluated batch
+    and stands still otherwise; returns the list of batch sizes."""
+    now = [1000.0]
+    batches = []
+    analyse_many = Evaluator.analyse_many
+
+    def tick(self, configs):
+        configs = list(configs)
+        batches.append(len(configs))
+        now[0] += 1.0
+        return analyse_many(self, configs)
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(Evaluator, "analyse_many", tick)
+    return batches
+
+
+class TestWallClockBudget:
+    """``max_seconds`` stops SA and GA at the driver's batch boundary
+    only: the clock moves during analysis, and the run that sees it
+    past the budget reports ``stop_reason="budget"``."""
+
+    @pytest.mark.parametrize(
+        "name,options",
+        [
+            ("sa", SAOptions(iterations=50, seed=3, max_seconds=2.5)),
+            ("ga", GAOptions(population=4, generations=10, max_seconds=2.5)),
+        ],
+    )
+    def test_budget_stop_is_reported(self, batch_clock, name, options):
+        result = optimise(fig4_system(), name, options)
+        assert result.stop_reason == "budget"
+        # Batches at t = 0, 1, 2 ran; the one proposed at t = 3 did not.
+        assert len(batch_clock) == 3
 
 
 class TestDriverBudgetsOnRealStrategies:

@@ -54,8 +54,10 @@ from repro.io.serialization import (
     system_from_dict,
     system_to_dict,
 )
+from repro.errors import ServiceError
 from repro.service import ServiceConfig, create_server
 from repro.service import server as server_module
+from repro.service.protocol import parse_campaign_request
 
 from tests.util import (
     FIG4_FRAME_IDS,
@@ -733,6 +735,30 @@ class TestCampaignEndpoints:
                 status, doc = _post(svc.port, "/campaigns", body)
                 assert status == 400, doc
                 assert doc["error"]["code"] == "bad-request"
+
+    @pytest.mark.parametrize(
+        "budget,strategies",
+        [
+            ({"max_seconds": "1"}, None),
+            ({"max_seconds": float("nan")}, None),
+            ({"max_evaluations": -3}, None),
+            ({"max_evaluations": 2.5}, None),
+            (None, [{"name": "sa", "max_seconds": -1}]),
+            (None, [{"name": "bbc", "max_evaluations": True}]),
+        ],
+    )
+    def test_bad_budgets_are_400(self, budget, strategies):
+        body = _campaign_body(strategies=strategies, budget=budget)
+        with pytest.raises(ServiceError, match="max_") as exc:
+            parse_campaign_request(body)
+        assert exc.value.status == 400
+
+    def test_bad_budget_over_http_gets_400(self, tmp_path):
+        with _Service(tmp_path) as svc:
+            body = _campaign_body(budget={"max_evaluations": -3})
+            status, doc = _post(svc.port, "/campaigns", body)
+            assert status == 400, doc
+            assert "max_evaluations" in doc["error"]["message"]
 
     def test_new_campaigns_over_the_cap_get_429(self, tmp_path):
         with _Service(tmp_path, max_campaigns=0) as svc:

@@ -187,7 +187,7 @@ class _Structure:
 
 #: LRU bounds of the context caches: schedule artifacts (and the
 #: compiled backend's group plans that pack them), the structure
-#: records (and the schedule plans), and the validation memo and floor.
+#: records (and the schedule plans), and the validation floor.
 _MAX_SCHEDULE_ENTRIES = 64
 _MAX_STRUCTURE_ENTRIES = 64
 _MAX_VALIDATION_ENTRIES = 4096
@@ -377,10 +377,6 @@ class AnalysisContext:
         #: DYN sweep, every FrameID assignment and every static-segment
         #: variant of one bus speed share a single plan.
         self._plan_cache: OrderedDict = OrderedDict()
-        #: Semantic-validation memo: ``validate_for`` is a pure function
-        #: of (system, configuration), so each distinct configuration is
-        #: validated once.
-        self._valid_cache: OrderedDict = OrderedDict()
         #: Lowered group plans of the compiled backend, keyed by
         #: (schedule key, DYN structure key); rides the same LRU bound
         #: as the schedule cache whose artifacts it packs.
@@ -417,43 +413,13 @@ class AnalysisContext:
         return plan
 
     def _validate(self, config: FlexRayConfig):
-        """Memoised ``config.validate_for(system)``: the failure message,
-        or ``None`` when the configuration is legal.
-
-        Two layers: an exact per-configuration memo, and the monotone
-        validation floor -- a DYN-length sweep full-validates its first
-        legal point and clears every longer sibling in O(1).
-        """
-        key = config.cache_key()
-        failure = self._valid_cache.get(key, False)
-        if failure is not False:
-            return failure
-        # The floor key is everything except the DYN length, derived
-        # from the configuration directly (not by slicing ``cache_key``,
-        # whose layout belongs to ``repro.core.config``).
-        n = config.n_minislots
-        floor_key = (config.static_key(), config.frame_key)
-        floor = self._valid_floor.get(floor_key)
-        if floor is not None and n >= floor:
-            failure = None
-        else:
-            try:
-                config.validate_for(self.system)
-            except ConfigurationError as exc:
-                failure = f"configuration invalid: {exc}"
-            else:
-                failure = None
-                if floor is None or n < floor:
-                    _lru_insert(
-                        self._valid_floor,
-                        floor_key,
-                        n,
-                        _MAX_VALIDATION_ENTRIES,
-                    )
-        _lru_insert(
-            self._valid_cache, key, failure, _MAX_VALIDATION_ENTRIES
-        )
-        return failure
+        """``config.validate_for(system)`` as a failure message, or
+        ``None`` when the configuration is legal."""
+        try:
+            config.validate_for(self.system)
+        except ConfigurationError as exc:
+            return f"configuration invalid: {exc}"
+        return None
 
     def _static_wcrt(self, record) -> Dict[str, int]:
         """Static response times of a replayed schedule *record*.
@@ -624,11 +590,7 @@ class AnalysisContext:
         rows = self._rows(config)
         base = rows.n_static
         minislots = rows.minislots
-        largest: Dict[str, int] = {}
-        for m, size in zip(dyn, minislots):
-            node = sender_node[m.name]
-            if size > largest.get(node, 0):
-                largest[node] = size
+        largest = config.bus_table(self.system).dyn_largest
 
         # DYN hp/lf rows, and the reverse interference map over slot
         # positions (DYN readers first, then the FPS ones).
@@ -867,6 +829,9 @@ class AnalysisContext:
                 )
                 if failure is None:  # every longer length is legal too
                     floor = n
+                    _lru_insert(
+                        self._valid_floor, floor_key, n, _MAX_VALIDATION_ENTRIES
+                    )
             else:
                 failure = None
             if failure is None:

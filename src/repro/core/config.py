@@ -24,7 +24,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.flexray import params
 from repro.model.message import Message
-from repro.model.system import System
+from repro.model.system import BusTable, System
 from repro.model.times import ceil_div, transmission_time
 
 
@@ -183,29 +183,43 @@ class FlexRayConfig:
             i + 1 for i, owner in enumerate(self.static_slots) if owner == node
         )
 
+    def bus_table(self, system: System) -> BusTable:
+        """*system*'s :class:`~repro.model.system.BusTable` at this
+        configuration's bus speed and minislot length."""
+        return system.bus_table(
+            self.bits_per_mt, self.frame_overhead_bytes, self.gd_minislot
+        )
+
+    def _fids_by_node(self, system: System) -> Dict[str, set]:
+        """The FrameIDs of ``frame_ids`` grouped by sender node (an ST
+        message named there counts too); raises
+        :class:`~repro.errors.ModelError` at the first name that is no
+        message of *system*."""
+        senders = self.bus_table(system).senders
+        by_node: Dict[str, set] = {}
+        for name, fid in self.frame_ids.items():
+            node = senders.get(name)
+            if node is None:
+                system.application.message(name)  # raises ModelError
+            by_node.setdefault(node, set()).add(fid)
+        return by_node
+
     def dyn_slots_of(self, node: str, system: System) -> Tuple[int, ...]:
         """Sorted 1-based dynamic slot numbers (FrameIDs) used by *node*."""
-        fids = {
-            fid
-            for name, fid in self.frame_ids.items()
-            if system.sender_node(system.application.message(name)) == node
-        }
-        return tuple(sorted(fids))
+        return tuple(sorted(self._fids_by_node(system).get(node, ())))
 
     def p_latest_tx(self, node: str, system: System) -> Optional[int]:
         """``pLatestTx`` of *node*: the last minislot counter value at which
         the node may still start a dynamic transmission.
 
         Fixed per node at design time from the node's largest DYN frame
-        (Section 3 of the paper).  ``None`` when the node sends no DYN
-        message.  A value < 1 means the node's largest frame does not fit
-        the dynamic segment at all.
+        (Section 3 of the paper), read from the system's bus table.
+        ``None`` when the node sends no DYN message.  A value < 1 means
+        the node's largest frame does not fit the dynamic segment at all.
         """
-        largest = 0
-        for m in system.messages_sent_by(node):
-            if m.is_dynamic:
-                largest = max(largest, self.minislots_needed(m))
-        if largest == 0:
+        largest = self.bus_table(system).dyn_largest.get(node)
+        if largest is None:
+            system.tasks_on(node)  # raises ModelError for an unknown node
             return None
         return self.n_minislots - largest + 1
 
@@ -221,9 +235,16 @@ class FlexRayConfig:
         * the static slot accommodates the largest ST message,
         * every DYN message has a FrameID,
         * messages sharing a FrameID originate from the same node,
-        * every DYN frame fits the dynamic segment (pLatestTx >= 1).
+        * every ``frame_ids`` key names a message of the system (else
+          :class:`~repro.errors.ModelError`),
+        * every DYN frame fits the dynamic segment (pLatestTx >= 1) and
+          no FrameID of a DYN-sending node exceeds its pLatestTx.
+
+        The checks run in that order and read the system's bus table
+        (:meth:`~repro.model.system.System.bus_table`), so a call costs
+        one pass over the DYN messages and the ``frame_ids``.
         """
-        app = system.application
+        table = self.bus_table(system)
         nodes = set(system.nodes)
         for owner in self.static_slots:
             if owner not in nodes:
@@ -231,45 +252,41 @@ class FlexRayConfig:
                     f"static slot owner {owner!r} is not a node of the system"
                 )
         slot_owners = set(self.static_slots)
-        max_st_ct = 0
-        for m in app.st_messages():
-            sender = system.sender_node(m)
+        for m, sender in table.st:
             if sender not in slot_owners:
                 raise ConfigurationError(
                     f"node {sender!r} sends ST message {m.name!r} but owns no "
                     "static slot"
                 )
-            max_st_ct = max(max_st_ct, self.message_ct(m))
-        if max_st_ct > self.gd_static_slot:
+        if table.max_st_ct > self.gd_static_slot:
             raise ConfigurationError(
                 f"gd_static_slot={self.gd_static_slot} cannot fit the largest ST "
-                f"frame ({max_st_ct} MT)"
+                f"frame ({table.max_st_ct} MT)"
             )
+        frame_ids = self.frame_ids
         fid_owner: Dict[int, str] = {}
-        for m in app.dyn_messages():
-            if m.name not in self.frame_ids:
+        for m, sender in table.dyn:
+            fid = frame_ids.get(m.name)
+            if fid is None:
                 raise ConfigurationError(
                     f"DYN message {m.name!r} has no FrameID in this configuration"
                 )
-            sender = system.sender_node(m)
-            fid = self.frame_ids[m.name]
-            if fid in fid_owner and fid_owner[fid] != sender:
+            owner = fid_owner.setdefault(fid, sender)
+            if owner != sender:
                 raise ConfigurationError(
-                    f"FrameID {fid} is shared by nodes {fid_owner[fid]!r} and "
+                    f"FrameID {fid} is shared by nodes {owner!r} and "
                     f"{sender!r}; a dynamic slot belongs to exactly one node"
                 )
-            fid_owner[fid] = sender
-        for name in self.frame_ids:
-            app.message(name)  # raises ModelError -> surfaced to the caller
-        for node in system.dyn_sender_nodes():
-            latest = self.p_latest_tx(node, system)
-            if latest is not None and latest < 1:
+        fids_of = self._fids_by_node(system)
+        for node, largest in table.dyn_largest.items():
+            latest = self.n_minislots - largest + 1
+            if latest < 1:
                 raise ConfigurationError(
                     f"the largest DYN frame of node {node!r} does not fit a "
                     f"dynamic segment of {self.n_minislots} minislots"
                 )
-            for fid in self.dyn_slots_of(node, system):
-                if latest is not None and fid > latest:
+            for fid in sorted(fids_of.get(node, ())):
+                if fid > latest:
                     raise ConfigurationError(
                         f"FrameID {fid} of node {node!r} exceeds its pLatestTx "
                         f"({latest}); the frame could never be sent"

@@ -25,7 +25,8 @@ from repro.core.bbc import optimise_bbc
 from repro.core.obc import optimise_obc
 from repro.core.result import OptimisationResult
 from repro.core.search import BusOptimisationOptions
-from repro.errors import OptimisationError, ValidationError
+from repro.core.strategies import valid_limit
+from repro.errors import ConfigurationError, OptimisationError, ValidationError
 from repro.model.application import Application
 from repro.model.graph import TaskGraph
 from repro.model.message import Message
@@ -46,6 +47,18 @@ class MappingOptions:
     #: Default message payload (bytes) when a precedence edge starts
     #: crossing nodes after a move and needs a message.
     new_message_size: int = 8
+
+    def __post_init__(self):
+        if not valid_limit(self.max_seconds):
+            raise ConfigurationError(
+                f"max_seconds={self.max_seconds!r} must be None or a number >= 0"
+            )
+        for name, least in (("iterations", 0), ("new_message_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigurationError(
+                    f"{name}={value!r} must be an int >= {least}"
+                )
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ from repro.core.config import FlexRayConfig
 from repro.core.result import SearchPoint
 from repro.errors import ConfigurationError, OptimisationError
 from repro.flexray import params
-from repro.model.system import System
-from repro.model.times import ceil_div, transmission_time
+from repro.model.system import BusTable, System
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +80,7 @@ class BusOptimisationOptions:
     parallel_workers: Optional[int] = None
 
     def __post_init__(self):
-        # message_ct divides by the bus speed unchecked: reject what it
+        # The bus tables divide by the bus speed unchecked: reject what they
         # cannot take once, here.
         if self.bits_per_mt < 1:
             raise ConfigurationError("bits_per_mt must be >= 1")
@@ -490,19 +489,16 @@ def better(a: Optional[AnalysisResult], b: Optional[AnalysisResult]) -> bool:
     return a.cost_value < b.cost_value
 
 
-def message_ct(size: int, options: BusOptimisationOptions) -> int:
-    """Transmission time of a payload under the optimiser's bus settings."""
-    return transmission_time(
-        size, options.frame_overhead_bytes, options.bits_per_mt
+def bus_table(system: System, options: BusOptimisationOptions) -> BusTable:
+    """*system*'s bus table under the optimiser's bus settings."""
+    return system.bus_table(
+        options.bits_per_mt, options.frame_overhead_bytes, options.gd_minislot
     )
 
 
 def min_static_slot(system: System, options: BusOptimisationOptions) -> int:
     """Smallest legal static slot: fits the largest ST frame (Fig. 5 line 3)."""
-    largest = max(
-        (message_ct(m.size, options) for m in system.application.st_messages()),
-        default=1,
-    )
+    largest = bus_table(system, options).max_st_ct or 1
     return min(largest, params.MAX_STATIC_SLOT_MT)
 
 
@@ -517,17 +513,14 @@ def dyn_segment_bounds(
     DYN messages and (1, 0) -- an empty range -- when no legal length
     exists.
     """
-    dyn_messages = list(system.application.dyn_messages())
-    if not dyn_messages:
+    table = bus_table(system, options)
+    if not table.dyn:
         return (0, 0)
-    largest = max(
-        ceil_div(message_ct(m.size, options), options.gd_minislot)
-        for m in dyn_messages
-    )
-    # With unique FrameIDs the highest slot is len(dyn_messages); for the
+    largest = max(table.dyn_largest.values())
+    # With unique FrameIDs the highest slot is len(table.dyn); for the
     # largest frame to be transmittable even from that slot, the segment
     # needs the slot-counter offset *plus* the frame length (pLatestTx).
-    lo = largest + len(dyn_messages) - 1
+    lo = largest + len(table.dyn) - 1
     hi = min(
         params.MAX_MINISLOTS,
         (params.MAX_CYCLE_MT - st_bus) // options.gd_minislot,
@@ -567,10 +560,9 @@ def quota_slot_assignment(
         raise OptimisationError(
             f"{n_slots} static slots cannot cover {len(nodes)} ST-sending nodes"
         )
-    counts = {
-        node: sum(1 for m in system.messages_sent_by(node) if m.is_static)
-        for node in nodes
-    }
+    counts = dict.fromkeys(nodes, 0)
+    for _, node in bus_table(system, options or BusOptimisationOptions()).st:
+        counts[node] += 1
     total = sum(counts.values())
     quotas = {node: 1 for node in nodes}
     surplus = n_slots - len(nodes)

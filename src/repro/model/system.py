@@ -7,13 +7,27 @@ by :class:`repro.core.config.FlexRayConfig`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ModelError, ValidationError
 from repro.model.application import Application
 from repro.model.message import Message
 from repro.model.task import Task
+from repro.model.times import ceil_div, transmission_time
+
+#: A system's messages lowered for one bus speed and minislot length
+#: (:meth:`System.bus_table`): ``st`` and ``dyn`` are the ``(message,
+#: sender node)`` pairs of each segment in application message order,
+#: ``st_nodes``/``dyn_nodes`` their sender nodes in node order,
+#: ``max_st_ct`` the largest ST transmission time (0 without ST
+#: messages), ``dyn_largest`` per DYN-sending node (in node order) its
+#: largest frame in minislots and ``senders`` the sender node of every
+#: message by name.
+BusTable = namedtuple(
+    "BusTable", "st dyn st_nodes dyn_nodes max_st_ct dyn_largest senders"
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +42,11 @@ class System:
     application:
         The :class:`~repro.model.application.Application` running on the
         architecture.
+
+    The per-segment message split is lowered once, at construction, and
+    each bus speed's :class:`BusTable` on first use: bus validation,
+    ``pLatestTx``, the optimisers' segment bounds and the sender-node
+    queries read those tables instead of rescanning the application.
     """
 
     nodes: Tuple[str, ...]
@@ -37,6 +56,10 @@ class System:
         default=None, repr=False, compare=False
     )
     _sender_nodes: Mapping[str, str] = field(
+        default=None, repr=False, compare=False
+    )
+    _segments: tuple = field(default=None, repr=False, compare=False)
+    _bus_tables: Mapping[tuple, BusTable] = field(
         default=None, repr=False, compare=False
     )
 
@@ -56,15 +79,25 @@ class System:
         object.__setattr__(
             self, "_tasks_by_node", {n: tuple(ts) for n, ts in by_node.items()}
         )
-        object.__setattr__(
-            self,
-            "_sender_nodes",
-            {
-                m.name: g.task(m.sender).node
-                for g in self.application.graphs
-                for m in g.messages
-            },
-        )
+        senders = {
+            m.name: g.task(m.sender).node
+            for g in self.application.graphs
+            for m in g.messages
+        }
+        object.__setattr__(self, "_sender_nodes", senders)
+        # The bus-speed-independent half of every bus table.
+        st, dyn = [], []
+        for m in self.application.messages():
+            (dyn if m.is_dynamic else st).append((m, senders[m.name]))
+        st_senders = {node for _, node in st}
+        dyn_senders = {node for _, node in dyn}
+        object.__setattr__(self, "_segments", (
+            tuple(st),
+            tuple(dyn),
+            tuple(n for n in self.nodes if n in st_senders),
+            tuple(n for n in self.nodes if n in dyn_senders),
+        ))
+        object.__setattr__(self, "_bus_tables", {})
 
     # ------------------------------------------------------------------
     def tasks_on(self, node: str) -> Tuple[Task, ...]:
@@ -81,24 +114,47 @@ class System:
             return self.application.graph_of(message.name).task(message.sender).node
         return node
 
+    def bus_table(
+        self, bits_per_mt: int, frame_overhead_bytes: int, gd_minislot: int
+    ) -> BusTable:
+        """The :class:`BusTable` of one bus speed and minislot length,
+        lowered on first use and cached on the system."""
+        key = (bits_per_mt, frame_overhead_bytes, gd_minislot)
+        table = self._bus_tables.get(key)
+        if table is None:
+            st, dyn, st_nodes, dyn_nodes = self._segments
+            largest: Dict[str, int] = dict.fromkeys(dyn_nodes, 0)
+            for m, node in dyn:
+                q = ceil_div(
+                    transmission_time(m.size, frame_overhead_bytes, bits_per_mt),
+                    gd_minislot,
+                )
+                if q > largest[node]:
+                    largest[node] = q
+            table = self._bus_tables[key] = BusTable(
+                st=st,
+                dyn=dyn,
+                st_nodes=st_nodes,
+                dyn_nodes=dyn_nodes,
+                max_st_ct=max(
+                    (transmission_time(m.size, frame_overhead_bytes, bits_per_mt)
+                     for m, _ in st),
+                    default=0,
+                ),
+                dyn_largest=largest,
+                senders=self._sender_nodes,
+            )
+        return table
+
     def st_sender_nodes(self) -> Tuple[str, ...]:
-        """Nodes that transmit at least one ST message (``nodesST``), in node order."""
-        senders = {self.sender_node(m) for m in self.application.st_messages()}
-        return tuple(n for n in self.nodes if n in senders)
+        """Nodes that transmit at least one ST message (``nodesST``), in
+        node order (every bus table's ``st_nodes``)."""
+        return self._segments[2]
 
     def dyn_sender_nodes(self) -> Tuple[str, ...]:
-        """Nodes that transmit at least one DYN message, in node order."""
-        senders = {self.sender_node(m) for m in self.application.dyn_messages()}
-        return tuple(n for n in self.nodes if n in senders)
-
-    def messages_sent_by(self, node: str) -> Iterator[Message]:
-        """All messages whose sender task runs on *node*."""
-        if node not in self._tasks_by_node:
-            raise ModelError(f"system has no node {node!r}")
-        senders = self._sender_nodes
-        for m in self.application.messages():
-            if senders[m.name] == node:
-                yield m
+        """Nodes that transmit at least one DYN message, in node order
+        (every bus table's ``dyn_nodes``)."""
+        return self._segments[3]
 
     def node_utilisation(self, node: str) -> float:
         """CPU utilisation of *node*: sum of wcet/period over its tasks."""

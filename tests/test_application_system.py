@@ -118,11 +118,12 @@ class TestSystem:
         for m in messages:
             walked = app.graph_of(m.name).task(m.sender).node
             assert system.sender_node(m) == walked
-        for node in system.nodes:
-            assert list(system.messages_sent_by(node)) == [
-                m for m in messages
-                if app.graph_of(m.name).task(m.sender).node == node
-            ]
+        table = system.bus_table(8, 0, 1)
+        assert [m for m, _ in table.st + table.dyn] == sorted(
+            messages, key=lambda m: m.is_dynamic
+        )
+        for m, node in table.st + table.dyn:
+            assert node == app.graph_of(m.name).task(m.sender).node
 
     def test_sender_node_of_unknown_message_raises(self):
         sys_ = System(("N1", "N2"), two_graph_app())
@@ -130,10 +131,12 @@ class TestSystem:
         with pytest.raises(ModelError, match="has no activity 'm9'"):
             sys_.sender_node(stranger)
 
-    def test_messages_sent_by(self):
+    def test_bus_table_pairs_by_sender(self):
         sys_ = System(("N1", "N2"), two_graph_app())
-        assert {m.name for m in sys_.messages_sent_by("N1")} == {"m1", "m2"}
-        assert set(sys_.messages_sent_by("N2")) == set()
+        table = sys_.bus_table(8, 0, 1)
+        pairs = table.st + table.dyn
+        assert {m.name for m, node in pairs if node == "N1"} == {"m1", "m2"}
+        assert {m.name for m, node in pairs if node == "N2"} == set()
 
     def test_node_utilisation(self):
         sys_ = System(("N1", "N2"), two_graph_app())

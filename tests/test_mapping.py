@@ -7,7 +7,7 @@ from repro.core.mapping import (
     optimise_mapping,
     remap_task,
 )
-from repro.errors import OptimisationError
+from repro.errors import ConfigurationError, OptimisationError
 from repro.model import validate_system
 
 from tests.util import fig3_system, fig4_system
@@ -96,3 +96,33 @@ class TestOptimiseMapping:
             ),
         )
         assert result.elapsed_seconds < 5.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_seconds", "1"),
+        ("max_seconds", -1.0),
+        ("max_seconds", float("nan")),
+        ("max_seconds", True),
+        ("iterations", -1),
+        ("iterations", 2.5),
+        ("iterations", True),
+        ("iterations", None),
+        ("new_message_size", 0),
+        ("new_message_size", "8"),
+        ("new_message_size", False),
+    ],
+)
+def test_bad_mapping_options_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        MappingOptions(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"max_seconds": None}, {"max_seconds": 0}, {"max_seconds": 1.5},
+     {"iterations": 0}, {"new_message_size": 1}],
+)
+def test_good_mapping_options_accepted(changes):
+    MappingOptions(**changes)

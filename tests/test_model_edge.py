@@ -122,4 +122,6 @@ class TestSystemEdgeCases:
             ),
         )
         system = System(("N1", "N2", "N3"), Application("app", (g,)))
-        assert [m.name for m in system.messages_sent_by("N1")] == ["m"]
+        assert [
+            m.name for m, node in system.bus_table(8, 0, 1).st if node == "N1"
+        ] == ["m"]

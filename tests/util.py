@@ -17,22 +17,28 @@ instead of keeping their own drifting copies:
 * ``schedule_view`` -- a ``ScheduleTable`` over a hand-placed
   ``ScheduleRecord``,
 * ``schedule_artifacts`` -- a context's cached schedule artifacts of a
-  configuration at its own cycle length.
+  configuration at its own cycle length,
+* ``oracle_validate_for`` / ``oracle_p_latest_tx`` /
+  ``oracle_dyn_slots_of`` -- the original message-scanning bus
+  validation, kept as the oracle of the table-driven
+  ``FlexRayConfig.validate_for``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.schedule_table import JobTable, ScheduleRecord, ScheduleTable
 from repro.core.config import FlexRayConfig
 from repro.core.search import BusOptimisationOptions
+from repro.errors import ConfigurationError
 from repro.flexray.faults import (
     BlackoutFaults,
     GilbertElliottFaults,
     IidFaults,
 )
 from repro.flexray.timeline import st_slot_start
+from repro.model.times import ceil_div, transmission_time
 from repro.model import (
     Application,
     Message,
@@ -277,3 +283,97 @@ def schedule_view(config, application, placements) -> ScheduleTable:
         frame_used,
     )
     return ScheduleTable.from_record(config, record)
+
+
+# ----------------------------------------------------------------------
+# The bus-validation oracle: the original ``validate_for``, which
+# rescans the application per call.  Frozen: do not "fix" it, it is
+# what the table-driven validator must match message for message.
+# ----------------------------------------------------------------------
+def _oracle_sender(system: System, message: Message) -> str:
+    return system.application.graph_of(message.name).task(message.sender).node
+
+
+def _oracle_ct(config: FlexRayConfig, message: Message) -> int:
+    return transmission_time(
+        message.size, config.frame_overhead_bytes, config.bits_per_mt
+    )
+
+
+def oracle_dyn_slots_of(config: FlexRayConfig, node: str, system: System):
+    fids = {
+        fid
+        for name, fid in config.frame_ids.items()
+        if _oracle_sender(system, system.application.message(name)) == node
+    }
+    return tuple(sorted(fids))
+
+
+def oracle_p_latest_tx(
+    config: FlexRayConfig, node: str, system: System
+) -> Optional[int]:
+    system.tasks_on(node)  # raises ModelError for an unknown node
+    largest = 0
+    for m in system.application.messages():
+        if m.is_dynamic and _oracle_sender(system, m) == node:
+            largest = max(
+                largest, ceil_div(_oracle_ct(config, m), config.gd_minislot)
+            )
+    if largest == 0:
+        return None
+    return config.n_minislots - largest + 1
+
+
+def oracle_validate_for(config: FlexRayConfig, system: System) -> None:
+    app = system.application
+    nodes = set(system.nodes)
+    for owner in config.static_slots:
+        if owner not in nodes:
+            raise ConfigurationError(
+                f"static slot owner {owner!r} is not a node of the system"
+            )
+    slot_owners = set(config.static_slots)
+    max_st_ct = 0
+    for m in app.st_messages():
+        sender = _oracle_sender(system, m)
+        if sender not in slot_owners:
+            raise ConfigurationError(
+                f"node {sender!r} sends ST message {m.name!r} but owns no "
+                "static slot"
+            )
+        max_st_ct = max(max_st_ct, _oracle_ct(config, m))
+    if max_st_ct > config.gd_static_slot:
+        raise ConfigurationError(
+            f"gd_static_slot={config.gd_static_slot} cannot fit the largest ST "
+            f"frame ({max_st_ct} MT)"
+        )
+    fid_owner: Dict[int, str] = {}
+    for m in app.dyn_messages():
+        if m.name not in config.frame_ids:
+            raise ConfigurationError(
+                f"DYN message {m.name!r} has no FrameID in this configuration"
+            )
+        sender = _oracle_sender(system, m)
+        fid = config.frame_ids[m.name]
+        if fid in fid_owner and fid_owner[fid] != sender:
+            raise ConfigurationError(
+                f"FrameID {fid} is shared by nodes {fid_owner[fid]!r} and "
+                f"{sender!r}; a dynamic slot belongs to exactly one node"
+            )
+        fid_owner[fid] = sender
+    for name in config.frame_ids:
+        app.message(name)  # raises ModelError -> surfaced to the caller
+    dyn_senders = {_oracle_sender(system, m) for m in app.dyn_messages()}
+    for node in (n for n in system.nodes if n in dyn_senders):
+        latest = oracle_p_latest_tx(config, node, system)
+        if latest is not None and latest < 1:
+            raise ConfigurationError(
+                f"the largest DYN frame of node {node!r} does not fit a "
+                f"dynamic segment of {config.n_minislots} minislots"
+            )
+        for fid in oracle_dyn_slots_of(config, node, system):
+            if latest is not None and fid > latest:
+                raise ConfigurationError(
+                    f"FrameID {fid} of node {node!r} exceeds its pLatestTx "
+                    f"({latest}); the frame could never be sent"
+                )

@@ -15,10 +15,10 @@ Asserts:
 * identity -- every run of a strategy, on either backend, finds the same
   best cost, the same best configuration (``cache_key()``) and makes the
   same number of exact analyses on each system;
-* timing -- native is no slower than python on OBC/EE and on SA.  BBC
-  and OBC/CF ratios are recorded, not asserted: on OBC/CF both backends
-  run the same Python curve-fit estimator, and the run-to-run spread is
-  as large as the backend difference.
+* timing -- native is no slower than python on OBC/CF (whose estimate
+  rounds the native run scores with the compiled curve-fit scorer), on
+  OBC/EE and on SA.  The BBC ratio is recorded, not asserted: its runs
+  are too short for the run-to-run spread.
 
 Emits ``benchmarks/results/BENCH_end_to_end.json``: a host record, per
 strategy x backend the median seconds, the exact analyses and the best
@@ -50,7 +50,7 @@ from perfbench.common import SYSTEM_SET, bus_options, make_systems, sa_options
 STRATEGIES = ("bbc", "obc-cf", "obc-ee", "sa")
 BACKENDS = ("python", "native")
 #: Strategies whose native run must not be slower than the python one.
-NATIVE_NOT_SLOWER = ("obc-ee", "sa")
+NATIVE_NOT_SLOWER = ("obc-cf", "obc-ee", "sa")
 ROUNDS = 3
 
 

@@ -3,8 +3,8 @@
 The library itself is pure Python with no dependencies; the one
 accelerated analysis backend is a deliberately *optional* extra:
 
-* ``pip install repro[native]`` -- the compiled fix-point kernels
-  (``AnalysisOptions.backend="native"``), built from
+* ``pip install repro[native]`` -- the compiled fix-point kernels and
+  curve-fit scorer (``AnalysisOptions.backend="native"``), built from
   ``src/repro/_native/nativemodule.c`` when a C toolchain is present.
   The extra pulls in no package: the extension speaks the buffer
   protocol to stdlib ``array('q')`` buffers.
@@ -40,6 +40,9 @@ setup(
         Extension(
             "repro._native",
             sources=["src/repro/_native/nativemodule.c"],
+            # The curve-fit scorer must round every multiply and add on
+            # its own, as Python does: no fused multiply-add.
+            extra_compile_args=["-ffp-contract=off"],
             optional=True,  # no toolchain -> no extension, never a failure
         ),
     ],

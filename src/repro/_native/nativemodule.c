@@ -1,4 +1,5 @@
-/* repro._native -- compiled fix-point kernels (backend="native").
+/* repro._native -- compiled fix-point kernels and the OBC/CF curve-fit
+ * scorer (backend="native").
  *
  * Per-lane scalar transcription of AnalysisContext._fix_point and the
  * two busy-window recurrences (repro/analysis/dyn.py Eq. (3),
@@ -41,6 +42,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -830,6 +833,136 @@ done:
     return result;
 }
 
+/* ---- The OBC/CF curve-fit scorer (repro.core.dynlen._score_candidates).
+ *
+ * One estimate round: every row's Newton polynomial at every open DYN
+ * length (NewtonCurves.evaluate), rounded and clamped to [0, 10^12]
+ * (dynlen._clamped), then Eq. (5) per length (cost.cost_values).  The
+ * floats equal the Python oracle's bit for bit:
+ *   - Horner runs from each row's trimmed top down to c0 as v * d + c,
+ *     d = x - node_j, one double op at a time, in the Python order (its
+ *     multi-step passes and shared tails change the loops, not the
+ *     ops).  The build passes -ffp-contract=off, so no multiply-add is
+ *     fused, and the scorer hands every round back (returns None)
+ *     unless FLT_EVAL_METHOD == 0 and the build is not -ffast-math, so
+ *     no excess precision or reassociation creeps in;
+ *   - nearbyint in the default rounding mode is Python's round() of a
+ *     float (half to even); a value that is not finite hands the round
+ *     back, and Python's round() raises on it as before;
+ *   - the clamped values are integers, so the Eq. (5) sums are exact in
+ *     checked int64 (an overflow hands the round back), and int64 ->
+ *     double rounds to nearest-even like Python's float(int).
+ */
+#if defined(__FAST_MATH__) || !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#define SCORE_EXACT 0
+#else
+#define SCORE_EXACT 1
+#endif
+#define CLAMP_MAX ((i64)1000000000000LL)
+
+/* Fill costs[0..L) and yield 1, or yield 0 to hand the round back. */
+static int
+score_lanes(const double *coeffs, const i64 *tops, const double *nodes,
+            const i64 *deadlines, i64 rows, i64 n, const double *xs, i64 L,
+            double *d, double *costs)
+{
+    i64 total_deadline = 0;
+    for (i64 i = 0; i < rows; i++)
+        if (ck_add(total_deadline, deadlines[i], &total_deadline))
+            return 0;
+    for (i64 k = 0; k < L; k++) {
+        for (i64 j = 0; j < n; j++)
+            d[j] = xs[k] - nodes[j];
+        i64 total = 0, f1 = 0, f2, miss;
+        for (i64 i = 0; i < rows; i++) {
+            const double *c = coeffs + i * n;
+            double v = c[tops[i]];
+            for (i64 j = tops[i] - 1; j >= 0; j--)
+                v = v * d[j] + c[j];
+            if (!isfinite(v))
+                return 0;
+            double r = nearbyint(v);
+            i64 clamped = r > 0 ? (r < (double)CLAMP_MAX ? (i64)r : CLAMP_MAX)
+                                : 0;
+            if (ck_add(total, clamped, &total))
+                return 0;
+            if (clamped > deadlines[i] &&
+                (ck_sub(clamped, deadlines[i], &miss) ||
+                 ck_add(f1, miss, &f1)))
+                return 0;
+        }
+        if (ck_sub(total, total_deadline, &f2))
+            return 0;
+        costs[k] = f1 > 0 ? (double)f1 : (double)f2;
+    }
+    return 1;
+}
+
+static PyObject *
+native_score_curves(PyObject *self, PyObject *args)
+{
+    Py_buffer cf_b, top_b, node_b, dl_b, x_b;
+    if (!PyArg_ParseTuple(args, "y*y*y*y*y*", &cf_b, &top_b, &node_b, &dl_b,
+                          &x_b))
+        return NULL;
+    PyObject *result = NULL;
+    double *d = NULL, *costs = NULL;
+    i64 rows = (i64)(top_b.len / 8), n = (i64)(node_b.len / 8),
+        L = (i64)(x_b.len / 8);
+    if (top_b.len % 8 || node_b.len % 8 || x_b.len % 8 || n < 1 ||
+        dl_b.len != top_b.len || cf_b.len % (8 * n) ||
+        cf_b.len / (8 * n) != rows) {
+        PyErr_SetString(PyExc_ValueError,
+                        "score_curves buffer sizes disagree");
+        goto done;
+    }
+    const i64 *tops = top_b.buf;
+    for (i64 i = 0; i < rows; i++)
+        if (tops[i] < 0 || tops[i] >= n) {
+            PyErr_SetString(PyExc_ValueError,
+                            "score_curves top outside its row");
+            goto done;
+        }
+    if (!SCORE_EXACT || rows == 0) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+    d = (double *)malloc((size_t)n * sizeof(double));
+    costs = (double *)malloc((size_t)(L ? L : 1) * sizeof(double));
+    if (!d || !costs) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int ok;
+    Py_BEGIN_ALLOW_THREADS
+    ok = score_lanes(cf_b.buf, tops, node_b.buf, dl_b.buf, rows, n, x_b.buf,
+                     L, d, costs);
+    Py_END_ALLOW_THREADS
+    if (!ok) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+    result = PyList_New((Py_ssize_t)L);
+    for (i64 k = 0; result && k < L; k++) {
+        PyObject *cost = PyFloat_FromDouble(costs[k]);
+        if (!cost)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, (Py_ssize_t)k, cost);
+    }
+done:
+    free(d);
+    free(costs);
+    PyBuffer_Release(&cf_b);
+    PyBuffer_Release(&top_b);
+    PyBuffer_Release(&node_b);
+    PyBuffer_Release(&dl_b);
+    PyBuffer_Release(&x_b);
+    return result;
+}
+
 static PyMethodDef native_methods[] = {
     {"build_plan", native_build_plan, METH_VARARGS,
      "build_plan(blob: bytes) -> capsule\n\n"
@@ -844,13 +977,22 @@ static PyMethodDef native_methods[] = {
      "int64 response-time buffer (filled in place), conv the per-lane "
      "flags: 1 converged, 0 not converged, -1 int64 overflow (the lane's "
      "W row is then meaningless)."},
+    {"score_curves", native_score_curves, METH_VARARGS,
+     "score_curves(coeffs, tops, nodes, deadlines, xs) -> list | None\n\n"
+     "Eq. (5) per point of xs (float64) over the rounded, clamped values "
+     "of every Newton row: coeffs (float64, rows x len(nodes), row-major), "
+     "tops (int64 Horner start per row), nodes (float64), deadlines "
+     "(int64 per row).  None hands the round back to the Python scorer "
+     "(a value not finite, an int64 overflow, no rows, or a build "
+     "without IEEE double evaluation)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     "repro._native",
-    "Compiled fix-point kernels of AnalysisOptions.backend=\"native\".",
+    "Compiled fix-point kernels and curve-fit scorer of "
+    "AnalysisOptions.backend=\"native\".",
     -1,
     native_methods,
 };

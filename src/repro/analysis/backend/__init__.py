@@ -14,7 +14,10 @@ full holistic fix point inside a compiled C extension
 (:func:`repro.analysis.backend.native.run_group_native`).  That is the
 one accelerated rung beside the pure-Python oracle: ``"python"`` is the
 reference, ``"native"`` the compiled kernels; the tests check the two
-against each other.
+against each other.  The same extension scores OBC/CF's curve-fit
+estimates (``score_curves``, called from
+:func:`repro.core.dynlen._score_candidates` on native runs), float for
+float equal to the Python scorer.
 
 The contract is the repo's established one: results are bit-identical
 to the pure-Python oracle.  The ingredients:
@@ -54,9 +57,13 @@ except ImportError:  # pragma: no cover
 else:  # pragma: no cover
     # ``src/repro/_native/`` (the C source directory) is importable as
     # an attribute-less PEP 420 namespace package even when the compiled
-    # module was never built; only a module exposing the kernel entry
-    # points counts as the extension being installed.
-    if not hasattr(_native_module, "run_batch"):
+    # module was never built; only a module exposing every entry point
+    # counts as the extension being installed (a build of an older
+    # source lacks the curve-fit scorer).
+    if not all(
+        hasattr(_native_module, name)
+        for name in ("build_plan", "run_batch", "score_curves")
+    ):
         _native_module = None
 
 

@@ -22,9 +22,15 @@ first, which is exact: ``±0.0 * d + 0.0`` stays a zero for finite
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from array import array
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
+
+#: Ints up to this magnitude convert to floats exactly, so their
+#: differences round to the same float in every row.
+_EXACT = 2**53
 
 
 def _extend_diagonal(
@@ -92,6 +98,13 @@ class NewtonCurves:
     :meth:`evaluate` returns, per row, the values at many points, each
     float equal to what a :class:`NewtonInterpolator` fed the same
     points would return.
+
+    Rows whose values differ by one constant integer at every node
+    share their Horner tail: integer differences are exact in floats,
+    so such rows have bit-identical coefficients c1..c_top and differ
+    only in c0, the last Horner step.  Sharing is keyed on each row's
+    exact integer differences from its first value, never on float
+    equality of coefficients (which would merge ``0.0`` and ``-0.0``).
     """
 
     def __init__(self, rows: int):
@@ -102,6 +115,11 @@ class NewtonCurves:
         #: all-zero row keeps every term (-1), so even the sign of its
         #: zero is reproduced.
         self._tops: List[int] = [-1] * rows
+        #: Per row, an id of its integer value differences so far (rows
+        #: with one id share c1..c_top), or ``None`` once a value was not
+        #: an int that converts to a float exactly.
+        self._tails: List[Optional[int]] = [0] * rows
+        self._firsts: Sequence[float] = ()
 
     def __len__(self) -> int:
         return len(self._xs)
@@ -114,44 +132,118 @@ class NewtonCurves:
             )
         denoms = _denominators(self._xs, x)
         degree = len(self._xs)
+        if not degree:
+            self._firsts = list(ys)
+        tails = self._tails
+        ids: Dict[tuple, int] = {}
         for i, y in enumerate(ys):
             diag = _extend_diagonal(self._diags[i], y, denoms)
             self._diags[i] = diag
             self._coeffs[i].append(diag[-1])
             if diag[-1] != 0.0:
                 self._tops[i] = degree
+            if tails[i] is not None:
+                if type(y) is int and -_EXACT <= y <= _EXACT:
+                    key = (tails[i], y - self._firsts[i])
+                    tails[i] = ids.setdefault(key, len(ids))
+                else:
+                    tails[i] = None
         self._xs.append(float(x))
+
+    def packed(self) -> Tuple[array, array, array]:
+        """``(coeffs, tops, nodes)`` as C buffers: the coefficient rows
+        flattened row-major (``len(self)`` per row), each row's Horner
+        start (its top, or the last term for an all-zero row) and the
+        nodes -- what :meth:`evaluate` reads."""
+        last = len(self._xs) - 1
+        return (
+            array("d", chain.from_iterable(self._coeffs)),
+            array("q", [top if top >= 0 else last for top in self._tops]),
+            array("d", self._xs),
+        )
 
     def evaluate(self, xs: Sequence[float]) -> List[List[float]]:
         """Every row's value at every finite point of *xs* (Horner form)."""
         if not self._xs:
             raise AnalysisError("cannot evaluate empty curves")
         columns: List[List[float]] = []  # x - node_j for every x, by j
-        out = []
-        for coeffs, top in zip(self._coeffs, self._tops):
-            if top < 0:
-                top = len(coeffs) - 1
-            while len(columns) < top:
-                node = self._xs[len(columns)]
-                columns.append([x - node for x in xs])
-            values = [coeffs[top]] * len(xs)
-            j = top - 1
-            # Four Horner steps per pass over the candidates (the same
-            # ops in the same order, a quarter of the loop overhead).
-            while j >= 3:
-                c3, c2, c1, c0 = coeffs[j - 3 : j + 1][::-1]
-                values = [
-                    (((v * d3 + c3) * d2 + c2) * d1 + c1) * d0 + c0
-                    for v, d3, d2, d1, d0 in zip(
-                        values, *columns[j - 3 : j + 1][::-1]
-                    )
-                ]
-                j -= 4
-            for j in range(j, -1, -1):
-                c = coeffs[j]
-                values = [v * d + c for v, d in zip(values, columns[j])]
-            out.append(values)
+        out: List[List[float]] = [[]] * len(self._coeffs)
+        shared: Dict[int, List[int]] = {}
+        last = len(self._xs) - 1
+        for i, (coeffs, top, tail) in enumerate(
+            zip(self._coeffs, self._tops, self._tails)
+        ):
+            if top >= 1 and tail is not None:
+                shared.setdefault(tail, []).append(i)
+            else:
+                out[i] = self._horner(coeffs, top if top >= 0 else last, 0,
+                                      columns, xs)
+        for rows in shared.values():
+            coeffs, top = self._coeffs[rows[0]], self._tops[rows[0]]
+            if len(rows) == 1:
+                out[rows[0]] = self._horner(coeffs, top, 0, columns, xs)
+                continue
+            tail = self._horner(coeffs, top, 1, columns, xs)
+            for i in rows:
+                c = self._coeffs[i][0]
+                out[i] = [v * d + c for v, d in zip(tail, columns[0])]
         return out
+
+    def _horner(
+        self,
+        coeffs: List[float],
+        top: int,
+        stop: int,
+        columns: List[List[float]],
+        xs: Sequence[float],
+    ) -> List[float]:
+        """Horner from ``coeffs[top]`` down through ``coeffs[stop]`` at
+        every point of *xs*, extending the shared *columns* as needed."""
+        while len(columns) < top:
+            node = self._xs[len(columns)]
+            columns.append([x - node for x in xs])
+        values = [coeffs[top]] * len(xs)
+        j = top - 1
+        # Eight, then four Horner steps per pass over the candidates (the
+        # same ops in the same order, less loop overhead).
+        while j >= stop + 7:
+            c7, c6, c5, c4, c3, c2, c1, c0 = coeffs[j - 7 : j + 1][::-1]
+            values = [
+                (((((((v * d7 + c7) * d6 + c6) * d5 + c5) * d4 + c4) * d3
+                   + c3) * d2 + c2) * d1 + c1) * d0 + c0
+                for v, d7, d6, d5, d4, d3, d2, d1, d0 in zip(
+                    values, *columns[j - 7 : j + 1][::-1]
+                )
+            ]
+            j -= 8
+        while j >= stop + 3:
+            c3, c2, c1, c0 = coeffs[j - 3 : j + 1][::-1]
+            values = [
+                (((v * d3 + c3) * d2 + c2) * d1 + c1) * d0 + c0
+                for v, d3, d2, d1, d0 in zip(
+                    values, *columns[j - 3 : j + 1][::-1]
+                )
+            ]
+            j -= 4
+        # The last one to three steps in one pass.
+        if j == stop + 2:
+            c2, c1, c0 = coeffs[stop : j + 1][::-1]
+            values = [
+                ((v * d2 + c2) * d1 + c1) * d0 + c0
+                for v, d2, d1, d0 in zip(
+                    values, *columns[stop : j + 1][::-1]
+                )
+            ]
+        elif j == stop + 1:
+            c1, c0 = coeffs[stop + 1], coeffs[stop]
+            values = [
+                (v * d1 + c1) * d0 + c0
+                for v, d1, d0 in zip(values, columns[j], columns[stop])
+            ]
+        elif j == stop:
+            c = coeffs[j]
+            values = [v * d + c for v, d in zip(values, columns[j])]
+        return values
 
 
 def spread_points(lo: int, hi: int, count: int) -> List[int]:

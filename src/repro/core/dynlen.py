@@ -27,8 +27,10 @@ calling conventions.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisResult
 from repro.core.config import FlexRayConfig
 from repro.core.cost import cost_order, cost_values
@@ -98,6 +100,8 @@ def curvefit_proposals(
     names = [name for name, _ in order]
     deadlines = [deadline for _, deadline in order]
     curves = NewtonCurves(len(names))
+    # A native run scores its estimate rounds in C as well.
+    native = native_or_none() if options.analysis.backend == "native" else None
 
     def record_point(n: int, result: AnalysisResult) -> None:
         exact[n] = result
@@ -136,7 +140,7 @@ def curvefit_proposals(
         and len(exact) < options.cf_max_points
     ):
         scored, estimates = _score_candidates(
-            candidates, exact, curves, deadlines
+            candidates, exact, curves, deadlines, native
         )
         if estimates:
             # Estimate-only sweep: the interpolated points land in the
@@ -213,6 +217,7 @@ def _score_candidates(
     exact: Dict[int, AnalysisResult],
     curves: NewtonCurves,
     deadlines: List[int],
+    native=None,
 ) -> Tuple[List[Tuple[float, int]], List[Tuple[int, float]]]:
     """Cost per candidate length: exact when analysed, else interpolated.
 
@@ -220,7 +225,10 @@ def _score_candidates(
     best-first, plus the interpolated ``(length, cost)`` points to
     record in the search trace (in candidate order).  Candidates are skipped while fewer than
     two exact feasible points exist (nothing to interpolate from).
-    Every open candidate is interpolated and costed in one batched pass.
+    Every open candidate is interpolated and costed in one batched pass:
+    by the compiled extension *native* when given (its floats equal the
+    Python scorer's), else -- or when it hands the round back -- in
+    Python.
     """
     scored: List[Tuple[float, int]] = []
     open_lengths: List[int] = []
@@ -231,11 +239,31 @@ def _score_candidates(
             open_lengths.append(n)
     estimates: List[Tuple[int, float]] = []
     if len(curves) >= 2 and open_lengths:
-        columns = [_clamped(row) for row in curves.evaluate(open_lengths)]
-        estimates = list(zip(open_lengths, cost_values(deadlines, columns)))
+        costs = None
+        if native is not None:
+            costs = _native_costs(native, curves, open_lengths, deadlines)
+        if costs is None:
+            columns = [_clamped(row) for row in curves.evaluate(open_lengths)]
+            costs = cost_values(deadlines, columns)
+        estimates = list(zip(open_lengths, costs))
         scored += [(cost, n) for n, cost in estimates]
-    scored.sort(key=lambda pair: (pair[0], pair[1]))
+    scored.sort()  # by cost, then length (costs are never NaN)
     return scored, estimates
+
+
+def _native_costs(
+    native, curves: NewtonCurves, lengths: List[int], deadlines: List[int]
+) -> Optional[List[float]]:
+    """The C scorer's costs at *lengths*, or ``None`` for the Python
+    path: a deadline outside int64, a value that is not finite, an int64
+    overflow."""
+    try:
+        deadline_buf = array("q", deadlines)
+    except OverflowError:
+        return None
+    return native.score_curves(
+        *curves.packed(), deadline_buf, array("d", lengths)
+    )
 
 
 def _clamped(values: List[float]) -> List[int]:

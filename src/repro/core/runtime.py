@@ -198,9 +198,7 @@ def _evaluate(evaluator: Evaluator, batch) -> list:
     ``analyse_many``; a :class:`CandidateSweep`'s estimates into the
     trace, then its lengths through ``analyse_sweep``."""
     if isinstance(batch, CandidateSweep):
-        template = batch.template
-        for n, cost in batch.estimates:
-            evaluator.note_estimate(template, cost, n)
+        evaluator.note_estimates(batch.template, batch.estimates)
         return evaluator.analyse_sweep(batch) if batch.lengths else []
     return evaluator.analyse_many(list(batch.configs))
 

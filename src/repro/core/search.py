@@ -86,6 +86,10 @@ class BusOptimisationOptions:
             raise ConfigurationError("bits_per_mt must be >= 1")
         if self.frame_overhead_bytes < 0:
             raise ConfigurationError("frame_overhead_bytes must be >= 0")
+        # The DYN bounds divide by the minislot length.
+        value = self.gd_minislot
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigurationError(f"gd_minislot={value!r} must be an int >= 1")
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ class Evaluator:
                 self._cache[key] = result
         for i in misses:
             config = configs[i]
-            self._note(config, config.n_minislots, computed[keys[i]], exact=True)
+            self._note(config, config.n_minislots, computed[keys[i]])
         return [
             computed[key] if result is None or result is _PENDING else result
             for key, result in zip(keys, results)
@@ -248,7 +252,7 @@ class Evaluator:
                 ),
             )
             for i in misses:
-                self._note(template, lengths[i], computed[keys[i]], exact=True)
+                self._note(template, lengths[i], computed[keys[i]])
             results = [
                 computed[key] if result is None or result is _PENDING else result
                 for key, result in zip(keys, results)
@@ -368,26 +372,18 @@ class Evaluator:
             while len(self._cache) > limit:
                 self._cache.popitem(last=False)
 
-    def _note(self, config: FlexRayConfig, n_minislots: int, result,
-              exact: bool) -> None:
-        """Record *result* -- an exact result or row, or an estimated
-        cost -- in the trace at *config*'s static segment and
-        *n_minislots*; an exact point is one evaluation."""
-        if exact:
-            self.evaluations += 1
-            cost = result.cost_value
-            schedulable = result.schedulable
-        else:
-            cost = result
-            schedulable = cost <= 0
+    def _note(self, config: FlexRayConfig, n_minislots: int, result) -> None:
+        """Record one evaluation: the exact *result* (a full result or a
+        sweep row) at *config*'s static segment and *n_minislots*."""
+        self.evaluations += 1
         self.trace.append(
             SearchPoint(
                 n_static_slots=config.n_static_slots,
                 gd_static_slot=config.gd_static_slot,
                 n_minislots=n_minislots,
-                cost=cost,
-                schedulable=schedulable,
-                exact=exact,
+                cost=result.cost_value,
+                schedulable=result.schedulable,
+                exact=True,
             )
         )
 
@@ -471,13 +467,18 @@ class Evaluator:
                 return None
         return self._executor
 
-    def note_estimate(
-        self, config: FlexRayConfig, cost: float, n_minislots: int
+    def note_estimates(
+        self, config: FlexRayConfig, estimates: Iterable[Tuple[int, float]]
     ) -> None:
-        """Record an interpolated (non-exact) point in the trace, at DYN
-        length *n_minislots* of *config*'s static segment (a sweep's
+        """Record interpolated (non-exact) ``(n_minislots, cost)`` points
+        in the trace, in order, at *config*'s static segment (a sweep's
         estimates are against its template)."""
-        self._note(config, n_minislots, cost, exact=False)
+        n_static_slots = config.n_static_slots
+        gd_static_slot = config.gd_static_slot
+        self.trace += [
+            SearchPoint(n_static_slots, gd_static_slot, n, cost, cost <= 0, False)
+            for n, cost in estimates
+        ]
 
 
 def better(a: Optional[AnalysisResult], b: Optional[AnalysisResult]) -> bool:

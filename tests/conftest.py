@@ -34,7 +34,16 @@ def _build_native(build_dir: str):
 
     cmd = build_ext(
         Distribution(
-            {"ext_modules": [Extension("repro._native", [str(_SOURCE)])]}
+            {
+                "ext_modules": [
+                    Extension(
+                        "repro._native",
+                        [str(_SOURCE)],
+                        # As setup.py: no fused multiply-add in the scorer.
+                        extra_compile_args=["-ffp-contract=off"],
+                    )
+                ]
+            }
         )
     )
     cmd.build_lib = cmd.build_temp = build_dir

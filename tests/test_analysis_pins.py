@@ -13,11 +13,15 @@ DYN interference sets on every fix-point iteration), computed before
 that reference copy was deleted; the warm context, the cold
 ``analyse_system`` path and the parallel evaluator must all match it.
 
+The OBC/CF pin holds on the compiled backend too, where the estimate
+rounds are scored by the C curve-fit scorer.
+
 The plan-blob pin covers the bytes the compiled backend's C plan is
 parsed from, for the systems of CI's backend sweep.
 """
 
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -69,20 +73,24 @@ def optimiser_digest(system, algorithm, options):
     """``(sha256, analyses)`` over every exact analysis of one run, in
     the order the evaluator records them: a full result, or a DYN
     sweep's row (same response times, convergence and cost)."""
+    return _run_digest(system, algorithm, options)[:2]
+
+
+def _run_digest(system, algorithm, options):
+    """:func:`optimiser_digest` plus the run's result."""
     digest = hashlib.sha256()
     count = 0
     note = Evaluator._note
 
-    def logged(evaluator, config, n_minislots, result, exact):
+    def logged(evaluator, config, n_minislots, result):
         nonlocal count
-        if exact:
-            _fold(digest, config.cache_keys((n_minislots,))[0], result)
-            count += 1
-        return note(evaluator, config, n_minislots, result, exact)
+        _fold(digest, config.cache_keys((n_minislots,))[0], result)
+        count += 1
+        return note(evaluator, config, n_minislots, result)
 
     with mock.patch.object(Evaluator, "_note", logged):
-        optimise(system, algorithm, options)
-    return digest.hexdigest(), count
+        result = optimise(system, algorithm, options)
+    return digest.hexdigest(), count, result
 
 
 def sweep_digest(analysis: AnalysisOptions):
@@ -132,6 +140,45 @@ def test_optimiser_analyses_match_pin(algorithm):
     options = FIG9_SA if algorithm == "sa" else StrategyOptions(bus=FIG9_BUS)
     got = optimiser_digest(paper_system(3, 1, seed=23), algorithm, options)
     assert got == OPTIMISER_PINS[algorithm]
+
+
+def _trace_hex(result):
+    return [
+        (p.n_static_slots, p.gd_static_slot, p.n_minislots, p.cost.hex(),
+         p.exact)
+        for p in result.trace
+    ]
+
+
+@pytest.mark.native
+@pytest.mark.skipif(
+    native_or_none() is None,
+    reason="needs the compiled repro[native] extra",
+)
+def test_obc_cf_native_matches_pin():
+    """OBC/CF on the compiled backend: its exact analyses match the pin,
+    every estimate round is scored in C, and the whole trace, estimates
+    included, equals the Python run's float for float."""
+    native = native_or_none()
+    system = paper_system(3, 1, seed=23)
+    handed = []
+    score = native.score_curves
+
+    def counted(*args):
+        costs = score(*args)
+        handed.append(costs is None)
+        return costs
+
+    bus = replace(FIG9_BUS, analysis=AnalysisOptions(backend="native"))
+    with mock.patch.object(native, "score_curves", counted):
+        digest, count, result = _run_digest(
+            system, "obc-cf", StrategyOptions(bus=bus)
+        )
+    assert (digest, count) == OPTIMISER_PINS["obc-cf"]
+    assert handed and not any(handed)
+    python = optimise(system, "obc-cf", StrategyOptions(bus=FIG9_BUS))
+    assert _trace_hex(result) == _trace_hex(python)
+    assert sum(not p.exact for p in result.trace) > 1000
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_PINS))

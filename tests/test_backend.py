@@ -486,13 +486,14 @@ def _native_legacy_cases():
     evaluator, and are covered at the pinned-options level by
     test_legacy_equivalence)."""
 
-    def small_bus():
+    def small_bus(**kw):
         # The legacy-case ``_small_bus`` budgets on this backend.
         return _native_bus(
             ee_max_dyn_points=48,
             cf_candidates=64,
             max_extra_static_slots=1,
             max_slot_size_steps=1,
+            **kw,
         )
 
     return (
@@ -501,6 +502,13 @@ def _native_legacy_cases():
         (
             "obc_cf_fig4",
             lambda: optimise_obc(fig4_system(), _native_bus(), "curvefit"),
+        ),
+        (
+            # Thousands of estimates, scored by the compiled scorer.
+            "obc_cf_paper3_no_early_stop",
+            lambda: _paper3_case(
+                small_bus(stop_when_schedulable=False), "curvefit"
+            ),
         ),
         (
             "obc_ee_paper3",

@@ -1,12 +1,20 @@
 """Unit tests for the Newton interpolator and point spreading, plus
-property tests pinning the batched curve-fit scorer to the scalar one."""
+property tests pinning the batched curve-fit scorer to the scalar one
+and the compiled scorer to the Python one."""
+
+import gc
+import re
+import sys
+from array import array
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis.backend import native_or_none
 from repro.core.cost import cost_function, cost_order, cost_values
 from repro.core.curvefit import NewtonCurves, NewtonInterpolator, spread_points
+from repro.core.dynlen import _clamped, _score_candidates
 from repro.errors import AnalysisError
 
 from tests.test_properties import small_system
@@ -74,6 +82,211 @@ class TestNewtonCurves:
     def test_rejects_empty_evaluation(self):
         with pytest.raises(AnalysisError):
             NewtonCurves(1).evaluate([3])
+
+    def test_rows_offset_by_an_int_share_their_tail(self):
+        nodes = [0, 3, 7, 12]
+        base = [5, 90, 14, 300]
+        rows = [base, [y + 17 for y in base], [y - 4 for y in base], [1, 2, 3, 9]]
+        curves = _curves(nodes, rows)
+        tails = curves._tails
+        assert tails[0] == tails[1] == tails[2] != tails[3]
+        _assert_matches_scalar(curves, nodes, rows, [1, 5, 20, 9000])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Float values offset by a constant: no sharing, whatever
+            # the coefficients.
+            [[1.5, 2.5, 4.0], [2.5, 3.5, 5.0]],
+            # Equal coefficients but for the sign of a zero: c1 is -0.0
+            # in the first row and 0.0 in the second.
+            [[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]],
+            # Ints that do not convert to floats exactly.
+            [[2**60, 2**60 + 1, 2**60 + 5], [2**60 + 2, 2**60 + 3, 2**60 + 7]],
+        ],
+        ids=["float-ys", "signed-zero", "inexact-ints"],
+    )
+    def test_rows_without_exact_int_values_do_not_share(self, rows):
+        nodes = [0, 1, 2]
+        curves = _curves(nodes, rows)
+        assert curves._tails == [None, None]
+        _assert_matches_scalar(curves, nodes, rows, [0, 1, 3, -2, 0.5])
+
+    def test_signed_zero_coefficients_stay_apart(self):
+        curves = _curves([0, 1, 2], [[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]])
+        first, second = curves._coeffs
+        assert first == second
+        assert [c.hex() for c in first] != [c.hex() for c in second]
+
+
+def _curves(nodes, rows):
+    curves = NewtonCurves(len(rows))
+    for k, x in enumerate(nodes):
+        curves.add_point(x, [row[k] for row in rows])
+    return curves
+
+
+def _assert_matches_scalar(curves, nodes, rows, xs):
+    expected = [
+        [NewtonInterpolator(nodes, row)(x).hex() for x in xs] for row in rows
+    ]
+    assert [[v.hex() for v in row] for row in curves.evaluate(xs)] == expected
+
+
+@st.composite
+def scorer_cases(draw):
+    """``(curves, deadlines, lengths)`` for one estimate round: 2-24
+    nodes; constant, all-zero, linear, free, wild (far below 0 and above
+    10**12) rows, and rows offset from an earlier row by an int (a
+    shared Horner tail); deadlines and distinct open lengths."""
+    nodes = draw(
+        st.lists(st.integers(0, 8000), min_size=2, max_size=24, unique=True)
+    )
+    width = len(nodes)
+    rows = []
+    kinds = ("constant", "zero", "linear", "free", "wild", "shifted")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        if kind == "shifted" and rows:
+            offset = draw(st.integers(-10**6, 10**6))
+            rows.append([y + offset for y in draw(st.sampled_from(rows))])
+        elif kind == "constant":
+            rows.append([draw(wcrt_values)] * width)
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "linear":
+            base = draw(wcrt_values)
+            slope = draw(st.integers(-40, 40))
+            rows.append([base + slope * x for x in nodes])
+        else:
+            values = wcrt_values if kind == "free" else st.integers(-10**13, 10**13)
+            rows.append(draw(st.lists(values, min_size=width, max_size=width)))
+    deadlines = draw(
+        st.lists(st.integers(0, 2 * 10**6), min_size=len(rows), max_size=len(rows))
+    )
+    lengths = draw(
+        st.lists(st.integers(0, 8000), min_size=1, max_size=64, unique=True)
+    )
+    return _curves(nodes, rows), deadlines, lengths
+
+
+def _scores_hex(scores):
+    scored, estimates = scores
+    return (
+        [(cost.hex(), n) for cost, n in scored],
+        [(n, cost.hex()) for n, cost in estimates],
+    )
+
+
+def _c_costs(native, curves, deadlines, lengths):
+    return native.score_curves(
+        *curves.packed(), array("q", deadlines), array("d", lengths)
+    )
+
+
+@pytest.mark.native
+@pytest.mark.skipif(
+    native_or_none() is None, reason="needs the compiled repro[native] extra"
+)
+class TestNativeScorer:
+    """The C curve-fit scorer against ``_score_candidates``' Python
+    path, by ``float.hex``."""
+
+    @given(scorer_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_costs_equal_the_python_scorer(self, case):
+        curves, deadlines, lengths = case
+        native = native_or_none()
+        expected = _score_candidates(lengths, {}, curves, deadlines)
+        costs = _c_costs(native, curves, deadlines, lengths)
+        assert costs is not None
+        assert [c.hex() for c in costs] == [c.hex() for _, c in expected[1]]
+        got = _score_candidates(lengths, {}, curves, deadlines, native)
+        assert _scores_hex(got) == _scores_hex(expected)
+
+    def test_rounds_half_to_even_and_clamps(self):
+        # Row 0 is x / 2 (halves at odd x), row 1 dives below zero, row 2
+        # climbs past 10**12.
+        curves = _curves(
+            [0, 2, 4],
+            [[0, 1, 2], [100, 0, -100], [10**12 - 8, 10**12, 10**12 + 8]],
+        )
+        lengths = [1, 3, 5, 7, 40]
+        deadlines = [1, 50, 10**12 - 20]
+        columns = [_clamped(row) for row in curves.evaluate(lengths)]
+        assert columns == [
+            [0, 2, 2, 4, 20],
+            [50, 0, 0, 0, 0],
+            [10**12 - 4] + [10**12] * 4,
+        ]
+        expected = cost_values(deadlines, columns)
+        costs = _c_costs(native_or_none(), curves, deadlines, lengths)
+        assert [c.hex() for c in costs] == [c.hex() for c in expected]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1e308, -1e308, 1e308]], [[0.0, 1e308, -1e308]]],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_values_go_back_to_python(self, rows):
+        curves = _curves([0, 1, 2], rows)
+        native = native_or_none()
+        lengths = [0, 7]
+        assert _c_costs(native, curves, [5], lengths) is None
+        with pytest.raises((ValueError, OverflowError)) as python:
+            _score_candidates(lengths, {}, curves, [5])
+        with pytest.raises(python.type, match=re.escape(str(python.value))):
+            _score_candidates(lengths, {}, curves, [5], native)
+
+    @pytest.mark.parametrize(
+        "deadlines", [[-(2**62)] * 3, [2**70, 1, 1]], ids=["int64-sum", "wide"]
+    )
+    def test_int64_overflow_goes_back_to_python(self, deadlines):
+        curves = _curves([0, 5], [[1, 2], [3, 4], [5, 6]])
+        native = native_or_none()
+        lengths = [1, 2, 9]
+        if deadlines[0] < 0:
+            assert _c_costs(native, curves, deadlines, lengths) is None
+        expected = _score_candidates(lengths, {}, curves, deadlines)
+        got = _score_candidates(lengths, {}, curves, deadlines, native)
+        assert _scores_hex(got) == _scores_hex(expected)
+
+
+    def test_calls_keep_references_and_memory(self):
+        """2,000 calls each on the list path and the hand-back path leave
+        every argument buffer's refcount where it started and no block
+        allocated (a leaked result list or float would stay)."""
+        native = native_or_none()
+        costed = [
+            *_curves([0, 3, 9], [[1, 5, 2], [4, 8, 5]]).packed(),
+            array("q", [3, 4]),
+            array("d", [1, 2, 20]),
+        ]
+        handed_back = [
+            *_curves([0, 1, 2], [[0.0, 1e308, -1e308]]).packed(),
+            array("q", [5]),
+            array("d", [0, 7]),
+        ]
+        watched = costed + handed_back
+        before = [sys.getrefcount(obj) for obj in watched]
+        gc.collect()
+        blocks = sys.getallocatedblocks()
+        for _ in range(2000):
+            native.score_curves(*costed)
+            native.score_curves(*handed_back)
+        gc.collect()
+        assert sys.getallocatedblocks() - blocks < 500
+        assert [sys.getrefcount(obj) for obj in watched] == before
+        assert len(native.score_curves(*costed)) == 3
+        assert native.score_curves(*handed_back) is None
+
+    def test_rejects_inconsistent_buffers(self):
+        native = native_or_none()
+        coeffs, tops, nodes = _curves([0, 3], [[1, 5], [4, 8]]).packed()
+        deadlines, xs = array("q", [3, 4]), array("d", [1])
+        with pytest.raises(ValueError, match="sizes"):
+            native.score_curves(coeffs, tops, nodes, array("q", [3]), xs)
+        with pytest.raises(ValueError, match="top"):
+            native.score_curves(coeffs, array("q", [0, 2]), nodes, deadlines, xs)
 
 
 class TestCostValues:

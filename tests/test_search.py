@@ -64,6 +64,11 @@ class TestMinStaticSlot:
         with pytest.raises(ConfigurationError):
             BusOptimisationOptions(**bad)
 
+    @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+    def test_bad_gd_minislot_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="gd_minislot"):
+            BusOptimisationOptions(gd_minislot=bad)
+
 
 class TestDynBounds:
     def test_no_dyn_messages(self):
@@ -139,9 +144,14 @@ class TestEvaluator:
         sys_ = fig3_system()
         ev = Evaluator(sys_, BusOptimisationOptions())
         cfg = basic_config(n_minislots=5)
-        ev.note_estimate(cfg, -12.0, cfg.n_minislots)
-        assert not ev.trace[0].exact
-        assert ev.trace[0].cost == -12.0
+        ev.note_estimates(cfg, [(7, -12.0), (3, 4.0)])
+        assert [(p.n_minislots, p.cost, p.schedulable) for p in ev.trace] == [
+            (7, -12.0, True),
+            (3, 4.0, False),
+        ]
+        assert not any(p.exact for p in ev.trace)
+        assert ev.trace[0].n_static_slots == cfg.n_static_slots
+        assert ev.evaluations == 0
 
     def test_failed_batch_leaves_no_placeholder_in_the_cache(self):
         sys_ = fig3_system()

@@ -22,7 +22,8 @@ naive ``analyse_system`` loop does) dominates the optimisation time:
     reflects exactly that dependency set, so configurations differing
     only in their FrameID assignment always share one schedule, and
     purely event-triggered applications additionally share it across
-    the whole DYN-length sweep.
+    the whole DYN-length sweep.  A sweep with ST messages meets each
+    key once, so it reads the cache but keeps none of its builds.
 
 (c) **per-structure int rows** -- every activity of the fix point
     lowered to int rows: a row index per activity, the hp/lf and FPS
@@ -198,6 +199,19 @@ def _lru_insert(cache: OrderedDict, key, value, bound: int) -> None:
     cache[key] = value
     while len(cache) > bound:
         cache.popitem(last=False)
+
+
+def _lru_fetch(cache: OrderedDict, key, keep: bool, build, *args):
+    """``cache[key]``, marked recently used, else ``build(*args)``,
+    inserted under the schedule bound only when *keep*."""
+    value = cache.get(key)
+    if value is None:
+        value = build(*args)
+        if keep:
+            _lru_insert(cache, key, value, _MAX_SCHEDULE_ENTRIES)
+    else:
+        cache.move_to_end(key)
+    return value
 
 
 class AnalysisContext:
@@ -378,8 +392,9 @@ class AnalysisContext:
         #: variant of one bus speed share a single plan.
         self._plan_cache: OrderedDict = OrderedDict()
         #: Lowered group plans of the compiled backend, keyed by
-        #: (schedule key, DYN structure key); rides the same LRU bound
-        #: as the schedule cache whose artifacts it packs.
+        #: (schedule key, DYN structure key).  A plan holds the
+        #: artifacts it packs, so it follows the schedule cache's
+        #: bound and lifetime rule (see :meth:`_analyse_lengths`).
         self._backend_plans: OrderedDict = OrderedDict()
         #: Monotone validation floor: per (everything except the DYN
         #: length), the smallest ``n_minislots`` that validated clean.
@@ -437,19 +452,16 @@ class AnalysisContext:
         return dict(zip(jobs.names, worst))
 
     def _artifacts_at(
-        self, config: FlexRayConfig, gd_cycle: int, key: tuple
+        self, config: FlexRayConfig, gd_cycle: int
     ) -> _ScheduleArtifacts:
-        """Tier (b): replay-or-fetch the static schedule of *config*'s
-        static segment at the cycle length *gd_cycle*, whose schedule
-        key is *key*, and its derivates.
+        """Tier (b): replay the static schedule of *config*'s static
+        segment at the cycle length *gd_cycle*, and its derivates.
 
         The static response times and the availability patterns read
-        the replay's flat record; no table entry is built.
+        the replay's flat record; no table entry is built.  The one
+        caller, :meth:`_analyse_lengths`, fetches the artifacts from
+        ``_schedule_cache`` first and decides whether a build is kept.
         """
-        entry = self._schedule_cache.get(key)
-        if entry is not None:
-            self._schedule_cache.move_to_end(key)
-            return entry
         try:
             record = self._plan(config).replay(config, gd_cycle=gd_cycle)
         except SchedulingError as exc:
@@ -475,7 +487,6 @@ class AnalysisContext:
                 static_wcrt=self._static_wcrt(record),
                 availability=availability,
             )
-        _lru_insert(self._schedule_cache, key, entry, _MAX_SCHEDULE_ENTRIES)
         return entry
 
     def structure_key(self, config: FlexRayConfig) -> tuple:
@@ -790,6 +801,12 @@ class AnalysisContext:
         artifacts already fetched.  ``certified=False`` runs the cold
         oracle's Python kernels whatever the backend.
 
+        Artifacts and group plans are looked up in their LRU caches
+        first.  A build is kept there unless the call sweeps several
+        lengths of a system with ST messages: every length then has
+        its own schedule key, which the sweep never meets again, so
+        its builds live only as long as their lanes.
+
         Yields per length, in order, its failure message or ``(arts,
         structure, wcrt, converged)``: the schedule artifacts, the
         structure record and the response times by row (result order:
@@ -800,17 +817,20 @@ class AnalysisContext:
         floor_key = (template.static_key(), template.frame_key)
         floor = self._valid_floor.get(floor_key)
         native = certified and self._native_kernels()
+        keep = not self._st_dependent or len(lengths) == 1
         structure = None
         # Native: consecutive feasible lengths sharing a schedule key,
         # run as one group -- ``(key, artifacts, lanes)``.
         run = None
 
         def flush():
+            from repro.analysis.backend.arrays import GroupPlan
             from repro.analysis.backend.native import run_group_native
 
             key, arts, lanes = run
-            plan = self._group_plan(
-                (key, self.structure_key(template)), structure, arts
+            plan = _lru_fetch(
+                self._backend_plans, (key, self.structure_key(template)),
+                keep, GroupPlan, structure, arts,
             )
             for lane, out in zip(
                 lanes, run_group_native(self, plan, lanes, ms_len)
@@ -837,7 +857,10 @@ class AnalysisContext:
             if failure is None:
                 gd_cycle = st_bus + n * ms_len
                 key = self.schedule_key(template, gd_cycle)
-                arts = self._artifacts_at(template, gd_cycle, key)
+                arts = _lru_fetch(
+                    self._schedule_cache, key, keep,
+                    self._artifacts_at, template, gd_cycle,
+                )
                 failure = arts.failure
             if failure is not None:
                 if run is not None:
@@ -869,19 +892,6 @@ class AnalysisContext:
             self.options.backend == "native"
             and self.options.dyn_fill_strategy == "bound"
         )
-
-    def _group_plan(self, key, structure, arts):
-        """The cached :class:`~repro.analysis.backend.arrays.GroupPlan`
-        of a (schedule key, structure key) group."""
-        from repro.analysis.backend.arrays import GroupPlan
-
-        plan = self._backend_plans.get(key)
-        if plan is None:
-            plan = GroupPlan(structure, arts)
-            _lru_insert(self._backend_plans, key, plan, _MAX_SCHEDULE_ENTRIES)
-        else:
-            self._backend_plans.move_to_end(key)
-        return plan
 
     def _cap(self, gd_cycle: int) -> int:
         """The divergence cap at cycle length *gd_cycle*

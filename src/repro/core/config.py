@@ -236,7 +236,7 @@ class FlexRayConfig:
         * every DYN message has a FrameID,
         * messages sharing a FrameID originate from the same node,
         * every ``frame_ids`` key names a message of the system (else
-          :class:`~repro.errors.ModelError`),
+          :class:`~repro.errors.ModelError`), and none an ST message,
         * every DYN frame fits the dynamic segment (pLatestTx >= 1) and
           no FrameID of a DYN-sending node exceeds its pLatestTx.
 
@@ -278,6 +278,15 @@ class FlexRayConfig:
                     f"{sender!r}; a dynamic slot belongs to exactly one node"
                 )
         fids_of = self._fids_by_node(system)
+        if len(frame_ids) > len(table.dyn):  # the surplus keys are ST
+            name = next(
+                n for n in frame_ids
+                if not system.application.message(n).is_dynamic
+            )
+            raise ConfigurationError(
+                f"frame_ids names ST message {name!r}; only DYN messages "
+                "take a FrameID"
+            )
         for node, largest in table.dyn_largest.items():
             latest = self.n_minislots - largest + 1
             if latest < 1:

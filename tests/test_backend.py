@@ -406,8 +406,10 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     ``StructureTemplate``.  Every group's static-name order is the
     record's -- it follows the bus-speed plan, which is why the
     record needs no schedule-side key -- and the results equal the
-    Python oracle's, wcrt insertion order included."""
-    from repro.analysis.backend import arrays
+    Python oracle's, wcrt insertion order included.  The sweep's
+    plans are the ones handed to the kernels: it keeps none of them
+    cached."""
+    from repro.analysis.backend import arrays, native as kernels
 
     built = []
     template_class = arrays.StructureTemplate
@@ -416,6 +418,13 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
         built.append(template_class(*args))
         return built[-1]
 
+    swept_plans = []
+    run_group_native = kernels.run_group_native
+
+    def capturing_run_group(context, plan, *args):
+        swept_plans.append(plan)
+        return run_group_native(context, plan, *args)
+
     monkeypatch.setattr(arrays, "StructureTemplate", counting_template)
     system = paper_system(3, 0, seed=23)
     configs = _sweep_configs(system, 16)
@@ -423,14 +432,17 @@ def test_st_heavy_sweep_shares_one_structure_template(fault_k, monkeypatch):
     per_config = AnalysisContext(system, options)
     native = [per_config.analyse(c) for c in configs]
     swept = AnalysisContext(system, options)
+    monkeypatch.setattr(kernels, "run_group_native", capturing_run_group)
     entries = swept.analyse_sweep(_sweep_of(configs))
     keys = {swept.schedule_key(c, c.gd_cycle) for c in configs}
     assert len(keys) > 1
     assert len(built) == 2
-    for context, template in zip((per_config, swept), built):
+    groups = (list(per_config._backend_plans.values()), swept_plans)
+    assert not swept._backend_plans
+    for context, plans, template in zip((per_config, swept), groups, built):
         assert len(context._structure_cache) == 1
-        assert len(context._backend_plans) == len(keys)
-        for plan in context._backend_plans.values():
+        assert len(plans) == len(keys)
+        for plan in plans:
             assert plan.template is template
             # The record's static rows are exactly the group's static
             # names, in order: ``w0`` takes the static response times

@@ -321,7 +321,7 @@ def _view_outcome(system, config, options=None, wcrt_estimates=None):
 
 
 def _context_outcome(context, config):
-    """The schedule as the analysis context caches it."""
+    """The schedule as the analysis context builds it."""
     arts = schedule_artifacts(context, config)
     if arts.failure is not None:
         prefix = "static scheduling failed: "

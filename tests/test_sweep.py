@@ -7,14 +7,17 @@ carries over: each entry equals ``analyse`` of that length's
 configuration, the evaluator's counts, cache hits and trace match the
 serial per-configuration order at every cache bound, and the pool gives
 the same answers.  What changes is what is kept: the evaluator caches
-compact rows, and a full result only for each sweep's best.
+compact rows, and a full result only for each sweep's best; the context
+keeps no schedule artifact or group plan that a sweep with ST messages
+built, because each of its lengths has a schedule key of its own.
 """
 
 import pytest
 
-from repro.analysis import AnalysisContext
+from repro.analysis import AnalysisContext, context as context_module
 from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisOptions, AnalysisResult, SweepRow
+from repro.analysis.scheduler import SchedulePlan
 from repro.core.dynlen import exhaustive_proposals
 from repro.core.obc import OBCStrategy, _static_variants
 from repro.core.runtime import CandidateSweep, drive_with_evaluator
@@ -235,3 +238,70 @@ def test_a_sweep_rejects_lengths_no_configuration_can_have():
     with pytest.raises(ConfigurationError):
         CandidateSweep(template, estimates=((2, 0.0),))
     assert CandidateSweep(template, [13, 3]).lengths == (13, 3)
+
+
+def _counted_replays(monkeypatch):
+    """The cycle lengths ``SchedulePlan.replay`` runs at, in order."""
+    replays = []
+    original = SchedulePlan.replay
+
+    def counting_replay(plan, config, wcrt_estimates=None, gd_cycle=None):
+        replays.append(gd_cycle)
+        return original(plan, config, wcrt_estimates, gd_cycle)
+
+    monkeypatch.setattr(SchedulePlan, "replay", counting_replay)
+    return replays
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("step", [0, 20], ids=["fresh", "after_singles"])
+def test_st_sweep_reuses_cached_schedules_and_keeps_none_of_its_own(
+    backend, step, monkeypatch
+):
+    """A sweep wider than the schedule cache, on a fresh context or
+    after singleton analyses of every *step*-th length: it replays
+    exactly the other lengths, once each, and leaves both context
+    caches as the singletons left them (empty when there were none)."""
+    system = paper_system(3, 1, seed=23)
+    template, lo, hi = _static_variants(system, EE_BUS)[0]
+    lengths = tuple(sweep_lengths(lo, hi, 80))
+    assert len(lengths) > context_module._MAX_SCHEDULE_ENTRIES
+    singles = lengths[::step] if step else ()
+    context = AnalysisContext(system, AnalysisOptions(backend=backend))
+    for n in singles:
+        context.analyse(template.with_dyn_length(n))
+    schedules = list(context._schedule_cache.items())
+    plans = list(context._backend_plans.items())
+    assert len(schedules) == len(singles)
+    assert len(plans) == (len(singles) if backend == "native" else 0)
+    expected = [AnalysisContext(system).analyse(template.with_dyn_length(n))
+                for n in lengths]
+    assert all(r.feasible for r in expected)
+    replays = _counted_replays(monkeypatch)
+    entries = context.analyse_sweep(CandidateSweep(template, lengths))
+    assert replays == [
+        r.config.gd_cycle for n, r in zip(lengths, expected) if n not in singles
+    ]
+    for cache, before in ((context._schedule_cache, schedules),
+                          (context._backend_plans, plans)):
+        assert [k for k in cache] == [k for k, _ in before]
+        assert all(cache[k] is v for k, v in before)
+    assert [_signature(e) for e in entries] == [_signature(r) for r in expected]
+    best = _best_index(expected)
+    assert entries[best].table.record.finish == expected[best].table.record.finish
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pure_dyn_sweep_replays_once_and_keeps_its_schedule(
+    backend, monkeypatch
+):
+    """Without ST messages one schedule key serves the whole sweep: it
+    is replayed once and stays cached, with its one group plan."""
+    system = fig4_system()
+    template, lengths = _first_variant(system)
+    context = AnalysisContext(system, AnalysisOptions(backend=backend))
+    replays = _counted_replays(monkeypatch)
+    context.analyse_sweep(CandidateSweep(template, lengths))
+    assert len(replays) == 1
+    assert len(context._schedule_cache) == 1
+    assert len(context._backend_plans) == (1 if backend == "native" else 0)

@@ -216,17 +216,24 @@ _LEGAL = dict(
         ({"n_minislots": 2}, ConfigurationError, "does not fit"),
         ({"n_minislots": 3, "frame_ids": {"d1": 2, "d2": 3}},
          ConfigurationError, "exceeds its pLatestTx"),
-        # An ST message's FrameID counts among its sender's dynamic
-        # slots: pLatestTx(N1) = 10 - 3 + 1 = 8.
-        ({"frame_ids": {"d1": 1, "d2": 2, "s1": 9}},
+        # pLatestTx(N1) = 10 - 3 + 1 = 8.
+        ({"frame_ids": {"d1": 9, "d2": 2}},
          ConfigurationError, "FrameID 9 of node 'N1' exceeds its pLatestTx"),
-        ({"frame_ids": {"d1": 1, "d2": 2, "s1": 8}}, None, None),
+        ({"frame_ids": {"d1": 8, "d2": 2}}, None, None),
         # Several faults: the first check in order fires.
         ({"static_slots": ("N9",), "gd_static_slot": 1, "frame_ids": {}},
          ConfigurationError, "not a node"),
         ({"gd_static_slot": 1, "frame_ids": {"d2": 2, "x": 1}},
          ConfigurationError, "largest ST frame"),
         ({"frame_ids": {"d1": 2, "d2": 3, "x": 1}, "n_minislots": 3},
+         ModelError, "no message 'x'"),
+        # An ST message takes no FrameID, even one within pLatestTx; the
+        # unknown-name check comes first.
+        ({"frame_ids": {"d1": 1, "d2": 2, "s1": 8}},
+         ConfigurationError, "frame_ids names ST message 's1'"),
+        ({"frame_ids": {"s1": 9, "d1": 1, "d2": 2}},
+         ConfigurationError, "frame_ids names ST message 's1'"),
+        ({"frame_ids": {"d1": 1, "d2": 2, "s1": 8, "x": 3}},
          ModelError, "no message 'x'"),
     ],
 )

@@ -16,7 +16,7 @@ instead of keeping their own drifting copies:
   window kernels' ``(period, jitter, size)`` rows,
 * ``schedule_view`` -- a ``ScheduleTable`` over a hand-placed
   ``ScheduleRecord``,
-* ``schedule_artifacts`` -- a context's cached schedule artifacts of a
+* ``schedule_artifacts`` -- a context's schedule artifacts of a
   configuration at its own cycle length,
 * ``oracle_validate_for`` / ``oracle_p_latest_tx`` /
   ``oracle_dyn_slots_of`` -- the original message-scanning bus
@@ -232,11 +232,8 @@ def resolve_rows(info, jitters, own_jitter):
 
 def schedule_artifacts(context, config):
     """*context*'s schedule artifacts of *config* at its own cycle
-    length, fetched (or replayed) by its schedule key."""
-    gd_cycle = config.gd_cycle
-    return context._artifacts_at(
-        config, gd_cycle, context.schedule_key(config, gd_cycle)
-    )
+    length, as its artifact builder replays them (uncached)."""
+    return context._artifacts_at(config, config.gd_cycle)
 
 
 def schedule_view(config, application, placements) -> ScheduleTable:
@@ -363,6 +360,12 @@ def oracle_validate_for(config: FlexRayConfig, system: System) -> None:
         fid_owner[fid] = sender
     for name in config.frame_ids:
         app.message(name)  # raises ModelError -> surfaced to the caller
+    for name in config.frame_ids:
+        if not app.message(name).is_dynamic:
+            raise ConfigurationError(
+                f"frame_ids names ST message {name!r}; only DYN messages "
+                "take a FrameID"
+            )
     dyn_senders = {_oracle_sender(system, m) for m in app.dyn_messages()}
     for node in (n for n in system.nodes if n in dyn_senders):
         latest = oracle_p_latest_tx(config, node, system)

@@ -6,9 +6,10 @@ Runs BBC, OBC/CF, OBC/EE and SA through
 ``sa_options()`` presets) on the ``python`` backend and, when the
 compiled ``repro._native`` extension is built, on the ``native`` one.
 One *run* is one fresh ``optimise()`` per system of the set; its time is
-the process CPU seconds of the whole set.  Each strategy is run
-``ROUNDS`` times per backend, the backends interleaved within a round
-(their order alternating between rounds), and the median run counts.
+the process CPU seconds of the whole set.  Each round runs every
+strategy on every backend, the backends interleaved within a strategy
+(their order alternating between rounds); ``ROUNDS`` rounds are run and
+the median run counts.
 
 Asserts:
 
@@ -24,8 +25,10 @@ Emits ``benchmarks/results/BENCH_end_to_end.json``: a host record, per
 strategy x backend the median seconds, the exact analyses and the best
 cost per system, the native gain per strategy, and the OBC/CF over
 OBC/EE time ratio per backend (the paper's Fig. 9 runtime shape, where
-OBC/CF is orders of magnitude cheaper).  Without the extension the
-native fields are ``null``.
+OBC/CF is orders of magnitude cheaper): the median of the per-round
+ratios, each dividing two runs of the same round, so both sides see
+the same host load.  Without the extension the native fields are
+``null``.
 
 Run: ``PYTHONPATH=src:. python benchmarks/bench_end_to_end.py``
 (or collect it with pytest).
@@ -112,9 +115,9 @@ def run_bench(backends=BACKENDS):
         run_set(systems, "bbc", backend)
     seconds = {s: {b: [] for b in backends} for s in STRATEGIES}
     outcomes = {s: {b: [] for b in backends} for s in STRATEGIES}
-    for strategy in STRATEGIES:
-        for round_ in range(ROUNDS):
-            order = backends if round_ % 2 == 0 else backends[::-1]
+    for round_ in range(ROUNDS):
+        order = backends if round_ % 2 == 0 else backends[::-1]
+        for strategy in STRATEGIES:
             for backend in order:
                 s, out = run_set(systems, strategy, backend)
                 seconds[strategy][backend].append(s)
@@ -142,6 +145,16 @@ def run_bench(backends=BACKENDS):
             return None
         return round(numerator["seconds"] / denominator["seconds"], 3)
 
+    def cf_over_ee(backend):
+        if backend not in backends:
+            return None
+        per_round = [
+            cf / ee for cf, ee in zip(
+                seconds["obc-cf"][backend], seconds["obc-ee"][backend]
+            )
+        ]
+        return round(statistics.median(per_round), 3)
+
     payload = {
         "host": host_record(),
         "workload": {
@@ -149,6 +162,8 @@ def run_bench(backends=BACKENDS):
             "rounds": ROUNDS,
             "seconds": "process CPU seconds of one optimise() per system, "
             "summed over the set; median of the rounds",
+            "cf_over_ee": "median over the rounds of OBC/CF seconds over "
+            "OBC/EE seconds within the round",
         },
         "strategies": {
             strategy: dict(
@@ -158,8 +173,7 @@ def run_bench(backends=BACKENDS):
             for strategy, row in table.items()
         },
         "cf_over_ee": {
-            backend: ratio(table["obc-cf"][backend], table["obc-ee"][backend])
-            for backend in BACKENDS
+            backend: cf_over_ee(backend) for backend in BACKENDS
         },
     }
     return payload, outcomes

@@ -24,23 +24,23 @@ class InstantTables(NamedTuple):
     """Raw per-instant tables of the inlined busy-window kernel.
 
     Everything :func:`repro.analysis.fps.resolved_busy_window` needs to
-    compute ``advance(instant, demand)`` without a method call.
-    Empty-pattern nodes (no busy intervals) have ``slack_before``,
-    ``gap_ends`` and ``slack_through`` set to ``None``.
+    compute ``advance(instant, demand)`` without a method call.  An idle
+    node (no busy intervals) is the one-gap staircase: ``slack_before ==
+    [0]`` and ``gap_ends == slack_through == [period]``.
     """
 
     #: Candidate busy-window origins: time 0 plus every busy start.
     instants: List[int]
-    #: Pattern slack before each instant (``None`` for idle nodes).
-    slack_before: Optional[List[int]]
+    #: Pattern slack before each instant.
+    slack_before: List[int]
     #: Available macroticks per period.
     slack_per_period: int
     #: Length of the repeating pattern.
     period: int
-    #: End of gap k (``None`` for idle nodes).
-    gap_ends: Optional[List[int]]
-    #: Pattern slack through gap k, inclusive (``None`` for idle nodes).
-    slack_through: Optional[List[int]]
+    #: End of gap k.
+    gap_ends: List[int]
+    #: Pattern slack through gap k, inclusive.
+    slack_through: List[int]
     #: Instant indices, longest initial busy run first -- the order that
     #: makes the kernel's incremental per-instant bound prune best.
     eval_order: Tuple[int, ...]
@@ -170,15 +170,8 @@ class NodeAvailability:
         eval_order = tuple(
             sorted(range(len(blocks)), key=longest_first.__getitem__)
         )
-        idle = not merged
         self._tables = InstantTables(
-            instants,
-            None if idle else before,
-            acc,
-            period,
-            None if idle else gap_ends,
-            None if idle else through,
-            eval_order,
+            instants, before, acc, period, gap_ends, through, eval_order
         )
 
     def instant_advance_tables(self) -> InstantTables:
@@ -235,9 +228,6 @@ class NodeAvailability:
             raise AnalysisError(f"demand must be >= 0, got {demand}")
         if demand == 0:
             return t0
-        if not self.busy:
-            # Fully idle node: demand is served back to back.
-            return t0 + demand
         slack = self.period - self._busy_per_period
         if slack == 0:
             return None

@@ -9,9 +9,10 @@ rows and transmission times).  The lowering follows that split:
 * :class:`StructureTemplate` packs the context's int-row structure
   record (``AnalysisContext._structure``, the rows the Python fix
   point runs on) once per structure key: the plan blob's per-activity
-  and component sections, and the FPS wcet guard;
+  and component sections;
 * :class:`GroupPlan` adds the per-schedule rest: ``w0`` (the static
-  response times), the availability staircase tables and the staircase
+  response times), the availability patterns' own
+  :class:`~repro.analysis.availability.InstantTables` and the staircase
   verdict.
 
 The per-lane scalars (caps, cycle geometry) are resolved per run by
@@ -27,63 +28,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 
-class AvailabilityArrays:
-    """Staircase tables of one ``NodeAvailability`` pattern.
-
-    ``stair`` is True for every pattern the compiled FPS kernel
-    handles: a non-degenerate pattern (some busy time, some slack) uses
-    the divmod/bisect staircase over the precomputed
-    ``gap_ends``/``slack_through`` prefix sums, and a fully *idle* node
-    (``advance(t0, d) = t0 + d``) is lowered as the equivalent synthetic
-    one-gap staircase (``before = 0``, ``slack = period``,
-    ``gap_ends = through = [period]``, so the staircase collapses to
-    ``window = demand`` -- exactly the Python generic path's result).
-    Only fully busy nodes (zero slack, ``advance`` returns ``None``)
-    keep ``stair`` False, which sends their groups to the Python oracle.
-    The lists are the pattern's own (read-only) instant tables.
-    """
-
-    __slots__ = (
-        "stair", "instants", "before", "slack", "period", "gap_ends",
-        "through", "eval_order", "n_instants",
-    )
-
-    def __init__(self, availability):
-        tables = availability.instant_advance_tables()
-        self.slack = tables.slack_per_period
-        self.period = tables.period
-        self.n_instants = len(tables.instants)
-        self.stair = self.slack > 0
-        self.instants = tables.instants
-        self.eval_order = tables.eval_order
-        if not self.stair:
-            self.before = None
-            self.gap_ends = None
-            self.through = None
-        elif tables.gap_ends is not None:
-            self.before = tables.slack_before
-            self.gap_ends = tables.gap_ends
-            self.through = tables.slack_through
-        else:  # fully idle: the synthetic identity staircase
-            self.before = [0] * self.n_instants
-            self.gap_ends = [self.period]
-            self.through = [self.period]
-
-
-def availability_arrays(availability) -> AvailabilityArrays:
-    """Per-pattern tables, cached on the availability instance.
-
-    Availability objects live in the context's per-static-segment
-    schedule cache, so the lowering rides the same lifetime: a pure-DYN
-    sweep lowers each node's pattern once for the whole sweep.
-    """
-    arrays = getattr(availability, "_backend_arrays", None)
-    if arrays is None:
-        arrays = AvailabilityArrays(availability)
-        availability._backend_arrays = arrays
-    return arrays
-
-
 class StructureTemplate:
     """The plan blob's structure-key-invariant sections.
 
@@ -95,14 +39,12 @@ class StructureTemplate:
     blob's: ``acts`` is the per-activity int section, ``comps`` the
     component section and ``n_rows``, ``n_acts``, ``n_comps`` and
     ``fault_rows`` the header's structure-side fields (see
-    :func:`repro.analysis.backend.native.plan_blob`); ``wcet_positive``
-    says whether every FPS wcet is positive (the staircase kernel's one
-    structure-side guard).
+    :func:`repro.analysis.backend.native.plan_blob`).
     """
 
     __slots__ = (
         "n_rows", "n_acts", "n_comps", "fault_rows", "acts", "comps",
-        "wcet_positive", "packed_acts",
+        "packed_acts",
     )
 
     def __init__(self, structure):
@@ -132,7 +74,6 @@ class StructureTemplate:
             for r in reads(act):
                 deps.setdefault(r, []).append(pos)
         acts: List[int] = []
-        wcet_positive = True
         for act in structure.acts:
             kind, row, own_sensitive = act[:3]
             readers = deps.get(row, ())
@@ -154,7 +95,6 @@ class StructureTemplate:
                     acts += [period, anc, jrow, adjusted]
             else:
                 release, preds, wcet, av_index, plain, anc = act[5:]
-                wcet_positive = wcet_positive and wcet > 0
                 ints = blob_rows(plain, anc)
                 acts += [release, wcet, av_index, len(preds), len(ints),
                          *preds]
@@ -166,7 +106,6 @@ class StructureTemplate:
         self.fault_rows = structure.fault_rows
         self.acts = acts
         self.comps = [x for comp in structure.components for x in comp]
-        self.wcet_positive = wcet_positive
         #: ``acts`` as an ``array('q')``, packed by the first plan blob.
         self.packed_acts = None
 
@@ -198,19 +137,17 @@ class GroupPlan:
         self.arts = arts
         #: The initial response times by row (the fix point's start).
         self.w0 = [*arts.static_wcrt.values(), *structure.tail]
-        #: The availability tables of ``structure.av_nodes``, in order.
+        #: The :class:`~repro.analysis.availability.InstantTables` of
+        #: ``structure.av_nodes``, in order.
         self.avs = [
-            availability_arrays(arts.availability[node])
+            arts.availability[node].instant_advance_tables()
             for node in structure.av_nodes
         ]
-        #: Structural safety verdict: every FPS activity is on the
-        #: staircase fast path, whose Python guard is ``gap_ends is not
-        #: None and slack > 0 and wcet > 0`` (idle patterns lowered as
-        #: the identity staircase).  ``False`` sends every batch of this
-        #: group to the Python oracle.
-        self.stair = template.wcet_positive and all(
-            av.stair for av in self.avs
-        )
+        #: Structural safety verdict: every pattern has slack, so every
+        #: FPS activity has a staircase to run on.  ``False`` (a fully
+        #: busy node) sends every batch of this group to the Python
+        #: oracle.
+        self.stair = all(av.slack_per_period for av in self.avs)
         #: The parsed C plan capsule; ``None`` until the first batch of
         #: this group reaches the C kernels.
         self.native_state = None

@@ -17,10 +17,10 @@ The C kernel is the only module that knows its own arithmetic: every
 operation, and a lane whose exact value would leave int64 stops and
 reports ``conv = -1``.  The shim keeps two gates around it:
 
-* **structural**: every FPS activity must be on the staircase fast path
-  (a non-degenerate or fully idle availability pattern and a positive
-  wcet); the verdict is group-invariant and cached as
-  ``GroupPlan.stair``, and a failing group runs on the oracle.
+* **structural**: every availability pattern must have slack (a fully
+  busy node has no staircase to run); the verdict is group-invariant
+  and cached as ``GroupPlan.stair``, and a failing group runs on the
+  oracle.
 * **packing**: ``array('q')`` and the ``"L"`` argument format raise
   :class:`OverflowError` exactly when an input (a cap, a static
   response time, a release, ``fault_k``, the iteration budget) falls
@@ -69,8 +69,10 @@ def plan_blob(plan) -> array:
             fps:  release, wcet, av_index, n_preds, n_int, preds...,
                   n_int x (period, wcet, is_ancestor, jitter_row)
 
-    Only called for structurally safe groups, so every availability
-    pattern carries the (possibly synthetic idle) staircase tables.
+    The availability tables are the patterns' own
+    :class:`~repro.analysis.availability.InstantTables` (an idle node is
+    the one-gap staircase); only structurally safe groups, whose every
+    pattern has slack, are packed.
 
     The component and per-activity sections are
     **structure-invariant** (the component schedule, interferer rows,
@@ -94,11 +96,12 @@ def plan_blob(plan) -> array:
     out += template.fault_rows
     out += template.comps
     for av in plan.avs:
-        out += [av.n_instants, av.slack, av.period, len(av.gap_ends)]
+        out += [len(av.instants), av.slack_per_period, av.period,
+                len(av.gap_ends)]
         out += av.instants
-        out += av.before
+        out += av.slack_before
         out += av.gap_ends
-        out += av.through
+        out += av.slack_through
         out += av.eval_order
     acts = template.packed_acts
     if acts is None:

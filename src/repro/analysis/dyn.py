@@ -186,9 +186,11 @@ def resolved_busy_window(
     right-hand side is monotone in the window, so iterating from any
     start below the least fixed point reaches exactly the least fixed
     point).  The holistic fix point certifies its seeds through the
-    monotone growth of its jitters across Kleene passes; a descending
+    monotone growth of its jitters across Kleene passes.  A descending
     step or an iteration-limit exit (an uncertified seed) restarts the
-    recurrence cold, so the result always equals the cold computation.
+    recurrence cold; a seed above the least fixed point may also stop at
+    a larger fixed point or at the cap, which only ever raises the
+    result.
 
     ``extra_cycles`` charges that many additional whole bus cycles into
     every evaluation of the recurrence -- the k-error fault hypothesis

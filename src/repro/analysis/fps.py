@@ -150,10 +150,11 @@ def resolved_busy_window(
     incremental analysis engine relies on).  The holistic fix point
     satisfies this by construction -- its jitters grow monotonically
     across Kleene passes, so a converged demand from an earlier pass of
-    the same analysis bounds the current one from below.  Uncertified
-    seeds are additionally caught at runtime: a descending demand step or
-    an iteration-limit exit restarts that instant cold, so the returned
-    ``(value, converged)`` pair always equals the cold computation.
+    the same analysis bounds the current one from below.  Some
+    uncertified seeds are caught at runtime: a descending demand step or
+    an iteration-limit exit restarts that instant cold.  Not all are: a
+    seed above the least fixed point may also stop at a larger fixed
+    point or at the cap, which only ever raises the returned value.
 
     ``prune`` enables the **incremental per-instant bound** of the
     third-generation kernel.  Let ``W`` be the worst window found so
@@ -184,22 +185,23 @@ def resolved_busy_window(
     )
     n_instants = len(instants)
     demands: List[Optional[int]] = [None] * n_instants
+    if not slack:
+        # A fully busy node never serves any demand.
+        return cap, False, demands
     worst = 0
     converged = True
     n_seeds = len(seeds) if seeds is not None else 0
-    # The common case inlines the whole demand recurrence (no ``advance``
-    # calls): every t0 is a critical instant, whose pattern-slack offset
-    # is precomputed on the availability.  Degenerate patterns (fully
-    # idle node, zero slack) and warm-start fallbacks take the generic
-    # ``_busy_window_at`` path instead; results are identical.
-    fast = gap_ends is not None and slack > 0 and wcet > 0
+    # Every instant inlines the whole demand recurrence over the
+    # availability's staircase (``advance`` as one divmod plus a bisect):
+    # each t0 is a critical instant, whose pattern-slack offset is
+    # precomputed.  An idle node is the one-gap staircase ``[0, period)``.
     schedule = eval_order if prune else range(n_instants)
     # Per-instant bound state; recomputed lazily whenever ``worst`` grows.
     bound_demand = -1
     bound_activations = 0
     for idx in schedule:
         t0 = instants[idx]
-        seed = seeds[idx] if idx < n_seeds else None
+        offset = before[idx]
         if prune and worst > 0:
             if bound_demand < 0:
                 bound_demand = wcet
@@ -211,24 +213,18 @@ def resolved_busy_window(
                         bound_demand += count * c_j
                         bound_activations += count
             if bound_activations + 2 <= MAX_FIXPOINT_ITERATIONS:
-                if fast:
-                    whole, rem = divmod(before[idx] + bound_demand - 1, slack)
-                    k = bisect_left(through, rem + 1)
-                    w_bound = (
-                        whole * period + gap_ends[k] - (through[k] - rem - 1)
-                        - t0
-                    )
-                else:
-                    end = availability.advance(t0, bound_demand)
-                    w_bound = cap if end is None else end - t0
+                whole, rem = divmod(offset + bound_demand - 1, slack)
+                k = bisect_left(through, rem + 1)
+                w_bound = (
+                    whole * period + gap_ends[k] - (through[k] - rem - 1) - t0
+                )
                 if w_bound <= worst:
                     continue
-        result = None
-        if fast:
-            seeded = seed is not None and seed > wcet
-            demand = seed if seeded else wcet
-            window = 0
-            offset = before[idx]
+        seed = seeds[idx] if idx < n_seeds else None
+        seeded = seed is not None and seed > wcet
+        demand = seed if seeded else wcet
+        while True:
+            ok = False
             for _ in range(MAX_FIXPOINT_ITERATIONS):
                 whole, rem = divmod(offset + demand - 1, slack)
                 k = bisect_left(through, rem + 1)
@@ -236,81 +232,32 @@ def resolved_busy_window(
                     whole * period + gap_ends[k] - (through[k] - rem - 1) - t0
                 )
                 if window >= cap:
-                    result = (cap, False, demand)
-                    break
+                    demands[idx] = demand
+                    return cap, False, demands
                 new_demand = wcet
                 for p, jit, c_j in rows:
                     s = window + jit
                     if s > 0:
                         new_demand += -(-s // p) * c_j
                 if new_demand == demand:
-                    result = (window, True, demand)
+                    ok = True
                     break
                 if seeded and new_demand < demand:
-                    # Uncertified seed: replay this instant cold.
-                    result = _busy_window_at(wcet, rows, availability, cap, t0)
                     break
                 demand = new_demand
-            if result is None:
-                result = (
-                    _busy_window_at(wcet, rows, availability, cap, t0)
-                    if seeded
-                    else (window, False, demand)
-                )
-        else:
-            result = _busy_window_at(wcet, rows, availability, cap, t0, seed)
-        window, ok, demand = result
+            if ok or not seeded:
+                break
+            # A descending step means the seed overshot the least fixed
+            # point, and a truncation at the iteration limit is
+            # trajectory-dependent: replay this instant cold.
+            seeded = False
+            demand = wcet
         demands[idx] = demand
-        if window >= cap:
-            return cap, False, demands
         if window > worst:
             worst = window
             bound_demand = -1
         converged = converged and ok
     return worst, converged, demands
-
-
-def _busy_window_at(
-    wcet: int,
-    rows: Sequence[Tuple[int, int, int]],
-    availability: NodeAvailability,
-    cap: int,
-    t0: int,
-    seed: Optional[int] = None,
-) -> Tuple[int, bool, int]:
-    """One instant's demand recurrence over resolved interferer rows.
-
-    Generic-``advance`` fallback of :func:`resolved_busy_window`.
-    """
-    seeded = seed is not None and seed > wcet
-    demand = seed if seeded else wcet
-    window = 0
-    advance = availability.advance
-    for _ in range(MAX_FIXPOINT_ITERATIONS):
-        end = advance(t0, demand)
-        if end is None:
-            return cap, False, demand
-        window = end - t0
-        if window >= cap:
-            return cap, False, demand
-        new_demand = wcet
-        for p, jit, c_j in rows:
-            s = window + jit
-            if s > 0:
-                new_demand += -(-s // p) * c_j
-        if new_demand == demand:
-            return window, True, demand
-        if seeded and new_demand < demand:
-            # The seed overshot the least fixed point (it was not a
-            # certified lower bound): replay this instant cold so the
-            # result stays bit-identical to an unseeded run.
-            return _busy_window_at(wcet, rows, availability, cap, t0)
-        demand = new_demand
-    if seeded:
-        # The truncated value is trajectory-dependent; only the cold
-        # trajectory's truncation is the canonical result.
-        return _busy_window_at(wcet, rows, availability, cap, t0)
-    return window, False, demand
 
 
 def node_local_fps_cost(

@@ -191,17 +191,20 @@ class FlexRayConfig:
         )
 
     def _fids_by_node(self, system: System) -> Dict[str, set]:
-        """The FrameIDs of ``frame_ids`` grouped by sender node (an ST
-        message named there counts too); raises
-        :class:`~repro.errors.ModelError` at the first name that is no
-        message of *system*."""
-        senders = self.bus_table(system).senders
-        by_node: Dict[str, set] = {}
-        for name, fid in self.frame_ids.items():
-            node = senders.get(name)
-            if node is None:
+        """The FrameIDs of the DYN messages in ``frame_ids`` grouped by
+        sender node (an ST message named there takes no dynamic slot);
+        raises :class:`~repro.errors.ModelError` at the first name that
+        is no message of *system*."""
+        table = self.bus_table(system)
+        frame_ids = self.frame_ids
+        for name in frame_ids:
+            if name not in table.senders:
                 system.application.message(name)  # raises ModelError
-            by_node.setdefault(node, set()).add(fid)
+        by_node: Dict[str, set] = {}
+        for m, node in table.dyn:
+            fid = frame_ids.get(m.name)
+            if fid is not None:
+                by_node.setdefault(node, set()).add(fid)
         return by_node
 
     def dyn_slots_of(self, node: str, system: System) -> Tuple[int, ...]:

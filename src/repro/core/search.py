@@ -105,7 +105,6 @@ class EvaluatorStats:
     evaluations: int
     cache_hits: int
     cache_entries: int
-    trace_points: int
 
     def since(self, earlier: "EvaluatorStats") -> "EvaluatorStats":
         """The accounting delta from *earlier* to this snapshot."""
@@ -113,7 +112,6 @@ class EvaluatorStats:
             evaluations=self.evaluations - earlier.evaluations,
             cache_hits=self.cache_hits - earlier.cache_hits,
             cache_entries=self.cache_entries,
-            trace_points=self.trace_points - earlier.trace_points,
         )
 
 
@@ -299,7 +297,6 @@ class Evaluator:
             evaluations=self.evaluations,
             cache_hits=self.cache_hits,
             cache_entries=len(self._cache),
-            trace_points=len(self.trace),
         )
 
     def close(self) -> None:

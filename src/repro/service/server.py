@@ -153,12 +153,18 @@ class AnalysisService:
                 request.system,
                 runtime_bus_options(request.options),
             ) as lease:
-                before = lease.evaluator.stats()
+                evaluator = lease.evaluator
+                before = evaluator.stats()
                 try:
-                    result = lease.evaluator.analyse(request.config)
+                    result = evaluator.analyse(request.config)
                 except ReproError as exc:
                     raise guard_repro_error(exc) from exc
-                spent = lease.evaluator.stats().since(before)
+                finally:
+                    # Nothing reads a pooled evaluator's search trace:
+                    # drop the point each miss appends, or it grows for
+                    # the evaluator's whole pooled life.
+                    evaluator.trace.clear()
+                spent = evaluator.stats().since(before)
             service = {
                 "pool_hit": lease.hit,
                 "evaluations": spent.evaluations,

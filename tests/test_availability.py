@@ -178,10 +178,18 @@ class TestAdvanceBisectEquivalence:
                 assert end == av.advance(t0, demand)
 
     def test_idle_pattern_tables(self):
+        """An idle node is the one-gap staircase ``[0, period)``."""
         av = NodeAvailability([], period=10)
         tables = av.instant_advance_tables()
-        assert tables.gap_ends is None and tables.instants == [0]
+        assert tables.instants == [0]
+        assert tables.slack_before == [0]
+        assert tables.slack_per_period == tables.period == 10
+        assert tables.gap_ends == tables.slack_through == [10]
         assert tables.eval_order == (0,)
+        # Demand is served back to back.
+        assert [av.advance(t0, d) for t0, d in ((0, 4), (7, 5), (23, 20))] == [
+            4, 12, 43,
+        ]
 
     def test_tables_are_a_named_tuple(self):
         """The kernel tables are an :class:`InstantTables` -- positional
@@ -223,14 +231,13 @@ def _reference_tables(busy, period):
         acc += period - prev
         through.append(acc)
     eval_order = tuple(sorted(range(len(blocks)), key=lambda i: -blocks[i]))
-    idle = not merged
     tables = (
         [0] + [s for s, _ in merged],
-        None if idle else before,
+        before,
         acc,
         period,
-        None if idle else [e for _, e in gaps],
-        None if idle else through,
+        [e for _, e in gaps],
+        through,
         eval_order,
     )
     return merged, gaps, [s for s, _ in gaps], tables

@@ -65,7 +65,9 @@ from tests.util import (
     dyn_msg,
     fig3_system,
     fig4_system,
+    fps_only_node_system,
     fps_task,
+    schedule_artifacts,
     scs_task,
     single_graph_system,
 )
@@ -271,6 +273,22 @@ class TestBitIdentity:
         cold = _result_docs([python_ctx.analyse_cold(c) for c in configs])
         native = _result_docs([native_ctx.analyse(c) for c in configs])
         assert native == python == cold
+
+    def test_fps_only_node_matches_python_and_cold_oracle(self):
+        """A node with no SCS task has the idle pattern, the one-gap
+        staircase: it runs in C, and the C kernels, the certified Python
+        path and the cold Python oracle give identical answers."""
+        system = fps_only_node_system()
+        configs = _sweep_configs(system, 6)
+        python_ctx = AnalysisContext(system)
+        arts = schedule_artifacts(python_ctx, configs[0])
+        assert arts.availability["N3"].busy == []
+        python = _run(system, configs)
+        native, delegated = _delegating_run(system, configs)
+        assert delegated == []
+        _assert_same(native, python)
+        cold = _result_docs([python_ctx.analyse_cold(c) for c in configs])
+        assert cold == _result_docs(python[0])
 
     @pytest.mark.parametrize(
         "system",

@@ -24,7 +24,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis import AnalysisContext, NodeAvailability
-from repro.analysis.fps import resolved_busy_window
+from repro.analysis.fps import MAX_FIXPOINT_ITERATIONS, resolved_busy_window
 from repro.core.bbc import basic_configuration
 from repro.core.search import (
     BusOptimisationOptions,
@@ -66,6 +66,36 @@ def _kernel_case(draw):
     return busy, period, info, jitters, wcet, cap, own
 
 
+def _advance_walk(wcet, rows, availability, cap):
+    """``(value, converged, lfp)`` of the busy-window maximisation,
+    walked cold through ``advance`` at every critical instant in turn;
+    ``lfp[i]`` is instant i's least fixed-point demand, ``None`` where
+    the walk did not converge there or stopped before it."""
+    instants = availability.critical_instants()
+    lfp = [None] * len(instants)
+    worst, converged = 0, True
+    for i, t0 in enumerate(instants):
+        demand, ok = wcet, False
+        for _ in range(MAX_FIXPOINT_ITERATIONS):
+            end = availability.advance(t0, demand)
+            if end is None or end - t0 >= cap:
+                return cap, False, lfp
+            window = end - t0
+            new_demand = wcet + sum(
+                -(-(window + jit) // p) * c
+                for p, jit, c in rows
+                if window + jit > 0
+            )
+            if new_demand == demand:
+                ok = True
+                lfp[i] = demand
+                break
+            demand = new_demand
+        worst = max(worst, window)
+        converged = converged and ok
+    return worst, converged, lfp
+
+
 class TestPruningEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(_kernel_case())
@@ -96,11 +126,14 @@ class TestPruningEquivalence:
         assert (value, ok) == (cold_value, cold_ok)
 
     def test_zero_wcet_and_degenerate_patterns(self):
-        """Generic-path corners: idle node, zero slack, wcet == 0."""
+        """Degenerate corners on the one staircase path: an idle node
+        (the one-gap staircase), zero slack (no staircase: the cap
+        before any instant) and wcet == 0 (below the model's positive
+        wcet, still the same with and without pruning)."""
         cases = [
             ([], 10, 0),            # fully idle node
             ([(0, 10)], 10, 3),     # zero slack
-            ([(2, 5)], 10, 0),      # wcet == 0 (generic path)
+            ([(2, 5)], 10, 0),      # wcet == 0
         ]
         rows = resolve_rows((("j0", 7, False, 2),), {"j0": 5}, 0)
         for busy, period, wcet in cases:
@@ -112,6 +145,44 @@ class TestPruningEquivalence:
                 assert got[:2] == resolved_busy_window(
                     wcet, rows, availability, 500, None, False
                 )[:2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case(), st.booleans(), st.data())
+    def test_staircase_equals_the_advance_walk(self, case, prune, data):
+        """The kernel's staircase equals a cold walk of
+        ``NodeAvailability.advance`` over every critical instant -- on
+        idle and fully busy patterns too -- unseeded or from certified
+        seeds (at most the instant's least fixed point).  Any other
+        seed only ever raises the value."""
+        busy, period, info, jitters, wcet, cap, own = case
+        availability = NodeAvailability(busy, period)
+        rows = resolve_rows(info, jitters, own)
+        value, converged, lfp = _advance_walk(wcet, rows, availability, cap)
+        certified = [
+            None if d is None else data.draw(st.none() | st.integers(0, d))
+            for d in lfp
+        ]
+        got = resolved_busy_window(
+            wcet, rows, availability, cap, certified, prune
+        )
+        assert got[:2] == (value, converged)
+        arbitrary = data.draw(
+            st.lists(st.none() | st.integers(0, 2 * cap), max_size=len(lfp))
+        )
+        got = resolved_busy_window(
+            wcet, rows, availability, cap, arbitrary, prune
+        )
+        assert value <= got[0] <= cap
+
+    def test_overshooting_seed_replays_cold(self):
+        """A seed above the least fixed point whose first step descends
+        replays its instant cold."""
+        availability = NodeAvailability([], 100)
+        rows = [(50, 0, 1)]
+        cold = resolved_busy_window(5, rows, availability, 1000)
+        assert cold[:2] == (6, True)
+        warm = resolved_busy_window(5, rows, availability, 1000, [40])
+        assert warm[:2] == cold[:2]
 
     def test_activation_guard_keeps_the_convergence_flag(self):
         """Near the iteration limit the bound alone would lose the flag.

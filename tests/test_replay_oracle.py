@@ -262,8 +262,6 @@ def _oracle_instant_tables(busy, period):
             key=lambda i: (-initial_block(instants[i]), i),
         )
     )
-    if not merged:
-        return (merged, instants, None, period, period, None, None, order)
     busy_total = sum(e - s for s, e in merged)
     return (
         merged, instants, [slack_before(t) for t in instants],

@@ -199,6 +199,29 @@ class TestAnalyseEndpoint:
             assert second["service"]["evaluations"] == 0
             assert second["service"]["cache_hits"] == 1
 
+    def test_pooled_evaluator_keeps_no_trace_points(self, tmp_path):
+        """Each miss records one search-trace point on the pooled
+        evaluator, which nothing reads: the service drops it, so the
+        trace stays empty however many distinct requests it serves,
+        and the per-request accounting is unchanged."""
+        with _Service(tmp_path) as svc:
+            lengths = range(13, 23)
+            for i, n in enumerate(lengths):
+                config = basic_config(n_minislots=n, frame_ids=FIG4_FRAME_IDS)
+                status, doc = _post(
+                    svc.port, "/analyse", _analyse_body(config=config)
+                )
+                assert status == 200
+                assert doc["service"] == {
+                    "pool_hit": i > 0,
+                    "evaluations": 1,
+                    "cache_hits": 0,
+                    "cache_entries": i + 1,
+                }
+            (entry,) = svc.server.service.pool._entries.values()
+            assert entry.evaluator.evaluations == len(lengths)
+            assert entry.evaluator.trace == []
+
     def test_analysis_options_select_a_distinct_pool_entry(self, tmp_path):
         with _Service(tmp_path) as svc:
             _, clean = _post(svc.port, "/analyse", _analyse_body())

@@ -247,6 +247,24 @@ def test_each_check_fires_as_the_oracle(changes, error, match):
         assert outcome[1] is error and match in outcome[2]
 
 
+def test_dyn_slots_of_skips_st_messages():
+    """An ST message named in ``frame_ids`` takes no dynamic slot of
+    its sender (``validate_for`` rejects the configuration), and an
+    unknown name still raises first."""
+    system = _mixed_system()
+    config = FlexRayConfig(
+        **{**_LEGAL, "frame_ids": {"d1": 1, "d2": 2, "s1": 8}}
+    )
+    assert config.dyn_slots_of("N1", system) == (1,)
+    assert config.dyn_slots_of("N2", system) == (2,)
+    assert oracle_dyn_slots_of(config, "N1", system) == (1,)
+    unknown = FlexRayConfig(
+        **{**_LEGAL, "frame_ids": {"s1": 8, "x": 3, "d1": 1, "d2": 2}}
+    )
+    with pytest.raises(ModelError, match="no message 'x'"):
+        unknown.dyn_slots_of("N1", system)
+
+
 def test_bus_table_is_built_once_per_bus_speed():
     system = _mixed_system()
     config = FlexRayConfig(**_LEGAL)

@@ -150,6 +150,32 @@ def fig4_system(period: int = 200, deadline: int = 120) -> System:
     return single_graph_system(tasks, msgs, period=period, deadline=deadline)
 
 
+def fps_only_node_system() -> System:
+    """The :func:`fig4_system` shape on three nodes, N3 running FPS tasks
+    only: N3's availability pattern is idle (the one-gap staircase).
+
+    N1 sends m1 (9 MT) and m3 (3 MT), N2 sends m2 (5 MT) and N3 sends m4
+    (4 MT) from its highest-priority task d4.
+    """
+    tasks = [
+        scs_task("s1", wcet=1, node="N1"),
+        scs_task("s2", wcet=2, node="N2"),
+        fps_task("d1", wcet=3, node="N3", priority=1),
+        fps_task("d2", wcet=1, node="N1", priority=1),
+        fps_task("d3", wcet=2, node="N3", priority=2),
+        fps_task("d4", wcet=4, node="N3", priority=0),
+    ]
+    msgs = [
+        dyn_msg("m1", 9, "s1", "d1", priority=0),
+        dyn_msg("m2", 5, "s2", "d2", priority=0),
+        dyn_msg("m3", 3, "s1", "d3", priority=1),
+        dyn_msg("m4", 4, "d4", "d2", priority=2),
+    ]
+    return single_graph_system(
+        tasks, msgs, nodes=("N1", "N2", "N3"), period=200, deadline=120
+    )
+
+
 def campaign_systems():
     """The canonical two-system campaign matrix: one ST-heavy system
     (paper Fig. 3) and one DYN-heavy system (paper Fig. 4)."""
@@ -298,11 +324,13 @@ def _oracle_ct(config: FlexRayConfig, message: Message) -> int:
 
 
 def oracle_dyn_slots_of(config: FlexRayConfig, node: str, system: System):
-    fids = {
-        fid
-        for name, fid in config.frame_ids.items()
-        if _oracle_sender(system, system.application.message(name)) == node
-    }
+    # An ST message named in ``frame_ids`` takes no dynamic slot (a
+    # deliberate change of rule, made in ``dyn_slots_of`` alike).
+    fids = set()
+    for name, fid in config.frame_ids.items():
+        message = system.application.message(name)  # ModelError if unknown
+        if message.is_dynamic and _oracle_sender(system, message) == node:
+            fids.add(fid)
     return tuple(sorted(fids))
 
 

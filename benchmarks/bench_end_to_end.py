@@ -19,7 +19,9 @@ Asserts:
 * timing -- native is no slower than python on OBC/CF (whose estimate
   rounds the native run scores with the compiled curve-fit scorer), on
   OBC/EE and on SA.  The BBC ratio is recorded, not asserted: its runs
-  are too short for the run-to-run spread.
+  are too short for the run-to-run spread;
+* runtime shape -- on every backend measured, OBC/CF takes less time
+  than OBC/EE (``cf_over_ee`` below 1).
 
 Emits ``benchmarks/results/BENCH_end_to_end.json``: a host record, per
 strategy x backend the median seconds, the exact analyses and the best
@@ -220,6 +222,11 @@ def test_end_to_end():
                     f"{strategy}: {backend} run {i} differs from the first "
                     f"python run: {out} != {reference}"
                 )
+    for backend in backends:
+        ratio = payload["cf_over_ee"][backend]
+        assert ratio < 1, (
+            f"{backend}: OBC/CF takes {ratio} of OBC/EE's time, not less"
+        )
     if have_native:
         for strategy in NATIVE_NOT_SLOWER:
             row = payload["strategies"][strategy]

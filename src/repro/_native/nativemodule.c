@@ -20,7 +20,7 @@
  *     is a floor;
  *   - certified warm-start seeds use -1 as the "no seed" sentinel
  *     (safe: thresholds compare seed > ct / seed > wcet with
- *     ct, wcet >= 0);
+ *     ct, wcet >= 0), also left by an iteration-limit exit;
  *   - uncertified seeds (descending step or iteration-limit exit)
  *     restart the recurrence cold in place, matching the Python
  *     kernels' replay semantics;
@@ -411,7 +411,7 @@ eval_dyn(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
             }
             s->last_w = w;
             s->last_ok = 0;
-            seed_slot[0] = w;
+            seed_slot[0] = -1; /* a truncated window seeds nothing */
             return 0;
         }
         iter++;
@@ -572,7 +572,7 @@ eval_fps(const Act *act, AState *s, const i64 *J, i64 own_j, i64 cap,
                 }
                 w_res = window;
                 ok_res = 0;
-                d_res = demand;
+                d_res = -1; /* a truncated demand seeds nothing */
                 break;
             }
             iter++;

@@ -39,7 +39,7 @@ hence sound for worst-case analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import FlexRayConfig
 from repro.errors import AnalysisError
@@ -165,9 +165,9 @@ def resolved_busy_window(
     ms_len: int,
     cap: int,
     fill_strategy: str,
-    seed: int = None,
+    seed: Optional[int] = None,
     extra_cycles: int = 0,
-) -> Tuple[int, bool, int]:
+) -> Tuple[int, bool, Optional[int]]:
     """The DYN busy-window kernel: Eq. (3)'s fix point over resolved
     ``(period, jitter, adjusted size)`` hp and lf rows (an hp row's size
     is not read).
@@ -202,7 +202,8 @@ def resolved_busy_window(
 
     Returns ``(busy window, converged, final window)`` -- the final
     window is the certified seed for the next evaluation under larger
-    jitters.
+    jitters, ``None`` after an iteration-limit exit (a truncated window
+    would seed a different trajectory than the cold run).
     """
     if fill_strategy not in FILL_STRATEGIES:
         raise AnalysisError(
@@ -274,4 +275,4 @@ def resolved_busy_window(
             gd_cycle, st_bus, ms_len, cap, fill_strategy,
             extra_cycles=extra_cycles,
         )
-    return w, False, w
+    return w, False, None

@@ -177,8 +177,9 @@ def resolved_busy_window(
 
     Returns ``(value, converged, demands)`` where ``demands[k]`` is the
     converged demand at instant k -- the certified seed for the next call
-    under larger jitters (``None`` for instants that were pruned or not
-    reached because an earlier instant already hit the cap).
+    under larger jitters (``None`` for instants that were pruned, stopped
+    at the iteration limit, or not reached because an earlier instant
+    already hit the cap).
     """
     (instants, before, slack, period, gap_ends, through, eval_order) = (
         availability.instant_advance_tables()
@@ -252,7 +253,10 @@ def resolved_busy_window(
             # trajectory-dependent: replay this instant cold.
             seeded = False
             demand = wcet
-        demands[idx] = demand
+        # A truncated demand may lie below the least fixed point, and a
+        # seed from it would take a different trajectory than the cold
+        # run: only a converged instant keeps its seed.
+        demands[idx] = demand if ok else None
         if window > worst:
             worst = window
             bound_demand = -1

@@ -243,8 +243,7 @@ def _score_candidates(
         if native is not None:
             costs = _native_costs(native, curves, open_lengths, deadlines)
         if costs is None:
-            columns = [_clamped(row) for row in curves.evaluate(open_lengths)]
-            costs = cost_values(deadlines, columns)
+            costs = cost_values(deadlines, curves.evaluate(open_lengths))
         estimates = list(zip(open_lengths, costs))
         scored += [(cost, n) for n, cost in estimates]
     scored.sort()  # by cost, then length (costs are never NaN)
@@ -264,21 +263,3 @@ def _native_costs(
     return native.score_curves(
         *curves.packed(), deadline_buf, array("d", lengths)
     )
-
-
-def _clamped(values: List[float]) -> List[int]:
-    """Interpolated response times, rounded and clamped.
-
-    Clamp: a high-degree Newton polynomial can oscillate wildly between
-    nodes; negative or astronomic response times are noise.  Each bound
-    of ``min(10**12, max(0, r))`` is applied only to rows that cross it.
-    The values are always floats (``NewtonCurves`` builds them from
-    ``float(y)``), so the unbound ``float.__round__`` gives ``round``'s
-    ints and its errors on inf/NaN without the builtin's dispatch.
-    """
-    rounded = list(map(float.__round__, values))
-    if min(rounded) < 0:
-        rounded = [r if r > 0 else 0 for r in rounded]
-    if max(rounded) > 10**12:
-        rounded = [r if r < 10**12 else 10**12 for r in rounded]
-    return rounded

@@ -67,6 +67,8 @@ from tests.util import (
     fig4_system,
     fps_only_node_system,
     fps_task,
+    iteration_limit_dyn_case,
+    iteration_limit_fps_system,
     schedule_artifacts,
     scs_task,
     single_graph_system,
@@ -289,6 +291,28 @@ class TestBitIdentity:
         _assert_same(native, python)
         cold = _result_docs([python_ctx.analyse_cold(c) for c in configs])
         assert cold == _result_docs(python[0])
+
+    @pytest.mark.parametrize("kernel", ["fps", "dyn"])
+    def test_iteration_limit_in_a_cycle_matches_the_cold_oracle(self, kernel):
+        """A busy window stopped at the iteration limit keeps no seed in
+        C either: evaluated again in a later pass of its cycle, it
+        restarts cold, so the lanes give the cold oracle's truncated
+        values."""
+        if kernel == "fps":
+            system = iteration_limit_fps_system()
+            configs = _sweep_configs(system, 3)
+        else:
+            system, config = iteration_limit_dyn_case()
+            configs = [config]
+        python = _run(system, configs)
+        native, delegated = _delegating_run(system, configs)
+        assert delegated == []
+        _assert_same(native, python)
+        cold = _result_docs(
+            [AnalysisContext(system).analyse_cold(c) for c in configs]
+        )
+        assert cold == _result_docs(python[0])
+        assert not any(result.converged for result in native[0])
 
     @pytest.mark.parametrize(
         "system",

@@ -3,6 +3,7 @@ property tests pinning the batched curve-fit scorer to the scalar one
 and the compiled scorer to the Python one."""
 
 import gc
+import math
 import re
 import sys
 from array import array
@@ -12,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.backend import native_or_none
-from repro.core.cost import cost_function, cost_order, cost_values
+from repro.core.cost import (
+    _clamped,
+    cost_function,
+    cost_order,
+    cost_over,
+    cost_values,
+)
 from repro.core.curvefit import NewtonCurves, NewtonInterpolator, spread_points
-from repro.core.dynlen import _clamped, _score_candidates
+from repro.core.dynlen import _score_candidates
 from repro.errors import AnalysisError
 
 from tests.test_properties import small_system
@@ -212,13 +219,14 @@ class TestNativeScorer:
         )
         lengths = [1, 3, 5, 7, 40]
         deadlines = [1, 50, 10**12 - 20]
-        columns = [_clamped(row) for row in curves.evaluate(lengths)]
-        assert columns == [
+        rows = curves.evaluate(lengths)
+        assert [_clamped(row) for row in rows] == [
             [0, 2, 2, 4, 20],
             [50, 0, 0, 0, 0],
             [10**12 - 4] + [10**12] * 4,
         ]
-        expected = cost_values(deadlines, columns)
+        expected = cost_values(deadlines, rows)
+        assert _hexes(expected) == _hexes(_oracle_costs(deadlines, rows))
         costs = _c_costs(native_or_none(), curves, deadlines, lengths)
         assert [c.hex() for c in costs] == [c.hex() for c in expected]
 
@@ -289,27 +297,157 @@ class TestNativeScorer:
             native.score_curves(coeffs, array("q", [0, 2]), nodes, deadlines, xs)
 
 
+def _oracle_costs(deadlines, rows):
+    """Eq. (5) per candidate over every row rounded and clamped first
+    (so a value that is not finite raises from the first row holding
+    one), through :func:`cost_over`."""
+    columns = [_clamped(row) for row in rows]
+    order = [(f"a{i}", d) for i, d in enumerate(deadlines)]
+    width = len(rows[0]) if rows else 0
+    return [
+        cost_over(order, {f"a{i}": col[k] for i, col in enumerate(columns)}).value
+        for k in range(width)
+    ]
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+def _outcome(scorer, deadlines, rows):
+    """The scorer's cost hexes, or its exception's type and message."""
+    try:
+        return _hexes(scorer(deadlines, rows))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+#: Fractions added to integer draws: halves exercise round half to even.
+fractions = st.sampled_from((0.0, 0.5, -0.5, 0.25, -0.25, 0.49999999999999994))
+#: Deadlines: WCRT-like, negative, and at the high clamp.
+round_deadlines = st.one_of(
+    st.integers(0, 2 * 10**6),
+    st.integers(-10**6, -1),
+    st.sampled_from((0, 10**12 - 1, 10**12, 10**12 + 1)),
+)
+
+
+@st.composite
+def estimate_rounds(draw):
+    """``(deadlines, rows)`` of one estimate round: float rows that
+    never miss their deadline, always miss it or miss it at some
+    candidates; rows past 10**12, negative, constant, overflowing their
+    float sum, and rows with an inf or a NaN hidden among them."""
+    width = draw(st.integers(1, 8))
+    deadlines, rows = [], []
+    kinds = (
+        "never", "always", "mixed", "huge", "negative", "constant",
+        "overflow", "poisoned",
+    )
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        d = draw(round_deadlines)
+        lo, hi = {
+            "never": (min(d, 0) - 10**6, d),
+            "always": (d + 1, d + 10**6),
+            "huge": (10**12 - 10**3, 10**13),
+            "negative": (-(10**13), 0),
+        }.get(kind, (d - 10**6, d + 10**6))
+        values = [
+            float(draw(st.integers(lo, hi))) + draw(fractions)
+            for _ in range(width)
+        ]
+        if kind == "constant":
+            values = [values[0]] * width
+        elif kind == "overflow":
+            values = [draw(st.sampled_from((1e308, -1e308)))] * width
+        elif kind == "poisoned":
+            bad = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+            values[draw(st.integers(0, width - 1))] = bad
+        deadlines.append(d)
+        rows.append(values)
+    return deadlines, rows
+
+
 class TestCostValues:
     @given(small_system(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_columns_match_cost_function(self, system, data):
-        """Eq. (5) over value columns equals ``cost_function`` per
-        candidate, deadline misses and all-met candidates alike."""
+        """Eq. (5) over float estimate rows equals ``cost_function`` per
+        candidate over the rounded, clamped values, deadline misses and
+        all-met candidates alike."""
         app = system.application
         order = cost_order(app)
         width = data.draw(st.integers(1, 6))
-        columns = [
-            data.draw(st.lists(st.integers(0, 2 * d), min_size=width, max_size=width))
+        rows = [
+            [
+                float(data.draw(st.integers(0, 2 * d))) + data.draw(fractions)
+                for _ in range(width)
+            ]
             for _, d in order
         ]
         expected = [
             cost_function(
-                app, {name: col[k] for (name, _), col in zip(order, columns)}
+                app,
+                {name: _clamped(row)[k] for (name, _), row in zip(order, rows)},
             ).value
             for k in range(width)
         ]
-        got = cost_values([d for _, d in order], columns)
-        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        got = cost_values([d for _, d in order], rows)
+        assert _hexes(got) == _hexes(expected)
+
+    @given(estimate_rounds())
+    @settings(max_examples=500, deadline=None)
+    def test_costs_equal_the_per_candidate_oracle(self, case):
+        """Every cost equals Eq. (5) over the clamped values by
+        ``float.hex``; a round holding an inf or a NaN raises the same
+        type and message as rounding every row first."""
+        deadlines, rows = case
+        assert _outcome(cost_values, deadlines, rows) == _outcome(
+            _oracle_costs, deadlines, rows
+        )
+
+    def test_f2_only_where_no_row_misses(self):
+        # Candidate 1 misses (12 > 10); 9.5 rounds half to even to 10,
+        # which meets the deadline, so candidates 0 and 2 cost their f2.
+        deadlines = [10, 10]
+        rows = [[5.0, 12.0, 9.5], [1.0, 2.0, 3.0]]
+        assert cost_values(deadlines, rows) == [-14.0, 2.0, -7.0]
+        assert _oracle_costs(deadlines, rows) == [-14.0, 2.0, -7.0]
+
+    def test_clamps_and_negative_deadlines(self):
+        # A negative deadline: the low clamp makes every value a miss.
+        # Past 10**12 the high clamp caps the miss.
+        deadlines = [-3, 10**12 - 1, 5]
+        rows = [[-7.0, 2.0], [2e12, 5.0], [1e308, 1e308]]
+        expected = [3.0 + 1.0 + (10**12 - 5), 5.0 + 10**12 - 5]
+        assert cost_values(deadlines, rows) == expected
+        assert _hexes(_oracle_costs(deadlines, rows)) == _hexes(expected)
+
+    def test_empty_row_set(self):
+        assert cost_values([], []) == []
+
+    @pytest.mark.parametrize(
+        "deadlines, rows",
+        [
+            # Hidden behind finite values below the deadline: ``max``
+            # would skip the NaN.
+            ([100], [[1.0, math.nan, 3.0]]),
+            ([100, 100], [[1.0, 2.0], [1.0, math.inf]]),
+            # The first poisoned row raises, whatever follows it.
+            ([100, 100, 0], [[1.0, 2.0], [5.0, math.nan], [math.inf, 1.0]]),
+            ([100, 100], [[1.0, -math.inf], [math.nan, 1.0]]),
+            # Behind a row that misses.
+            ([100, 100], [[500.0, 600.0], [1.0, -math.inf]]),
+            # In a row of a negative deadline.
+            ([-1, 100], [[math.nan, 0.0], [math.inf, 0.0]]),
+        ],
+        ids=["nan-below", "inf-below", "first-row-nan", "first-row-inf",
+             "after-a-miss", "negative-deadline"],
+    )
+    def test_non_finite_values_raise_from_the_same_row(self, deadlines, rows):
+        expected = _outcome(_oracle_costs, deadlines, rows)
+        assert isinstance(expected, tuple)
+        assert _outcome(cost_values, deadlines, rows) == expected
 
 
 class TestNewtonInterpolator:

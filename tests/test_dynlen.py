@@ -154,7 +154,7 @@ class TestClampedRounding:
     ]
 
     def test_same_ints_as_round(self):
-        from repro.core.dynlen import _clamped
+        from repro.core.cost import _clamped
 
         expected = [round(v) for v in self.VALUES]
         assert list(map(float.__round__, self.VALUES)) == expected
@@ -172,7 +172,7 @@ class TestClampedRounding:
         ],
     )
     def test_same_exceptions_as_round(self, value, error):
-        from repro.core.dynlen import _clamped
+        from repro.core.cost import _clamped
 
         with pytest.raises(error) as builtin:
             round(value)

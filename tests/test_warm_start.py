@@ -31,7 +31,11 @@ from repro.core.search import (
 )
 from repro.synth import paper_suite
 
-from tests.util import resolve_rows
+from tests.util import (
+    iteration_limit_dyn_case,
+    iteration_limit_fps_system,
+    resolve_rows,
+)
 
 
 def _signature(result):
@@ -181,6 +185,30 @@ class TestInnerWarmStartKernels:
                 assert bogus[0] >= cold[0]
 
 
+    def test_fps_iteration_limit_keeps_no_seed(self):
+        """An instant stopped at the iteration limit hands on no seed:
+        its truncated demand lies below the least fixed point, and from
+        it the next call would converge where the cold call does not."""
+        availability = NodeAvailability([(80, 160), (360, 414)], 722)
+        info = (("j0", 217, False, 73), ("j1", 262, False, 124))
+        rows = resolve_rows(info, {"j0": 3518, "j1": 1790}, 0)
+        for prune in (False, True):
+            cold = fps_rows(9, rows, availability, 10**9, None, prune)
+            assert cold == (436772, False, [None, 355702, 352528])
+            again = fps_rows(9, rows, availability, 10**9, cold[2], prune)
+            assert again == cold
+
+    def test_dyn_iteration_limit_keeps_no_seed(self):
+        """A window stopped at the iteration limit below the cap hands on
+        no seed; seeded from the truncated window, the recurrence would
+        go on to converge."""
+        args = ([(501, 0, 0)], [], 0, 10, 2, 600, 4, 500, 0, 1, 10**9)
+        for strategy in ("bound", "exact"):
+            cold = dyn_rows(*args, strategy)
+            assert cold == (281100, False, None)
+            assert dyn_rows(*args, strategy, seed=cold[2]) == cold
+            assert dyn_rows(*args, strategy, seed=cold[0])[:2] == (300600, True)
+
     def test_kernels_ignore_row_order(self):
         """The holistic fix point hands the kernels its plain interferer
         rows first and its ancestor rows last, not in the name-keyed
@@ -267,6 +295,22 @@ class TestOuterWarmStartModes:
         for config, expected in zip(configs, cold):
             assert _signature(ctx.analyse(config)) == expected
             assert _signature(ctx.analyse_cold(config)) == expected
+
+
+    def test_certified_locked_to_cold_past_the_iteration_limit(self):
+        """A busy window that stops at the iteration limit and is evaluated
+        again in a later Gauss-Seidel pass restarts cold, so the
+        certified path keeps the cold oracle's truncated values."""
+        system, config = iteration_limit_dyn_case()
+        cases = [(system, [config])]
+        system = iteration_limit_fps_system()
+        cases.append((system, _sweep(system, 3)))
+        for system, configs in cases:
+            ctx = AnalysisContext(system)
+            for config in configs:
+                warm, cold = ctx.analyse(config), ctx.analyse_cold(config)
+                assert not cold.converged
+                assert _signature(warm) == _signature(cold)
 
 
 def test_removed_oracle_options_are_type_errors():

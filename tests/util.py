@@ -6,6 +6,8 @@ instead of keeping their own drifting copies:
 
 * task/message/system builders (``scs_task`` ... ``fig4_system``),
 * ``FIG4_FRAME_IDS`` -- the frame-id map the Fig. 4 DYN messages use,
+* ``iteration_limit_fps_system`` / ``iteration_limit_dyn_case`` --
+  busy windows past the iteration limit inside a dependency cycle,
 * ``campaign_systems`` / ``small_bus`` -- the canonical two-system
   campaign matrix and the tight search budget that keeps it fast,
 * ``bound_scenario_systems`` / ``fuzz_faults`` -- the (system, config)
@@ -174,6 +176,73 @@ def fps_only_node_system() -> System:
     return single_graph_system(
         tasks, msgs, nodes=("N1", "N2", "N3"), period=200, deadline=120
     )
+
+
+def iteration_limit_fps_system() -> System:
+    """FPS task t on N1 needs about 600 demand steps (interferer x runs
+    999 of every 1,000 MT), past the iteration limit, in a cycle with h:
+    h follows t and preempts it, so t is evaluated again with its
+    interferer's jitter grown."""
+    g0 = TaskGraph(
+        name="g0",
+        period=10**7,
+        deadline=10**7,
+        tasks=(
+            scs_task("s", node="N2"),
+            fps_task("t", wcet=600, node="N1", priority=2),
+            fps_task("h", node="N1", priority=0),
+        ),
+        messages=(dyn_msg("m", 4, "s", "t"),),
+        precedences=(("t", "h"),),
+    )
+    g1 = TaskGraph(
+        name="g1",
+        period=1000,
+        deadline=1000,
+        tasks=(fps_task("x", wcet=999, node="N1", priority=1),),
+    )
+    return System(("N1", "N2"), Application("app", (g0, g1)))
+
+
+def iteration_limit_dyn_case() -> Tuple[System, FlexRayConfig]:
+    """DYN message m's busy window needs about 1,000 cycle steps (z in
+    its frame every 501 MT of a 500 MT cycle), past the iteration limit
+    and far below the cap, in a cycle: x shares m's frame and is sent
+    after m's round trip m -> r -> m2 -> y, so m is evaluated again with
+    x's jitter grown."""
+    config = FlexRayConfig(
+        static_slots=(),
+        gd_static_slot=0,
+        n_minislots=500,
+        frame_ids={"z": 1, "x": 1, "m": 1, "m2": 2},
+    )
+    g0 = TaskGraph(
+        name="g0",
+        period=10**7,
+        deadline=10**7,
+        tasks=(
+            fps_task("a", node="N1"),
+            fps_task("r", node="N2"),
+            fps_task("y", node="N1", priority=1),
+            fps_task("q", node="N2", priority=1),
+        ),
+        messages=(
+            dyn_msg("m", 4, "a", "r", priority=2),
+            dyn_msg("m2", 4, "r", "y", priority=3),
+            dyn_msg("x", 4, "y", "q", priority=1),
+        ),
+    )
+    g1 = TaskGraph(
+        name="g1",
+        period=config.gd_cycle + 1,
+        deadline=config.gd_cycle + 1,
+        tasks=(
+            fps_task("zs", node="N1", priority=2),
+            fps_task("zr", node="N2", priority=2),
+        ),
+        messages=(dyn_msg("z", 4, "zs", "zr", priority=0),),
+    )
+    return System(("N1", "N2"), Application("app", (g0, g1))), config
 
 
 def campaign_systems():

@@ -2,15 +2,19 @@
 
 Every benchmark regenerates one table or figure of the paper and emits
 its rows both to stdout and to ``benchmarks/results/<name>.txt`` so the
-numbers survive pytest's output capture and can be referenced from
-EXPERIMENTS.md.
+numbers survive pytest's output capture and can be referenced from the
+docs.  A timed ``BENCH_*.json`` carries :func:`host_record`, the host its
+seconds were measured on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Iterable
+
+from repro.analysis.backend import native_or_none
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -54,3 +58,24 @@ def env_int(name: str, default: int) -> int:
 def full_scale() -> bool:
     """True when REPRO_BENCH_FULL=1 requests paper-scale experiments."""
     return os.environ.get("REPRO_BENCH_FULL", "0") == "1"
+
+
+def host_record() -> dict:
+    """The facts every timed number of a benchmark is read against."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(
+                line.split(":", 1)[1].strip()
+                for line in fh
+                if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "native": native_or_none() is not None,
+    }

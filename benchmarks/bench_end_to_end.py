@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import os
-import platform
 import statistics
 import time
 
@@ -49,7 +47,7 @@ from repro.analysis.backend import native_or_none
 from repro.analysis.holistic import AnalysisOptions
 from repro.core.strategies import StrategyOptions, optimise
 
-from benchmarks._report import report_json
+from benchmarks._report import host_record, report_json
 from perfbench.common import SYSTEM_SET, bus_options, make_systems, sa_options
 
 STRATEGIES = ("bbc", "obc-cf", "obc-ee", "sa")
@@ -57,27 +55,6 @@ BACKENDS = ("python", "native")
 #: Strategies whose native run must not be slower than the python one.
 NATIVE_NOT_SLOWER = ("obc-cf", "obc-ee", "sa")
 ROUNDS = 3
-
-
-def host_record() -> dict:
-    """The facts every number of this benchmark is read against."""
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next(
-                line.split(":", 1)[1].strip()
-                for line in fh
-                if line.startswith("model name")
-            )
-    except (OSError, StopIteration):
-        pass
-    return {
-        "nproc": os.cpu_count(),
-        "cpu": cpu,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "native": native_or_none() is not None,
-    }
 
 
 def strategy_options(strategy: str, backend: str):

@@ -14,22 +14,25 @@ computation time of each algorithm.  Expected shape:
 Scaled down by default (3 systems per class, classes 2-5 nodes, budgeted
 SA); set REPRO_BENCH_FULL=1 / REPRO_FIG9_COUNT / REPRO_FIG9_MAXNODES for
 paper-scale runs (the paper used 25 systems per class on 2-7 nodes and
-several-hour SA runs).  For the full 25-systems-per-class sweep prefer
-the sharded runner (``fig9_shard.py`` / ``fig9_aggregate.py``), which
-partitions the same row computation over independent worker processes.
+several-hour SA runs).  The suite is one campaign, run here in process;
+for the full 25-systems-per-class sweep prefer the fabric runner
+(``fig9_fabric.py`` / ``fig9_aggregate.py``), which drains the same
+campaign with as many worker processes as you start.
 """
 
-from repro.synth import paper_suite
+from repro.core.campaign import campaign_matrix, run_campaign
 
 from benchmarks._report import env_int, full_scale, report, report_json
 from benchmarks.fig9_common import (
     ALGORITHMS,
     bench_options,
+    fig9_strategies,
     json_payload,
     quality_lines,
-    run_system,
     runtime_lines,
     sa_options,
+    suite_rows,
+    suite_systems,
 )
 
 _cache = {}
@@ -42,15 +45,18 @@ def run_suite():
     count = env_int("REPRO_FIG9_COUNT", 25 if full_scale() else 3)
     max_nodes = env_int("REPRO_FIG9_MAXNODES", 7 if full_scale() else 5)
     seed = env_int("REPRO_FIG9_SEED", 23)
-    options = bench_options(full_scale())
-    sa_opts = sa_options(full_scale())
-    rows = []
-    for n_nodes in range(2, max_nodes + 1):
-        suite = paper_suite(n_nodes, count=count, seed=seed)
-        for idx, system in enumerate(suite):
-            entry = {"n_nodes": n_nodes, "index": idx}
-            entry.update(run_system(system, options, sa_opts))
-            rows.append(entry)
+    systems = suite_systems(range(2, max_nodes + 1), count, seed)
+    jobs = campaign_matrix(
+        systems,
+        fig9_strategies(sa_options(full_scale())),
+        bus=bench_options(full_scale()),
+    )
+    campaign = run_campaign(systems, jobs)
+    if campaign.failures:
+        raise RuntimeError(
+            "; ".join(f.describe() for f in campaign.failures.values())
+        )
+    rows = suite_rows(systems, campaign.results)
     _cache["rows"] = rows
     return rows
 

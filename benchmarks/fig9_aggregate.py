@@ -1,114 +1,40 @@
-"""Aggregator of the sharded Fig. 9 sweep.
+"""Aggregator of the fabric-run Fig. 9 sweep.
 
-Merges the per-shard JSON files written by ``benchmarks.fig9_shard``
-into the paper-comparable Fig. 9 quality/runtime tables plus a
-machine-readable ``BENCH_fig9_sharded.json``.  Refuses to mix shards of
-different sweeps (suite parameters are embedded in every shard file)
-and, unless ``--allow-partial`` is given, demands the complete shard
-set.
+Merges the published checkpoints of a fabric directory filled by
+``benchmarks.fig9_fabric`` into the paper-comparable Fig. 9
+quality/runtime tables (``fig9_fabric_{quality,runtime}.txt``) plus a
+machine-readable ``BENCH_fig9_fabric.json``.  The suite identity comes
+from the fabric manifest's ``meta``; unless ``--allow-partial`` is
+given, every job must be finished.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python -m benchmarks.fig9_aggregate \
-        [--in-dir benchmarks/results/fig9_shards] [--allow-partial]
-
-or, for a sweep run through the distributed fabric
-(``fig9_shard --fabric DIR``)::
-
-    PYTHONPATH=src python -m benchmarks.fig9_aggregate --fabric DIR \
-        [--allow-partial]
-
-which merges the fabric's published checkpoints directly (suite
-identity comes from the fabric manifest's ``meta``).
+    PYTHONPATH=src python -m benchmarks.fig9_aggregate DIR [--allow-partial]
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import json
-import os
 
-from repro.core.campaign import job_id_for
 from repro.core.fabric import fabric_collect, load_fabric
-from repro.synth.sharding import shard_plan
 
 from benchmarks._report import report, report_json
 from benchmarks.fig9_common import (
-    ALGORITHMS,
-    STRATEGY_NAMES,
     json_payload,
     quality_lines,
-    result_cell,
     runtime_lines,
+    suite_rows,
 )
-from benchmarks.fig9_shard import DEFAULT_OUT_DIR
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--in-dir", default=DEFAULT_OUT_DIR)
-    parser.add_argument("--fabric", metavar="DIR", default=None,
-                        help="aggregate a fabric-run sweep from DIR "
-                             "instead of shard_*.json files")
+    parser.add_argument("fabric", metavar="DIR",
+                        help="fabric directory filled by fig9_fabric")
     parser.add_argument("--allow-partial", action="store_true",
-                        help="aggregate even when shards (or fabric "
-                             "jobs) are missing")
+                        help="aggregate even when fabric jobs are "
+                             "unfinished")
     return parser
-
-
-def load_shards(in_dir: str):
-    paths = sorted(glob.glob(os.path.join(in_dir, "shard_*.json")))
-    if not paths:
-        raise SystemExit(f"no shard_*.json files under {in_dir!r}")
-    shards = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            shards.append((path, json.load(fh)))
-    return shards
-
-
-def merge(shards, allow_partial: bool):
-    suite = shards[0][1]["suite"]
-    num_shards = shards[0][1]["num_shards"]
-    seen = {}
-    for path, payload in shards:
-        if payload["suite"] != suite or payload["num_shards"] != num_shards:
-            raise SystemExit(
-                f"{path}: shard belongs to a different sweep "
-                f"({payload['suite']} / {payload['num_shards']} shards, "
-                f"expected {suite} / {num_shards})"
-            )
-        if payload["shard"] in seen:
-            raise SystemExit(f"{path}: duplicate shard {payload['shard']}")
-        seen[payload["shard"]] = payload
-    missing = sorted(set(range(num_shards)) - set(seen))
-    if missing and not allow_partial:
-        raise SystemExit(
-            f"missing shards {missing} of {num_shards}; rerun them or pass "
-            "--allow-partial"
-        )
-    rows = [
-        row
-        for shard in sorted(seen)
-        for row in seen[shard]["rows"]
-    ]
-    rows.sort(key=lambda r: (r["n_nodes"], r["index"]))
-    failed_jobs = {
-        f"shard {k}: {job_id}": detail
-        for k in sorted(seen)
-        for job_id, detail in seen[k].get("failed_jobs", {}).items()
-    }
-    meta = {
-        "suite": suite,
-        "num_shards": num_shards,
-        "shards_present": sorted(seen),
-        "shard_seconds": {
-            str(k): seen[k]["elapsed_seconds"] for k in sorted(seen)
-        },
-        "failed_jobs": failed_jobs,
-    }
-    return rows, meta
 
 
 def merge_fabric(root: str, allow_partial: bool):
@@ -118,24 +44,9 @@ def merge_fabric(root: str, allow_partial: bool):
     if not suite:
         raise SystemExit(
             f"{root!r} carries no Fig. 9 suite identity in its manifest "
-            f"meta; was it submitted by fig9_shard --fabric?"
+            f"meta; was it submitted by fig9_fabric?"
         )
     merged = fabric_collect(root, require_complete=not allow_partial)
-    plan = shard_plan(
-        node_counts=suite["node_counts"],
-        count=suite["count"],
-        num_shards=1,
-        seed=suite["seed"],
-    )
-    rows = []
-    for entry in plan[0].entries:
-        row = {"n_nodes": entry.n_nodes, "index": entry.index}
-        for name in ALGORITHMS:
-            job_id = job_id_for(entry.system_id, STRATEGY_NAMES[name])
-            result = merged.results.get(job_id)
-            row[name] = result_cell(result) if result is not None else None
-        rows.append(row)
-    rows.sort(key=lambda r: (r["n_nodes"], r["index"]))
     meta = {
         "suite": suite,
         "fabric": spec.fabric_id,
@@ -145,51 +56,41 @@ def merge_fabric(root: str, allow_partial: bool):
             for job_id, failure in merged.failures.items()
         },
     }
-    return rows, meta
+    return suite_rows(spec.systems, merged.results), meta
 
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    if args.fabric:
-        rows, meta = merge_fabric(args.fabric, args.allow_partial)
-    else:
-        shards = load_shards(args.in_dir)
-        rows, meta = merge(shards, args.allow_partial)
+    rows, meta = merge_fabric(args.fabric, args.allow_partial)
     suite = meta["suite"]
     subtitle = (
         f"{suite['count']} systems/class, nodes {suite['node_counts']}, "
-        f"seed {suite['seed']}, "
-        + (
-            f"fabric {meta['fabric']}"
-            if args.fabric
-            else f"{len(meta['shards_present'])}/"
-                 f"{meta['num_shards']} shards"
-        )
+        f"seed {suite['seed']}, fabric {meta['fabric']}"
     )
     report(
-        "fig9_sharded_quality",
+        "fig9_fabric_quality",
         quality_lines(
             rows,
-            "FIG9 sharded (left): average % cost deviation vs SA -- "
+            "FIG9 fabric (left): average % cost deviation vs SA -- "
             + subtitle,
         ),
     )
     report(
-        "fig9_sharded_runtime",
+        "fig9_fabric_runtime",
         runtime_lines(
             rows,
-            "FIG9 sharded (right): computation time [s] and exact analyses -- "
+            "FIG9 fabric (right): computation time [s] and exact analyses -- "
             + subtitle,
         ),
     )
     if meta["failed_jobs"]:
-        print(f"{len(meta['failed_jobs'])} job(s) failed across shards:")
-        for where, detail in meta["failed_jobs"].items():
-            print(f"  [{where}] {detail}")
+        print(f"{len(meta['failed_jobs'])} job(s) failed:")
+        for job_id, detail in meta["failed_jobs"].items():
+            print(f"  [{job_id}] {detail}")
         print("failed cells are excluded from every aggregate above")
     payload = json_payload(rows)
-    payload["sharding"] = meta
-    report_json("BENCH_fig9_sharded", payload)
+    payload["fabric"] = meta
+    report_json("BENCH_fig9_fabric", payload)
 
 
 if __name__ == "__main__":

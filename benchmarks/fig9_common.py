@@ -1,30 +1,33 @@
-"""Shared machinery of the Fig. 9 experiment (single-process and sharded).
+"""Shared machinery of the Fig. 9 experiment (in process and on a fabric).
 
 One benchmark *row* is the outcome of running all four bus-access
-optimisers (BBC, OBC/CF, OBC/EE, SA) over one generated system; the
-in-process benchmark (``bench_fig9_optimisers.py``), the shard worker
-(``fig9_shard.py``) and the aggregator (``fig9_aggregate.py``) all share
-the row schema, the option presets and the table/JSON formatting defined
-here, so a sharded paper-scale run and the quick pytest run produce
-comparable artifacts.
-
-The optimisers are dispatched by registry name through the campaign
-layer (:mod:`repro.core.campaign`): one system is a one-row campaign,
-a shard is a many-row campaign with (optionally) a checkpoint directory
-making interrupted paper-scale runs resumable.
+optimisers (BBC, OBC/CF, OBC/EE, SA) over one generated system.  The
+suite is one campaign (:mod:`repro.core.campaign`) over
+:func:`suite_systems`: the in-process benchmark
+(``bench_fig9_optimisers.py``) runs it with ``run_campaign``, and the
+fabric worker (``fig9_fabric.py``) submits it to a fabric directory
+that any number of workers drain.  Either way :func:`suite_rows` turns
+the campaign's results into rows, and the option presets and the
+table/JSON formatting defined here are shared, so a paper-scale fabric
+run and the quick pytest run produce comparable artifacts.
 
 Rows are plain JSON-serialisable dicts; unschedulable runs carry
-``cost = Infinity`` (Python's ``json`` reads/writes it natively).
+``cost = Infinity`` (Python's ``json`` reads/writes it natively), and a
+job the campaign recorded as failed leaves a ``None`` cell.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping
 
-from repro.core.campaign import campaign_matrix, run_campaign
+from repro.core.campaign import job_id_for
 from repro.core.sa import SAOptions
 from repro.core.search import BusOptimisationOptions
+from repro.model.system import System
+from repro.synth.suite import paper_system
+
+from benchmarks._report import host_record
 
 #: Row keys (the paper's labels) -> registry strategy names.
 ALGORITHMS = ("BBC", "OBC/CF", "OBC/EE", "SA")
@@ -78,32 +81,33 @@ def result_cell(result) -> dict:
     }
 
 
-def run_system(
-    system,
-    options: BusOptimisationOptions,
-    sa_opts: SAOptions,
-    checkpoint_dir: Optional[str] = None,
-    system_id: Optional[str] = None,
-) -> Dict[str, dict]:
-    """One row body: the four-optimiser campaign on *system*.
-
-    Checkpointing requires an explicit ``system_id``: the id is the
-    checkpoint-file stem, so a defaulted id shared by several systems
-    would make their checkpoints collide.
-    """
-    if checkpoint_dir is not None and system_id is None:
-        raise ValueError(
-            "run_system: checkpoint_dir requires an explicit system_id "
-            "(checkpoints are keyed by it)"
-        )
-    system_id = system_id or "system"
-    systems = {system_id: system}
-    jobs = campaign_matrix(systems, fig9_strategies(sa_opts), bus=options)
-    report = run_campaign(systems, jobs, checkpoint_dir=checkpoint_dir)
+def suite_systems(
+    node_counts: Iterable[int], count: int, seed: int
+) -> Dict[str, System]:
+    """The suite as ``{"n<nodes>_i<index>": paper_system(...)}``, in
+    suite order; fabric checkpoints are named by these ids."""
     return {
-        name: result_cell(report.result_for(system_id, STRATEGY_NAMES[name]))
-        for name in ALGORITHMS
+        f"n{n}_i{i}": paper_system(n, i, seed=seed)
+        for n in sorted(set(node_counts))
+        for i in range(count)
     }
+
+
+def suite_rows(systems: Mapping[str, System], results: Mapping) -> List[dict]:
+    """Fig. 9 rows from a campaign's ``results`` (keyed by job id), in
+    suite order; a job with no result (it failed) gives a ``None`` cell."""
+    rows = []
+    for system_id, system in systems.items():
+        row = {
+            "n_nodes": len(system.nodes),
+            "index": int(system_id.rsplit("_i", 1)[1]),
+        }
+        for name in ALGORITHMS:
+            result = results.get(job_id_for(system_id, STRATEGY_NAMES[name]))
+            row[name] = None if result is None else result_cell(result)
+        rows.append(row)
+    rows.sort(key=lambda r: (r["n_nodes"], r["index"]))
+    return rows
 
 
 def deviation(entry: dict, algorithm: str):
@@ -217,6 +221,7 @@ def json_payload(rows: List[dict]) -> dict:
         r[a] for r in rows for a in ALGORITHMS if r[a] is not None
     ]
     return {
+        "host": host_record(),
         "rows": len(rows),
         "classes": classes,
         "total_seconds": round(sum(c["seconds"] for c in all_cells), 2),

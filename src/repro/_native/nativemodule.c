@@ -270,6 +270,11 @@ native_build_plan(PyObject *self, PyObject *args)
     }
     if (next != plan->n_acts)
         goto fail;
+    /* Every availability and activity record takes at least 4 words, so
+     * counts the rest of the blob cannot hold are refused before they
+     * size an allocation. */
+    if (plan->n_avs > c.n / 4 || plan->n_acts > (c.n - 4 * plan->n_avs) / 4)
+        goto fail;
 
     plan->avs = (Avail *)calloc(plan->n_avs ? plan->n_avs : 1, sizeof(Avail));
     plan->acts = (Act *)calloc(plan->n_acts ? plan->n_acts : 1, sizeof(Act));

@@ -11,10 +11,10 @@ schema-versioned JSON through :mod:`repro.io.serialization`.
 
 Checkpoints make campaigns *resumable*: re-running the same campaign
 over the same directory loads finished jobs from disk instead of
-re-optimising, so an interrupted paper-scale sweep (the Fig. 9 shard
-workers, ``benchmarks/fig9_shard.py``, ride this layer) continues where
-it stopped.  Every checkpoint records fingerprints of the job's
-strategy options and system, so a *redefined* job -- same id, but new
+re-optimising, so an interrupted paper-scale sweep (the Fig. 9 suite,
+``benchmarks/fig9_fabric.py``, rides this layer through the fabric)
+continues where it stopped.  Every checkpoint records fingerprints of
+the job's strategy options and system, so a *redefined* job -- same id, but new
 budgets, a different suite seed, an edited system JSON -- is detected
 and re-run instead of silently answered with the stale result.  A
 checkpoint that does not match its job *identity* (foreign file under
@@ -297,7 +297,7 @@ def run_campaign(
     re-runs a raising or timed-out job with jittered exponential backoff
     (``retry_backoff * 2**attempt`` scaled by a deterministic jitter in
     [0.5, 1.5), seeded from ``retry_seed`` and the job id so concurrent
-    shards do not retry in lockstep); a job that still fails lands in
+    workers do not retry in lockstep); a job that still fails lands in
     :attr:`CampaignReport.failures` and the matrix continues.
     """
     start = time.perf_counter()
@@ -412,12 +412,12 @@ def _options_fingerprint(options: Optional[StrategyOptions]) -> str:
     analysis option records), so any knob change -- budgets, seeds,
     sweep resolutions -- changes the fingerprint and invalidates the
     checkpoint.  ``parallel_workers`` is normalised out first: runs are
-    pinned byte-identical serial vs. parallel, so resuming a shard on a
+    pinned byte-identical serial vs. parallel, so resuming a campaign on a
     host with a different ``--workers`` must *keep* its checkpoints.
     ``analysis.backend`` is normalised out for the same reason: the
     compiled backend is pinned bit-identical to the Python oracle (the
     test suite compares the two directly), so a campaign may resume
-    under a different backend -- e.g. shards first run on a host without
+    under a different backend -- e.g. jobs first run on a host without
     the extension -- without discarding its checkpoints.
     (``max_cache_entries`` stays in: cache evictions change the
     evaluation accounting.)

@@ -3,7 +3,7 @@
 The registry maps stable strategy names -- ``"bbc"``, ``"obc-cf"``,
 ``"obc-ee"``, ``"sa"``, ``"ga"`` -- to :class:`StrategySpec` records, so
 the CLI (``python -m repro optimise --algorithm <name>``), the
-benchmarks, the Fig. 9 shard workers and the campaign layer
+benchmarks, the Fig. 9 campaign and the campaign layer
 (:mod:`repro.core.campaign`) all dispatch by name instead of hard-wired
 imports.  Third-party strategies plug in through
 :func:`register_strategy` and immediately work everywhere a name is

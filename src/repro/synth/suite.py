@@ -25,8 +25,8 @@ def paper_system(
 
     The per-member seed derivation is shared with :func:`paper_suite`,
     so any single suite member can be regenerated in isolation -- this
-    is what lets a sharded experiment runner rebuild exactly its own
-    slice of the full benchmark without materialising the rest.
+    is what lets the Fig. 9 runner name every system by its
+    ``(n_nodes, index)`` coordinates and rebuild it from them.
     """
     base = base or GeneratorConfig()
     cfg = replace(base, n_nodes=n_nodes, seed=seed * 1_000 + n_nodes * 100 + index)

@@ -1,6 +1,107 @@
-"""The Fig. 9 runtime panel prints the measurement, not the paper."""
+"""The Fig. 9 rows and tables: one row builder in process and on a
+fabric, and a runtime panel that prints the measurement, not the
+paper."""
 
-from benchmarks.fig9_common import ALGORITHMS, runtime_lines
+import pytest
+
+from repro.core.campaign import campaign_matrix, run_campaign
+from repro.core.fabric import fabric_submit, fabric_work
+from repro.core.sa import SAOptions
+from repro.core.strategies import (
+    StrategyOptions,
+    StrategySpec,
+    _REGISTERED,
+    register_strategy,
+)
+
+from benchmarks.fig9_aggregate import merge_fabric
+from benchmarks.fig9_common import (
+    ALGORITHMS,
+    bench_options,
+    fig9_strategies,
+    runtime_lines,
+    suite_rows,
+    suite_systems,
+)
+
+#: A small SA budget keeps each path of the row test well under a second.
+SUITE = {"node_counts": [2, 3], "count": 1, "seed": 23}
+STRATEGIES = fig9_strategies(SAOptions(iterations=40, seed=7))
+
+
+def _without_seconds(rows):
+    return [
+        {
+            key: (
+                {k: v for k, v in cell.items() if k != "seconds"}
+                if isinstance(cell, dict) else cell
+            )
+            for key, cell in row.items()
+        }
+        for row in rows
+    ]
+
+
+def _inline_rows(systems):
+    jobs = campaign_matrix(systems, STRATEGIES, bus=bench_options())
+    return suite_rows(systems, run_campaign(systems, jobs).results)
+
+
+def _fabric_rows(systems, root):
+    fabric_submit(
+        root, systems, STRATEGIES, bus=bench_options(),
+        meta={"suite": SUITE},
+    )
+    fabric_work(root, worker_id="w0", lease_ttl=30.0)
+    return merge_fabric(root, allow_partial=False)
+
+
+def test_suite_systems_are_named_by_suite_coordinates():
+    systems = suite_systems((3, 2, 3), 2, 23)
+    assert list(systems) == ["n2_i0", "n2_i1", "n3_i0", "n3_i1"]
+    assert [len(s.nodes) for s in systems.values()] == [2, 2, 3, 3]
+
+
+def test_inline_and_fabric_rows_are_equal(tmp_path):
+    systems = suite_systems(SUITE["node_counts"], SUITE["count"], SUITE["seed"])
+    inline = _inline_rows(systems)
+    fabric, meta = _fabric_rows(systems, str(tmp_path / "fab"))
+    assert [(r["n_nodes"], r["index"]) for r in inline] == [(2, 0), (3, 0)]
+    assert all(r[a] is not None for r in inline for a in ALGORITHMS)
+    assert _without_seconds(fabric) == _without_seconds(inline)
+    assert meta["suite"] == SUITE
+    assert meta["jobs_done"] == 8 and meta["failed_jobs"] == {}
+
+
+def _raising_runner(system, options):
+    raise RuntimeError("injected failure")
+
+
+@pytest.fixture
+def failing_obc_ee():
+    """OBC/EE overridden through the registry by a runner that raises."""
+    register_strategy(
+        StrategySpec(
+            name="obc-ee",
+            summary="always raises (test-only)",
+            options_type=StrategyOptions,
+            runner=_raising_runner,
+        )
+    )
+    yield
+    _REGISTERED.pop("obc-ee", None)
+
+
+def test_a_failed_job_gives_a_none_cell(failing_obc_ee, tmp_path):
+    systems = suite_systems([2], 1, SUITE["seed"])
+    inline = _inline_rows(systems)
+    fabric, meta = _fabric_rows(systems, str(tmp_path / "fab"))
+    for rows in (inline, fabric):
+        (row,) = rows
+        assert row["OBC/EE"] is None
+        assert all(row[a] is not None for a in ALGORITHMS if a != "OBC/EE")
+    assert _without_seconds(fabric) == _without_seconds(inline)
+    assert list(meta["failed_jobs"]) == ["n2_i0__obc-ee"]
 
 
 def _row(n_nodes, seconds, evaluations=100):

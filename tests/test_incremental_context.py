@@ -800,3 +800,36 @@ class TestComponentSchedule:
             bad[offset] = value
             with pytest.raises(ValueError, match="malformed"):
                 native_or_none().build_plan(bad.tobytes())
+
+    @pytest.mark.native
+    @pytest.mark.skipif(
+        native_or_none() is None,
+        reason="needs the compiled repro[native] extra",
+    )
+    def test_native_refuses_counts_the_blob_cannot_hold(self):
+        """A header count larger than the words left in the blob is
+        malformed, refused before it sizes an allocation: an
+        availability count of 2**31, and an activity count of 2**40 that
+        the last component slice agrees with."""
+        from repro.analysis.backend.native import plan_blob
+
+        system = paper_system(3, 1, seed=23)
+        context = AnalysisContext(system, AnalysisOptions(backend="native"))
+        context.analyse(_candidate_configs(system, per_system=1)[0])
+        plan = next(iter(context._backend_plans.values()))
+        blob = plan_blob(plan)
+        template = plan.template
+        last_end = (
+            6 + template.n_rows + len(template.fault_rows)
+            + 3 * template.n_comps - 2
+        )
+        assert blob[last_end] == blob[2]  # the last slice ends at n_acts
+        for edits in (
+            {4: 2**31},  # n_avs
+            {2: 2**40, last_end: 2**40},  # n_acts
+        ):
+            bad = blob[:]
+            for offset, value in edits.items():
+                bad[offset] = value
+            with pytest.raises(ValueError, match="malformed"):
+                native_or_none().build_plan(bad.tobytes())

@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.model import validate_system
-from repro.synth import GeneratorConfig, generate_system, paper_suite
+from repro.synth import (
+    GeneratorConfig,
+    generate_system,
+    paper_suite,
+    paper_system,
+)
 
 
 class TestGeneratorConfig:
@@ -108,6 +113,21 @@ class TestSuites:
         a = paper_suite(2, count=2, seed=9)
         b = paper_suite(2, count=2, seed=9)
         assert [s.describe() for s in a] == [s.describe() for s in b]
+
+    def test_paper_system_matches_suite_member(self):
+        suite = paper_suite(3, count=4, seed=23)
+        for i, system in enumerate(suite):
+            regenerated = paper_system(3, i, seed=23)
+            assert regenerated.describe() == system.describe()
+            assert [t.name for t in regenerated.application.tasks()] == [
+                t.name for t in system.application.tasks()
+            ]
+            assert [
+                (t.wcet, t.node, t.priority)
+                for t in regenerated.application.tasks()
+            ] == [
+                (t.wcet, t.node, t.priority) for t in system.application.tasks()
+            ]
 
     def test_suite_members_distinct(self):
         suite = paper_suite(2, count=3, seed=9)

@@ -3,16 +3,20 @@
 Almost every ``/analyse`` request names a system the server has seen
 before, so the service keeps two things per system resident:
 
-* :class:`SystemMemo` maps a system document's exact JSON text
-  (``json.dumps`` of the decoded request field, used whole as the key,
+* :class:`SystemMemo` maps the exact request text of a ``system``
+  member (the JSON slice as the client sent it, used whole as the key,
   never a truncated digest) to its decoded
   :class:`~repro.model.system.System` and its
-  :func:`~repro.io.serialization.system_fingerprint`.  A repeated
-  document skips ``system_from_dict`` and the fingerprint's canonical
-  re-encoding; a new one pays one extra ``json.dumps``.  The memo is
-  LRU-bounded by the same ``pool_entries`` as the evaluators, and a
-  document whose decode raises is never stored, so a malformed system
-  gets its 400 on every request.
+  :func:`~repro.io.serialization.system_fingerprint`.  The analyse
+  parse (:func:`~repro.service.protocol.parse_analyse_request`) asks the
+  memo whether a stored text starts where the member's value does; on a
+  hit it skips the member's JSON decode, ``system_from_dict`` and the
+  fingerprint's canonical re-encoding, and a new document costs nothing
+  beyond its decode.  One system sent in two spellings (whitespace, key
+  order) is decoded twice and takes two entries with one fingerprint.
+  The memo is LRU-bounded by the same ``pool_entries`` as the
+  evaluators, and a document whose decode raises is never stored, so a
+  malformed system gets its 400 on every request.
 * :class:`EvaluatorPool` keeps one warm
   :class:`~repro.core.search.Evaluator` per ``(system fingerprint,
   options fingerprint)`` key: the per-system invariants and schedule
@@ -45,7 +49,6 @@ lands in service responses and ``/health``.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -59,7 +62,7 @@ __all__ = ["EvaluatorPool", "PoolLease", "SystemMemo"]
 
 
 class SystemMemo:
-    """LRU memo of decoded system documents, keyed by their JSON text."""
+    """LRU memo of decoded system documents, keyed by their request text."""
 
     def __init__(self, max_entries: int = 8):
         if max_entries < 1:
@@ -70,17 +73,42 @@ class SystemMemo:
         self.hits = 0
         self.misses = 0
 
-    def decode(self, doc: Any) -> Tuple[System, str]:
-        """``(system, fingerprint)`` of a system document.
+    def match(
+        self, text: str, at: int
+    ) -> Optional[Tuple[str, Tuple[System, str]]]:
+        """``(stored text, (system, fingerprint))`` of the stored document
+        whose text starts at offset *at* of *text*, or ``None``.
+
+        A stored text is a whole JSON object, whose text fixes its own
+        extent, so a prefix match is an exact match of the value there.
+        Counts nothing: the caller reports the outcome through
+        :meth:`hit` or :meth:`decode`.
+        """
+        with self._lock:
+            for raw, decoded in reversed(self._entries.items()):
+                if text.startswith(raw, at):
+                    return raw, decoded
+        return None
+
+    def hit(self, raw: str, decoded: Tuple[System, str]) -> Tuple[System, str]:
+        """Count a request answered by :meth:`match`; returns *decoded*."""
+        with self._lock:
+            self.hits += 1
+            if raw in self._entries:
+                self._entries.move_to_end(raw)
+        return decoded
+
+    def decode(self, raw: str, doc: Any) -> Tuple[System, str]:
+        """``(system, fingerprint)`` of the document *doc*, decoded from
+        the request text *raw* and stored under it.
 
         A :class:`~repro.errors.SerializationError` from the decode
         propagates and leaves the memo unchanged.
         """
-        key = json.dumps(doc)
         with self._lock:
-            found = self._entries.get(key)
+            found = self._entries.get(raw)
             if found is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(raw)
                 self.hits += 1
                 return found
         system = system_from_dict(doc)
@@ -89,8 +117,8 @@ class SystemMemo:
             self.misses += 1
             # A concurrent request may have stored the same document
             # meanwhile; keep that one, so every request shares it.
-            decoded = self._entries.setdefault(key, decoded)
-            self._entries.move_to_end(key)
+            decoded = self._entries.setdefault(raw, decoded)
+            self._entries.move_to_end(raw)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
         return decoded

@@ -37,8 +37,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from json.decoder import JSONDecodeError, scanstring
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.holistic import AnalysisOptions
 from repro.core.search import BusOptimisationOptions
@@ -66,6 +68,7 @@ __all__ = [
     "AnalyseRequest",
     "CampaignRequest",
     "analyse_response",
+    "invalid_json",
     "parse_analyse_request",
     "parse_campaign_request",
 ]
@@ -120,12 +123,98 @@ def _require(data: Dict[str, Any], key: str) -> Any:
     return data[key]
 
 
-def parse_analyse_request(data: Any, systems: SystemMemo) -> AnalyseRequest:
-    """Validate and decode a ``POST /analyse`` body; the system document
-    is decoded through the server's *systems* memo."""
+def invalid_json(exc: ValueError) -> ServiceError:
+    """The 400 of a body that is not UTF-8 JSON."""
+    return _bad_request(f"body is not valid JSON: {exc}")
+
+
+_DECODER = json.JSONDecoder()
+_skip_ws = re.compile(r"[ \t\n\r]*").match  # JSON's four whitespace chars
+
+
+class _SystemMember(NamedTuple):
+    """The ``system`` member of an analyse body, as the walk found it."""
+
+    raw: str  # its exact request text
+    doc: Any  # its decoded value (None when the memo knew *raw*)
+    known: Optional[Tuple[System, str]]  # the memo's decode of *raw*
+
+
+def _analyse_members(text: str, systems: SystemMemo) -> Any:
+    """Decode *text* as :func:`json.loads` does, except that a top-level
+    ``system`` member is a :class:`_SystemMember` and is not decoded
+    when the *systems* memo holds its text.
+
+    The top-level object is walked with the stdlib decoder's own parts
+    (``scanstring`` per key, ``raw_decode`` per value), so a duplicated
+    key is last-wins and a body is refused exactly when ``json.loads``
+    refuses it, with a :class:`~json.JSONDecodeError` whose wording may
+    differ from that Python version's (see :func:`parse_analyse_request`).
+    """
+    end = _skip_ws(text, 0).end()
+    if text[end:end + 1] != "{":
+        data, end = _DECODER.raw_decode(text, end)
+    else:
+        data = {}
+        end = _skip_ws(text, end + 1).end()
+        more = text[end:end + 1] != "}"
+        while more:
+            if text[end:end + 1] != '"':
+                raise JSONDecodeError(
+                    "Expecting property name enclosed in double quotes",
+                    text, end,
+                )
+            key, end = scanstring(text, end + 1, True)
+            end = _skip_ws(text, end).end()
+            if text[end:end + 1] != ":":
+                raise JSONDecodeError("Expecting ':' delimiter", text, end)
+            end = _skip_ws(text, end + 1).end()
+            found = systems.match(text, end) if key == "system" else None
+            if found is not None:
+                raw, known = found
+                data[key] = _SystemMember(raw, None, known)
+                end += len(raw)
+            else:
+                value, after = _DECODER.raw_decode(text, end)
+                data[key] = (
+                    _SystemMember(text[end:after], value, None)
+                    if key == "system" else value
+                )
+                end = after
+            end = _skip_ws(text, end).end()
+            more = text[end:end + 1] != "}"
+            if more:
+                if text[end:end + 1] != ",":
+                    raise JSONDecodeError("Expecting ',' delimiter", text, end)
+                end = _skip_ws(text, end + 1).end()
+        end += 1
+    end = _skip_ws(text, end).end()
+    if end != len(text):
+        raise JSONDecodeError("Extra data", text, end)
+    return data
+
+
+def parse_analyse_request(text: str, systems: SystemMemo) -> AnalyseRequest:
+    """Validate and decode a ``POST /analyse`` body from its text; the
+    system document is decoded through the server's *systems* memo,
+    which skips the JSON decode of a system text it has seen before."""
+    try:
+        data = _analyse_members(text, systems)
+    except JSONDecodeError as exc:
+        # Only a body json.loads refuses too gets here: report its
+        # error, whose wording varies between Python versions.
+        try:
+            json.loads(text)
+        except JSONDecodeError as reference:
+            exc = reference
+        raise invalid_json(exc) from exc
     try:
         data = parse_envelope(data, "analyse_request")
-        system, fingerprint = systems.decode(_require(data, "system"))
+        member = _require(data, "system")
+        if member.known is not None:
+            system, fingerprint = systems.hit(member.raw, member.known)
+        else:
+            system, fingerprint = systems.decode(member.raw, member.doc)
         config = config_from_dict(_require(data, "config"))
         options = analysis_options_from_dict(data.get("options"))
     except SerializationError as exc:

@@ -31,9 +31,10 @@ Scaling model -- the three mechanisms the tests pin:
   for the same system fingerprint share one resident
   :class:`~repro.core.search.Evaluator`; its result cache doubles as
   the shared cross-request result cache, and every response reports
-  whether the request hit a warm evaluator and what it cost.  A
-  repeated system document is decoded once
-  (:class:`~repro.service.pool.SystemMemo`).
+  whether the request hit a warm evaluator and what it cost.  The
+  handler hands ``/analyse`` its body as text, and a system document
+  whose exact text the server has decoded before is matched by that
+  text and not parsed again (:class:`~repro.service.pool.SystemMemo`).
 * **Admission control**: at most ``max_concurrent`` analyse requests
   are processed at once; requests beyond the cap are rejected
   *immediately* with 429 + ``Retry-After`` instead of queueing without
@@ -62,6 +63,7 @@ from repro.service.pool import EvaluatorPool, SystemMemo
 from repro.service.protocol import (
     analyse_response,
     guard_repro_error,
+    invalid_json,
     parse_analyse_request,
     parse_campaign_request,
     runtime_bus_options,
@@ -138,8 +140,8 @@ class AnalysisService:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def analyse(self, body: Any) -> Tuple[int, Dict[str, Any]]:
-        request = parse_analyse_request(body, self.systems)
+    def analyse(self, text: str) -> Tuple[int, Dict[str, Any]]:
+        request = parse_analyse_request(text, self.systems)
         if not self._admit():
             raise ServiceError(
                 f"over capacity: {self.config.max_concurrent} analyse "
@@ -240,7 +242,8 @@ class _Handler(BaseHTTPRequestHandler):
             extra["Connection"] = "close"
         self._reply(exc.status, error_to_dict(code, str(exc), exc.status), **extra)
 
-    def _read_body(self) -> Any:
+    def _read_text(self) -> str:
+        """The request body, decoded from UTF-8 (400 when it is empty)."""
         header = (self.headers.get("Content-Length") or "0").strip()
         # Only a plain decimal count: "abc" would raise inside int(),
         # and "-1" would make read() block until the client hangs up.
@@ -255,9 +258,16 @@ class _Handler(BaseHTTPRequestHandler):
         if not raw:
             raise ServiceError("request body is empty", status=400)
         try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"body is not valid JSON: {exc}", status=400)
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise invalid_json(exc) from None
+
+    def _read_body(self) -> Any:
+        """The request body as decoded JSON."""
+        try:
+            return json.loads(self._read_text())
+        except json.JSONDecodeError as exc:
+            raise invalid_json(exc) from None
 
     def _read_exactly(self, length: int) -> bytes:
         """The *length* body bytes, read within :data:`BODY_DEADLINE_S`.
@@ -338,7 +348,7 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         path = self.path.rstrip("/")
         if path == "/analyse":
-            self._dispatch(lambda: service.analyse(self._read_body()))
+            self._dispatch(lambda: service.analyse(self._read_text()))
         elif path == "/campaigns":
             self._dispatch(lambda: service.submit_campaign(self._read_body()))
         elif path == "/shutdown":

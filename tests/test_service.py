@@ -37,8 +37,10 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import analyse_system
 from repro.analysis.holistic import AnalysisOptions
@@ -47,17 +49,25 @@ from repro.core.campaign import campaign_matrix, run_campaign
 from repro.core.sa import SAOptions
 from repro.synth.taskgraph_gen import GeneratorConfig, generate_system
 from repro.io.serialization import (
+    analysis_options_from_dict,
     analysis_result_to_dict,
+    config_from_dict,
     config_to_dict,
+    parse_envelope,
     result_to_dict,
     system_fingerprint,
     system_from_dict,
     system_to_dict,
 )
-from repro.errors import ServiceError
+from repro.errors import SerializationError, ServiceError
 from repro.service import ServiceConfig, create_server
 from repro.service import server as server_module
-from repro.service.protocol import parse_campaign_request
+from repro.service.pool import SystemMemo
+from repro.service.protocol import (
+    parse_analyse_request,
+    parse_campaign_request,
+)
+from repro.synth.suite import paper_system
 
 from tests.util import (
     FIG4_FRAME_IDS,
@@ -518,6 +528,235 @@ class TestSystemMemo:
         assert len(bodies) == 1
         assert health["systems"]["entries"] == 1
         assert health["systems"]["hits"] + health["systems"]["misses"] == n
+
+
+# ----------------------------------------------------------------------
+# the analyse parse against json.loads
+# ----------------------------------------------------------------------
+def _reference_parse(text):
+    """``(fingerprint, config, options)`` of an analyse body by the plain
+    route: ``json.loads``, then the serialization codecs, with the
+    service's error statuses and messages."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ServiceError(f"body is not valid JSON: {exc}", status=400)
+
+    def require(key):
+        if key not in data:
+            raise ServiceError(f"request is missing the {key!r} field", status=400)
+        return data[key]
+
+    try:
+        data = parse_envelope(data, "analyse_request")
+        fingerprint = system_fingerprint(system_from_dict(require("system")))
+        config = config_from_dict(require("config"))
+        options = analysis_options_from_dict(data.get("options"))
+    except SerializationError as exc:
+        raise ServiceError(str(exc), status=400)
+    return fingerprint, config, options
+
+
+def _service_parse(text, memo):
+    request = parse_analyse_request(text, memo)
+    return request.fingerprint, request.config, request.options
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or its exception's type, status and text."""
+    try:
+        return "ok", parse(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, getattr(exc, "status", None), str(exc)
+
+
+@lru_cache(maxsize=None)
+def _oracle_documents():
+    """The Fig. 4 document (also with a non-ASCII name) and the pinned
+    Fig. 9 documents, as decoded JSON."""
+    fig4 = system_to_dict(fig4_system())
+    named = json.loads(json.dumps(fig4))
+    named["application"]["name"] = "fig4 \u00e9\u2603"
+    pinned = [
+        system_to_dict(paper_system(n, m, seed=23))
+        for n, m in ((3, 1), (4, 0), (5, 0))
+    ]
+    return (fig4, named, *pinned)
+
+
+_CONFIG_DOC = config_to_dict(basic_config(frame_ids=FIG4_FRAME_IDS))
+#: ``json.dumps`` keyword sets: the service's clients send the first.
+_SPELLINGS = (
+    {},
+    {"separators": (",", ":")},
+    {"indent": 1},
+    {"sort_keys": True},
+    {"ensure_ascii": False},
+)
+_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+_EXTRA_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+#: Characters a one-character mutation writes.
+_MUTANTS = list('{}[]":,\\ \t\nx0-+eE.u\u00e9') + ["\ud800"]
+
+
+def _key_text(key, escaped):
+    """A member name, with every character as a ``\\uXXXX`` escape when
+    *escaped*."""
+    if escaped:
+        return '"' + "".join(f"\\u{ord(c):04x}" for c in key) + '"'
+    return json.dumps(key)
+
+
+@st.composite
+def _analyse_bodies(draw):
+    docs = _oracle_documents()
+    members = [
+        ("system", draw(st.sampled_from(docs))),
+        ("config", _CONFIG_DOC),
+    ]
+    if draw(st.booleans()):
+        members.append(("kind", draw(
+            st.sampled_from(["analyse_request", "campaign_request"]))))
+    if draw(st.booleans()):
+        members.append(("service_version", draw(st.sampled_from([1, 99]))))
+    if draw(st.booleans()):
+        members.append(("options", draw(st.sampled_from([
+            None, {"backend": "python"}, {"fault_hypothesis": 1},
+            {"warp": 9},
+        ]))))
+    for _ in range(draw(st.integers(0, 2))):  # duplicates and extras
+        key = draw(st.sampled_from(["system", "config", "x", "\u00e9"]))
+        value = (
+            draw(st.sampled_from(docs + (None, [], "system")))
+            if key == "system" else draw(_EXTRA_VALUES)
+        )
+        members.append((key, value))
+    members = draw(st.permutations(members))
+    parts = [
+        draw(_WHITESPACE)
+        + _key_text(key, draw(st.booleans()) and draw(st.booleans()))
+        + draw(_WHITESPACE) + ":" + draw(_WHITESPACE)
+        + json.dumps(value, **draw(st.sampled_from(_SPELLINGS)))
+        + draw(_WHITESPACE)
+        for key, value in members
+    ]
+    text = "{" + ",".join(parts) + "}"
+    top = draw(st.sampled_from(["object"] * 4 + ["array", "scalar"]))
+    if top == "array":
+        text = "[" + text + "]"
+    elif top == "scalar":
+        text = json.dumps(draw(_EXTRA_VALUES))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    text = bom + draw(_WHITESPACE) + text + draw(_WHITESPACE)
+    mutation = draw(st.sampled_from(["none"] * 3 + ["cut", "swap", "insert"]))
+    if mutation != "none" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        if mutation == "cut":
+            text = text[:at]
+        else:
+            keep = at + (mutation == "swap")
+            text = text[:at] + draw(st.sampled_from(_MUTANTS)) + text[keep:]
+    return text
+
+
+def _seeded_memo():
+    """A memo holding every oracle document in the clients' spelling."""
+    memo = SystemMemo(max_entries=8)
+    for doc in _oracle_documents():
+        body = json.dumps({"system": doc, "config": _CONFIG_DOC})
+        parse_analyse_request(body, memo)
+    return memo
+
+
+class TestAnalyseParse:
+    """``parse_analyse_request`` reads the body text itself and skips a
+    system text the memo holds; against ``json.loads`` plus the codecs
+    it must give the same request, or the same error, on any body."""
+
+    @given(bodies=st.lists(_analyse_bodies(), min_size=1, max_size=3))
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_equals_json_loads_and_the_codecs(self, bodies):
+        memo = _seeded_memo()
+        for text in bodies:
+            assert _outcome(_service_parse, text, memo) == _outcome(
+                _reference_parse, text
+            ), text
+
+    def test_seeded_spelling_is_a_hit_and_skips_the_decode(
+        self, decode_calls
+    ):
+        memo = _seeded_memo()
+        seeded = len(decode_calls)
+        for doc in _oracle_documents():
+            body = json.dumps({"config": _CONFIG_DOC, "system": doc})
+            assert _outcome(_service_parse, body, memo) == _outcome(
+                _reference_parse, body
+            )
+        assert len(decode_calls) == seeded
+        stats = memo.stats()
+        assert (stats["hits"], stats["misses"]) == (5, 5)
+
+    def test_memoised_text_as_the_config_is_not_the_system(self):
+        memo = _seeded_memo()
+        raw = json.dumps(_oracle_documents()[0])
+        other = json.dumps(_oracle_documents()[2])
+        for text in (
+            '{"config": %s}' % raw,
+            '{"system": %s, "config": %s}' % (other, raw),
+            '{"config": %s, "x": %s}' % (json.dumps(_CONFIG_DOC), raw),
+        ):
+            expected = _outcome(_reference_parse, text)
+            assert expected[0] == "ServiceError"
+            assert _outcome(_service_parse, text, memo) == expected
+        assert memo.stats()["hits"] == 1  # the second body's own system
+
+    @pytest.mark.parametrize(
+        "tail", ["x", "]", "}}", " , }", ' "config": {}}', ', "config"}']
+    )
+    def test_memoised_text_followed_by_garbage_is_a_400(self, tail):
+        memo = _seeded_memo()
+        raw = json.dumps(_oracle_documents()[0])
+        text = '{"system": %s%s' % (raw, tail)
+        got = _outcome(_service_parse, text, memo)
+        assert got == _outcome(_reference_parse, text)
+        assert got[:2] == ("ServiceError", 400)
+        assert got[2].startswith("body is not valid JSON: ")
+
+    def test_two_spellings_share_one_fingerprint_and_pool_entry(
+        self, tmp_path
+    ):
+        doc = _analyse_body()
+        spellings = [json.dumps(doc), json.dumps(doc, indent=2, sort_keys=True)]
+        with _Service(tmp_path) as svc:
+            answers = [
+                _post(svc.port, "/analyse", raw=text.encode("utf-8"))
+                for text in spellings * 2
+            ]
+            _, health = _get(svc.port, "/health")
+        assert [status for status, _ in answers] == [200] * 4
+        assert len({answer["fingerprint"] for _, answer in answers}) == 1
+        assert [a["service"]["pool_hit"] for _, a in answers] == [
+            False, True, True, True,
+        ]
+        assert health["systems"]["entries"] == 2
+        assert (health["systems"]["hits"], health["systems"]["misses"]) == (2, 2)
+        assert health["pool"]["entries"] == 1
+
+
+def test_perfbench_server_boundaries_resolve():
+    """perfbench wraps the server's layers by attribute name and reports
+    a name that no longer resolves as missing instead of failing, so a
+    rename here would silently zero its service metrics."""
+    from perfbench.layers import SERVER_BOUNDARIES, _resolve
+
+    for module_name, path, _, _ in SERVER_BOUNDARIES:
+        owner, attr = _resolve(module_name, path)
+        assert callable(vars(owner)[attr]), f"{module_name}.{path}"
 
 
 # ----------------------------------------------------------------------
